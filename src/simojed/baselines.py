@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateInputError
+from .errors import CapacityError, DegenerateInputError, ParameterError
 from .model import Constellation, ReceivedBlock
 from .prox import channel_estimate, hard_decision
 
@@ -65,7 +65,8 @@ def mrc_chest(
     block: ReceivedBlock, s_check: complex | None = None, c: Constellation | None = None
 ) -> DetectionResult:
     """Pilot-based channel estimation followed by combining."""
-    assert c is not None
+    if c is None:
+        raise ParameterError("pilot-based detection needs the constellation c")
     s_check = c.points[0] if s_check is None else s_check
     h_hat = chest_pilot(block, s_check, c)
     return DetectionResult(
@@ -78,8 +79,6 @@ def mrc_retrained(
 ) -> DetectionResult:
     """Pilot-based detection, then the channel re-estimated from the detected
     symbol vector."""
-    assert c is not None
-    s_check = c.points[0] if s_check is None else s_check
     first = mrc_chest(block, s_check, c)
     h_rt = channel_estimate(block.Y, first.s_hat)
     return DetectionResult(s_hat=first.s_hat, h_hat=h_rt, method="mrc-rt")

@@ -7,7 +7,8 @@ Subcommands: ``sweep`` (Monte-Carlo error-rate sweep), ``verify``
 
 A config file of ``key = value`` lines can seed any sweep-style command;
 explicit flags override it. Worker count comes from the SIMOJED_WORKERS
-environment variable.
+environment variable. A package error (a bad parameter, an unsupported size)
+exits non-zero with its message.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .fxp import PeArrayConfig, pe_array_iteration, quantize_iterate, quantize_matrix
+from .errors import ParameterError, SimojedError
+from .fxp import pe_array_iteration, quantize_block
 from .harness import (
     MethodSpec,
     SweepConfig,
@@ -29,8 +29,8 @@ from .harness import (
     timing_csv,
     timing_report,
 )
-from .model import Constellation, LosGeometry
-from .prox import ProxParams, preprocess
+from .model import Constellation, LosGeometry, draw_block
+from .prox import ProxParams
 from .tuning import tune_rho
 from .verify import verify_theorems
 
@@ -53,6 +53,8 @@ def parse_snr_spec(spec: str) -> tuple[float, ...]:
     """Either 'start:stop:step' (inclusive) or a comma list."""
     if ":" in spec:
         start, stop, step = (float(x) for x in spec.split(":"))
+        if step == 0:
+            raise ParameterError(f"SNR range {spec!r} has a zero step")
         n = int(round((stop - start) / step)) + 1
         return tuple(round(start + i * step, 9) for i in range(n))
     return tuple(float(x) for x in spec.split(","))
@@ -213,7 +215,7 @@ def cmd_hw_compare(args: argparse.Namespace) -> int:
     res = _resolve(args, {"methods": "prox"})
     params = ProxParams(
         alpha_scale=res["alpha_scale"],
-        rho_log2=max(1, res["rho_log2"]),
+        rho_log2=res["rho_log2"],
         t_max=res["t_max"],
         mode=res["mode"],
     )
@@ -263,22 +265,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
     c = Constellation.by_name(args.constellation)
-    from .model import make_block
-
-    block = make_block(args.b, args.n - 1, c, args.snr, rng, rng, rng)
-    params = ProxParams(rho_log2=max(1, args.rho_log2), t_max=1)
-    pre = preprocess(block.G, params)
-    from .prox import init_s
-
-    s0 = init_s(block.G, c.points[0]) / c.re_bound
-    Gq = quantize_matrix(pre.Ghat)
-    sq = quantize_iterate(s0)
-    cfg = PeArrayConfig(
-        N=args.n, t_max=1, rho_log2=max(1, args.rho_log2), real_only=c.im_bound == 0.0
-    )
-    sc = (8, 0) if c.im_bound == 0.0 else (8, 8)
+    block, _ = draw_block(args.b, args.n - 1, c, args.snr, args.seed, ())
+    cfg, Gq, sq, sc = quantize_block(block, c, ProxParams(rho_log2=args.rho_log2, t_max=1))
     _, trace = pe_array_iteration(sq, Gq, cfg, sc)
     text = trace.to_text()
     if args.out:
@@ -345,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SimojedError as exc:
+        raise SystemExit(f"simojed {args.command}: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -360,6 +360,32 @@ def _project_arr(qbar: np.ndarray, rho_log2: int, inv_raw: int) -> np.ndarray:
     return np.where(hi >= 0, 8, np.where(lo < 0, -8, shifted)).astype(np.int64)
 
 
+def quantize_block(
+    block: ReceivedBlock,
+    c: Constellation,
+    params: ProxParams,
+    s_check: complex | None = None,
+) -> tuple[PeArrayConfig, tuple, tuple, tuple[int, int]]:
+    """The array for one block and its raw-integer (real, imaginary) inputs:
+    the iteration matrix, the initial iterate and the reference symbol.
+
+    Preprocessing runs in floating point (it happens off the array); the
+    iterate and the reference are normalized so the hull clip sits at +-1
+    per component before they are quantized.
+    """
+    if params.rho_log2 < 1:
+        raise ParameterError("the datapath needs a projection gain above 1 (rho_log2 >= 1)")
+    cfg = PeArrayConfig(
+        N=block.num_slots, t_max=params.t_max, rho_log2=params.rho_log2, real_only=c.im_bound == 0.0
+    )
+    s_check = c.points[0] if s_check is None else s_check
+    pre = preprocess(block.G, params)
+    bound = c.re_bound  # per-component hull half-width
+    scq = quantize_complex(complex(s_check / bound), S_FMT)
+    sq = quantize_iterate(init_s(block.G, s_check) / bound)
+    return cfg, quantize_matrix(pre.Ghat), sq, (scq[0].raw, scq[1].raw)
+
+
 def solve_fixed(
     block: ReceivedBlock,
     c: Constellation,
@@ -369,26 +395,12 @@ def solve_fixed(
 ) -> np.ndarray:
     """Full fixed-point detection pass on one block.
 
-    Preprocessing runs in floating point (it happens off the array); the
-    iterate is normalized so the hull clip sits at +-1 per component, then
-    quantized and iterated on the integer datapath. Hard decisions come from
-    the output sign bits. Returns the detected symbol vector.
+    The block is quantized by ``quantize_block`` and iterated on the
+    integer datapath. Hard decisions come from the output sign bits.
+    Returns the detected symbol vector.
     """
-    if params.rho_log2 < 1:
-        raise ParameterError("the datapath needs a projection gain above 1")
     s_check = c.points[0] if s_check is None else s_check
-    pre = preprocess(block.G, params)
-    bound = c.re_bound  # per-component hull half-width
-    s0 = init_s(block.G, s_check) / bound
-    real_only = c.im_bound == 0.0
-
-    Gq = quantize_matrix(pre.Ghat)
-    sq = quantize_iterate(s0)
-    scq = quantize_complex(complex(s_check / bound), S_FMT)
-    sc_raw = (scq[0].raw, scq[1].raw)
-    N = block.num_slots
-    cfg = PeArrayConfig(N=N, t_max=params.t_max, rho_log2=params.rho_log2, real_only=real_only)
-    state = sq
+    cfg, Gq, state, sc_raw = quantize_block(block, c, params, s_check)
     for _ in range(params.t_max):
         if cycle_accurate:
             state, _ = pe_array_iteration(state, Gq, cfg, sc_raw)

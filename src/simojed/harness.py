@@ -1,11 +1,12 @@
 """Monte-Carlo sweep engine: seeded paired trials, aggregation, CSV/JSON
 output, fixed-vs-float comparison, and the timing table.
 
-Every trial draws its channel, data, and noise from substreams spawned off
-the master seed by (snr index, trial index), so results are bit-identical
-for a given seed regardless of how trials are distributed over workers.
-All methods in a sweep consume the same blocks (paired comparison), and the
-downlink evaluation reuses one noise seed per trial across methods.
+Every trial draws its block with ``model.draw_block`` keyed by (snr index,
+trial index), so results are bit-identical for a given seed regardless of
+how trials are distributed over workers. All methods in a sweep, and both
+arithmetics of a float-vs-fixed comparison, consume the same blocks (paired
+comparison), and the downlink evaluation reuses one noise seed per trial
+across methods.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .baselines import (
 )
 from .errors import CapacityError, ParameterError
 from .fxp import latency_cycles, solve_fixed, throughput_bps
-from .model import Constellation, LosGeometry, make_block, snr_to_n0
+from .model import Constellation, LosGeometry, draw_block, snr_to_n0
 from .prox import ProxParams, channel_estimate, solve
 
 WORKERS_ENV = "SIMOJED_WORKERS"
@@ -81,8 +82,12 @@ class SweepConfig:
             raise ParameterError("need at least one trial")
         if not self.snr_points_db:
             raise ParameterError("need at least one SNR point")
+        if self.B < 1:
+            raise ParameterError("need at least one receive antenna")
         if self.K < 1:
             raise ParameterError("need at least one data slot")
+        if self.downlink_symbols is not None and self.downlink_symbols < 1:
+            raise ParameterError("need at least one downlink symbol")
         if self.channel not in ("rayleigh", "los"):
             raise ParameterError(f"unknown channel {self.channel!r}")
         if self.arithmetic not in ("float", "fixed"):
@@ -227,98 +232,102 @@ def _eval_method(spec: MethodSpec, block, c, arithmetic: str):
     return r.s_hat, r.h_hat
 
 
-def _run_chunk(cfg: SweepConfig, snr_index: int, trial_lo: int, trial_hi: int):
-    """Counts for trials [trial_lo, trial_hi) at one SNR point.
+def _run_chunk(
+    cfg: SweepConfig, arithmetics: tuple[str, ...], snr_index: int, trial_lo: int, trial_hi: int
+):
+    """Counts for trials [trial_lo, trial_hi) at one SNR point, each block
+    detected in every one of ``arithmetics``.
 
-    Returns per-method integer error counts and the per-trial channel-MSE
-    array (summed later in fixed order for worker-count independence).
+    Returns per-(arithmetic, method) integer error counts and per-trial
+    channel-MSE arrays (summed later in fixed order for worker-count
+    independence), and how many hard decisions of the first solver method
+    agree between float and fixed arithmetic (0 unless both run).
     """
     c = Constellation.by_name(cfg.constellation)
     snr_db = cfg.snr_points_db[snr_index]
     n0 = snr_to_n0(snr_db, c)
     n_dl = cfg.downlink_symbols or cfg.K
-    ul = {m.name: 0 for m in cfg.methods}
-    dl = {m.name: 0 for m in cfg.methods}
-    mse = {m.name: np.zeros(trial_hi - trial_lo) for m in cfg.methods}
+    los = cfg.los if cfg.channel == "los" else None
+    solver = next((m for m in cfg.methods if m.solver_params is not None), None)
+    counts = {
+        (a, m.name): [0, 0, np.zeros(trial_hi - trial_lo)] for a in arithmetics for m in cfg.methods
+    }
+    agree = 0
     for t in range(trial_lo, trial_hi):
-        ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(snr_index, t))
-        ch_ss, data_ss, noise_ss, dl_ss = ss.spawn(4)
-        block = make_block(
-            cfg.B,
-            cfg.K,
-            c,
-            snr_db,
-            np.random.default_rng(ch_ss),
-            np.random.default_rng(data_ss),
-            np.random.default_rng(noise_ss),
-            los=cfg.los if cfg.channel == "los" else None,
-        )
+        block, dl_ss = draw_block(cfg.B, cfg.K, c, snr_db, cfg.master_seed, (snr_index, t), los)
         truth = block.truth
         data_true = truth.s_true[1:]
-        for spec in cfg.methods:
-            s_hat, h_hat = _eval_method(spec, block, c, cfg.arithmetic)
-            ul[spec.name] += int(np.sum(s_hat[1:] != data_true))
-            frac = downlink_ser(
-                truth.h_true, h_hat, c, n_dl, n0, np.random.default_rng(dl_ss)
-            )
-            dl[spec.name] += int(round(frac * n_dl))
-            mse[spec.name][t - trial_lo] = float(
-                np.sum(np.abs(h_hat - truth.h_true) ** 2) / cfg.B
-            )
-    return snr_index, trial_lo, ul, dl, mse
+        decisions = {}
+        for arithmetic in arithmetics:
+            for spec in cfg.methods:
+                s_hat, h_hat = _eval_method(spec, block, c, arithmetic)
+                if spec is solver:
+                    decisions[arithmetic] = s_hat[1:]
+                cell = counts[(arithmetic, spec.name)]
+                cell[0] += int(np.sum(s_hat[1:] != data_true))
+                frac = downlink_ser(truth.h_true, h_hat, c, n_dl, n0, np.random.default_rng(dl_ss))
+                cell[1] += int(round(frac * n_dl))
+                cell[2][t - trial_lo] = float(np.sum(np.abs(h_hat - truth.h_true) ** 2) / cfg.B)
+        if decisions.keys() == {"float", "fixed"}:
+            agree += int(np.sum(decisions["float"] == decisions["fixed"]))
+    return snr_index, trial_lo, counts, agree
 
 
 def _worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ParameterError(f"{WORKERS_ENV} must be a positive integer, not {raw!r}")
+    return int(raw)
 
 
-def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Run the full paired sweep; deterministic for a given master seed
-    regardless of the worker count."""
+def _sweep_chunks(cfg: SweepConfig, arithmetics: tuple[str, ...]) -> list:
+    """Every chunk of the paired sweep, in (snr, trial) order so that float
+    reductions are identical for any worker count."""
     jobs = []
     for snr_index in range(len(cfg.snr_points_db)):
         for lo in range(0, cfg.trials, _TRIAL_CHUNK):
-            jobs.append((snr_index, lo, min(lo + _TRIAL_CHUNK, cfg.trials)))
+            jobs.append((cfg, arithmetics, snr_index, lo, min(lo + _TRIAL_CHUNK, cfg.trials)))
 
     workers = _worker_count()
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_run_chunk_star, [(cfg, *j) for j in jobs], chunksize=1))
+            outputs = list(pool.map(_run_chunk, *zip(*jobs), chunksize=1))
     else:
-        outputs = [_run_chunk(cfg, *j) for j in jobs]
-
-    # Assemble in (snr, trial) order so float reductions are identical for
-    # any worker count.
+        outputs = [_run_chunk(*j) for j in jobs]
     outputs.sort(key=lambda o: (o[0], o[1]))
+    return outputs
+
+
+def _sweep_result(cfg: SweepConfig, outputs: list, arithmetic: str) -> SweepResult:
+    """The cells of one arithmetic, as ``run_sweep`` reports them for
+    ``replace(cfg, arithmetic=arithmetic)``."""
     result = SweepResult(
-        config_hash=cfg.config_hash(), master_seed=cfg.master_seed, version=__version__
+        config_hash=replace(cfg, arithmetic=arithmetic).config_hash(),
+        master_seed=cfg.master_seed,
+        version=__version__,
     )
     n_dl = cfg.downlink_symbols or cfg.K
     for snr_index, snr_db in enumerate(cfg.snr_points_db):
-        chunks = [o for o in outputs if o[0] == snr_index]
+        chunks = [o[2] for o in outputs if o[0] == snr_index]
         for spec in cfg.methods:
-            ul = sum(o[2][spec.name] for o in chunks)
-            dl = sum(o[3][spec.name] for o in chunks)
-            mse_parts = [float(np.sum(o[4][spec.name])) for o in chunks]
+            parts = [chunk[(arithmetic, spec.name)] for chunk in chunks]
             result.cells[(spec.name, snr_db)] = SweepCell(
                 method=spec.name,
                 snr_db=snr_db,
                 trials=cfg.trials,
-                symbol_errors=ul,
-                downlink_errors=dl,
-                chest_mse=math.fsum(mse_parts) / cfg.trials,
+                symbol_errors=sum(p[0] for p in parts),
+                downlink_errors=sum(p[1] for p in parts),
+                chest_mse=math.fsum(float(np.sum(p[2])) for p in parts) / cfg.trials,
                 data_symbols=cfg.trials * cfg.K,
                 downlink_symbols=cfg.trials * n_dl,
             )
     return result
 
 
-def _run_chunk_star(args):
-    return _run_chunk(*args)
+def run_sweep(cfg: SweepConfig) -> SweepResult:
+    """Run the full paired sweep; deterministic for a given master seed
+    regardless of the worker count."""
+    return _sweep_result(cfg, _sweep_chunks(cfg, (cfg.arithmetic,)), cfg.arithmetic)
 
 
 def read_result(csv_text: str, metadata: dict) -> SweepResult:
@@ -372,23 +381,33 @@ def hw_compare(
 ) -> HwCompareReport:
     """Paired float-vs-fixed comparison for the solver methods in ``cfg``.
 
-    Runs the same seeded sweep in both arithmetics, measures the
-    hard-decision agreement rate at one SNR point (the sweep's midpoint by
-    default), and the horizontal dB gap between the two SER curves at the
-    requested targets.
+    One sweep draws each block once and detects it in both arithmetics,
+    giving one ``SweepResult`` per arithmetic (each hashed as ``cfg`` with
+    that arithmetic). The hard-decision agreement rate of the first solver
+    method is counted on the same blocks at ``agreement_snr_db``, which
+    must be a sweep point (the grid's midpoint by default). The gap is the
+    horizontal dB distance between the two SER curves at each target.
+    Every solver method needs ``rho_log2 >= 1``, as the datapath does.
     """
-    solver_methods = [m for m in cfg.methods if m.name in ("prox", "aprox")]
+    solver_methods = [m for m in cfg.methods if m.solver_params is not None]
     if not solver_methods:
         raise ParameterError("hw_compare needs a prox or aprox method in the config")
-    float_cfg = replace(cfg, arithmetic="float")
-    fixed_cfg = replace(cfg, arithmetic="fixed")
-    float_res = run_sweep(float_cfg)
-    fixed_res = run_sweep(fixed_cfg)
-
+    for m in solver_methods:
+        if m.params.rho_log2 < 1:
+            raise ParameterError(
+                f"{m.name}: the datapath needs rho_log2 >= 1, not {m.params.rho_log2}"
+            )
     snr_db = agreement_snr_db
     if snr_db is None:
         snr_db = cfg.snr_points_db[len(cfg.snr_points_db) // 2]
-    agreement = _decision_agreement(cfg, solver_methods[0], snr_db)
+    if snr_db not in cfg.snr_points_db:
+        raise ParameterError(f"agreement SNR {snr_db} dB is not a sweep point {cfg.snr_points_db}")
+    snr_index = cfg.snr_points_db.index(snr_db)
+
+    outputs = _sweep_chunks(cfg, ("float", "fixed"))
+    float_res = _sweep_result(cfg, outputs, "float")
+    fixed_res = _sweep_result(cfg, outputs, "fixed")
+    agree = sum(o[3] for o in outputs if o[0] == snr_index)
 
     name = solver_methods[0].name
     gaps: dict[float, float | None] = {}
@@ -397,40 +416,11 @@ def hw_compare(
         x_db = db_at_ser(fixed_res.curve(name), target)
         gaps[target] = None if f_db is None or x_db is None else x_db - f_db
     return HwCompareReport(
-        agreement_rate=agreement,
+        agreement_rate=agree / (cfg.trials * cfg.K),
         float_result=float_res,
         fixed_result=fixed_res,
         gap_db_at=gaps,
     )
-
-
-def _decision_agreement(cfg: SweepConfig, spec: MethodSpec, snr_db: float) -> float:
-    """Fraction of mutually agreeing hard decisions on paired blocks."""
-    c = Constellation.by_name(cfg.constellation)
-    try:
-        snr_index = cfg.snr_points_db.index(snr_db)
-    except ValueError:
-        snr_index = 0
-        snr_db = cfg.snr_points_db[0]
-    agree = total = 0
-    for t in range(cfg.trials):
-        ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(snr_index, t))
-        ch_ss, data_ss, noise_ss, _ = ss.spawn(4)
-        block = make_block(
-            cfg.B,
-            cfg.K,
-            c,
-            snr_db,
-            np.random.default_rng(ch_ss),
-            np.random.default_rng(data_ss),
-            np.random.default_rng(noise_ss),
-            los=cfg.los if cfg.channel == "los" else None,
-        )
-        s_float, _ = _eval_method(spec, block, c, "float")
-        s_fixed, _ = _eval_method(spec, block, c, "fixed")
-        agree += int(np.sum(s_float[1:] == s_fixed[1:]))
-        total += cfg.K
-    return agree / total
 
 
 def timing_report(

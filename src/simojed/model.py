@@ -3,7 +3,8 @@
 A single-antenna user sends K+1 symbols (the first one fixed and known) to a
 B-antenna receiver over a channel that stays constant for the whole block.
 All generators take an explicit ``numpy.random.Generator`` so trials can run
-on independent, reproducible substreams.
+on independent, reproducible substreams; ``draw_block`` lays those
+substreams out for one seeded trial.
 """
 
 from __future__ import annotations
@@ -196,3 +197,23 @@ def make_block(
     s = random_data_vector(c, K, s_check, data_rng)
     truth = TransmissionGroundTruth(s_true=s, h_true=h, n0=snr_to_n0(snr_db, c))
     return transmit(truth, noise_rng)
+
+
+def draw_block(
+    B: int,
+    K: int,
+    c: Constellation,
+    snr_db: float,
+    seed: int,
+    key: tuple[int, ...],
+    los: LosGeometry | None = None,
+) -> tuple[ReceivedBlock, np.random.SeedSequence]:
+    """The block of one seeded trial: the package's only stream layout.
+
+    Children 0-2 of ``SeedSequence(seed, spawn_key=key).spawn(4)`` draw the
+    channel, the data and the noise; child 3 is returned for the trial's
+    downlink evaluation.
+    """
+    *streams, dl_ss = np.random.SeedSequence(seed, spawn_key=key).spawn(4)
+    rngs = [np.random.default_rng(ss) for ss in streams]
+    return make_block(B, K, c, snr_db, *rngs, los=los), dl_ss

@@ -2,7 +2,7 @@
 
 The projection gain and the shift-factor scale are the two knobs the
 algorithm leaves open; this searches the documented grid on a seeded paired
-batch and keeps the best setting per (B, K, constellation, mode).
+batch and keeps the best setting per search configuration.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Constellation, make_block
+from .model import Constellation, draw_block
 from .prox import ProxParams, solve
 
 RHO_LOG2_GRID = tuple(range(0, 7))
@@ -25,10 +25,6 @@ class TunedParams:
     rho_log2: int
     alpha_scale: float
     ser: float
-
-
-def _cache_key(B: int, K: int, constellation: str, mode: str) -> str:
-    return f"B{B}_K{K}_{constellation}_{mode}"
 
 
 def tune_rho(
@@ -48,10 +44,14 @@ def tune_rho(
 
     Every setting sees byte-identical blocks. Ties in error count break to
     the smallest ``rho_log2``, then the smallest ``alpha_scale``. When a
-    cache file is given and already holds this configuration, the cached
-    result is returned without re-searching.
+    cache file is given and already holds a result for these exact
+    arguments (everything but the cache path), it is returned without
+    re-searching.
     """
-    key = _cache_key(B, K, constellation, mode)
+    key = (
+        f"B{B}_K{K}_{constellation}_{mode}_snr{float(snr_db)!r}_tmax{t_max}_trials{trials}"
+        f"_seed{seed}_rho{list(rho_grid)}_alpha{list(alpha_grid)}"
+    )
     cache: dict = {}
     if cache_path is not None and Path(cache_path).exists():
         cache = json.loads(Path(cache_path).read_text())
@@ -60,21 +60,7 @@ def tune_rho(
             return TunedParams(hit["rho_log2"], hit["alpha_scale"], hit["ser"])
 
     c = Constellation.by_name(constellation)
-    blocks = []
-    for t in range(trials):
-        ss = np.random.SeedSequence(seed, spawn_key=(t,))
-        ch_ss, data_ss, noise_ss = ss.spawn(3)
-        blocks.append(
-            make_block(
-                B,
-                K,
-                c,
-                snr_db,
-                np.random.default_rng(ch_ss),
-                np.random.default_rng(data_ss),
-                np.random.default_rng(noise_ss),
-            )
-        )
+    blocks = [draw_block(B, K, c, snr_db, seed, (t,))[0] for t in range(trials)]
 
     best: TunedParams | None = None
     for rho_log2 in rho_grid:

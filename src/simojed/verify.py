@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import gram, invert_shifted, neumann_error_bound, neumann_two_term, spectral_norm
-from .model import Constellation, make_block
+from .model import Constellation, draw_block
 from .prox import ProxParams, SolverState, init_s, iterate_once, preprocess, solve
 
 # Float slack for the non-increase check: a true descent violation is O(1),
@@ -86,21 +86,14 @@ class VerificationReport:
         ]
 
 
-def _draw_instance(rng: np.random.Generator, snr_db: float = 0.0):
+def _draw_instance(rng: np.random.Generator, seed: int, index: int):
+    """Instance ``index`` of a suite at 0 dB: its shape comes from the
+    suite's ``rng``, its block from ``draw_block`` keyed by ``(index,)``."""
     B = int(rng.choice([4, 16]))
     K = int(rng.choice([4, 16]))
     kind = str(rng.choice(["bpsk", "qpsk"]))
     c = Constellation.by_name(kind)
-    seeds = rng.integers(0, 2**63, size=3)
-    block = make_block(
-        B,
-        K,
-        c,
-        snr_db,
-        np.random.default_rng(int(seeds[0])),
-        np.random.default_rng(int(seeds[1])),
-        np.random.default_rng(int(seeds[2])),
-    )
+    block, _ = draw_block(B, K, c, 0.0, seed, (index,))
     return block, c, B, K, kind
 
 
@@ -121,7 +114,7 @@ def run_descent_and_boundary(
     attempts = 0
     while descent.instances < n_instances and attempts < max_attempts_factor * n_instances:
         attempts += 1
-        block, c, B, K, kind = _draw_instance(rng)
+        block, c, B, K, kind = _draw_instance(rng, seed, attempts)
         pre = preprocess(block.G, params)
         beta = pre.beta(params.rho)
         if not (0.0 < beta < pre.alpha):
@@ -208,7 +201,7 @@ def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
     report = SuiteReport(name="gradient_identity")
     params = ProxParams(alpha_scale=2.0, rho_log2=1, t_max=1, mode="exact")
     for i in range(n_instances):
-        block, c, B, K, kind = _draw_instance(rng)
+        block, c, B, K, kind = _draw_instance(rng, seed, i)
         pre = preprocess(block.G, params)
         s_prev = init_s(block.G, c.points[0])
         state = SolverState(s_cur=s_prev.copy(), q_cur=None)

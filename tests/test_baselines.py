@@ -10,7 +10,7 @@ from simojed.baselines import (
     mrc_csir,
     mrc_retrained,
 )
-from simojed.errors import CapacityError, DegenerateInputError
+from simojed.errors import CapacityError, DegenerateInputError, ParameterError
 from simojed.model import Constellation, TransmissionGroundTruth
 
 
@@ -95,7 +95,18 @@ class TestMrcChest:
         assert all(b <= a for a, b in zip(sers, sers[1:]))
 
 
+    def test_needs_constellation(self):
+        block, _ = noisy_block(3)
+        with pytest.raises(ParameterError):
+            mrc_chest(block)
+
+
 class TestMrcRetrained:
+    def test_needs_constellation(self):
+        block, _ = noisy_block(3)
+        with pytest.raises(ParameterError):
+            mrc_retrained(block)
+
     def test_noise_free(self):
         block, c, h, s = noise_free_block(8)
         res = mrc_retrained(block, c=c)

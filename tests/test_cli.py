@@ -3,11 +3,16 @@ import json
 import pytest
 
 from simojed.cli import main, parse_config_file, parse_snr_spec
+from simojed.errors import ParameterError
 
 
 class TestParsers:
     def test_snr_range(self):
         assert parse_snr_spec("-4:0:2") == (-4.0, -2.0, 0.0)
+
+    def test_snr_range_zero_step(self):
+        with pytest.raises(ParameterError, match="zero step"):
+            parse_snr_spec("-4:0:0")
 
     def test_snr_list(self):
         assert parse_snr_spec("-3,-1.5,0") == (-3.0, -1.5, 0.0)
@@ -94,6 +99,11 @@ class TestTraceCommand:
         assert any(",mac," in ln for ln in lines)
         assert any(",project," in ln for ln in lines)
 
+    def test_rejects_gain_below_datapath_minimum(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--rho-log2", "0", "--out", str(tmp_path / "t.txt")])
+        assert "rho_log2" in str(exc.value.code)
+
 
 class TestTuneCommand:
     def test_prints_and_caches(self, tmp_path, capsys):
@@ -114,3 +124,11 @@ class TestHwCompareCommand:
         out = capsys.readouterr().out
         assert "hard-decision agreement" in out
         assert "fixed-vs-float gap" in out
+
+    def test_rejects_gain_below_datapath_minimum(self):
+        # No silent clamp to rho_log2=1: the command fails and names the gain.
+        with pytest.raises(SystemExit) as exc:
+            main(["hw-compare", "--b", "8", "--k", "4", "--snr=-6,-4", "--trials", "5",
+                  "--rho-log2", "0"])
+        assert exc.value.code != 0
+        assert "rho_log2" in str(exc.value.code)

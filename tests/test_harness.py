@@ -1,13 +1,11 @@
 import json
 import math
-import os
-import subprocess
-import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from simojed import harness
+from simojed import harness, tuning
 from simojed.errors import CapacityError, ParameterError
 from simojed.harness import (
     MethodSpec,
@@ -42,6 +40,15 @@ class TestConfig:
     def test_requires_trials(self):
         with pytest.raises(ParameterError):
             small_config(trials=0)
+
+    def test_requires_antennas(self):
+        with pytest.raises(ParameterError):
+            small_config(B=0)
+
+    def test_requires_downlink_symbols(self):
+        # An explicit 0 is an error, not a request for the default of K.
+        with pytest.raises(ParameterError):
+            small_config(downlink_symbols=0)
 
     def test_requires_snr_points(self):
         with pytest.raises(ParameterError):
@@ -90,22 +97,28 @@ class TestRunSweep:
             assert cell.uplink_ser == 0.0
             assert cell.downlink_errors == 0
 
-    def test_worker_count_does_not_change_result(self):
+    def test_worker_count_does_not_change_result(self, monkeypatch):
         cfg = small_config(trials=40)
-        old = os.environ.get(harness.WORKERS_ENV)
-        try:
-            os.environ[harness.WORKERS_ENV] = "1"
-            serial = run_sweep(cfg)
-            os.environ[harness.WORKERS_ENV] = "3"
-            parallel = run_sweep(cfg)
-        finally:
-            if old is None:
-                os.environ.pop(harness.WORKERS_ENV, None)
-            else:
-                os.environ[harness.WORKERS_ENV] = old
+        monkeypatch.setenv(harness.WORKERS_ENV, "1")
+        serial = run_sweep(cfg)
+        serial_hw = hw_compare(cfg, agreement_snr_db=-4.0)
+        monkeypatch.setenv(harness.WORKERS_ENV, "3")
+        parallel = run_sweep(cfg)
+        parallel_hw = hw_compare(cfg, agreement_snr_db=-4.0)
         assert serial.to_csv() == parallel.to_csv()
         for key in serial.cells:
             assert serial.cells[key].chest_mse == parallel.cells[key].chest_mse
+        # The agreement count is part of the paired sweep, so it runs in
+        # the pool too and must not move either.
+        assert serial_hw.float_result.to_csv() == parallel_hw.float_result.to_csv()
+        assert serial_hw.fixed_result.to_csv() == parallel_hw.fixed_result.to_csv()
+        assert serial_hw.agreement_rate == parallel_hw.agreement_rate
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", ""])
+    def test_bad_worker_count_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv(harness.WORKERS_ENV, raw)
+        with pytest.raises(ParameterError, match=harness.WORKERS_ENV):
+            run_sweep(small_config(trials=2))
 
     def test_all_methods_run(self):
         cfg = small_config(
@@ -251,6 +264,25 @@ class TestHwCompare:
         with pytest.raises(ParameterError):
             hw_compare(small_config(methods=(MethodSpec("mrc-chest"),)))
 
+    def test_rejects_gain_the_datapath_cannot_shift(self):
+        cfg = small_config(methods=(MethodSpec("prox", ProxParams(rho_log2=0)),))
+        with pytest.raises(ParameterError, match="rho_log2"):
+            hw_compare(cfg)
+
+    def test_agreement_snr_must_be_a_sweep_point(self):
+        with pytest.raises(ParameterError, match="sweep point"):
+            hw_compare(small_config(), agreement_snr_db=-6.0)
+
+    def test_matches_one_arithmetic_sweeps(self):
+        # Each arithmetic's result equals a plain sweep in that arithmetic,
+        # config hash included.
+        cfg = small_config(trials=20)
+        report = hw_compare(cfg)
+        for arithmetic, result in (("float", report.float_result), ("fixed", report.fixed_result)):
+            alone = run_sweep(replace(cfg, arithmetic=arithmetic))
+            assert result.to_csv() == alone.to_csv()
+            assert result.config_hash == alone.config_hash
+
 
 class TestTiming:
     def test_cross_product_rows(self):
@@ -278,11 +310,22 @@ class TestTuning:
                            rho_grid=(1,), alpha_grid=(2.0,))
         assert best.ser <= default.ser
 
-    def test_cache_round_trip(self, tmp_path):
+    def test_cache_round_trip(self, tmp_path, monkeypatch):
         path = tmp_path / "tuned.json"
         first = tune_rho(4, 3, "bpsk", -4.0, trials=30, seed=5, cache_path=path)
         assert path.exists()
-        cached = tune_rho(4, 3, "bpsk", -4.0, trials=1, seed=999, cache_path=path)
+        # A repeat of the same arguments is served from the cache alone.
+        monkeypatch.setattr(tuning, "solve", None)
+        cached = tune_rho(4, 3, "bpsk", -4.0, trials=30, seed=5, cache_path=path)
         assert cached == first
-        data = json.loads(path.read_text())
-        assert "B4_K3_bpsk_exact" in data
+        (key,) = json.loads(path.read_text())
+        assert key.startswith("B4_K3_bpsk_exact")
+
+    def test_cache_keyed_by_search_configuration(self, tmp_path):
+        # A hit stored at -10 dB with t_max=1 once came back for +5 dB with
+        # t_max=20.
+        path = tmp_path / "tuned.json"
+        tune_rho(4, 3, "bpsk", -10.0, trials=20, seed=5, t_max=1, cache_path=path)
+        cached = tune_rho(4, 3, "bpsk", 5.0, trials=20, seed=5, t_max=20, cache_path=path)
+        assert cached == tune_rho(4, 3, "bpsk", 5.0, trials=20, seed=5, t_max=20)
+        assert len(json.loads(path.read_text())) == 2

@@ -137,6 +137,31 @@ class TestTransmit:
 
         assert np.array_equal(block.G, gram(block.Y))
 
+    def test_draw_block_stream_layout(self):
+        # Children 0-2 of the trial stream feed channel, data and noise;
+        # child 3 comes back for the downlink evaluation.
+        c = Constellation.qpsk()
+        block, dl_ss = model.draw_block(8, 5, c, 3.0, 21, (2, 7))
+        ch, data, noise, dl = np.random.SeedSequence(21, spawn_key=(2, 7)).spawn(4)
+        rngs = [np.random.default_rng(ss) for ss in (ch, data, noise)]
+        expected = model.make_block(8, 5, c, 3.0, *rngs)
+        assert np.array_equal(block.Y, expected.Y)
+        assert np.array_equal(block.truth.s_true, expected.truth.s_true)
+        assert np.array_equal(dl_ss.generate_state(4), dl.generate_state(4))
+
+    def test_draw_block_keys_are_independent(self):
+        c = Constellation.bpsk()
+        a, _ = model.draw_block(4, 3, c, 0.0, 5, (0, 1))
+        b, _ = model.draw_block(4, 3, c, 0.0, 5, (0, 1))
+        other, _ = model.draw_block(4, 3, c, 0.0, 5, (1, 0))
+        assert np.array_equal(a.Y, b.Y)
+        assert not np.array_equal(a.Y, other.Y)
+
+    def test_draw_block_los_channel(self):
+        geom = LosGeometry()
+        block, _ = model.draw_block(6, 2, Constellation.bpsk(), 0.0, 1, (0,), los=geom)
+        assert np.array_equal(block.truth.h_true, model.gen_los_channel(6, geom))
+
     def test_phase_ambiguity_of_objective(self):
         rng = np.random.default_rng(14)
         c = Constellation.qpsk()
