@@ -51,13 +51,20 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 def parse_snr_spec(spec: str) -> tuple[float, ...]:
     """Either 'start:stop:step' (inclusive) or a comma list."""
-    if ":" in spec:
-        start, stop, step = (float(x) for x in spec.split(":"))
-        if step == 0:
-            raise ParameterError(f"SNR range {spec!r} has a zero step")
-        n = int(round((stop - start) / step)) + 1
-        return tuple(round(start + i * step, 9) for i in range(n))
-    return tuple(float(x) for x in spec.split(","))
+    is_range = ":" in spec
+    try:
+        values = tuple(float(x) for x in spec.split(":" if is_range else ","))
+    except ValueError:
+        raise ParameterError(f"SNR grid {spec!r} is not a list of numbers") from None
+    if not is_range:
+        return values
+    if len(values) != 3:
+        raise ParameterError(f"SNR range {spec!r} needs three fields, start:stop:step")
+    start, stop, step = values
+    if step == 0:
+        raise ParameterError(f"SNR range {spec!r} has a zero step")
+    n = int(round((stop - start) / step)) + 1
+    return tuple(round(start + i * step, 9) for i in range(n))
 
 
 def _add_sweep_args(p: argparse.ArgumentParser) -> None:
@@ -89,6 +96,15 @@ _SWEEP_DEFAULTS = {
     "alpha_scale": 2.0,
     "mode": "exact",
 }
+_NUMERIC_KEYS = {
+    "b": int,
+    "k": int,
+    "trials": int,
+    "seed": int,
+    "t_max": int,
+    "rho_log2": int,
+    "alpha_scale": float,
+}
 
 
 def _resolve(args: argparse.Namespace, extra_keys: dict | None = None) -> dict:
@@ -106,9 +122,11 @@ def _resolve(args: argparse.Namespace, extra_keys: dict | None = None) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    for key in ("b", "k", "trials", "seed", "t_max", "rho_log2"):
-        merged[key] = int(merged[key])
-    merged["alpha_scale"] = float(merged["alpha_scale"])
+    for key, kind in _NUMERIC_KEYS.items():
+        try:
+            merged[key] = kind(merged[key])
+        except ValueError:
+            raise ParameterError(f"{key} = {merged[key]!r} is not a valid {kind.__name__}") from None
     return merged
 
 

@@ -25,14 +25,3 @@ class CapacityError(SimojedError):
 class NumericError(SimojedError):
     """A numerical factorization or solve failed unexpectedly."""
 
-
-class ConvergenceError(SimojedError):
-    """An iterative routine failed to converge within its iteration cap.
-
-    Carries the best estimate reached so the caller can decide whether it is
-    usable anyway.
-    """
-
-    def __init__(self, message: str, best_estimate: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate

@@ -32,7 +32,7 @@ from .baselines import (
 from .errors import CapacityError, ParameterError
 from .fxp import latency_cycles, solve_fixed, throughput_bps
 from .model import Constellation, LosGeometry, draw_block, snr_to_n0
-from .prox import ProxParams, channel_estimate, solve
+from .prox import ProxParams, channel_estimate, solve_stack
 
 WORKERS_ENV = "SIMOJED_WORKERS"
 _TRIAL_CHUNK = 512  # fixed reduction granularity keeps float sums worker-independent
@@ -92,6 +92,8 @@ class SweepConfig:
             raise ParameterError(f"unknown channel {self.channel!r}")
         if self.arithmetic not in ("float", "fixed"):
             raise ParameterError(f"unknown arithmetic {self.arithmetic!r}")
+        if self.arithmetic == "fixed":
+            _check_datapath_gains(self.methods)
         c = Constellation.by_name(self.constellation)
         for m in self.methods:
             if m.name == "ml-jed" and len(c.points) ** self.K > self.ml_jed_budget:
@@ -103,6 +105,16 @@ class SweepConfig:
     def config_hash(self) -> str:
         canon = json.dumps(_config_dict(self), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _check_datapath_gains(methods: tuple[MethodSpec, ...]) -> None:
+    """The fixed-point datapath shifts by the projection gain, so every
+    solver method needs ``rho_log2 >= 1``."""
+    for m in methods:
+        if m.solver_params is not None and m.params.rho_log2 < 1:
+            raise ParameterError(
+                f"{m.name}: the datapath needs rho_log2 >= 1, not {m.params.rho_log2}"
+            )
 
 
 def _config_dict(cfg: SweepConfig) -> dict:
@@ -212,15 +224,12 @@ def db_at_ser(curve: dict[float, float], target: float) -> float | None:
     return None
 
 
-def _eval_method(spec: MethodSpec, block, c, arithmetic: str):
-    """Detect one block with one method; returns (s_hat, h_hat)."""
-    if spec.name in ("prox", "aprox"):
-        params = spec.solver_params
-        if arithmetic == "fixed":
-            s_hat = solve_fixed(block, c, params)
-            return s_hat, channel_estimate(block.Y, s_hat)
-        res = solve(block, c, params, record_trace=False)
-        return res.s_hat, res.h_hat
+def _detect_block(spec: MethodSpec, block, c) -> tuple[np.ndarray, np.ndarray]:
+    """(s_hat, h_hat) of one block from the fixed-point datapath (solver
+    methods) or a baseline."""
+    if spec.solver_params is not None:
+        s_hat = solve_fixed(block, c, spec.solver_params)
+        return s_hat, channel_estimate(block.Y, s_hat)
     if spec.name == "mrc-csir":
         r = mrc_csir(block, block.truth.h_true, c)
     elif spec.name == "mrc-chest":
@@ -230,6 +239,19 @@ def _eval_method(spec: MethodSpec, block, c, arithmetic: str):
     else:
         r = ml_jed_exhaustive(block, c)
     return r.s_hat, r.h_hat
+
+
+def _detect(spec: MethodSpec, blocks: list, c, arithmetic: str) -> tuple[np.ndarray, np.ndarray]:
+    """Detect a chunk's blocks with one method; returns the stacked
+    (s_hat, h_hat). The float solver runs once on the whole stack; the
+    fixed-point datapath and the baselines run block by block."""
+    if spec.solver_params is not None and arithmetic == "float":
+        Y = np.stack([block.Y for block in blocks])
+        G = np.stack([block.G for block in blocks])
+        res = solve_stack(Y, G, c, spec.solver_params, record_trace=False)
+        return res.s_hat, res.h_hat
+    s_hat, h_hat = zip(*(_detect_block(spec, block, c) for block in blocks))
+    return np.stack(s_hat), np.stack(h_hat)
 
 
 def _run_chunk(
@@ -249,27 +271,32 @@ def _run_chunk(
     n_dl = cfg.downlink_symbols or cfg.K
     los = cfg.los if cfg.channel == "los" else None
     solver = next((m for m in cfg.methods if m.solver_params is not None), None)
-    counts = {
-        (a, m.name): [0, 0, np.zeros(trial_hi - trial_lo)] for a in arithmetics for m in cfg.methods
-    }
+    drawn = [
+        draw_block(cfg.B, cfg.K, c, snr_db, cfg.master_seed, (snr_index, t), los)
+        for t in range(trial_lo, trial_hi)
+    ]
+    blocks = [block for block, _ in drawn]
+    s_true = np.stack([block.truth.s_true for block in blocks])
+    h_true = np.stack([block.truth.h_true for block in blocks])
+    counts = {}
+    decisions = {}
+    for arithmetic in arithmetics:
+        for spec in cfg.methods:
+            s_hat, h_hat = _detect(spec, blocks, c, arithmetic)
+            if spec is solver:
+                decisions[arithmetic] = s_hat[:, 1:]
+            dl_errors = sum(
+                int(round(downlink_ser(h, h_est, c, n_dl, n0, np.random.default_rng(dl_ss)) * n_dl))
+                for h, h_est, (_, dl_ss) in zip(h_true, h_hat, drawn)
+            )
+            counts[(arithmetic, spec.name)] = [
+                int(np.sum(s_hat[:, 1:] != s_true[:, 1:])),
+                dl_errors,
+                np.sum(np.abs(h_hat - h_true) ** 2, axis=1) / cfg.B,
+            ]
     agree = 0
-    for t in range(trial_lo, trial_hi):
-        block, dl_ss = draw_block(cfg.B, cfg.K, c, snr_db, cfg.master_seed, (snr_index, t), los)
-        truth = block.truth
-        data_true = truth.s_true[1:]
-        decisions = {}
-        for arithmetic in arithmetics:
-            for spec in cfg.methods:
-                s_hat, h_hat = _eval_method(spec, block, c, arithmetic)
-                if spec is solver:
-                    decisions[arithmetic] = s_hat[1:]
-                cell = counts[(arithmetic, spec.name)]
-                cell[0] += int(np.sum(s_hat[1:] != data_true))
-                frac = downlink_ser(truth.h_true, h_hat, c, n_dl, n0, np.random.default_rng(dl_ss))
-                cell[1] += int(round(frac * n_dl))
-                cell[2][t - trial_lo] = float(np.sum(np.abs(h_hat - truth.h_true) ** 2) / cfg.B)
-        if decisions.keys() == {"float", "fixed"}:
-            agree += int(np.sum(decisions["float"] == decisions["fixed"]))
+    if decisions.keys() == {"float", "fixed"}:
+        agree = int(np.sum(decisions["float"] == decisions["fixed"]))
     return snr_index, trial_lo, counts, agree
 
 
@@ -392,11 +419,7 @@ def hw_compare(
     solver_methods = [m for m in cfg.methods if m.solver_params is not None]
     if not solver_methods:
         raise ParameterError("hw_compare needs a prox or aprox method in the config")
-    for m in solver_methods:
-        if m.params.rho_log2 < 1:
-            raise ParameterError(
-                f"{m.name}: the datapath needs rho_log2 >= 1, not {m.params.rho_log2}"
-            )
+    _check_datapath_gains(cfg.methods)
     snr_db = agreement_snr_db
     if snr_db is None:
         snr_db = cfg.snr_points_db[len(cfg.snr_points_db) // 2]

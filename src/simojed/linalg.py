@@ -1,106 +1,71 @@
 """Complex-matrix primitives used by the solver.
 
 Everything here operates on plain ``numpy`` complex arrays and is pure: no
-shared state, safe to call from worker processes.
+shared state, safe to call from worker processes. The functions on square
+matrices also take stacks of shape ``(..., N, N)`` and treat every leading
+index as an independent matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import ConvergenceError, DimensionError, NumericError, ParameterError
+from .errors import DimensionError, NumericError, ParameterError
 
-# Fixed seeds so power iteration is bit-reproducible across calls.
-_START_SEED = 0x5EED
-_PERTURB_SEED = 0xA17
+
+def _require_square(A: np.ndarray) -> np.ndarray:
+    A = np.asarray(A, dtype=np.complex128)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionError(f"need a square matrix or a stack of them, got shape {A.shape}")
+    return A
+
+
+def _hermitian_part(A: np.ndarray) -> np.ndarray:
+    # (A + A^H)/2 is exactly Hermitian in IEEE arithmetic and zeroes the
+    # diagonal imaginary parts.
+    return 0.5 * (A + A.conj().swapaxes(-1, -2))
 
 
 def gram(Y: np.ndarray) -> np.ndarray:
     """Gram matrix of the received block: columns correlated against columns.
 
     The result is Hermitian by construction (symmetrized exactly) with real,
-    non-negative diagonal.
+    non-negative diagonal. A block with a non-finite entry is rejected.
     """
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] < 1:
         raise DimensionError(f"need a non-empty 2-D matrix, got shape {Y.shape}")
-    G = Y.conj().T @ Y
-    # (G + G^H)/2 is exactly Hermitian in IEEE arithmetic and zeroes the
-    # diagonal imaginary parts.
-    return 0.5 * (G + G.conj().T)
+    if not np.all(np.isfinite(Y)):
+        raise ParameterError("received block has a non-finite entry")
+    return _hermitian_part(Y.conj().T @ Y)
 
 
-def spectral_norm(A: np.ndarray, tol: float = 1e-9, max_iter: int = 10000) -> float:
-    """Largest eigenvalue of a Hermitian PSD matrix via power iteration.
+def spectral_norm(A: np.ndarray) -> np.ndarray | float:
+    """Largest eigenvalue of a Hermitian PSD matrix, from the exact LAPACK
+    eigensolver and clamped at zero: a float for one matrix, an array of
+    one value per matrix for a stack.
 
-    The start vector is derived from a fixed seed, so repeated calls are
-    deterministic. If the iteration stalls through the first half of the
-    budget (e.g. the start vector is orthogonal to the dominant eigenvector),
-    the vector is perturbed once with a secondary fixed seed.
-
-    Raises ConvergenceError (carrying the best estimate) if the eigenvalue
-    has not stabilized to ``tol`` relative within ``max_iter`` iterations.
+    Only the lower triangle is read. A matrix with a non-finite entry is
+    rejected.
     """
-    A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"need a square matrix, got shape {A.shape}")
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    n = A.shape[0]
-
-    rng = np.random.default_rng(_START_SEED)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-
-    lam_prev = 0.0
-    perturbed = False
-    for it in range(1, max_iter + 1):
-        y = A @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            if not perturbed:
-                # x sits in the null space; kick it and retry.
-                prng = np.random.default_rng(_PERTURB_SEED)
-                x = x + 1e-3 * (prng.standard_normal(n) + 1j * prng.standard_normal(n))
-                x /= np.linalg.norm(x)
-                perturbed = True
-                continue
-            return 0.0  # A annihilates generic vectors: zero matrix
-        x = y / ny
-        y = A @ x
-        lam = float(np.real(np.vdot(x, y)))
-        # Rayleigh-quotient stabilization plus eigen-residual; both must pass.
-        resid = np.linalg.norm(y - lam * x)
-        if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300) and resid <= tol * max(abs(lam), 1e-300):
-            return lam
-        if it == max_iter // 2 and not perturbed:
-            prng = np.random.default_rng(_PERTURB_SEED)
-            x = x + 1e-3 * (prng.standard_normal(n) + 1j * prng.standard_normal(n))
-            x /= np.linalg.norm(x)
-            perturbed = True
-        lam_prev = lam
-    raise ConvergenceError(
-        f"power iteration did not stabilize to {tol} in {max_iter} iterations",
-        best_estimate=lam_prev,
-    )
+    A = _require_square(A)
+    if not np.all(np.isfinite(A)):
+        raise ParameterError("matrix has a non-finite entry")
+    return np.maximum(np.linalg.eigvalsh(A)[..., -1], 0.0)
 
 
-def invert_shifted(G: np.ndarray, alpha: float) -> np.ndarray:
+def invert_shifted(G: np.ndarray, alpha) -> np.ndarray:
     """Inverse of (I - G/alpha) for Hermitian PSD G with alpha above the
-    spectral norm.
+    spectral norm; ``alpha`` is a scalar or one value per matrix of a stack.
 
-    Uses a Cholesky factorization plus triangular solves; the shifted matrix
-    is Hermitian positive definite exactly when alpha exceeds the largest
-    eigenvalue of G, so a factorization failure is reported as a parameter
-    error. The result is symmetrized exactly.
+    The shifted matrix is Hermitian positive definite exactly when alpha
+    exceeds the largest eigenvalue of G, so a failed Cholesky factorization
+    is reported as a parameter error. The inverse is L^-H L^-1 from the
+    factor L, symmetrized exactly. A zero alpha takes G as zero.
     """
-    G = np.asarray(G, dtype=np.complex128)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise DimensionError(f"need a square matrix, got shape {G.shape}")
-    n = G.shape[0]
-    shifted = np.eye(n, dtype=np.complex128) - (G / alpha if alpha != 0 else G * 0.0)
-    shifted = 0.5 * (shifted + shifted.conj().T)
+    G = _require_square(G)
+    alpha = np.asarray(alpha, dtype=np.float64)[..., None, None]
+    shifted = _hermitian_part(np.eye(G.shape[-1]) - G / np.where(alpha == 0, np.inf, alpha))
     try:
         L = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError as exc:
@@ -108,22 +73,21 @@ def invert_shifted(G: np.ndarray, alpha: float) -> np.ndarray:
             "shift factor must exceed the spectral norm (shifted matrix not "
             f"positive definite): {exc}"
         ) from None
-    eye = np.eye(n, dtype=np.complex128)
-    Z = solve_triangular(L, eye, lower=True)
-    M = solve_triangular(L.conj().T, Z, lower=False)
+    L_inv = np.linalg.inv(L)
+    M = L_inv.conj().swapaxes(-1, -2) @ L_inv
     if not np.all(np.isfinite(M)):
-        raise NumericError("triangular solves produced non-finite entries")
-    return 0.5 * (M + M.conj().T)
+        raise NumericError("inverting the Cholesky factor produced non-finite entries")
+    return _hermitian_part(M)
 
 
-def neumann_two_term(G: np.ndarray, alpha: float) -> np.ndarray:
-    """Two-term series approximation of the shifted inverse: I + G/alpha."""
-    G = np.asarray(G, dtype=np.complex128)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise DimensionError(f"need a square matrix, got shape {G.shape}")
-    if alpha <= 0:
+def neumann_two_term(G: np.ndarray, alpha) -> np.ndarray:
+    """Two-term series approximation of the shifted inverse: I + G/alpha,
+    with ``alpha`` a scalar or one value per matrix of a stack."""
+    G = _require_square(G)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if np.any(alpha <= 0):
         raise ParameterError("alpha must be positive")
-    return np.eye(G.shape[0], dtype=np.complex128) + G / alpha
+    return np.eye(G.shape[-1], dtype=np.complex128) + G / alpha[..., None, None]
 
 
 def neumann_error_bound(G: np.ndarray, alpha: float) -> float:
@@ -131,7 +95,7 @@ def neumann_error_bound(G: np.ndarray, alpha: float) -> float:
 
     With r = |G|/alpha < 1 the dropped tail is bounded by r^2 / (1 - r).
     """
-    r = spectral_norm(np.asarray(G, dtype=np.complex128)) / alpha
+    r = float(spectral_norm(G)) / alpha
     if r >= 1.0:
         raise ParameterError(f"bound undefined: |G|/alpha = {r} >= 1")
     return r * r / (1.0 - r)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Constellation, draw_block
-from .prox import ProxParams, solve
+from .prox import ProxParams, solve_stack
 
 RHO_LOG2_GRID = tuple(range(0, 7))
 ALPHA_SCALE_GRID = (1.25, 1.5, 2.0, 4.0)
@@ -42,11 +42,11 @@ def tune_rho(
 ) -> TunedParams:
     """Grid-search the solver gains on a paired seeded batch.
 
-    Every setting sees byte-identical blocks. Ties in error count break to
-    the smallest ``rho_log2``, then the smallest ``alpha_scale``. When a
-    cache file is given and already holds a result for these exact
-    arguments (everything but the cache path), it is returned without
-    re-searching.
+    Every setting sees byte-identical blocks, detected as one stack. Ties
+    in error count break to the smallest ``rho_log2``, then the smallest
+    ``alpha_scale``. When a cache file is given and already holds a result
+    for these exact arguments (everything but the cache path), it is
+    returned without re-searching.
     """
     key = (
         f"B{B}_K{K}_{constellation}_{mode}_snr{float(snr_db)!r}_tmax{t_max}_trials{trials}"
@@ -61,6 +61,9 @@ def tune_rho(
 
     c = Constellation.by_name(constellation)
     blocks = [draw_block(B, K, c, snr_db, seed, (t,))[0] for t in range(trials)]
+    Y = np.stack([block.Y for block in blocks])
+    G = np.stack([block.G for block in blocks])
+    data_true = np.stack([block.truth.s_true[1:] for block in blocks])
 
     best: TunedParams | None = None
     for rho_log2 in rho_grid:
@@ -68,11 +71,8 @@ def tune_rho(
             params = ProxParams(
                 alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max, mode=mode
             )
-            errs = 0
-            for block in blocks:
-                res = solve(block, c, params, record_trace=False)
-                errs += int(np.sum(res.s_hat[1:] != block.truth.s_true[1:]))
-            ser = errs / (trials * K)
+            res = solve_stack(Y, G, c, params, record_trace=False)
+            ser = int(np.sum(res.s_hat[:, 1:] != data_true)) / (trials * K)
             cand = TunedParams(rho_log2, alpha_scale, ser)
             if (
                 best is None

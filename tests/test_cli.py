@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from simojed import harness
 from simojed.cli import main, parse_config_file, parse_snr_spec
 from simojed.errors import ParameterError
 
@@ -13,6 +14,11 @@ class TestParsers:
     def test_snr_range_zero_step(self):
         with pytest.raises(ParameterError, match="zero step"):
             parse_snr_spec("-4:0:0")
+
+    @pytest.mark.parametrize("spec", ["-4:0", "-4:0:1:2", "a:0:1", "-3,x"])
+    def test_snr_spec_malformed(self, spec):
+        with pytest.raises(ParameterError, match="SNR"):
+            parse_snr_spec(spec)
 
     def test_snr_list(self):
         assert parse_snr_spec("-3,-1.5,0") == (-3.0, -1.5, 0.0)
@@ -55,6 +61,25 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", str(cfg), "--trials", "5"])
         assert rc == 0
         assert "prox" in capsys.readouterr().out
+
+    def test_non_numeric_config_value_exits_cleanly(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("trials = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg)])
+        assert "trials" in str(exc.value.code) and "'abc'" in str(exc.value.code)
+
+    def test_two_field_snr_range_exits_cleanly(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--snr=-4:0", "--trials", "2"])
+        assert "start:stop:step" in str(exc.value.code)
+
+    def test_fixed_arithmetic_rejects_gain_below_datapath_minimum(self, monkeypatch):
+        # Rejected with the config, before any block is drawn.
+        monkeypatch.setattr(harness, "draw_block", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--arithmetic", "fixed", "--rho-log2", "0", "--trials", "2"])
+        assert "rho_log2" in str(exc.value.code)
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -252,6 +252,17 @@ class TestSolveFixed:
         out = solve_fixed(block, c, prox.ProxParams(t_max=5, rho_log2=1))
         assert set(np.unique(out)) <= {1.0 + 0j, -1.0 + 0j}
 
+    def test_non_finite_gram_rejected(self):
+        # Rejected before the eigensolver, whose LinAlgError is not a
+        # package error.
+        rng = np.random.default_rng(14)
+        c = Constellation.qpsk()
+        block = model.make_block(4, 3, c, 0.0, rng, rng, rng)
+        G = block.G.copy()
+        G[1, 1] = np.nan
+        with pytest.raises(ParameterError, match="non-finite"):
+            solve_fixed(model.ReceivedBlock(Y=block.Y, G=G), c, prox.ProxParams(rho_log2=1))
+
     def test_rho_one_rejected(self):
         rng = np.random.default_rng(13)
         c = Constellation.bpsk()

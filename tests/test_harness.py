@@ -50,6 +50,13 @@ class TestConfig:
         with pytest.raises(ParameterError):
             small_config(downlink_symbols=0)
 
+    def test_fixed_arithmetic_needs_datapath_gain(self):
+        for name in ("prox", "aprox"):
+            with pytest.raises(ParameterError, match="rho_log2"):
+                small_config(arithmetic="fixed", methods=(MethodSpec(name, ProxParams(rho_log2=0)),))
+        # The float solver takes any non-negative gain.
+        small_config(methods=(MethodSpec("prox", ProxParams(rho_log2=0)),))
+
     def test_requires_snr_points(self):
         with pytest.raises(ParameterError):
             small_config(snr_points_db=())
@@ -315,7 +322,7 @@ class TestTuning:
         first = tune_rho(4, 3, "bpsk", -4.0, trials=30, seed=5, cache_path=path)
         assert path.exists()
         # A repeat of the same arguments is served from the cache alone.
-        monkeypatch.setattr(tuning, "solve", None)
+        monkeypatch.setattr(tuning, "solve_stack", None)
         cached = tune_rho(4, 3, "bpsk", -4.0, trials=30, seed=5, cache_path=path)
         assert cached == first
         (key,) = json.loads(path.read_text())

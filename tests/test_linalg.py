@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simojed import linalg
-from simojed.errors import ConvergenceError, DimensionError, ParameterError
+from simojed.errors import DimensionError, ParameterError
 
 from oracles import gram_triple_loop, jacobi_eigenvalues
 
@@ -37,6 +39,12 @@ class TestGram:
             linalg.gram(np.zeros((0, 3)))
         with pytest.raises(DimensionError):
             linalg.gram(np.zeros((3, 0)))
+
+    def test_non_finite_raises(self):
+        Y = np.ones((3, 2), dtype=complex)
+        Y[0, 1] = np.nan
+        with pytest.raises(ParameterError, match="non-finite"):
+            linalg.gram(Y)
 
     def test_exactly_hermitian(self):
         rng = np.random.default_rng(2)
@@ -79,12 +87,22 @@ class TestSpectralNorm:
         with pytest.raises(DimensionError):
             linalg.spectral_norm(np.zeros((3, 4)))
 
-    def test_convergence_error_carries_estimate(self):
-        rng = np.random.default_rng(5)
-        A = random_psd(rng, 6)
-        with pytest.raises(ConvergenceError) as exc:
-            linalg.spectral_norm(A, tol=1e-16, max_iter=3)
-        assert exc.value.best_estimate > 0.0
+    def test_non_finite_raises(self):
+        A = np.eye(3, dtype=complex)
+        A[2, 0] = np.inf
+        with pytest.raises(ParameterError, match="non-finite"):
+            linalg.spectral_norm(np.stack([np.eye(3), A]))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(T=st.integers(1, 8), n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_stack_against_jacobi_oracle(self, T, n, seed):
+        rng = np.random.default_rng(seed)
+        A = np.stack([random_psd(rng, n) for _ in range(T)])
+        norms = linalg.spectral_norm(A)
+        assert norms.shape == (T,)
+        for t in range(T):
+            exact = jacobi_eigenvalues(A[t])[-1]
+            assert abs(norms[t] - exact) <= 1e-10 * exact
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
@@ -122,6 +140,21 @@ class TestInvertShifted:
         G = random_psd(rng, 5)
         with pytest.raises(ParameterError):
             linalg.invert_shifted(G, 0.5 * linalg.spectral_norm(G))
+
+    def test_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(13)
+        G = np.stack([random_psd(rng, 5) for _ in range(4)])
+        alpha = np.array([1.1, 1.5, 2.0, 4.0]) * linalg.spectral_norm(G)
+        M = linalg.invert_shifted(G, alpha)
+        for t in range(4):
+            assert np.array_equal(M[t], linalg.invert_shifted(G[t], alpha[t]))
+
+    def test_one_bad_shift_in_a_stack_raises(self):
+        rng = np.random.default_rng(14)
+        G = np.stack([random_psd(rng, 5) for _ in range(3)])
+        alpha = np.array([2.0, 0.5, 2.0]) * linalg.spectral_norm(G)
+        with pytest.raises(ParameterError):
+            linalg.invert_shifted(G, alpha)
 
 
 class TestNeumann:

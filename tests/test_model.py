@@ -137,6 +137,13 @@ class TestTransmit:
 
         assert np.array_equal(block.G, gram(block.Y))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_rejected(self, bad):
+        Y = np.ones((4, 3), dtype=complex)
+        Y[2, 1] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            model.ReceivedBlock(Y=Y)
+
     def test_draw_block_stream_layout(self):
         # Children 0-2 of the trial stream feed channel, data and noise;
         # child 3 comes back for the downlink evaluation.

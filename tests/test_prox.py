@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simojed import linalg, model, prox
 from simojed.errors import DegenerateInputError, ParameterError
@@ -16,6 +18,7 @@ from simojed.prox import (
     iterate_once,
     preprocess,
     solve,
+    solve_stack,
 )
 
 from oracles import prox_iteration_scalar
@@ -234,6 +237,62 @@ class TestSolve:
         res_b = solve(scaled, c, params)
         assert np.max(np.abs(res_a.state.s_cur - res_b.state.s_cur)) < 1e-12
         assert np.array_equal(res_a.s_hat, res_b.s_hat)
+
+
+class TestSolveStack:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        T=st.integers(1, 40),
+        B=st.integers(1, 16),
+        K=st.integers(1, 16),
+        kind=st.sampled_from(["bpsk", "qpsk"]),
+        mode=st.sampled_from(["exact", "approx"]),
+        alpha_scale=st.floats(1.05, 4.0),
+        rho_log2=st.integers(0, 6),
+        t_max=st.integers(1, 8),
+        snr_db=st.floats(-10.0, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_block_solve(
+        self, T, B, K, kind, mode, alpha_scale, rho_log2, t_max, snr_db, seed
+    ):
+        c = Constellation.by_name(kind)
+        blocks = [model.draw_block(B, K, c, snr_db, seed, (t,))[0] for t in range(T)]
+        params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max, mode=mode)
+        stacked = solve_stack(
+            np.stack([b.Y for b in blocks]), np.stack([b.G for b in blocks]), c, params
+        )
+        assert stacked.s_hat.shape == (T, K + 1)
+        assert stacked.h_hat.shape == (T, B)
+        for t, block in enumerate(blocks):
+            single = solve(block, c, params)
+            assert np.array_equal(stacked.s_hat[t], single.s_hat)
+            np.testing.assert_allclose(stacked.h_hat[t], single.h_hat, rtol=1e-12, atol=0)
+            for rec_stack, rec in zip(stacked.state.trace, single.state.trace):
+                np.testing.assert_allclose(rec_stack.objective[t], rec.objective, rtol=1e-12)
+                np.testing.assert_allclose(rec_stack.grad_residual[t], rec.grad_residual, rtol=1e-12)
+
+    def test_zero_gram_in_a_stack_gets_identity(self):
+        block, _ = make_noisy_block(15)
+        G = np.stack([block.G, np.zeros_like(block.G)])
+        pre = preprocess(G, ProxParams())
+        assert np.array_equal(pre.Ghat[1], np.eye(block.G.shape[0]))
+        assert np.array_equal(pre.Ghat[0], preprocess(block.G, ProxParams()).Ghat)
+
+    def test_degenerate_trial_fails_the_stack(self):
+        block, c = make_noisy_block(16)
+        G = np.stack([block.G, np.zeros_like(block.G)])
+        with pytest.raises(DegenerateInputError):
+            solve_stack(np.stack([block.Y, 0 * block.Y]), G, c, ProxParams())
+
+    def test_non_finite_gram_rejected(self):
+        # Rejected before the eigensolver, whose LinAlgError is not a
+        # package error.
+        block, c = make_noisy_block(17)
+        G = block.G.copy()
+        G[0, 2] = np.nan
+        with pytest.raises(ParameterError, match="non-finite"):
+            solve(model.ReceivedBlock(Y=block.Y, G=G), c, ProxParams())
 
 
 class TestDiagnostics:
