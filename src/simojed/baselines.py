@@ -2,17 +2,20 @@
 
 All detectors report the pinned first slot as the known reference symbol so
 error counting is comparable across methods; errors are only ever counted on
-slots 2..K+1.
+slots 2..K+1. Every detector and the downlink evaluation take one block's
+arrays (``Y`` of shape (B, K+1), channels of shape (B,)) or a stack of them
+with a leading trial axis, and treat the trials independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError, DegenerateInputError, ParameterError
-from .model import Constellation, ReceivedBlock
+from .model import Constellation
 from .prox import channel_estimate, hard_decision
 
 ML_JED_DEFAULT_BUDGET = 2**20
@@ -33,54 +36,51 @@ def _mrc_slice(Y: np.ndarray, h: np.ndarray, c: Constellation, s_check: complex)
     The combined statistic is (y_k^H h)/|h|^2, which equals s_k noise-free
     (the received block carries conjugated symbols).
     """
-    energy = float(np.linalg.norm(h) ** 2)
-    if energy == 0.0:
+    energy = np.linalg.norm(h, axis=-1) ** 2
+    if np.any(energy == 0.0):
         raise DegenerateInputError("zero channel vector")
-    z = (Y.conj().T @ h) / energy
+    z = (Y.conj().swapaxes(-1, -2) @ h[..., None])[..., 0] / energy[..., None]
     s_hat = hard_decision(z, c)
-    s_hat[0] = s_check
+    s_hat[..., 0] = s_check
     return s_hat
 
 
 def mrc_csir(
-    block: ReceivedBlock, h: np.ndarray, c: Constellation, s_check: complex | None = None
+    Y: np.ndarray, h: np.ndarray, c: Constellation, s_check: complex | None = None
 ) -> DetectionResult:
     """Combining with the true channel (perfect receive-side CSI)."""
     s_check = c.points[0] if s_check is None else s_check
-    return DetectionResult(
-        s_hat=_mrc_slice(block.Y, h, c, s_check), h_hat=np.asarray(h, dtype=complex), method="mrc-csir"
-    )
+    h = np.asarray(h, dtype=complex)
+    return DetectionResult(s_hat=_mrc_slice(Y, h, c, s_check), h_hat=h, method="mrc-csir")
 
 
-def chest_pilot(block: ReceivedBlock, s_check: complex, c: Constellation) -> np.ndarray:
+def chest_pilot(Y: np.ndarray, s_check: complex, c: Constellation) -> np.ndarray:
     """Channel estimate from the single known first-slot symbol.
 
     The first received column is h times the conjugated reference symbol, so
     multiplying by the symbol itself recovers h exactly when noise-free.
     """
-    return block.Y[:, 0] * s_check / c.sigma**2
+    return Y[..., :, 0] * s_check / c.sigma**2
 
 
 def mrc_chest(
-    block: ReceivedBlock, s_check: complex | None = None, c: Constellation | None = None
+    Y: np.ndarray, s_check: complex | None = None, c: Constellation | None = None
 ) -> DetectionResult:
     """Pilot-based channel estimation followed by combining."""
     if c is None:
         raise ParameterError("pilot-based detection needs the constellation c")
     s_check = c.points[0] if s_check is None else s_check
-    h_hat = chest_pilot(block, s_check, c)
-    return DetectionResult(
-        s_hat=_mrc_slice(block.Y, h_hat, c, s_check), h_hat=h_hat, method="mrc-chest"
-    )
+    h_hat = chest_pilot(Y, s_check, c)
+    return DetectionResult(s_hat=_mrc_slice(Y, h_hat, c, s_check), h_hat=h_hat, method="mrc-chest")
 
 
 def mrc_retrained(
-    block: ReceivedBlock, s_check: complex | None = None, c: Constellation | None = None
+    Y: np.ndarray, s_check: complex | None = None, c: Constellation | None = None
 ) -> DetectionResult:
     """Pilot-based detection, then the channel re-estimated from the detected
     symbol vector."""
-    first = mrc_chest(block, s_check, c)
-    h_rt = channel_estimate(block.Y, first.s_hat)
+    first = mrc_chest(Y, s_check, c)
+    h_rt = channel_estimate(Y, first.s_hat)
     return DetectionResult(s_hat=first.s_hat, h_hat=h_rt, method="mrc-rt")
 
 
@@ -104,7 +104,7 @@ def _candidate_chunk(
 
 
 def ml_jed_exhaustive(
-    block: ReceivedBlock,
+    Y: np.ndarray,
     c: Constellation,
     s_check: complex | None = None,
     budget: int = ML_JED_DEFAULT_BUDGET,
@@ -112,9 +112,13 @@ def ml_jed_exhaustive(
     """Exact joint-detection oracle: enumerate every symbol vector with the
     pinned first slot and keep the one with the largest received-energy
     correlation. Ties go to the first candidate in lexicographic order.
+
+    Each candidate chunk is built once and scored against every trial of a
+    stack in turn.
     """
     s_check = c.points[0] if s_check is None else s_check
-    K = block.num_slots - 1
+    Y = np.asarray(Y)
+    K = Y.shape[-1] - 1
     m = len(c.points)
     total = m**K
     if total > budget:
@@ -122,51 +126,76 @@ def ml_jed_exhaustive(
             f"{m}^{K} = {total} candidates exceeds the budget of {budget}; "
             "reduce K or use BPSK"
         )
-    best_val = -1.0
-    best_vec = None
+    trials = Y.reshape(-1, *Y.shape[-2:])
+    best_val = np.full(len(trials), -1.0)
+    best_vec = np.empty((len(trials), K + 1), dtype=np.complex128)
     for start in range(0, total, _ENUM_CHUNK):
         stop = min(start + _ENUM_CHUNK, total)
         cands = _candidate_chunk(c, K, s_check, start, stop)
-        vals = np.sum(np.abs(block.Y @ cands.T) ** 2, axis=0)
-        local = int(np.argmax(vals))
-        if vals[local] > best_val:
-            best_val = float(vals[local])
-            best_vec = cands[local]
-    h_hat = channel_estimate(block.Y, best_vec)
-    return DetectionResult(s_hat=best_vec, h_hat=h_hat, method="ml-jed")
+        for t, Yt in enumerate(trials):
+            vals = np.sum(np.abs(Yt @ cands.T) ** 2, axis=0)
+            local = int(np.argmax(vals))
+            if vals[local] > best_val[t]:
+                best_val[t] = vals[local]
+                best_vec[t] = cands[local]
+    s_hat = best_vec.reshape(Y.shape[:-2] + (K + 1,))
+    return DetectionResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat), method="ml-jed")
+
+
+class DownlinkDraws(NamedTuple):
+    """The random inputs of downlink evaluations, with any leading trial
+    axis: standard normals of the reference symbol's noise (..., 2), data
+    symbol indices (..., n) and standard normals of the data noise
+    (..., 2n), real parts first."""
+
+    ref_noise: np.ndarray
+    data: np.ndarray
+    noise: np.ndarray
+
+
+def draw_downlink(rng: np.random.Generator, c: Constellation, n_symbols: int) -> DownlinkDraws:
+    """One trial's downlink randoms, drawn from ``rng`` in this order: the
+    reference noise, the data indices, the data noise."""
+    return DownlinkDraws(
+        rng.standard_normal(2),
+        rng.integers(0, len(c.points), size=n_symbols),
+        rng.standard_normal(2 * n_symbols),
+    )
 
 
 def downlink_ser(
     h: np.ndarray,
     h_hat: np.ndarray,
     c: Constellation,
-    n_symbols: int,
     n0: float,
-    rng: np.random.Generator,
-) -> float:
+    draws: DownlinkDraws,
+) -> float | np.ndarray:
     """Error rate of beamformed downlink transmission through the reciprocal
-    (transposed) channel.
+    (transposed) channel; one rate per trial for a stack.
 
     The beam is the normalized conjugate of the channel estimate. The
     receiver learns the composite gain from one known reference symbol (the
     same pinned constellation point), which also removes any global phase
-    rotation of the estimate, then slices ``n_symbols`` random data symbols.
+    rotation of the estimate, then slices the data symbols of ``draws``
+    (see ``draw_downlink``). A zero composite-gain estimate loses every
+    symbol.
     """
     h_hat = np.asarray(h_hat, dtype=complex)
-    if np.linalg.norm(h_hat) == 0.0:
+    norm = np.linalg.norm(h_hat, axis=-1)
+    if np.any(norm == 0.0):
         raise DegenerateInputError("zero channel estimate")
-    w = np.conj(h_hat) / np.linalg.norm(h_hat)
-    g = np.asarray(h, dtype=complex) @ w
+    w = np.conj(h_hat) / norm[..., None]
+    g = np.sum(np.asarray(h, dtype=complex) * w, axis=-1)
     scale = np.sqrt(n0 / 2.0)
 
     s_check = c.points[0]
-    z_ref = g * s_check + scale * (rng.standard_normal() + 1j * rng.standard_normal())
+    z_ref = g * s_check + scale * (draws.ref_noise[..., 0] + 1j * draws.ref_noise[..., 1])
     g_hat = z_ref * np.conj(s_check) / c.sigma**2
-    if g_hat == 0.0:
-        return 1.0
+    lost = g_hat == 0.0
 
-    data = c.points[rng.integers(0, len(c.points), size=n_symbols)]
-    noise = scale * (rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols))
-    z = g * data + noise
-    decisions = hard_decision(z / g_hat, c)
-    return float(np.mean(decisions != data))
+    n = draws.data.shape[-1]
+    data = c.points[draws.data]
+    noise = scale * (draws.noise[..., :n] + 1j * draws.noise[..., n:])
+    z = g[..., None] * data + noise
+    decisions = hard_decision(z / np.where(lost, 1.0, g_hat)[..., None], c)
+    return np.where(lost, 1.0, np.mean(decisions != data, axis=-1))[()]

@@ -285,7 +285,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     c = Constellation.by_name(args.constellation)
     block, _ = draw_block(args.b, args.n - 1, c, args.snr, args.seed, ())
-    cfg, Gq, sq, sc = quantize_block(block, c, ProxParams(rho_log2=args.rho_log2, t_max=1))
+    cfg, Gq, sq, sc = quantize_block(block.G, c, ProxParams(rho_log2=args.rho_log2, t_max=1))
     _, trace = pe_array_iteration(sq, Gq, cfg, sc)
     text = trace.to_text()
     if args.out:

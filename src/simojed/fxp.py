@@ -314,32 +314,37 @@ def direct_iteration(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Non-scheduled fixed-point reference for one iteration.
 
-    Row k accumulates its products in the same diagonal-start cyclic order
-    as the array (saturating accumulation is order-dependent, so the order
-    is part of the datapath contract). All truncated cross-terms are
-    order-free and computed in one shot; only the saturating accumulation
-    walks the cycles.
+    Takes one block's raw integers (iterate entries of shape (N,), matrix
+    entries (N, N)) or a stack of them with any leading trial axes, all run
+    through the same array configuration. Row k accumulates its products
+    in the same diagonal-start cyclic order as the array (saturating
+    accumulation is order-dependent, so the order is part of the datapath
+    contract). All truncated cross-terms are order-free and computed in one
+    shot; only the saturating accumulation walks the cycles.
     """
     N = cfg.N
     gre, gim = Ghat_q
-    sre = np.array(s_in[0], dtype=np.int64)
-    sim = np.zeros(N, dtype=np.int64) if cfg.real_only else np.array(s_in[1], dtype=np.int64)
-    prr = (gre * sre[None, :]) >> 3
-    pii = (gim * sim[None, :]) >> 3
-    pri = (gre * sim[None, :]) >> 3
-    pir = (gim * sre[None, :]) >> 3
+    sre = np.asarray(s_in[0], dtype=np.int64)
+    sim = np.zeros_like(sre) if cfg.real_only else np.asarray(s_in[1], dtype=np.int64)
+    sre, sim = sre[..., None, :], sim[..., None, :]
+    prr = (gre * sre) >> 3
+    pii = (gim * sim) >> 3
+    pri = (gre * sim) >> 3
+    pir = (gim * sre) >> 3
     cross = np.stack([_wrap_arr(prr - pii, ACC_BITS), _wrap_arr(pri + pir, ACC_BITS)])
     rows = np.arange(N)
-    order = (rows[:, None] + rows[None, :]) % N  # order[k, j]: column in cycle j
-    D = cross[:, rows[:, None], order]
-    acc = np.zeros((2, N), dtype=np.int64)
+    # Row k consumes column (k+j) mod N in cycle j: D[..., j, k] is that
+    # cross-term, gathered from the flattened (row, column) axes.
+    cycle_cols = rows[None, :] * N + (rows[None, :] + rows[:, None]) % N
+    D = np.take(cross.reshape(*cross.shape[:-2], N * N), cycle_cols, axis=-1)
+    acc = np.zeros(D.shape[:-2] + (N,), dtype=np.int64)
     for j in range(N):
-        acc = _sat_arr(acc + D[:, :, j], ACC_BITS)
+        acc = _sat_arr(acc + D[..., j, :], ACC_BITS)
     inv = rho_inverse_word(cfg.rho_log2).raw
-    out = _project_arr(acc, cfg.rho_log2, inv)
-    out_re = out[0]
-    out_im = np.zeros(N, dtype=np.int64) if cfg.real_only else out[1]
-    out_re[0], out_im[0] = s_check_q
+    out_re, out_im = _project_arr(acc, cfg.rho_log2, inv)
+    if cfg.real_only:
+        out_im = np.zeros_like(out_im)
+    out_re[..., 0], out_im[..., 0] = s_check_q
     return out_re, out_im
 
 
@@ -361,13 +366,14 @@ def _project_arr(qbar: np.ndarray, rho_log2: int, inv_raw: int) -> np.ndarray:
 
 
 def quantize_block(
-    block: ReceivedBlock,
+    G: np.ndarray,
     c: Constellation,
     params: ProxParams,
     s_check: complex | None = None,
 ) -> tuple[PeArrayConfig, tuple, tuple, tuple[int, int]]:
-    """The array for one block and its raw-integer (real, imaginary) inputs:
-    the iteration matrix, the initial iterate and the reference symbol.
+    """The array for a block's Gram matrix ``G`` (or a stack of them with a
+    leading trial axis) and its raw-integer (real, imaginary) inputs: the
+    iteration matrix, the initial iterate and the reference symbol.
 
     Preprocessing runs in floating point (it happens off the array); the
     iterate and the reference are normalized so the hull clip sits at +-1
@@ -375,15 +381,36 @@ def quantize_block(
     """
     if params.rho_log2 < 1:
         raise ParameterError("the datapath needs a projection gain above 1 (rho_log2 >= 1)")
+    G = np.asarray(G, dtype=np.complex128)
     cfg = PeArrayConfig(
-        N=block.num_slots, t_max=params.t_max, rho_log2=params.rho_log2, real_only=c.im_bound == 0.0
+        N=G.shape[-1], t_max=params.t_max, rho_log2=params.rho_log2, real_only=c.im_bound == 0.0
     )
     s_check = c.points[0] if s_check is None else s_check
-    pre = preprocess(block.G, params)
+    pre = preprocess(G, params)
     bound = c.re_bound  # per-component hull half-width
     scq = quantize_complex(complex(s_check / bound), S_FMT)
-    sq = quantize_iterate(init_s(block.G, s_check) / bound)
+    sq = quantize_iterate(init_s(G, s_check) / bound)
     return cfg, quantize_matrix(pre.Ghat), sq, (scq[0].raw, scq[1].raw)
+
+
+def solve_fixed_stack(
+    G: np.ndarray,
+    c: Constellation,
+    params: ProxParams,
+    s_check: complex | None = None,
+) -> np.ndarray:
+    """Full fixed-point detection pass over the Gram matrices of a stack of
+    blocks (T, N, N), or of one block (N, N).
+
+    The stack is quantized by ``quantize_block`` and iterated on the integer
+    datapath; hard decisions come from the output sign bits. Returns the
+    detected symbol vectors, one row per trial.
+    """
+    s_check = c.points[0] if s_check is None else s_check
+    cfg, Gq, state, sc_raw = quantize_block(G, c, params, s_check)
+    for _ in range(params.t_max):
+        state = direct_iteration(state, Gq, cfg, sc_raw)
+    return _sign_decisions(state, c, s_check)
 
 
 def solve_fixed(
@@ -391,40 +418,22 @@ def solve_fixed(
     c: Constellation,
     params: ProxParams,
     s_check: complex | None = None,
-    cycle_accurate: bool = False,
 ) -> np.ndarray:
-    """Full fixed-point detection pass on one block.
+    """``solve_fixed_stack`` on one block."""
+    return solve_fixed_stack(block.G, c, params, s_check)
 
-    The block is quantized by ``quantize_block`` and iterated on the
-    integer datapath. Hard decisions come from the output sign bits.
-    Returns the detected symbol vector.
-    """
-    s_check = c.points[0] if s_check is None else s_check
-    cfg, Gq, state, sc_raw = quantize_block(block, c, params, s_check)
-    for _ in range(params.t_max):
-        if cycle_accurate:
-            state, _ = pe_array_iteration(state, Gq, cfg, sc_raw)
-        else:
-            state = direct_iteration(state, Gq, cfg, sc_raw)
-    return _sign_decisions(state, c, s_check)
+
+# Constellation index by (imaginary part negative, real part negative):
+# QPSK runs counter-clockwise from the first quadrant. Real-only (BPSK)
+# iterates have zero imaginary parts and only reach the first row.
+_QUADRANT = np.array([[0, 1], [3, 2]])
 
 
 def _sign_decisions(state: tuple[np.ndarray, np.ndarray], c: Constellation, s_check: complex) -> np.ndarray:
     """Hard decisions from the sign bits of the final iterate."""
     re, im = state
-    if c.im_bound == 0.0:
-        out = np.where(re >= 0, c.points[0], c.points[1])
-    else:
-        quadrant = {
-            (1, 1): c.points[0],
-            (-1, 1): c.points[1],
-            (-1, -1): c.points[2],
-            (1, -1): c.points[3],
-        }
-        out = np.array(
-            [quadrant[(1 if r >= 0 else -1, 1 if i >= 0 else -1)] for r, i in zip(re, im)]
-        )
-    out[0] = s_check
+    out = c.points[_QUADRANT[(im < 0).astype(np.intp), (re < 0).astype(np.intp)]]
+    out[..., 0] = s_check
     return out
 
 

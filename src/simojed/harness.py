@@ -5,8 +5,8 @@ Every trial draws its block with ``model.draw_block`` keyed by (snr index,
 trial index), so results are bit-identical for a given seed regardless of
 how trials are distributed over workers. All methods in a sweep, and both
 arithmetics of a float-vs-fixed comparison, consume the same blocks (paired
-comparison), and the downlink evaluation reuses one noise seed per trial
-across methods.
+comparison), and the downlink evaluation draws each trial's randoms once
+and reuses them across methods.
 """
 
 from __future__ import annotations
@@ -23,14 +23,16 @@ import numpy as np
 from . import __version__
 from .baselines import (
     ML_JED_DEFAULT_BUDGET,
+    DownlinkDraws,
     downlink_ser,
+    draw_downlink,
     ml_jed_exhaustive,
     mrc_chest,
     mrc_csir,
     mrc_retrained,
 )
 from .errors import CapacityError, ParameterError
-from .fxp import latency_cycles, solve_fixed, throughput_bps
+from .fxp import latency_cycles, solve_fixed_stack, throughput_bps
 from .model import Constellation, LosGeometry, draw_block, snr_to_n0
 from .prox import ProxParams, channel_estimate, solve_stack
 
@@ -224,34 +226,27 @@ def db_at_ser(curve: dict[float, float], target: float) -> float | None:
     return None
 
 
-def _detect_block(spec: MethodSpec, block, c) -> tuple[np.ndarray, np.ndarray]:
-    """(s_hat, h_hat) of one block from the fixed-point datapath (solver
-    methods) or a baseline."""
-    if spec.solver_params is not None:
-        s_hat = solve_fixed(block, c, spec.solver_params)
-        return s_hat, channel_estimate(block.Y, s_hat)
-    if spec.name == "mrc-csir":
-        r = mrc_csir(block, block.truth.h_true, c)
-    elif spec.name == "mrc-chest":
-        r = mrc_chest(block, c=c)
-    elif spec.name == "mrc-rt":
-        r = mrc_retrained(block, c=c)
-    else:
-        r = ml_jed_exhaustive(block, c)
-    return r.s_hat, r.h_hat
-
-
-def _detect(spec: MethodSpec, blocks: list, c, arithmetic: str) -> tuple[np.ndarray, np.ndarray]:
-    """Detect a chunk's blocks with one method; returns the stacked
-    (s_hat, h_hat). The float solver runs once on the whole stack; the
-    fixed-point datapath and the baselines run block by block."""
-    if spec.solver_params is not None and arithmetic == "float":
-        Y = np.stack([block.Y for block in blocks])
-        G = np.stack([block.G for block in blocks])
-        res = solve_stack(Y, G, c, spec.solver_params, record_trace=False)
+def _detect(
+    spec: MethodSpec, Y: np.ndarray, G: np.ndarray, h_true: np.ndarray, c, arithmetic: str, ml_budget: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(s_hat, h_hat) of a chunk's stacked blocks from one method: the
+    solver in ``arithmetic`` or a baseline, in one stacked call."""
+    params = spec.solver_params
+    if params is not None and arithmetic == "float":
+        res = solve_stack(Y, G, c, params, record_trace=False)
         return res.s_hat, res.h_hat
-    s_hat, h_hat = zip(*(_detect_block(spec, block, c) for block in blocks))
-    return np.stack(s_hat), np.stack(h_hat)
+    if params is not None:
+        s_hat = solve_fixed_stack(G, c, params)
+        return s_hat, channel_estimate(Y, s_hat)
+    if spec.name == "mrc-csir":
+        r = mrc_csir(Y, h_true, c)
+    elif spec.name == "mrc-chest":
+        r = mrc_chest(Y, c=c)
+    elif spec.name == "mrc-rt":
+        r = mrc_retrained(Y, c=c)
+    else:
+        r = ml_jed_exhaustive(Y, c, budget=ml_budget)
+    return r.s_hat, r.h_hat
 
 
 def _run_chunk(
@@ -259,6 +254,10 @@ def _run_chunk(
 ):
     """Counts for trials [trial_lo, trial_hi) at one SNR point, each block
     detected in every one of ``arithmetics``.
+
+    The chunk's blocks are stacked and every method runs once on the stack.
+    Each trial's downlink randoms are drawn once from its downlink stream
+    and shared by every method and arithmetic.
 
     Returns per-(arithmetic, method) integer error counts and per-trial
     channel-MSE arrays (summed later in fixed order for worker-count
@@ -271,27 +270,29 @@ def _run_chunk(
     n_dl = cfg.downlink_symbols or cfg.K
     los = cfg.los if cfg.channel == "los" else None
     solver = next((m for m in cfg.methods if m.solver_params is not None), None)
-    drawn = [
-        draw_block(cfg.B, cfg.K, c, snr_db, cfg.master_seed, (snr_index, t), los)
-        for t in range(trial_lo, trial_hi)
-    ]
-    blocks = [block for block, _ in drawn]
+    blocks, dl_seeds = zip(
+        *(
+            draw_block(cfg.B, cfg.K, c, snr_db, cfg.master_seed, (snr_index, t), los)
+            for t in range(trial_lo, trial_hi)
+        )
+    )
+    Y = np.stack([block.Y for block in blocks])
+    G = np.stack([block.G for block in blocks])
     s_true = np.stack([block.truth.s_true for block in blocks])
     h_true = np.stack([block.truth.h_true for block in blocks])
+    draws = [draw_downlink(np.random.default_rng(ss), c, n_dl) for ss in dl_seeds]
+    dl = DownlinkDraws(*(np.stack(part) for part in zip(*draws)))
     counts = {}
     decisions = {}
     for arithmetic in arithmetics:
         for spec in cfg.methods:
-            s_hat, h_hat = _detect(spec, blocks, c, arithmetic)
+            s_hat, h_hat = _detect(spec, Y, G, h_true, c, arithmetic, cfg.ml_jed_budget)
             if spec is solver:
                 decisions[arithmetic] = s_hat[:, 1:]
-            dl_errors = sum(
-                int(round(downlink_ser(h, h_est, c, n_dl, n0, np.random.default_rng(dl_ss)) * n_dl))
-                for h, h_est, (_, dl_ss) in zip(h_true, h_hat, drawn)
-            )
+            dl_ser = downlink_ser(h_true, h_hat, c, n0, dl)
             counts[(arithmetic, spec.name)] = [
                 int(np.sum(s_hat[:, 1:] != s_true[:, 1:])),
-                dl_errors,
+                int(np.sum(np.rint(dl_ser * n_dl))),
                 np.sum(np.abs(h_hat - h_true) ** 2, axis=1) / cfg.B,
             ]
     agree = 0

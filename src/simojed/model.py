@@ -102,7 +102,10 @@ class TransmissionGroundTruth:
 @dataclass
 class ReceivedBlock:
     """Received B x (K+1) matrix with its Gram matrix cached; ground truth is
-    attached for simulated blocks and absent for field data."""
+    attached for simulated blocks and absent for field data.
+
+    A Gram matrix passed in is taken as given, after checking that it is
+    (K+1) x (K+1) and that it and ``Y`` are finite."""
 
     Y: np.ndarray
     G: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -111,6 +114,12 @@ class ReceivedBlock:
     def __post_init__(self):
         if self.G is None:
             self.G = gram(self.Y)
+            return
+        n = self.num_slots
+        if np.shape(self.G) != (n, n):
+            raise ParameterError(f"Gram matrix of shape {np.shape(self.G)} for a block of {n} slots")
+        if not (np.all(np.isfinite(self.Y)) and np.all(np.isfinite(self.G))):
+            raise ParameterError("received block or its Gram matrix has a non-finite entry")
 
     @property
     def num_antennas(self) -> int:

@@ -133,3 +133,49 @@ def int_projection(qbar: int, rho_log2: int, inv_rho: int) -> int:
         return -8
     shifted = int_sat(qbar << rho_log2, 15)
     return shifted >> 8
+
+
+
+def int_iteration(s_q, G_q, N, rho_log2, real_only, s_check_q):
+    """One datapath iteration on raw integers, one row and one cycle at a
+    time: row k (k >= 1) runs ``int_mac`` over columns k, k+1, ..., wrapping
+    around, then ``int_projection`` on each component; row 0 passes the
+    reference symbol. Real-only iterates drop the imaginary parts."""
+    inv = int_quantize(1.0 / (1 << rho_log2), 12, 11, True)
+    out_re, out_im = [s_check_q[0]], [s_check_q[1]]
+    for k in range(1, N):
+        acc = (0, 0)
+        for j in range(N):
+            col = (k + j) % N
+            s_im = 0 if real_only else int(s_q[1][col])
+            acc = int_mac(*acc, int(G_q[0][k, col]), int(G_q[1][k, col]), int(s_q[0][col]), s_im)
+        out_re.append(int_projection(acc[0], rho_log2, inv))
+        out_im.append(0 if real_only else int_projection(acc[1], rho_log2, inv))
+    return out_re, out_im
+
+# ---------------------------------------------------------------------------
+# Downlink evaluation of one trial, drawing its randoms call by call
+# ---------------------------------------------------------------------------
+
+def downlink_ser_sequential(h, h_hat, points, sigma, n_symbols, n0, rng):
+    """Beamformed downlink error rate of one trial, with the randoms drawn
+    from ``rng`` one call at a time: the reference noise's real part, then
+    its imaginary part, the data indices, the data noise's real parts, then
+    its imaginary parts. Slicing picks the nearest point, ties to the
+    lowest index."""
+    w = np.conj(h_hat) / np.linalg.norm(h_hat)
+    g = sum(h[b] * w[b] for b in range(len(h)))
+    scale = np.sqrt(n0 / 2.0)
+    z_ref = g * points[0] + scale * (rng.standard_normal() + 1j * rng.standard_normal())
+    g_hat = z_ref * np.conj(points[0]) / sigma**2
+    if g_hat == 0:
+        return 1.0
+    data = rng.integers(0, len(points), size=n_symbols)
+    noise_re = rng.standard_normal(n_symbols)
+    noise_im = rng.standard_normal(n_symbols)
+    errors = 0
+    for i in range(n_symbols):
+        z = (g * points[data[i]] + scale * (noise_re[i] + 1j * noise_im[i])) / g_hat
+        nearest = min(range(len(points)), key=lambda p: abs(z - points[p]))
+        errors += nearest != data[i]
+    return errors / n_symbols

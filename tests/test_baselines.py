@@ -3,8 +3,10 @@ import pytest
 
 from simojed import baselines, model, prox
 from simojed.baselines import (
+    DownlinkDraws,
     chest_pilot,
     downlink_ser,
+    draw_downlink,
     ml_jed_exhaustive,
     mrc_chest,
     mrc_csir,
@@ -31,11 +33,11 @@ def noisy_block(seed, B=16, K=8, kind="qpsk", snr_db=0.0):
 class TestMrcCsir:
     def test_noise_free_recovery(self):
         block, c, h, s = noise_free_block(0)
-        assert np.array_equal(mrc_csir(block, h, c).s_hat, s)
+        assert np.array_equal(mrc_csir(block.Y, h, c).s_hat, s)
 
     def test_single_antenna_slices_conjugate(self):
         block, c, h, s = noise_free_block(1, B=1, kind="bpsk")
-        res = mrc_csir(block, h, c)
+        res = mrc_csir(block.Y, h, c)
         # With a unit channel the combined statistic is conj of the received
         # row, which carries conj(s): slicing recovers s.
         assert np.array_equal(res.s_hat, s)
@@ -43,7 +45,7 @@ class TestMrcCsir:
     def test_zero_channel_raises(self):
         block, c, _, _ = noise_free_block(2)
         with pytest.raises(DegenerateInputError):
-            mrc_csir(block, np.zeros(block.num_antennas, dtype=complex), c)
+            mrc_csir(block.Y, np.zeros(block.num_antennas, dtype=complex), c)
 
     def test_beats_chest_on_paired_batch(self):
         c = Constellation.bpsk()
@@ -52,15 +54,15 @@ class TestMrcCsir:
             rng = np.random.default_rng(3000 + seed)
             block = model.make_block(16, 16, c, -8.0, rng, rng, rng)
             st = block.truth.s_true[1:]
-            e_csir += int(np.sum(mrc_csir(block, block.truth.h_true, c).s_hat[1:] != st))
-            e_chest += int(np.sum(mrc_chest(block, c=c).s_hat[1:] != st))
+            e_csir += int(np.sum(mrc_csir(block.Y, block.truth.h_true, c).s_hat[1:] != st))
+            e_chest += int(np.sum(mrc_chest(block.Y, c=c).s_hat[1:] != st))
         assert e_csir < e_chest
 
 
 class TestChestPilot:
     def test_noise_free_exact(self):
         block, c, h, _ = noise_free_block(4)
-        assert np.allclose(chest_pilot(block, c.points[0], c), h, atol=1e-12)
+        assert np.allclose(chest_pilot(block.Y, c.points[0], c), h, atol=1e-12)
 
     def test_unbiased_and_variance(self):
         c = Constellation.qpsk()
@@ -72,7 +74,7 @@ class TestChestPilot:
         s = model.random_data_vector(c, 0, c.points[0], rng)
         for t in range(trials):
             block = model.transmit(TransmissionGroundTruth(s, h, n0), rng)
-            err[t] = chest_pilot(block, c.points[0], c) - h
+            err[t] = chest_pilot(block.Y, c.points[0], c) - h
         assert np.max(np.abs(err.mean(axis=0))) < 0.01
         assert np.mean(np.abs(err) ** 2) == pytest.approx(n0 / c.sigma**2, rel=0.02)
 
@@ -80,7 +82,7 @@ class TestChestPilot:
 class TestMrcChest:
     def test_noise_free_recovery(self):
         block, c, _, s = noise_free_block(6)
-        assert np.array_equal(mrc_chest(block, c=c).s_hat, s)
+        assert np.array_equal(mrc_chest(block.Y, c=c).s_hat, s)
 
     def test_ser_monotone_in_snr(self):
         c = Constellation.qpsk()
@@ -90,7 +92,7 @@ class TestMrcChest:
             for seed in range(400):
                 rng = np.random.default_rng(7000 + seed)
                 block = model.make_block(16, 8, c, snr, rng, rng, rng)
-                errs += int(np.sum(mrc_chest(block, c=c).s_hat[1:] != block.truth.s_true[1:]))
+                errs += int(np.sum(mrc_chest(block.Y, c=c).s_hat[1:] != block.truth.s_true[1:]))
             sers.append(errs)
         assert all(b <= a for a, b in zip(sers, sers[1:]))
 
@@ -98,18 +100,18 @@ class TestMrcChest:
     def test_needs_constellation(self):
         block, _ = noisy_block(3)
         with pytest.raises(ParameterError):
-            mrc_chest(block)
+            mrc_chest(block.Y)
 
 
 class TestMrcRetrained:
     def test_needs_constellation(self):
         block, _ = noisy_block(3)
         with pytest.raises(ParameterError):
-            mrc_retrained(block)
+            mrc_retrained(block.Y)
 
     def test_noise_free(self):
         block, c, h, s = noise_free_block(8)
-        res = mrc_retrained(block, c=c)
+        res = mrc_retrained(block.Y, c=c)
         assert np.array_equal(res.s_hat, s)
         assert np.allclose(res.h_hat, h, atol=1e-12)
 
@@ -120,8 +122,8 @@ class TestMrcRetrained:
             rng = np.random.default_rng(9000 + seed)
             block = model.make_block(16, 8, c, 0.0, rng, rng, rng)
             h = block.truth.h_true
-            rt = mrc_retrained(block, c=c)
-            ch = mrc_chest(block, c=c)
+            rt = mrc_retrained(block.Y, c=c)
+            ch = mrc_chest(block.Y, c=c)
             mse_rt += float(np.sum(np.abs(rt.h_hat - h) ** 2))
             mse_chest += float(np.sum(np.abs(ch.h_hat - h) ** 2))
         assert mse_rt < mse_chest
@@ -135,31 +137,31 @@ class TestMrcRetrained:
             h = block.truth.h_true
             res = prox.solve(block, c, prox.ProxParams(t_max=5), record_trace=False)
             mse_prox += float(np.sum(np.abs(res.h_hat - h) ** 2))
-            mse_chest += float(np.sum(np.abs(chest_pilot(block, c.points[0], c) - h) ** 2))
+            mse_chest += float(np.sum(np.abs(chest_pilot(block.Y, c.points[0], c) - h) ** 2))
         assert mse_prox < mse_chest
 
 
 class TestMlJed:
     def test_noise_free_recovery(self):
         block, c, _, s = noise_free_block(10, B=4, K=6, kind="bpsk")
-        assert np.array_equal(ml_jed_exhaustive(block, c).s_hat, s)
+        assert np.array_equal(ml_jed_exhaustive(block.Y, c).s_hat, s)
 
     def test_tiny_example(self):
         c = Constellation.bpsk()
         Y = np.array([[1.0, -1.0, 1.0]], dtype=complex)
         block = model.ReceivedBlock(Y=Y)
-        res = ml_jed_exhaustive(block, c)
+        res = ml_jed_exhaustive(block.Y, c)
         assert np.array_equal(res.s_hat, [1.0, -1.0, 1.0])
 
     def test_budget_error(self):
         block, c = noisy_block(11, B=2, K=12, kind="qpsk")
         with pytest.raises(CapacityError):
-            ml_jed_exhaustive(block, c, budget=2**20)
+            ml_jed_exhaustive(block.Y, c, budget=2**20)
 
     def test_lexicographic_tie_break(self):
         c = Constellation.qpsk()
         block = model.ReceivedBlock(Y=np.zeros((2, 4), dtype=complex))
-        res = ml_jed_exhaustive(block, c)
+        res = ml_jed_exhaustive(block.Y, c)
         assert np.array_equal(res.s_hat, np.full(4, c.points[0]))
 
     def test_oracle_dominance(self):
@@ -167,7 +169,7 @@ class TestMlJed:
         for seed in range(50):
             rng = np.random.default_rng(12000 + seed)
             block = model.make_block(8, 6, c, -6.0, rng, rng, rng)
-            ml = ml_jed_exhaustive(block, c)
+            ml = ml_jed_exhaustive(block.Y, c)
             px = prox.solve(block, c, prox.ProxParams(t_max=5), record_trace=False)
             assert np.linalg.norm(block.Y @ ml.s_hat) >= np.linalg.norm(
                 block.Y @ px.s_hat
@@ -180,10 +182,10 @@ class TestMlJed:
         old = bl._ENUM_CHUNK
         try:
             bl._ENUM_CHUNK = 64
-            chunked = ml_jed_exhaustive(block, c)
+            chunked = ml_jed_exhaustive(block.Y, c)
         finally:
             bl._ENUM_CHUNK = old
-        whole = ml_jed_exhaustive(block, c)
+        whole = ml_jed_exhaustive(block.Y, c)
         assert np.array_equal(chunked.s_hat, whole.s_hat)
 
 
@@ -192,7 +194,7 @@ class TestDownlink:
         rng = np.random.default_rng(14)
         c = Constellation.qpsk()
         h = model.gen_rayleigh_channel(8, rng)
-        assert downlink_ser(h, h, c, 100, 0.0, rng) == 0.0
+        assert downlink_ser(h, h, c, 0.0, draw_downlink(rng, c, 100)) == 0.0
 
     def test_global_phase_compensated_by_reference(self):
         # The receiver estimates the composite gain from the known reference
@@ -201,12 +203,13 @@ class TestDownlink:
         c = Constellation.qpsk()
         h = model.gen_rayleigh_channel(8, rng)
         rotated = h * np.exp(1j * 1.234)
-        assert downlink_ser(h, rotated, c, 100, 0.0, rng) == 0.0
+        assert downlink_ser(h, rotated, c, 0.0, draw_downlink(rng, c, 100)) == 0.0
 
     def test_zero_estimate_raises(self):
         rng = np.random.default_rng(16)
         with pytest.raises(DegenerateInputError):
-            downlink_ser(np.ones(4, dtype=complex), np.zeros(4), Constellation.qpsk(), 10, 0.1, rng)
+            c = Constellation.qpsk()
+            downlink_ser(np.ones(4, dtype=complex), np.zeros(4), c, 0.1, draw_downlink(rng, c, 10))
 
     def test_solver_beam_beats_pilot_beam(self):
         c = Constellation.qpsk()
@@ -217,8 +220,33 @@ class TestDownlink:
             h = block.truth.h_true
             n0 = block.truth.n0
             px = prox.solve(block, c, prox.ProxParams(t_max=5), record_trace=False)
-            ch = mrc_chest(block, c=c)
-            noise_seed = int(rng.integers(0, 2**63))
-            tot_prox += downlink_ser(h, px.h_hat, c, 8, n0, np.random.default_rng(noise_seed))
-            tot_chest += downlink_ser(h, ch.h_hat, c, 8, n0, np.random.default_rng(noise_seed))
+            ch = mrc_chest(block.Y, c=c)
+            draws = draw_downlink(np.random.default_rng(int(rng.integers(0, 2**63))), c, 8)
+            tot_prox += downlink_ser(h, px.h_hat, c, n0, draws)
+            tot_chest += downlink_ser(h, ch.h_hat, c, n0, draws)
         assert tot_prox < tot_chest
+
+
+class TestStacks:
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
+    def test_stack_equals_per_block(self, kind):
+        blocks = [noisy_block(300 + t, B=6, K=4, kind=kind, snr_db=-2.0)[0] for t in range(6)]
+        c = Constellation.by_name(kind)
+        Y = np.stack([block.Y for block in blocks])
+        h = np.stack([block.truth.h_true for block in blocks])
+        per_trial = [draw_downlink(np.random.default_rng(t), c, 9) for t in range(6)]
+        draws = DownlinkDraws(*map(np.stack, zip(*per_trial)))
+        detectors = (
+            lambda Y, h: mrc_csir(Y, h, c),
+            lambda Y, h: mrc_chest(Y, c=c),
+            lambda Y, h: mrc_retrained(Y, c=c),
+            lambda Y, h: ml_jed_exhaustive(Y, c),
+        )
+        for detect in detectors:
+            stacked = detect(Y, h)
+            ser = downlink_ser(h, stacked.h_hat, c, 0.5, draws)
+            for t in range(6):
+                one = detect(Y[t], h[t])
+                assert np.array_equal(one.s_hat, stacked.s_hat[t])
+                assert np.allclose(one.h_hat, stacked.h_hat[t], rtol=1e-12, atol=0)
+                assert downlink_ser(h[t], one.h_hat, c, 0.5, per_trial[t]) == ser[t]

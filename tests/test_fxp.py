@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from simojed import fxp, model, prox
 from simojed.errors import ParameterError
@@ -16,13 +18,15 @@ from simojed.fxp import (
     pe_array_iteration,
     projection_unit,
     quantize,
+    quantize_block,
     rho_inverse_word,
     solve_fixed,
+    solve_fixed_stack,
     throughput_bps,
 )
 from simojed.model import Constellation, TransmissionGroundTruth
 
-from oracles import int_mac, int_projection, int_quantize
+from oracles import int_iteration, int_mac, int_projection, int_quantize
 
 
 class TestQuantize:
@@ -235,15 +239,26 @@ class TestSolveFixed:
         assert np.array_equal(fixed, s)
 
     def test_cycle_accurate_equals_fast_path(self):
-        rng = np.random.default_rng(11)
+        # The cycle-accurate array, run block by block, reaches the final
+        # iterate and the decisions of the stacked datapath.
         c = Constellation.qpsk()
+        params = prox.ProxParams(t_max=3, rho_log2=1)
+        blocks = []
         for seed in range(5):
             r = np.random.default_rng(100 + seed)
-            block = model.make_block(16, 6, c, 0.0, r, r, r)
-            params = prox.ProxParams(t_max=3, rho_log2=1)
-            a = solve_fixed(block, c, params, cycle_accurate=True)
-            b = solve_fixed(block, c, params, cycle_accurate=False)
-            assert np.array_equal(a, b)
+            blocks.append(model.make_block(16, 6, c, 0.0, r, r, r))
+        G = np.stack([block.G for block in blocks])
+        cfg, Gq, state, sc = quantize_block(G, c, params)
+        for _ in range(params.t_max):
+            state = direct_iteration(state, Gq, cfg, sc)
+        decisions = solve_fixed_stack(G, c, params)
+        for t, block in enumerate(blocks):
+            cfg_t, Gq_t, s_t, sc_t = quantize_block(block.G, c, params)
+            for _ in range(params.t_max):
+                s_t, _ = pe_array_iteration(s_t, Gq_t, cfg_t, sc_t)
+            assert np.array_equal(s_t[0], state[0][t])
+            assert np.array_equal(s_t[1], state[1][t])
+            assert np.array_equal(fxp._sign_decisions(s_t, c, c.points[0]), decisions[t])
 
     def test_bpsk_real_only(self):
         rng = np.random.default_rng(12)
@@ -269,6 +284,48 @@ class TestSolveFixed:
         block = model.make_block(4, 3, c, 0.0, rng, rng, rng)
         with pytest.raises(ParameterError):
             solve_fixed(block, c, prox.ProxParams(t_max=1, rho_log2=0))
+
+
+class TestStackedDatapath:
+    @given(
+        T=st.integers(1, 24),
+        N=st.integers(2, 17),
+        rho_log2=st.integers(1, 4),
+        real_only=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_direct_iteration_stack_matches_blocks_and_oracle(self, T, N, rho_log2, real_only, seed):
+        rng = np.random.default_rng(seed)
+        gre = rng.integers(G_FMT.min_raw, G_FMT.max_raw + 1, size=(T, N, N))
+        gim = rng.integers(G_FMT.min_raw, G_FMT.max_raw + 1, size=(T, N, N))
+        sre = rng.integers(S_FMT.min_raw, S_FMT.max_raw + 1, size=(T, N))
+        sim = rng.integers(S_FMT.min_raw, S_FMT.max_raw + 1, size=(T, N))
+        cfg = PeArrayConfig(N=N, t_max=1, rho_log2=rho_log2, real_only=real_only)
+        out_re, out_im = direct_iteration((sre, sim), (gre, gim), cfg, (8, 0))
+        assert out_re.shape == out_im.shape == (T, N)
+        for t in range(T):
+            one = direct_iteration((sre[t], sim[t]), (gre[t], gim[t]), cfg, (8, 0))
+            assert np.array_equal(one[0], out_re[t]) and np.array_equal(one[1], out_im[t])
+            ref = int_iteration((sre[t], sim[t]), (gre[t], gim[t]), N, rho_log2, real_only, (8, 0))
+            assert out_re[t].tolist() == ref[0] and out_im[t].tolist() == ref[1]
+
+    @given(
+        T=st.integers(1, 24),
+        N=st.integers(2, 17),
+        rho_log2=st.integers(1, 4),
+        real_only=st.booleans(),
+        t_max=st.integers(1, 6),
+        snr_db=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_solve_fixed_stack_matches_blocks(self, T, N, rho_log2, real_only, t_max, snr_db, seed):
+        c = Constellation.bpsk() if real_only else Constellation.qpsk()
+        params = prox.ProxParams(alpha_scale=1.25, rho_log2=rho_log2, t_max=t_max)
+        blocks = [model.draw_block(8, N - 1, c, snr_db, seed, (t,))[0] for t in range(T)]
+        stacked = solve_fixed_stack(np.stack([block.G for block in blocks]), c, params)
+        assert stacked.shape == (T, N)
+        for t, block in enumerate(blocks):
+            assert np.array_equal(solve_fixed(block, c, params), stacked[t])
 
 
 class TestTiming:

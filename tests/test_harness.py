@@ -18,8 +18,11 @@ from simojed.harness import (
     timing_report,
     wilson_interval,
 )
-from simojed.prox import ProxParams
+from simojed.model import Constellation, draw_block, snr_to_n0
+from simojed.prox import ProxParams, solve
 from simojed.tuning import tune_rho
+
+from oracles import downlink_ser_sequential
 
 
 def small_config(**overrides):
@@ -141,6 +144,45 @@ class TestRunSweep:
         )
         res = run_sweep(cfg)
         assert set(res.methods()) == {"prox", "aprox", "mrc-csir", "mrc-chest", "mrc-rt", "ml-jed"}
+
+    @pytest.mark.parametrize("kind", ["qpsk", "bpsk"])
+    def test_downlink_draws_match_one_generator_per_trial(self, kind):
+        # The chunk draws each trial's downlink randoms once and shares them
+        # across methods; the error counts equal a fresh Generator on the
+        # trial's downlink stream per method, drawing call by call.
+        cfg = small_config(
+            constellation=kind,
+            downlink_symbols=7,
+            methods=(MethodSpec("prox"), MethodSpec("mrc-csir"), MethodSpec("mrc-chest")),
+        )
+        snr_index, trials = 1, 40
+        _, _, counts, _ = harness._run_chunk(cfg, ("float",), snr_index, 0, trials)
+        c = Constellation.by_name(kind)
+        snr_db = cfg.snr_points_db[snr_index]
+        n0 = snr_to_n0(snr_db, c)
+        expected = dict.fromkeys(("prox", "mrc-csir", "mrc-chest"), 0)
+        for t in range(trials):
+            block, dl_ss = draw_block(cfg.B, cfg.K, c, snr_db, cfg.master_seed, (snr_index, t))
+            h = block.truth.h_true
+            estimates = {
+                "prox": solve(block, c, ProxParams(), record_trace=False).h_hat,
+                "mrc-csir": h,
+                "mrc-chest": block.Y[:, 0] * c.points[0] / c.sigma**2,
+            }
+            for name, h_hat in estimates.items():
+                rng = np.random.default_rng(dl_ss)
+                ser = downlink_ser_sequential(h, h_hat, c.points, c.sigma, 7, n0, rng)
+                expected[name] += round(ser * 7)
+        for name, errors in expected.items():
+            assert counts[("float", name)][1] == errors
+
+    def test_ml_jed_runs_with_the_configured_budget(self):
+        # 2^21 candidates pass the config's budget check, so the detector
+        # must enumerate them rather than stop at its default budget.
+        cfg = small_config(
+            B=2, K=21, trials=1, snr_points_db=(0.0,), ml_jed_budget=2**21, methods=(MethodSpec("ml-jed"),)
+        )
+        assert run_sweep(cfg).cells[("ml-jed", 0.0)].trials == 1
 
     def test_los_channel_supported(self):
         from simojed.model import LosGeometry

@@ -93,7 +93,7 @@ class TestSpectralNorm:
         with pytest.raises(ParameterError, match="non-finite"):
             linalg.spectral_norm(np.stack([np.eye(3), A]))
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(T=st.integers(1, 8), n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
     def test_stack_against_jacobi_oracle(self, T, n, seed):
         rng = np.random.default_rng(seed)

@@ -144,6 +144,22 @@ class TestTransmit:
         with pytest.raises(ParameterError, match="non-finite"):
             model.ReceivedBlock(Y=Y)
 
+    def test_explicit_gram_checked(self):
+        # A NaN in Y next to the block's original Gram matrix used to pass
+        # through the solver into the channel estimate.
+        block, _ = model.draw_block(8, 4, Constellation.qpsk(), 0.0, 1, (0,))
+        Y = block.Y.copy()
+        Y[3, 2] = np.nan
+        G = block.G.copy()
+        G[1, 1] = np.inf
+        with pytest.raises(ParameterError, match="non-finite"):
+            model.ReceivedBlock(Y=Y, G=block.G)
+        with pytest.raises(ParameterError, match="non-finite"):
+            model.ReceivedBlock(Y=block.Y, G=G)
+        with pytest.raises(ParameterError, match="shape"):
+            model.ReceivedBlock(Y=block.Y, G=block.G[:-1, :-1])
+        assert model.ReceivedBlock(Y=block.Y, G=block.G).G is block.G
+
     def test_draw_block_stream_layout(self):
         # Children 0-2 of the trial stream feed channel, data and noise;
         # child 3 comes back for the downlink evaluation.

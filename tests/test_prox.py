@@ -240,7 +240,7 @@ class TestSolve:
 
 
 class TestSolveStack:
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(
         T=st.integers(1, 40),
         B=st.integers(1, 16),
