@@ -153,13 +153,17 @@ class DownlinkDraws(NamedTuple):
     noise: np.ndarray
 
 
-def draw_downlink(rng: np.random.Generator, c: Constellation, n_symbols: int) -> DownlinkDraws:
-    """One trial's downlink randoms, drawn from ``rng`` in this order: the
-    reference noise, the data indices, the data noise."""
+def draw_downlink(
+    rng: np.random.Generator, c: Constellation, n_symbols: int, T: int | None = None
+) -> DownlinkDraws:
+    """The downlink randoms of one trial, or of a stack of ``T`` trials,
+    drawn from ``rng`` one array each in this order: the reference noise,
+    the data indices, the data noise."""
+    lead = () if T is None else (T,)
     return DownlinkDraws(
-        rng.standard_normal(2),
-        rng.integers(0, len(c.points), size=n_symbols),
-        rng.standard_normal(2 * n_symbols),
+        rng.standard_normal(lead + (2,)),
+        rng.integers(0, len(c.points), size=lead + (n_symbols,)),
+        rng.standard_normal(lead + (2 * n_symbols,)),
     )
 
 

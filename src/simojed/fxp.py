@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .model import Constellation, ReceivedBlock
-from .prox import ProxParams, init_s, preprocess
+from .prox import PreprocessedMatrix, ProxParams, init_s, preprocess
 
 # Datapath formats (word bits, fraction bits).
 S_BITS, S_FRAC = 6, 3
@@ -320,37 +320,44 @@ def direct_iteration(
     in the same diagonal-start cyclic order as the array (saturating
     accumulation is order-dependent, so the order is part of the datapath
     contract). All truncated cross-terms are order-free and computed in one
-    shot; only the saturating accumulation walks the cycles.
+    shot; only the saturating accumulation walks the cycles. Both steps
+    work in place on buffers allocated once per call, because a fresh
+    temporary per step dominates the cost of a large stack.
     """
     N = cfg.N
     gre, gim = Ghat_q
     sre = np.asarray(s_in[0], dtype=np.int64)
     sim = np.zeros_like(sre) if cfg.real_only else np.asarray(s_in[1], dtype=np.int64)
     sre, sim = sre[..., None, :], sim[..., None, :]
-    prr = (gre * sre) >> 3
-    pii = (gim * sim) >> 3
-    pri = (gre * sim) >> 3
-    pir = (gim * sre) >> 3
-    cross = np.stack([_wrap_arr(prr - pii, ACC_BITS), _wrap_arr(pri + pir, ACC_BITS)])
+    shape = np.broadcast_shapes(np.shape(gre), sre.shape)
+    cross = np.empty((2,) + shape, dtype=np.int64)  # (re, im) of every product pair
+    part = np.empty(shape, dtype=np.int64)
+    re, im = cross
+    np.right_shift(np.multiply(gre, sre, out=re), 3, out=re)
+    re -= np.right_shift(np.multiply(gim, sim, out=part), 3, out=part)
+    np.right_shift(np.multiply(gre, sim, out=im), 3, out=im)
+    im += np.right_shift(np.multiply(gim, sre, out=part), 3, out=part)
+    half = np.int64(1 << (ACC_BITS - 1))
+    cross += half  # wrap at ACC_BITS
+    cross &= np.int64((1 << ACC_BITS) - 1)
+    cross -= half
     rows = np.arange(N)
-    # Row k consumes column (k+j) mod N in cycle j: D[..., j, k] is that
-    # cross-term, gathered from the flattened (row, column) axes.
+    # Row k consumes column (k+j) mod N in cycle j: row j of cycle_cols
+    # holds those columns' offsets in the flattened (row, column) axes.
     cycle_cols = rows[None, :] * N + (rows[None, :] + rows[:, None]) % N
-    D = np.take(cross.reshape(*cross.shape[:-2], N * N), cycle_cols, axis=-1)
-    acc = np.zeros(D.shape[:-2] + (N,), dtype=np.int64)
-    for j in range(N):
-        acc = _sat_arr(acc + D[..., j, :], ACC_BITS)
+    flat = cross.reshape(*cross.shape[:-2], N * N)
+    acc = np.zeros(flat.shape[:-1] + (N,), dtype=np.int64)
+    step = np.empty_like(acc)
+    for cols in cycle_cols:  # in range: "clip" lets take write straight into step
+        acc += np.take(flat, cols, axis=-1, out=step, mode="clip")
+        np.maximum(acc, -half, out=acc)  # saturate at ACC_BITS
+        np.minimum(acc, half - 1, out=acc)
     inv = rho_inverse_word(cfg.rho_log2).raw
     out_re, out_im = _project_arr(acc, cfg.rho_log2, inv)
     if cfg.real_only:
         out_im = np.zeros_like(out_im)
     out_re[..., 0], out_im[..., 0] = s_check_q
     return out_re, out_im
-
-
-def _wrap_arr(v: np.ndarray, bits: int) -> np.ndarray:
-    half = np.int64(1 << (bits - 1))
-    return ((v + half) & np.int64((1 << bits) - 1)) - half
 
 
 def _sat_arr(v: np.ndarray, bits: int) -> np.ndarray:
@@ -366,14 +373,15 @@ def _project_arr(qbar: np.ndarray, rho_log2: int, inv_raw: int) -> np.ndarray:
 
 
 def quantize_block(
-    G: np.ndarray,
+    G: np.ndarray | PreprocessedMatrix,
     c: Constellation,
     params: ProxParams,
     s_check: complex | None = None,
 ) -> tuple[PeArrayConfig, tuple, tuple, tuple[int, int]]:
     """The array for a block's Gram matrix ``G`` (or a stack of them with a
     leading trial axis) and its raw-integer (real, imaginary) inputs: the
-    iteration matrix, the initial iterate and the reference symbol.
+    iteration matrix, the initial iterate and the reference symbol. A
+    ``preprocess(G, params)`` result in place of ``G`` is used as given.
 
     Preprocessing runs in floating point (it happens off the array); the
     iterate and the reference are normalized so the hull clip sits at +-1
@@ -381,26 +389,26 @@ def quantize_block(
     """
     if params.rho_log2 < 1:
         raise ParameterError("the datapath needs a projection gain above 1 (rho_log2 >= 1)")
-    G = np.asarray(G, dtype=np.complex128)
+    pre = G if isinstance(G, PreprocessedMatrix) else preprocess(G, params)
     cfg = PeArrayConfig(
-        N=G.shape[-1], t_max=params.t_max, rho_log2=params.rho_log2, real_only=c.im_bound == 0.0
+        N=pre.G.shape[-1], t_max=params.t_max, rho_log2=params.rho_log2, real_only=c.im_bound == 0.0
     )
     s_check = c.points[0] if s_check is None else s_check
-    pre = preprocess(G, params)
     bound = c.re_bound  # per-component hull half-width
     scq = quantize_complex(complex(s_check / bound), S_FMT)
-    sq = quantize_iterate(init_s(G, s_check) / bound)
+    sq = quantize_iterate(init_s(pre.G, s_check) / bound)
     return cfg, quantize_matrix(pre.Ghat), sq, (scq[0].raw, scq[1].raw)
 
 
 def solve_fixed_stack(
-    G: np.ndarray,
+    G: np.ndarray | PreprocessedMatrix,
     c: Constellation,
     params: ProxParams,
     s_check: complex | None = None,
 ) -> np.ndarray:
     """Full fixed-point detection pass over the Gram matrices of a stack of
-    blocks (T, N, N), or of one block (N, N).
+    blocks (T, N, N), or of one block (N, N), or over their ``preprocess``
+    result.
 
     The stack is quantized by ``quantize_block`` and iterated on the integer
     datapath; hard decisions come from the output sign bits. Returns the

@@ -1,12 +1,14 @@
 """Monte-Carlo sweep engine: seeded paired trials, aggregation, CSV/JSON
 output, fixed-vs-float comparison, and the timing table.
 
-Every trial draws its block with ``model.draw_block`` keyed by (snr index,
-trial index), so results are bit-identical for a given seed regardless of
-how trials are distributed over workers. All methods in a sweep, and both
-arithmetics of a float-vs-fixed comparison, consume the same blocks (paired
-comparison), and the downlink evaluation draws each trial's randoms once
-and reuses them across methods.
+Trials run in fixed chunks of ``_TRIAL_CHUNK``; each chunk draws its
+blocks with one ``model.draw_blocks`` call keyed by (snr index, first trial
+of the chunk), so results are bit-identical for a given seed regardless of
+how chunks are distributed over workers. The chunk size is part of that
+stream layout. All methods in a sweep, and both arithmetics of a
+float-vs-fixed comparison, consume the same blocks (paired comparison), and
+the downlink evaluation draws each chunk's randoms once and reuses them
+across methods.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 from . import __version__
 from .baselines import (
     ML_JED_DEFAULT_BUDGET,
-    DownlinkDraws,
     downlink_ser,
     draw_downlink,
     ml_jed_exhaustive,
@@ -33,11 +34,13 @@ from .baselines import (
 )
 from .errors import CapacityError, ParameterError
 from .fxp import latency_cycles, solve_fixed_stack, throughput_bps
-from .model import Constellation, LosGeometry, draw_block, snr_to_n0
-from .prox import ProxParams, channel_estimate, solve_stack
+from .model import Constellation, LosGeometry, draw_blocks, snr_to_n0
+from .prox import PreprocessedMatrix, ProxParams, channel_estimate, preprocess, solve_stack
 
 WORKERS_ENV = "SIMOJED_WORKERS"
-_TRIAL_CHUNK = 512  # fixed reduction granularity keeps float sums worker-independent
+# Fixed: it sets both the stream layout and the float reduction order, so
+# results do not depend on the worker count.
+_TRIAL_CHUNK = 512
 
 METHOD_NAMES = ("prox", "aprox", "mrc-csir", "mrc-chest", "mrc-rt", "ml-jed")
 
@@ -227,16 +230,23 @@ def db_at_ser(curve: dict[float, float], target: float) -> float | None:
 
 
 def _detect(
-    spec: MethodSpec, Y: np.ndarray, G: np.ndarray, h_true: np.ndarray, c, arithmetic: str, ml_budget: int
+    spec: MethodSpec,
+    Y: np.ndarray,
+    pre: PreprocessedMatrix | None,
+    h_true: np.ndarray,
+    c,
+    arithmetic: str,
+    ml_budget: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(s_hat, h_hat) of a chunk's stacked blocks from one method: the
-    solver in ``arithmetic`` or a baseline, in one stacked call."""
+    solver in ``arithmetic``, on the chunk's preprocessed Gram matrices
+    ``pre``, or a baseline, in one stacked call."""
     params = spec.solver_params
     if params is not None and arithmetic == "float":
-        res = solve_stack(Y, G, c, params, record_trace=False)
+        res = solve_stack(Y, pre, c, params, record_trace=False)
         return res.s_hat, res.h_hat
     if params is not None:
-        s_hat = solve_fixed_stack(G, c, params)
+        s_hat = solve_fixed_stack(pre, c, params)
         return s_hat, channel_estimate(Y, s_hat)
     if spec.name == "mrc-csir":
         r = mrc_csir(Y, h_true, c)
@@ -255,9 +265,10 @@ def _run_chunk(
     """Counts for trials [trial_lo, trial_hi) at one SNR point, each block
     detected in every one of ``arithmetics``.
 
-    The chunk's blocks are stacked and every method runs once on the stack.
-    Each trial's downlink randoms are drawn once from its downlink stream
-    and shared by every method and arithmetic.
+    The chunk is drawn as one stack keyed by ``(snr_index, trial_lo)`` and
+    every method runs once on it; a solver method's preprocessing is shared
+    by both arithmetics. The chunk's downlink randoms are drawn once from
+    its downlink Generator and shared by every method and arithmetic.
 
     Returns per-(arithmetic, method) integer error counts and per-trial
     channel-MSE arrays (summed later in fixed order for worker-count
@@ -270,23 +281,18 @@ def _run_chunk(
     n_dl = cfg.downlink_symbols or cfg.K
     los = cfg.los if cfg.channel == "los" else None
     solver = next((m for m in cfg.methods if m.solver_params is not None), None)
-    blocks, dl_seeds = zip(
-        *(
-            draw_block(cfg.B, cfg.K, c, snr_db, cfg.master_seed, (snr_index, t), los)
-            for t in range(trial_lo, trial_hi)
-        )
+    trials = trial_hi - trial_lo
+    Y, G, s_true, h_true, dl_rng = draw_blocks(
+        cfg.B, cfg.K, c, snr_db, cfg.master_seed, (snr_index, trial_lo), trials, los
     )
-    Y = np.stack([block.Y for block in blocks])
-    G = np.stack([block.G for block in blocks])
-    s_true = np.stack([block.truth.s_true for block in blocks])
-    h_true = np.stack([block.truth.h_true for block in blocks])
-    draws = [draw_downlink(np.random.default_rng(ss), c, n_dl) for ss in dl_seeds]
-    dl = DownlinkDraws(*(np.stack(part) for part in zip(*draws)))
+    dl = draw_downlink(dl_rng, c, n_dl, trials)
     counts = {}
     decisions = {}
-    for arithmetic in arithmetics:
-        for spec in cfg.methods:
-            s_hat, h_hat = _detect(spec, Y, G, h_true, c, arithmetic, cfg.ml_jed_budget)
+    for spec in cfg.methods:
+        params = spec.solver_params
+        pre = None if params is None else preprocess(G, params)
+        for arithmetic in arithmetics:
+            s_hat, h_hat = _detect(spec, Y, pre, h_true, c, arithmetic, cfg.ml_jed_budget)
             if spec is solver:
                 decisions[arithmetic] = s_hat[:, 1:]
             dl_ser = downlink_ser(h_true, h_hat, c, n0, dl)

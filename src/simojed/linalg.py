@@ -27,17 +27,18 @@ def _hermitian_part(A: np.ndarray) -> np.ndarray:
 
 
 def gram(Y: np.ndarray) -> np.ndarray:
-    """Gram matrix of the received block: columns correlated against columns.
+    """Gram matrix of the received block, or of every block of a stack of
+    shape (..., B, N): columns correlated against columns.
 
     The result is Hermitian by construction (symmetrized exactly) with real,
     non-negative diagonal. A block with a non-finite entry is rejected.
     """
     Y = np.asarray(Y, dtype=np.complex128)
-    if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] < 1:
-        raise DimensionError(f"need a non-empty 2-D matrix, got shape {Y.shape}")
+    if Y.ndim < 2 or Y.shape[-2] < 1 or Y.shape[-1] < 1:
+        raise DimensionError(f"need a non-empty matrix or a stack of them, got shape {Y.shape}")
     if not np.all(np.isfinite(Y)):
         raise ParameterError("received block has a non-finite entry")
-    return _hermitian_part(Y.conj().T @ Y)
+    return _hermitian_part(Y.conj().swapaxes(-1, -2) @ Y)
 
 
 def spectral_norm(A: np.ndarray) -> np.ndarray | float:

@@ -3,8 +3,9 @@
 A single-antenna user sends K+1 symbols (the first one fixed and known) to a
 B-antenna receiver over a channel that stays constant for the whole block.
 All generators take an explicit ``numpy.random.Generator`` so trials can run
-on independent, reproducible substreams; ``draw_block`` lays those
-substreams out for one seeded trial.
+on independent, reproducible substreams; ``draw_blocks`` lays those
+substreams out for a seeded stack of trials, and ``draw_block`` is its
+one-trial case.
 """
 
 from __future__ import annotations
@@ -130,12 +131,15 @@ class ReceivedBlock:
         return self.Y.shape[1]
 
 
-def gen_rayleigh_channel(B: int, rng: np.random.Generator) -> np.ndarray:
+def gen_rayleigh_channel(B: int, rng: np.random.Generator, T: int | None = None) -> np.ndarray:
     """I.i.d. circularly-symmetric complex Gaussian channel, unit variance
-    per entry."""
+    per entry: one (B,) vector, or a (T, B) stack of ``T`` trials drawn
+    trial after trial, each as its B real parts, then its B imaginary
+    parts."""
     if B < 1:
         raise DimensionError("need at least one receive antenna")
-    return (rng.standard_normal(B) + 1j * rng.standard_normal(B)) / _SQRT2
+    z = rng.standard_normal((2, B) if T is None else (T, 2, B))
+    return (z[..., 0, :] + 1j * z[..., 1, :]) / _SQRT2
 
 
 def gen_los_channel(B: int, geom: LosGeometry) -> np.ndarray:
@@ -155,29 +159,37 @@ def gen_los_channel(B: int, geom: LosGeometry) -> np.ndarray:
 
 
 def random_data_vector(
-    c: Constellation, K: int, s_check: complex, rng: np.random.Generator
+    c: Constellation, K: int, s_check: complex, rng: np.random.Generator, T: int | None = None
 ) -> np.ndarray:
-    """K+1 symbols: the pinned reference first, then uniform draws."""
-    if not np.any(np.isclose(c.points, s_check, rtol=0, atol=1e-12)):
+    """K+1 symbols: the pinned reference first, then uniform draws; a
+    (T, K+1) stack of ``T`` trials, drawn as one (T, K) index array."""
+    if not np.min(np.abs(c.points - s_check)) <= 1e-12:
         raise ParameterError(f"{s_check} is not a constellation point")
-    s = np.empty(K + 1, dtype=np.complex128)
-    s[0] = s_check
+    lead = () if T is None else (T,)
+    s = np.empty(lead + (K + 1,), dtype=np.complex128)
+    s[..., 0] = s_check
     if K > 0:
-        s[1:] = c.points[rng.integers(0, len(c.points), size=K)]
+        s[..., 1:] = c.points[rng.integers(0, len(c.points), size=lead + (K,))]
     return s
 
 
 def transmit(truth: TransmissionGroundTruth, rng: np.random.Generator) -> ReceivedBlock:
     """Rank-1 signal plus circularly-symmetric Gaussian noise of variance
     ``n0`` per complex entry; the Gram matrix is computed and cached."""
-    h = np.asarray(truth.h_true, dtype=np.complex128)
-    s = np.asarray(truth.s_true, dtype=np.complex128)
-    Y = np.outer(h, s.conj())
-    if truth.n0 > 0:
-        B, n = Y.shape
-        scale = np.sqrt(truth.n0 / 2.0)
-        Y = Y + scale * (rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n)))
-    return ReceivedBlock(Y=Y, truth=truth)
+    return ReceivedBlock(Y=_receive(truth.h_true, truth.s_true, truth.n0, rng), truth=truth)
+
+
+def _receive(h: np.ndarray, s: np.ndarray, n0: float, rng: np.random.Generator) -> np.ndarray:
+    """h s^H plus noise, for one block or a stack. The noise is drawn block
+    after block, each as its real parts, then its imaginary parts (none
+    when ``n0`` is 0)."""
+    h = np.asarray(h, dtype=np.complex128)
+    s = np.asarray(s, dtype=np.complex128)
+    Y = h[..., :, None] * s.conj()[..., None, :]
+    if n0 > 0:
+        z = rng.standard_normal(Y.shape[:-2] + (2,) + Y.shape[-2:])
+        Y = Y + np.sqrt(n0 / 2.0) * (z[..., 0, :, :] + 1j * z[..., 1, :, :])
+    return Y
 
 
 def snr_to_n0(snr_db: float, c: Constellation) -> float:
@@ -208,6 +220,40 @@ def make_block(
     return transmit(truth, noise_rng)
 
 
+def draw_blocks(
+    B: int,
+    K: int,
+    c: Constellation,
+    snr_db: float,
+    seed: int,
+    key: tuple[int, ...],
+    T: int,
+    los: LosGeometry | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.random.Generator]:
+    """The blocks of ``T`` seeded trials: the package's only stream layout.
+
+    The four children of ``SeedSequence(seed, spawn_key=key).spawn(4)``
+    feed one Generator each. Children 0-2 draw the whole stack in one call
+    each, trial after trial: the channel as standard normals (T, 2, B),
+    real parts first; the data indices (T, K); the noise as standard
+    normals (T, 2, B, K+1), real parts first. Child 3 comes back as the
+    stack's downlink Generator. So trial 0 of any stack uses each stream
+    exactly as a one-trial draw does. Returns the stacked ``Y`` (T, B, K+1),
+    its Gram matrices ``G`` (T, K+1, K+1), the sent symbols (T, K+1) and
+    channels (T, B), and the downlink Generator.
+    """
+    ch_rng, data_rng, noise_rng, dl_rng = (
+        np.random.default_rng(ss) for ss in np.random.SeedSequence(seed, spawn_key=key).spawn(4)
+    )
+    if los is None:
+        h = gen_rayleigh_channel(B, ch_rng, T)
+    else:
+        h = np.tile(gen_los_channel(B, los), (T, 1))
+    s = random_data_vector(c, K, c.points[0], data_rng, T)
+    Y = _receive(h, s, snr_to_n0(snr_db, c), noise_rng)
+    return Y, gram(Y), s, h, dl_rng
+
+
 def draw_block(
     B: int,
     K: int,
@@ -217,12 +263,8 @@ def draw_block(
     key: tuple[int, ...],
     los: LosGeometry | None = None,
 ) -> tuple[ReceivedBlock, np.random.SeedSequence]:
-    """The block of one seeded trial: the package's only stream layout.
-
-    Children 0-2 of ``SeedSequence(seed, spawn_key=key).spawn(4)`` draw the
-    channel, the data and the noise; child 3 is returned for the trial's
-    downlink evaluation.
-    """
-    *streams, dl_ss = np.random.SeedSequence(seed, spawn_key=key).spawn(4)
-    rngs = [np.random.default_rng(ss) for ss in streams]
-    return make_block(B, K, c, snr_db, *rngs, los=los), dl_ss
+    """The block of one seeded trial, ``draw_blocks`` with ``T=1``, and
+    its downlink stream (child 3)."""
+    Y, G, s, h, dl_rng = draw_blocks(B, K, c, snr_db, seed, key, 1, los)
+    truth = TransmissionGroundTruth(s_true=s[0], h_true=h[0], n0=snr_to_n0(snr_db, c))
+    return ReceivedBlock(Y=Y[0], G=G[0], truth=truth), dl_rng.bit_generator.seed_seq

@@ -242,7 +242,7 @@ def objective(
 
 def solve_stack(
     Y: np.ndarray,
-    G: np.ndarray,
+    G: np.ndarray | PreprocessedMatrix,
     c: Constellation,
     params: ProxParams,
     s_check: complex | None = None,
@@ -250,10 +250,11 @@ def solve_stack(
 ) -> SolveResult:
     """Full detection pass over a stack of blocks (or one block): preprocess,
     initialize, iterate, slice, and re-estimate each channel from its hard
-    decisions. ``G`` holds the Gram matrices of ``Y``."""
+    decisions. ``G`` holds the Gram matrices of ``Y``, or their
+    ``preprocess(G, params)`` result, which is then used as given."""
     s_check = c.points[0] if s_check is None else s_check
-    pre = preprocess(G, params)
-    state = SolverState(s_cur=init_s(G, s_check), q_cur=np.zeros_like(pre.G[..., 0]))
+    pre = G if isinstance(G, PreprocessedMatrix) else preprocess(G, params)
+    state = SolverState(s_cur=init_s(pre.G, s_check), q_cur=np.zeros_like(pre.G[..., 0]))
     for _ in range(params.t_max):
         state = iterate_once(state, pre, c, params, s_check, record_trace=record_trace)
     s_hat = hard_decision(state.s_cur, c)

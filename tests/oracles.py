@@ -154,25 +154,23 @@ def int_iteration(s_q, G_q, N, rho_log2, real_only, s_check_q):
     return out_re, out_im
 
 # ---------------------------------------------------------------------------
-# Downlink evaluation of one trial, drawing its randoms call by call
+# Downlink evaluation of one trial, one symbol at a time
 # ---------------------------------------------------------------------------
 
-def downlink_ser_sequential(h, h_hat, points, sigma, n_symbols, n0, rng):
-    """Beamformed downlink error rate of one trial, with the randoms drawn
-    from ``rng`` one call at a time: the reference noise's real part, then
-    its imaginary part, the data indices, the data noise's real parts, then
-    its imaginary parts. Slicing picks the nearest point, ties to the
-    lowest index."""
+def downlink_ser_scalar(h, h_hat, points, sigma, n0, ref_noise, data, noise):
+    """Beamformed downlink error rate of one trial from its randoms: the
+    reference noise (real, imaginary), the data indices, and the data
+    noise's real parts followed by its imaginary parts. Slicing picks the
+    nearest point, ties to the lowest index."""
     w = np.conj(h_hat) / np.linalg.norm(h_hat)
     g = sum(h[b] * w[b] for b in range(len(h)))
     scale = np.sqrt(n0 / 2.0)
-    z_ref = g * points[0] + scale * (rng.standard_normal() + 1j * rng.standard_normal())
+    z_ref = g * points[0] + scale * (ref_noise[0] + 1j * ref_noise[1])
     g_hat = z_ref * np.conj(points[0]) / sigma**2
     if g_hat == 0:
         return 1.0
-    data = rng.integers(0, len(points), size=n_symbols)
-    noise_re = rng.standard_normal(n_symbols)
-    noise_im = rng.standard_normal(n_symbols)
+    n_symbols = len(data)
+    noise_re, noise_im = noise[:n_symbols], noise[n_symbols:]
     errors = 0
     for i in range(n_symbols):
         z = (g * points[data[i]] + scale * (noise_re[i] + 1j * noise_im[i])) / g_hat

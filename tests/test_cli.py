@@ -76,7 +76,7 @@ class TestSweepCommand:
 
     def test_fixed_arithmetic_rejects_gain_below_datapath_minimum(self, monkeypatch):
         # Rejected with the config, before any block is drawn.
-        monkeypatch.setattr(harness, "draw_block", None)
+        monkeypatch.setattr(harness, "draw_blocks", None)
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--arithmetic", "fixed", "--rho-log2", "0", "--trials", "2"])
         assert "rho_log2" in str(exc.value.code)

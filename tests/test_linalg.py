@@ -46,6 +46,20 @@ class TestGram:
         with pytest.raises(ParameterError, match="non-finite"):
             linalg.gram(Y)
 
+    def test_stack_equals_per_block(self):
+        rng = np.random.default_rng(15)
+        Y = random_complex(rng, 7, 16, 9)
+        G = linalg.gram(Y)
+        for t in range(7):
+            one = linalg.gram(Y[t])
+            assert np.max(np.abs(G[t] - one)) <= 1e-12 * np.max(np.abs(one))
+
+    def test_non_finite_in_stack_raises(self):
+        Y = np.ones((4, 3, 2), dtype=complex)
+        Y[2, 0, 1] = np.inf
+        with pytest.raises(ParameterError, match="non-finite"):
+            linalg.gram(Y)
+
     def test_exactly_hermitian(self):
         rng = np.random.default_rng(2)
         G = linalg.gram(random_complex(rng, 5, 4))
