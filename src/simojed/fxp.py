@@ -431,16 +431,9 @@ def solve_fixed(
     return solve_fixed_stack(block.G, c, params, s_check)
 
 
-# Constellation index by (imaginary part negative, real part negative):
-# QPSK runs counter-clockwise from the first quadrant. Real-only (BPSK)
-# iterates have zero imaginary parts and only reach the first row.
-_QUADRANT = np.array([[0, 1], [3, 2]])
-
-
 def _sign_decisions(state: tuple[np.ndarray, np.ndarray], c: Constellation, s_check: complex) -> np.ndarray:
     """Hard decisions from the sign bits of the final iterate."""
-    re, im = state
-    out = c.points[_QUADRANT[(im < 0).astype(np.intp), (re < 0).astype(np.intp)]]
+    out = c.decide(*state)
     out[..., 0] = s_check
     return out
 

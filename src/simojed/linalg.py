@@ -91,12 +91,14 @@ def neumann_two_term(G: np.ndarray, alpha) -> np.ndarray:
     return np.eye(G.shape[-1], dtype=np.complex128) + G / alpha[..., None, None]
 
 
-def neumann_error_bound(G: np.ndarray, alpha: float) -> float:
-    """Spectral-norm bound on the two-term truncation error.
+def neumann_error_bound(G: np.ndarray, alpha) -> np.ndarray | float:
+    """Spectral-norm bound on the two-term truncation error, with ``alpha``
+    a scalar or one value per matrix of a stack: a float for one matrix, an
+    array of one bound per matrix for a stack.
 
     With r = |G|/alpha < 1 the dropped tail is bounded by r^2 / (1 - r).
     """
-    r = float(spectral_norm(G)) / alpha
-    if r >= 1.0:
-        raise ParameterError(f"bound undefined: |G|/alpha = {r} >= 1")
-    return r * r / (1.0 - r)
+    r = spectral_norm(G) / np.asarray(alpha, dtype=np.float64)
+    if np.any(r >= 1.0):
+        raise ParameterError(f"bound undefined: |G|/alpha = {np.max(r)} >= 1")
+    return (r * r / (1.0 - r))[()]

@@ -19,12 +19,16 @@ from .linalg import gram
 
 _SQRT2 = np.sqrt(2.0)
 
+# QPSK point index by (imaginary part negative, real part negative), for the
+# counter-clockwise ordering from the first quadrant.
+_QUADRANT = np.array([[0, 1], [3, 2]])
+
 
 @dataclass(frozen=True)
 class Constellation:
     """Constant-modulus symbol alphabet.
 
-    ``points`` is the canonical ordering used for hard-decision tie-breaks:
+    ``points`` is the canonical ordering that symbol indices refer to:
     BPSK is [+sigma, -sigma]; QPSK runs counter-clockwise from the first
     quadrant. Every point has magnitude ``sigma``.
     """
@@ -67,6 +71,18 @@ class Constellation:
         """Half-width of the hull along the imaginary axis (0 for BPSK:
         the hull is a segment of the real line)."""
         return 0.0 if self.kind == "bpsk" else self.sigma / _SQRT2
+
+    def decide(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        """Hard decisions from the signs of the real and imaginary parts,
+        the hardware slicer: the nearest point for BPSK and QPSK, whose
+        decision regions are the half-planes and quadrants. BPSK reads only
+        the real sign. A zero part counts as positive, so a value on an
+        axis goes to the point on its positive side (0 - 0.5j gives 1 - j).
+        """
+        west = (np.asarray(re) < 0).astype(np.intp)
+        if self.kind == "bpsk":
+            return self.points[west]
+        return self.points[_QUADRANT[(np.asarray(im) < 0).astype(np.intp), west]]
 
 
 @dataclass(frozen=True)

@@ -200,11 +200,11 @@ def iterate_once(
 
 
 def hard_decision(s: np.ndarray, c: Constellation) -> np.ndarray:
-    """Per-entry nearest constellation point; ties go to the lowest-index
-    point in the canonical ordering."""
+    """Per-entry nearest constellation point, sliced by sign as in the
+    fixed-point datapath (``Constellation.decide``): a value on an axis
+    goes to the point on its positive side."""
     s = np.asarray(s, dtype=np.complex128)
-    dists = np.abs(s[..., None] - c.points)
-    return c.points[np.argmin(dists, axis=-1)]
+    return c.decide(s.real, s.imag)
 
 
 def channel_estimate(Y: np.ndarray, s_hat: np.ndarray) -> np.ndarray:

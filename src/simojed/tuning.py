@@ -8,13 +8,14 @@ batch and keeps the best setting per search configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .errors import ParameterError
 from .model import Constellation, draw_block
-from .prox import ProxParams, solve_stack
+from .prox import ProxParams, preprocess, solve_stack
 
 RHO_LOG2_GRID = tuple(range(0, 7))
 ALPHA_SCALE_GRID = (1.25, 1.5, 2.0, 4.0)
@@ -42,12 +43,18 @@ def tune_rho(
 ) -> TunedParams:
     """Grid-search the solver gains on a paired seeded batch.
 
-    Every setting sees byte-identical blocks, detected as one stack. Ties
-    in error count break to the smallest ``rho_log2``, then the smallest
-    ``alpha_scale``. When a cache file is given and already holds a result
-    for these exact arguments (everything but the cache path), it is
-    returned without re-searching.
+    Every setting sees byte-identical blocks, detected as one stack; the
+    stack is preprocessed once per ``alpha_scale``, since the iteration
+    matrix does not depend on the projection gain. Ties in error count
+    break to the smallest ``rho_log2``, then the smallest ``alpha_scale``.
+    When a cache file is given and already holds a result for these exact
+    arguments (everything but the cache path), it is returned without
+    re-searching. No trials or an empty grid is a ``ParameterError``.
     """
+    if trials < 1:
+        raise ParameterError(f"need at least one tuning trial, got {trials}")
+    if not rho_grid or not alpha_grid:
+        raise ParameterError("the rho_log2 and alpha_scale grids must not be empty")
     key = (
         f"B{B}_K{K}_{constellation}_{mode}_snr{float(snr_db)!r}_tmax{t_max}_trials{trials}"
         f"_seed{seed}_rho{list(rho_grid)}_alpha{list(alpha_grid)}"
@@ -65,21 +72,15 @@ def tune_rho(
     G = np.stack([block.G for block in blocks])
     data_true = np.stack([block.truth.s_true[1:] for block in blocks])
 
-    best: TunedParams | None = None
-    for rho_log2 in rho_grid:
-        for alpha_scale in alpha_grid:
-            params = ProxParams(
-                alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max, mode=mode
-            )
-            res = solve_stack(Y, G, c, params, record_trace=False)
+    candidates = []
+    for alpha_scale in alpha_grid:
+        params = ProxParams(alpha_scale=alpha_scale, t_max=t_max, mode=mode)
+        pre = preprocess(G, params)
+        for rho_log2 in rho_grid:
+            res = solve_stack(Y, pre, c, replace(params, rho_log2=rho_log2), record_trace=False)
             ser = int(np.sum(res.s_hat[:, 1:] != data_true)) / (trials * K)
-            cand = TunedParams(rho_log2, alpha_scale, ser)
-            if (
-                best is None
-                or cand.ser < best.ser
-                or (cand.ser == best.ser and (cand.rho_log2, cand.alpha_scale) < (best.rho_log2, best.alpha_scale))
-            ):
-                best = cand
+            candidates.append(TunedParams(rho_log2, alpha_scale, ser))
+    best = min(candidates, key=lambda t: (t.ser, t.rho_log2, t.alpha_scale))
 
     if cache_path is not None:
         cache[key] = {"rho_log2": best.rho_log2, "alpha_scale": best.alpha_scale, "ser": best.ser}

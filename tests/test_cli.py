@@ -96,6 +96,13 @@ class TestVerifyCommand:
         assert "descent: pass" in out
         assert "boundary fraction" in out
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_non_positive_instance_count_exits_nonzero(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "1", "--instances", count])
+        assert "n_instances must be at least 1" in str(exc.value.code)
+        assert "pass" not in capsys.readouterr().out
+
 
 class TestTimingCommand:
     def test_table_values(self, capsys, tmp_path):
@@ -139,6 +146,11 @@ class TestTuneCommand:
         assert rc == 0
         assert "best rho_log2=" in capsys.readouterr().out
         assert cache.exists()
+
+    def test_zero_trials_exits_nonzero(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--b", "4", "--k", "3", "--trials", "0"])
+        assert "at least one tuning trial" in str(exc.value.code)
 
 
 class TestHwCompareCommand:

@@ -397,6 +397,39 @@ class TestTuning:
         assert best.rho_log2 == 0
         assert best.alpha_scale == 1.25
 
+    def test_preprocesses_once_per_alpha_scale(self, monkeypatch):
+        calls = []
+        real = tuning.preprocess
+
+        def counting(G, params):
+            calls.append(params.alpha_scale)
+            return real(G, params)
+
+        monkeypatch.setattr(tuning, "preprocess", counting)
+        tune_rho(16, 8, "bpsk", -6.0, trials=4, seed=1)
+        assert calls == list(tuning.ALPHA_SCALE_GRID)
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (("bpsk", -6.0, 1000, 42), (0, 1.5, 0.03475)),
+            (("qpsk", -1.0, 1000, 43), (0, 1.25, 0.008625)),
+        ],
+    )
+    def test_acceptance_gains_pinned(self, args, expected):
+        # The acceptance fixtures' tuner calls, as the per-setting
+        # preprocessing tuner returned them.
+        best = tune_rho(16, 8, *args)
+        assert (best.rho_log2, best.alpha_scale, best.ser) == expected
+
+    @pytest.mark.parametrize(
+        "kw", [dict(trials=0), dict(trials=-2), dict(rho_grid=()), dict(alpha_grid=())]
+    )
+    def test_no_trials_or_empty_grid_rejected(self, kw):
+        args = dict(trials=5, seed=3) | kw
+        with pytest.raises(ParameterError):
+            tune_rho(4, 3, "bpsk", 0.0, **args)
+
     def test_tuned_never_worse_than_default_on_batch(self):
         best = tune_rho(8, 4, "bpsk", -6.0, trials=150, seed=4)
         default = tune_rho(8, 4, "bpsk", -6.0, trials=150, seed=4,

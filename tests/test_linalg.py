@@ -210,6 +210,15 @@ class TestNeumann:
         bound = linalg.neumann_error_bound(G, alpha)
         assert gap <= bound * (1 + 1e-9)
 
+    def test_bound_of_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(13)
+        G = np.stack([random_psd(rng, 5) for _ in range(4)])
+        alpha = np.array([1.1, 1.5, 2.0, 4.0]) * linalg.spectral_norm(G)
+        bounds = linalg.neumann_error_bound(G, alpha)
+        assert bounds.shape == (4,)
+        for t in range(4):
+            assert bounds[t] == linalg.neumann_error_bound(G[t], alpha[t])
+
     def test_bound_and_gap_shrink_with_alpha(self):
         rng = np.random.default_rng(12)
         G = random_psd(rng, 6)

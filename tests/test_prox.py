@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simojed import linalg, model, prox
+from simojed import fxp, linalg, model, prox
 from simojed.errors import DegenerateInputError, ParameterError
 from simojed.model import Constellation, TransmissionGroundTruth
 from simojed.prox import (
@@ -168,12 +168,26 @@ class TestHardDecision:
         for c in (Constellation.bpsk(), Constellation.qpsk()):
             assert np.array_equal(hard_decision(c.points, c), c.points)
 
-    def test_tie_breaks_to_lowest_index(self):
+    def test_axis_ties_go_to_positive_side(self):
+        # The sign-bit slicer counts a zero part as positive, in float and
+        # in the fixed-point datapath alike.
         c = Constellation.bpsk()
         assert hard_decision(np.array([0.0]), c)[0] == 1.0
         q = Constellation.qpsk()
-        # On the real axis, first and fourth quadrant points tie; index 0 wins.
         assert hard_decision(np.array([0.5 + 0j]), q)[0] == q.points[0]
+        assert hard_decision(np.array([0 - 0.5j]), q)[0] == q.points[3]
+        fixed = fxp._sign_decisions((np.array([5, 0]), np.array([0, -7])), q, q.points[0])
+        assert fixed[1] == q.points[3]
+
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
+    def test_nearest_point(self, kind):
+        # Off the axes the sign slicer is the nearest-point rule; BPSK
+        # statistics may carry an imaginary part, which it ignores.
+        c = Constellation.by_name(kind)
+        rng = np.random.default_rng(14)
+        s = rng.standard_normal((64, 9)) + 1j * rng.standard_normal((64, 9))
+        nearest = c.points[np.argmin(np.abs(s[..., None] - c.points), axis=-1)]
+        assert np.array_equal(hard_decision(s, c), nearest)
 
 
 class TestChannelEstimate:
