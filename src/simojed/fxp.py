@@ -1,4 +1,4 @@
-"""Bit-exact golden model of the fixed-point datapath.
+"""Bit-exact golden model of the fixed-point datapath, on int64 arrays.
 
 Word formats: iterate entries are 6-bit words with 3 fraction bits, matrix
 entries 12-bit with 11 fraction bits, accumulators 15-bit with 11 fraction
@@ -8,6 +8,13 @@ fraction LSBs by truncation, the cross-term add/subtract wraps at 15 bits,
 and accumulation saturates at 15 bits. Rounding is truncation toward
 negative infinity throughout: that is this model's contract where the
 hardware leaves a choice.
+
+Every word is a raw integer in an int64 array, and each arithmetic rule has
+one definition: ``quantize_array`` (scale, truncate, saturate),
+``_cross_terms`` (truncated products and the wrapping cross-term),
+``mac_step`` (one multiply-accumulate per element) and ``projection_unit``
+(the hull clip). ``direct_iteration`` runs a whole stack of blocks at once;
+``pe_array_iteration`` replays one block cycle by cycle for the trace.
 
 The processing-element array is a ring of N = K+1 elements. Element 1 is a
 pass-through that only circulates the known reference symbol; every other
@@ -34,129 +41,75 @@ G_BITS, G_FRAC = 12, 11
 ACC_BITS, ACC_FRAC = 15, 11
 RHO_INV_BITS, RHO_INV_FRAC = 12, 11
 
-WRAP = "wrap"
-SATURATE = "saturate"
+FLUSH_CYCLES = 2  # a 3-stage MAC pipeline drains in 2 cycles after the last feed
+
+_HALF = np.int64(1 << (ACC_BITS - 1))
 
 
-@dataclass(frozen=True)
-class FixedPointFormat:
-    word_bits: int
-    frac_bits: int
-    overflow: str = SATURATE
-
-    def __post_init__(self):
-        if self.word_bits < self.frac_bits + 1:
-            raise ParameterError("need at least one non-fraction (sign) bit")
-        if self.overflow not in (WRAP, SATURATE):
-            raise ParameterError(f"unknown overflow mode {self.overflow!r}")
-
-    @property
-    def min_raw(self) -> int:
-        return -(1 << (self.word_bits - 1))
-
-    @property
-    def max_raw(self) -> int:
-        return (1 << (self.word_bits - 1)) - 1
-
-    @property
-    def min_value(self) -> float:
-        return self.min_raw / (1 << self.frac_bits)
-
-    @property
-    def max_value(self) -> float:
-        return self.max_raw / (1 << self.frac_bits)
+def quantize_array(z, word_bits: int, frac_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (real, imaginary) int64 words of complex values: scale by
+    2**frac_bits, truncate toward negative infinity, saturate at
+    ``word_bits``."""
+    z = np.asarray(z)
+    half = 1 << (word_bits - 1)
+    raw = np.floor(np.stack([z.real, z.imag]) * (1 << frac_bits))
+    re, im = np.clip(raw, -half, half - 1).astype(np.int64)
+    return re, im
 
 
-S_FMT = FixedPointFormat(S_BITS, S_FRAC, SATURATE)
-G_FMT = FixedPointFormat(G_BITS, G_FRAC, SATURATE)
-ACC_FMT = FixedPointFormat(ACC_BITS, ACC_FRAC, SATURATE)
-RHO_INV_FMT = FixedPointFormat(RHO_INV_BITS, RHO_INV_FRAC, SATURATE)
+def _cross_terms(g: tuple, s: tuple) -> np.ndarray:
+    """Products g * s of raw complex words, (re, im) stacked on a new leading
+    axis: each exact 18b/14f partial drops its 3 fraction LSBs and the
+    cross-term add/subtract wraps at ACC_BITS. Works in place on buffers
+    allocated once per call, because a fresh temporary per step dominates
+    the cost of a large stack."""
+    (gre, gim), (sre, sim) = g, s
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (gre, gim, sre, sim)))
+    cross = np.empty((2,) + shape, dtype=np.int64)
+    part = np.empty(shape, dtype=np.int64)
+    re, im = cross[0, ...], cross[1, ...]  # views, also for scalar words
+    np.right_shift(np.multiply(gre, sre, out=re), 3, out=re)
+    re -= np.right_shift(np.multiply(gim, sim, out=part), 3, out=part)
+    np.right_shift(np.multiply(gre, sim, out=im), 3, out=im)
+    im += np.right_shift(np.multiply(gim, sre, out=part), 3, out=part)
+    cross += _HALF  # wrap at ACC_BITS
+    cross &= np.int64((1 << ACC_BITS) - 1)
+    cross -= _HALF
+    return cross
 
 
-@dataclass(frozen=True)
-class FxpWord:
-    raw: int
-    fmt: FixedPointFormat
-
-    def __post_init__(self):
-        if not (self.fmt.min_raw <= self.raw <= self.fmt.max_raw):
-            raise ParameterError(f"raw {self.raw} does not fit {self.fmt}")
-
-    @property
-    def value(self) -> float:
-        return self.raw / (1 << self.fmt.frac_bits)
+def _saturate(acc: np.ndarray) -> np.ndarray:
+    """Saturate accumulator words at ACC_BITS, in place."""
+    np.maximum(acc, -_HALF, out=acc)
+    return np.minimum(acc, _HALF - 1, out=acc)
 
 
-def _wrap(raw: int, bits: int) -> int:
-    half = 1 << (bits - 1)
-    return ((raw + half) % (1 << bits)) - half
-
-
-def _sat(raw: int, bits: int) -> int:
-    half = 1 << (bits - 1)
-    return max(-half, min(half - 1, raw))
-
-
-def quantize(x: float, fmt: FixedPointFormat) -> FxpWord:
-    """Scale, truncate toward negative infinity, then wrap or saturate."""
-    raw = int(np.floor(x * (1 << fmt.frac_bits)))
-    raw = _sat(raw, fmt.word_bits) if fmt.overflow == SATURATE else _wrap(raw, fmt.word_bits)
-    return FxpWord(raw, fmt)
-
-
-def quantize_complex(x: complex, fmt: FixedPointFormat) -> tuple[FxpWord, FxpWord]:
-    return quantize(x.real, fmt), quantize(x.imag, fmt)
-
-
-def mac_step(
-    acc: tuple[FxpWord, FxpWord],
-    g: tuple[FxpWord, FxpWord],
-    s: tuple[FxpWord, FxpWord],
-) -> tuple[FxpWord, FxpWord]:
-    """One complex multiply-accumulate through the pipelined datapath.
+def mac_step(acc: tuple, g: tuple, s: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """One complex multiply-accumulate per element through the pipelined
+    datapath, on (real, imaginary) pairs of raw-integer arrays.
 
     Products are exact (18b/14f); each drops 3 fraction LSBs; the cross-term
     add/subtract wraps; the accumulation saturates.
     """
-    gr, gi = g[0].raw, g[1].raw
-    sr, si = s[0].raw, s[1].raw
-    prr = (gr * sr) >> 3
-    pii = (gi * si) >> 3
-    pri = (gr * si) >> 3
-    pir = (gi * sr) >> 3
-    cross_re = _wrap(prr - pii, ACC_BITS)
-    cross_im = _wrap(pri + pir, ACC_BITS)
-    re = _sat(acc[0].raw + cross_re, ACC_BITS)
-    im = _sat(acc[1].raw + cross_im, ACC_BITS)
-    return FxpWord(re, ACC_FMT), FxpWord(im, ACC_FMT)
+    cross = _cross_terms(g, s)
+    cross += np.asarray(acc, dtype=np.int64)
+    re, im = _saturate(cross)
+    return re, im
 
 
-def rho_inverse_word(rho_log2: int) -> FxpWord:
-    """The +1/rho clip threshold as a datapath constant."""
-    if rho_log2 < 1:
-        raise ParameterError("projection gain must exceed 1 (rho_log2 >= 1)")
-    return quantize(1.0 / (1 << rho_log2), RHO_INV_FMT)
+def projection_unit(q_bar, rho_log2: int) -> np.ndarray:
+    """Clip raw accumulator outputs onto [-1, +1] as raw iterate words.
 
-
-def projection_unit(q_bar: FxpWord, rho_log2: int, inv_rho: FxpWord) -> FxpWord:
-    """Clip the scaled accumulator output onto [-1, +1].
-
-    The comparisons against +-1/rho use saturating 15-bit adds and only
-    their sign bits; the pass-through path left-shifts by rho_log2
+    The comparisons against the +-1/rho threshold use saturating 15-bit adds
+    and only their sign bits, which saturation never flips: they equal
+    plain comparisons. The pass-through path left-shifts by rho_log2
     (saturating at 15 bits, which never binds on a selected input) and keeps
     the 6 highest bits below the two redundant sign bits, i.e. 3 fraction
-    bits survive.
+    bits survive. ``rho_log2`` is a gain ``PeArrayConfig`` accepts.
     """
-    if rho_log2 < 1:
-        raise ParameterError("projection gain must exceed 1 (rho_log2 >= 1)")
-    hi = _sat(q_bar.raw - inv_rho.raw, ACC_BITS)
-    lo = _sat(q_bar.raw + inv_rho.raw, ACC_BITS)
-    if hi >= 0:
-        return FxpWord(8, S_FMT)  # +1.0
-    if lo < 0:
-        return FxpWord(-8, S_FMT)  # -1.0
-    shifted = _sat(q_bar.raw << rho_log2, ACC_BITS)
-    return FxpWord(shifted >> 8, S_FMT)
+    inv_rho = (1 << RHO_INV_FRAC) >> rho_log2  # the 12-bit 1/rho word
+    q_bar = np.asarray(q_bar, dtype=np.int64)
+    return np.where(q_bar >= inv_rho, 8, np.where(q_bar < -inv_rho, -8, (q_bar << rho_log2) >> 8))
 
 
 @dataclass(frozen=True)
@@ -164,14 +117,16 @@ class PeArrayConfig:
     N: int
     t_max: int
     rho_log2: int
-    pipeline_stages: int = 3
     real_only: bool = False  # BPSK drops the imaginary datapath
 
     def __post_init__(self):
         if self.N < 2:
             raise ParameterError("need at least two processing elements")
         if not (1 <= self.rho_log2 <= 15):
-            raise ParameterError("shift count must fit a 4-bit field and exceed 0")
+            raise ParameterError(
+                "the datapath needs rho_log2 in 1..15 (a 4-bit shift count above 0), "
+                f"not {self.rho_log2}"
+            )
         if self.t_max < 1:
             raise ParameterError("t_max must be at least 1")
 
@@ -212,22 +167,6 @@ class CycleTrace:
         return "\n".join([header] + [r.to_line() for r in self.records]) + "\n"
 
 
-def quantize_matrix(Ghat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix entries as raw integer arrays (real, imaginary)."""
-    scale = 1 << G_FRAC
-    re = np.clip(np.floor(Ghat.real * scale), G_FMT.min_raw, G_FMT.max_raw).astype(np.int64)
-    im = np.clip(np.floor(Ghat.imag * scale), G_FMT.min_raw, G_FMT.max_raw).astype(np.int64)
-    return re, im
-
-
-def quantize_iterate(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Iterate entries as raw integer arrays (real, imaginary)."""
-    scale = 1 << S_FRAC
-    re = np.clip(np.floor(s.real * scale), S_FMT.min_raw, S_FMT.max_raw).astype(np.int64)
-    im = np.clip(np.floor(s.imag * scale), S_FMT.min_raw, S_FMT.max_raw).astype(np.int64)
-    return re, im
-
-
 def pe_array_iteration(
     s_in: tuple[np.ndarray, np.ndarray],
     Ghat_q: tuple[np.ndarray, np.ndarray],
@@ -239,70 +178,52 @@ def pe_array_iteration(
     ``s_in``/``Ghat_q`` carry raw integers. Element 0 is the pass-through
     reference element; its output is pinned to ``s_check_q``. Iterate
     entries circulate element k -> element k-1 each feed cycle while element
-    k consumes its row in cyclic order starting at the diagonal.
+    k consumes its row in cyclic order starting at the diagonal, so in feed
+    cycle j element k meets column (k+j) mod N of its row and the iterate
+    entry of that column. Each feed cycle is one ``mac_step`` over elements
+    1..N-1 and the projection cycle one ``projection_unit`` call.
     """
     N = cfg.N
-    gre, gim = Ghat_q
-    sre = np.array(s_in[0], dtype=np.int64)
-    sim = np.array(s_in[1], dtype=np.int64)
-    if gre.shape != (N, N) or len(sre) != N:
+    gre, gim = (np.asarray(a, dtype=np.int64) for a in Ghat_q)
+    sre = np.asarray(s_in[0], dtype=np.int64)
+    sim = np.zeros_like(sre) if cfg.real_only else np.asarray(s_in[1], dtype=np.int64)
+    if gre.shape != (N, N) or gim.shape != (N, N) or sre.shape != (N,) or sim.shape != (N,):
         raise DimensionError("matrix/vector sizes do not match the array size")
-    if cfg.real_only:
-        sim = np.zeros_like(sim)
 
+    pes = np.arange(1, N)
+    cols = (pes + np.arange(N)[:, None]) % N  # cols[j, k-1]: element k's column in feed cycle j
+    g_re, g_im, s_re, s_im = gre[pes, cols], gim[pes, cols], sre[cols], sim[cols]
+    acc = (np.zeros(N - 1, dtype=np.int64),) * 2
     trace = CycleTrace()
-    inv_rho = rho_inverse_word(cfg.rho_log2)
-    acc = [(FxpWord(0, ACC_FMT), FxpWord(0, ACC_FMT)) for _ in range(N)]
-    ring_re, ring_im = sre.copy(), sim.copy()
-
+    records = trace.records
     for j in range(N):  # feed cycles 1..N
         cycle = j + 1
-        trace.records.append(
-            CycleRecord(cycle, 0, "shift", s_re=int(ring_re[0]), s_im=int(ring_im[0]))
-        )
-        for k in range(1, N):
-            col = (k + j) % N
-            g = (FxpWord(int(gre[k, col]), G_FMT), FxpWord(int(gim[k, col]), G_FMT))
-            s = (FxpWord(int(ring_re[k]), S_FMT), FxpWord(int(ring_im[k]), S_FMT))
-            acc[k] = mac_step(acc[k], g, s)
-            trace.records.append(
-                CycleRecord(
-                    cycle,
-                    k,
-                    "mac",
-                    col=col,
-                    g_re=g[0].raw,
-                    g_im=g[1].raw,
-                    s_re=s[0].raw,
-                    s_im=s[1].raw,
-                    acc_re=acc[k][0].raw,
-                    acc_im=acc[k][1].raw,
-                )
-            )
-        # Each element hands its iterate entry to the previous one.
-        ring_re = np.roll(ring_re, -1)
-        ring_im = np.roll(ring_im, -1)
+        acc = mac_step(acc, (g_re[j], g_im[j]), (s_re[j], s_im[j]))
+        records.append(CycleRecord(cycle, 0, "shift", s_re=int(sre[j]), s_im=int(sim[j])))
+        ops = np.stack([cols[j], g_re[j], g_im[j], s_re[j], s_im[j], *acc], axis=1).tolist()
+        records.extend(CycleRecord(cycle, k, "mac", *row) for k, row in enumerate(ops, 1))
 
-    flush = cfg.pipeline_stages - 1
-    for f in range(flush):  # pipeline flush
-        cycle = N + 1 + f
-        for k in range(N):
-            ar, ai = (acc[k][0].raw, acc[k][1].raw) if k else (0, 0)
-            trace.records.append(CycleRecord(cycle, k, "idle", acc_re=ar, acc_im=ai))
-
-    cycle = N + flush + 1  # projection cycle
-    out_re = np.empty(N, dtype=np.int64)
-    out_im = np.zeros(N, dtype=np.int64)
-    out_re[0], out_im[0] = s_check_q
-    trace.records.append(CycleRecord(cycle, 0, "idle", s_re=int(out_re[0]), s_im=int(out_im[0])))
-    for k in range(1, N):
-        out_re[k] = projection_unit(acc[k][0], cfg.rho_log2, inv_rho).raw
-        if not cfg.real_only:
-            out_im[k] = projection_unit(acc[k][1], cfg.rho_log2, inv_rho).raw
-        trace.records.append(
-            CycleRecord(cycle, k, "project", acc_re=acc[k][0].raw, acc_im=acc[k][1].raw,
-                        s_re=int(out_re[k]), s_im=int(out_im[k]))
+    acc_rows = np.stack(acc, axis=1).tolist()
+    for cycle in range(N + 1, N + 1 + FLUSH_CYCLES):  # pipeline flush
+        records.append(CycleRecord(cycle, 0, "idle"))
+        records.extend(
+            CycleRecord(cycle, k, "idle", acc_re=ar, acc_im=ai)
+            for k, (ar, ai) in enumerate(acc_rows, 1)
         )
+
+    cycle = N + FLUSH_CYCLES + 1  # projection cycle
+    out = np.empty((2, N), dtype=np.int64)
+    out[:, 1:] = projection_unit(np.stack(acc), cfg.rho_log2)
+    if cfg.real_only:
+        out[1] = 0
+    out[:, 0] = s_check_q
+    out_re, out_im = out
+    records.append(CycleRecord(cycle, 0, "idle", s_re=int(out_re[0]), s_im=int(out_im[0])))
+    projected = zip(acc_rows, out_re[1:].tolist(), out_im[1:].tolist())
+    records.extend(
+        CycleRecord(cycle, k, "project", acc_re=ar, acc_im=ai, s_re=sr, s_im=si)
+        for k, ((ar, ai), sr, si) in enumerate(projected, 1)
+    )
     return (out_re, out_im), trace
 
 
@@ -320,27 +241,13 @@ def direct_iteration(
     in the same diagonal-start cyclic order as the array (saturating
     accumulation is order-dependent, so the order is part of the datapath
     contract). All truncated cross-terms are order-free and computed in one
-    shot; only the saturating accumulation walks the cycles. Both steps
-    work in place on buffers allocated once per call, because a fresh
-    temporary per step dominates the cost of a large stack.
+    shot; only the saturating accumulation walks the cycles, in place on
+    buffers allocated once per call.
     """
     N = cfg.N
-    gre, gim = Ghat_q
     sre = np.asarray(s_in[0], dtype=np.int64)
     sim = np.zeros_like(sre) if cfg.real_only else np.asarray(s_in[1], dtype=np.int64)
-    sre, sim = sre[..., None, :], sim[..., None, :]
-    shape = np.broadcast_shapes(np.shape(gre), sre.shape)
-    cross = np.empty((2,) + shape, dtype=np.int64)  # (re, im) of every product pair
-    part = np.empty(shape, dtype=np.int64)
-    re, im = cross
-    np.right_shift(np.multiply(gre, sre, out=re), 3, out=re)
-    re -= np.right_shift(np.multiply(gim, sim, out=part), 3, out=part)
-    np.right_shift(np.multiply(gre, sim, out=im), 3, out=im)
-    im += np.right_shift(np.multiply(gim, sre, out=part), 3, out=part)
-    half = np.int64(1 << (ACC_BITS - 1))
-    cross += half  # wrap at ACC_BITS
-    cross &= np.int64((1 << ACC_BITS) - 1)
-    cross -= half
+    cross = _cross_terms(Ghat_q, (sre[..., None, :], sim[..., None, :]))
     rows = np.arange(N)
     # Row k consumes column (k+j) mod N in cycle j: row j of cycle_cols
     # holds those columns' offsets in the flattened (row, column) axes.
@@ -350,26 +257,12 @@ def direct_iteration(
     step = np.empty_like(acc)
     for cols in cycle_cols:  # in range: "clip" lets take write straight into step
         acc += np.take(flat, cols, axis=-1, out=step, mode="clip")
-        np.maximum(acc, -half, out=acc)  # saturate at ACC_BITS
-        np.minimum(acc, half - 1, out=acc)
-    inv = rho_inverse_word(cfg.rho_log2).raw
-    out_re, out_im = _project_arr(acc, cfg.rho_log2, inv)
+        _saturate(acc)
+    out_re, out_im = projection_unit(acc, cfg.rho_log2)
     if cfg.real_only:
         out_im = np.zeros_like(out_im)
     out_re[..., 0], out_im[..., 0] = s_check_q
     return out_re, out_im
-
-
-def _sat_arr(v: np.ndarray, bits: int) -> np.ndarray:
-    half = 1 << (bits - 1)
-    return np.minimum(np.maximum(v, -half), half - 1)
-
-
-def _project_arr(qbar: np.ndarray, rho_log2: int, inv_raw: int) -> np.ndarray:
-    hi = _sat_arr(qbar - inv_raw, ACC_BITS)
-    lo = _sat_arr(qbar + inv_raw, ACC_BITS)
-    shifted = _sat_arr(qbar << rho_log2, ACC_BITS) >> 8
-    return np.where(hi >= 0, 8, np.where(lo < 0, -8, shifted)).astype(np.int64)
 
 
 def quantize_block(
@@ -382,22 +275,26 @@ def quantize_block(
     leading trial axis) and its raw-integer (real, imaginary) inputs: the
     iteration matrix, the initial iterate and the reference symbol. A
     ``preprocess(G, params)`` result in place of ``G`` is used as given.
+    The array configuration is checked before anything is preprocessed.
 
     Preprocessing runs in floating point (it happens off the array); the
     iterate and the reference are normalized so the hull clip sits at +-1
     per component before they are quantized.
     """
-    if params.rho_log2 < 1:
-        raise ParameterError("the datapath needs a projection gain above 1 (rho_log2 >= 1)")
-    pre = G if isinstance(G, PreprocessedMatrix) else preprocess(G, params)
+    given = isinstance(G, PreprocessedMatrix)
+    shape = np.shape(G.G if given else G)
     cfg = PeArrayConfig(
-        N=pre.G.shape[-1], t_max=params.t_max, rho_log2=params.rho_log2, real_only=c.im_bound == 0.0
+        N=shape[-1] if shape else 0,
+        t_max=params.t_max,
+        rho_log2=params.rho_log2,
+        real_only=c.im_bound == 0.0,
     )
+    pre = G if given else preprocess(G, params)
     s_check = c.points[0] if s_check is None else s_check
     bound = c.re_bound  # per-component hull half-width
-    scq = quantize_complex(complex(s_check / bound), S_FMT)
-    sq = quantize_iterate(init_s(pre.G, s_check) / bound)
-    return cfg, quantize_matrix(pre.Ghat), sq, (scq[0].raw, scq[1].raw)
+    sc_re, sc_im = quantize_array(s_check / bound, S_BITS, S_FRAC)
+    sq = quantize_array(init_s(pre.G, s_check) / bound, S_BITS, S_FRAC)
+    return cfg, quantize_array(pre.Ghat, G_BITS, G_FRAC), sq, (int(sc_re), int(sc_im))
 
 
 def solve_fixed_stack(

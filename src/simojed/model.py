@@ -189,12 +189,6 @@ def random_data_vector(
     return s
 
 
-def transmit(truth: TransmissionGroundTruth, rng: np.random.Generator) -> ReceivedBlock:
-    """Rank-1 signal plus circularly-symmetric Gaussian noise of variance
-    ``n0`` per complex entry; the Gram matrix is computed and cached."""
-    return ReceivedBlock(Y=_receive(truth.h_true, truth.s_true, truth.n0, rng), truth=truth)
-
-
 def _receive(h: np.ndarray, s: np.ndarray, n0: float, rng: np.random.Generator) -> np.ndarray:
     """h s^H plus noise, for one block or a stack. The noise is drawn block
     after block, each as its real parts, then its imaginary parts (none
@@ -215,25 +209,6 @@ def snr_to_n0(snr_db: float, c: Constellation) -> float:
     n0 = sigma^2 / 10^(snr/10).
     """
     return c.sigma**2 / 10.0 ** (snr_db / 10.0)
-
-
-def make_block(
-    B: int,
-    K: int,
-    c: Constellation,
-    snr_db: float,
-    channel_rng: np.random.Generator,
-    data_rng: np.random.Generator,
-    noise_rng: np.random.Generator,
-    los: LosGeometry | None = None,
-    s_check: complex | None = None,
-) -> ReceivedBlock:
-    """Draw one complete block: channel, data (pinned first slot), noise."""
-    s_check = c.points[0] if s_check is None else s_check
-    h = gen_los_channel(B, los) if los is not None else gen_rayleigh_channel(B, channel_rng)
-    s = random_data_vector(c, K, s_check, data_rng)
-    truth = TransmissionGroundTruth(s_true=s, h_true=h, n0=snr_to_n0(snr_db, c))
-    return transmit(truth, noise_rng)
 
 
 def draw_blocks(

@@ -100,11 +100,11 @@ def int_sat(v: int, bits: int) -> int:
     return max(-half, min(half - 1, v))
 
 
-def int_quantize(x: float, word_bits: int, frac_bits: int, saturate: bool) -> int:
+def int_quantize(x: float, word_bits: int, frac_bits: int) -> int:
+    """Scale, truncate toward negative infinity, saturate."""
     import math
 
-    raw = math.floor(x * (1 << frac_bits))
-    return int_sat(raw, word_bits) if saturate else int_wrap(raw, word_bits)
+    return int_sat(math.floor(x * (1 << frac_bits)), word_bits)
 
 
 def int_mac(acc_re, acc_im, g_re, g_im, s_re, s_im):
@@ -141,7 +141,7 @@ def int_iteration(s_q, G_q, N, rho_log2, real_only, s_check_q):
     time: row k (k >= 1) runs ``int_mac`` over columns k, k+1, ..., wrapping
     around, then ``int_projection`` on each component; row 0 passes the
     reference symbol. Real-only iterates drop the imaginary parts."""
-    inv = int_quantize(1.0 / (1 << rho_log2), 12, 11, True)
+    inv = int_quantize(1.0 / (1 << rho_log2), 12, 11)
     out_re, out_im = [s_check_q[0]], [s_check_q[1]]
     for k in range(1, N):
         acc = (0, 0)

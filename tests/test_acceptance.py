@@ -17,14 +17,12 @@ import numpy as np
 import pytest
 
 from simojed.fxp import (
-    ACC_FMT,
-    FxpWord,
+    ACC_BITS,
     PeArrayConfig,
     direct_iteration,
     latency_cycles,
     pe_array_iteration,
     projection_unit,
-    rho_inverse_word,
     throughput_bps,
 )
 from simojed.harness import (
@@ -43,7 +41,7 @@ from simojed.verify import (
     run_series_bound,
 )
 
-from oracles import int_projection
+from oracles import int_projection, int_quantize
 
 SEED_BPSK = 20260808
 SEED_QPSK = 20260809
@@ -354,11 +352,11 @@ class TestDatapath:
     def test_projection_exhaustive(self):
         # Bit-exact match against the big-integer model over every 15-bit
         # input code for each shift count 1..6.
+        codes = np.arange(-(1 << (ACC_BITS - 1)), 1 << (ACC_BITS - 1))
         for r in range(1, 7):
-            inv = rho_inverse_word(r)
-            for raw in range(ACC_FMT.min_raw, ACC_FMT.max_raw + 1):
-                got = projection_unit(FxpWord(raw, ACC_FMT), r, inv).raw
-                assert got == int_projection(raw, r, inv.raw)
+            inv = int_quantize(1.0 / (1 << r), 12, 11)
+            got = projection_unit(codes, r).tolist()
+            assert got == [int_projection(raw, r, inv) for raw in codes.tolist()]
         report(
             "projection unit exhaustive sweep",
             True,

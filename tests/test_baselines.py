@@ -13,7 +13,7 @@ from simojed.baselines import (
     mrc_retrained,
 )
 from simojed.errors import CapacityError, DegenerateInputError, ParameterError
-from simojed.model import Constellation, TransmissionGroundTruth
+from simojed.model import Constellation, ReceivedBlock
 
 
 def noise_free_block(seed, B=6, K=5, kind="qpsk"):
@@ -21,13 +21,12 @@ def noise_free_block(seed, B=6, K=5, kind="qpsk"):
     c = Constellation.by_name(kind)
     h = model.gen_rayleigh_channel(B, rng)
     s = model.random_data_vector(c, K, c.points[0], rng)
-    return model.transmit(TransmissionGroundTruth(s, h, 0.0), rng), c, h, s
+    return ReceivedBlock(Y=np.outer(h, s.conj())), c, h, s
 
 
 def noisy_block(seed, B=16, K=8, kind="qpsk", snr_db=0.0):
-    rng = np.random.default_rng(seed)
     c = Constellation.by_name(kind)
-    return model.make_block(B, K, c, snr_db, rng, rng, rng), c
+    return model.draw_block(B, K, c, snr_db, seed, ())[0], c
 
 
 class TestMrcCsir:
@@ -50,12 +49,11 @@ class TestMrcCsir:
     def test_beats_chest_on_paired_batch(self):
         c = Constellation.bpsk()
         e_csir = e_chest = 0
-        for seed in range(300):
-            rng = np.random.default_rng(3000 + seed)
-            block = model.make_block(16, 16, c, -8.0, rng, rng, rng)
-            st = block.truth.s_true[1:]
-            e_csir += int(np.sum(mrc_csir(block.Y, block.truth.h_true, c).s_hat[1:] != st))
-            e_chest += int(np.sum(mrc_chest(block.Y, c=c).s_hat[1:] != st))
+        Y, _, s, h, _ = model.draw_blocks(16, 16, c, -8.0, 3000, (), 300)
+        for t in range(300):
+            st = s[t, 1:]
+            e_csir += int(np.sum(mrc_csir(Y[t], h[t], c).s_hat[1:] != st))
+            e_chest += int(np.sum(mrc_chest(Y[t], c=c).s_hat[1:] != st))
         assert e_csir < e_chest
 
 
@@ -65,16 +63,13 @@ class TestChestPilot:
         assert np.allclose(chest_pilot(block.Y, c.points[0], c), h, atol=1e-12)
 
     def test_unbiased_and_variance(self):
+        # The estimation error does not depend on the channel, so every
+        # trial may draw its own.
         c = Constellation.qpsk()
-        rng = np.random.default_rng(5)
-        h = model.gen_rayleigh_channel(2, rng)
         n0 = 0.8
         trials = 30_000
-        err = np.zeros((trials, 2), dtype=complex)
-        s = model.random_data_vector(c, 0, c.points[0], rng)
-        for t in range(trials):
-            block = model.transmit(TransmissionGroundTruth(s, h, n0), rng)
-            err[t] = chest_pilot(block.Y, c.points[0], c) - h
+        Y, _, _, h, _ = model.draw_blocks(2, 0, c, -10.0 * np.log10(n0), 5, (), trials)
+        err = chest_pilot(Y, c.points[0], c) - h
         assert np.max(np.abs(err.mean(axis=0))) < 0.01
         assert np.mean(np.abs(err) ** 2) == pytest.approx(n0 / c.sigma**2, rel=0.02)
 
@@ -89,10 +84,9 @@ class TestMrcChest:
         sers = []
         for snr in (-8.0, -4.0, 0.0, 4.0):
             errs = 0
-            for seed in range(400):
-                rng = np.random.default_rng(7000 + seed)
-                block = model.make_block(16, 8, c, snr, rng, rng, rng)
-                errs += int(np.sum(mrc_chest(block.Y, c=c).s_hat[1:] != block.truth.s_true[1:]))
+            Y, _, s, _, _ = model.draw_blocks(16, 8, c, snr, 7000, (), 400)
+            for t in range(400):
+                errs += int(np.sum(mrc_chest(Y[t], c=c).s_hat[1:] != s[t, 1:]))
             sers.append(errs)
         assert all(b <= a for a, b in zip(sers, sers[1:]))
 
@@ -118,23 +112,20 @@ class TestMrcRetrained:
     def test_retraining_improves_channel_mse(self):
         c = Constellation.qpsk()
         mse_rt = mse_chest = 0.0
-        for seed in range(2000):
-            rng = np.random.default_rng(9000 + seed)
-            block = model.make_block(16, 8, c, 0.0, rng, rng, rng)
-            h = block.truth.h_true
-            rt = mrc_retrained(block.Y, c=c)
-            ch = mrc_chest(block.Y, c=c)
-            mse_rt += float(np.sum(np.abs(rt.h_hat - h) ** 2))
-            mse_chest += float(np.sum(np.abs(ch.h_hat - h) ** 2))
+        Y, _, _, h, _ = model.draw_blocks(16, 8, c, 0.0, 9000, (), 2000)
+        for t in range(2000):
+            rt = mrc_retrained(Y[t], c=c)
+            ch = mrc_chest(Y[t], c=c)
+            mse_rt += float(np.sum(np.abs(rt.h_hat - h[t]) ** 2))
+            mse_chest += float(np.sum(np.abs(ch.h_hat - h[t]) ** 2))
         assert mse_rt < mse_chest
 
     def test_solver_estimate_beats_pilot_estimate(self):
         c = Constellation.qpsk()
         mse_prox = mse_chest = 0.0
-        for seed in range(1000):
-            rng = np.random.default_rng(11000 + seed)
-            block = model.make_block(16, 8, c, 0.0, rng, rng, rng)
-            h = block.truth.h_true
+        Y, G, _, h_true, _ = model.draw_blocks(16, 8, c, 0.0, 11000, (), 1000)
+        for t in range(1000):
+            block, h = ReceivedBlock(Y=Y[t], G=G[t]), h_true[t]
             res = prox.solve(block, c, prox.ProxParams(t_max=5), record_trace=False)
             mse_prox += float(np.sum(np.abs(res.h_hat - h) ** 2))
             mse_chest += float(np.sum(np.abs(chest_pilot(block.Y, c.points[0], c) - h) ** 2))
@@ -166,9 +157,9 @@ class TestMlJed:
 
     def test_oracle_dominance(self):
         c = Constellation.bpsk()
-        for seed in range(50):
-            rng = np.random.default_rng(12000 + seed)
-            block = model.make_block(8, 6, c, -6.0, rng, rng, rng)
+        Y, G, *_ = model.draw_blocks(8, 6, c, -6.0, 12000, (), 50)
+        for t in range(50):
+            block = ReceivedBlock(Y=Y[t], G=G[t])
             ml = ml_jed_exhaustive(block.Y, c)
             px = prox.solve(block, c, prox.ProxParams(t_max=5), record_trace=False)
             assert np.linalg.norm(block.Y @ ml.s_hat) >= np.linalg.norm(
@@ -214,14 +205,13 @@ class TestDownlink:
     def test_solver_beam_beats_pilot_beam(self):
         c = Constellation.qpsk()
         tot_prox = tot_chest = 0.0
-        for seed in range(1000):
-            rng = np.random.default_rng(17000 + seed)
-            block = model.make_block(16, 8, c, 0.0, rng, rng, rng)
-            h = block.truth.h_true
-            n0 = block.truth.n0
+        n0 = model.snr_to_n0(0.0, c)
+        Y, G, _, h_true, dl_rng = model.draw_blocks(16, 8, c, 0.0, 17000, (), 1000)
+        for t in range(1000):
+            block, h = ReceivedBlock(Y=Y[t], G=G[t]), h_true[t]
             px = prox.solve(block, c, prox.ProxParams(t_max=5), record_trace=False)
             ch = mrc_chest(block.Y, c=c)
-            draws = draw_downlink(np.random.default_rng(int(rng.integers(0, 2**63))), c, 8)
+            draws = draw_downlink(dl_rng, c, 8)
             tot_prox += downlink_ser(h, px.h_hat, c, n0, draws)
             tot_chest += downlink_ser(h, ch.h_hat, c, n0, draws)
         assert tot_prox < tot_chest

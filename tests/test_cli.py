@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from simojed import harness
+from simojed import fxp, harness
 from simojed.cli import main, parse_config_file, parse_snr_spec
 from simojed.errors import ParameterError
 
@@ -131,7 +132,25 @@ class TestTraceCommand:
         assert any(",mac," in ln for ln in lines)
         assert any(",project," in ln for ln in lines)
 
-    def test_rejects_gain_below_datapath_minimum(self, tmp_path):
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ([], "0e2844c2249b7480a14aa97d180a533892f100aab93b136c2fa65727869eccf8"),
+            (["--constellation", "bpsk"], "c9510119ca9c14438d46c4d297d59f10e94df6e99692df2f64eb59a01ff491a4"),
+        ],
+        ids=["qpsk", "bpsk"],
+    )
+    def test_trace_pinned(self, extra, digest, capsys):
+        # SHA-256 of the printed trace as the scalar-word simulator wrote it;
+        # the BPSK trace runs the real-only datapath.
+        assert main(["trace", "--seed", "3", *extra]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_rejects_gain_below_datapath_minimum(self, tmp_path, monkeypatch):
+        def no_preprocess(*args):
+            raise AssertionError("preprocessed before the gain was checked")
+
+        monkeypatch.setattr(fxp, "preprocess", no_preprocess)
         with pytest.raises(SystemExit) as exc:
             main(["trace", "--rho-log2", "0", "--out", str(tmp_path / "t.txt")])
         assert "rho_log2" in str(exc.value.code)

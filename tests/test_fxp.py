@@ -4,153 +4,160 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from simojed import fxp, model, prox
-from simojed.errors import ParameterError
+from simojed.errors import ParameterError, SimojedError
 from simojed.fxp import (
-    ACC_FMT,
-    G_FMT,
-    S_FMT,
-    FixedPointFormat,
-    FxpWord,
+    ACC_BITS,
+    ACC_FRAC,
+    G_BITS,
+    G_FRAC,
+    S_BITS,
+    S_FRAC,
     PeArrayConfig,
     direct_iteration,
     latency_cycles,
     mac_step,
     pe_array_iteration,
     projection_unit,
-    quantize,
+    quantize_array,
     quantize_block,
-    rho_inverse_word,
     solve_fixed,
     solve_fixed_stack,
     throughput_bps,
 )
-from simojed.model import Constellation, TransmissionGroundTruth
+from simojed.model import Constellation, ReceivedBlock
 
 from oracles import int_iteration, int_mac, int_projection, int_quantize
+
+FORMATS = [(S_BITS, S_FRAC), (G_BITS, G_FRAC), (ACC_BITS, ACC_FRAC)]
+ACC_CODES = np.arange(-(1 << (ACC_BITS - 1)), 1 << (ACC_BITS - 1))
+
+
+def raw_words(rng, bits, size):
+    return rng.integers(-(1 << (bits - 1)), 1 << (bits - 1), size=size)
+
+
+def clip_threshold(rho_log2):
+    """The 12-bit 1/rho word, from the big-integer quantizer."""
+    return int_quantize(1.0 / (1 << rho_log2), 12, 11)
 
 
 class TestQuantize:
     def test_exact_value(self):
-        w = quantize(0.625, S_FMT)
-        assert w.raw == 5 and w.value == 0.625
+        re, im = quantize_array(0.625 - 0.25j, S_BITS, S_FRAC)
+        assert (int(re), int(im)) == (5, -2)
+        assert re.dtype == np.int64
 
     def test_saturation_ceiling(self):
-        assert quantize(4.2, S_FMT).value == 3.875
-
-    def test_wrap_semantics(self):
-        # 15-bit/11-fraction words span [-8, 8): 16.5 wraps into 0.5.
-        assert quantize(16.5, FixedPointFormat(15, 11, fxp.WRAP)).value == 0.5
-        # A 16-bit word with the same fraction spans [-16, 16): 16.5 -> -15.5.
-        assert quantize(16.5, FixedPointFormat(16, 11, fxp.WRAP)).value == -15.5
+        re, im = quantize_array(np.array([4.2, -4.2]), S_BITS, S_FRAC)
+        assert re.tolist() == [31, -32] and im.tolist() == [0, 0]
 
     def test_truncation_toward_negative_infinity(self):
-        assert quantize(-0.0626, S_FMT).raw == -1
-        assert quantize(0.0624, S_FMT).raw == 0
+        re, _ = quantize_array(np.array([-0.0626, 0.0624]), S_BITS, S_FRAC)
+        assert re.tolist() == [-1, 0]
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        for fmt in (S_FMT, G_FMT, ACC_FMT):
-            for x in rng.uniform(-20, 20, size=50):
-                once = quantize(x, fmt)
-                assert quantize(once.value, fmt).raw == once.raw
+        for bits, frac in FORMATS:
+            z = rng.uniform(-20, 20, size=50) + 1j * rng.uniform(-20, 20, size=50)
+            once = quantize_array(z, bits, frac)
+            again = quantize_array((once[0] + 1j * once[1]) / (1 << frac), bits, frac)
+            assert np.array_equal(again[0], once[0]) and np.array_equal(again[1], once[1])
 
     def test_saturating_formats_monotone(self):
-        xs = np.linspace(-6, 6, 401)
-        raws = [quantize(x, S_FMT).raw for x in xs]
-        assert all(b >= a for a, b in zip(raws, raws[1:]))
+        raws, _ = quantize_array(np.linspace(-6, 6, 401), S_BITS, S_FRAC)
+        assert np.all(np.diff(raws) >= 0)
 
     def test_matches_integer_oracle(self):
         rng = np.random.default_rng(1)
-        for x in rng.uniform(-40, 40, size=200):
-            assert quantize(x, ACC_FMT).raw == int_quantize(x, 15, 11, True)
-            wrap_fmt = FixedPointFormat(15, 11, fxp.WRAP)
-            assert quantize(x, wrap_fmt).raw == int_quantize(x, 15, 11, False)
-
-    def test_invalid_format(self):
-        with pytest.raises(ParameterError):
-            FixedPointFormat(3, 3)
+        z = rng.uniform(-40, 40, size=200) + 1j * rng.uniform(-40, 40, size=200)
+        for bits, frac in FORMATS:
+            re, im = quantize_array(z, bits, frac)
+            assert re.tolist() == [int_quantize(x.real, bits, frac) for x in z]
+            assert im.tolist() == [int_quantize(x.imag, bits, frac) for x in z]
 
 
 class TestMacStep:
-    def _zero_acc(self):
-        return (FxpWord(0, ACC_FMT), FxpWord(0, ACC_FMT))
-
     def test_near_identity_multiply(self):
-        g = (quantize(1.0, G_FMT), quantize(0.0, G_FMT))  # saturates to 2047/2048
-        s = (quantize(1.0, S_FMT), quantize(0.0, S_FMT))
-        out = mac_step(self._zero_acc(), g, s)
-        assert out[0].raw == (2047 * 8) >> 3 == 2047
-        assert out[1].raw == 0
+        g = quantize_array(1.0, G_BITS, G_FRAC)  # saturates to 2047/2048
+        s = quantize_array(1.0, S_BITS, S_FRAC)
+        re, im = mac_step((0, 0), g, s)
+        assert int(re) == (2047 * 8) >> 3 == 2047
+        assert int(im) == 0
 
     def test_zero_operand_keeps_acc(self):
-        acc = (FxpWord(123, ACC_FMT), FxpWord(-77, ACC_FMT))
-        zero_g = (quantize(0.0, G_FMT), quantize(0.0, G_FMT))
-        s = (quantize(0.5, S_FMT), quantize(-0.25, S_FMT))
-        out = mac_step(acc, zero_g, s)
-        assert (out[0].raw, out[1].raw) == (123, -77)
+        zero_g = quantize_array(0.0, G_BITS, G_FRAC)
+        s = quantize_array(0.5 - 0.25j, S_BITS, S_FRAC)
+        re, im = mac_step((123, -77), zero_g, s)
+        assert (int(re), int(im)) == (123, -77)
+
+    def test_cross_term_wraps(self):
+        # The only in-range operands whose cross-term leaves 15 bits: the
+        # imaginary part 2 * (-2048 * -32 >> 3) = 16384 wraps to -16384.
+        g, s = (-2048, -2048), (-32, -32)
+        re, im = mac_step((0, 0), g, s)
+        assert (int(re), int(im)) == int_mac(0, 0, *g, *s) == (0, -16384)
 
     def test_random_batch_matches_big_integer_oracle(self):
+        # 2000 random MACs as one array call.
         rng = np.random.default_rng(2)
-        for _ in range(2000):
-            acc = (
-                FxpWord(int(rng.integers(ACC_FMT.min_raw, ACC_FMT.max_raw + 1)), ACC_FMT),
-                FxpWord(int(rng.integers(ACC_FMT.min_raw, ACC_FMT.max_raw + 1)), ACC_FMT),
-            )
-            g = (
-                FxpWord(int(rng.integers(G_FMT.min_raw, G_FMT.max_raw + 1)), G_FMT),
-                FxpWord(int(rng.integers(G_FMT.min_raw, G_FMT.max_raw + 1)), G_FMT),
-            )
-            s = (
-                FxpWord(int(rng.integers(S_FMT.min_raw, S_FMT.max_raw + 1)), S_FMT),
-                FxpWord(int(rng.integers(S_FMT.min_raw, S_FMT.max_raw + 1)), S_FMT),
-            )
-            out = mac_step(acc, g, s)
-            ref = int_mac(acc[0].raw, acc[1].raw, g[0].raw, g[1].raw, s[0].raw, s[1].raw)
-            assert (out[0].raw, out[1].raw) == ref
+        acc = raw_words(rng, ACC_BITS, (2, 2000))
+        g = raw_words(rng, G_BITS, (2, 2000))
+        s = raw_words(rng, S_BITS, (2, 2000))
+        re, im = mac_step(acc, g, s)
+        ref = [int_mac(*args) for args in zip(*acc.tolist(), *g.tolist(), *s.tolist())]
+        assert list(zip(re.tolist(), im.tolist())) == ref
 
 
 class TestProjectionUnit:
     def test_upper_clip(self):
-        inv = rho_inverse_word(2)
-        q = quantize(0.9, ACC_FMT)  # 0.9 >= 1/4
-        assert projection_unit(q, 2, inv).raw == 8
+        q, _ = quantize_array(0.9, ACC_BITS, ACC_FRAC)  # 0.9 >= 1/4
+        assert int(projection_unit(q, 2)) == 8
 
     def test_lower_clip(self):
-        inv = rho_inverse_word(2)
-        q = quantize(-0.9, ACC_FMT)
-        assert projection_unit(q, 2, inv).raw == -8
+        q, _ = quantize_array(-0.9, ACC_BITS, ACC_FRAC)
+        assert int(projection_unit(q, 2)) == -8
 
     def test_exact_threshold_is_clip(self):
-        inv = rho_inverse_word(3)
-        q = FxpWord(inv.raw, ACC_FMT)  # q == +1/rho exactly
-        assert projection_unit(q, 3, inv).raw == 8
+        # q == +1/rho exactly clips; one code below passes through.
+        inv = clip_threshold(3)
+        assert projection_unit([inv, inv - 1], 3).tolist() == [8, 7]
 
     def test_interior_matches_oracle_sample(self):
         rng = np.random.default_rng(3)
         for r in (1, 3, 6):
-            inv = rho_inverse_word(r)
-            for raw in rng.integers(ACC_FMT.min_raw, ACC_FMT.max_raw + 1, size=500):
-                got = projection_unit(FxpWord(int(raw), ACC_FMT), r, inv).raw
-                assert got == int_projection(int(raw), r, inv.raw)
+            raws = raw_words(rng, ACC_BITS, 500)
+            ref = [int_projection(raw, r, clip_threshold(r)) for raw in raws.tolist()]
+            assert projection_unit(raws, r).tolist() == ref
 
     def test_exhaustive_single_rho(self):
         r = 2
-        inv = rho_inverse_word(r)
-        for raw in range(ACC_FMT.min_raw, ACC_FMT.max_raw + 1):
-            assert projection_unit(FxpWord(raw, ACC_FMT), r, inv).raw == int_projection(
-                raw, r, inv.raw
-            )
+        ref = [int_projection(raw, r, clip_threshold(r)) for raw in ACC_CODES.tolist()]
+        assert projection_unit(ACC_CODES, r).tolist() == ref
 
-    def test_rho_must_exceed_one(self):
-        with pytest.raises(ParameterError):
-            rho_inverse_word(0)
+
+class TestPeArrayConfig:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(N=5, t_max=1, rho_log2=0), "rho_log2"),
+            (dict(N=5, t_max=1, rho_log2=16), "rho_log2"),
+            (dict(N=1, t_max=1, rho_log2=1), "processing elements"),
+            (dict(N=5, t_max=0, rho_log2=1), "t_max"),
+        ],
+        ids=["rho_log2=0", "rho_log2=16", "N=1", "t_max=0"],
+    )
+    def test_rejects_out_of_range(self, kwargs, match):
+        with pytest.raises(ParameterError, match=match):
+            PeArrayConfig(**kwargs)
+
+    def test_accepts_extreme_gains(self):
+        assert PeArrayConfig(N=2, t_max=1, rho_log2=1).rho_log2 == 1
+        assert PeArrayConfig(N=2, t_max=1, rho_log2=15).rho_log2 == 15
 
 
 def random_quantized_instance(rng, N):
-    gre = rng.integers(G_FMT.min_raw, G_FMT.max_raw + 1, size=(N, N)).astype(np.int64)
-    gim = rng.integers(G_FMT.min_raw, G_FMT.max_raw + 1, size=(N, N)).astype(np.int64)
-    sre = rng.integers(S_FMT.min_raw, S_FMT.max_raw + 1, size=N).astype(np.int64)
-    sim = rng.integers(S_FMT.min_raw, S_FMT.max_raw + 1, size=N).astype(np.int64)
+    gre, gim = raw_words(rng, G_BITS, (N, N)), raw_words(rng, G_BITS, (N, N))
+    sre, sim = raw_words(rng, S_BITS, N), raw_words(rng, S_BITS, N)
     return (gre, gim), (sre, sim)
 
 
@@ -226,6 +233,34 @@ class TestPeArray:
         assert len(lines) == 1 + len(trace.records)
         assert all(line.count(",") == 5 for line in lines[1:])
 
+    @given(
+        N=st.integers(2, 17),
+        rho_log2=st.integers(1, 6),
+        real_only=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_integer_oracle(self, N, rho_log2, real_only, seed):
+        # Independent of the array helpers the simulator shares with
+        # direct_iteration: the final iterate against the big-integer
+        # iteration, and every MAC record's accumulator against a running
+        # big-integer MAC over the operands it logged.
+        rng = np.random.default_rng(seed)
+        G_q, s_q = random_quantized_instance(rng, N)
+        s_check_q = tuple(raw_words(rng, S_BITS, 2).tolist())
+        cfg = PeArrayConfig(N=N, t_max=1, rho_log2=rho_log2, real_only=real_only)
+        (out_re, out_im), trace = pe_array_iteration(s_q, G_q, cfg, s_check_q)
+        ref = int_iteration(s_q, G_q, N, rho_log2, real_only, s_check_q)
+        assert out_re.tolist() == ref[0] and out_im.tolist() == ref[1]
+        acc = {k: (0, 0) for k in range(1, N)}
+        macs = [r for r in trace.records if r.action == "mac"]
+        assert len(macs) == N * (N - 1)
+        for r in macs:
+            assert r.col == (r.pe + r.cycle - 1) % N
+            assert (r.g_re, r.g_im) == (int(G_q[0][r.pe, r.col]), int(G_q[1][r.pe, r.col]))
+            assert (r.s_re, r.s_im) == (int(s_q[0][r.col]), 0 if real_only else int(s_q[1][r.col]))
+            acc[r.pe] = int_mac(*acc[r.pe], r.g_re, r.g_im, r.s_re, r.s_im)
+            assert (r.acc_re, r.acc_im) == acc[r.pe]
+
 
 class TestSolveFixed:
     def test_noise_free_matches_float(self):
@@ -233,7 +268,7 @@ class TestSolveFixed:
         c = Constellation.qpsk()
         h = model.gen_rayleigh_channel(16, rng)
         s = model.random_data_vector(c, 8, c.points[0], rng)
-        block = model.transmit(TransmissionGroundTruth(s, h, 0.0), rng)
+        block = ReceivedBlock(Y=np.outer(h, s.conj()))
         params = prox.ProxParams(t_max=5, rho_log2=1)
         fixed = solve_fixed(block, c, params)
         assert np.array_equal(fixed, s)
@@ -243,17 +278,13 @@ class TestSolveFixed:
         # iterate and the decisions of the stacked datapath.
         c = Constellation.qpsk()
         params = prox.ProxParams(t_max=3, rho_log2=1)
-        blocks = []
-        for seed in range(5):
-            r = np.random.default_rng(100 + seed)
-            blocks.append(model.make_block(16, 6, c, 0.0, r, r, r))
-        G = np.stack([block.G for block in blocks])
+        _, G, *_ = model.draw_blocks(16, 6, c, 0.0, 100, (), 5)
         cfg, Gq, state, sc = quantize_block(G, c, params)
         for _ in range(params.t_max):
             state = direct_iteration(state, Gq, cfg, sc)
         decisions = solve_fixed_stack(G, c, params)
-        for t, block in enumerate(blocks):
-            cfg_t, Gq_t, s_t, sc_t = quantize_block(block.G, c, params)
+        for t, G_t in enumerate(G):
+            cfg_t, Gq_t, s_t, sc_t = quantize_block(G_t, c, params)
             for _ in range(params.t_max):
                 s_t, _ = pe_array_iteration(s_t, Gq_t, cfg_t, sc_t)
             assert np.array_equal(s_t[0], state[0][t])
@@ -261,28 +292,36 @@ class TestSolveFixed:
             assert np.array_equal(fxp._sign_decisions(s_t, c, c.points[0]), decisions[t])
 
     def test_bpsk_real_only(self):
-        rng = np.random.default_rng(12)
         c = Constellation.bpsk()
-        block = model.make_block(16, 8, c, -4.0, rng, rng, rng)
+        block, _ = model.draw_block(16, 8, c, -4.0, 12, ())
         out = solve_fixed(block, c, prox.ProxParams(t_max=5, rho_log2=1))
         assert set(np.unique(out)) <= {1.0 + 0j, -1.0 + 0j}
 
     def test_non_finite_gram_rejected(self):
         # Rejected before the eigensolver, whose LinAlgError is not a
         # package error.
-        rng = np.random.default_rng(14)
         c = Constellation.qpsk()
-        block = model.make_block(4, 3, c, 0.0, rng, rng, rng)
+        block, _ = model.draw_block(4, 3, c, 0.0, 14, ())
         G = block.G.copy()
         G[1, 1] = np.nan
         with pytest.raises(ParameterError, match="non-finite"):
-            solve_fixed(model.ReceivedBlock(Y=block.Y, G=G), c, prox.ProxParams(rho_log2=1))
+            solve_fixed(ReceivedBlock(Y=block.Y, G=G), c, prox.ProxParams(rho_log2=1))
 
-    def test_rho_one_rejected(self):
-        rng = np.random.default_rng(13)
+    @pytest.mark.parametrize("G", [np.complex128(1.0), np.ones(3)], ids=["scalar", "vector"])
+    def test_non_matrix_rejected(self, G):
+        with pytest.raises(SimojedError):
+            solve_fixed_stack(G, Constellation.qpsk(), prox.ProxParams())
+
+    def test_rho_one_rejected(self, monkeypatch):
+        # The array configuration rejects the gain before any preprocessing.
         c = Constellation.bpsk()
-        block = model.make_block(4, 3, c, 0.0, rng, rng, rng)
-        with pytest.raises(ParameterError):
+        block, _ = model.draw_block(4, 3, c, 0.0, 13, ())
+
+        def no_preprocess(*args):
+            raise AssertionError("preprocessed before the gain was checked")
+
+        monkeypatch.setattr(fxp, "preprocess", no_preprocess)
+        with pytest.raises(ParameterError, match="rho_log2"):
             solve_fixed(block, c, prox.ProxParams(t_max=1, rho_log2=0))
 
 
@@ -296,10 +335,8 @@ class TestStackedDatapath:
     )
     def test_direct_iteration_stack_matches_blocks_and_oracle(self, T, N, rho_log2, real_only, seed):
         rng = np.random.default_rng(seed)
-        gre = rng.integers(G_FMT.min_raw, G_FMT.max_raw + 1, size=(T, N, N))
-        gim = rng.integers(G_FMT.min_raw, G_FMT.max_raw + 1, size=(T, N, N))
-        sre = rng.integers(S_FMT.min_raw, S_FMT.max_raw + 1, size=(T, N))
-        sim = rng.integers(S_FMT.min_raw, S_FMT.max_raw + 1, size=(T, N))
+        gre, gim = raw_words(rng, G_BITS, (T, N, N)), raw_words(rng, G_BITS, (T, N, N))
+        sre, sim = raw_words(rng, S_BITS, (T, N)), raw_words(rng, S_BITS, (T, N))
         cfg = PeArrayConfig(N=N, t_max=1, rho_log2=rho_log2, real_only=real_only)
         out_re, out_im = direct_iteration((sre, sim), (gre, gim), cfg, (8, 0))
         assert out_re.shape == out_im.shape == (T, N)

@@ -3,7 +3,7 @@ import pytest
 
 from simojed import model
 from simojed.errors import DimensionError, ParameterError
-from simojed.model import Constellation, LosGeometry, TransmissionGroundTruth
+from simojed.model import Constellation, LosGeometry
 
 
 class TestConstellation:
@@ -102,40 +102,34 @@ class TestDataVector:
 
 class TestTransmit:
     def test_noise_free_rank_one(self):
-        rng = np.random.default_rng(10)
+        # Infinite SNR means zero noise variance: no noise is drawn.
         c = Constellation.qpsk()
-        h = model.gen_rayleigh_channel(6, rng)
-        s = model.random_data_vector(c, 4, c.points[0], rng)
-        block = model.transmit(TransmissionGroundTruth(s, h, 0.0), rng)
+        block, _ = model.draw_block(6, 4, c, np.inf, 10, ())
+        h, s = block.truth.h_true, block.truth.s_true
+        assert block.truth.n0 == 0.0
         assert np.array_equal(block.Y, np.outer(h, s.conj()))
         svals = np.linalg.svd(block.Y, compute_uv=False)
         assert svals[1] <= 1e-12 * c.sigma * np.linalg.norm(h)
 
     def test_single_antenna_row(self):
-        rng = np.random.default_rng(11)
-        c = Constellation.bpsk()
-        s = model.random_data_vector(c, 3, 1.0, rng)
-        block = model.transmit(TransmissionGroundTruth(s, np.array([1.0 + 0j]), 0.0), rng)
-        assert np.array_equal(block.Y[0], s.conj())
+        block, _ = model.draw_block(1, 3, Constellation.bpsk(), np.inf, 11, ())
+        assert np.array_equal(block.Y[0], block.truth.h_true[0] * block.truth.s_true.conj())
 
     def test_noise_variance(self):
-        rng = np.random.default_rng(12)
-        h = np.ones(200, dtype=complex)
-        s = np.ones(500, dtype=complex)
-        n0 = 0.7
-        block = model.transmit(TransmissionGroundTruth(s, h, n0), rng)
-        resid = block.Y - np.outer(h, s.conj())
-        assert np.mean(np.abs(resid) ** 2) == pytest.approx(n0, rel=0.02)
+        c = Constellation.bpsk()
+        snr_db = -10.0 * np.log10(0.7)
+        Y, _, s, h, _ = model.draw_blocks(200, 499, c, snr_db, 12, (), 1)
+        resid = Y[0] - np.outer(h[0], s[0].conj())
+        assert np.mean(np.abs(resid) ** 2) == pytest.approx(model.snr_to_n0(snr_db, c), rel=0.02)
 
     def test_gram_cached(self):
-        rng = np.random.default_rng(13)
-        c = Constellation.bpsk()
-        block = model.make_block(
-            4, 3, c, 10.0, rng, rng, rng
-        )
         from simojed.linalg import gram
 
+        c = Constellation.bpsk()
+        block, _ = model.draw_block(4, 3, c, 10.0, 13, ())
         assert np.array_equal(block.G, gram(block.Y))
+        Y, G, *_ = model.draw_blocks(4, 3, c, 10.0, 13, (), 3)
+        assert all(np.array_equal(G[t], gram(Y[t])) for t in range(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_rejected(self, bad):
@@ -166,10 +160,15 @@ class TestTransmit:
         c = Constellation.qpsk()
         block, dl_ss = model.draw_block(8, 5, c, 3.0, 21, (2, 7))
         ch, data, noise, dl = np.random.SeedSequence(21, spawn_key=(2, 7)).spawn(4)
-        rngs = [np.random.default_rng(ss) for ss in (ch, data, noise)]
-        expected = model.make_block(8, 5, c, 3.0, *rngs)
-        assert np.array_equal(block.Y, expected.Y)
-        assert np.array_equal(block.truth.s_true, expected.truth.s_true)
+        z = np.random.default_rng(ch).standard_normal((2, 8))
+        h = (z[0] + 1j * z[1]) / np.sqrt(2.0)
+        idx = np.random.default_rng(data).integers(0, 4, size=5)
+        s = np.concatenate([c.points[:1], c.points[idx]])
+        z = np.random.default_rng(noise).standard_normal((2, 8, 6))
+        Y = np.outer(h, s.conj()) + np.sqrt(model.snr_to_n0(3.0, c) / 2.0) * (z[0] + 1j * z[1])
+        assert np.array_equal(block.truth.h_true, h)
+        assert np.array_equal(block.truth.s_true, s)
+        assert np.array_equal(block.Y, Y)
         assert np.array_equal(dl_ss.generate_state(4), dl.generate_state(4))
 
     def test_draw_block_keys_are_independent(self):
@@ -188,7 +187,7 @@ class TestTransmit:
     def test_phase_ambiguity_of_objective(self):
         rng = np.random.default_rng(14)
         c = Constellation.qpsk()
-        block = model.make_block(8, 5, c, 6.0, rng, rng, rng)
+        block, _ = model.draw_block(8, 5, c, 6.0, 14, ())
         s = model.random_data_vector(c, 5, c.points[0], rng)
         for phi in rng.uniform(0, 2 * np.pi, size=5):
             assert np.linalg.norm(block.Y @ (s * np.exp(1j * phi))) == pytest.approx(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from simojed import fxp, linalg, model, prox
 from simojed.errors import DegenerateInputError, ParameterError
-from simojed.model import Constellation, TransmissionGroundTruth
+from simojed.model import Constellation, ReceivedBlock
 from simojed.prox import (
     PreprocessedMatrix,
     ProxParams,
@@ -25,9 +25,8 @@ from oracles import prox_iteration_scalar
 
 
 def make_noisy_block(seed, B=8, K=6, kind="qpsk", snr_db=8.0):
-    rng = np.random.default_rng(seed)
     c = Constellation.by_name(kind)
-    return model.make_block(B, K, c, snr_db, rng, rng, rng), c
+    return model.draw_block(B, K, c, snr_db, seed, ())[0], c
 
 
 class TestParams:
@@ -87,7 +86,7 @@ class TestInit:
         rng = np.random.default_rng(3)
         c = Constellation.bpsk()
         s = model.random_data_vector(c, 5, c.points[0], rng)
-        block = model.transmit(TransmissionGroundTruth(s, np.array([1.0 + 0j]), 0.0), rng)
+        block = ReceivedBlock(Y=np.outer([1.0 + 0j], s.conj()))
         assert np.allclose(init_s(block.G, c.points[0]), s, atol=1e-14)
 
     def test_matches_scalar_recomputation(self):
@@ -196,7 +195,7 @@ class TestChannelEstimate:
         c = Constellation.qpsk()
         h = model.gen_rayleigh_channel(5, rng)
         s = model.random_data_vector(c, 4, c.points[0], rng)
-        block = model.transmit(TransmissionGroundTruth(s, h, 0.0), rng)
+        block = ReceivedBlock(Y=np.outer(h, s.conj()))
         assert np.allclose(channel_estimate(block.Y, s), h, atol=1e-12)
 
     def test_homogeneity(self):
@@ -216,15 +215,14 @@ class TestSolve:
         c = Constellation.bpsk()
         h = model.gen_rayleigh_channel(16, rng)
         s = model.random_data_vector(c, 8, c.points[0], rng)
-        block = model.transmit(TransmissionGroundTruth(s, h, 0.0), rng)
+        block = ReceivedBlock(Y=np.outer(h, s.conj()))
         res = solve(block, c, ProxParams(t_max=5))
         assert np.array_equal(res.s_hat, s)
         assert np.allclose(res.h_hat, h, atol=1e-10)
 
     def test_k_zero(self):
-        rng = np.random.default_rng(10)
         c = Constellation.qpsk()
-        block = model.make_block(4, 0, c, 10.0, rng, rng, rng)
+        block, _ = model.draw_block(4, 0, c, 10.0, 10, ())
         res = solve(block, c, ProxParams(t_max=3))
         assert np.array_equal(res.s_hat, [c.points[0]])
 
@@ -232,12 +230,12 @@ class TestSolve:
         # Paired batch: error count with t_max=5 must not exceed t_max=1.
         c = Constellation.bpsk()
         errs = {1: 0, 5: 0}
-        for seed in range(400):
-            rng = np.random.default_rng(1000 + seed)
-            block = model.make_block(16, 8, c, 5.0, rng, rng, rng)
+        Y, G, s_true, _, _ = model.draw_blocks(16, 8, c, 5.0, 1000, (), 400)
+        for trial in range(400):
+            block = ReceivedBlock(Y=Y[trial], G=G[trial])
             for t in (1, 5):
                 res = solve(block, c, ProxParams(t_max=t), record_trace=False)
-                errs[t] += int(np.sum(res.s_hat[1:] != block.truth.s_true[1:]))
+                errs[t] += int(np.sum(res.s_hat[1:] != s_true[trial, 1:]))
         assert errs[5] <= errs[1]
 
     def test_scale_invariance_of_decisions(self):
