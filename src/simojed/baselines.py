@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DegenerateInputError, ParameterError
+from .linalg import gram
 from .model import Constellation
 from .prox import channel_estimate, hard_decision
 
@@ -87,7 +88,8 @@ def mrc_retrained(
 def _candidate_chunk(
     c: Constellation, K: int, s_check: complex, start: int, stop: int
 ) -> np.ndarray:
-    """Candidate symbol matrix for enumeration indices [start, stop).
+    """Candidate symbol vectors for enumeration indices [start, stop), one
+    column each (one row per slot).
 
     Index digits are read most-significant-first into slots 2..K+1, so
     ascending indices enumerate candidates in lexicographic order over the
@@ -95,11 +97,10 @@ def _candidate_chunk(
     """
     m = len(c.points)
     idx = np.arange(start, stop, dtype=np.int64)
-    cands = np.empty((stop - start, K + 1), dtype=np.complex128)
-    cands[:, 0] = s_check
+    cands = np.empty((K + 1, stop - start), dtype=np.complex128)
+    cands[0] = s_check
     for j in range(K):
-        digits = (idx // m ** (K - 1 - j)) % m
-        cands[:, 1 + j] = c.points[digits]
+        np.take(c.points, (idx // m ** (K - 1 - j)) % m, out=cands[1 + j])
     return cands
 
 
@@ -113,12 +114,17 @@ def ml_jed_exhaustive(
     pinned first slot and keep the one with the largest received-energy
     correlation. Ties go to the first candidate in lexicographic order.
 
-    Each candidate chunk is built once and scored against every trial of a
-    stack in turn.
+    The energy |Yx|^2 = x^H G x is scored from the Gram matrices G of the
+    whole stack. Every slot of every candidate has the same modulus, so the
+    diagonal terms are the same for all candidates of a trial and only
+    Re sum_{i<j} conj(x_i) G_ij x_j is compared: one real matrix product of
+    the stack's upper triangles with the pair products of each candidate
+    chunk. Real candidates (BPSK with a real reference symbol) need only
+    Re G.
     """
     s_check = c.points[0] if s_check is None else s_check
-    Y = np.asarray(Y)
-    K = Y.shape[-1] - 1
+    G = gram(Y)
+    K = G.shape[-1] - 1
     m = len(c.points)
     total = m**K
     if total > budget:
@@ -126,19 +132,31 @@ def ml_jed_exhaustive(
             f"{m}^{K} = {total} candidates exceeds the budget of {budget}; "
             "reduce K or use BPSK"
         )
-    trials = Y.reshape(-1, *Y.shape[-2:])
-    best_val = np.full(len(trials), -1.0)
-    best_vec = np.empty((len(trials), K + 1), dtype=np.complex128)
+    iu, ju = np.triu_indices(K + 1, 1)
+    upper = G.reshape(-1, K + 1, K + 1)[:, iu, ju]
+    real = not np.any(c.points.imag) and np.imag(s_check) == 0
+    # Re(G_ij p) = Re G_ij Re p - Im G_ij Im p, as one real product.
+    upper = upper.real.copy() if real else np.concatenate([upper.real, -upper.imag], axis=1)
+    row_start = np.concatenate([[0], np.cumsum(np.arange(K, 0, -1))])
+    trials = np.arange(len(upper))
+    best_val = np.full(len(upper), -np.inf)
+    best_vec = np.empty((len(upper), K + 1), dtype=np.complex128)
     for start in range(0, total, _ENUM_CHUNK):
         stop = min(start + _ENUM_CHUNK, total)
         cands = _candidate_chunk(c, K, s_check, start, stop)
-        for t, Yt in enumerate(trials):
-            vals = np.sum(np.abs(Yt @ cands.T) ** 2, axis=0)
-            local = int(np.argmax(vals))
-            if vals[local] > best_val[t]:
-                best_val[t] = vals[local]
-                best_vec[t] = cands[local]
-    s_hat = best_vec.reshape(Y.shape[:-2] + (K + 1,))
+        x = cands.real if real else cands
+        pairs = np.empty((len(iu), stop - start), dtype=x.dtype)
+        for i in range(K):
+            np.multiply(x[i].conj(), x[i + 1 :], out=pairs[row_start[i] : row_start[i + 1]])
+        if not real:
+            pairs = np.concatenate([pairs.real, pairs.imag])
+        vals = upper @ pairs
+        local = np.argmax(vals, axis=1)
+        top = vals[trials, local]
+        better = top > best_val
+        best_val[better] = top[better]
+        best_vec[better] = cands[:, local[better]].T
+    s_hat = best_vec.reshape(G.shape[:-2] + (K + 1,))
     return DetectionResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat), method="ml-jed")
 
 

@@ -9,6 +9,15 @@ and accumulation saturates at 15 bits. Rounding is truncation toward
 negative infinity throughout: that is this model's contract where the
 hardware leaves a choice.
 
+The cross-term wrap almost never binds. For in-range 12-bit matrix and
+6-bit iterate words each truncated partial lies in [-8188, 8192], so the
+real cross-term (a difference of two) stays in [-16380, 16380] and never
+wraps. The imaginary one (a sum) leaves 15 bits only when both partials
+are 8192: at the (real, imaginary) words g = (-2048, -2048) and
+s = (-32, -32), the values -1 - 1j and -4 - 4j, where 16384 wraps to
+-16384. The products are bilinear and truncation is monotone, so the 16
+corners of the word ranges bound every cross-term.
+
 Every word is a raw integer in an int64 array, and each arithmetic rule has
 one definition: ``quantize_array`` (scale, truncate, saturate),
 ``_cross_terms`` (truncated products and the wrapping cross-term),

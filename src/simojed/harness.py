@@ -7,8 +7,8 @@ of the chunk), so results are bit-identical for a given seed regardless of
 how chunks are distributed over workers. The chunk size is part of that
 stream layout. All methods in a sweep, and both arithmetics of a
 float-vs-fixed comparison, consume the same blocks (paired comparison), and
-the downlink evaluation draws each chunk's randoms once and reuses them
-across methods.
+the downlink evaluation draws each chunk's randoms once and evaluates every
+method's estimate on them in one call.
 """
 
 from __future__ import annotations
@@ -268,7 +268,8 @@ def _run_chunk(
     The chunk is drawn as one stack keyed by ``(snr_index, trial_lo)`` and
     every method runs once on it; a solver method's preprocessing is shared
     by both arithmetics. The chunk's downlink randoms are drawn once from
-    its downlink Generator and shared by every method and arithmetic.
+    its downlink Generator, and one ``downlink_ser`` call evaluates the
+    estimates of every method and arithmetic on them.
 
     Returns per-(arithmetic, method) integer error counts and per-trial
     channel-MSE arrays (summed later in fixed order for worker-count
@@ -285,8 +286,7 @@ def _run_chunk(
     Y, G, s_true, h_true, dl_rng = draw_blocks(
         cfg.B, cfg.K, c, snr_db, cfg.master_seed, (snr_index, trial_lo), trials, los
     )
-    dl = draw_downlink(dl_rng, c, n_dl, trials)
-    counts = {}
+    detections = {}
     decisions = {}
     for spec in cfg.methods:
         params = spec.solver_params
@@ -295,12 +295,19 @@ def _run_chunk(
             s_hat, h_hat = _detect(spec, Y, pre, h_true, c, arithmetic, cfg.ml_jed_budget)
             if spec is solver:
                 decisions[arithmetic] = s_hat[:, 1:]
-            dl_ser = downlink_ser(h_true, h_hat, c, n0, dl)
-            counts[(arithmetic, spec.name)] = [
-                int(np.sum(s_hat[:, 1:] != s_true[:, 1:])),
-                int(np.sum(np.rint(dl_ser * n_dl))),
-                np.sum(np.abs(h_hat - h_true) ** 2, axis=1) / cfg.B,
-            ]
+            detections[(arithmetic, spec.name)] = s_hat, h_hat
+    # One evaluation of every estimate: the chunk's draws broadcast over the
+    # leading (arithmetic, method) axis.
+    h_hats = np.stack([h_hat for _, h_hat in detections.values()])
+    dl_ser = downlink_ser(h_true, h_hats, c, n0, draw_downlink(dl_rng, c, n_dl, trials))
+    counts = {
+        key: [
+            int(np.sum(s_hat[:, 1:] != s_true[:, 1:])),
+            int(np.sum(np.rint(ser * n_dl))),
+            np.sum(np.abs(h_hat - h_true) ** 2, axis=1) / cfg.B,
+        ]
+        for (key, (s_hat, h_hat)), ser in zip(detections.items(), dl_ser)
+    }
     agree = 0
     if decisions.keys() == {"float", "fixed"}:
         agree = int(np.sum(decisions["float"] == decisions["fixed"]))

@@ -7,6 +7,8 @@ fixed-point datapath. They are slow and simple on purpose.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -177,3 +179,27 @@ def downlink_ser_scalar(h, h_hat, points, sigma, n0, ref_noise, data, noise):
         nearest = min(range(len(points)), key=lambda p: abs(z - points[p]))
         errors += nearest != data[i]
     return errors / n_symbols
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive maximum-likelihood joint detection of one block
+# ---------------------------------------------------------------------------
+
+def ml_jed_bruteforce(Y, points, s_check):
+    """Symbol vector maximizing |Y x|^2 over every x with first slot
+    ``s_check`` and the other slots from ``points``, enumerated by
+    ``itertools.product`` (lexicographic in the given point order) and
+    scored with scalar loops; the first maximum wins."""
+    rows = np.asarray(Y, dtype=np.complex128).tolist()
+    best_score, best = None, None
+    for tail in itertools.product(list(points), repeat=len(rows[0]) - 1):
+        x = (complex(s_check),) + tuple(complex(p) for p in tail)
+        score = 0.0
+        for row in rows:
+            acc = 0j
+            for y, xk in zip(row, x):
+                acc += y * xk
+            score += acc.real * acc.real + acc.imag * acc.imag
+        if best_score is None or score > best_score:
+            best_score, best = score, x
+    return np.array(best)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from simojed import baselines, model, prox
 from simojed.baselines import (
@@ -12,8 +14,10 @@ from simojed.baselines import (
     mrc_csir,
     mrc_retrained,
 )
-from simojed.errors import CapacityError, DegenerateInputError, ParameterError
+from simojed.errors import CapacityError, DegenerateInputError, DimensionError, ParameterError
 from simojed.model import Constellation, ReceivedBlock
+
+from oracles import ml_jed_bruteforce
 
 
 def noise_free_block(seed, B=6, K=5, kind="qpsk"):
@@ -154,6 +158,56 @@ class TestMlJed:
         block = model.ReceivedBlock(Y=np.zeros((2, 4), dtype=complex))
         res = ml_jed_exhaustive(block.Y, c)
         assert np.array_equal(res.s_hat, np.full(4, c.points[0]))
+
+    def test_lexicographic_tie_break_bpsk(self):
+        c = Constellation.bpsk()
+        res = ml_jed_exhaustive(np.zeros((2, 4), dtype=complex), c)
+        assert np.array_equal(res.s_hat, np.full(4, c.points[0]))
+
+    @given(
+        kind=st.sampled_from(["bpsk", "qpsk"]),
+        B=st.integers(1, 8),
+        K=st.integers(1, 6),
+        T=st.sampled_from([None, 1, 3]),
+        s_check=st.sampled_from([None, 1j, -1.0, 1.0 - 1.0j]),
+        chunk=st.sampled_from([None, 1, 5, 64]),
+        integer=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_bruteforce(self, kind, B, K, T, s_check, chunk, integer, seed):
+        # Integer entries and points of 1 +- 1j or +-1 keep every score
+        # exact in both forms, so the many exact ties they make must go to
+        # the same (first) candidate, also across chunk boundaries when the
+        # chunk is shrunk; Gaussian entries cover the default constellation.
+        # BPSK with a complex reference symbol needs the complex scores.
+        rng = np.random.default_rng(seed)
+        c = Constellation.by_name(kind, sigma=np.sqrt(2) if integer and kind == "qpsk" else 1.0)
+        shape = (B, K + 1) if T is None else (T, B, K + 1)
+        if integer:
+            Y = rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+        else:
+            Y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(baselines, "_ENUM_CHUNK", chunk)
+            s_hat = ml_jed_exhaustive(Y, c, s_check).s_hat
+        ref = c.points[0] if s_check is None else s_check
+        blocks = Y.reshape(-1, B, K + 1)
+        expected = [ml_jed_bruteforce(Yt, c.points, ref) for Yt in blocks]
+        assert np.array_equal(s_hat.reshape(-1, K + 1), expected)
+
+    @pytest.mark.parametrize(
+        "Y, error",
+        [
+            (np.where(np.arange(24).reshape(2, 3, 4) == 23, np.nan, 1.0), ParameterError),
+            (np.zeros((0, 3)), DimensionError),
+            (np.ones(3), DimensionError),
+        ],
+        ids=["non-finite", "no-antennas", "vector"],
+    )
+    def test_bad_input_rejected(self, Y, error):
+        with pytest.raises(error):
+            ml_jed_exhaustive(Y, Constellation.bpsk())
 
     def test_oracle_dominance(self):
         c = Constellation.bpsk()

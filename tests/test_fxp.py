@@ -97,6 +97,23 @@ class TestMacStep:
         re, im = mac_step((0, 0), g, s)
         assert (int(re), int(im)) == int_mac(0, 0, *g, *s) == (0, -16384)
 
+    def test_cross_term_range_at_word_corners(self):
+        # Cross-terms are bilinear in the words and truncation is monotone,
+        # so the 16 corners of the 12-bit x 6-bit ranges bound them: the
+        # real part spans [-16380, 16380] and the imaginary part reaches
+        # 16384, the only value that wraps, at one corner.
+        corners = np.array(np.meshgrid([-2048, 2047], [-2048, 2047], [-32, 31], [-32, 31]))
+        gre, gim, sre, sim = corners.reshape(4, 16)
+        re = (gre * sre >> 3) - (gim * sim >> 3)
+        im = (gre * sim >> 3) + (gim * sre >> 3)
+        assert (re.min(), re.max(), im.min(), im.max()) == (-16380, 16380, -16376, 16384)
+        wraps = im == 16384
+        assert np.flatnonzero(wraps).tolist() == [0]
+        assert (gre[0], gim[0], sre[0], sim[0]) == (-2048, -2048, -32, -32)
+        cross = fxp._cross_terms((gre, gim), (sre, sim))
+        assert np.array_equal(cross[0], re)
+        assert np.array_equal(cross[1], np.where(wraps, -16384, im))
+
     def test_random_batch_matches_big_integer_oracle(self):
         # 2000 random MACs as one array call.
         rng = np.random.default_rng(2)

@@ -159,6 +159,37 @@ class TestRunSweep:
         res = run_sweep(cfg)
         assert set(res.methods()) == {"prox", "aprox", "mrc-csir", "mrc-chest", "mrc-rt", "ml-jed"}
 
+    def test_one_downlink_call_per_chunk(self, monkeypatch):
+        # Every estimate of a chunk, per arithmetic and method, is
+        # evaluated in one stacked call; evaluating them one by one on the
+        # same draws gives byte-identical CSVs.
+        gains = ProxParams(rho_log2=1)
+        cfg = small_config(
+            constellation="qpsk",
+            trials=520,
+            methods=tuple(
+                MethodSpec(name, gains if name in ("prox", "aprox") else None)
+                for name in harness.METHOD_NAMES
+            ),
+        )
+        sweep = run_sweep(cfg).to_csv()
+        report = hw_compare(cfg)
+        shapes = []
+        stacked = harness.downlink_ser
+
+        def one_by_one(h, h_hat, c, n0, draws):
+            shapes.append(h_hat.shape)
+            return np.stack([stacked(h, one, c, n0, draws) for one in h_hat])
+
+        monkeypatch.setattr(harness, "downlink_ser", one_by_one)
+        assert run_sweep(cfg).to_csv() == sweep
+        assert shapes == [(6, T, cfg.B) for T in (512, 8, 512, 8)]
+        shapes.clear()
+        again = hw_compare(cfg)
+        assert again.float_result.to_csv() == report.float_result.to_csv()
+        assert again.fixed_result.to_csv() == report.fixed_result.to_csv()
+        assert shapes == [(12, T, cfg.B) for T in (512, 8, 512, 8)]
+
     @pytest.mark.parametrize("kind", ["qpsk", "bpsk"])
     def test_chunk_counts_follow_the_stream_layout(self, kind):
         # A chunk keyed by (snr index, first trial) draws every array of
