@@ -109,6 +109,7 @@ def ml_jed_exhaustive(
     c: Constellation,
     s_check: complex | None = None,
     budget: int = ML_JED_DEFAULT_BUDGET,
+    G: np.ndarray | None = None,
 ) -> DetectionResult:
     """Exact joint-detection oracle: enumerate every symbol vector with the
     pinned first slot and keep the one with the largest received-energy
@@ -120,10 +121,11 @@ def ml_jed_exhaustive(
     Re sum_{i<j} conj(x_i) G_ij x_j is compared: one real matrix product of
     the stack's upper triangles with the pair products of each candidate
     chunk. Real candidates (BPSK with a real reference symbol) need only
-    Re G.
+    Re G. ``G`` holds the Gram matrices of ``Y``, taken as given; without
+    it they are computed (and ``Y`` checked) by ``linalg.gram``.
     """
     s_check = c.points[0] if s_check is None else s_check
-    G = gram(Y)
+    G = gram(Y) if G is None else G
     K = G.shape[-1] - 1
     m = len(c.points)
     total = m**K
@@ -189,7 +191,7 @@ def downlink_ser(
     h: np.ndarray,
     h_hat: np.ndarray,
     c: Constellation,
-    n0: float,
+    n0: float | np.ndarray,
     draws: DownlinkDraws,
 ) -> float | np.ndarray:
     """Error rate of beamformed downlink transmission through the reciprocal
@@ -200,8 +202,16 @@ def downlink_ser(
     same pinned constellation point), which also removes any global phase
     rotation of the estimate, then slices the data symbols of ``draws``
     (see ``draw_downlink``). A zero composite-gain estimate loses every
-    symbol.
+    symbol. The noise variance ``n0`` is one value for every trial, or one
+    value per trial of the draws' trial axis.
     """
+    n0 = np.asarray(n0, dtype=np.float64)
+    if n0.shape not in ((), draws.data.shape[-2:-1]):
+        raise ParameterError(
+            f"noise variances of shape {n0.shape} for downlink draws of shape {draws.data.shape}"
+        )
+    if not np.all(np.isfinite(n0)) or np.any(n0 < 0):
+        raise ParameterError("noise variance must be finite and non-negative")
     h_hat = np.asarray(h_hat, dtype=complex)
     norm = np.linalg.norm(h_hat, axis=-1)
     if np.any(norm == 0.0):
@@ -217,7 +227,7 @@ def downlink_ser(
 
     n = draws.data.shape[-1]
     data = c.points[draws.data]
-    noise = scale * (draws.noise[..., :n] + 1j * draws.noise[..., n:])
+    noise = scale[..., None] * (draws.noise[..., :n] + 1j * draws.noise[..., n:])
     z = g[..., None] * data + noise
     decisions = hard_decision(z / np.where(lost, 1.0, g_hat)[..., None], c)
     return np.where(lost, 1.0, np.mean(decisions != data, axis=-1))[()]

@@ -1,14 +1,17 @@
 """Monte-Carlo sweep engine: seeded paired trials, aggregation, CSV/JSON
 output, fixed-vs-float comparison, and the timing table.
 
-Trials run in fixed chunks of ``_TRIAL_CHUNK``; each chunk draws its
+Trials are drawn in fixed chunks of ``_TRIAL_CHUNK``; each chunk draws its
 blocks with one ``model.draw_blocks`` call keyed by (snr index, first trial
-of the chunk), so results are bit-identical for a given seed regardless of
-how chunks are distributed over workers. The chunk size is part of that
-stream layout. All methods in a sweep, and both arithmetics of a
-float-vs-fixed comparison, consume the same blocks (paired comparison), and
-the downlink evaluation draws each chunk's randoms once and evaluates every
-method's estimate on them in one call.
+of the chunk). The chunk size is part of that stream layout. Chunks are
+detected in packs: runs of consecutive chunks, in (snr, trial) order,
+holding at most ``_TRIAL_CHUNK`` trials, joined along the trial axis. Pack
+membership depends on the config alone and workers take whole packs, so
+results are bit-identical for a given seed regardless of the worker count.
+All methods in a sweep, and both arithmetics of a float-vs-fixed
+comparison, consume the same blocks (paired comparison), and the downlink
+evaluation draws each chunk's randoms once and evaluates every method's
+estimate on a pack's draws in one call.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from . import __version__
 from .baselines import (
     ML_JED_DEFAULT_BUDGET,
+    DownlinkDraws,
     downlink_ser,
     draw_downlink,
     ml_jed_exhaustive,
@@ -38,8 +42,8 @@ from .model import Constellation, LosGeometry, draw_blocks, snr_to_n0
 from .prox import PreprocessedMatrix, ProxParams, channel_estimate, preprocess, solve_stack
 
 WORKERS_ENV = "SIMOJED_WORKERS"
-# Fixed: it sets both the stream layout and the float reduction order, so
-# results do not depend on the worker count.
+# Fixed: it sets the stream layout, the float reduction order and the
+# largest detection stack, so results do not depend on the worker count.
 _TRIAL_CHUNK = 512
 
 METHOD_NAMES = ("prox", "aprox", "mrc-csir", "mrc-chest", "mrc-rt", "ml-jed")
@@ -232,15 +236,17 @@ def db_at_ser(curve: dict[float, float], target: float) -> float | None:
 def _detect(
     spec: MethodSpec,
     Y: np.ndarray,
+    G: np.ndarray,
     pre: PreprocessedMatrix | None,
     h_true: np.ndarray,
     c,
     arithmetic: str,
     ml_budget: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(s_hat, h_hat) of a chunk's stacked blocks from one method: the
-    solver in ``arithmetic``, on the chunk's preprocessed Gram matrices
-    ``pre``, or a baseline, in one stacked call."""
+    """(s_hat, h_hat) of a pack's stacked blocks from one method: the
+    solver in ``arithmetic``, on the pack's preprocessed Gram matrices
+    ``pre``, or a baseline, in one stacked call. ``G`` holds the Gram
+    matrices of ``Y``."""
     params = spec.solver_params
     if params is not None and arithmetic == "float":
         res = solve_stack(Y, pre, c, params, record_trace=False)
@@ -255,63 +261,77 @@ def _detect(
     elif spec.name == "mrc-rt":
         r = mrc_retrained(Y, c=c)
     else:
-        r = ml_jed_exhaustive(Y, c, budget=ml_budget)
+        r = ml_jed_exhaustive(Y, c, budget=ml_budget, G=G)
     return r.s_hat, r.h_hat
 
 
-def _run_chunk(
-    cfg: SweepConfig, arithmetics: tuple[str, ...], snr_index: int, trial_lo: int, trial_hi: int
-):
-    """Counts for trials [trial_lo, trial_hi) at one SNR point, each block
-    detected in every one of ``arithmetics``.
+def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple[int, int, int]]):
+    """Counts for a pack of chunks ``(snr_index, trial_lo, trial_hi)``, each
+    block detected in every one of ``arithmetics``.
 
-    The chunk is drawn as one stack keyed by ``(snr_index, trial_lo)`` and
-    every method runs once on it; a solver method's preprocessing is shared
-    by both arithmetics. The chunk's downlink randoms are drawn once from
-    its downlink Generator, and one ``downlink_ser`` call evaluates the
-    estimates of every method and arithmetic on them.
+    Each chunk is drawn as one stack keyed by ``(snr_index, trial_lo)``,
+    and its downlink randoms come from its own downlink Generator. The
+    chunks' arrays are joined along the trial axis and every method runs
+    once on the pack; a solver method's preprocessing is shared by both
+    arithmetics. One ``downlink_ser`` call, with each trial's noise
+    variance, evaluates the estimates of every method and arithmetic.
 
-    Returns per-(arithmetic, method) integer error counts and per-trial
+    Returns one ``(snr_index, trial_lo, counts, agree)`` per chunk:
+    per-(arithmetic, method) integer error counts and per-trial
     channel-MSE arrays (summed later in fixed order for worker-count
     independence), and how many hard decisions of the first solver method
     agree between float and fixed arithmetic (0 unless both run).
     """
     c = Constellation.by_name(cfg.constellation)
-    snr_db = cfg.snr_points_db[snr_index]
-    n0 = snr_to_n0(snr_db, c)
     n_dl = cfg.downlink_symbols or cfg.K
     los = cfg.los if cfg.channel == "los" else None
     solver = next((m for m in cfg.methods if m.solver_params is not None), None)
-    trials = trial_hi - trial_lo
-    Y, G, s_true, h_true, dl_rng = draw_blocks(
-        cfg.B, cfg.K, c, snr_db, cfg.master_seed, (snr_index, trial_lo), trials, los
-    )
+    parts = []
+    for snr_index, lo, hi in chunks:
+        snr_db = cfg.snr_points_db[snr_index]
+        Y, G, s, h, dl_rng = draw_blocks(
+            cfg.B, cfg.K, c, snr_db, cfg.master_seed, (snr_index, lo), hi - lo, los
+        )
+        n0 = np.full(hi - lo, snr_to_n0(snr_db, c))
+        parts.append((Y, G, s, h, n0, *draw_downlink(dl_rng, c, n_dl, hi - lo)))
+    Y, G, s_true, h_true, n0, *draws = (np.concatenate(a) for a in zip(*parts))
+    del parts
     detections = {}
     decisions = {}
     for spec in cfg.methods:
         params = spec.solver_params
         pre = None if params is None else preprocess(G, params)
         for arithmetic in arithmetics:
-            s_hat, h_hat = _detect(spec, Y, pre, h_true, c, arithmetic, cfg.ml_jed_budget)
+            s_hat, h_hat = _detect(spec, Y, G, pre, h_true, c, arithmetic, cfg.ml_jed_budget)
             if spec is solver:
                 decisions[arithmetic] = s_hat[:, 1:]
             detections[(arithmetic, spec.name)] = s_hat, h_hat
-    # One evaluation of every estimate: the chunk's draws broadcast over the
+    # One evaluation of every estimate: the pack's draws broadcast over the
     # leading (arithmetic, method) axis.
     h_hats = np.stack([h_hat for _, h_hat in detections.values()])
-    dl_ser = downlink_ser(h_true, h_hats, c, n0, draw_downlink(dl_rng, c, n_dl, trials))
-    counts = {
-        key: [
-            int(np.sum(s_hat[:, 1:] != s_true[:, 1:])),
-            int(np.sum(np.rint(ser * n_dl))),
+    dl_ser = downlink_ser(h_true, h_hats, c, n0, DownlinkDraws(*draws))
+    per_trial = {
+        key: (
+            np.sum(s_hat[:, 1:] != s_true[:, 1:], axis=1),
+            np.rint(ser * n_dl),
             np.sum(np.abs(h_hat - h_true) ** 2, axis=1) / cfg.B,
-        ]
+        )
         for (key, (s_hat, h_hat)), ser in zip(detections.items(), dl_ser)
     }
-    agree = 0
+    agree = np.zeros(len(Y), dtype=np.int64)
     if decisions.keys() == {"float", "fixed"}:
-        agree = int(np.sum(decisions["float"] == decisions["fixed"]))
-    return snr_index, trial_lo, counts, agree
+        agree = np.sum(decisions["float"] == decisions["fixed"], axis=1)
+    outputs = []
+    start = 0
+    for snr_index, lo, hi in chunks:
+        part = slice(start, start + hi - lo)
+        start = part.stop
+        counts = {
+            key: [int(np.sum(sym[part])), int(np.sum(dl[part])), mse[part]]
+            for key, (sym, dl, mse) in per_trial.items()
+        }
+        outputs.append((snr_index, lo, counts, int(np.sum(agree[part]))))
+    return outputs
 
 
 def _worker_count() -> int:
@@ -321,22 +341,37 @@ def _worker_count() -> int:
     return int(raw)
 
 
-def _sweep_chunks(cfg: SweepConfig, arithmetics: tuple[str, ...]) -> list:
-    """Every chunk of the paired sweep, in (snr, trial) order so that float
-    reductions are identical for any worker count."""
-    jobs = []
+def _sweep_packs(cfg: SweepConfig) -> list[list[tuple[int, int, int]]]:
+    """Every chunk ``(snr_index, trial_lo, trial_hi)`` of the sweep, in
+    (snr, trial) order, grouped greedily into packs of consecutive chunks
+    holding at most ``_TRIAL_CHUNK`` trials: a new pack starts when the
+    next chunk would overfill the current one. The packs depend on the
+    config alone."""
+    packs = []
+    size = _TRIAL_CHUNK
     for snr_index in range(len(cfg.snr_points_db)):
         for lo in range(0, cfg.trials, _TRIAL_CHUNK):
-            jobs.append((cfg, arithmetics, snr_index, lo, min(lo + _TRIAL_CHUNK, cfg.trials)))
+            hi = min(lo + _TRIAL_CHUNK, cfg.trials)
+            if size + hi - lo > _TRIAL_CHUNK:
+                packs.append([])
+                size = 0
+            packs[-1].append((snr_index, lo, hi))
+            size += hi - lo
+    return packs
 
+
+def _sweep_chunks(cfg: SweepConfig, arithmetics: tuple[str, ...]) -> list:
+    """The outputs of every chunk of the paired sweep, in (snr, trial)
+    order so that float reductions are identical for any worker count.
+    Workers take whole packs."""
+    jobs = [(cfg, arithmetics, pack) for pack in _sweep_packs(cfg)]
     workers = _worker_count()
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_run_chunk, *zip(*jobs), chunksize=1))
+            outputs = list(pool.map(_run_pack, *zip(*jobs), chunksize=1))
     else:
-        outputs = [_run_chunk(*j) for j in jobs]
-    outputs.sort(key=lambda o: (o[0], o[1]))
-    return outputs
+        outputs = [_run_pack(*j) for j in jobs]
+    return [chunk for pack in outputs for chunk in pack]
 
 
 def _sweep_result(cfg: SweepConfig, outputs: list, arithmetic: str) -> SweepResult:

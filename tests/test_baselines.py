@@ -15,6 +15,7 @@ from simojed.baselines import (
     mrc_retrained,
 )
 from simojed.errors import CapacityError, DegenerateInputError, DimensionError, ParameterError
+from simojed.linalg import gram
 from simojed.model import Constellation, ReceivedBlock
 
 from oracles import ml_jed_bruteforce
@@ -172,9 +173,10 @@ class TestMlJed:
         s_check=st.sampled_from([None, 1j, -1.0, 1.0 - 1.0j]),
         chunk=st.sampled_from([None, 1, 5, 64]),
         integer=st.booleans(),
+        given_gram=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_bruteforce(self, kind, B, K, T, s_check, chunk, integer, seed):
+    def test_matches_bruteforce(self, kind, B, K, T, s_check, chunk, integer, given_gram, seed):
         # Integer entries and points of 1 +- 1j or +-1 keep every score
         # exact in both forms, so the many exact ties they make must go to
         # the same (first) candidate, also across chunk boundaries when the
@@ -190,7 +192,8 @@ class TestMlJed:
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
                 mp.setattr(baselines, "_ENUM_CHUNK", chunk)
-            s_hat = ml_jed_exhaustive(Y, c, s_check).s_hat
+            G = gram(Y) if given_gram else None
+            s_hat = ml_jed_exhaustive(Y, c, s_check, G=G).s_hat
         ref = c.points[0] if s_check is None else s_check
         blocks = Y.reshape(-1, B, K + 1)
         expected = [ml_jed_bruteforce(Yt, c.points, ref) for Yt in blocks]
@@ -208,6 +211,17 @@ class TestMlJed:
     def test_bad_input_rejected(self, Y, error):
         with pytest.raises(error):
             ml_jed_exhaustive(Y, Constellation.bpsk())
+
+    def test_given_gram_taken_as_given(self, monkeypatch):
+        # A Gram stack passed in is scored as it is, without recomputing
+        # it from Y; the channel estimate still comes from Y.
+        c = Constellation.bpsk()
+        Y, G, *_ = model.draw_blocks(8, 5, c, -4.0, 12001, (), 4)
+        other, G_other, *_ = model.draw_blocks(8, 5, c, -4.0, 12002, (), 4)
+        monkeypatch.setattr(baselines, "gram", None)
+        res = ml_jed_exhaustive(Y, c, G=G_other)
+        assert np.array_equal(res.s_hat, [ml_jed_bruteforce(Yt, c.points, c.points[0]) for Yt in other])
+        assert np.array_equal(res.h_hat, prox.channel_estimate(Y, res.s_hat))
 
     def test_oracle_dominance(self):
         c = Constellation.bpsk()
@@ -255,6 +269,48 @@ class TestDownlink:
         with pytest.raises(DegenerateInputError):
             c = Constellation.qpsk()
             downlink_ser(np.ones(4, dtype=complex), np.zeros(4), c, 0.1, draw_downlink(rng, c, 10))
+
+    @pytest.mark.parametrize(
+        "n0",
+        [-1.0, np.nan, np.inf, [0.1, -0.1, 0.1], [0.1, np.nan, 0.1]],
+        ids=["negative", "nan", "inf", "negative-entry", "nan-entry"],
+    )
+    def test_bad_noise_variance_rejected(self, n0):
+        # A negative or non-finite variance once gave error rates (here
+        # 0.75, 0.875 and 0.9375) instead of an error.
+        rng = np.random.default_rng(18)
+        c = Constellation.qpsk()
+        h = model.gen_rayleigh_channel(8, rng, 3)
+        with pytest.raises(ParameterError, match="noise variance"):
+            downlink_ser(h, h, c, n0, draw_downlink(rng, c, 16, 3))
+
+    @pytest.mark.parametrize("T, n0", [(3, [0.1, 0.2]), (3, [[0.1, 0.2, 0.3]]), (None, [0.1])])
+    def test_noise_variance_must_match_the_trial_axis(self, T, n0):
+        rng = np.random.default_rng(19)
+        c = Constellation.qpsk()
+        h = model.gen_rayleigh_channel(8, rng, T)
+        with pytest.raises(ParameterError, match="noise variances of shape"):
+            downlink_ser(h, h, c, n0, draw_downlink(rng, c, 16, T))
+
+    def test_per_trial_noise_variance_matches_scalar_calls(self):
+        # One noise variance per trial gives each trial the rate of a
+        # scalar call on that trial alone, with estimates stacked over a
+        # leading method axis too.
+        rng = np.random.default_rng(20)
+        c = Constellation.qpsk()
+        T = 6
+        h = model.gen_rayleigh_channel(8, rng, T)
+        h_hats = h + 0.6 * model.gen_rayleigh_channel(8, rng, T)
+        h_hats = np.stack([h_hats, h_hats.conj(), h])
+        n0 = np.array([0.0, 0.05, 0.3, 1.0, 2.5, 10.0])
+        draws = draw_downlink(rng, c, 40, T)
+        ser = downlink_ser(h, h_hats, c, n0, draws)
+        assert ser.shape == (3, T)
+        assert len(np.unique(ser[0])) > 2
+        for t in range(T):
+            one = DownlinkDraws(*(part[t] for part in draws))
+            for m in range(3):
+                assert ser[m, t] == downlink_ser(h[t], h_hats[m, t], c, n0[t], one)
 
     def test_solver_beam_beats_pilot_beam(self):
         c = Constellation.qpsk()

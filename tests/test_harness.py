@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -121,6 +122,14 @@ class TestRunSweep:
         )
         self._check_worker_independent(cfg, monkeypatch)
 
+    def test_worker_count_does_not_change_multi_pack_result(self, monkeypatch):
+        # 200 trials at each of six SNR points: three packs of two chunks,
+        # each pack spanning two SNR points.
+        cfg = small_config(trials=200, snr_points_db=(-8.0, -6.0, -4.0, -2.0, 0.0, 2.0))
+        packs = harness._sweep_packs(cfg)
+        assert [[chunk[0] for chunk in pack] for pack in packs] == [[0, 1], [2, 3], [4, 5]]
+        self._check_worker_independent(cfg, monkeypatch)
+
     @staticmethod
     def _check_worker_independent(cfg, monkeypatch):
         monkeypatch.setenv(harness.WORKERS_ENV, "1")
@@ -159,36 +168,108 @@ class TestRunSweep:
         res = run_sweep(cfg)
         assert set(res.methods()) == {"prox", "aprox", "mrc-csir", "mrc-chest", "mrc-rt", "ml-jed"}
 
-    def test_one_downlink_call_per_chunk(self, monkeypatch):
-        # Every estimate of a chunk, per arithmetic and method, is
-        # evaluated in one stacked call; evaluating them one by one on the
-        # same draws gives byte-identical CSVs.
+    def test_one_downlink_call_per_pack(self, monkeypatch):
+        # Every estimate of a pack, per arithmetic and method, is evaluated
+        # in one stacked call; evaluating them one by one on the same draws
+        # gives byte-identical CSVs. 520 trials per point make packs of one
+        # chunk each; three 60-trial points share one pack.
+        gains = ProxParams(rho_log2=1)
+        methods = tuple(
+            MethodSpec(name, gains if name in ("prox", "aprox") else None)
+            for name in harness.METHOD_NAMES
+        )
+        long = small_config(constellation="qpsk", trials=520, methods=methods)
+        short = replace(long, trials=60, snr_points_db=(-8.0, -6.0, -4.0))
+        stacked = harness.downlink_ser
+        for cfg, sizes in ((long, (512, 8, 512, 8)), (short, (180,))):
+            sweep = run_sweep(cfg).to_csv()
+            report = hw_compare(cfg)
+            shapes = []
+
+            def one_by_one(h, h_hat, c, n0, draws):
+                shapes.append(h_hat.shape)
+                return np.stack([stacked(h, one, c, n0, draws) for one in h_hat])
+
+            with monkeypatch.context() as mp:
+                mp.setattr(harness, "downlink_ser", one_by_one)
+                assert run_sweep(cfg).to_csv() == sweep
+                assert shapes == [(6, T, cfg.B) for T in sizes]
+                shapes.clear()
+                again = hw_compare(cfg)
+            assert again.float_result.to_csv() == report.float_result.to_csv()
+            assert again.fixed_result.to_csv() == report.fixed_result.to_csv()
+            assert shapes == [(12, T, cfg.B) for T in sizes]
+
+    @pytest.mark.parametrize(
+        "trials, n_snr",
+        [(1, 1), (60, 2), (200, 5), (170, 7), (256, 3), (511, 3), (512, 2), (513, 2), (1100, 3)],
+    )
+    def test_pack_layout(self, trials, n_snr, monkeypatch):
+        # Every 512-trial chunk lands in exactly one pack, in (snr, trial)
+        # order; a pack holds at most 512 trials and closes only when the
+        # next chunk would overfill it; the layout ignores the worker count.
+        cfg = small_config(trials=trials, snr_points_db=tuple(float(s) for s in range(n_snr)))
+        layouts = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv(harness.WORKERS_ENV, workers)
+            layouts.append(harness._sweep_packs(cfg))
+        packs = layouts[0]
+        assert layouts[1] == packs
+        chunk = harness._TRIAL_CHUNK
+        assert [c for pack in packs for c in pack] == [
+            (snr, lo, min(lo + chunk, trials)) for snr in range(n_snr) for lo in range(0, trials, chunk)
+        ]
+        sizes = [sum(hi - lo for _, lo, hi in pack) for pack in packs]
+        assert all(0 < size <= chunk for size in sizes)
+        for size, following in zip(sizes, packs[1:]):
+            _, lo, hi = following[0]
+            assert size + hi - lo > chunk
+
+    @pytest.mark.parametrize(
+        "kind, digests",
+        [
+            (
+                "qpsk",
+                (
+                    "5ca56c36132bfe6a437d398fb62b750c83b4d758efa61b3533aa35922756ff75",
+                    "9c3c67124109ec2bdd25d04a2dfddfb814a728a5c39eef9a6640d5b98fa97627",
+                    0.9525,
+                ),
+            ),
+            (
+                "bpsk",
+                (
+                    "89a42787476d811e461143604d45a9fd387254e7c1feac545f068111a95eaed0",
+                    "f95cd0f5452a7f98cbb7e0764c6a838081f30ee8d5ead37c139588f4425a6245",
+                    0.99,
+                ),
+            ),
+        ],
+    )
+    def test_sweep_output_pinned(self, kind, digests):
+        # SHA-256 of the CSVs as one detection stack per chunk wrote them:
+        # all six methods, six SNR points of 100 trials, so packs of five
+        # and one points. The run_sweep CSV equals hw_compare's float CSV.
         gains = ProxParams(rho_log2=1)
         cfg = small_config(
-            constellation="qpsk",
-            trials=520,
+            K=4 if kind == "qpsk" else 6,
+            constellation=kind,
+            snr_points_db=tuple(float(s) for s in range(-8, 3, 2)),
+            trials=100,
             methods=tuple(
                 MethodSpec(name, gains if name in ("prox", "aprox") else None)
                 for name in harness.METHOD_NAMES
             ),
         )
-        sweep = run_sweep(cfg).to_csv()
+        float_digest, fixed_digest, agreement = digests
         report = hw_compare(cfg)
-        shapes = []
-        stacked = harness.downlink_ser
-
-        def one_by_one(h, h_hat, c, n0, draws):
-            shapes.append(h_hat.shape)
-            return np.stack([stacked(h, one, c, n0, draws) for one in h_hat])
-
-        monkeypatch.setattr(harness, "downlink_ser", one_by_one)
-        assert run_sweep(cfg).to_csv() == sweep
-        assert shapes == [(6, T, cfg.B) for T in (512, 8, 512, 8)]
-        shapes.clear()
-        again = hw_compare(cfg)
-        assert again.float_result.to_csv() == report.float_result.to_csv()
-        assert again.fixed_result.to_csv() == report.fixed_result.to_csv()
-        assert shapes == [(12, T, cfg.B) for T in (512, 8, 512, 8)]
+        texts = (run_sweep(cfg).to_csv(), report.float_result.to_csv(), report.fixed_result.to_csv())
+        assert [hashlib.sha256(t.encode()).hexdigest() for t in texts] == [
+            float_digest,
+            float_digest,
+            fixed_digest,
+        ]
+        assert report.agreement_rate == agreement
 
     @pytest.mark.parametrize("kind", ["qpsk", "bpsk"])
     def test_chunk_counts_follow_the_stream_layout(self, kind):
@@ -203,7 +284,7 @@ class TestRunSweep:
             methods=(MethodSpec("prox"), MethodSpec("mrc-csir"), MethodSpec("mrc-chest")),
         )
         snr_index, lo, trials = 1, 3, 40
-        _, _, counts, _ = harness._run_chunk(cfg, ("float",), snr_index, lo, lo + trials)
+        [(_, _, counts, _)] = harness._run_pack(cfg, ("float",), [(snr_index, lo, lo + trials)])
         c = Constellation.by_name(kind)
         n0 = snr_to_n0(cfg.snr_points_db[snr_index], c)
         streams = np.random.SeedSequence(cfg.master_seed, spawn_key=(snr_index, lo)).spawn(4)
@@ -233,6 +314,27 @@ class TestRunSweep:
                 expected[name][1] += round(ser * 7)
         for name, (uplink, downlink) in expected.items():
             assert counts[("float", name)][:2] == [uplink, downlink]
+
+    def test_pack_returns_each_chunks_counts(self):
+        # Detecting two chunks as one pack gives each chunk exactly the
+        # counts, channel MSEs and agreement it gets as a pack of its own.
+        cfg = small_config(
+            K=3,
+            methods=tuple(
+                MethodSpec(name, ProxParams(rho_log2=1) if name in ("prox", "aprox") else None)
+                for name in harness.METHOD_NAMES
+            ),
+        )
+        chunks = [(0, 0, 25), (1, 3, 43)]
+        packed = harness._run_pack(cfg, ("float", "fixed"), chunks)
+        alone = [harness._run_pack(cfg, ("float", "fixed"), [chunk])[0] for chunk in chunks]
+        assert len(packed) == 2
+        for (snr, lo, counts, agree), (snr1, lo1, counts1, agree1) in zip(packed, alone):
+            assert (snr, lo, agree) == (snr1, lo1, agree1)
+            assert counts.keys() == counts1.keys()
+            for key, (sym, dl, mse) in counts.items():
+                assert [sym, dl] == counts1[key][:2]
+                assert np.array_equal(mse, counts1[key][2])
 
     @pytest.mark.parametrize("T", [1, 6])
     def test_first_trial_of_a_chunk_equals_draw_block(self, T):
