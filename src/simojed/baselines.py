@@ -85,23 +85,19 @@ def mrc_retrained(
     return DetectionResult(s_hat=first.s_hat, h_hat=h_rt, method="mrc-rt")
 
 
-def _candidate_chunk(
-    c: Constellation, K: int, s_check: complex, start: int, stop: int
-) -> np.ndarray:
-    """Candidate symbol vectors for enumeration indices [start, stop), one
-    column each (one row per slot).
+def _enumerate_slots(c: Constellation, K: int, start: int, cands: np.ndarray, slots) -> None:
+    """Write ``slots`` (of 1..K) of the candidate symbol vectors with
+    enumeration indices start, start+1, ... into the columns of ``cands``
+    (one row per slot).
 
-    Index digits are read most-significant-first into slots 2..K+1, so
+    Index digits are read most-significant-first into slots 1..K, so
     ascending indices enumerate candidates in lexicographic order over the
     canonical point ordering.
     """
     m = len(c.points)
-    idx = np.arange(start, stop, dtype=np.int64)
-    cands = np.empty((K + 1, stop - start), dtype=np.complex128)
-    cands[0] = s_check
-    for j in range(K):
-        np.take(c.points, (idx // m ** (K - 1 - j)) % m, out=cands[1 + j])
-    return cands
+    idx = np.arange(start, start + cands.shape[1], dtype=np.int64)
+    for k in slots:
+        np.take(c.points, (idx // m ** (K - k)) % m, out=cands[k])
 
 
 def ml_jed_exhaustive(
@@ -140,19 +136,35 @@ def ml_jed_exhaustive(
     # Re(G_ij p) = Re G_ij Re p - Im G_ij Im p, as one real product.
     upper = upper.real.copy() if real else np.concatenate([upper.real, -upper.imag], axis=1)
     row_start = np.concatenate([[0], np.cumsum(np.arange(K, 0, -1))])
+    # The last `low` digits of the enumeration index cycle with a period
+    # that divides the chunk size, so their candidate rows, and the pair
+    # rows among them (the tail of the slot-major pair order), are the same
+    # in every chunk and are built once; only slots 1..fixed-1 change.
+    low = 0
+    while low < K and _ENUM_CHUNK % m ** (low + 1) == 0:
+        low += 1
+    fixed = K + 1 - low
+    cands = np.empty((K + 1, min(_ENUM_CHUNK, total)), dtype=np.complex128)
+    cands[0] = s_check
+    _enumerate_slots(c, K, 0, cands, range(fixed, K + 1))
+    x = cands.real if real else cands
+    pairs = np.empty((len(iu), cands.shape[1]), dtype=x.dtype)
+
+    def pair_rows(slots, n):
+        for i in slots:
+            rows = pairs[row_start[i] : row_start[i + 1], :n]
+            np.multiply(x[i, :n].conj(), x[i + 1 :, :n], out=rows)
+
+    pair_rows(range(fixed, K), cands.shape[1])
     trials = np.arange(len(upper))
     best_val = np.full(len(upper), -np.inf)
     best_vec = np.empty((len(upper), K + 1), dtype=np.complex128)
     for start in range(0, total, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, total)
-        cands = _candidate_chunk(c, K, s_check, start, stop)
-        x = cands.real if real else cands
-        pairs = np.empty((len(iu), stop - start), dtype=x.dtype)
-        for i in range(K):
-            np.multiply(x[i].conj(), x[i + 1 :], out=pairs[row_start[i] : row_start[i + 1]])
-        if not real:
-            pairs = np.concatenate([pairs.real, pairs.imag])
-        vals = upper @ pairs
+        n = min(_ENUM_CHUNK, total - start)
+        _enumerate_slots(c, K, start, cands[:, :n], range(1, fixed))
+        pair_rows(range(min(fixed, K)), n)
+        chunk = pairs[:, :n] if real else np.concatenate([pairs[:, :n].real, pairs[:, :n].imag])
+        vals = upper @ chunk
         local = np.argmax(vals, axis=1)
         top = vals[trials, local]
         better = top > best_val

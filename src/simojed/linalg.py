@@ -17,7 +17,20 @@ def _require_square(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"need a square matrix or a stack of them, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ParameterError("matrix has a non-finite entry")
     return A
+
+
+def _require_shift(alpha, zero_ok: bool = False) -> np.ndarray:
+    """Shift factors as float64; each must be finite and positive, or zero
+    where ``zero_ok``."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    ok = ((alpha >= 0.0) if zero_ok else (alpha > 0.0)) & (alpha < np.inf)
+    if not np.all(ok):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ParameterError(f"shift factor must be finite and {sign}, got {alpha[~ok][0]}")
+    return alpha
 
 
 def _hermitian_part(A: np.ndarray) -> np.ndarray:
@@ -50,8 +63,6 @@ def spectral_norm(A: np.ndarray) -> np.ndarray | float:
     rejected.
     """
     A = _require_square(A)
-    if not np.all(np.isfinite(A)):
-        raise ParameterError("matrix has a non-finite entry")
     return np.maximum(np.linalg.eigvalsh(A)[..., -1], 0.0)
 
 
@@ -62,10 +73,11 @@ def invert_shifted(G: np.ndarray, alpha) -> np.ndarray:
     The shifted matrix is Hermitian positive definite exactly when alpha
     exceeds the largest eigenvalue of G, so a failed Cholesky factorization
     is reported as a parameter error. The inverse is L^-H L^-1 from the
-    factor L, symmetrized exactly. A zero alpha takes G as zero.
+    factor L, symmetrized exactly. A zero alpha takes G as zero; a negative
+    or non-finite alpha, or a non-finite G, is a parameter error.
     """
     G = _require_square(G)
-    alpha = np.asarray(alpha, dtype=np.float64)[..., None, None]
+    alpha = _require_shift(alpha, zero_ok=True)[..., None, None]
     shifted = _hermitian_part(np.eye(G.shape[-1]) - G / np.where(alpha == 0, np.inf, alpha))
     try:
         L = np.linalg.cholesky(shifted)
@@ -83,11 +95,10 @@ def invert_shifted(G: np.ndarray, alpha) -> np.ndarray:
 
 def neumann_two_term(G: np.ndarray, alpha) -> np.ndarray:
     """Two-term series approximation of the shifted inverse: I + G/alpha,
-    with ``alpha`` a scalar or one value per matrix of a stack."""
+    with ``alpha`` a scalar or one value per matrix of a stack; it must be
+    finite and positive, and G finite."""
     G = _require_square(G)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if np.any(alpha <= 0):
-        raise ParameterError("alpha must be positive")
+    alpha = _require_shift(alpha)
     return np.eye(G.shape[-1], dtype=np.complex128) + G / alpha[..., None, None]
 
 
@@ -96,9 +107,10 @@ def neumann_error_bound(G: np.ndarray, alpha) -> np.ndarray | float:
     a scalar or one value per matrix of a stack: a float for one matrix, an
     array of one bound per matrix for a stack.
 
-    With r = |G|/alpha < 1 the dropped tail is bounded by r^2 / (1 - r).
+    With r = |G|/alpha < 1 the dropped tail is bounded by r^2 / (1 - r);
+    alpha must be finite and positive.
     """
-    r = spectral_norm(G) / np.asarray(alpha, dtype=np.float64)
+    r = spectral_norm(G) / _require_shift(alpha)
     if np.any(r >= 1.0):
         raise ParameterError(f"bound undefined: |G|/alpha = {np.max(r)} >= 1")
     return (r * r / (1.0 - r))[()]

@@ -3,15 +3,18 @@ onto the constellation hull.
 
 The solver runs on the Gram matrix of the received block. Preprocessing
 builds the scaled iteration matrix either from the exact shifted inverse or
-from its cheap two-term series approximation; each iteration is one
-matrix-vector product, a scaled clip onto the hull, and a pilot-slot
-overwrite. Per-iteration diagnostics (objective value, gradient residual,
-distance to the hull boundary) support the convergence test suites.
+from its cheap two-term series approximation; each iteration
+(``iterate_once``) is one matrix-vector product, a scaled clip onto the
+hull, and a pilot-slot overwrite. ``iterate`` is the one iteration loop.
+When it records a trace it keeps every iterate and, after the last step,
+computes the diagnostics of all steps (objective value, gradient residual,
+distance to the hull boundary) in one pass over the stacked iterates; they
+support the convergence test suites.
 
 Every step takes one block's arrays or a stack of them with a leading trial
 axis (``Y`` of shape (T, B, N), ``G`` of shape (T, N, N), iterates of shape
 (T, N)); the trials of a stack are solved independently. ``solve_stack`` is
-the one detection loop, and ``solve`` runs it on a single block.
+the one detection pass, and ``solve`` runs it on a single block.
 """
 
 from __future__ import annotations
@@ -163,10 +166,10 @@ def _clip_to_hull(v: np.ndarray, c: Constellation) -> np.ndarray:
     return re + 1j * np.clip(v.imag, -c.im_bound, c.im_bound)
 
 
-def _boundary_gap(s: np.ndarray, c: Constellation) -> float | np.ndarray:
+def _boundary_gap(s: np.ndarray, c: Constellation) -> np.ndarray:
     """Distance of the entry closest to the hull boundary, pilot excluded."""
     if s.shape[-1] < 2:
-        return np.zeros(s.shape[:-1])[()]
+        return np.zeros(s.shape[:-1])
     body = s[..., 1:]
     if c.im_bound == 0.0:
         gaps = c.re_bound - np.abs(body.real)
@@ -181,22 +184,46 @@ def iterate_once(
     c: Constellation,
     params: ProxParams,
     s_check: complex,
-    record_trace: bool = True,
 ) -> SolverState:
     """One solver step: matrix-vector product, scaled hull clip, pilot pin."""
-    s_prev = state.s_cur
-    q_tilde = _matvec(pre.Ghat, s_prev)
+    q_tilde = _matvec(pre.Ghat, state.s_cur)
     s_new = _clip_to_hull(params.rho * q_tilde, c)
     s_new[..., 0] = s_check
     q = np.asarray(pre.gamma)[..., None] * q_tilde
-    trace = state.trace
+    return SolverState(s_cur=s_new, q_cur=q, iter=state.iter + 1)
+
+
+def iterate(
+    pre: PreprocessedMatrix,
+    c: Constellation,
+    params: ProxParams,
+    s_check: complex,
+    record_trace: bool = True,
+) -> SolverState:
+    """``params.t_max`` solver steps from the matched-filter start.
+
+    With ``record_trace`` the iterates are kept, and after the last step the
+    diagnostics of every step are computed in one pass over them: the trace
+    holds one ``IterationRecord`` per step. The objective is NaN for trials
+    whose reconstructed weight beta is outside (0, alpha)."""
+    state = SolverState(s_cur=init_s(pre.G, s_check), q_cur=np.zeros_like(pre.G[..., 0]))
     if record_trace:
+        s_all = np.empty((params.t_max + 1,) + state.s_cur.shape, dtype=np.complex128)
+        q_all = np.empty_like(s_all[1:])
+        s_all[0] = state.s_cur
+    for t in range(params.t_max):
+        state = iterate_once(state, pre, c, params, s_check)
+        if record_trace:
+            s_all[t + 1], q_all[t] = state.s_cur, state.q_cur
+    if record_trace:
+        s_prev, s_new = s_all[:-1], s_all[1:]
         grad_residual = pre.alpha * np.linalg.norm(s_prev - s_new, axis=-1)
         beta = pre.beta(params.rho)
         valid = (0.0 < beta) & (beta < pre.alpha)
-        obj = np.where(valid, objective(q, s_new, pre.G, pre.alpha, beta), np.nan)[()]
-        trace = trace + [IterationRecord(obj, grad_residual, _boundary_gap(s_new, c))]
-    return SolverState(s_cur=s_new, q_cur=q, iter=state.iter + 1, trace=trace)
+        obj = np.where(valid, objective(q_all, s_new, pre.G, pre.alpha, beta), np.nan)
+        gap = _boundary_gap(s_new, c)
+        state.trace = [IterationRecord(*rec) for rec in zip(obj, grad_residual, gap)]
+    return state
 
 
 def hard_decision(s: np.ndarray, c: Constellation) -> np.ndarray:
@@ -254,9 +281,7 @@ def solve_stack(
     ``preprocess(G, params)`` result, which is then used as given."""
     s_check = c.points[0] if s_check is None else s_check
     pre = G if isinstance(G, PreprocessedMatrix) else preprocess(G, params)
-    state = SolverState(s_cur=init_s(pre.G, s_check), q_cur=np.zeros_like(pre.G[..., 0]))
-    for _ in range(params.t_max):
-        state = iterate_once(state, pre, c, params, s_check, record_trace=record_trace)
+    state = iterate(pre, c, params, s_check, record_trace)
     s_hat = hard_decision(state.s_cur, c)
     s_hat[..., 0] = s_check
     return SolveResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat), state=state)

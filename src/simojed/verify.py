@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ParameterError
 from .linalg import gram, invert_shifted, neumann_error_bound, neumann_two_term, spectral_norm
 from .model import Constellation, draw_block
-from .prox import PreprocessedMatrix, ProxParams, SolverState, init_s, iterate_once, preprocess
+from .prox import PreprocessedMatrix, ProxParams, init_s, iterate, preprocess
 
 # Float slack for the non-increase check: a true descent violation is O(1),
 # rounding noise is ~1e-13 at these problem scales.
@@ -122,9 +122,7 @@ def _descent_rows(pre: PreprocessedMatrix, c: Constellation, K: int, params: Pro
     objective never increased, the final residual and its threshold,
     whether it converged to a nonzero iterate, its final boundary gap and
     its per-entry boundary fraction."""
-    state = SolverState(s_cur=init_s(pre.G, c.points[0]), q_cur=None)
-    for _ in range(params.t_max):
-        state = iterate_once(state, pre, c, params, c.points[0])
+    state = iterate(pre, c, params, c.points[0])
     objs = np.array([r.objective for r in state.trace])  # (t_max, T)
     prev, nxt = objs[:-1], objs[1:]
     slack = _DESCENT_SLACK * np.maximum(1.0, np.abs(prev))
@@ -271,8 +269,7 @@ def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
         G = np.stack([instances[i][0].G for i in idx])
         pre = preprocess(G, params)
         s_prev = init_s(G, c.points[0])
-        state = SolverState(s_cur=s_prev, q_cur=None)
-        state = iterate_once(state, pre, c, params, c.points[0], record_trace=False)
+        state = iterate(pre, c, params, c.points[0], record_trace=False)
         q, s_new = state.q_cur, state.s_cur
         alpha = pre.alpha[:, None]
         lhs = -(G @ q[..., None])[..., 0] + alpha * (q - s_new)

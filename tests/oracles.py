@@ -88,6 +88,35 @@ def prox_iteration_scalar(Ghat, s_prev, rho, re_bound, im_bound, s_check):
     return q, s_new
 
 
+def step_diagnostics(s_prev, s_new, q, G, alpha, beta, re_bound, im_bound):
+    """Diagnostics of one solver step from that step's arrays alone, with
+    any leading trial axis: (objective, gradient residual, boundary gap).
+
+    These are the per-iteration formulas, evaluated one step at a time with
+    the same numpy reductions, so a solver that evaluates all steps in one
+    pass must match them bit for bit. The objective
+    -|Yq|^2/2 + alpha|q-s|^2/2 - beta|s|^2/2 (|Yq|^2 from G) is NaN where
+    beta is outside (0, alpha); the gap is that of the non-pilot entry
+    closest to the hull boundary, zero without one.
+    """
+    grad_residual = alpha * np.linalg.norm(s_prev - s_new, axis=-1)
+    Gq = (G @ q[..., None])[..., 0]
+    value = (
+        -0.5 * np.sum((q.conj() * Gq).real, axis=-1)
+        + 0.5 * alpha * np.linalg.norm(q - s_new, axis=-1) ** 2
+        - 0.5 * beta * np.linalg.norm(s_new, axis=-1) ** 2
+    )
+    objective = np.where((0.0 < beta) & (beta < alpha), value, np.nan)
+    body = s_new[..., 1:]
+    if body.shape[-1] == 0:
+        gap = np.zeros(s_new.shape[:-1])
+    elif im_bound == 0.0:
+        gap = np.min(re_bound - np.abs(body.real), axis=-1)
+    else:
+        gap = np.min(re_bound - np.maximum(np.abs(body.real), np.abs(body.imag)), axis=-1)
+    return objective, grad_residual, gap
+
+
 # ---------------------------------------------------------------------------
 # Arbitrary-precision integer model of the fixed-point datapath
 # ---------------------------------------------------------------------------

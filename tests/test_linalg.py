@@ -171,6 +171,50 @@ class TestInvertShifted:
             linalg.invert_shifted(G, alpha)
 
 
+def _with_nan(n=3):
+    G = np.eye(n, dtype=complex)
+    G[0, 1] = np.nan
+    return G
+
+
+# Each of these once returned a matrix or a number without complaint.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: linalg.invert_shifted(np.eye(3), -1.0),
+        lambda: linalg.invert_shifted(np.eye(3), np.inf),
+        lambda: linalg.invert_shifted(np.eye(3), np.nan),
+        lambda: linalg.invert_shifted(np.stack([np.eye(3)] * 2), np.array([2.0, -2.0])),
+        lambda: linalg.invert_shifted(_with_nan(), 2.0),
+        lambda: linalg.neumann_two_term(_with_nan(), 2.0),
+        lambda: linalg.neumann_two_term(np.eye(3), np.nan),
+        lambda: linalg.neumann_two_term(np.eye(3), np.inf),
+        lambda: linalg.neumann_error_bound(np.eye(3), -2.0),
+        lambda: linalg.neumann_error_bound(np.eye(3), np.nan),
+    ],
+    ids=[
+        "invert-negative-shift",
+        "invert-inf-shift",
+        "invert-nan-shift",
+        "invert-negative-shift-in-stack",
+        "invert-nan-matrix",
+        "neumann-nan-matrix",
+        "neumann-nan-shift",
+        "neumann-inf-shift",
+        "bound-negative-shift",
+        "bound-nan-shift",
+    ],
+)
+def test_bad_shift_or_matrix_raises(call):
+    with pytest.raises(ParameterError, match="non-finite|finite and"):
+        call()
+
+
+def test_zero_shift_takes_the_matrix_as_zero():
+    G = np.diag([1.0, 2.0]).astype(complex)
+    assert np.array_equal(linalg.invert_shifted(G, 0.0), np.eye(2))
+
+
 class TestNeumann:
     def test_zero_matrix(self):
         assert np.array_equal(linalg.neumann_two_term(np.zeros((3, 3)), 4.0), np.eye(3))

@@ -15,13 +15,14 @@ from simojed.prox import (
     channel_estimate,
     hard_decision,
     init_s,
+    iterate,
     iterate_once,
     preprocess,
     solve,
     solve_stack,
 )
 
-from oracles import prox_iteration_scalar
+from oracles import prox_iteration_scalar, step_diagnostics
 
 
 def make_noisy_block(seed, B=8, K=6, kind="qpsk", snr_db=8.0):
@@ -305,6 +306,73 @@ class TestSolveStack:
         G[0, 2] = np.nan
         with pytest.raises(ParameterError, match="non-finite"):
             solve(model.ReceivedBlock(Y=block.Y, G=G), c, ProxParams())
+
+
+class TestTrace:
+    @settings(max_examples=60)
+    @given(
+        T=st.one_of(st.none(), st.integers(1, 20)),
+        N=st.integers(2, 17),
+        kind=st.sampled_from(["bpsk", "qpsk"]),
+        mode=st.sampled_from(["exact", "approx"]),
+        alpha_scale=st.floats(1.05, 4.0),
+        rho_log2=st.integers(0, 6),
+        t_max=st.integers(1, 40),
+        snr_db=st.floats(-10.0, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trace_equals_per_step_reference(
+        self, T, N, kind, mode, alpha_scale, rho_log2, t_max, snr_db, seed
+    ):
+        # rho_log2 = 0 puts beta at or below zero on every block, so both
+        # the masked and the evaluated objective are covered.
+        c = Constellation.by_name(kind)
+        if T is None:
+            G = model.draw_block(8, N - 1, c, snr_db, seed, ())[0].G
+        else:
+            G = model.draw_blocks(8, N - 1, c, snr_db, seed, (), T)[1]
+        params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max, mode=mode)
+        pre = preprocess(G, params)
+        beta = pre.beta(params.rho)
+        traced = iterate(pre, c, params, c.points[0])
+        assert len(traced.trace) == t_max
+        state = SolverState(s_cur=init_s(G, c.points[0]), q_cur=None)
+        for rec in traced.trace:
+            s_prev = state.s_cur
+            state = iterate_once(state, pre, c, params, c.points[0])
+            want = step_diagnostics(
+                s_prev, state.s_cur, state.q_cur, G, pre.alpha, beta, c.re_bound, c.im_bound
+            )
+            for got in (rec.objective, rec.grad_residual, rec.boundary_gap):
+                assert isinstance(got, np.ndarray) == (T is not None)
+            got = (rec.objective, rec.grad_residual, rec.boundary_gap)
+            for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(w)
+                assert np.array_equal(g, w, equal_nan=True)
+        bare = iterate(pre, c, params, c.points[0], record_trace=False)
+        assert bare.trace == []
+        for final in (traced, bare):
+            assert np.array_equal(final.s_cur, state.s_cur)
+            assert np.array_equal(final.q_cur, state.q_cur)
+            assert final.iter == t_max
+
+    @pytest.mark.parametrize("T", [None, 9])
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
+    def test_untraced_solve_gives_the_same_result(self, T, kind):
+        c = Constellation.by_name(kind)
+        if T is None:
+            block = model.draw_block(8, 6, c, 0.0, 21, ())[0]
+            Y, G = block.Y, block.G
+        else:
+            Y, G = model.draw_blocks(8, 6, c, 0.0, 21, (), T)[:2]
+        params = ProxParams(t_max=12)
+        traced = solve_stack(Y, G, c, params)
+        bare = solve_stack(Y, G, c, params, record_trace=False)
+        assert len(traced.state.trace) == 12 and bare.state.trace == []
+        for name in ("s_hat", "h_hat"):
+            assert np.array_equal(getattr(bare, name), getattr(traced, name))
+        for name in ("s_cur", "q_cur", "iter"):
+            assert np.array_equal(getattr(bare.state, name), getattr(traced.state, name))
 
 
 class TestDiagnostics:

@@ -28,11 +28,30 @@ PINNED_LINES = {
 }
 
 
+# Full-precision worst margins (descent, boundary, series bound, gradient
+# identity) and mean boundary fraction, recorded while each step's
+# diagnostics were still computed inside the iteration loop.
+PINNED_MARGINS = {
+    424242: (
+        ["3.65536791946397e-08", "1e-06", "8.333295165030563e-11", "3.137702886859465e-09"],
+        "1.0",
+    ),
+    1: (
+        ["4.509248441308955e-08", "1e-06", "8.333304879482029e-11", "2.72161517924882e-09"],
+        "1.0",
+    ),
+}
+
+
 @pytest.mark.parametrize("seed", sorted(PINNED_LINES))
 def test_report_pinned(seed):
     report = verify_theorems(seed, 100)
     assert report.lines() == PINNED_LINES[seed]
-    assert report.boundary.notes == {"mean_boundary_fraction": 1.0}
+    suites = (report.descent, report.boundary, report.series_bound, report.gradient_identity)
+    margins, fraction = PINNED_MARGINS[seed]
+    assert [repr(float(s.worst_margin)) for s in suites] == margins
+    assert list(report.boundary.notes) == ["mean_boundary_fraction"]
+    assert repr(report.boundary.notes["mean_boundary_fraction"]) == fraction
 
 
 @pytest.mark.parametrize(
