@@ -27,7 +27,6 @@ _ENUM_CHUNK = 1 << 14
 class DetectionResult:
     s_hat: np.ndarray
     h_hat: np.ndarray | None
-    method: str
 
 
 def _mrc_slice(Y: np.ndarray, h: np.ndarray, c: Constellation, s_check: complex) -> np.ndarray:
@@ -52,7 +51,7 @@ def mrc_csir(
     """Combining with the true channel (perfect receive-side CSI)."""
     s_check = c.points[0] if s_check is None else s_check
     h = np.asarray(h, dtype=complex)
-    return DetectionResult(s_hat=_mrc_slice(Y, h, c, s_check), h_hat=h, method="mrc-csir")
+    return DetectionResult(s_hat=_mrc_slice(Y, h, c, s_check), h_hat=h)
 
 
 def chest_pilot(Y: np.ndarray, s_check: complex, c: Constellation) -> np.ndarray:
@@ -64,25 +63,18 @@ def chest_pilot(Y: np.ndarray, s_check: complex, c: Constellation) -> np.ndarray
     return Y[..., :, 0] * s_check / c.sigma**2
 
 
-def mrc_chest(
-    Y: np.ndarray, s_check: complex | None = None, c: Constellation | None = None
-) -> DetectionResult:
+def mrc_chest(Y: np.ndarray, c: Constellation, s_check: complex | None = None) -> DetectionResult:
     """Pilot-based channel estimation followed by combining."""
-    if c is None:
-        raise ParameterError("pilot-based detection needs the constellation c")
     s_check = c.points[0] if s_check is None else s_check
     h_hat = chest_pilot(Y, s_check, c)
-    return DetectionResult(s_hat=_mrc_slice(Y, h_hat, c, s_check), h_hat=h_hat, method="mrc-chest")
+    return DetectionResult(s_hat=_mrc_slice(Y, h_hat, c, s_check), h_hat=h_hat)
 
 
-def mrc_retrained(
-    Y: np.ndarray, s_check: complex | None = None, c: Constellation | None = None
-) -> DetectionResult:
+def mrc_retrained(Y: np.ndarray, c: Constellation, s_check: complex | None = None) -> DetectionResult:
     """Pilot-based detection, then the channel re-estimated from the detected
     symbol vector."""
-    first = mrc_chest(Y, s_check, c)
-    h_rt = channel_estimate(Y, first.s_hat)
-    return DetectionResult(s_hat=first.s_hat, h_hat=h_rt, method="mrc-rt")
+    first = mrc_chest(Y, c, s_check)
+    return DetectionResult(s_hat=first.s_hat, h_hat=channel_estimate(Y, first.s_hat))
 
 
 def _enumerate_slots(c: Constellation, K: int, start: int, cands: np.ndarray, slots) -> None:
@@ -171,7 +163,7 @@ def ml_jed_exhaustive(
         best_val[better] = top[better]
         best_vec[better] = cands[:, local[better]].T
     s_hat = best_vec.reshape(G.shape[:-2] + (K + 1,))
-    return DetectionResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat), method="ml-jed")
+    return DetectionResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat))
 
 
 class DownlinkDraws(NamedTuple):

@@ -29,7 +29,7 @@ from .harness import (
     timing_csv,
     timing_report,
 )
-from .model import Constellation, LosGeometry, draw_block
+from .model import Constellation, LosGeometry, draw_blocks
 from .prox import ProxParams
 from .tuning import tune_rho
 from .verify import verify_theorems
@@ -284,8 +284,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     c = Constellation.by_name(args.constellation)
-    block, _ = draw_block(args.b, args.n - 1, c, args.snr, args.seed, ())
-    cfg, Gq, sq, sc = quantize_block(block.G, c, ProxParams(rho_log2=args.rho_log2, t_max=1))
+    G = draw_blocks(args.b, args.n - 1, c, args.snr, args.seed, (), 1)[1][0]
+    cfg, Gq, sq, sc = quantize_block(G, c, ProxParams(rho_log2=args.rho_log2, t_max=1))
     _, trace = pe_array_iteration(sq, Gq, cfg, sc)
     text = trace.to_text()
     if args.out:

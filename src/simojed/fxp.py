@@ -22,8 +22,10 @@ Every word is a raw integer in an int64 array, and each arithmetic rule has
 one definition: ``quantize_array`` (scale, truncate, saturate),
 ``_cross_terms`` (truncated products and the wrapping cross-term),
 ``mac_step`` (one multiply-accumulate per element) and ``projection_unit``
-(the hull clip). ``direct_iteration`` runs a whole stack of blocks at once;
-``pe_array_iteration`` replays one block cycle by cycle for the trace.
+(the hull clip). ``direct_iteration`` runs a whole stack of blocks at once,
+and ``solve_fixed_stack`` (quantize, iterate, slice) is the one fixed-point
+detection pass; ``pe_array_iteration`` replays one block cycle by cycle for
+the trace.
 
 The processing-element array is a ring of N = K+1 elements. Element 1 is a
 pass-through that only circulates the known reference symbol; every other
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .model import Constellation, ReceivedBlock
+from .model import Constellation
 from .prox import PreprocessedMatrix, ProxParams, init_s, preprocess
 
 # Datapath formats (word bits, fraction bits).
@@ -325,16 +327,6 @@ def solve_fixed_stack(
     for _ in range(params.t_max):
         state = direct_iteration(state, Gq, cfg, sc_raw)
     return _sign_decisions(state, c, s_check)
-
-
-def solve_fixed(
-    block: ReceivedBlock,
-    c: Constellation,
-    params: ProxParams,
-    s_check: complex | None = None,
-) -> np.ndarray:
-    """``solve_fixed_stack`` on one block."""
-    return solve_fixed_stack(block.G, c, params, s_check)
 
 
 def _sign_decisions(state: tuple[np.ndarray, np.ndarray], c: Constellation, s_check: complex) -> np.ndarray:

@@ -257,9 +257,9 @@ def _detect(
     if spec.name == "mrc-csir":
         r = mrc_csir(Y, h_true, c)
     elif spec.name == "mrc-chest":
-        r = mrc_chest(Y, c=c)
+        r = mrc_chest(Y, c)
     elif spec.name == "mrc-rt":
-        r = mrc_retrained(Y, c=c)
+        r = mrc_retrained(Y, c)
     else:
         r = ml_jed_exhaustive(Y, c, budget=ml_budget, G=G)
     return r.s_hat, r.h_hat

@@ -22,10 +22,13 @@ def _require_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _require_shift(alpha, zero_ok: bool = False) -> np.ndarray:
-    """Shift factors as float64; each must be finite and positive, or zero
-    where ``zero_ok``."""
+def _require_shift(alpha, lead: tuple[int, ...], zero_ok: bool = False) -> np.ndarray:
+    """Shift factors as float64: a scalar, or one per matrix of a stack with
+    leading axes ``lead``; each must be finite and positive, or zero where
+    ``zero_ok``."""
     alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape not in ((), lead):
+        raise DimensionError(f"shift factors of shape {alpha.shape} for a stack of shape {lead}")
     ok = ((alpha >= 0.0) if zero_ok else (alpha > 0.0)) & (alpha < np.inf)
     if not np.all(ok):
         sign = "non-negative" if zero_ok else "positive"
@@ -77,7 +80,7 @@ def invert_shifted(G: np.ndarray, alpha) -> np.ndarray:
     or non-finite alpha, or a non-finite G, is a parameter error.
     """
     G = _require_square(G)
-    alpha = _require_shift(alpha, zero_ok=True)[..., None, None]
+    alpha = _require_shift(alpha, G.shape[:-2], zero_ok=True)[..., None, None]
     shifted = _hermitian_part(np.eye(G.shape[-1]) - G / np.where(alpha == 0, np.inf, alpha))
     try:
         L = np.linalg.cholesky(shifted)
@@ -98,7 +101,7 @@ def neumann_two_term(G: np.ndarray, alpha) -> np.ndarray:
     with ``alpha`` a scalar or one value per matrix of a stack; it must be
     finite and positive, and G finite."""
     G = _require_square(G)
-    alpha = _require_shift(alpha)
+    alpha = _require_shift(alpha, G.shape[:-2])
     return np.eye(G.shape[-1], dtype=np.complex128) + G / alpha[..., None, None]
 
 
@@ -110,7 +113,8 @@ def neumann_error_bound(G: np.ndarray, alpha) -> np.ndarray | float:
     With r = |G|/alpha < 1 the dropped tail is bounded by r^2 / (1 - r);
     alpha must be finite and positive.
     """
-    r = spectral_norm(G) / _require_shift(alpha)
+    norm = spectral_norm(G)
+    r = norm / _require_shift(alpha, np.shape(norm))
     if np.any(r >= 1.0):
         raise ParameterError(f"bound undefined: |G|/alpha = {np.max(r)} >= 1")
     return (r * r / (1.0 - r))[()]

@@ -4,13 +4,13 @@ A single-antenna user sends K+1 symbols (the first one fixed and known) to a
 B-antenna receiver over a channel that stays constant for the whole block.
 All generators take an explicit ``numpy.random.Generator`` so trials can run
 on independent, reproducible substreams; ``draw_blocks`` lays those
-substreams out for a seeded stack of trials, and ``draw_block`` is its
-one-trial case.
+substreams out for a seeded stack of trials (``T=1`` for one block) and is
+the only way the package draws a block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,51 +100,6 @@ class LosGeometry:
             raise ParameterError("antenna spacing must be positive")
         if self.user_distance <= 0:
             raise ParameterError("user distance must be positive")
-
-
-@dataclass(frozen=True)
-class TransmissionGroundTruth:
-    """What was actually sent: the symbol vector (first entry pinned), the
-    channel vector, and the per-entry complex noise variance."""
-
-    s_true: np.ndarray
-    h_true: np.ndarray
-    n0: float
-
-    def __post_init__(self):
-        if self.n0 < 0:
-            raise ParameterError("noise variance must be non-negative")
-
-
-@dataclass
-class ReceivedBlock:
-    """Received B x (K+1) matrix with its Gram matrix cached; ground truth is
-    attached for simulated blocks and absent for field data.
-
-    A Gram matrix passed in is taken as given, after checking that it is
-    (K+1) x (K+1) and that it and ``Y`` are finite."""
-
-    Y: np.ndarray
-    G: np.ndarray = field(default=None)  # type: ignore[assignment]
-    truth: TransmissionGroundTruth | None = None
-
-    def __post_init__(self):
-        if self.G is None:
-            self.G = gram(self.Y)
-            return
-        n = self.num_slots
-        if np.shape(self.G) != (n, n):
-            raise ParameterError(f"Gram matrix of shape {np.shape(self.G)} for a block of {n} slots")
-        if not (np.all(np.isfinite(self.Y)) and np.all(np.isfinite(self.G))):
-            raise ParameterError("received block or its Gram matrix has a non-finite entry")
-
-    @property
-    def num_antennas(self) -> int:
-        return self.Y.shape[0]
-
-    @property
-    def num_slots(self) -> int:
-        return self.Y.shape[1]
 
 
 def gen_rayleigh_channel(B: int, rng: np.random.Generator, T: int | None = None) -> np.ndarray:
@@ -243,19 +198,3 @@ def draw_blocks(
     s = random_data_vector(c, K, c.points[0], data_rng, T)
     Y = _receive(h, s, snr_to_n0(snr_db, c), noise_rng)
     return Y, gram(Y), s, h, dl_rng
-
-
-def draw_block(
-    B: int,
-    K: int,
-    c: Constellation,
-    snr_db: float,
-    seed: int,
-    key: tuple[int, ...],
-    los: LosGeometry | None = None,
-) -> tuple[ReceivedBlock, np.random.SeedSequence]:
-    """The block of one seeded trial, ``draw_blocks`` with ``T=1``, and
-    its downlink stream (child 3)."""
-    Y, G, s, h, dl_rng = draw_blocks(B, K, c, snr_db, seed, key, 1, los)
-    truth = TransmissionGroundTruth(s_true=s[0], h_true=h[0], n0=snr_to_n0(snr_db, c))
-    return ReceivedBlock(Y=Y[0], G=G[0], truth=truth), dl_rng.bit_generator.seed_seq

@@ -8,28 +8,29 @@ from its cheap two-term series approximation; each iteration
 hull, and a pilot-slot overwrite. ``iterate`` is the one iteration loop.
 When it records a trace it keeps every iterate and, after the last step,
 computes the diagnostics of all steps (objective value, gradient residual,
-distance to the hull boundary) in one pass over the stacked iterates; they
-support the convergence test suites.
+distance to the hull boundary) in one pass over the stacked iterates, as
+one ``SolverTrace`` of per-step arrays; they support the convergence test
+suites.
 
-Every step takes one block's arrays or a stack of them with a leading trial
-axis (``Y`` of shape (T, B, N), ``G`` of shape (T, N, N), iterates of shape
-(T, N)); the trials of a stack are solved independently. ``solve_stack`` is
-the one detection pass, and ``solve`` runs it on a single block.
+Every step takes a stack of blocks with a leading trial axis (``Y`` of
+shape (T, B, N), ``G`` of shape (T, N, N), iterates of shape (T, N)), or one
+block's arrays without it; the trials of a stack are solved independently.
+``solve_stack`` is the one detection pass, and the entry that checks the
+caller's blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, DimensionError, ParameterError
 from .linalg import invert_shifted, neumann_two_term, spectral_norm
-from .model import Constellation, ReceivedBlock
+from .model import Constellation
 
 MODE_EXACT = "exact"
 MODE_APPROX = "approx"
-GAMMA_MAX_ABS = "max_abs"
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,14 @@ class ProxParams:
 
     The shift factor is ``alpha_scale`` times the Gram spectral norm and must
     stay above it, so ``alpha_scale > 1``. The projection gain is the power
-    of two ``2**rho_log2`` (a hardware shift). ``gamma_rule`` is either
-    ``"max_abs"`` (scale the iteration matrix so its largest component
-    magnitude is one) or a fixed positive number.
+    of two ``2**rho_log2`` (a hardware shift). Preprocessing scales the
+    iteration matrix so its largest component magnitude is one.
     """
 
     alpha_scale: float = 2.0
     rho_log2: int = 1
     t_max: int = 5
     mode: str = MODE_EXACT
-    gamma_rule: str | float = GAMMA_MAX_ABS
 
     def __post_init__(self):
         if self.alpha_scale <= 1.0:
@@ -58,11 +57,6 @@ class ProxParams:
             raise ParameterError("rho_log2 must be non-negative")
         if self.mode not in (MODE_EXACT, MODE_APPROX):
             raise ParameterError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.gamma_rule, str):
-            if self.gamma_rule <= 0:
-                raise ParameterError("fixed gamma must be positive")
-        elif self.gamma_rule != GAMMA_MAX_ABS:
-            raise ParameterError(f"unknown gamma rule {self.gamma_rule!r}")
 
     @property
     def rho(self) -> float:
@@ -73,8 +67,9 @@ class ProxParams:
 class PreprocessedMatrix:
     """Scaled iteration matrix plus the quantities needed to reason about it.
 
-    ``gamma * Ghat`` is the raw (unscaled) matrix; in exact mode that is the
-    shifted inverse, in approx mode the two-term series. ``G`` is kept so
+    ``gamma * Ghat`` is the raw (unscaled) matrix: the shifted inverse in
+    exact mode, the two-term series in approx mode. ``gamma`` is the raw
+    matrix's largest component magnitude. ``G`` is kept so
     diagnostics can evaluate the objective without the received block. For
     a stack, ``gamma`` and ``alpha`` hold one value per trial.
     """
@@ -82,7 +77,6 @@ class PreprocessedMatrix:
     Ghat: np.ndarray
     gamma: float | np.ndarray
     alpha: float | np.ndarray
-    mode: str
     G: np.ndarray
 
     def beta(self, rho: float) -> float | np.ndarray:
@@ -96,21 +90,20 @@ class PreprocessedMatrix:
 
 
 @dataclass
-class IterationRecord:
-    """Diagnostics after one iteration; arrays of one value per trial for a
-    stack."""
+class SolverTrace:
+    """Diagnostics of every iteration, row ``t`` after step ``t + 1``:
+    arrays of shape (t_max,) for one block, (t_max, T) for a stack."""
 
-    objective: float | np.ndarray
-    grad_residual: float | np.ndarray
-    boundary_gap: float | np.ndarray
+    objective: np.ndarray
+    grad_residual: np.ndarray
+    boundary_gap: np.ndarray
 
 
 @dataclass
 class SolverState:
     s_cur: np.ndarray
     q_cur: np.ndarray
-    iter: int = 0
-    trace: list[IterationRecord] = field(default_factory=list)
+    trace: SolverTrace | None = None
 
 
 @dataclass
@@ -138,13 +131,8 @@ def preprocess(G: np.ndarray, params: ProxParams) -> PreprocessedMatrix:
     else:
         raw = neumann_two_term(G, shift)
     raw = np.where(zero[..., None, None], np.eye(G.shape[-1]), raw)
-    if params.gamma_rule == GAMMA_MAX_ABS:
-        gamma = np.max(np.maximum(np.abs(raw.real), np.abs(raw.imag)), axis=(-2, -1))
-    else:
-        gamma = np.full(np.shape(norm), float(params.gamma_rule))[()]
-    return PreprocessedMatrix(
-        Ghat=raw / gamma[..., None, None], gamma=gamma, alpha=alpha, mode=params.mode, G=G
-    )
+    gamma = np.max(np.maximum(np.abs(raw.real), np.abs(raw.imag)), axis=(-2, -1))
+    return PreprocessedMatrix(Ghat=raw / gamma[..., None, None], gamma=gamma, alpha=alpha, G=G)
 
 
 def init_s(G: np.ndarray, s_check: complex) -> np.ndarray:
@@ -190,7 +178,7 @@ def iterate_once(
     s_new = _clip_to_hull(params.rho * q_tilde, c)
     s_new[..., 0] = s_check
     q = np.asarray(pre.gamma)[..., None] * q_tilde
-    return SolverState(s_cur=s_new, q_cur=q, iter=state.iter + 1)
+    return SolverState(s_cur=s_new, q_cur=q)
 
 
 def iterate(
@@ -203,9 +191,9 @@ def iterate(
     """``params.t_max`` solver steps from the matched-filter start.
 
     With ``record_trace`` the iterates are kept, and after the last step the
-    diagnostics of every step are computed in one pass over them: the trace
-    holds one ``IterationRecord`` per step. The objective is NaN for trials
-    whose reconstructed weight beta is outside (0, alpha)."""
+    diagnostics of every step are computed in one pass over them into the
+    state's ``SolverTrace``; without it the trace is None. The objective is
+    NaN for trials whose reconstructed weight beta is outside (0, alpha)."""
     state = SolverState(s_cur=init_s(pre.G, s_check), q_cur=np.zeros_like(pre.G[..., 0]))
     if record_trace:
         s_all = np.empty((params.t_max + 1,) + state.s_cur.shape, dtype=np.complex128)
@@ -221,8 +209,7 @@ def iterate(
         beta = pre.beta(params.rho)
         valid = (0.0 < beta) & (beta < pre.alpha)
         obj = np.where(valid, objective(q_all, s_new, pre.G, pre.alpha, beta), np.nan)
-        gap = _boundary_gap(s_new, c)
-        state.trace = [IterationRecord(*rec) for rec in zip(obj, grad_residual, gap)]
+        state.trace = SolverTrace(obj, grad_residual, _boundary_gap(s_new, c))
     return state
 
 
@@ -278,21 +265,21 @@ def solve_stack(
     """Full detection pass over a stack of blocks (or one block): preprocess,
     initialize, iterate, slice, and re-estimate each channel from its hard
     decisions. ``G`` holds the Gram matrices of ``Y``, or their
-    ``preprocess(G, params)`` result, which is then used as given."""
+    ``preprocess(G, params)`` result, which is then used as given.
+
+    A non-finite ``Y`` is a ``ParameterError``; Gram matrices whose shape
+    is not one (N, N) matrix per block of N slots are a ``DimensionError``.
+    """
+    Y = np.asarray(Y)
+    if not np.all(np.isfinite(Y)):
+        raise ParameterError("received block has a non-finite entry")
+    given = isinstance(G, PreprocessedMatrix)
+    shape = np.shape(G.G if given else G)
+    if Y.ndim < 2 or shape != Y.shape[:-2] + 2 * Y.shape[-1:]:
+        raise DimensionError(f"Gram matrices of shape {shape} for blocks of shape {Y.shape}")
     s_check = c.points[0] if s_check is None else s_check
-    pre = G if isinstance(G, PreprocessedMatrix) else preprocess(G, params)
+    pre = G if given else preprocess(G, params)
     state = iterate(pre, c, params, s_check, record_trace)
     s_hat = hard_decision(state.s_cur, c)
     s_hat[..., 0] = s_check
     return SolveResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat), state=state)
-
-
-def solve(
-    block: ReceivedBlock,
-    c: Constellation,
-    params: ProxParams,
-    s_check: complex | None = None,
-    record_trace: bool = True,
-) -> SolveResult:
-    """``solve_stack`` on one block."""
-    return solve_stack(block.Y, block.G, c, params, s_check, record_trace)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError
-from .model import Constellation, draw_block
+from .model import Constellation, draw_blocks
 from .prox import ProxParams, preprocess, solve_stack
 
 RHO_LOG2_GRID = tuple(range(0, 7))
@@ -67,10 +67,10 @@ def tune_rho(
             return TunedParams(hit["rho_log2"], hit["alpha_scale"], hit["ser"])
 
     c = Constellation.by_name(constellation)
-    blocks = [draw_block(B, K, c, snr_db, seed, (t,))[0] for t in range(trials)]
-    Y = np.stack([block.Y for block in blocks])
-    G = np.stack([block.G for block in blocks])
-    data_true = np.stack([block.truth.s_true[1:] for block in blocks])
+    # Trial t is the one-trial stack keyed by (t,).
+    draws = [draw_blocks(B, K, c, snr_db, seed, (t,), 1)[:3] for t in range(trials)]
+    Y, G, s = (np.concatenate(a) for a in zip(*draws))
+    data_true = s[:, 1:]
 
     candidates = []
     for alpha_scale in alpha_grid:

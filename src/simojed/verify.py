@@ -17,7 +17,8 @@ Three suites:
 A gradient-identity suite checks that the analytic gradient at a fresh
 exact-mode iterate equals alpha times the iterate difference.
 
-Each suite draws its instances one by one from seeded streams, then solves
+Each suite draws its instances one by one from seeded streams (a block is a
+one-trial ``draw_blocks`` stack keyed by its instance index), then solves
 them as stacks, one per matrix size (and constellation), and reports in
 draw order.
 """
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import gram, invert_shifted, neumann_error_bound, neumann_two_term, spectral_norm
-from .model import Constellation, draw_block
+from .model import Constellation, draw_blocks
 from .prox import PreprocessedMatrix, ProxParams, init_s, iterate, preprocess
 
 # Float slack for the non-increase check: a true descent violation is O(1),
@@ -98,13 +99,14 @@ def _require_count(n: int, what: str) -> None:
 
 def _draw_instance(rng: np.random.Generator, seed: int, index: int):
     """Instance ``index`` of a suite at 0 dB: its shape comes from the
-    suite's ``rng``, its block from ``draw_block`` keyed by ``(index,)``."""
+    suite's ``rng``, its Gram matrix from a one-trial ``draw_blocks`` keyed
+    by ``(index,)``."""
     B = int(rng.choice([4, 16]))
     K = int(rng.choice([4, 16]))
     kind = str(rng.choice(["bpsk", "qpsk"]))
     c = Constellation.by_name(kind)
-    block, _ = draw_block(B, K, c, 0.0, seed, (index,))
-    return block, c, B, K, kind
+    G = draw_blocks(B, K, c, 0.0, seed, (index,), 1)[1][0]
+    return G, c, B, K, kind
 
 
 def _stacks(instances: list) -> dict[tuple[int, str], list[int]]:
@@ -123,12 +125,12 @@ def _descent_rows(pre: PreprocessedMatrix, c: Constellation, K: int, params: Pro
     whether it converged to a nonzero iterate, its final boundary gap and
     its per-entry boundary fraction."""
     state = iterate(pre, c, params, c.points[0])
-    objs = np.array([r.objective for r in state.trace])  # (t_max, T)
+    objs = state.trace.objective  # (t_max, T)
     prev, nxt = objs[:-1], objs[1:]
     slack = _DESCENT_SLACK * np.maximum(1.0, np.abs(prev))
     margins = np.min(prev + slack - nxt, axis=0, initial=np.inf)
     descends = ~np.any(nxt > prev + slack, axis=0)
-    resid = state.trace[-1].grad_residual
+    resid = state.trace.grad_residual[-1]
     threshold = RESIDUAL_FACTOR * pre.alpha * np.sqrt(K + 1)
     s = state.s_cur
     converged = (resid < CONVERGED_RESIDUAL) & (np.linalg.norm(s, axis=-1) > 0)
@@ -137,7 +139,7 @@ def _descent_rows(pre: PreprocessedMatrix, c: Constellation, K: int, params: Pro
     else:
         per_entry = c.re_bound - np.maximum(np.abs(s.real), np.abs(s.imag))
     fraction = np.mean(per_entry <= BOUNDARY_TOL, axis=-1)
-    return zip(margins, descends, resid, threshold, converged, state.trace[-1].boundary_gap, fraction)
+    return zip(margins, descends, resid, threshold, converged, state.trace.boundary_gap[-1], fraction)
 
 
 def run_descent_and_boundary(
@@ -165,16 +167,14 @@ def run_descent_and_boundary(
         attempts = min(attempts + n_instances - descent.instances, max_attempts)
         batch = [_draw_instance(rng, seed, a) for a in range(first, attempts + 1)]
         for (K, kind), idx in _stacks(batch).items():
-            pre = preprocess(np.stack([batch[i][0].G for i in idx]), params)
+            pre = preprocess(np.stack([batch[i][0] for i in idx]), params)
             beta = pre.beta(params.rho)
             valid = (0.0 < beta) & (beta < pre.alpha)
             descent.skipped += int(np.sum(~valid))
             descent.instances += int(np.sum(valid))
             if not np.any(valid):
                 continue
-            kept = PreprocessedMatrix(
-                pre.Ghat[valid], pre.gamma[valid], pre.alpha[valid], pre.mode, pre.G[valid]
-            )
+            kept = PreprocessedMatrix(pre.Ghat[valid], pre.gamma[valid], pre.alpha[valid], pre.G[valid])
             labels = [
                 (first + i, f"B={batch[i][2]},K={K},{kind},attempt={first + i}")
                 for i, ok in zip(idx, valid)
@@ -266,7 +266,7 @@ def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
     rows = []  # (instance, err, denom)
     for (K, kind), idx in _stacks(instances).items():
         c = instances[idx[0]][1]
-        G = np.stack([instances[i][0].G for i in idx])
+        G = np.stack([instances[i][0] for i in idx])
         pre = preprocess(G, params)
         s_prev = init_s(G, c.points[0])
         state = iterate(pre, c, params, c.points[0], record_trace=False)

@@ -16,7 +16,7 @@ from simojed.baselines import (
 )
 from simojed.errors import CapacityError, DegenerateInputError, DimensionError, ParameterError
 from simojed.linalg import gram
-from simojed.model import Constellation, ReceivedBlock
+from simojed.model import Constellation
 
 from oracles import ml_jed_bruteforce
 
@@ -26,30 +26,32 @@ def noise_free_block(seed, B=6, K=5, kind="qpsk"):
     c = Constellation.by_name(kind)
     h = model.gen_rayleigh_channel(B, rng)
     s = model.random_data_vector(c, K, c.points[0], rng)
-    return ReceivedBlock(Y=np.outer(h, s.conj())), c, h, s
+    return np.outer(h, s.conj()), c, h, s
 
 
 def noisy_block(seed, B=16, K=8, kind="qpsk", snr_db=0.0):
+    """The one-trial stack of ``seed``: (Y, h) of its block, and c."""
     c = Constellation.by_name(kind)
-    return model.draw_block(B, K, c, snr_db, seed, ())[0], c
+    Y, _, _, h, _ = model.draw_blocks(B, K, c, snr_db, seed, (), 1)
+    return Y[0], h[0], c
 
 
 class TestMrcCsir:
     def test_noise_free_recovery(self):
-        block, c, h, s = noise_free_block(0)
-        assert np.array_equal(mrc_csir(block.Y, h, c).s_hat, s)
+        Y, c, h, s = noise_free_block(0)
+        assert np.array_equal(mrc_csir(Y, h, c).s_hat, s)
 
     def test_single_antenna_slices_conjugate(self):
-        block, c, h, s = noise_free_block(1, B=1, kind="bpsk")
-        res = mrc_csir(block.Y, h, c)
+        Y, c, h, s = noise_free_block(1, B=1, kind="bpsk")
+        res = mrc_csir(Y, h, c)
         # With a unit channel the combined statistic is conj of the received
         # row, which carries conj(s): slicing recovers s.
         assert np.array_equal(res.s_hat, s)
 
     def test_zero_channel_raises(self):
-        block, c, _, _ = noise_free_block(2)
+        Y, c, _, _ = noise_free_block(2)
         with pytest.raises(DegenerateInputError):
-            mrc_csir(block.Y, np.zeros(block.num_antennas, dtype=complex), c)
+            mrc_csir(Y, np.zeros(len(Y), dtype=complex), c)
 
     def test_beats_chest_on_paired_batch(self):
         c = Constellation.bpsk()
@@ -58,14 +60,14 @@ class TestMrcCsir:
         for t in range(300):
             st = s[t, 1:]
             e_csir += int(np.sum(mrc_csir(Y[t], h[t], c).s_hat[1:] != st))
-            e_chest += int(np.sum(mrc_chest(Y[t], c=c).s_hat[1:] != st))
+            e_chest += int(np.sum(mrc_chest(Y[t], c).s_hat[1:] != st))
         assert e_csir < e_chest
 
 
 class TestChestPilot:
     def test_noise_free_exact(self):
-        block, c, h, _ = noise_free_block(4)
-        assert np.allclose(chest_pilot(block.Y, c.points[0], c), h, atol=1e-12)
+        Y, c, h, _ = noise_free_block(4)
+        assert np.allclose(chest_pilot(Y, c.points[0], c), h, atol=1e-12)
 
     def test_unbiased_and_variance(self):
         # The estimation error does not depend on the channel, so every
@@ -81,8 +83,8 @@ class TestChestPilot:
 
 class TestMrcChest:
     def test_noise_free_recovery(self):
-        block, c, _, s = noise_free_block(6)
-        assert np.array_equal(mrc_chest(block.Y, c=c).s_hat, s)
+        Y, c, _, s = noise_free_block(6)
+        assert np.array_equal(mrc_chest(Y, c).s_hat, s)
 
     def test_ser_monotone_in_snr(self):
         c = Constellation.qpsk()
@@ -91,26 +93,15 @@ class TestMrcChest:
             errs = 0
             Y, _, s, _, _ = model.draw_blocks(16, 8, c, snr, 7000, (), 400)
             for t in range(400):
-                errs += int(np.sum(mrc_chest(Y[t], c=c).s_hat[1:] != s[t, 1:]))
+                errs += int(np.sum(mrc_chest(Y[t], c).s_hat[1:] != s[t, 1:]))
             sers.append(errs)
         assert all(b <= a for a, b in zip(sers, sers[1:]))
 
 
-    def test_needs_constellation(self):
-        block, _ = noisy_block(3)
-        with pytest.raises(ParameterError):
-            mrc_chest(block.Y)
-
-
 class TestMrcRetrained:
-    def test_needs_constellation(self):
-        block, _ = noisy_block(3)
-        with pytest.raises(ParameterError):
-            mrc_retrained(block.Y)
-
     def test_noise_free(self):
-        block, c, h, s = noise_free_block(8)
-        res = mrc_retrained(block.Y, c=c)
+        Y, c, h, s = noise_free_block(8)
+        res = mrc_retrained(Y, c)
         assert np.array_equal(res.s_hat, s)
         assert np.allclose(res.h_hat, h, atol=1e-12)
 
@@ -119,8 +110,8 @@ class TestMrcRetrained:
         mse_rt = mse_chest = 0.0
         Y, _, _, h, _ = model.draw_blocks(16, 8, c, 0.0, 9000, (), 2000)
         for t in range(2000):
-            rt = mrc_retrained(Y[t], c=c)
-            ch = mrc_chest(Y[t], c=c)
+            rt = mrc_retrained(Y[t], c)
+            ch = mrc_chest(Y[t], c)
             mse_rt += float(np.sum(np.abs(rt.h_hat - h[t]) ** 2))
             mse_chest += float(np.sum(np.abs(ch.h_hat - h[t]) ** 2))
         assert mse_rt < mse_chest
@@ -130,34 +121,32 @@ class TestMrcRetrained:
         mse_prox = mse_chest = 0.0
         Y, G, _, h_true, _ = model.draw_blocks(16, 8, c, 0.0, 11000, (), 1000)
         for t in range(1000):
-            block, h = ReceivedBlock(Y=Y[t], G=G[t]), h_true[t]
-            res = prox.solve(block, c, prox.ProxParams(t_max=5), record_trace=False)
+            h = h_true[t]
+            res = prox.solve_stack(Y[t], G[t], c, prox.ProxParams(t_max=5), record_trace=False)
             mse_prox += float(np.sum(np.abs(res.h_hat - h) ** 2))
-            mse_chest += float(np.sum(np.abs(chest_pilot(block.Y, c.points[0], c) - h) ** 2))
+            mse_chest += float(np.sum(np.abs(chest_pilot(Y[t], c.points[0], c) - h) ** 2))
         assert mse_prox < mse_chest
 
 
 class TestMlJed:
     def test_noise_free_recovery(self):
-        block, c, _, s = noise_free_block(10, B=4, K=6, kind="bpsk")
-        assert np.array_equal(ml_jed_exhaustive(block.Y, c).s_hat, s)
+        Y, c, _, s = noise_free_block(10, B=4, K=6, kind="bpsk")
+        assert np.array_equal(ml_jed_exhaustive(Y, c).s_hat, s)
 
     def test_tiny_example(self):
         c = Constellation.bpsk()
         Y = np.array([[1.0, -1.0, 1.0]], dtype=complex)
-        block = model.ReceivedBlock(Y=Y)
-        res = ml_jed_exhaustive(block.Y, c)
+        res = ml_jed_exhaustive(Y, c)
         assert np.array_equal(res.s_hat, [1.0, -1.0, 1.0])
 
     def test_budget_error(self):
-        block, c = noisy_block(11, B=2, K=12, kind="qpsk")
+        Y, _, c = noisy_block(11, B=2, K=12, kind="qpsk")
         with pytest.raises(CapacityError):
-            ml_jed_exhaustive(block.Y, c, budget=2**20)
+            ml_jed_exhaustive(Y, c, budget=2**20)
 
     def test_lexicographic_tie_break(self):
         c = Constellation.qpsk()
-        block = model.ReceivedBlock(Y=np.zeros((2, 4), dtype=complex))
-        res = ml_jed_exhaustive(block.Y, c)
+        res = ml_jed_exhaustive(np.zeros((2, 4), dtype=complex), c)
         assert np.array_equal(res.s_hat, np.full(4, c.points[0]))
 
     def test_lexicographic_tie_break_bpsk(self):
@@ -227,24 +216,21 @@ class TestMlJed:
         c = Constellation.bpsk()
         Y, G, *_ = model.draw_blocks(8, 6, c, -6.0, 12000, (), 50)
         for t in range(50):
-            block = ReceivedBlock(Y=Y[t], G=G[t])
-            ml = ml_jed_exhaustive(block.Y, c)
-            px = prox.solve(block, c, prox.ProxParams(t_max=5), record_trace=False)
-            assert np.linalg.norm(block.Y @ ml.s_hat) >= np.linalg.norm(
-                block.Y @ px.s_hat
-            ) - 1e-12
+            ml = ml_jed_exhaustive(Y[t], c)
+            px = prox.solve_stack(Y[t], G[t], c, prox.ProxParams(t_max=5), record_trace=False)
+            assert np.linalg.norm(Y[t] @ ml.s_hat) >= np.linalg.norm(Y[t] @ px.s_hat) - 1e-12
 
     def test_chunking_consistent(self):
-        block, c = noisy_block(13, B=4, K=9, kind="bpsk", snr_db=-8.0)
+        Y, _, c = noisy_block(13, B=4, K=9, kind="bpsk", snr_db=-8.0)
         import simojed.baselines as bl
 
         old = bl._ENUM_CHUNK
         try:
             bl._ENUM_CHUNK = 64
-            chunked = ml_jed_exhaustive(block.Y, c)
+            chunked = ml_jed_exhaustive(Y, c)
         finally:
             bl._ENUM_CHUNK = old
-        whole = ml_jed_exhaustive(block.Y, c)
+        whole = ml_jed_exhaustive(Y, c)
         assert np.array_equal(chunked.s_hat, whole.s_hat)
 
 
@@ -318,9 +304,9 @@ class TestDownlink:
         n0 = model.snr_to_n0(0.0, c)
         Y, G, _, h_true, dl_rng = model.draw_blocks(16, 8, c, 0.0, 17000, (), 1000)
         for t in range(1000):
-            block, h = ReceivedBlock(Y=Y[t], G=G[t]), h_true[t]
-            px = prox.solve(block, c, prox.ProxParams(t_max=5), record_trace=False)
-            ch = mrc_chest(block.Y, c=c)
+            h = h_true[t]
+            px = prox.solve_stack(Y[t], G[t], c, prox.ProxParams(t_max=5), record_trace=False)
+            ch = mrc_chest(Y[t], c)
             draws = draw_downlink(dl_rng, c, 8)
             tot_prox += downlink_ser(h, px.h_hat, c, n0, draws)
             tot_chest += downlink_ser(h, ch.h_hat, c, n0, draws)
@@ -330,16 +316,15 @@ class TestDownlink:
 class TestStacks:
     @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
     def test_stack_equals_per_block(self, kind):
-        blocks = [noisy_block(300 + t, B=6, K=4, kind=kind, snr_db=-2.0)[0] for t in range(6)]
+        blocks = [noisy_block(300 + t, B=6, K=4, kind=kind, snr_db=-2.0)[:2] for t in range(6)]
         c = Constellation.by_name(kind)
-        Y = np.stack([block.Y for block in blocks])
-        h = np.stack([block.truth.h_true for block in blocks])
+        Y, h = map(np.stack, zip(*blocks))
         per_trial = [draw_downlink(np.random.default_rng(t), c, 9) for t in range(6)]
         draws = DownlinkDraws(*map(np.stack, zip(*per_trial)))
         detectors = (
             lambda Y, h: mrc_csir(Y, h, c),
-            lambda Y, h: mrc_chest(Y, c=c),
-            lambda Y, h: mrc_retrained(Y, c=c),
+            lambda Y, h: mrc_chest(Y, c),
+            lambda Y, h: mrc_retrained(Y, c),
             lambda Y, h: ml_jed_exhaustive(Y, c),
         )
         for detect in detectors:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simojed import fxp, model, prox
+from simojed import fxp, linalg, model, prox
 from simojed.errors import ParameterError, SimojedError
 from simojed.fxp import (
     ACC_BITS,
@@ -20,11 +20,10 @@ from simojed.fxp import (
     projection_unit,
     quantize_array,
     quantize_block,
-    solve_fixed,
     solve_fixed_stack,
     throughput_bps,
 )
-from simojed.model import Constellation, ReceivedBlock
+from simojed.model import Constellation
 
 from oracles import int_iteration, int_mac, int_projection, int_quantize
 
@@ -285,9 +284,8 @@ class TestSolveFixed:
         c = Constellation.qpsk()
         h = model.gen_rayleigh_channel(16, rng)
         s = model.random_data_vector(c, 8, c.points[0], rng)
-        block = ReceivedBlock(Y=np.outer(h, s.conj()))
         params = prox.ProxParams(t_max=5, rho_log2=1)
-        fixed = solve_fixed(block, c, params)
+        fixed = solve_fixed_stack(linalg.gram(np.outer(h, s.conj())), c, params)
         assert np.array_equal(fixed, s)
 
     def test_cycle_accurate_equals_fast_path(self):
@@ -310,19 +308,18 @@ class TestSolveFixed:
 
     def test_bpsk_real_only(self):
         c = Constellation.bpsk()
-        block, _ = model.draw_block(16, 8, c, -4.0, 12, ())
-        out = solve_fixed(block, c, prox.ProxParams(t_max=5, rho_log2=1))
+        G = model.draw_blocks(16, 8, c, -4.0, 12, (), 1)[1]
+        out = solve_fixed_stack(G, c, prox.ProxParams(t_max=5, rho_log2=1))
         assert set(np.unique(out)) <= {1.0 + 0j, -1.0 + 0j}
 
     def test_non_finite_gram_rejected(self):
         # Rejected before the eigensolver, whose LinAlgError is not a
         # package error.
         c = Constellation.qpsk()
-        block, _ = model.draw_block(4, 3, c, 0.0, 14, ())
-        G = block.G.copy()
-        G[1, 1] = np.nan
+        G = model.draw_blocks(4, 3, c, 0.0, 14, (), 1)[1]
+        G[0, 1, 1] = np.nan
         with pytest.raises(ParameterError, match="non-finite"):
-            solve_fixed(ReceivedBlock(Y=block.Y, G=G), c, prox.ProxParams(rho_log2=1))
+            solve_fixed_stack(G, c, prox.ProxParams(rho_log2=1))
 
     @pytest.mark.parametrize("G", [np.complex128(1.0), np.ones(3)], ids=["scalar", "vector"])
     def test_non_matrix_rejected(self, G):
@@ -332,14 +329,14 @@ class TestSolveFixed:
     def test_rho_one_rejected(self, monkeypatch):
         # The array configuration rejects the gain before any preprocessing.
         c = Constellation.bpsk()
-        block, _ = model.draw_block(4, 3, c, 0.0, 13, ())
+        G = model.draw_blocks(4, 3, c, 0.0, 13, (), 1)[1]
 
         def no_preprocess(*args):
             raise AssertionError("preprocessed before the gain was checked")
 
         monkeypatch.setattr(fxp, "preprocess", no_preprocess)
         with pytest.raises(ParameterError, match="rho_log2"):
-            solve_fixed(block, c, prox.ProxParams(t_max=1, rho_log2=0))
+            solve_fixed_stack(G, c, prox.ProxParams(t_max=1, rho_log2=0))
 
 
 class TestStackedDatapath:
@@ -375,11 +372,11 @@ class TestStackedDatapath:
     def test_solve_fixed_stack_matches_blocks(self, T, N, rho_log2, real_only, t_max, snr_db, seed):
         c = Constellation.bpsk() if real_only else Constellation.qpsk()
         params = prox.ProxParams(alpha_scale=1.25, rho_log2=rho_log2, t_max=t_max)
-        blocks = [model.draw_block(8, N - 1, c, snr_db, seed, (t,))[0] for t in range(T)]
-        stacked = solve_fixed_stack(np.stack([block.G for block in blocks]), c, params)
+        G = model.draw_blocks(8, N - 1, c, snr_db, seed, (), T)[1]
+        stacked = solve_fixed_stack(G, c, params)
         assert stacked.shape == (T, N)
-        for t, block in enumerate(blocks):
-            assert np.array_equal(solve_fixed(block, c, params), stacked[t])
+        for t in range(T):
+            assert np.array_equal(solve_fixed_stack(G[t], c, params), stacked[t])
 
 
 class TestTiming:

@@ -20,8 +20,9 @@ from simojed.harness import (
     wilson_interval,
 )
 from simojed.baselines import draw_downlink, mrc_chest, mrc_csir
-from simojed.model import Constellation, ReceivedBlock, draw_block, draw_blocks, snr_to_n0
-from simojed.prox import ProxParams, solve
+from simojed.linalg import gram
+from simojed.model import Constellation, draw_blocks, snr_to_n0
+from simojed.prox import ProxParams, solve_stack
 from simojed.tuning import tune_rho
 
 from oracles import downlink_ser_scalar
@@ -300,11 +301,10 @@ class TestRunSweep:
             h = (h_parts[t, 0] + 1j * h_parts[t, 1]) / np.sqrt(2)
             s = np.concatenate([c.points[:1], c.points[indices[t]]])
             Y = np.outer(h, s.conj()) + np.sqrt(n0 / 2) * (noise_parts[t, 0] + 1j * noise_parts[t, 1])
-            block = ReceivedBlock(Y)
             detections = {
-                "prox": solve(block, c, ProxParams(), record_trace=False),
+                "prox": solve_stack(Y, gram(Y), c, ProxParams(), record_trace=False),
                 "mrc-csir": mrc_csir(Y, h, c),
-                "mrc-chest": mrc_chest(Y, c=c),
+                "mrc-chest": mrc_chest(Y, c),
             }
             for name, r in detections.items():
                 expected[name][0] += int(np.sum(r.s_hat[1:] != s[1:]))
@@ -337,18 +337,17 @@ class TestRunSweep:
                 assert np.array_equal(mse, counts1[key][2])
 
     @pytest.mark.parametrize("T", [1, 6])
-    def test_first_trial_of_a_chunk_equals_draw_block(self, T):
-        # A one-trial stack is the old per-trial draw, downlink included.
-        # The first block of any longer stack is too; its downlink randoms
-        # are not, because each downlink array is drawn for the whole stack.
+    def test_first_trial_of_a_chunk_equals_the_one_trial_draw(self, T):
+        # Trial 0 of a stack is the one-trial stack of the same key. Its
+        # downlink randoms are too when T is 1; for a longer stack they are
+        # not, because each downlink array is drawn for the whole stack.
         c = Constellation.qpsk()
-        Y, G, s, h, dl_rng = draw_blocks(8, 4, c, -2.0, 11, (1, 512), T)
-        block, dl_ss = draw_block(8, 4, c, -2.0, 11, (1, 512))
-        assert np.array_equal(Y[0], block.Y) and np.array_equal(G[0], block.G)
-        assert np.array_equal(s[0], block.truth.s_true) and np.array_equal(h[0], block.truth.h_true)
+        *stack, dl_rng = draw_blocks(8, 4, c, -2.0, 11, (1, 512), T)
+        *one, dl_one = draw_blocks(8, 4, c, -2.0, 11, (1, 512), 1)
+        assert all(np.array_equal(a[0], b[0]) for a, b in zip(stack, one))
         stacked = draw_downlink(dl_rng, c, 7, T)
-        flat = draw_downlink(np.random.default_rng(dl_ss), c, 7)
-        same = [np.array_equal(part[0], one) for part, one in zip(stacked, flat)]
+        flat = draw_downlink(dl_one, c, 7)
+        same = [np.array_equal(part[0], x) for part, x in zip(stacked, flat)]
         assert same == [True, T == 1, T == 1]
 
     def test_ml_jed_runs_with_the_configured_budget(self):

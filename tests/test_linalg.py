@@ -210,6 +210,17 @@ def test_bad_shift_or_matrix_raises(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "fn", [linalg.invert_shifted, linalg.neumann_two_term, linalg.neumann_error_bound]
+)
+@pytest.mark.parametrize("G", [np.eye(3), np.stack([np.eye(3)] * 3)], ids=["one", "stack-of-3"])
+def test_shift_shape_must_match_the_stack(fn, G):
+    # Two shifts for one matrix once gave a (2, 3, 3) stack; for a stack of
+    # three they ended in a raw numpy broadcast error.
+    with pytest.raises(DimensionError, match="shift factors of shape"):
+        fn(G, np.array([4.0, 8.0]))
+
+
 def test_zero_shift_takes_the_matrix_as_zero():
     G = np.diag([1.0, 2.0]).astype(complex)
     assert np.array_equal(linalg.invert_shifted(G, 0.0), np.eye(2))

@@ -4,6 +4,13 @@ import pytest
 from simojed import model
 from simojed.errors import DimensionError, ParameterError
 from simojed.model import Constellation, LosGeometry
+from simojed.prox import ProxParams, preprocess, solve_stack
+
+
+def one_block(B, K, c, snr_db, seed, key, los=None):
+    """Trial 0 of the one-trial stack: (Y, s, h)."""
+    Y, _, s, h, _ = model.draw_blocks(B, K, c, snr_db, seed, key, 1, los)
+    return Y[0], s[0], h[0]
 
 
 class TestConstellation:
@@ -104,16 +111,15 @@ class TestTransmit:
     def test_noise_free_rank_one(self):
         # Infinite SNR means zero noise variance: no noise is drawn.
         c = Constellation.qpsk()
-        block, _ = model.draw_block(6, 4, c, np.inf, 10, ())
-        h, s = block.truth.h_true, block.truth.s_true
-        assert block.truth.n0 == 0.0
-        assert np.array_equal(block.Y, np.outer(h, s.conj()))
-        svals = np.linalg.svd(block.Y, compute_uv=False)
+        Y, s, h = one_block(6, 4, c, np.inf, 10, ())
+        assert model.snr_to_n0(np.inf, c) == 0.0
+        assert np.array_equal(Y, np.outer(h, s.conj()))
+        svals = np.linalg.svd(Y, compute_uv=False)
         assert svals[1] <= 1e-12 * c.sigma * np.linalg.norm(h)
 
     def test_single_antenna_row(self):
-        block, _ = model.draw_block(1, 3, Constellation.bpsk(), np.inf, 11, ())
-        assert np.array_equal(block.Y[0], block.truth.h_true[0] * block.truth.s_true.conj())
+        Y, s, h = one_block(1, 3, Constellation.bpsk(), np.inf, 11, ())
+        assert np.array_equal(Y[0], h[0] * s.conj())
 
     def test_noise_variance(self):
         c = Constellation.bpsk()
@@ -126,39 +132,45 @@ class TestTransmit:
         from simojed.linalg import gram
 
         c = Constellation.bpsk()
-        block, _ = model.draw_block(4, 3, c, 10.0, 13, ())
-        assert np.array_equal(block.G, gram(block.Y))
-        Y, G, *_ = model.draw_blocks(4, 3, c, 10.0, 13, (), 3)
-        assert all(np.array_equal(G[t], gram(Y[t])) for t in range(3))
+        for T in (1, 3):
+            Y, G, *_ = model.draw_blocks(4, 3, c, 10.0, 13, (), T)
+            assert all(np.array_equal(G[t], gram(Y[t])) for t in range(T))
 
+    # A caller's blocks are checked where they enter the solver.
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_rejected(self, bad):
         Y = np.ones((4, 3), dtype=complex)
         Y[2, 1] = bad
         with pytest.raises(ParameterError, match="non-finite"):
-            model.ReceivedBlock(Y=Y)
+            solve_stack(Y, np.eye(3), Constellation.bpsk(), ProxParams())
 
     def test_explicit_gram_checked(self):
         # A NaN in Y next to the block's original Gram matrix used to pass
         # through the solver into the channel estimate.
-        block, _ = model.draw_block(8, 4, Constellation.qpsk(), 0.0, 1, (0,))
-        Y = block.Y.copy()
-        Y[3, 2] = np.nan
-        G = block.G.copy()
-        G[1, 1] = np.inf
+        c, params = Constellation.qpsk(), ProxParams()
+        Y, G, *_ = model.draw_blocks(8, 4, c, 0.0, 1, (0,), 2)
+        pre = preprocess(G, params)
+        bad_Y = Y.copy()
+        bad_Y[1, 3, 2] = np.nan
+        bad_G = G.copy()
+        bad_G[0, 1, 1] = np.inf
+        for given in (G, pre):
+            with pytest.raises(ParameterError, match="non-finite"):
+                solve_stack(bad_Y, given, c, params)
+            for wrong in (Y[:, :, :-1], Y[:1], Y[0]):
+                with pytest.raises(DimensionError, match="shape"):
+                    solve_stack(wrong, given, c, params)
         with pytest.raises(ParameterError, match="non-finite"):
-            model.ReceivedBlock(Y=Y, G=block.G)
-        with pytest.raises(ParameterError, match="non-finite"):
-            model.ReceivedBlock(Y=block.Y, G=G)
-        with pytest.raises(ParameterError, match="shape"):
-            model.ReceivedBlock(Y=block.Y, G=block.G[:-1, :-1])
-        assert model.ReceivedBlock(Y=block.Y, G=block.G).G is block.G
+            solve_stack(Y, bad_G, c, params)
+        with pytest.raises(DimensionError, match="shape"):
+            solve_stack(Y, G[:, :-1, :-1], c, params)
+        assert np.array_equal(solve_stack(Y, pre, c, params).s_hat, solve_stack(Y, G, c, params).s_hat)
 
     def test_draw_block_stream_layout(self):
         # Children 0-2 of the trial stream feed channel, data and noise;
         # child 3 comes back for the downlink evaluation.
         c = Constellation.qpsk()
-        block, dl_ss = model.draw_block(8, 5, c, 3.0, 21, (2, 7))
+        Y_got, _, s_got, h_got, dl_rng = model.draw_blocks(8, 5, c, 3.0, 21, (2, 7), 1)
         ch, data, noise, dl = np.random.SeedSequence(21, spawn_key=(2, 7)).spawn(4)
         z = np.random.default_rng(ch).standard_normal((2, 8))
         h = (z[0] + 1j * z[1]) / np.sqrt(2.0)
@@ -166,32 +178,32 @@ class TestTransmit:
         s = np.concatenate([c.points[:1], c.points[idx]])
         z = np.random.default_rng(noise).standard_normal((2, 8, 6))
         Y = np.outer(h, s.conj()) + np.sqrt(model.snr_to_n0(3.0, c) / 2.0) * (z[0] + 1j * z[1])
-        assert np.array_equal(block.truth.h_true, h)
-        assert np.array_equal(block.truth.s_true, s)
-        assert np.array_equal(block.Y, Y)
-        assert np.array_equal(dl_ss.generate_state(4), dl.generate_state(4))
+        assert np.array_equal(h_got[0], h)
+        assert np.array_equal(s_got[0], s)
+        assert np.array_equal(Y_got[0], Y)
+        assert np.array_equal(dl_rng.bit_generator.seed_seq.generate_state(4), dl.generate_state(4))
 
     def test_draw_block_keys_are_independent(self):
         c = Constellation.bpsk()
-        a, _ = model.draw_block(4, 3, c, 0.0, 5, (0, 1))
-        b, _ = model.draw_block(4, 3, c, 0.0, 5, (0, 1))
-        other, _ = model.draw_block(4, 3, c, 0.0, 5, (1, 0))
-        assert np.array_equal(a.Y, b.Y)
-        assert not np.array_equal(a.Y, other.Y)
+        a = one_block(4, 3, c, 0.0, 5, (0, 1))[0]
+        b = one_block(4, 3, c, 0.0, 5, (0, 1))[0]
+        other = one_block(4, 3, c, 0.0, 5, (1, 0))[0]
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, other)
 
     def test_draw_block_los_channel(self):
         geom = LosGeometry()
-        block, _ = model.draw_block(6, 2, Constellation.bpsk(), 0.0, 1, (0,), los=geom)
-        assert np.array_equal(block.truth.h_true, model.gen_los_channel(6, geom))
+        h = one_block(6, 2, Constellation.bpsk(), 0.0, 1, (0,), los=geom)[2]
+        assert np.array_equal(h, model.gen_los_channel(6, geom))
 
     def test_phase_ambiguity_of_objective(self):
         rng = np.random.default_rng(14)
         c = Constellation.qpsk()
-        block, _ = model.draw_block(8, 5, c, 6.0, 14, ())
+        Y = one_block(8, 5, c, 6.0, 14, ())[0]
         s = model.random_data_vector(c, 5, c.points[0], rng)
         for phi in rng.uniform(0, 2 * np.pi, size=5):
-            assert np.linalg.norm(block.Y @ (s * np.exp(1j * phi))) == pytest.approx(
-                np.linalg.norm(block.Y @ s), rel=1e-12
+            assert np.linalg.norm(Y @ (s * np.exp(1j * phi))) == pytest.approx(
+                np.linalg.norm(Y @ s), rel=1e-12
             )
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from simojed import fxp, linalg, model, prox
 from simojed.errors import DegenerateInputError, ParameterError
-from simojed.model import Constellation, ReceivedBlock
+from simojed.model import Constellation
 from simojed.prox import (
     PreprocessedMatrix,
     ProxParams,
@@ -18,7 +18,6 @@ from simojed.prox import (
     iterate,
     iterate_once,
     preprocess,
-    solve,
     solve_stack,
 )
 
@@ -26,8 +25,10 @@ from oracles import prox_iteration_scalar, step_diagnostics
 
 
 def make_noisy_block(seed, B=8, K=6, kind="qpsk", snr_db=8.0):
+    """The block of the one-trial stack of ``seed``: (Y, G, c)."""
     c = Constellation.by_name(kind)
-    return model.draw_block(B, K, c, snr_db, seed, ())[0], c
+    Y, G = model.draw_blocks(B, K, c, snr_db, seed, (), 1)[:2]
+    return Y[0], G[0], c
 
 
 class TestParams:
@@ -42,38 +43,34 @@ class TestParams:
         with pytest.raises(ParameterError):
             ProxParams(mode="fancy")
 
-    def test_bad_gamma(self):
-        with pytest.raises(ParameterError):
-            ProxParams(gamma_rule=-1.0)
-
 
 class TestPreprocess:
     def test_zero_gram_exact(self):
-        pre = preprocess(np.zeros((3, 3)), ProxParams(mode="exact", gamma_rule=1.0))
-        assert np.array_equal(pre.Ghat, np.eye(3))
+        pre = preprocess(np.zeros((3, 3)), ProxParams(mode="exact"))
+        assert np.array_equal(pre.gamma * pre.Ghat, np.eye(3))
 
     def test_diag_approx(self):
         G = np.diag([1.0, 2.0]).astype(complex)
-        pre = preprocess(G, ProxParams(alpha_scale=2.0, mode="approx", gamma_rule=1.0))
+        pre = preprocess(G, ProxParams(alpha_scale=2.0, mode="approx"))
         assert pre.alpha == pytest.approx(4.0, rel=1e-9)
-        assert np.allclose(pre.Ghat, np.diag([1.25, 1.5]), atol=1e-9)
+        assert np.allclose(pre.gamma * pre.Ghat, np.diag([1.25, 1.5]), atol=1e-9)
 
     def test_exact_mode_residual_invariant(self):
-        block, _ = make_noisy_block(0)
-        pre = preprocess(block.G, ProxParams(mode="exact"))
-        n = block.G.shape[0]
-        resid = pre.gamma * pre.Ghat @ (np.eye(n) - block.G / pre.alpha) - np.eye(n)
+        _, G, _ = make_noisy_block(0)
+        pre = preprocess(G, ProxParams(mode="exact"))
+        n = G.shape[0]
+        resid = pre.gamma * pre.Ghat @ (np.eye(n) - G / pre.alpha) - np.eye(n)
         assert np.linalg.norm(resid) <= 1e-8
 
     def test_approx_mode_definition(self):
-        block, _ = make_noisy_block(1)
-        pre = preprocess(block.G, ProxParams(mode="approx"))
-        raw = np.eye(block.G.shape[0]) + block.G / pre.alpha
+        _, G, _ = make_noisy_block(1)
+        pre = preprocess(G, ProxParams(mode="approx"))
+        raw = np.eye(G.shape[0]) + G / pre.alpha
         assert np.array_equal(pre.Ghat, raw / pre.gamma)
 
     def test_max_abs_scaling(self):
-        block, _ = make_noisy_block(2)
-        pre = preprocess(block.G, ProxParams())
+        _, G, _ = make_noisy_block(2)
+        pre = preprocess(G, ProxParams())
         peak = max(np.max(np.abs(pre.Ghat.real)), np.max(np.abs(pre.Ghat.imag)))
         assert abs(peak - 1.0) <= 1e-12
 
@@ -87,15 +84,13 @@ class TestInit:
         rng = np.random.default_rng(3)
         c = Constellation.bpsk()
         s = model.random_data_vector(c, 5, c.points[0], rng)
-        block = ReceivedBlock(Y=np.outer([1.0 + 0j], s.conj()))
-        assert np.allclose(init_s(block.G, c.points[0]), s, atol=1e-14)
+        G = linalg.gram(np.outer([1.0 + 0j], s.conj()))
+        assert np.allclose(init_s(G, c.points[0]), s, atol=1e-14)
 
     def test_matches_scalar_recomputation(self):
-        block, c = make_noisy_block(4)
-        s0 = init_s(block.G, c.points[0])
-        expected = np.array(
-            [c.points[0] * block.G[k, 0] / block.G[0, 0].real for k in range(block.G.shape[0])]
-        )
+        _, G, c = make_noisy_block(4)
+        s0 = init_s(G, c.points[0])
+        expected = np.array([c.points[0] * G[k, 0] / G[0, 0].real for k in range(G.shape[0])])
         assert np.max(np.abs(s0 - expected)) < 1e-14
 
     def test_degenerate_pilot_energy(self):
@@ -111,7 +106,6 @@ class TestIterate:
             Ghat=np.eye(n, dtype=complex),
             gamma=1.0,
             alpha=1.0,
-            mode="exact",
             G=np.zeros((n, n), dtype=complex),
         )
 
@@ -134,10 +128,10 @@ class TestIterate:
 
     @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
     def test_matches_scalar_reference(self, kind):
-        block, c = make_noisy_block(5, kind=kind)
+        _, G, c = make_noisy_block(5, kind=kind)
         params = ProxParams(rho_log2=1)
-        pre = preprocess(block.G, params)
-        s = init_s(block.G, c.points[0])
+        pre = preprocess(G, params)
+        s = init_s(G, c.points[0])
         state = SolverState(s_cur=s, q_cur=np.zeros_like(s))
         for _ in range(4):
             q_ref, s_ref = prox_iteration_scalar(
@@ -147,10 +141,10 @@ class TestIterate:
             assert np.max(np.abs(state.s_cur - s_ref)) < 1e-14
 
     def test_hull_membership_and_pilot_pin(self):
-        block, c = make_noisy_block(6)
+        _, G, c = make_noisy_block(6)
         params = ProxParams()
-        pre = preprocess(block.G, params)
-        state = SolverState(s_cur=init_s(block.G, c.points[0]), q_cur=None)
+        pre = preprocess(G, params)
+        state = SolverState(s_cur=init_s(G, c.points[0]), q_cur=None)
         for _ in range(10):
             state = iterate_once(state, pre, c, params, c.points[0])
             assert np.all(np.abs(state.s_cur.real) <= c.re_bound + 1e-12)
@@ -196,8 +190,7 @@ class TestChannelEstimate:
         c = Constellation.qpsk()
         h = model.gen_rayleigh_channel(5, rng)
         s = model.random_data_vector(c, 4, c.points[0], rng)
-        block = ReceivedBlock(Y=np.outer(h, s.conj()))
-        assert np.allclose(channel_estimate(block.Y, s), h, atol=1e-12)
+        assert np.allclose(channel_estimate(np.outer(h, s.conj()), s), h, atol=1e-12)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(8)
@@ -216,38 +209,36 @@ class TestSolve:
         c = Constellation.bpsk()
         h = model.gen_rayleigh_channel(16, rng)
         s = model.random_data_vector(c, 8, c.points[0], rng)
-        block = ReceivedBlock(Y=np.outer(h, s.conj()))
-        res = solve(block, c, ProxParams(t_max=5))
+        Y = np.outer(h, s.conj())
+        res = solve_stack(Y, linalg.gram(Y), c, ProxParams(t_max=5))
         assert np.array_equal(res.s_hat, s)
         assert np.allclose(res.h_hat, h, atol=1e-10)
 
     def test_k_zero(self):
         c = Constellation.qpsk()
-        block, _ = model.draw_block(4, 0, c, 10.0, 10, ())
-        res = solve(block, c, ProxParams(t_max=3))
-        assert np.array_equal(res.s_hat, [c.points[0]])
+        Y, G = model.draw_blocks(4, 0, c, 10.0, 10, (), 1)[:2]
+        res = solve_stack(Y, G, c, ProxParams(t_max=3))
+        assert np.array_equal(res.s_hat, [[c.points[0]]])
 
     def test_more_iterations_do_not_hurt(self):
         # Paired batch: error count with t_max=5 must not exceed t_max=1.
         c = Constellation.bpsk()
         errs = {1: 0, 5: 0}
         Y, G, s_true, _, _ = model.draw_blocks(16, 8, c, 5.0, 1000, (), 400)
-        for trial in range(400):
-            block = ReceivedBlock(Y=Y[trial], G=G[trial])
-            for t in (1, 5):
-                res = solve(block, c, ProxParams(t_max=t), record_trace=False)
-                errs[t] += int(np.sum(res.s_hat[1:] != s_true[trial, 1:]))
+        for t in (1, 5):
+            res = solve_stack(Y, G, c, ProxParams(t_max=t), record_trace=False)
+            errs[t] = int(np.sum(res.s_hat[:, 1:] != s_true[:, 1:]))
         assert errs[5] <= errs[1]
 
     def test_scale_invariance_of_decisions(self):
-        block, c = make_noisy_block(11)
+        Y, G, c = make_noisy_block(11)
         params = ProxParams()
-        scaled = model.ReceivedBlock(Y=3.7 * block.Y)
-        pre_a = preprocess(block.G, params)
-        pre_b = preprocess(scaled.G, params)
+        G_scaled = linalg.gram(3.7 * Y)
+        pre_a = preprocess(G, params)
+        pre_b = preprocess(G_scaled, params)
         assert np.allclose(pre_a.Ghat, pre_b.Ghat, atol=1e-12)
-        res_a = solve(block, c, params)
-        res_b = solve(scaled, c, params)
+        res_a = solve_stack(Y, G, c, params)
+        res_b = solve_stack(3.7 * Y, G_scaled, c, params)
         assert np.max(np.abs(res_a.state.s_cur - res_b.state.s_cur)) < 1e-12
         assert np.array_equal(res_a.s_hat, res_b.s_hat)
 
@@ -270,42 +261,37 @@ class TestSolveStack:
         self, T, B, K, kind, mode, alpha_scale, rho_log2, t_max, snr_db, seed
     ):
         c = Constellation.by_name(kind)
-        blocks = [model.draw_block(B, K, c, snr_db, seed, (t,))[0] for t in range(T)]
+        Y, G = model.draw_blocks(B, K, c, snr_db, seed, (), T)[:2]
         params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max, mode=mode)
-        stacked = solve_stack(
-            np.stack([b.Y for b in blocks]), np.stack([b.G for b in blocks]), c, params
-        )
+        stacked = solve_stack(Y, G, c, params)
         assert stacked.s_hat.shape == (T, K + 1)
         assert stacked.h_hat.shape == (T, B)
-        for t, block in enumerate(blocks):
-            single = solve(block, c, params)
+        for t in range(T):
+            single = solve_stack(Y[t], G[t], c, params)
             assert np.array_equal(stacked.s_hat[t], single.s_hat)
             np.testing.assert_allclose(stacked.h_hat[t], single.h_hat, rtol=1e-12, atol=0)
-            for rec_stack, rec in zip(stacked.state.trace, single.state.trace):
-                np.testing.assert_allclose(rec_stack.objective[t], rec.objective, rtol=1e-12)
-                np.testing.assert_allclose(rec_stack.grad_residual[t], rec.grad_residual, rtol=1e-12)
+            for name in ("objective", "grad_residual"):
+                got, want = getattr(stacked.state.trace, name)[:, t], getattr(single.state.trace, name)
+                np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_zero_gram_in_a_stack_gets_identity(self):
-        block, _ = make_noisy_block(15)
-        G = np.stack([block.G, np.zeros_like(block.G)])
-        pre = preprocess(G, ProxParams())
-        assert np.array_equal(pre.Ghat[1], np.eye(block.G.shape[0]))
-        assert np.array_equal(pre.Ghat[0], preprocess(block.G, ProxParams()).Ghat)
+        _, G1, _ = make_noisy_block(15)
+        pre = preprocess(np.stack([G1, np.zeros_like(G1)]), ProxParams())
+        assert np.array_equal(pre.Ghat[1], np.eye(G1.shape[0]))
+        assert np.array_equal(pre.Ghat[0], preprocess(G1, ProxParams()).Ghat)
 
     def test_degenerate_trial_fails_the_stack(self):
-        block, c = make_noisy_block(16)
-        G = np.stack([block.G, np.zeros_like(block.G)])
+        Y, G, c = make_noisy_block(16)
         with pytest.raises(DegenerateInputError):
-            solve_stack(np.stack([block.Y, 0 * block.Y]), G, c, ProxParams())
+            solve_stack(np.stack([Y, 0 * Y]), np.stack([G, np.zeros_like(G)]), c, ProxParams())
 
     def test_non_finite_gram_rejected(self):
         # Rejected before the eigensolver, whose LinAlgError is not a
         # package error.
-        block, c = make_noisy_block(17)
-        G = block.G.copy()
+        Y, G, c = make_noisy_block(17)
         G[0, 2] = np.nan
         with pytest.raises(ParameterError, match="non-finite"):
-            solve(model.ReceivedBlock(Y=block.Y, G=G), c, ProxParams())
+            solve_stack(Y, G, c, ProxParams())
 
 
 class TestTrace:
@@ -327,51 +313,45 @@ class TestTrace:
         # rho_log2 = 0 puts beta at or below zero on every block, so both
         # the masked and the evaluated objective are covered.
         c = Constellation.by_name(kind)
-        if T is None:
-            G = model.draw_block(8, N - 1, c, snr_db, seed, ())[0].G
-        else:
-            G = model.draw_blocks(8, N - 1, c, snr_db, seed, (), T)[1]
+        G = model.draw_blocks(8, N - 1, c, snr_db, seed, (), T or 1)[1]
+        G = G[0] if T is None else G
         params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max, mode=mode)
         pre = preprocess(G, params)
         beta = pre.beta(params.rho)
         traced = iterate(pre, c, params, c.points[0])
-        assert len(traced.trace) == t_max
+        trace = traced.trace
+        fields = (trace.objective, trace.grad_residual, trace.boundary_gap)
+        assert all(f.shape == (t_max,) + G.shape[:-2] for f in fields)
         state = SolverState(s_cur=init_s(G, c.points[0]), q_cur=None)
-        for rec in traced.trace:
+        for t in range(t_max):
             s_prev = state.s_cur
             state = iterate_once(state, pre, c, params, c.points[0])
             want = step_diagnostics(
                 s_prev, state.s_cur, state.q_cur, G, pre.alpha, beta, c.re_bound, c.im_bound
             )
-            for got in (rec.objective, rec.grad_residual, rec.boundary_gap):
-                assert isinstance(got, np.ndarray) == (T is not None)
-            got = (rec.objective, rec.grad_residual, rec.boundary_gap)
-            for g, w in zip(got, want):
-                assert np.shape(g) == np.shape(w)
-                assert np.array_equal(g, w, equal_nan=True)
+            for f, w in zip(fields, want):
+                assert np.shape(f[t]) == np.shape(w)
+                assert np.array_equal(f[t], w, equal_nan=True)
         bare = iterate(pre, c, params, c.points[0], record_trace=False)
-        assert bare.trace == []
+        assert bare.trace is None
         for final in (traced, bare):
             assert np.array_equal(final.s_cur, state.s_cur)
             assert np.array_equal(final.q_cur, state.q_cur)
-            assert final.iter == t_max
 
     @pytest.mark.parametrize("T", [None, 9])
     @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
     def test_untraced_solve_gives_the_same_result(self, T, kind):
         c = Constellation.by_name(kind)
+        Y, G = model.draw_blocks(8, 6, c, 0.0, 21, (), T or 1)[:2]
         if T is None:
-            block = model.draw_block(8, 6, c, 0.0, 21, ())[0]
-            Y, G = block.Y, block.G
-        else:
-            Y, G = model.draw_blocks(8, 6, c, 0.0, 21, (), T)[:2]
+            Y, G = Y[0], G[0]
         params = ProxParams(t_max=12)
         traced = solve_stack(Y, G, c, params)
         bare = solve_stack(Y, G, c, params, record_trace=False)
-        assert len(traced.state.trace) == 12 and bare.state.trace == []
+        assert len(traced.state.trace.objective) == 12 and bare.state.trace is None
         for name in ("s_hat", "h_hat"):
             assert np.array_equal(getattr(bare, name), getattr(traced, name))
-        for name in ("s_cur", "q_cur", "iter"):
+        for name in ("s_cur", "q_cur"):
             assert np.array_equal(getattr(bare.state, name), getattr(traced.state, name))
 
 
@@ -389,13 +369,12 @@ class TestDiagnostics:
     def test_monotone_objective_exact_mode(self):
         seen = 0
         for seed in range(20):
-            block, c = make_noisy_block(100 + seed, B=8, K=6)
+            Y, G, c = make_noisy_block(100 + seed, B=8, K=6)
             params = ProxParams(t_max=30)
-            pre = preprocess(block.G, params)
+            pre = preprocess(G, params)
             if not (0.0 < pre.beta(params.rho) < pre.alpha):
                 continue
-            res = solve(block, c, params)
-            objs = [r.objective for r in res.state.trace]
+            objs = solve_stack(Y, G, c, params).state.trace.objective
             for a, b in zip(objs[1:], objs[:-1]):
                 assert a <= b + 1e-9 * max(1.0, abs(b))
             seen += 1
@@ -406,37 +385,36 @@ class TestDiagnostics:
         # equals alpha * (s_prev - s_new); checked on early iterations where
         # the step is O(1).
         for seed in range(20):
-            block, c = make_noisy_block(200 + seed, B=8, K=6)
+            _, G, c = make_noisy_block(200 + seed, B=8, K=6)
             params = ProxParams(t_max=1)
-            pre = preprocess(block.G, params)
-            s_prev = init_s(block.G, c.points[0])
+            pre = preprocess(G, params)
+            s_prev = init_s(G, c.points[0])
             state = SolverState(s_cur=s_prev.copy(), q_cur=None)
             state = iterate_once(state, pre, c, params, c.points[0])
             q = state.q_cur
-            lhs = -block.G @ q + pre.alpha * (q - state.s_cur)
+            lhs = -G @ q + pre.alpha * (q - state.s_cur)
             rhs = pre.alpha * (s_prev - state.s_cur)
             denom = max(np.linalg.norm(rhs), np.linalg.norm(lhs))
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * denom
 
     def test_gradient_residual_decays(self):
-        block, c = make_noisy_block(12, B=16, K=8)
+        Y, G, c = make_noisy_block(12, B=16, K=8)
         params = ProxParams(t_max=100)
-        res = solve(block, c, params)
-        resid = [r.grad_residual for r in res.state.trace]
-        n = block.G.shape[0]
-        pre_alpha = preprocess(block.G, params).alpha
+        resid = solve_stack(Y, G, c, params).state.trace.grad_residual
+        n = G.shape[0]
+        pre_alpha = preprocess(G, params).alpha
         assert resid[-1] <= 1e-6 * pre_alpha * np.sqrt(n)
 
     def test_boundary_gap_small_after_convergence(self):
-        block, c = make_noisy_block(13, B=16, K=8)
-        res = solve(block, c, ProxParams(t_max=100))
-        last = res.state.trace[-1]
-        if last.grad_residual < 1e-8 and np.linalg.norm(res.state.s_cur) > 0:
-            assert last.boundary_gap <= 1e-6
+        Y, G, c = make_noisy_block(13, B=16, K=8)
+        res = solve_stack(Y, G, c, ProxParams(t_max=100))
+        trace = res.state.trace
+        if trace.grad_residual[-1] < 1e-8 and np.linalg.norm(res.state.s_cur) > 0:
+            assert trace.boundary_gap[-1] <= 1e-6
 
     def test_exact_vs_approx_within_neumann_bound(self):
-        block, _ = make_noisy_block(14)
-        exact = preprocess(block.G, ProxParams(mode="exact"))
-        approx = preprocess(block.G, ProxParams(mode="approx"))
+        _, G, _ = make_noisy_block(14)
+        exact = preprocess(G, ProxParams(mode="exact"))
+        approx = preprocess(G, ProxParams(mode="approx"))
         gap = np.linalg.norm(exact.gamma * exact.Ghat - approx.gamma * approx.Ghat, ord=2)
-        assert gap <= linalg.neumann_error_bound(block.G, exact.alpha) * (1 + 1e-9)
+        assert gap <= linalg.neumann_error_bound(G, exact.alpha) * (1 + 1e-9)

@@ -89,8 +89,8 @@ def test_skipped_attempts_keep_the_instance_set(monkeypatch):
     valid = skipped = attempt = 0
     while valid < n:
         attempt += 1
-        block = verify._draw_instance(rng, seed, attempt)[0]
-        if block.G[0, 0].real > threshold:
+        G = verify._draw_instance(rng, seed, attempt)[0]
+        if G[0, 0].real > threshold:
             skipped += 1
         else:
             valid += 1
