@@ -1,6 +1,6 @@
 """Reference detectors and the exhaustive maximum-likelihood oracle.
 
-All detectors report the pinned first slot as the known reference symbol so
+All detectors report the first slot as the known pilot ``c.points[0]``, so
 error counting is comparable across methods; errors are only ever counted on
 slots 2..K+1. Every detector and the downlink evaluation take one block's
 arrays (``Y`` of shape (B, K+1), channels of shape (B,)) or a stack of them
@@ -29,9 +29,9 @@ class DetectionResult:
     h_hat: np.ndarray | None
 
 
-def _mrc_slice(Y: np.ndarray, h: np.ndarray, c: Constellation, s_check: complex) -> np.ndarray:
+def _mrc_slice(Y: np.ndarray, h: np.ndarray, c: Constellation) -> np.ndarray:
     """Matched-filter combine and slice each slot; slot 1 is reported as the
-    known reference symbol.
+    pilot ``c.points[0]``.
 
     The combined statistic is (y_k^H h)/|h|^2, which equals s_k noise-free
     (the received block carries conjugated symbols).
@@ -41,39 +41,35 @@ def _mrc_slice(Y: np.ndarray, h: np.ndarray, c: Constellation, s_check: complex)
         raise DegenerateInputError("zero channel vector")
     z = (Y.conj().swapaxes(-1, -2) @ h[..., None])[..., 0] / energy[..., None]
     s_hat = hard_decision(z, c)
-    s_hat[..., 0] = s_check
+    s_hat[..., 0] = c.points[0]
     return s_hat
 
 
-def mrc_csir(
-    Y: np.ndarray, h: np.ndarray, c: Constellation, s_check: complex | None = None
-) -> DetectionResult:
+def mrc_csir(Y: np.ndarray, h: np.ndarray, c: Constellation) -> DetectionResult:
     """Combining with the true channel (perfect receive-side CSI)."""
-    s_check = c.points[0] if s_check is None else s_check
     h = np.asarray(h, dtype=complex)
-    return DetectionResult(s_hat=_mrc_slice(Y, h, c, s_check), h_hat=h)
+    return DetectionResult(s_hat=_mrc_slice(Y, h, c), h_hat=h)
 
 
-def chest_pilot(Y: np.ndarray, s_check: complex, c: Constellation) -> np.ndarray:
-    """Channel estimate from the single known first-slot symbol.
+def chest_pilot(Y: np.ndarray, c: Constellation) -> np.ndarray:
+    """Channel estimate from the pilot ``c.points[0]`` in the first slot.
 
-    The first received column is h times the conjugated reference symbol, so
-    multiplying by the symbol itself recovers h exactly when noise-free.
+    The first received column is h times the conjugated pilot, so
+    multiplying by the pilot itself recovers h exactly when noise-free.
     """
-    return Y[..., :, 0] * s_check / c.sigma**2
+    return Y[..., :, 0] * c.points[0] / c.sigma**2
 
 
-def mrc_chest(Y: np.ndarray, c: Constellation, s_check: complex | None = None) -> DetectionResult:
+def mrc_chest(Y: np.ndarray, c: Constellation) -> DetectionResult:
     """Pilot-based channel estimation followed by combining."""
-    s_check = c.points[0] if s_check is None else s_check
-    h_hat = chest_pilot(Y, s_check, c)
-    return DetectionResult(s_hat=_mrc_slice(Y, h_hat, c, s_check), h_hat=h_hat)
+    h_hat = chest_pilot(Y, c)
+    return DetectionResult(s_hat=_mrc_slice(Y, h_hat, c), h_hat=h_hat)
 
 
-def mrc_retrained(Y: np.ndarray, c: Constellation, s_check: complex | None = None) -> DetectionResult:
+def mrc_retrained(Y: np.ndarray, c: Constellation) -> DetectionResult:
     """Pilot-based detection, then the channel re-estimated from the detected
     symbol vector."""
-    first = mrc_chest(Y, c, s_check)
+    first = mrc_chest(Y, c)
     return DetectionResult(s_hat=first.s_hat, h_hat=channel_estimate(Y, first.s_hat))
 
 
@@ -95,7 +91,6 @@ def _enumerate_slots(c: Constellation, K: int, start: int, cands: np.ndarray, sl
 def ml_jed_exhaustive(
     Y: np.ndarray,
     c: Constellation,
-    s_check: complex | None = None,
     budget: int = ML_JED_DEFAULT_BUDGET,
     G: np.ndarray | None = None,
 ) -> DetectionResult:
@@ -108,11 +103,10 @@ def ml_jed_exhaustive(
     diagonal terms are the same for all candidates of a trial and only
     Re sum_{i<j} conj(x_i) G_ij x_j is compared: one real matrix product of
     the stack's upper triangles with the pair products of each candidate
-    chunk. Real candidates (BPSK with a real reference symbol) need only
-    Re G. ``G`` holds the Gram matrices of ``Y``, taken as given; without
-    it they are computed (and ``Y`` checked) by ``linalg.gram``.
+    chunk. Real candidates (BPSK) need only Re G. ``G`` holds the Gram
+    matrices of ``Y``, taken as given; without it they are computed (and
+    ``Y`` checked) by ``linalg.gram``.
     """
-    s_check = c.points[0] if s_check is None else s_check
     G = gram(Y) if G is None else G
     K = G.shape[-1] - 1
     m = len(c.points)
@@ -124,7 +118,7 @@ def ml_jed_exhaustive(
         )
     iu, ju = np.triu_indices(K + 1, 1)
     upper = G.reshape(-1, K + 1, K + 1)[:, iu, ju]
-    real = not np.any(c.points.imag) and np.imag(s_check) == 0
+    real = not np.any(c.points.imag)
     # Re(G_ij p) = Re G_ij Re p - Im G_ij Im p, as one real product.
     upper = upper.real.copy() if real else np.concatenate([upper.real, -upper.imag], axis=1)
     row_start = np.concatenate([[0], np.cumsum(np.arange(K, 0, -1))])
@@ -137,7 +131,7 @@ def ml_jed_exhaustive(
         low += 1
     fixed = K + 1 - low
     cands = np.empty((K + 1, min(_ENUM_CHUNK, total)), dtype=np.complex128)
-    cands[0] = s_check
+    cands[0] = c.points[0]
     _enumerate_slots(c, K, 0, cands, range(fixed, K + 1))
     x = cands.real if real else cands
     pairs = np.empty((len(iu), cands.shape[1]), dtype=x.dtype)
@@ -203,7 +197,7 @@ def downlink_ser(
 
     The beam is the normalized conjugate of the channel estimate. The
     receiver learns the composite gain from one known reference symbol (the
-    same pinned constellation point), which also removes any global phase
+    pilot ``c.points[0]``), which also removes any global phase
     rotation of the estimate, then slices the data symbols of ``draws``
     (see ``draw_downlink``). A zero composite-gain estimate loses every
     symbol. The noise variance ``n0`` is one value for every trial, or one
@@ -224,9 +218,9 @@ def downlink_ser(
     g = np.sum(np.asarray(h, dtype=complex) * w, axis=-1)
     scale = np.sqrt(n0 / 2.0)
 
-    s_check = c.points[0]
-    z_ref = g * s_check + scale * (draws.ref_noise[..., 0] + 1j * draws.ref_noise[..., 1])
-    g_hat = z_ref * np.conj(s_check) / c.sigma**2
+    pilot = c.points[0]
+    z_ref = g * pilot + scale * (draws.ref_noise[..., 0] + 1j * draws.ref_noise[..., 1])
+    g_hat = z_ref * np.conj(pilot) / c.sigma**2
     lost = g_hat == 0.0
 
     n = draws.data.shape[-1]

@@ -130,7 +130,19 @@ def _resolve(args: argparse.Namespace, extra_keys: dict | None = None) -> dict:
     return merged
 
 
-def _build_config(res: dict, methods: tuple[MethodSpec, ...], arithmetic: str = "float") -> SweepConfig:
+def _build_config(res: dict, methods: str, arithmetic: str = "float") -> SweepConfig:
+    """The sweep of the resolved values, running the comma-listed
+    ``methods``; the solver methods share one set of gains."""
+    if res["channel"] not in ("rayleigh", "los"):
+        raise ParameterError(f"unknown channel {res['channel']!r}; choose rayleigh or los")
+    params = ProxParams(
+        alpha_scale=res["alpha_scale"],
+        rho_log2=res["rho_log2"],
+        t_max=res["t_max"],
+        mode=res["mode"],
+    )
+    names = [name.strip() for name in methods.split(",")]
+    specs = tuple(MethodSpec(n, params if n in ("prox", "aprox") else None) for n in names)
     return SweepConfig(
         B=res["b"],
         K=res["k"],
@@ -138,19 +150,10 @@ def _build_config(res: dict, methods: tuple[MethodSpec, ...], arithmetic: str = 
         snr_points_db=parse_snr_spec(res["snr"]),
         trials=res["trials"],
         master_seed=res["seed"],
-        methods=methods,
-        channel=res["channel"],
+        methods=specs,
         los=LosGeometry() if res["channel"] == "los" else None,
         arithmetic=arithmetic,
     )
-
-
-def _method_specs(names: str, params: ProxParams) -> tuple[MethodSpec, ...]:
-    specs = []
-    for name in names.split(","):
-        name = name.strip()
-        specs.append(MethodSpec(name, params if name in ("prox", "aprox") else None))
-    return tuple(specs)
 
 
 def _write_outputs(prefix: str, result, plot: bool) -> None:
@@ -192,13 +195,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         res["methods"] = args.methods
     if getattr(args, "arithmetic", None):
         res["arithmetic"] = args.arithmetic
-    params = ProxParams(
-        alpha_scale=res["alpha_scale"],
-        rho_log2=res["rho_log2"],
-        t_max=res["t_max"],
-        mode=res["mode"],
-    )
-    cfg = _build_config(res, _method_specs(res["methods"], params), res["arithmetic"])
+    cfg = _build_config(res, res["methods"], res["arithmetic"])
     result = run_sweep(cfg)
     for (method, snr), cell in sorted(result.cells.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         lo, hi = cell.wilson_interval()
@@ -231,13 +228,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_hw_compare(args: argparse.Namespace) -> int:
     res = _resolve(args, {"methods": "prox"})
-    params = ProxParams(
-        alpha_scale=res["alpha_scale"],
-        rho_log2=res["rho_log2"],
-        t_max=res["t_max"],
-        mode=res["mode"],
-    )
-    cfg = _build_config(res, _method_specs("prox", params))
+    cfg = _build_config(res, "prox")
     report = hw_compare(cfg, agreement_snr_db=args.agreement_snr)
     print(f"hard-decision agreement: {report.agreement_rate:.4%}")
     for target, gap in report.gap_db_at.items():

@@ -280,11 +280,10 @@ def quantize_block(
     G: np.ndarray | PreprocessedMatrix,
     c: Constellation,
     params: ProxParams,
-    s_check: complex | None = None,
 ) -> tuple[PeArrayConfig, tuple, tuple, tuple[int, int]]:
     """The array for a block's Gram matrix ``G`` (or a stack of them with a
     leading trial axis) and its raw-integer (real, imaginary) inputs: the
-    iteration matrix, the initial iterate and the reference symbol. A
+    iteration matrix, the initial iterate and the pilot ``c.points[0]``. A
     ``preprocess(G, params)`` result in place of ``G`` is used as given.
     The array configuration is checked before anything is preprocessed.
 
@@ -301,10 +300,9 @@ def quantize_block(
         real_only=c.im_bound == 0.0,
     )
     pre = G if given else preprocess(G, params)
-    s_check = c.points[0] if s_check is None else s_check
     bound = c.re_bound  # per-component hull half-width
-    sc_re, sc_im = quantize_array(s_check / bound, S_BITS, S_FRAC)
-    sq = quantize_array(init_s(pre.G, s_check) / bound, S_BITS, S_FRAC)
+    sc_re, sc_im = quantize_array(c.points[0] / bound, S_BITS, S_FRAC)
+    sq = quantize_array(init_s(pre.G, c) / bound, S_BITS, S_FRAC)
     return cfg, quantize_array(pre.Ghat, G_BITS, G_FRAC), sq, (int(sc_re), int(sc_im))
 
 
@@ -312,7 +310,6 @@ def solve_fixed_stack(
     G: np.ndarray | PreprocessedMatrix,
     c: Constellation,
     params: ProxParams,
-    s_check: complex | None = None,
 ) -> np.ndarray:
     """Full fixed-point detection pass over the Gram matrices of a stack of
     blocks (T, N, N), or of one block (N, N), or over their ``preprocess``
@@ -322,17 +319,16 @@ def solve_fixed_stack(
     datapath; hard decisions come from the output sign bits. Returns the
     detected symbol vectors, one row per trial.
     """
-    s_check = c.points[0] if s_check is None else s_check
-    cfg, Gq, state, sc_raw = quantize_block(G, c, params, s_check)
+    cfg, Gq, state, sc_raw = quantize_block(G, c, params)
     for _ in range(params.t_max):
         state = direct_iteration(state, Gq, cfg, sc_raw)
-    return _sign_decisions(state, c, s_check)
+    return _sign_decisions(state, c)
 
 
-def _sign_decisions(state: tuple[np.ndarray, np.ndarray], c: Constellation, s_check: complex) -> np.ndarray:
+def _sign_decisions(state: tuple[np.ndarray, np.ndarray], c: Constellation) -> np.ndarray:
     """Hard decisions from the sign bits of the final iterate."""
     out = c.decide(*state)
-    out[..., 0] = s_check
+    out[..., 0] = c.points[0]
     return out
 
 

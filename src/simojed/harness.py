@@ -49,6 +49,7 @@ _TRIAL_CHUNK = 512
 METHOD_NAMES = ("prox", "aprox", "mrc-csir", "mrc-chest", "mrc-rt", "ml-jed")
 
 CSV_COLUMNS = "method,snr_db,uplink_ser,downlink_ser,chest_mse,trials,errors,ci_lo,ci_hi"
+WILSON_Z = 1.959963984540054  # the two-sided 95% normal quantile
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,7 @@ class SweepConfig:
     trials: int
     master_seed: int
     methods: tuple[MethodSpec, ...]
-    channel: str = "rayleigh"
-    los: LosGeometry | None = None
+    los: LosGeometry | None = None  # None: Rayleigh
     arithmetic: str = "float"
     downlink_symbols: int | None = None  # defaults to K
     ml_jed_budget: int = ML_JED_DEFAULT_BUDGET
@@ -97,8 +97,6 @@ class SweepConfig:
             raise ParameterError("need at least one data slot")
         if self.downlink_symbols is not None and self.downlink_symbols < 1:
             raise ParameterError("need at least one downlink symbol")
-        if self.channel not in ("rayleigh", "los"):
-            raise ParameterError(f"unknown channel {self.channel!r}")
         if self.arithmetic not in ("float", "fixed"):
             raise ParameterError(f"unknown arithmetic {self.arithmetic!r}")
         if self.arithmetic == "fixed":
@@ -156,8 +154,8 @@ class SweepCell:
     def downlink_ser(self) -> float:
         return self.downlink_errors / self.downlink_symbols
 
-    def wilson_interval(self, z: float = 1.959963984540054) -> tuple[float, float]:
-        return wilson_interval(self.symbol_errors, self.data_symbols, z)
+    def wilson_interval(self) -> tuple[float, float]:
+        return wilson_interval(self.symbol_errors, self.data_symbols)
 
 
 @dataclass
@@ -210,8 +208,9 @@ class SweepResult:
         }
 
 
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion."""
+    z = WILSON_Z
     if n == 0:
         return 0.0, 1.0
     p = k / n
@@ -284,13 +283,12 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     """
     c = Constellation.by_name(cfg.constellation)
     n_dl = cfg.downlink_symbols or cfg.K
-    los = cfg.los if cfg.channel == "los" else None
     solver = next((m for m in cfg.methods if m.solver_params is not None), None)
     parts = []
     for snr_index, lo, hi in chunks:
         snr_db = cfg.snr_points_db[snr_index]
         Y, G, s, h, dl_rng = draw_blocks(
-            cfg.B, cfg.K, c, snr_db, cfg.master_seed, (snr_index, lo), hi - lo, los
+            cfg.B, cfg.K, c, snr_db, cfg.master_seed, (snr_index, lo), hi - lo, cfg.los
         )
         n0 = np.full(hi - lo, snr_to_n0(snr_db, c))
         parts.append((Y, G, s, h, n0, *draw_downlink(dl_rng, c, n_dl, hi - lo)))

@@ -1,11 +1,12 @@
 """Signal model: constellations, channel generation, and block transmission.
 
-A single-antenna user sends K+1 symbols (the first one fixed and known) to a
-B-antenna receiver over a channel that stays constant for the whole block.
-All generators take an explicit ``numpy.random.Generator`` so trials can run
-on independent, reproducible substreams; ``draw_blocks`` lays those
-substreams out for a seeded stack of trials (``T=1`` for one block) and is
-the only way the package draws a block.
+A single-antenna user sends K+1 symbols (the first one the known pilot
+``c.points[0]``) to a B-antenna receiver over a channel that stays constant
+for the whole block. All generators take an explicit
+``numpy.random.Generator`` so trials can run on independent, reproducible
+substreams; ``draw_blocks`` lays those substreams out for a seeded stack of
+trials (``T=1`` for one block) and is the only way the package draws a
+block.
 """
 
 from __future__ import annotations
@@ -130,15 +131,13 @@ def gen_los_channel(B: int, geom: LosGeometry) -> np.ndarray:
 
 
 def random_data_vector(
-    c: Constellation, K: int, s_check: complex, rng: np.random.Generator, T: int | None = None
+    c: Constellation, K: int, rng: np.random.Generator, T: int | None = None
 ) -> np.ndarray:
-    """K+1 symbols: the pinned reference first, then uniform draws; a
+    """K+1 symbols: the pilot ``c.points[0]`` first, then uniform draws; a
     (T, K+1) stack of ``T`` trials, drawn as one (T, K) index array."""
-    if not np.min(np.abs(c.points - s_check)) <= 1e-12:
-        raise ParameterError(f"{s_check} is not a constellation point")
     lead = () if T is None else (T,)
     s = np.empty(lead + (K + 1,), dtype=np.complex128)
-    s[..., 0] = s_check
+    s[..., 0] = c.points[0]
     if K > 0:
         s[..., 1:] = c.points[rng.integers(0, len(c.points), size=lead + (K,))]
     return s
@@ -195,6 +194,6 @@ def draw_blocks(
         h = gen_rayleigh_channel(B, ch_rng, T)
     else:
         h = np.tile(gen_los_channel(B, los), (T, 1))
-    s = random_data_vector(c, K, c.points[0], data_rng, T)
+    s = random_data_vector(c, K, data_rng, T)
     Y = _receive(h, s, snr_to_n0(snr_db, c), noise_rng)
     return Y, gram(Y), s, h, dl_rng

@@ -135,16 +135,16 @@ def preprocess(G: np.ndarray, params: ProxParams) -> PreprocessedMatrix:
     return PreprocessedMatrix(Ghat=raw / gamma[..., None, None], gamma=gamma, alpha=alpha, G=G)
 
 
-def init_s(G: np.ndarray, s_check: complex) -> np.ndarray:
+def init_s(G: np.ndarray, c: Constellation) -> np.ndarray:
     """Matched-filter start: the pilot-row correlations normalized by the
-    pilot-slot energy."""
+    pilot-slot energy, times the pilot ``c.points[0]``."""
     G = np.asarray(G, dtype=np.complex128)
     n = G.shape[-1]
     g00 = G[..., 0, 0].real
     threshold = 1e-12 * np.trace(G, axis1=-2, axis2=-1).real / n
     if np.any(g00 <= threshold):
         raise DegenerateInputError("no received energy in the pilot slot")
-    return s_check * G[..., :, 0] / g00[..., None]
+    return c.points[0] * G[..., :, 0] / g00[..., None]
 
 
 def _clip_to_hull(v: np.ndarray, c: Constellation) -> np.ndarray:
@@ -154,16 +154,19 @@ def _clip_to_hull(v: np.ndarray, c: Constellation) -> np.ndarray:
     return re + 1j * np.clip(v.imag, -c.im_bound, c.im_bound)
 
 
+def hull_gaps(s: np.ndarray, c: Constellation) -> np.ndarray:
+    """Per-entry distance to the hull boundary (BPSK reads the real part
+    only)."""
+    if c.im_bound == 0.0:
+        return c.re_bound - np.abs(s.real)
+    return c.re_bound - np.maximum(np.abs(s.real), np.abs(s.imag))
+
+
 def _boundary_gap(s: np.ndarray, c: Constellation) -> np.ndarray:
     """Distance of the entry closest to the hull boundary, pilot excluded."""
     if s.shape[-1] < 2:
         return np.zeros(s.shape[:-1])
-    body = s[..., 1:]
-    if c.im_bound == 0.0:
-        gaps = c.re_bound - np.abs(body.real)
-    else:
-        gaps = c.re_bound - np.maximum(np.abs(body.real), np.abs(body.imag))
-    return np.min(gaps, axis=-1)
+    return np.min(hull_gaps(s[..., 1:], c), axis=-1)
 
 
 def iterate_once(
@@ -171,12 +174,11 @@ def iterate_once(
     pre: PreprocessedMatrix,
     c: Constellation,
     params: ProxParams,
-    s_check: complex,
 ) -> SolverState:
     """One solver step: matrix-vector product, scaled hull clip, pilot pin."""
     q_tilde = _matvec(pre.Ghat, state.s_cur)
     s_new = _clip_to_hull(params.rho * q_tilde, c)
-    s_new[..., 0] = s_check
+    s_new[..., 0] = c.points[0]
     q = np.asarray(pre.gamma)[..., None] * q_tilde
     return SolverState(s_cur=s_new, q_cur=q)
 
@@ -185,7 +187,6 @@ def iterate(
     pre: PreprocessedMatrix,
     c: Constellation,
     params: ProxParams,
-    s_check: complex,
     record_trace: bool = True,
 ) -> SolverState:
     """``params.t_max`` solver steps from the matched-filter start.
@@ -194,13 +195,13 @@ def iterate(
     diagnostics of every step are computed in one pass over them into the
     state's ``SolverTrace``; without it the trace is None. The objective is
     NaN for trials whose reconstructed weight beta is outside (0, alpha)."""
-    state = SolverState(s_cur=init_s(pre.G, s_check), q_cur=np.zeros_like(pre.G[..., 0]))
+    state = SolverState(s_cur=init_s(pre.G, c), q_cur=np.zeros_like(pre.G[..., 0]))
     if record_trace:
         s_all = np.empty((params.t_max + 1,) + state.s_cur.shape, dtype=np.complex128)
         q_all = np.empty_like(s_all[1:])
         s_all[0] = state.s_cur
     for t in range(params.t_max):
-        state = iterate_once(state, pre, c, params, s_check)
+        state = iterate_once(state, pre, c, params)
         if record_trace:
             s_all[t + 1], q_all[t] = state.s_cur, state.q_cur
     if record_trace:
@@ -235,23 +236,16 @@ def objective(
     G: np.ndarray,
     alpha: float | np.ndarray,
     beta: float | np.ndarray,
-    c: Constellation | None = None,
 ) -> float | np.ndarray:
     """Relaxed-problem objective -|Yq|^2/2 + alpha|q-s|^2/2 - beta|s|^2/2,
-    with |Yq|^2 taken from the Gram matrix G = Y^H Y; +inf when s leaves
-    the hull (checked when a constellation is supplied)."""
+    with |Yq|^2 taken from the Gram matrix G = Y^H Y."""
     q = np.asarray(q, dtype=np.complex128)
     s = np.asarray(s, dtype=np.complex128)
-    value = (
+    return (
         -0.5 * np.sum((q.conj() * _matvec(np.asarray(G), q)).real, axis=-1)
         + 0.5 * alpha * np.linalg.norm(q - s, axis=-1) ** 2
         - 0.5 * beta * np.linalg.norm(s, axis=-1) ** 2
     )
-    if c is not None:
-        tol = 1e-9
-        outside = (np.abs(s.real) > c.re_bound + tol) | (np.abs(s.imag) > c.im_bound + tol)
-        value = np.where(np.any(outside, axis=-1), np.inf, value)[()]
-    return value
 
 
 def solve_stack(
@@ -259,7 +253,6 @@ def solve_stack(
     G: np.ndarray | PreprocessedMatrix,
     c: Constellation,
     params: ProxParams,
-    s_check: complex | None = None,
     record_trace: bool = True,
 ) -> SolveResult:
     """Full detection pass over a stack of blocks (or one block): preprocess,
@@ -277,9 +270,8 @@ def solve_stack(
     shape = np.shape(G.G if given else G)
     if Y.ndim < 2 or shape != Y.shape[:-2] + 2 * Y.shape[-1:]:
         raise DimensionError(f"Gram matrices of shape {shape} for blocks of shape {Y.shape}")
-    s_check = c.points[0] if s_check is None else s_check
     pre = G if given else preprocess(G, params)
-    state = iterate(pre, c, params, s_check, record_trace)
+    state = iterate(pre, c, params, record_trace)
     s_hat = hard_decision(state.s_cur, c)
-    s_hat[..., 0] = s_check
+    s_hat[..., 0] = c.points[0]
     return SolveResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat), state=state)

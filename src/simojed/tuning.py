@@ -1,8 +1,9 @@
 """Deterministic grid search for the solver gains, with a JSON result cache.
 
 The projection gain and the shift-factor scale are the two knobs the
-algorithm leaves open; this searches the documented grid on a seeded paired
-batch and keeps the best setting per search configuration.
+algorithm leaves open; this searches the fixed grids ``RHO_LOG2_GRID`` x
+``ALPHA_SCALE_GRID`` on a seeded paired batch and keeps the best setting per
+search configuration.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ def tune_rho(
     seed: int,
     mode: str = "exact",
     t_max: int = 5,
-    rho_grid: tuple[int, ...] = RHO_LOG2_GRID,
-    alpha_grid: tuple[float, ...] = ALPHA_SCALE_GRID,
     cache_path: str | Path | None = None,
 ) -> TunedParams:
     """Grid-search the solver gains on a paired seeded batch.
@@ -48,16 +47,14 @@ def tune_rho(
     matrix does not depend on the projection gain. Ties in error count
     break to the smallest ``rho_log2``, then the smallest ``alpha_scale``.
     When a cache file is given and already holds a result for these exact
-    arguments (everything but the cache path), it is returned without
-    re-searching. No trials or an empty grid is a ``ParameterError``.
+    arguments and grids (everything but the cache path), it is returned
+    without re-searching. No trials is a ``ParameterError``.
     """
     if trials < 1:
         raise ParameterError(f"need at least one tuning trial, got {trials}")
-    if not rho_grid or not alpha_grid:
-        raise ParameterError("the rho_log2 and alpha_scale grids must not be empty")
     key = (
         f"B{B}_K{K}_{constellation}_{mode}_snr{float(snr_db)!r}_tmax{t_max}_trials{trials}"
-        f"_seed{seed}_rho{list(rho_grid)}_alpha{list(alpha_grid)}"
+        f"_seed{seed}_rho{list(RHO_LOG2_GRID)}_alpha{list(ALPHA_SCALE_GRID)}"
     )
     cache: dict = {}
     if cache_path is not None and Path(cache_path).exists():
@@ -73,10 +70,10 @@ def tune_rho(
     data_true = s[:, 1:]
 
     candidates = []
-    for alpha_scale in alpha_grid:
+    for alpha_scale in ALPHA_SCALE_GRID:
         params = ProxParams(alpha_scale=alpha_scale, t_max=t_max, mode=mode)
         pre = preprocess(G, params)
-        for rho_log2 in rho_grid:
+        for rho_log2 in RHO_LOG2_GRID:
             res = solve_stack(Y, pre, c, replace(params, rho_log2=rho_log2), record_trace=False)
             ser = int(np.sum(res.s_hat[:, 1:] != data_true)) / (trials * K)
             candidates.append(TunedParams(rho_log2, alpha_scale, ser))

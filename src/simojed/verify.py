@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ParameterError
 from .linalg import gram, invert_shifted, neumann_error_bound, neumann_two_term, spectral_norm
 from .model import Constellation, draw_blocks
-from .prox import PreprocessedMatrix, ProxParams, init_s, iterate, preprocess
+from .prox import PreprocessedMatrix, ProxParams, hull_gaps, init_s, iterate, preprocess
 
 # Float slack for the non-increase check: a true descent violation is O(1),
 # rounding noise is ~1e-13 at these problem scales.
@@ -124,7 +124,7 @@ def _descent_rows(pre: PreprocessedMatrix, c: Constellation, K: int, params: Pro
     objective never increased, the final residual and its threshold,
     whether it converged to a nonzero iterate, its final boundary gap and
     its per-entry boundary fraction."""
-    state = iterate(pre, c, params, c.points[0])
+    state = iterate(pre, c, params)
     objs = state.trace.objective  # (t_max, T)
     prev, nxt = objs[:-1], objs[1:]
     slack = _DESCENT_SLACK * np.maximum(1.0, np.abs(prev))
@@ -134,11 +134,7 @@ def _descent_rows(pre: PreprocessedMatrix, c: Constellation, K: int, params: Pro
     threshold = RESIDUAL_FACTOR * pre.alpha * np.sqrt(K + 1)
     s = state.s_cur
     converged = (resid < CONVERGED_RESIDUAL) & (np.linalg.norm(s, axis=-1) > 0)
-    if c.im_bound == 0.0:
-        per_entry = c.re_bound - np.abs(s.real)
-    else:
-        per_entry = c.re_bound - np.maximum(np.abs(s.real), np.abs(s.imag))
-    fraction = np.mean(per_entry <= BOUNDARY_TOL, axis=-1)
+    fraction = np.mean(hull_gaps(s, c) <= BOUNDARY_TOL, axis=-1)
     return zip(margins, descends, resid, threshold, converged, state.trace.boundary_gap[-1], fraction)
 
 
@@ -268,8 +264,8 @@ def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
         c = instances[idx[0]][1]
         G = np.stack([instances[i][0] for i in idx])
         pre = preprocess(G, params)
-        s_prev = init_s(G, c.points[0])
-        state = iterate(pre, c, params, c.points[0], record_trace=False)
+        s_prev = init_s(G, c)
+        state = iterate(pre, c, params, record_trace=False)
         q, s_new = state.q_cur, state.s_cur
         alpha = pre.alpha[:, None]
         lhs = -(G @ q[..., None])[..., 0] + alpha * (q - s_new)

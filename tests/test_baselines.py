@@ -25,7 +25,7 @@ def noise_free_block(seed, B=6, K=5, kind="qpsk"):
     rng = np.random.default_rng(seed)
     c = Constellation.by_name(kind)
     h = model.gen_rayleigh_channel(B, rng)
-    s = model.random_data_vector(c, K, c.points[0], rng)
+    s = model.random_data_vector(c, K, rng)
     return np.outer(h, s.conj()), c, h, s
 
 
@@ -67,7 +67,7 @@ class TestMrcCsir:
 class TestChestPilot:
     def test_noise_free_exact(self):
         Y, c, h, _ = noise_free_block(4)
-        assert np.allclose(chest_pilot(Y, c.points[0], c), h, atol=1e-12)
+        assert np.allclose(chest_pilot(Y, c), h, atol=1e-12)
 
     def test_unbiased_and_variance(self):
         # The estimation error does not depend on the channel, so every
@@ -76,7 +76,7 @@ class TestChestPilot:
         n0 = 0.8
         trials = 30_000
         Y, _, _, h, _ = model.draw_blocks(2, 0, c, -10.0 * np.log10(n0), 5, (), trials)
-        err = chest_pilot(Y, c.points[0], c) - h
+        err = chest_pilot(Y, c) - h
         assert np.max(np.abs(err.mean(axis=0))) < 0.01
         assert np.mean(np.abs(err) ** 2) == pytest.approx(n0 / c.sigma**2, rel=0.02)
 
@@ -124,7 +124,7 @@ class TestMrcRetrained:
             h = h_true[t]
             res = prox.solve_stack(Y[t], G[t], c, prox.ProxParams(t_max=5), record_trace=False)
             mse_prox += float(np.sum(np.abs(res.h_hat - h) ** 2))
-            mse_chest += float(np.sum(np.abs(chest_pilot(Y[t], c.points[0], c) - h) ** 2))
+            mse_chest += float(np.sum(np.abs(chest_pilot(Y[t], c) - h) ** 2))
         assert mse_prox < mse_chest
 
 
@@ -159,18 +159,16 @@ class TestMlJed:
         B=st.integers(1, 8),
         K=st.integers(1, 6),
         T=st.sampled_from([None, 1, 3]),
-        s_check=st.sampled_from([None, 1j, -1.0, 1.0 - 1.0j]),
         chunk=st.sampled_from([None, 1, 5, 64]),
         integer=st.booleans(),
         given_gram=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_bruteforce(self, kind, B, K, T, s_check, chunk, integer, given_gram, seed):
+    def test_matches_bruteforce(self, kind, B, K, T, chunk, integer, given_gram, seed):
         # Integer entries and points of 1 +- 1j or +-1 keep every score
         # exact in both forms, so the many exact ties they make must go to
         # the same (first) candidate, also across chunk boundaries when the
         # chunk is shrunk; Gaussian entries cover the default constellation.
-        # BPSK with a complex reference symbol needs the complex scores.
         rng = np.random.default_rng(seed)
         c = Constellation.by_name(kind, sigma=np.sqrt(2) if integer and kind == "qpsk" else 1.0)
         shape = (B, K + 1) if T is None else (T, B, K + 1)
@@ -182,10 +180,9 @@ class TestMlJed:
             if chunk is not None:
                 mp.setattr(baselines, "_ENUM_CHUNK", chunk)
             G = gram(Y) if given_gram else None
-            s_hat = ml_jed_exhaustive(Y, c, s_check, G=G).s_hat
-        ref = c.points[0] if s_check is None else s_check
+            s_hat = ml_jed_exhaustive(Y, c, G=G).s_hat
         blocks = Y.reshape(-1, B, K + 1)
-        expected = [ml_jed_bruteforce(Yt, c.points, ref) for Yt in blocks]
+        expected = [ml_jed_bruteforce(Yt, c.points, c.points[0]) for Yt in blocks]
         assert np.array_equal(s_hat.reshape(-1, K + 1), expected)
 
     @pytest.mark.parametrize(

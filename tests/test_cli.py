@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from simojed import fxp, harness
+from simojed import cli, fxp, harness
 from simojed.cli import main, parse_config_file, parse_snr_spec
 from simojed.errors import ParameterError
 
@@ -81,6 +81,20 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--arithmetic", "fixed", "--rho-log2", "0", "--trials", "2"])
         assert "rho_log2" in str(exc.value.code)
+
+    @pytest.mark.parametrize("channel, los", [("los", True), ("rayleigh", False)])
+    def test_channel_flag_picks_the_geometry(self, channel, los, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg: seen.append(cfg) or harness.SweepResult("", 1, ""))
+        assert main(["sweep", "--channel", channel, "--trials", "2"]) == 0
+        assert (seen[0].los is not None) == los
+
+    def test_unknown_config_channel_exits_cleanly(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("channel = moon\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg)])
+        assert "'moon'" in str(exc.value.code)
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

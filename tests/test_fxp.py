@@ -283,7 +283,7 @@ class TestSolveFixed:
         rng = np.random.default_rng(10)
         c = Constellation.qpsk()
         h = model.gen_rayleigh_channel(16, rng)
-        s = model.random_data_vector(c, 8, c.points[0], rng)
+        s = model.random_data_vector(c, 8, rng)
         params = prox.ProxParams(t_max=5, rho_log2=1)
         fixed = solve_fixed_stack(linalg.gram(np.outer(h, s.conj())), c, params)
         assert np.array_equal(fixed, s)
@@ -304,7 +304,7 @@ class TestSolveFixed:
                 s_t, _ = pe_array_iteration(s_t, Gq_t, cfg_t, sc_t)
             assert np.array_equal(s_t[0], state[0][t])
             assert np.array_equal(s_t[1], state[1][t])
-            assert np.array_equal(fxp._sign_decisions(s_t, c, c.points[0]), decisions[t])
+            assert np.array_equal(fxp._sign_decisions(s_t, c), decisions[t])
 
     def test_bpsk_real_only(self):
         c = Constellation.bpsk()

@@ -359,10 +359,16 @@ class TestRunSweep:
         assert run_sweep(cfg).cells[("ml-jed", 0.0)].trials == 1
 
     def test_los_channel_supported(self):
+        # A geometry alone switches the channel to line of sight, and the
+        # same config without it is the plain Rayleigh sweep.
         from simojed.model import LosGeometry
 
-        res = run_sweep(small_config(channel="los", los=LosGeometry(), trials=10))
+        cfg = small_config(los=LosGeometry(), trials=10)
+        rayleigh = run_sweep(small_config(trials=10)).to_csv()
+        res = run_sweep(cfg)
         assert len(res.cells) == 4
+        assert res.to_csv() != rayleigh
+        assert run_sweep(replace(cfg, los=None)).to_csv() == rayleigh
 
     def test_approx_mode_tracks_exact_mode(self):
         # The series-approximated preprocessing trades a little accuracy for
@@ -394,7 +400,6 @@ class TestRunSweep:
             B=16,
             K=8,
             constellation="qpsk",
-            channel="los",
             los=LosGeometry(user_distance=30.0, user_angle=0.3),
             snr_points_db=(-8.0, -2.0),
             trials=300,
@@ -554,19 +559,33 @@ class TestTuning:
         best = tune_rho(16, 8, *args)
         assert (best.rho_log2, best.alpha_scale, best.ser) == expected
 
-    @pytest.mark.parametrize(
-        "kw", [dict(trials=0), dict(trials=-2), dict(rho_grid=()), dict(alpha_grid=())]
-    )
+    @pytest.mark.parametrize("kw", [dict(trials=0), dict(trials=-2)])
     def test_no_trials_or_empty_grid_rejected(self, kw):
         args = dict(trials=5, seed=3) | kw
         with pytest.raises(ParameterError):
             tune_rho(4, 3, "bpsk", 0.0, **args)
 
-    def test_tuned_never_worse_than_default_on_batch(self):
+    def test_tuned_never_worse_than_default_on_batch(self, monkeypatch):
         best = tune_rho(8, 4, "bpsk", -6.0, trials=150, seed=4)
-        default = tune_rho(8, 4, "bpsk", -6.0, trials=150, seed=4,
-                           rho_grid=(1,), alpha_grid=(2.0,))
+        monkeypatch.setattr(tuning, "RHO_LOG2_GRID", (1,))
+        monkeypatch.setattr(tuning, "ALPHA_SCALE_GRID", (2.0,))
+        default = tune_rho(8, 4, "bpsk", -6.0, trials=150, seed=4)
         assert best.ser <= default.ser
+
+    def test_cache_keyed_by_grids(self, tmp_path, monkeypatch):
+        # The key names both grids in the format caches were written in,
+        # so they still hit, and a result found on another grid never
+        # answers for this one.
+        path = tmp_path / "tuned.json"
+        monkeypatch.setattr(tuning, "ALPHA_SCALE_GRID", (1.5, 2.0))
+        for rho_grid in ((0, 1, 2), (3,)):
+            monkeypatch.setattr(tuning, "RHO_LOG2_GRID", rho_grid)
+            best = tune_rho(4, 3, "bpsk", -4.0, trials=30, seed=5, cache_path=path)
+            assert best.rho_log2 in rho_grid
+        assert list(json.loads(path.read_text())) == [
+            "B4_K3_bpsk_exact_snr-4.0_tmax5_trials30_seed5_rho[0, 1, 2]_alpha[1.5, 2.0]",
+            "B4_K3_bpsk_exact_snr-4.0_tmax5_trials30_seed5_rho[3]_alpha[1.5, 2.0]",
+        ]
 
     def test_cache_round_trip(self, tmp_path, monkeypatch):
         path = tmp_path / "tuned.json"

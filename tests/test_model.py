@@ -84,24 +84,20 @@ class TestLos:
 class TestDataVector:
     def test_k_zero(self):
         c = Constellation.bpsk()
-        s = model.random_data_vector(c, 0, c.points[0], np.random.default_rng(0))
+        s = model.random_data_vector(c, 0, np.random.default_rng(0))
         assert np.array_equal(s, [1.0])
 
     def test_membership_and_reproducibility(self):
         c = Constellation.bpsk()
-        r1 = model.random_data_vector(c, 4, 1.0, np.random.default_rng(5))
-        r2 = model.random_data_vector(c, 4, 1.0, np.random.default_rng(5))
+        r1 = model.random_data_vector(c, 4, np.random.default_rng(5))
+        r2 = model.random_data_vector(c, 4, np.random.default_rng(5))
         assert np.array_equal(r1, r2)
         assert all(x in (1.0, -1.0) for x in r1)
-
-    def test_invalid_pilot_raises(self):
-        with pytest.raises(ParameterError):
-            model.random_data_vector(Constellation.bpsk(), 3, 0.5j, np.random.default_rng(0))
 
     def test_uniform_frequencies(self):
         c = Constellation.qpsk()
         rng = np.random.default_rng(9)
-        s = model.random_data_vector(c, 100_000, c.points[0], rng)[1:]
+        s = model.random_data_vector(c, 100_000, rng)[1:]
         for p in c.points:
             freq = np.mean(np.isclose(s, p, atol=1e-12))
             assert freq == pytest.approx(0.25, abs=0.01)
@@ -200,7 +196,7 @@ class TestTransmit:
         rng = np.random.default_rng(14)
         c = Constellation.qpsk()
         Y = one_block(8, 5, c, 6.0, 14, ())[0]
-        s = model.random_data_vector(c, 5, c.points[0], rng)
+        s = model.random_data_vector(c, 5, rng)
         for phi in rng.uniform(0, 2 * np.pi, size=5):
             assert np.linalg.norm(Y @ (s * np.exp(1j * phi))) == pytest.approx(
                 np.linalg.norm(Y @ s), rel=1e-12

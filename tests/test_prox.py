@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -77,19 +76,19 @@ class TestPreprocess:
 
 class TestInit:
     def test_identity_gram(self):
-        s0 = init_s(np.eye(4, dtype=complex), 1.0)
+        s0 = init_s(np.eye(4, dtype=complex), Constellation.bpsk())
         assert np.array_equal(s0, [1.0, 0.0, 0.0, 0.0])
 
     def test_noise_free_single_antenna_recovers_exactly(self):
         rng = np.random.default_rng(3)
         c = Constellation.bpsk()
-        s = model.random_data_vector(c, 5, c.points[0], rng)
+        s = model.random_data_vector(c, 5, rng)
         G = linalg.gram(np.outer([1.0 + 0j], s.conj()))
-        assert np.allclose(init_s(G, c.points[0]), s, atol=1e-14)
+        assert np.allclose(init_s(G, c), s, atol=1e-14)
 
     def test_matches_scalar_recomputation(self):
         _, G, c = make_noisy_block(4)
-        s0 = init_s(G, c.points[0])
+        s0 = init_s(G, c)
         expected = np.array([c.points[0] * G[k, 0] / G[0, 0].real for k in range(G.shape[0])])
         assert np.max(np.abs(s0 - expected)) < 1e-14
 
@@ -97,7 +96,7 @@ class TestInit:
         G = np.zeros((3, 3), dtype=complex)
         G[1, 1] = G[2, 2] = 1.0
         with pytest.raises(DegenerateInputError):
-            init_s(G, 1.0)
+            init_s(G, Constellation.bpsk())
 
 
 class TestIterate:
@@ -113,7 +112,7 @@ class TestIterate:
         c = Constellation.qpsk()
         s_prev = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.05 - 0.6j])
         state = SolverState(s_cur=s_prev.copy(), q_cur=np.zeros(3, dtype=complex))
-        out = iterate_once(state, self._pre_identity(3), c, ProxParams(rho_log2=0), c.points[0])
+        out = iterate_once(state, self._pre_identity(3), c, ProxParams(rho_log2=0))
         assert np.allclose(out.s_cur[1:], s_prev[1:], atol=1e-15)
         assert out.s_cur[0] == c.points[0]
 
@@ -122,7 +121,7 @@ class TestIterate:
         state = SolverState(
             s_cur=np.array([c.points[0], 3.2 + 0.1j]), q_cur=np.zeros(2, dtype=complex)
         )
-        out = iterate_once(state, self._pre_identity(2), c, ProxParams(rho_log2=0), c.points[0])
+        out = iterate_once(state, self._pre_identity(2), c, ProxParams(rho_log2=0))
         assert out.s_cur[1].real == pytest.approx(c.re_bound)
         assert out.s_cur[1].imag == pytest.approx(0.1)
 
@@ -131,22 +130,22 @@ class TestIterate:
         _, G, c = make_noisy_block(5, kind=kind)
         params = ProxParams(rho_log2=1)
         pre = preprocess(G, params)
-        s = init_s(G, c.points[0])
+        s = init_s(G, c)
         state = SolverState(s_cur=s, q_cur=np.zeros_like(s))
         for _ in range(4):
             q_ref, s_ref = prox_iteration_scalar(
                 pre.Ghat, state.s_cur, params.rho, c.re_bound, c.im_bound, c.points[0]
             )
-            state = iterate_once(state, pre, c, params, c.points[0])
+            state = iterate_once(state, pre, c, params)
             assert np.max(np.abs(state.s_cur - s_ref)) < 1e-14
 
     def test_hull_membership_and_pilot_pin(self):
         _, G, c = make_noisy_block(6)
         params = ProxParams()
         pre = preprocess(G, params)
-        state = SolverState(s_cur=init_s(G, c.points[0]), q_cur=None)
+        state = SolverState(s_cur=init_s(G, c), q_cur=None)
         for _ in range(10):
-            state = iterate_once(state, pre, c, params, c.points[0])
+            state = iterate_once(state, pre, c, params)
             assert np.all(np.abs(state.s_cur.real) <= c.re_bound + 1e-12)
             assert np.all(np.abs(state.s_cur.imag) <= c.im_bound + 1e-12)
             assert state.s_cur[0] == c.points[0]
@@ -170,7 +169,7 @@ class TestHardDecision:
         q = Constellation.qpsk()
         assert hard_decision(np.array([0.5 + 0j]), q)[0] == q.points[0]
         assert hard_decision(np.array([0 - 0.5j]), q)[0] == q.points[3]
-        fixed = fxp._sign_decisions((np.array([5, 0]), np.array([0, -7])), q, q.points[0])
+        fixed = fxp._sign_decisions((np.array([5, 0]), np.array([0, -7])), q)
         assert fixed[1] == q.points[3]
 
     @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
@@ -189,7 +188,7 @@ class TestChannelEstimate:
         rng = np.random.default_rng(7)
         c = Constellation.qpsk()
         h = model.gen_rayleigh_channel(5, rng)
-        s = model.random_data_vector(c, 4, c.points[0], rng)
+        s = model.random_data_vector(c, 4, rng)
         assert np.allclose(channel_estimate(np.outer(h, s.conj()), s), h, atol=1e-12)
 
     def test_homogeneity(self):
@@ -208,7 +207,7 @@ class TestSolve:
         rng = np.random.default_rng(9)
         c = Constellation.bpsk()
         h = model.gen_rayleigh_channel(16, rng)
-        s = model.random_data_vector(c, 8, c.points[0], rng)
+        s = model.random_data_vector(c, 8, rng)
         Y = np.outer(h, s.conj())
         res = solve_stack(Y, linalg.gram(Y), c, ProxParams(t_max=5))
         assert np.array_equal(res.s_hat, s)
@@ -318,21 +317,21 @@ class TestTrace:
         params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max, mode=mode)
         pre = preprocess(G, params)
         beta = pre.beta(params.rho)
-        traced = iterate(pre, c, params, c.points[0])
+        traced = iterate(pre, c, params)
         trace = traced.trace
         fields = (trace.objective, trace.grad_residual, trace.boundary_gap)
         assert all(f.shape == (t_max,) + G.shape[:-2] for f in fields)
-        state = SolverState(s_cur=init_s(G, c.points[0]), q_cur=None)
+        state = SolverState(s_cur=init_s(G, c), q_cur=None)
         for t in range(t_max):
             s_prev = state.s_cur
-            state = iterate_once(state, pre, c, params, c.points[0])
+            state = iterate_once(state, pre, c, params)
             want = step_diagnostics(
                 s_prev, state.s_cur, state.q_cur, G, pre.alpha, beta, c.re_bound, c.im_bound
             )
             for f, w in zip(fields, want):
                 assert np.shape(f[t]) == np.shape(w)
                 assert np.array_equal(f[t], w, equal_nan=True)
-        bare = iterate(pre, c, params, c.points[0], record_trace=False)
+        bare = iterate(pre, c, params, record_trace=False)
         assert bare.trace is None
         for final in (traced, bare):
             assert np.array_equal(final.s_cur, state.s_cur)
@@ -361,11 +360,6 @@ class TestDiagnostics:
         e1 = np.array([1.0, 0.0], dtype=complex)
         assert prox.objective(e1, np.zeros(2), np.zeros((2, 2)), 2.0, 0.0) == pytest.approx(1.0)
 
-    def test_objective_outside_hull_is_inf(self):
-        c = Constellation.bpsk()
-        s = np.array([2.5 + 0j])
-        assert prox.objective(s, s, np.ones((1, 1)), 2.0, 0.1, c) == math.inf
-
     def test_monotone_objective_exact_mode(self):
         seen = 0
         for seed in range(20):
@@ -388,9 +382,9 @@ class TestDiagnostics:
             _, G, c = make_noisy_block(200 + seed, B=8, K=6)
             params = ProxParams(t_max=1)
             pre = preprocess(G, params)
-            s_prev = init_s(G, c.points[0])
+            s_prev = init_s(G, c)
             state = SolverState(s_cur=s_prev.copy(), q_cur=None)
-            state = iterate_once(state, pre, c, params, c.points[0])
+            state = iterate_once(state, pre, c, params)
             q = state.q_cur
             lhs = -G @ q + pre.alpha * (q - state.s_cur)
             rhs = pre.alpha * (s_prev - state.s_cur)
