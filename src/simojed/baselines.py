@@ -224,8 +224,11 @@ def downlink_ser(
     lost = g_hat == 0.0
 
     n = draws.data.shape[-1]
-    data = c.points[draws.data]
-    noise = scale[..., None] * (draws.noise[..., :n] + 1j * draws.noise[..., n:])
-    z = g[..., None] * data + noise
-    decisions = hard_decision(z / np.where(lost, 1.0, g_hat)[..., None], c)
-    return np.where(lost, 1.0, np.mean(decisions != data, axis=-1))[()]
+    noise = np.empty(draws.data.shape, dtype=np.complex128)
+    np.multiply(scale[..., None], draws.noise[..., :n], out=noise.real)
+    np.multiply(scale[..., None], draws.noise[..., n:], out=noise.imag)
+    z = g[..., None] * c.points[draws.data]
+    z += noise
+    z /= np.where(lost, 1.0, g_hat)[..., None]
+    errors = c.decide_index(z.real, z.imag) != draws.data
+    return np.where(lost, 1.0, np.mean(errors, axis=-1))[()]

@@ -227,7 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_hw_compare(args: argparse.Namespace) -> int:
-    res = _resolve(args, {"methods": "prox"})
+    res = _resolve(args)
     cfg = _build_config(res, "prox")
     report = hw_compare(cfg, agreement_snr_db=args.agreement_snr)
     print(f"hard-decision agreement: {report.agreement_rate:.4%}")

@@ -3,7 +3,10 @@
 Everything here operates on plain ``numpy`` complex arrays and is pure: no
 shared state, safe to call from worker processes. The functions on square
 matrices also take stacks of shape ``(..., N, N)`` and treat every leading
-index as an independent matrix.
+index as an independent matrix. The spectral norm calls LAPACK once per
+matrix; the shifted inverse instead runs one Gauss-Jordan sweep of N
+whole-stack steps over a trial-last copy, because for the small matrices
+of a solver stack the per-matrix call costs more than its arithmetic.
 """
 
 from __future__ import annotations
@@ -42,6 +45,14 @@ def _hermitian_part(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.conj().swapaxes(-1, -2))
 
 
+def _hermitian_part_trial_last(A: np.ndarray, work: np.ndarray) -> None:
+    """``_hermitian_part`` in place on a trial-last (N, N, T) stack, bit for
+    bit; ``work`` is scratch of the same shape."""
+    np.conjugate(A, out=work)
+    np.add(A, work.swapaxes(0, 1), out=A)
+    A *= 0.5
+
+
 def gram(Y: np.ndarray) -> np.ndarray:
     """Gram matrix of the received block, or of every block of a stack of
     shape (..., B, N): columns correlated against columns.
@@ -73,27 +84,54 @@ def invert_shifted(G: np.ndarray, alpha) -> np.ndarray:
     """Inverse of (I - G/alpha) for Hermitian PSD G with alpha above the
     spectral norm; ``alpha`` is a scalar or one value per matrix of a stack.
 
-    The shifted matrix is Hermitian positive definite exactly when alpha
-    exceeds the largest eigenvalue of G, so a failed Cholesky factorization
-    is reported as a parameter error. The inverse is L^-H L^-1 from the
-    factor L, symmetrized exactly. A zero alpha takes G as zero; a negative
-    or non-finite alpha, or a non-finite G, is a parameter error.
+    The Hermitian part of the shifted matrix is inverted by one
+    Gauss-Jordan sweep without pivoting, run on a contiguous trial-last
+    (N, N, T) copy of the stack: each of the N steps works on every matrix
+    at once, and on each one alone, so a matrix's inverse does not depend
+    on the rest of its stack. Elimination on a Hermitian matrix meets only
+    real positive pivots exactly when the matrix is positive definite, that
+    is when alpha exceeds the largest eigenvalue of G, so a pivot that is
+    not positive is reported as a parameter error. The inverse is
+    symmetrized exactly. A zero alpha takes G as zero; a negative or
+    non-finite alpha, or a non-finite G, is a parameter error.
     """
     G = _require_square(G)
-    alpha = _require_shift(alpha, G.shape[:-2], zero_ok=True)[..., None, None]
-    shifted = _hermitian_part(np.eye(G.shape[-1]) - G / np.where(alpha == 0, np.inf, alpha))
-    try:
-        L = np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError as exc:
-        raise ParameterError(
-            "shift factor must exceed the spectral norm (shifted matrix not "
-            f"positive definite): {exc}"
-        ) from None
-    L_inv = np.linalg.inv(L)
-    M = L_inv.conj().swapaxes(-1, -2) @ L_inv
-    if not np.all(np.isfinite(M)):
-        raise NumericError("inverting the Cholesky factor produced non-finite entries")
-    return _hermitian_part(M)
+    alpha = _require_shift(alpha, G.shape[:-2], zero_ok=True)
+    n = G.shape[-1]
+    stack = G.reshape(-1, n, n)
+    # Two buffers of the stack's size serve every step: fresh memory for a
+    # temporary costs more than the arithmetic on it at these sizes.
+    A = np.empty((n, n, len(stack)), dtype=np.complex128)
+    work = np.empty_like(A)
+    shifted = work.reshape(stack.shape)
+    np.divide(stack, np.where(alpha == 0, np.inf, alpha).reshape(-1, 1, 1), out=shifted)
+    np.subtract(np.eye(n), shifted, out=shifted)
+    A[...] = np.moveaxis(shifted, 0, -1)
+    _hermitian_part_trial_last(A, work)
+    # Row k is scaled on its real view, (n, 2T) with real and imaginary
+    # parts interleaved, by the real reciprocal of its pivot.
+    parts = A.view(np.float64)
+    for k in range(n):
+        lowest = A[k, k].real.min(initial=np.inf)
+        if not lowest > 0.0:
+            raise ParameterError(
+                "shift factor must exceed the spectral norm (shifted matrix not "
+                f"positive definite: pivot {k} is {lowest:.3g})"
+            )
+        inverse = 1.0 / A[k, k].real
+        col = A[:, k].copy()
+        col[k] = 0.0
+        parts[k] *= np.repeat(inverse, 2)
+        A[:, k] = 0.0
+        A[k, k] = inverse
+        np.multiply(col[:, None], A[k], out=work)
+        A -= work
+    _hermitian_part_trial_last(A, work)
+    if not np.all(np.isfinite(A)):
+        raise NumericError("the Gauss-Jordan sweep produced non-finite entries")
+    M = work.reshape(stack.shape)
+    M[...] = np.moveaxis(A, -1, 0)
+    return M.reshape(G.shape)
 
 
 def neumann_two_term(G: np.ndarray, alpha) -> np.ndarray:

@@ -20,11 +20,6 @@ from .linalg import gram
 
 _SQRT2 = np.sqrt(2.0)
 
-# QPSK point index by (imaginary part negative, real part negative), for the
-# counter-clockwise ordering from the first quadrant.
-_QUADRANT = np.array([[0, 1], [3, 2]])
-
-
 @dataclass(frozen=True)
 class Constellation:
     """Constant-modulus symbol alphabet.
@@ -73,17 +68,27 @@ class Constellation:
         the hull is a segment of the real line)."""
         return 0.0 if self.kind == "bpsk" else self.sigma / _SQRT2
 
-    def decide(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-        """Hard decisions from the signs of the real and imaginary parts,
-        the hardware slicer: the nearest point for BPSK and QPSK, whose
-        decision regions are the half-planes and quadrants. BPSK reads only
-        the real sign. A zero part counts as positive, so a value on an
-        axis goes to the point on its positive side (0 - 0.5j gives 1 - j).
+    def decide_index(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        """Indices into ``points`` of the hard decisions from the signs of
+        the real and imaginary parts, the hardware slicer: the nearest
+        point for BPSK and QPSK, whose decision regions are the half-planes
+        and quadrants. BPSK reads only the real sign. A zero part counts as
+        positive, so a value on an axis goes to the point on its positive
+        side (0 - 0.5j gives 1 - j).
         """
-        west = (np.asarray(re) < 0).astype(np.intp)
+        west = (np.asarray(re) < 0).view(np.uint8)
         if self.kind == "bpsk":
-            return self.points[west]
-        return self.points[_QUADRANT[(np.asarray(im) < 0).astype(np.intp), west]]
+            return west
+        # Counter-clockwise from the first quadrant, the points below the
+        # real axis are 3 (east) and 2 (west): the index is west XOR 3*south.
+        index = (np.asarray(im) < 0).view(np.uint8)
+        index *= 3
+        index ^= west
+        return index
+
+    def decide(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        """The points of ``decide_index``'s hard decisions."""
+        return self.points[self.decide_index(re, im)]
 
 
 @dataclass(frozen=True)
@@ -146,13 +151,15 @@ def random_data_vector(
 def _receive(h: np.ndarray, s: np.ndarray, n0: float, rng: np.random.Generator) -> np.ndarray:
     """h s^H plus noise, for one block or a stack. The noise is drawn block
     after block, each as its real parts, then its imaginary parts (none
-    when ``n0`` is 0)."""
+    when ``n0`` is 0), and scaled and added in place."""
     h = np.asarray(h, dtype=np.complex128)
     s = np.asarray(s, dtype=np.complex128)
     Y = h[..., :, None] * s.conj()[..., None, :]
     if n0 > 0:
         z = rng.standard_normal(Y.shape[:-2] + (2,) + Y.shape[-2:])
-        Y = Y + np.sqrt(n0 / 2.0) * (z[..., 0, :, :] + 1j * z[..., 1, :, :])
+        z *= np.sqrt(n0 / 2.0)
+        Y.real += z[..., 0, :, :]
+        Y.imag += z[..., 1, :, :]
     return Y
 
 

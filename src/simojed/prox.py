@@ -121,7 +121,7 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 def preprocess(G: np.ndarray, params: ProxParams) -> PreprocessedMatrix:
     """Build the scaled iteration matrix for the requested mode; a Gram
     matrix of zero spectral norm gets the identity."""
-    G = np.asarray(G, dtype=np.complex128)
+    G = np.ascontiguousarray(G, dtype=np.complex128)
     norm = spectral_norm(G)
     alpha = params.alpha_scale * norm
     zero = norm == 0.0
@@ -130,9 +130,11 @@ def preprocess(G: np.ndarray, params: ProxParams) -> PreprocessedMatrix:
         raw = invert_shifted(G, shift)
     else:
         raw = neumann_two_term(G, shift)
-    raw = np.where(zero[..., None, None], np.eye(G.shape[-1]), raw)
-    gamma = np.max(np.maximum(np.abs(raw.real), np.abs(raw.imag)), axis=(-2, -1))
-    return PreprocessedMatrix(Ghat=raw / gamma[..., None, None], gamma=gamma, alpha=alpha, G=G)
+    raw[zero] = np.eye(G.shape[-1])
+    # The largest magnitude among the real and imaginary components.
+    gamma = np.max(np.abs(raw.view(np.float64)), axis=(-2, -1))
+    raw /= gamma[..., None, None]
+    return PreprocessedMatrix(Ghat=raw, gamma=gamma, alpha=alpha, G=G)
 
 
 def init_s(G: np.ndarray, c: Constellation) -> np.ndarray:

@@ -217,7 +217,7 @@ def run_descent_and_boundary(
 def run_series_bound(seed: int, n_matrices: int = 50) -> SuiteReport:
     """Measured truncation error against the analytic bound, across sizes
     and shift factors; the matrices of one size are checked as one stack
-    per shift factor."""
+    over every (shift factor, matrix) pair."""
     _require_count(n_matrices, "n_matrices")
     rng = np.random.default_rng(seed)
     report = SuiteReport(name="series_bound")
@@ -230,14 +230,17 @@ def run_series_bound(seed: int, n_matrices: int = 50) -> SuiteReport:
     rows = []  # (matrix, scale index, n, gap, bound)
     for n, items in by_size.items():
         G = gram(np.stack([A for _, A in items]))
-        norm = spectral_norm(G)
-        for j, scale in enumerate(scales):
-            alpha = scale * norm
-            gap = np.linalg.norm(
-                invert_shifted(G, alpha) - neumann_two_term(G, alpha), ord=2, axis=(-2, -1)
-            )
-            bound = neumann_error_bound(G, alpha)
-            rows += [(i, j, n, g, b) for (i, _), g, b in zip(items, gap, bound)]
+        alpha = np.multiply.outer(scales, spectral_norm(G))  # (scale, matrix)
+        G = np.broadcast_to(G, alpha.shape + G.shape[-2:])
+        gap = np.linalg.norm(
+            invert_shifted(G, alpha) - neumann_two_term(G, alpha), ord=2, axis=(-2, -1)
+        )
+        bound = neumann_error_bound(G, alpha)
+        rows += [
+            (i, j, n, g, b)
+            for j in range(len(scales))
+            for (i, _), g, b in zip(items, gap[j], bound[j])
+        ]
 
     for i, j, n, gap, bound in sorted(rows):
         report.instances += 1

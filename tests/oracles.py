@@ -210,6 +210,33 @@ def downlink_ser_scalar(h, h_hat, points, sigma, n0, ref_noise, data, noise):
     return errors / n_symbols
 
 
+def downlink_ser_formula(h, h_hat, points, sigma, n0, ref_noise, data, noise):
+    """The whole-array form of the downlink error rate that gathers the
+    sent points and compares complex decisions with them: one rate per
+    trial of the draws' trial axis, estimates stacked on leading axes,
+    ``n0`` a scalar or one value per trial. Slicing is by sign, a zero part
+    counting as positive."""
+    n0 = np.asarray(n0, dtype=np.float64)
+    h_hat = np.asarray(h_hat, dtype=complex)
+    norm = np.linalg.norm(h_hat, axis=-1)
+    w = np.conj(h_hat) / norm[..., None]
+    g = np.sum(np.asarray(h, dtype=complex) * w, axis=-1)
+    scale = np.sqrt(n0 / 2.0)
+    z_ref = g * points[0] + scale * (ref_noise[..., 0] + 1j * ref_noise[..., 1])
+    g_hat = z_ref * np.conj(points[0]) / sigma**2
+    lost = g_hat == 0.0
+    n = data.shape[-1]
+    sent = points[data]
+    z = g[..., None] * sent + scale[..., None] * (noise[..., :n] + 1j * noise[..., n:])
+    z = z / np.where(lost, 1.0, g_hat)[..., None]
+    west = (z.real < 0).astype(np.intp)
+    if len(points) == 2:
+        decisions = points[west]
+    else:
+        decisions = points[np.array([[0, 1], [3, 2]])[(z.imag < 0).astype(np.intp), west]]
+    return np.where(lost, 1.0, np.mean(decisions != sent, axis=-1))[()]
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive maximum-likelihood joint detection of one block
 # ---------------------------------------------------------------------------

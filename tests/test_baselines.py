@@ -18,7 +18,7 @@ from simojed.errors import CapacityError, DegenerateInputError, DimensionError, 
 from simojed.linalg import gram
 from simojed.model import Constellation
 
-from oracles import ml_jed_bruteforce
+from oracles import downlink_ser_formula, ml_jed_bruteforce
 
 
 def noise_free_block(seed, B=6, K=5, kind="qpsk"):
@@ -294,6 +294,35 @@ class TestDownlink:
             one = DownlinkDraws(*(part[t] for part in draws))
             for m in range(3):
                 assert ser[m, t] == downlink_ser(h[t], h_hats[m, t], c, n0[t], one)
+
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
+    @pytest.mark.parametrize("per_trial", [False, True], ids=["scalar-n0", "per-trial-n0"])
+    def test_bit_equal_to_the_gathering_formula(self, kind, per_trial):
+        # Comparing decided indices with the sent ones gives the rates of
+        # comparing the decided points with the sent points, bit for bit.
+        rng = np.random.default_rng(21)
+        c = Constellation.by_name(kind)
+        T = 7
+        h = model.gen_rayleigh_channel(8, rng, T)
+        h_hats = np.stack([h + 0.8 * model.gen_rayleigh_channel(8, rng, T), h])
+        n0 = np.array([0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0]) if per_trial else 3.0
+        draws = draw_downlink(rng, c, 33, T)
+        # Trial 2 loses its gain: a beam orthogonal to the channel and no
+        # reference noise.
+        h[2] = 0.0
+        h[2, 0] = 1.0
+        h_hats[:, 2] = 0.0
+        h_hats[:, 2, 1] = 1.0
+        draws.ref_noise[2] = 0.0
+        ser = downlink_ser(h, h_hats, c, n0, draws)
+        assert ser[0, 2] == 1.0 and len(np.unique(ser)) > 3
+        args = (c.points, c.sigma, n0) + tuple(draws)
+        assert np.array_equal(ser, downlink_ser_formula(h, h_hats, *args))
+        one = DownlinkDraws(*(part[4] for part in draws))
+        n0_4 = n0[4] if per_trial else n0
+        assert downlink_ser(h[4], h_hats[0, 4], c, n0_4, one) == downlink_ser_formula(
+            h[4], h_hats[0, 4], c.points, c.sigma, n0_4, *one
+        )
 
     def test_solver_beam_beats_pilot_beam(self):
         c = Constellation.qpsk()

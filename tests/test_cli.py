@@ -202,3 +202,12 @@ class TestHwCompareCommand:
                   "--rho-log2", "0"])
         assert exc.value.code != 0
         assert "rho_log2" in str(exc.value.code)
+
+    def test_rejects_methods_in_config_file(self, tmp_path):
+        # hw-compare always compares the prox solver; a config file naming
+        # other methods was once accepted and ignored.
+        cfg = tmp_path / "hw.cfg"
+        cfg.write_text("b = 8\nk = 4\nsnr = -6,-4\ntrials = 5\nmethods = mrc-chest\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["hw-compare", "--config", str(cfg), "--rho-log2", "1"])
+        assert "unknown config key 'methods'" in str(exc.value.code)

@@ -163,6 +163,50 @@ class TestInvertShifted:
         for t in range(4):
             assert np.array_equal(M[t], linalg.invert_shifted(G[t], alpha[t]))
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 17])
+    @pytest.mark.parametrize("T", [1, 5, 330])
+    def test_matches_numpy_inverse(self, n, T):
+        rng = np.random.default_rng(n * 1000 + T)
+        G = linalg.gram(random_complex(rng, T, n + 2, n))
+        alpha = rng.uniform(1.05, 4.0, T) * linalg.spectral_norm(G)
+        M = linalg.invert_shifted(G, alpha)
+        ref = np.linalg.inv(np.eye(n) - G / alpha[:, None, None])
+        assert M.shape == (T, n, n) and M.flags.c_contiguous
+        assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_one_matrix_matches_numpy_inverse(self):
+        rng = np.random.default_rng(16)
+        G = random_psd(rng, 9)
+        alpha = 1.3 * linalg.spectral_norm(G)
+        M = linalg.invert_shifted(G, alpha)
+        ref = np.linalg.inv(np.eye(9) - G / alpha)
+        assert M.shape == (9, 9)
+        assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [5, 9, 17])
+    def test_split_stack_is_bit_equal(self, n):
+        # Each matrix of a stack comes out the same whatever else is in
+        # the stack: sweep results must not depend on how trials are packed.
+        rng = np.random.default_rng(n)
+        G = linalg.gram(random_complex(rng, 330, n + 2, n))
+        alpha = 2.0 * linalg.spectral_norm(G)
+        M = linalg.invert_shifted(G, alpha)
+        parts = [linalg.invert_shifted(G[a:b], alpha[a:b]) for a, b in ((0, 1), (1, 8), (8, 330))]
+        assert np.array_equal(np.concatenate(parts), M)
+        for t in (0, 5, 329):
+            assert np.array_equal(linalg.invert_shifted(G[t], alpha[t]), M[t])
+
+    def test_last_pivot_not_positive_raises(self):
+        # I - G/alpha has positive leading minors up to N-1 but a negative
+        # determinant, so only the last pivot of the sweep fails.
+        n = 6
+        u = np.full(n, np.sqrt(0.4 / (n - 1)), dtype=complex) * np.exp(1j * np.arange(n))
+        u[-1] = np.sqrt(0.6)
+        G = np.stack([np.eye(n), 2.0 * np.outer(u, u.conj())])
+        with pytest.raises(ParameterError, match="spectral norm") as exc:
+            linalg.invert_shifted(G, np.array([2.0, 1.0]))
+        assert f"pivot {n - 1}" in str(exc.value)
+
     def test_one_bad_shift_in_a_stack_raises(self):
         rng = np.random.default_rng(14)
         G = np.stack([random_psd(rng, 5) for _ in range(3)])

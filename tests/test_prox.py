@@ -279,6 +279,14 @@ class TestSolveStack:
         assert np.array_equal(pre.Ghat[1], np.eye(G1.shape[0]))
         assert np.array_equal(pre.Ghat[0], preprocess(G1, ProxParams()).Ghat)
 
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_memory_layout_does_not_matter(self, mode):
+        _, G1, _ = make_noisy_block(18)
+        G = np.stack([G1, 2.0 * G1])
+        params = ProxParams(mode=mode)
+        got = preprocess(np.asfortranarray(G), params)
+        assert np.array_equal(got.Ghat, preprocess(G, params).Ghat)
+
     def test_degenerate_trial_fails_the_stack(self):
         Y, G, c = make_noisy_block(16)
         with pytest.raises(DegenerateInputError):
