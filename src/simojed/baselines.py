@@ -4,19 +4,20 @@ All detectors report the first slot as the known pilot ``c.points[0]``, so
 error counting is comparable across methods; errors are only ever counted on
 slots 2..K+1. Every detector and the downlink evaluation take one block's
 arrays (``Y`` of shape (B, K+1), channels of shape (B,)) or a stack of them
-with a leading trial axis, and treat the trials independently.
+with a leading trial axis, and treat the trials independently. Nothing here
+draws randoms: the downlink evaluation takes its ``model.DownlinkDraws``
+from ``model.draw_blocks``, which owns the whole stream layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError, DegenerateInputError, ParameterError
 from .linalg import gram
-from .model import Constellation
+from .model import Constellation, DownlinkDraws
 from .prox import channel_estimate, hard_decision
 
 ML_JED_DEFAULT_BUDGET = 2**20
@@ -160,31 +161,6 @@ def ml_jed_exhaustive(
     return DetectionResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat))
 
 
-class DownlinkDraws(NamedTuple):
-    """The random inputs of downlink evaluations, with any leading trial
-    axis: standard normals of the reference symbol's noise (..., 2), data
-    symbol indices (..., n) and standard normals of the data noise
-    (..., 2n), real parts first."""
-
-    ref_noise: np.ndarray
-    data: np.ndarray
-    noise: np.ndarray
-
-
-def draw_downlink(
-    rng: np.random.Generator, c: Constellation, n_symbols: int, T: int | None = None
-) -> DownlinkDraws:
-    """The downlink randoms of one trial, or of a stack of ``T`` trials,
-    drawn from ``rng`` one array each in this order: the reference noise,
-    the data indices, the data noise."""
-    lead = () if T is None else (T,)
-    return DownlinkDraws(
-        rng.standard_normal(lead + (2,)),
-        rng.integers(0, len(c.points), size=lead + (n_symbols,)),
-        rng.standard_normal(lead + (2 * n_symbols,)),
-    )
-
-
 def downlink_ser(
     h: np.ndarray,
     h_hat: np.ndarray,
@@ -199,7 +175,7 @@ def downlink_ser(
     receiver learns the composite gain from one known reference symbol (the
     pilot ``c.points[0]``), which also removes any global phase
     rotation of the estimate, then slices the data symbols of ``draws``
-    (see ``draw_downlink``). A zero composite-gain estimate loses every
+    (drawn by ``model.draw_blocks``). A zero composite-gain estimate loses every
     symbol. The noise variance ``n0`` is one value for every trial, or one
     value per trial of the draws' trial axis.
     """

@@ -275,7 +275,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     c = Constellation.by_name(args.constellation)
-    G = draw_blocks(args.b, args.n - 1, c, args.snr, args.seed, (), 1)[1][0]
+    G = draw_blocks(args.b, args.n - 1, c, args.seed, [((), args.snr, 1)]).G[0]
     cfg, Gq, sq, sc = quantize_block(G, c, ProxParams(rho_log2=args.rho_log2, t_max=1))
     _, trace = pe_array_iteration(sq, Gq, cfg, sc)
     text = trace.to_text()

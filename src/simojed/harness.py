@@ -1,17 +1,17 @@
 """Monte-Carlo sweep engine: seeded paired trials, aggregation, CSV/JSON
 output, fixed-vs-float comparison, and the timing table.
 
-Trials are drawn in fixed chunks of ``_TRIAL_CHUNK``; each chunk draws its
-blocks with one ``model.draw_blocks`` call keyed by (snr index, first trial
-of the chunk). The chunk size is part of that stream layout. Chunks are
-detected in packs: runs of consecutive chunks, in (snr, trial) order,
-holding at most ``_TRIAL_CHUNK`` trials, joined along the trial axis. Pack
-membership depends on the config alone and workers take whole packs, so
-results are bit-identical for a given seed regardless of the worker count.
-All methods in a sweep, and both arithmetics of a float-vs-fixed
-comparison, consume the same blocks (paired comparison), and the downlink
-evaluation draws each chunk's randoms once and evaluates every method's
-estimate on a pack's draws in one call.
+Trials are drawn in fixed chunks of ``_TRIAL_CHUNK``, each a seeded stack
+of ``model.draw_blocks`` keyed by (snr index, first trial of the chunk). The
+chunk size is part of that stream layout. Chunks are drawn and detected in
+packs: runs of consecutive chunks, in (snr, trial) order, holding at most
+``_TRIAL_CHUNK`` trials, drawn along one trial axis by one ``draw_blocks``
+call. Pack membership depends on the config alone and workers take whole
+packs, so results are bit-identical for a given seed regardless of the
+worker count. All methods in a sweep, and both arithmetics of a
+float-vs-fixed comparison, consume the same blocks (paired comparison), and
+the downlink evaluation takes each chunk's randoms once and evaluates every
+method's estimate on a pack's draws in one call.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ import numpy as np
 from . import __version__
 from .baselines import (
     ML_JED_DEFAULT_BUDGET,
-    DownlinkDraws,
     downlink_ser,
-    draw_downlink,
     ml_jed_exhaustive,
     mrc_chest,
     mrc_csir,
@@ -38,7 +36,7 @@ from .baselines import (
 )
 from .errors import CapacityError, ParameterError
 from .fxp import latency_cycles, solve_fixed_stack, throughput_bps
-from .model import Constellation, LosGeometry, draw_blocks, snr_to_n0
+from .model import Constellation, LosGeometry, draw_blocks
 from .prox import PreprocessedMatrix, ProxParams, channel_estimate, preprocess, solve_stack
 
 WORKERS_ENV = "SIMOJED_WORKERS"
@@ -268,12 +266,12 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     """Counts for a pack of chunks ``(snr_index, trial_lo, trial_hi)``, each
     block detected in every one of ``arithmetics``.
 
-    Each chunk is drawn as one stack keyed by ``(snr_index, trial_lo)``,
-    and its downlink randoms come from its own downlink Generator. The
-    chunks' arrays are joined along the trial axis and every method runs
-    once on the pack; a solver method's preprocessing is shared by both
-    arithmetics. One ``downlink_ser`` call, with each trial's noise
-    variance, evaluates the estimates of every method and arithmetic.
+    One ``draw_blocks`` call draws the pack, each chunk as its own seeded
+    stack keyed by ``(snr_index, trial_lo)`` with its downlink randoms, and
+    every method runs once on the pack; a solver method's preprocessing is
+    shared by both arithmetics. One ``downlink_ser`` call, with each
+    trial's noise variance, evaluates the estimates of every method and
+    arithmetic.
 
     Returns one ``(snr_index, trial_lo, counts, agree)`` per chunk:
     per-(arithmetic, method) integer error counts and per-trial
@@ -284,16 +282,10 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     c = Constellation.by_name(cfg.constellation)
     n_dl = cfg.downlink_symbols or cfg.K
     solver = next((m for m in cfg.methods if m.solver_params is not None), None)
-    parts = []
-    for snr_index, lo, hi in chunks:
-        snr_db = cfg.snr_points_db[snr_index]
-        Y, G, s, h, dl_rng = draw_blocks(
-            cfg.B, cfg.K, c, snr_db, cfg.master_seed, (snr_index, lo), hi - lo, cfg.los
-        )
-        n0 = np.full(hi - lo, snr_to_n0(snr_db, c))
-        parts.append((Y, G, s, h, n0, *draw_downlink(dl_rng, c, n_dl, hi - lo)))
-    Y, G, s_true, h_true, n0, *draws = (np.concatenate(a) for a in zip(*parts))
-    del parts
+    keyed = [((i, lo), cfg.snr_points_db[i], hi - lo) for i, lo, hi in chunks]
+    Y, G, s_true, h_true, n0, draws = draw_blocks(
+        cfg.B, cfg.K, c, cfg.master_seed, keyed, cfg.los, n_dl
+    )
     detections = {}
     decisions = {}
     for spec in cfg.methods:
@@ -307,7 +299,7 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     # One evaluation of every estimate: the pack's draws broadcast over the
     # leading (arithmetic, method) axis.
     h_hats = np.stack([h_hat for _, h_hat in detections.values()])
-    dl_ser = downlink_ser(h_true, h_hats, c, n0, DownlinkDraws(*draws))
+    dl_ser = downlink_ser(h_true, h_hats, c, n0, draws)
     per_trial = {
         key: (
             np.sum(s_hat[:, 1:] != s_true[:, 1:], axis=1),

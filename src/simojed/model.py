@@ -4,14 +4,18 @@ A single-antenna user sends K+1 symbols (the first one the known pilot
 ``c.points[0]``) to a B-antenna receiver over a channel that stays constant
 for the whole block. All generators take an explicit
 ``numpy.random.Generator`` so trials can run on independent, reproducible
-substreams; ``draw_blocks`` lays those substreams out for a seeded stack of
-trials (``T=1`` for one block) and is the only way the package draws a
-block.
+substreams. ``draw_blocks`` lays those substreams out for a list of seeded
+chunks of trials (one chunk of ``T=1`` for one block), drawn into one set of
+arrays together with their downlink randoms. It is the only way the package
+draws a block or a downlink evaluation's randoms, and the only place that
+builds a ``SeedSequence``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +112,12 @@ class LosGeometry:
             raise ParameterError("user distance must be positive")
 
 
+def _rayleigh(z: np.ndarray) -> np.ndarray:
+    """Channels from standard normals (..., 2, B): real parts, then
+    imaginary parts, scaled to unit variance per entry."""
+    return (z[..., 0, :] + 1j * z[..., 1, :]) / _SQRT2
+
+
 def gen_rayleigh_channel(B: int, rng: np.random.Generator, T: int | None = None) -> np.ndarray:
     """I.i.d. circularly-symmetric complex Gaussian channel, unit variance
     per entry: one (B,) vector, or a (T, B) stack of ``T`` trials drawn
@@ -115,8 +125,7 @@ def gen_rayleigh_channel(B: int, rng: np.random.Generator, T: int | None = None)
     parts."""
     if B < 1:
         raise DimensionError("need at least one receive antenna")
-    z = rng.standard_normal((2, B) if T is None else (T, 2, B))
-    return (z[..., 0, :] + 1j * z[..., 1, :]) / _SQRT2
+    return _rayleigh(rng.standard_normal((2, B) if T is None else (T, 2, B)))
 
 
 def gen_los_channel(B: int, geom: LosGeometry) -> np.ndarray:
@@ -135,32 +144,22 @@ def gen_los_channel(B: int, geom: LosGeometry) -> np.ndarray:
     return np.exp(-2j * np.pi * dist)
 
 
+def _with_pilot(c: Constellation, data: np.ndarray) -> np.ndarray:
+    """Symbol vectors (..., K+1): the pilot ``c.points[0]``, then the points
+    of the data indices (..., K)."""
+    s = np.empty(data.shape[:-1] + (data.shape[-1] + 1,), dtype=np.complex128)
+    s[..., 0] = c.points[0]
+    s[..., 1:] = c.points[data]
+    return s
+
+
 def random_data_vector(
     c: Constellation, K: int, rng: np.random.Generator, T: int | None = None
 ) -> np.ndarray:
     """K+1 symbols: the pilot ``c.points[0]`` first, then uniform draws; a
     (T, K+1) stack of ``T`` trials, drawn as one (T, K) index array."""
     lead = () if T is None else (T,)
-    s = np.empty(lead + (K + 1,), dtype=np.complex128)
-    s[..., 0] = c.points[0]
-    if K > 0:
-        s[..., 1:] = c.points[rng.integers(0, len(c.points), size=lead + (K,))]
-    return s
-
-
-def _receive(h: np.ndarray, s: np.ndarray, n0: float, rng: np.random.Generator) -> np.ndarray:
-    """h s^H plus noise, for one block or a stack. The noise is drawn block
-    after block, each as its real parts, then its imaginary parts (none
-    when ``n0`` is 0), and scaled and added in place."""
-    h = np.asarray(h, dtype=np.complex128)
-    s = np.asarray(s, dtype=np.complex128)
-    Y = h[..., :, None] * s.conj()[..., None, :]
-    if n0 > 0:
-        z = rng.standard_normal(Y.shape[:-2] + (2,) + Y.shape[-2:])
-        z *= np.sqrt(n0 / 2.0)
-        Y.real += z[..., 0, :, :]
-        Y.imag += z[..., 1, :, :]
-    return Y
+    return _with_pilot(c, rng.integers(0, len(c.points), size=lead + (K,)))
 
 
 def snr_to_n0(snr_db: float, c: Constellation) -> float:
@@ -172,35 +171,108 @@ def snr_to_n0(snr_db: float, c: Constellation) -> float:
     return c.sigma**2 / 10.0 ** (snr_db / 10.0)
 
 
+class DownlinkDraws(NamedTuple):
+    """The random inputs of downlink evaluations, with any leading trial
+    axis: standard normals of the reference symbol's noise (..., 2), data
+    symbol indices (..., n) and standard normals of the data noise
+    (..., 2n), real parts first."""
+
+    ref_noise: np.ndarray
+    data: np.ndarray
+    noise: np.ndarray
+
+
+class Blocks(NamedTuple):
+    """The trials of one ``draw_blocks`` call, chunk after chunk: received
+    blocks ``Y`` (T, B, K+1), their Gram matrices ``G`` (T, K+1, K+1), the
+    sent symbols ``s`` (T, K+1) and channels ``h`` (T, B), each trial's
+    noise variance ``n0`` (T,), and the ``downlink`` draws (None without
+    downlink symbols)."""
+
+    Y: np.ndarray
+    G: np.ndarray
+    s: np.ndarray
+    h: np.ndarray
+    n0: np.ndarray
+    downlink: DownlinkDraws | None
+
+
+def _child(seed: int, key: tuple[int, ...], i: int) -> np.random.Generator:
+    """A Generator on child ``i`` of ``SeedSequence(seed, spawn_key=key)``,
+    built without its siblings."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, i)))
+
+
 def draw_blocks(
     B: int,
     K: int,
     c: Constellation,
-    snr_db: float,
     seed: int,
-    key: tuple[int, ...],
-    T: int,
+    chunks: Sequence[tuple[tuple[int, ...], float, int]],
     los: LosGeometry | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.random.Generator]:
-    """The blocks of ``T`` seeded trials: the package's only stream layout.
+    downlink_symbols: int = 0,
+) -> Blocks:
+    """The seeded trials of ``chunks``, each ``(key, snr_db, T)``, joined
+    along the trial axis: the package's only stream layout.
 
-    The four children of ``SeedSequence(seed, spawn_key=key).spawn(4)``
-    feed one Generator each. Children 0-2 draw the whole stack in one call
-    each, trial after trial: the channel as standard normals (T, 2, B),
-    real parts first; the data indices (T, K); the noise as standard
-    normals (T, 2, B, K+1), real parts first. Child 3 comes back as the
-    stack's downlink Generator. So trial 0 of any stack uses each stream
-    exactly as a one-trial draw does. Returns the stacked ``Y`` (T, B, K+1),
-    its Gram matrices ``G`` (T, K+1, K+1), the sent symbols (T, K+1) and
-    channels (T, B), and the downlink Generator.
+    Each chunk is a stack of ``T`` trials at ``snr_db`` with its own
+    streams: child ``i`` of ``SeedSequence(seed, spawn_key=key)`` (built
+    directly as ``SeedSequence(seed, spawn_key=key + (i,))``) feeds one
+    Generator, which draws the chunk's whole stack in one call per array,
+    trial after trial. Child 0 draws the Rayleigh channel as standard
+    normals (T, 2, B), real parts first (not built for a line-of-sight
+    channel); child 1 the data indices (T, K) (not built when K is 0);
+    child 2 the noise as standard normals (T, 2, B, K+1), real parts first
+    (not built when the SNR gives no noise); child 3, only with
+    ``downlink_symbols`` n > 0, the downlink's reference noise (T, 2), data
+    indices (T, n) and data noise (T, 2n), in that order. So trial 0 of any
+    chunk uses each stream exactly as a one-trial chunk of the same key
+    does, and a chunk draws the same samples whichever call it is part of.
+    Every chunk's normals land in arrays allocated once for the whole
+    call; the channels, symbols, noise scaling and Gram matrices are then
+    formed once for all trials.
     """
-    ch_rng, data_rng, noise_rng, dl_rng = (
-        np.random.default_rng(ss) for ss in np.random.SeedSequence(seed, spawn_key=key).spawn(4)
-    )
-    if los is None:
-        h = gen_rayleigh_channel(B, ch_rng, T)
-    else:
-        h = np.tile(gen_los_channel(B, los), (T, 1))
-    s = random_data_vector(c, K, data_rng, T)
-    Y = _receive(h, s, snr_to_n0(snr_db, c), noise_rng)
-    return Y, gram(Y), s, h, dl_rng
+    if B < 1:
+        raise DimensionError("need at least one receive antenna")
+    T = sum(n for _, _, n in chunks)
+    m = len(c.points)
+    n0 = np.empty(T)
+    h_normals = np.empty((T, 2, B)) if los is None else None
+    data = np.empty((T, K), dtype=np.int64)
+    normals = np.empty((T, 2, B, K + 1))
+    dl = None
+    if downlink_symbols > 0:
+        dl = DownlinkDraws(
+            np.empty((T, 2)),
+            np.empty((T, downlink_symbols), dtype=np.int64),
+            np.empty((T, 2 * downlink_symbols)),
+        )
+    lo = 0
+    for key, snr_db, n in chunks:
+        part = slice(lo, lo + n)
+        lo += n
+        if h_normals is not None:
+            _child(seed, key, 0).standard_normal(out=h_normals[part])
+        if K > 0:
+            data[part] = _child(seed, key, 1).integers(0, m, size=(n, K))
+        n0[part] = chunk_n0 = snr_to_n0(snr_db, c)
+        if np.isnan(chunk_n0):
+            raise ParameterError(f"an SNR of {snr_db} dB gives no noise variance")
+        if chunk_n0 > 0:
+            _child(seed, key, 2).standard_normal(out=normals[part])
+        else:
+            # x + -0.0 is x for every x, signed zeros included.
+            normals[part] = -0.0
+        if dl is not None:
+            rng = _child(seed, key, 3)
+            rng.standard_normal(out=dl.ref_noise[part])
+            dl.data[part] = rng.integers(0, m, size=(n, downlink_symbols))
+            rng.standard_normal(out=dl.noise[part])
+    h = _rayleigh(h_normals) if los is None else np.tile(gen_los_channel(B, los), (T, 1))
+    s = _with_pilot(c, data)
+    Y = h[:, :, None] * s.conj()[:, None, :]
+    normals *= np.sqrt(n0 / 2.0)[:, None, None, None]
+    Y.real += normals[:, 0]
+    Y.imag += normals[:, 1]
+    del normals
+    return Blocks(Y, gram(Y), s, h, n0, dl)

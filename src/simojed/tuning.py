@@ -64,9 +64,8 @@ def tune_rho(
             return TunedParams(hit["rho_log2"], hit["alpha_scale"], hit["ser"])
 
     c = Constellation.by_name(constellation)
-    # Trial t is the one-trial stack keyed by (t,).
-    draws = [draw_blocks(B, K, c, snr_db, seed, (t,), 1)[:3] for t in range(trials)]
-    Y, G, s = (np.concatenate(a) for a in zip(*draws))
+    # Trial t is the one-trial chunk keyed by (t,).
+    Y, G, s, *_ = draw_blocks(B, K, c, seed, [((t,), snr_db, 1) for t in range(trials)])
     data_true = s[:, 1:]
 
     candidates = []

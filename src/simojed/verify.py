@@ -17,10 +17,10 @@ Three suites:
 A gradient-identity suite checks that the analytic gradient at a fresh
 exact-mode iterate equals alpha times the iterate difference.
 
-Each suite draws its instances one by one from seeded streams (a block is a
-one-trial ``draw_blocks`` stack keyed by its instance index), then solves
-them as stacks, one per matrix size (and constellation), and reports in
-draw order.
+Each suite draws its instances' shapes one by one from a seeded generator,
+then their blocks with one ``draw_blocks`` call per shape, each block a
+one-trial chunk keyed by its instance index. It solves them as stacks, one
+per matrix size (and constellation), and reports in draw order.
 """
 
 from __future__ import annotations
@@ -97,16 +97,25 @@ def _require_count(n: int, what: str) -> None:
         raise ParameterError(f"{what} must be at least 1, got {n}")
 
 
-def _draw_instance(rng: np.random.Generator, seed: int, index: int):
-    """Instance ``index`` of a suite at 0 dB: its shape comes from the
-    suite's ``rng``, its Gram matrix from a one-trial ``draw_blocks`` keyed
-    by ``(index,)``."""
-    B = int(rng.choice([4, 16]))
-    K = int(rng.choice([4, 16]))
-    kind = str(rng.choice(["bpsk", "qpsk"]))
-    c = Constellation.by_name(kind)
-    G = draw_blocks(B, K, c, 0.0, seed, (index,), 1)[1][0]
-    return G, c, B, K, kind
+def _draw_instances(rng: np.random.Generator, seed: int, indices: range) -> list:
+    """Instances ``indices`` of a suite at 0 dB, as ``(G, c, B, K, kind)``:
+    every shape comes from the suite's ``rng``, instance after instance;
+    then the Gram matrices of each shape come from one ``draw_blocks`` call,
+    instance ``i`` the one-trial chunk keyed by ``(i,)``."""
+    shapes = [
+        (int(rng.choice([4, 16])), int(rng.choice([4, 16])), str(rng.choice(["bpsk", "qpsk"])))
+        for _ in indices
+    ]
+    groups: dict[tuple[int, int, str], list[int]] = {}
+    for pos, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(pos)
+    instances = [None] * len(shapes)
+    for (B, K, kind), positions in groups.items():
+        c = Constellation.by_name(kind)
+        G = draw_blocks(B, K, c, seed, [((indices[p],), 0.0, 1) for p in positions]).G
+        for p, g in zip(positions, G):
+            instances[p] = (g, c, B, K, kind)
+    return instances
 
 
 def _stacks(instances: list) -> dict[tuple[int, str], list[int]]:
@@ -161,7 +170,7 @@ def run_descent_and_boundary(
         # overshoot: it ends where one-at-a-time drawing would stop.
         first = attempts + 1
         attempts = min(attempts + n_instances - descent.instances, max_attempts)
-        batch = [_draw_instance(rng, seed, a) for a in range(first, attempts + 1)]
+        batch = _draw_instances(rng, seed, range(first, attempts + 1))
         for (K, kind), idx in _stacks(batch).items():
             pre = preprocess(np.stack([batch[i][0] for i in idx]), params)
             beta = pre.beta(params.rho)
@@ -261,7 +270,7 @@ def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
     rng = np.random.default_rng(seed)
     report = SuiteReport(name="gradient_identity")
     params = ProxParams(alpha_scale=2.0, rho_log2=1, t_max=1, mode="exact")
-    instances = [_draw_instance(rng, seed, i) for i in range(n_instances)]
+    instances = _draw_instances(rng, seed, range(n_instances))
     rows = []  # (instance, err, denom)
     for (K, kind), idx in _stacks(instances).items():
         c = instances[idx[0]][1]

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from simojed import baselines, model, prox
 from simojed.baselines import (
-    DownlinkDraws,
     chest_pilot,
     downlink_ser,
-    draw_downlink,
     ml_jed_exhaustive,
     mrc_chest,
     mrc_csir,
@@ -16,7 +14,7 @@ from simojed.baselines import (
 )
 from simojed.errors import CapacityError, DegenerateInputError, DimensionError, ParameterError
 from simojed.linalg import gram
-from simojed.model import Constellation
+from simojed.model import Constellation, DownlinkDraws
 
 from oracles import downlink_ser_formula, ml_jed_bruteforce
 
@@ -29,10 +27,21 @@ def noise_free_block(seed, B=6, K=5, kind="qpsk"):
     return np.outer(h, s.conj()), c, h, s
 
 
+def downlink_draws(rng, c, n, T=None):
+    """Downlink randoms from ``rng`` in ``model.draw_blocks``' order:
+    reference noise, data indices, data noise."""
+    lead = () if T is None else (T,)
+    return DownlinkDraws(
+        rng.standard_normal(lead + (2,)),
+        rng.integers(0, len(c.points), size=lead + (n,)),
+        rng.standard_normal(lead + (2 * n,)),
+    )
+
+
 def noisy_block(seed, B=16, K=8, kind="qpsk", snr_db=0.0):
     """The one-trial stack of ``seed``: (Y, h) of its block, and c."""
     c = Constellation.by_name(kind)
-    Y, _, _, h, _ = model.draw_blocks(B, K, c, snr_db, seed, (), 1)
+    Y, _, _, h, *_ = model.draw_blocks(B, K, c, seed, [((), snr_db, 1)])
     return Y[0], h[0], c
 
 
@@ -56,7 +65,7 @@ class TestMrcCsir:
     def test_beats_chest_on_paired_batch(self):
         c = Constellation.bpsk()
         e_csir = e_chest = 0
-        Y, _, s, h, _ = model.draw_blocks(16, 16, c, -8.0, 3000, (), 300)
+        Y, _, s, h, *_ = model.draw_blocks(16, 16, c, 3000, [((), -8.0, 300)])
         for t in range(300):
             st = s[t, 1:]
             e_csir += int(np.sum(mrc_csir(Y[t], h[t], c).s_hat[1:] != st))
@@ -75,7 +84,7 @@ class TestChestPilot:
         c = Constellation.qpsk()
         n0 = 0.8
         trials = 30_000
-        Y, _, _, h, _ = model.draw_blocks(2, 0, c, -10.0 * np.log10(n0), 5, (), trials)
+        Y, _, _, h, *_ = model.draw_blocks(2, 0, c, 5, [((), -10.0 * np.log10(n0), trials)])
         err = chest_pilot(Y, c) - h
         assert np.max(np.abs(err.mean(axis=0))) < 0.01
         assert np.mean(np.abs(err) ** 2) == pytest.approx(n0 / c.sigma**2, rel=0.02)
@@ -91,7 +100,7 @@ class TestMrcChest:
         sers = []
         for snr in (-8.0, -4.0, 0.0, 4.0):
             errs = 0
-            Y, _, s, _, _ = model.draw_blocks(16, 8, c, snr, 7000, (), 400)
+            Y, _, s, _, *_ = model.draw_blocks(16, 8, c, 7000, [((), snr, 400)])
             for t in range(400):
                 errs += int(np.sum(mrc_chest(Y[t], c).s_hat[1:] != s[t, 1:]))
             sers.append(errs)
@@ -108,7 +117,7 @@ class TestMrcRetrained:
     def test_retraining_improves_channel_mse(self):
         c = Constellation.qpsk()
         mse_rt = mse_chest = 0.0
-        Y, _, _, h, _ = model.draw_blocks(16, 8, c, 0.0, 9000, (), 2000)
+        Y, _, _, h, *_ = model.draw_blocks(16, 8, c, 9000, [((), 0.0, 2000)])
         for t in range(2000):
             rt = mrc_retrained(Y[t], c)
             ch = mrc_chest(Y[t], c)
@@ -119,7 +128,7 @@ class TestMrcRetrained:
     def test_solver_estimate_beats_pilot_estimate(self):
         c = Constellation.qpsk()
         mse_prox = mse_chest = 0.0
-        Y, G, _, h_true, _ = model.draw_blocks(16, 8, c, 0.0, 11000, (), 1000)
+        Y, G, _, h_true, *_ = model.draw_blocks(16, 8, c, 11000, [((), 0.0, 1000)])
         for t in range(1000):
             h = h_true[t]
             res = prox.solve_stack(Y[t], G[t], c, prox.ProxParams(t_max=5), record_trace=False)
@@ -202,8 +211,8 @@ class TestMlJed:
         # A Gram stack passed in is scored as it is, without recomputing
         # it from Y; the channel estimate still comes from Y.
         c = Constellation.bpsk()
-        Y, G, *_ = model.draw_blocks(8, 5, c, -4.0, 12001, (), 4)
-        other, G_other, *_ = model.draw_blocks(8, 5, c, -4.0, 12002, (), 4)
+        Y, G, *_ = model.draw_blocks(8, 5, c, 12001, [((), -4.0, 4)])
+        other, G_other, *_ = model.draw_blocks(8, 5, c, 12002, [((), -4.0, 4)])
         monkeypatch.setattr(baselines, "gram", None)
         res = ml_jed_exhaustive(Y, c, G=G_other)
         assert np.array_equal(res.s_hat, [ml_jed_bruteforce(Yt, c.points, c.points[0]) for Yt in other])
@@ -211,7 +220,7 @@ class TestMlJed:
 
     def test_oracle_dominance(self):
         c = Constellation.bpsk()
-        Y, G, *_ = model.draw_blocks(8, 6, c, -6.0, 12000, (), 50)
+        Y, G, *_ = model.draw_blocks(8, 6, c, 12000, [((), -6.0, 50)])
         for t in range(50):
             ml = ml_jed_exhaustive(Y[t], c)
             px = prox.solve_stack(Y[t], G[t], c, prox.ProxParams(t_max=5), record_trace=False)
@@ -236,7 +245,7 @@ class TestDownlink:
         rng = np.random.default_rng(14)
         c = Constellation.qpsk()
         h = model.gen_rayleigh_channel(8, rng)
-        assert downlink_ser(h, h, c, 0.0, draw_downlink(rng, c, 100)) == 0.0
+        assert downlink_ser(h, h, c, 0.0, downlink_draws(rng, c, 100)) == 0.0
 
     def test_global_phase_compensated_by_reference(self):
         # The receiver estimates the composite gain from the known reference
@@ -245,13 +254,13 @@ class TestDownlink:
         c = Constellation.qpsk()
         h = model.gen_rayleigh_channel(8, rng)
         rotated = h * np.exp(1j * 1.234)
-        assert downlink_ser(h, rotated, c, 0.0, draw_downlink(rng, c, 100)) == 0.0
+        assert downlink_ser(h, rotated, c, 0.0, downlink_draws(rng, c, 100)) == 0.0
 
     def test_zero_estimate_raises(self):
         rng = np.random.default_rng(16)
         with pytest.raises(DegenerateInputError):
             c = Constellation.qpsk()
-            downlink_ser(np.ones(4, dtype=complex), np.zeros(4), c, 0.1, draw_downlink(rng, c, 10))
+            downlink_ser(np.ones(4, dtype=complex), np.zeros(4), c, 0.1, downlink_draws(rng, c, 10))
 
     @pytest.mark.parametrize(
         "n0",
@@ -265,7 +274,7 @@ class TestDownlink:
         c = Constellation.qpsk()
         h = model.gen_rayleigh_channel(8, rng, 3)
         with pytest.raises(ParameterError, match="noise variance"):
-            downlink_ser(h, h, c, n0, draw_downlink(rng, c, 16, 3))
+            downlink_ser(h, h, c, n0, downlink_draws(rng, c, 16, 3))
 
     @pytest.mark.parametrize("T, n0", [(3, [0.1, 0.2]), (3, [[0.1, 0.2, 0.3]]), (None, [0.1])])
     def test_noise_variance_must_match_the_trial_axis(self, T, n0):
@@ -273,7 +282,7 @@ class TestDownlink:
         c = Constellation.qpsk()
         h = model.gen_rayleigh_channel(8, rng, T)
         with pytest.raises(ParameterError, match="noise variances of shape"):
-            downlink_ser(h, h, c, n0, draw_downlink(rng, c, 16, T))
+            downlink_ser(h, h, c, n0, downlink_draws(rng, c, 16, T))
 
     def test_per_trial_noise_variance_matches_scalar_calls(self):
         # One noise variance per trial gives each trial the rate of a
@@ -286,7 +295,7 @@ class TestDownlink:
         h_hats = h + 0.6 * model.gen_rayleigh_channel(8, rng, T)
         h_hats = np.stack([h_hats, h_hats.conj(), h])
         n0 = np.array([0.0, 0.05, 0.3, 1.0, 2.5, 10.0])
-        draws = draw_downlink(rng, c, 40, T)
+        draws = downlink_draws(rng, c, 40, T)
         ser = downlink_ser(h, h_hats, c, n0, draws)
         assert ser.shape == (3, T)
         assert len(np.unique(ser[0])) > 2
@@ -306,7 +315,7 @@ class TestDownlink:
         h = model.gen_rayleigh_channel(8, rng, T)
         h_hats = np.stack([h + 0.8 * model.gen_rayleigh_channel(8, rng, T), h])
         n0 = np.array([0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0]) if per_trial else 3.0
-        draws = draw_downlink(rng, c, 33, T)
+        draws = downlink_draws(rng, c, 33, T)
         # Trial 2 loses its gain: a beam orthogonal to the channel and no
         # reference noise.
         h[2] = 0.0
@@ -326,16 +335,12 @@ class TestDownlink:
 
     def test_solver_beam_beats_pilot_beam(self):
         c = Constellation.qpsk()
-        tot_prox = tot_chest = 0.0
-        n0 = model.snr_to_n0(0.0, c)
-        Y, G, _, h_true, dl_rng = model.draw_blocks(16, 8, c, 0.0, 17000, (), 1000)
-        for t in range(1000):
-            h = h_true[t]
-            px = prox.solve_stack(Y[t], G[t], c, prox.ProxParams(t_max=5), record_trace=False)
-            ch = mrc_chest(Y[t], c)
-            draws = draw_downlink(dl_rng, c, 8)
-            tot_prox += downlink_ser(h, px.h_hat, c, n0, draws)
-            tot_chest += downlink_ser(h, ch.h_hat, c, n0, draws)
+        blocks = model.draw_blocks(16, 8, c, 17000, [((), 0.0, 1000)], downlink_symbols=8)
+        Y, G, _, h, n0, draws = blocks
+        px = prox.solve_stack(Y, G, c, prox.ProxParams(t_max=5), record_trace=False)
+        ch = mrc_chest(Y, c)
+        tot_prox = np.sum(downlink_ser(h, px.h_hat, c, n0, draws))
+        tot_chest = np.sum(downlink_ser(h, ch.h_hat, c, n0, draws))
         assert tot_prox < tot_chest
 
 
@@ -345,7 +350,7 @@ class TestStacks:
         blocks = [noisy_block(300 + t, B=6, K=4, kind=kind, snr_db=-2.0)[:2] for t in range(6)]
         c = Constellation.by_name(kind)
         Y, h = map(np.stack, zip(*blocks))
-        per_trial = [draw_downlink(np.random.default_rng(t), c, 9) for t in range(6)]
+        per_trial = [downlink_draws(np.random.default_rng(t), c, 9) for t in range(6)]
         draws = DownlinkDraws(*map(np.stack, zip(*per_trial)))
         detectors = (
             lambda Y, h: mrc_csir(Y, h, c),

@@ -293,7 +293,7 @@ class TestSolveFixed:
         # iterate and the decisions of the stacked datapath.
         c = Constellation.qpsk()
         params = prox.ProxParams(t_max=3, rho_log2=1)
-        _, G, *_ = model.draw_blocks(16, 6, c, 0.0, 100, (), 5)
+        _, G, *_ = model.draw_blocks(16, 6, c, 100, [((), 0.0, 5)])
         cfg, Gq, state, sc = quantize_block(G, c, params)
         for _ in range(params.t_max):
             state = direct_iteration(state, Gq, cfg, sc)
@@ -308,7 +308,7 @@ class TestSolveFixed:
 
     def test_bpsk_real_only(self):
         c = Constellation.bpsk()
-        G = model.draw_blocks(16, 8, c, -4.0, 12, (), 1)[1]
+        G = model.draw_blocks(16, 8, c, 12, [((), -4.0, 1)])[1]
         out = solve_fixed_stack(G, c, prox.ProxParams(t_max=5, rho_log2=1))
         assert set(np.unique(out)) <= {1.0 + 0j, -1.0 + 0j}
 
@@ -316,7 +316,7 @@ class TestSolveFixed:
         # Rejected before the eigensolver, whose LinAlgError is not a
         # package error.
         c = Constellation.qpsk()
-        G = model.draw_blocks(4, 3, c, 0.0, 14, (), 1)[1]
+        G = model.draw_blocks(4, 3, c, 14, [((), 0.0, 1)])[1]
         G[0, 1, 1] = np.nan
         with pytest.raises(ParameterError, match="non-finite"):
             solve_fixed_stack(G, c, prox.ProxParams(rho_log2=1))
@@ -329,7 +329,7 @@ class TestSolveFixed:
     def test_rho_one_rejected(self, monkeypatch):
         # The array configuration rejects the gain before any preprocessing.
         c = Constellation.bpsk()
-        G = model.draw_blocks(4, 3, c, 0.0, 13, (), 1)[1]
+        G = model.draw_blocks(4, 3, c, 13, [((), 0.0, 1)])[1]
 
         def no_preprocess(*args):
             raise AssertionError("preprocessed before the gain was checked")
@@ -372,7 +372,7 @@ class TestStackedDatapath:
     def test_solve_fixed_stack_matches_blocks(self, T, N, rho_log2, real_only, t_max, snr_db, seed):
         c = Constellation.bpsk() if real_only else Constellation.qpsk()
         params = prox.ProxParams(alpha_scale=1.25, rho_log2=rho_log2, t_max=t_max)
-        G = model.draw_blocks(8, N - 1, c, snr_db, seed, (), T)[1]
+        G = model.draw_blocks(8, N - 1, c, seed, [((), snr_db, T)])[1]
         stacked = solve_fixed_stack(G, c, params)
         assert stacked.shape == (T, N)
         for t in range(T):

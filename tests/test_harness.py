@@ -19,7 +19,7 @@ from simojed.harness import (
     timing_report,
     wilson_interval,
 )
-from simojed.baselines import draw_downlink, mrc_chest, mrc_csir
+from simojed.baselines import mrc_chest, mrc_csir
 from simojed.linalg import gram
 from simojed.model import Constellation, draw_blocks, snr_to_n0
 from simojed.prox import ProxParams, solve_stack
@@ -201,6 +201,21 @@ class TestRunSweep:
             assert again.fixed_result.to_csv() == report.fixed_result.to_csv()
             assert shapes == [(12, T, cfg.B) for T in sizes]
 
+    def test_one_draw_per_pack(self, monkeypatch):
+        # Six 100-trial points make a pack of five chunks and one of one
+        # chunk; each pack is drawn by a single draw_blocks call.
+        cfg = small_config(trials=100, snr_points_db=tuple(float(s) for s in range(-8, 3, 2)))
+        expected = run_sweep(cfg).to_csv()
+        chunk_counts = []
+
+        def counting(B, K, c, seed, chunks, *args):
+            chunk_counts.append(len(chunks))
+            return draw_blocks(B, K, c, seed, chunks, *args)
+
+        monkeypatch.setattr(harness, "draw_blocks", counting)
+        assert run_sweep(cfg).to_csv() == expected
+        assert chunk_counts == [5, 1]
+
     @pytest.mark.parametrize(
         "trials, n_snr",
         [(1, 1), (60, 2), (200, 5), (170, 7), (256, 3), (511, 3), (512, 2), (513, 2), (1100, 3)],
@@ -342,12 +357,10 @@ class TestRunSweep:
         # downlink randoms are too when T is 1; for a longer stack they are
         # not, because each downlink array is drawn for the whole stack.
         c = Constellation.qpsk()
-        *stack, dl_rng = draw_blocks(8, 4, c, -2.0, 11, (1, 512), T)
-        *one, dl_one = draw_blocks(8, 4, c, -2.0, 11, (1, 512), 1)
-        assert all(np.array_equal(a[0], b[0]) for a, b in zip(stack, one))
-        stacked = draw_downlink(dl_rng, c, 7, T)
-        flat = draw_downlink(dl_one, c, 7)
-        same = [np.array_equal(part[0], x) for part, x in zip(stacked, flat)]
+        stack = draw_blocks(8, 4, c, 11, [((1, 512), -2.0, T)], downlink_symbols=7)
+        one = draw_blocks(8, 4, c, 11, [((1, 512), -2.0, 1)], downlink_symbols=7)
+        assert all(np.array_equal(a[0], b[0]) for a, b in zip(stack[:5], one[:5]))
+        same = [np.array_equal(a[0], b[0]) for a, b in zip(stack.downlink, one.downlink)]
         assert same == [True, T == 1, T == 1]
 
     def test_ml_jed_runs_with_the_configured_budget(self):

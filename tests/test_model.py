@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,19 @@ from simojed.prox import ProxParams, preprocess, solve_stack
 
 
 def one_block(B, K, c, snr_db, seed, key, los=None):
-    """Trial 0 of the one-trial stack: (Y, s, h)."""
-    Y, _, s, h, _ = model.draw_blocks(B, K, c, snr_db, seed, key, 1, los)
+    """The block of the one-trial chunk keyed ``key``: (Y, s, h)."""
+    Y, _, s, h, *_ = model.draw_blocks(B, K, c, seed, [(key, snr_db, 1)], los)
     return Y[0], s[0], h[0]
+
+
+def names_seed_sequence(path: Path) -> bool:
+    """Whether the module at ``path`` refers to a ``SeedSequence`` in its
+    code (docstrings and comments do not count)."""
+    return any(
+        (isinstance(node, ast.Name) and node.id == "SeedSequence")
+        or (isinstance(node, ast.Attribute) and node.attr == "SeedSequence")
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
 
 
 class TestConstellation:
@@ -120,7 +133,7 @@ class TestTransmit:
     def test_noise_variance(self):
         c = Constellation.bpsk()
         snr_db = -10.0 * np.log10(0.7)
-        Y, _, s, h, _ = model.draw_blocks(200, 499, c, snr_db, 12, (), 1)
+        Y, _, s, h, *_ = model.draw_blocks(200, 499, c, 12, [((), snr_db, 1)])
         resid = Y[0] - np.outer(h[0], s[0].conj())
         assert np.mean(np.abs(resid) ** 2) == pytest.approx(model.snr_to_n0(snr_db, c), rel=0.02)
 
@@ -129,7 +142,7 @@ class TestTransmit:
 
         c = Constellation.bpsk()
         for T in (1, 3):
-            Y, G, *_ = model.draw_blocks(4, 3, c, 10.0, 13, (), T)
+            Y, G, *_ = model.draw_blocks(4, 3, c, 13, [((), 10.0, T)])
             assert all(np.array_equal(G[t], gram(Y[t])) for t in range(T))
 
     # A caller's blocks are checked where they enter the solver.
@@ -144,7 +157,7 @@ class TestTransmit:
         # A NaN in Y next to the block's original Gram matrix used to pass
         # through the solver into the channel estimate.
         c, params = Constellation.qpsk(), ProxParams()
-        Y, G, *_ = model.draw_blocks(8, 4, c, 0.0, 1, (0,), 2)
+        Y, G, *_ = model.draw_blocks(8, 4, c, 1, [((0,), 0.0, 2)])
         pre = preprocess(G, params)
         bad_Y = Y.copy()
         bad_Y[1, 3, 2] = np.nan
@@ -163,21 +176,67 @@ class TestTransmit:
         assert np.array_equal(solve_stack(Y, pre, c, params).s_hat, solve_stack(Y, G, c, params).s_hat)
 
     def test_draw_block_stream_layout(self):
-        # Children 0-2 of the trial stream feed channel, data and noise;
-        # child 3 comes back for the downlink evaluation.
+        # Child i of the chunk's SeedSequence feeds the channel (0), the
+        # data (1), the noise (2) and, with downlink symbols, the downlink
+        # randoms (3): reference noise, data indices, data noise.
         c = Constellation.qpsk()
-        Y_got, _, s_got, h_got, dl_rng = model.draw_blocks(8, 5, c, 3.0, 21, (2, 7), 1)
-        ch, data, noise, dl = np.random.SeedSequence(21, spawn_key=(2, 7)).spawn(4)
-        z = np.random.default_rng(ch).standard_normal((2, 8))
+        got = model.draw_blocks(8, 5, c, 21, [((2, 7), 3.0, 1)], downlink_symbols=3)
+        streams = np.random.SeedSequence(21, spawn_key=(2, 7)).spawn(4)
+        ch, data, noise, dl = (np.random.default_rng(ss) for ss in streams)
+        z = ch.standard_normal((2, 8))
         h = (z[0] + 1j * z[1]) / np.sqrt(2.0)
-        idx = np.random.default_rng(data).integers(0, 4, size=5)
+        idx = data.integers(0, 4, size=5)
         s = np.concatenate([c.points[:1], c.points[idx]])
-        z = np.random.default_rng(noise).standard_normal((2, 8, 6))
-        Y = np.outer(h, s.conj()) + np.sqrt(model.snr_to_n0(3.0, c) / 2.0) * (z[0] + 1j * z[1])
-        assert np.array_equal(h_got[0], h)
-        assert np.array_equal(s_got[0], s)
-        assert np.array_equal(Y_got[0], Y)
-        assert np.array_equal(dl_rng.bit_generator.seed_seq.generate_state(4), dl.generate_state(4))
+        z = noise.standard_normal((2, 8, 6))
+        n0 = model.snr_to_n0(3.0, c)
+        Y = np.outer(h, s.conj()) + np.sqrt(n0 / 2.0) * (z[0] + 1j * z[1])
+        assert np.array_equal(got.h[0], h)
+        assert np.array_equal(got.s[0], s)
+        assert np.array_equal(got.Y[0], Y)
+        assert np.array_equal(got.n0, [n0])
+        downlink = (dl.standard_normal(2), dl.integers(0, 4, size=3), dl.standard_normal(6))
+        assert all(np.array_equal(a[0], b) for a, b in zip(got.downlink, downlink, strict=True))
+        assert model.draw_blocks(8, 5, c, 21, [((2, 7), 3.0, 1)]).downlink is None
+
+    @pytest.mark.parametrize("downlink_symbols", [0, 5])
+    @pytest.mark.parametrize(
+        "los", [None, LosGeometry(user_distance=7.0, user_angle=0.3)], ids=["rayleigh", "los"]
+    )
+    def test_chunks_equal_their_one_chunk_draws(self, los, downlink_symbols):
+        # Drawn together, each chunk gets bit for bit the arrays it gets
+        # alone: chunk sizes 1, 7 and 30, mixed SNRs and a noise-free chunk.
+        c = Constellation.qpsk()
+        chunks = [((0, 0), -3.0, 7), ((0, 7), np.inf, 1), ((2, 512), 4.5, 30), ((5,), 0.0, 1)]
+        pack = model.draw_blocks(6, 4, c, 33, chunks, los, downlink_symbols)
+        assert len(pack.Y) == 39
+        lo = 0
+        for chunk in chunks:
+            part = slice(lo, lo + chunk[2])
+            lo = part.stop
+            alone = model.draw_blocks(6, 4, c, 33, [chunk], los, downlink_symbols)
+            for got, want in zip(pack[:5], alone[:5], strict=True):
+                assert got[part].tobytes() == want.tobytes()
+            if downlink_symbols:
+                for got, want in zip(pack.downlink, alone.downlink, strict=True):
+                    assert got[part].tobytes() == want.tobytes()
+            else:
+                assert pack.downlink is None and alone.downlink is None
+        # The infinite-SNR chunk draws no noise.
+        assert pack.n0[7] == 0.0
+        assert pack.Y[7].tobytes() == (pack.h[7][:, None] * pack.s[7].conj()).tobytes()
+
+    def test_nan_snr_rejected(self):
+        # It used to draw a noise-free block without a word.
+        c = Constellation.bpsk()
+        with pytest.raises(ParameterError, match="SNR of nan dB"):
+            model.draw_blocks(4, 3, c, 1, [((0,), 0.0, 2), ((1,), np.nan, 2)])
+
+    def test_only_model_builds_seed_sequences(self):
+        # One module owns the stream layout: no other module of the
+        # package names numpy's SeedSequence.
+        package = Path(model.__file__).parent
+        naming = sorted(p.name for p in package.glob("*.py") if names_seed_sequence(p))
+        assert naming == ["model.py"]
 
     def test_draw_block_keys_are_independent(self):
         c = Constellation.bpsk()

@@ -26,7 +26,7 @@ from oracles import prox_iteration_scalar, step_diagnostics
 def make_noisy_block(seed, B=8, K=6, kind="qpsk", snr_db=8.0):
     """The block of the one-trial stack of ``seed``: (Y, G, c)."""
     c = Constellation.by_name(kind)
-    Y, G = model.draw_blocks(B, K, c, snr_db, seed, (), 1)[:2]
+    Y, G = model.draw_blocks(B, K, c, seed, [((), snr_db, 1)])[:2]
     return Y[0], G[0], c
 
 
@@ -215,7 +215,7 @@ class TestSolve:
 
     def test_k_zero(self):
         c = Constellation.qpsk()
-        Y, G = model.draw_blocks(4, 0, c, 10.0, 10, (), 1)[:2]
+        Y, G = model.draw_blocks(4, 0, c, 10, [((), 10.0, 1)])[:2]
         res = solve_stack(Y, G, c, ProxParams(t_max=3))
         assert np.array_equal(res.s_hat, [[c.points[0]]])
 
@@ -223,7 +223,7 @@ class TestSolve:
         # Paired batch: error count with t_max=5 must not exceed t_max=1.
         c = Constellation.bpsk()
         errs = {1: 0, 5: 0}
-        Y, G, s_true, _, _ = model.draw_blocks(16, 8, c, 5.0, 1000, (), 400)
+        Y, G, s_true, _, *_ = model.draw_blocks(16, 8, c, 1000, [((), 5.0, 400)])
         for t in (1, 5):
             res = solve_stack(Y, G, c, ProxParams(t_max=t), record_trace=False)
             errs[t] = int(np.sum(res.s_hat[:, 1:] != s_true[:, 1:]))
@@ -260,7 +260,7 @@ class TestSolveStack:
         self, T, B, K, kind, mode, alpha_scale, rho_log2, t_max, snr_db, seed
     ):
         c = Constellation.by_name(kind)
-        Y, G = model.draw_blocks(B, K, c, snr_db, seed, (), T)[:2]
+        Y, G = model.draw_blocks(B, K, c, seed, [((), snr_db, T)])[:2]
         params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max, mode=mode)
         stacked = solve_stack(Y, G, c, params)
         assert stacked.s_hat.shape == (T, K + 1)
@@ -320,7 +320,7 @@ class TestTrace:
         # rho_log2 = 0 puts beta at or below zero on every block, so both
         # the masked and the evaluated objective are covered.
         c = Constellation.by_name(kind)
-        G = model.draw_blocks(8, N - 1, c, snr_db, seed, (), T or 1)[1]
+        G = model.draw_blocks(8, N - 1, c, seed, [((), snr_db, T or 1)])[1]
         G = G[0] if T is None else G
         params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max, mode=mode)
         pre = preprocess(G, params)
@@ -349,7 +349,7 @@ class TestTrace:
     @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
     def test_untraced_solve_gives_the_same_result(self, T, kind):
         c = Constellation.by_name(kind)
-        Y, G = model.draw_blocks(8, 6, c, 0.0, 21, (), T or 1)[:2]
+        Y, G = model.draw_blocks(8, 6, c, 21, [((), 0.0, T or 1)])[:2]
         if T is None:
             Y, G = Y[0], G[0]
         params = ProxParams(t_max=12)

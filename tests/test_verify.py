@@ -91,7 +91,7 @@ def test_skipped_attempts_keep_the_instance_set(monkeypatch):
     valid = skipped = attempt = 0
     while valid < n:
         attempt += 1
-        G = verify._draw_instance(rng, seed, attempt)[0]
+        G = verify._draw_instances(rng, seed, range(attempt, attempt + 1))[0][0]
         if G[0, 0].real > threshold:
             skipped += 1
         else:
