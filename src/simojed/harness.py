@@ -36,7 +36,7 @@ from .baselines import (
 )
 from .errors import CapacityError, ParameterError
 from .fxp import latency_cycles, solve_fixed_stack, throughput_bps
-from .model import Constellation, LosGeometry, draw_blocks
+from .model import Constellation, LosGeometry, check_seed, draw_blocks
 from .prox import PreprocessedMatrix, ProxParams, channel_estimate, preprocess, solve_stack
 
 WORKERS_ENV = "SIMOJED_WORKERS"
@@ -87,6 +87,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ParameterError("need at least one trial")
+        check_seed(self.master_seed, "the master seed")
         if not self.snr_points_db:
             raise ParameterError("need at least one SNR point")
         if self.B < 1:
@@ -277,7 +278,9 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     per-(arithmetic, method) integer error counts and per-trial
     channel-MSE arrays (summed later in fixed order for worker-count
     independence), and how many hard decisions of the first solver method
-    agree between float and fixed arithmetic (0 unless both run).
+    agree between float and fixed arithmetic (0 unless both run). Each
+    kind of count is tallied for all chunks of the pack at once, by one
+    segmented sum (``np.add.reduceat``) over the pack's per-trial counts.
     """
     c = Constellation.by_name(cfg.constellation)
     n_dl = cfg.downlink_symbols or cfg.K
@@ -300,28 +303,33 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     # leading (arithmetic, method) axis.
     h_hats = np.stack([h_hat for _, h_hat in detections.values()])
     dl_ser = downlink_ser(h_true, h_hats, c, n0, draws)
-    per_trial = {
+    # Each chunk's counts are one segment of one integer sum over the pack.
+    # The channel-MSE stays per trial: a float reduceat would not sum
+    # pairwise as np.sum does, and its digits would change.
+    sizes = [hi - lo for _, lo, hi in chunks]
+    starts = np.cumsum([0, *sizes[:-1]])
+    tallies = {
         key: (
-            np.sum(s_hat[:, 1:] != s_true[:, 1:], axis=1),
-            np.rint(ser * n_dl),
-            np.sum(np.abs(h_hat - h_true) ** 2, axis=1) / cfg.B,
+            np.add.reduceat(np.sum(s_hat[:, 1:] != s_true[:, 1:], axis=1), starts).tolist(),
+            np.add.reduceat(np.rint(ser * n_dl).astype(np.int64), starts).tolist(),
+            np.split(np.sum(np.abs(h_hat - h_true) ** 2, axis=1) / cfg.B, starts[1:]),
         )
         for (key, (s_hat, h_hat)), ser in zip(detections.items(), dl_ser)
     }
-    agree = np.zeros(len(Y), dtype=np.int64)
+    agree = [0] * len(chunks)
     if decisions.keys() == {"float", "fixed"}:
-        agree = np.sum(decisions["float"] == decisions["fixed"], axis=1)
-    outputs = []
-    start = 0
-    for snr_index, lo, hi in chunks:
-        part = slice(start, start + hi - lo)
-        start = part.stop
-        counts = {
-            key: [int(np.sum(sym[part])), int(np.sum(dl[part])), mse[part]]
-            for key, (sym, dl, mse) in per_trial.items()
-        }
-        outputs.append((snr_index, lo, counts, int(np.sum(agree[part]))))
-    return outputs
+        agree = np.add.reduceat(
+            np.sum(decisions["float"] == decisions["fixed"], axis=1), starts
+        ).tolist()
+    return [
+        (
+            snr_index,
+            lo,
+            {key: [sym[j], dl[j], mse[j]] for key, (sym, dl, mse) in tallies.items()},
+            agree[j],
+        )
+        for j, (snr_index, lo, _) in enumerate(chunks)
+    ]
 
 
 def _worker_count() -> int:

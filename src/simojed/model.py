@@ -6,18 +6,22 @@ for the whole block. All generators take an explicit
 ``numpy.random.Generator`` so trials can run on independent, reproducible
 substreams. ``draw_blocks`` lays those substreams out for a list of seeded
 chunks of trials (one chunk of ``T=1`` for one block), drawn into one set of
-arrays together with their downlink randoms. It is the only way the package
-draws a block or a downlink evaluation's randoms, and the only place that
-builds a ``SeedSequence``.
+arrays together with their downlink randoms, and seeds the Generators of
+all those substreams in one vectorized pass of numpy's ``SeedSequence``
+hash. It is the only way the package draws a block or a downlink
+evaluation's randoms, and this is the only module that builds a
+``SeedSequence``.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DimensionError, ParameterError
 from .linalg import gram
@@ -197,10 +201,107 @@ class Blocks(NamedTuple):
     downlink: DownlinkDraws | None
 
 
-def _child(seed: int, key: tuple[int, ...], i: int) -> np.random.Generator:
-    """A Generator on child ``i`` of ``SeedSequence(seed, spawn_key=key)``,
-    built without its siblings."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, i)))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the mixing
+# hash's multiplier starts at _INIT_A and is multiplied by _MULT_A at every
+# step, the output hash's by _MULT_B from _INIT_B; _MIX_L and _MIX_R weigh a
+# pool word and a hashed word when they are mixed.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+
+
+def _multipliers(init: int, mult: int, start: int, steps: int) -> np.ndarray:
+    """The hash multiplier before step ``start`` and after each of the
+    ``steps`` steps from there, as uint32."""
+    out = [init * pow(mult, start, 1 << 32) & 0xFFFFFFFF]
+    for _ in range(steps):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    out = np.array(out, dtype=np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+# The output hash's multipliers before and after each of the eight steps
+# that make PCG64's four seed words, as (2, pool) arrays.
+_OUT_MULT = _multipliers(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
+_OUT_BEFORE = _OUT_MULT[:-1].reshape(2, _POOL_SIZE)
+_OUT_AFTER = _OUT_MULT[1:].reshape(2, _POOL_SIZE)
+
+
+@functools.cache
+def _mix_multipliers(start: int, n_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n_words, pool) multipliers that the mixing hash applies before
+    and after each step that mixes ``n_words`` spawn-key words into the
+    pool, from step ``start`` on."""
+    m = _multipliers(_INIT_A, _MULT_A, start, _POOL_SIZE * n_words)
+    return m[:-1].reshape(n_words, _POOL_SIZE), m[1:].reshape(n_words, _POOL_SIZE)
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of a non-negative integer, least significant first
+    (one word for 0), as ``SeedSequence`` splits its entropy."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def check_seed(value, what: str) -> int:
+    """``value`` as a Python int; a ``ParameterError`` naming ``what`` and
+    the value unless it is a non-negative integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ParameterError(f"{what} must be a non-negative integer, not {value!r}")
+    return int(value)
+
+
+class _StateWords(ISeedSequence):
+    """Hands ``PCG64`` the four state words computed for one child."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _generators(seed: int, spawn_keys: list[tuple[int, ...]]) -> list[np.random.Generator]:
+    """One Generator per spawn key, each equal to
+    ``default_rng(SeedSequence(seed, spawn_key=key))``, all seeded together.
+
+    With a spawn key, ``SeedSequence`` mixes the seed's words, zero-padded
+    to the pool size, and then the key's words into its pool. So every
+    child starts from the pool of ``SeedSequence(seed)``, with the mixing
+    hash at the same step: one step per pool word, 12 to mix the pool
+    words with each other, and four per seed word beyond the pool. Each
+    key word then takes four steps, one per pool word. The key words are
+    mixed in for all children of one key length at once, and the output
+    hash gives each child the words ``generate_state(4, uint64)`` returns.
+    """
+    pool0 = np.random.SeedSequence(seed).pool
+    start = _POOL_SIZE * max(len(_words(seed)), _POOL_SIZE)
+    key_words = [[w for k in key for w in _words(k)] for key in spawn_keys]
+    rngs = [None] * len(spawn_keys)
+    for n_words in {len(w) for w in key_words}:
+        rows = [r for r, w in enumerate(key_words) if len(w) == n_words]
+        before, after = _mix_multipliers(start, n_words)
+        hashed = np.array([key_words[r] for r in rows], dtype=np.uint32)[:, :, None] ^ before
+        hashed *= after
+        hashed ^= hashed >> 16
+        hashed *= _MIX_R
+        pool = pool0
+        for j in range(n_words):
+            pool = pool * _MIX_L - hashed[:, j]
+            pool ^= pool >> 16
+        # generate_state(4, uint64): eight hashed words, cycling through
+        # the pool, read in little-endian pairs.
+        words = pool[:, None, :] ^ _OUT_BEFORE
+        words *= _OUT_AFTER
+        words ^= words >> 16
+        state = words.reshape(-1, 2 * _POOL_SIZE).astype("<u4", copy=False).view("<u8")
+        for r, w in zip(rows, state.astype(np.uint64, copy=False)):
+            rngs[r] = np.random.Generator(np.random.PCG64(_StateWords(w)))
+    return rngs
 
 
 def draw_blocks(
@@ -216,27 +317,36 @@ def draw_blocks(
     along the trial axis: the package's only stream layout.
 
     Each chunk is a stack of ``T`` trials at ``snr_db`` with its own
-    streams: child ``i`` of ``SeedSequence(seed, spawn_key=key)`` (built
-    directly as ``SeedSequence(seed, spawn_key=key + (i,))``) feeds one
-    Generator, which draws the chunk's whole stack in one call per array,
-    trial after trial. Child 0 draws the Rayleigh channel as standard
-    normals (T, 2, B), real parts first (not built for a line-of-sight
-    channel); child 1 the data indices (T, K) (not built when K is 0);
-    child 2 the noise as standard normals (T, 2, B, K+1), real parts first
-    (not built when the SNR gives no noise); child 3, only with
-    ``downlink_symbols`` n > 0, the downlink's reference noise (T, 2), data
-    indices (T, n) and data noise (T, 2n), in that order. So trial 0 of any
-    chunk uses each stream exactly as a one-trial chunk of the same key
-    does, and a chunk draws the same samples whichever call it is part of.
-    Every chunk's normals land in arrays allocated once for the whole
-    call; the channels, symbols, noise scaling and Gram matrices are then
-    formed once for all trials.
+    streams: child ``i`` of ``SeedSequence(seed, spawn_key=key)``, that is
+    ``SeedSequence(seed, spawn_key=key + (i,))``, feeds one Generator,
+    which draws the chunk's whole stack in one call per array, trial after
+    trial. Child 0 draws the Rayleigh channel as standard normals
+    (T, 2, B), real parts first (unused for a line-of-sight channel);
+    child 1 the data indices (T, K) (unused when K is 0); child 2 the noise
+    as standard normals (T, 2, B, K+1), real parts first (unused when the
+    SNR gives no noise); child 3, only with ``downlink_symbols`` n > 0, the
+    downlink's reference noise (T, 2), data indices (T, n) and data noise
+    (T, 2n), in that order. So trial 0 of any chunk uses each stream
+    exactly as a one-trial chunk of the same key does, and a chunk draws
+    the same samples whichever call it is part of. The Generators of all
+    used children are seeded together, in one vectorized pass of numpy's
+    seeding hash (``_generators``), and no ``SeedSequence`` is built per
+    child. Every chunk's normals land in arrays allocated once for the
+    whole call; the channels, symbols, noise scaling and Gram matrices are
+    then formed once for all trials. ``seed`` and every key entry must be
+    non-negative integers.
     """
     if B < 1:
         raise DimensionError("need at least one receive antenna")
-    T = sum(n for _, _, n in chunks)
+    seed = check_seed(seed, "the seed")
+    keys = [tuple(check_seed(k, "a key entry") for k in key) for key, _, _ in chunks]
+    n0s = [snr_to_n0(snr_db, c) for _, snr_db, _ in chunks]
+    for (_, snr_db, _), chunk_n0 in zip(chunks, n0s):
+        if np.isnan(chunk_n0):
+            raise ParameterError(f"an SNR of {snr_db} dB gives no noise variance")
+    sizes = [n for _, _, n in chunks]
+    T = sum(sizes)
     m = len(c.points)
-    n0 = np.empty(T)
     h_normals = np.empty((T, 2, B)) if los is None else None
     data = np.empty((T, K), dtype=np.int64)
     normals = np.empty((T, 2, B, K + 1))
@@ -247,24 +357,31 @@ def draw_blocks(
             np.empty((T, downlink_symbols), dtype=np.int64),
             np.empty((T, 2 * downlink_symbols)),
         )
+    # The children each chunk uses, in the order the loop below takes them.
+    children = [
+        (*key, i)
+        for key, chunk_n0 in zip(keys, n0s)
+        for i, used in enumerate((los is None, K > 0, chunk_n0 > 0, dl is not None))
+        if used
+    ]
+    rngs = iter(_generators(seed, children))
+    n0 = np.empty(T)
     lo = 0
-    for key, snr_db, n in chunks:
+    for n, chunk_n0 in zip(sizes, n0s):
         part = slice(lo, lo + n)
         lo += n
+        n0[part] = chunk_n0
         if h_normals is not None:
-            _child(seed, key, 0).standard_normal(out=h_normals[part])
+            next(rngs).standard_normal(out=h_normals[part])
         if K > 0:
-            data[part] = _child(seed, key, 1).integers(0, m, size=(n, K))
-        n0[part] = chunk_n0 = snr_to_n0(snr_db, c)
-        if np.isnan(chunk_n0):
-            raise ParameterError(f"an SNR of {snr_db} dB gives no noise variance")
+            data[part] = next(rngs).integers(0, m, size=(n, K))
         if chunk_n0 > 0:
-            _child(seed, key, 2).standard_normal(out=normals[part])
+            next(rngs).standard_normal(out=normals[part])
         else:
             # x + -0.0 is x for every x, signed zeros included.
             normals[part] = -0.0
         if dl is not None:
-            rng = _child(seed, key, 3)
+            rng = next(rngs)
             rng.standard_normal(out=dl.ref_noise[part])
             dl.data[part] = rng.integers(0, m, size=(n, downlink_symbols))
             rng.standard_normal(out=dl.noise[part])

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import gram, invert_shifted, neumann_error_bound, neumann_two_term, spectral_norm
-from .model import Constellation, draw_blocks
+from .model import Constellation, check_seed, draw_blocks
 from .prox import PreprocessedMatrix, ProxParams, hull_gaps, init_s, iterate, preprocess
 
 # Float slack for the non-increase check: a true descent violation is O(1),
@@ -300,8 +300,10 @@ def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
 
 def verify_theorems(seed: int, n_instances: int = 100) -> VerificationReport:
     """Run every suite; any failed assertion shows up in the report. Fewer
-    than one instance is a ``ParameterError``."""
+    than one instance, or a seed that is not a non-negative integer, is a
+    ``ParameterError``."""
     _require_count(n_instances, "n_instances")
+    check_seed(seed, "the seed")
     descent, boundary = run_descent_and_boundary(seed, n_instances)
     series = run_series_bound(seed + 1)
     grad = run_gradient_identity(seed + 2, n_instances)

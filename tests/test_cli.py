@@ -75,6 +75,13 @@ class TestSweepCommand:
             main(["sweep", "--snr=-4:0", "--trials", "2"])
         assert "start:stop:step" in str(exc.value.code)
 
+    def test_negative_seed_exits_cleanly(self, monkeypatch):
+        # Rejected with the config, not by numpy inside the first draw.
+        monkeypatch.setattr(harness, "draw_blocks", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--seed", "-1", "--trials", "2"])
+        assert "master seed" in str(exc.value.code) and "-1" in str(exc.value.code)
+
     def test_fixed_arithmetic_rejects_gain_below_datapath_minimum(self, monkeypatch):
         # Rejected with the config, before any block is drawn.
         monkeypatch.setattr(harness, "draw_blocks", None)
@@ -118,6 +125,13 @@ class TestVerifyCommand:
         assert "n_instances must be at least 1" in str(exc.value.code)
         assert "pass" not in capsys.readouterr().out
 
+
+    def test_negative_seed_exits_nonzero(self, capsys):
+        # It used to end in numpy's ValueError traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "-1", "--instances", "2"])
+        assert "the seed must be a non-negative integer, not -1" in str(exc.value.code)
+        assert "pass" not in capsys.readouterr().out
 
 class TestTimingCommand:
     def test_table_values(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -62,6 +63,13 @@ class TestConfig:
                 small_config(arithmetic="fixed", methods=(MethodSpec(name, ProxParams(rho_log2=0)),))
         # The float solver takes any non-negative gain.
         small_config(methods=(MethodSpec("prox", ProxParams(rho_log2=0)),))
+
+    @pytest.mark.parametrize("bad", [None, -1, True, 2.0, np.int64(-3)])
+    def test_master_seed_must_be_a_non_negative_integer(self, bad):
+        # None used to run with fresh OS entropy in every stream, so one
+        # config hash gave different CSVs; -1 failed only inside numpy.
+        with pytest.raises(ParameterError, match=r"master seed .* not " + re.escape(repr(bad))):
+            small_config(master_seed=bad)
 
     def test_requires_snr_points(self):
         with pytest.raises(ParameterError):
@@ -350,6 +358,51 @@ class TestRunSweep:
             for key, (sym, dl, mse) in counts.items():
                 assert [sym, dl] == counts1[key][:2]
                 assert np.array_equal(mse, counts1[key][2])
+
+    def test_pack_tally_matches_a_loop_over_chunks(self, monkeypatch):
+        # The pack-long segmented sums give each chunk of uneven size (one
+        # trial among them) what a sum over its own slice of the per-trial
+        # errors gives.
+        solver = MethodSpec("prox", ProxParams(rho_log2=1))
+        cfg = small_config(methods=(solver, MethodSpec("mrc-rt")))
+        chunks = [(0, 0, 1), (0, 1, 12), (1, 0, 5), (1, 5, 31)]
+        seen = {}
+        real_draw, real_detect, real_dl = harness.draw_blocks, harness._detect, harness.downlink_ser
+
+        def draw(*args):
+            seen["blocks"] = real_draw(*args)
+            return seen["blocks"]
+
+        def detect(spec, *args):
+            seen[(args[-2], spec.name)] = real_detect(spec, *args)
+            return seen[(args[-2], spec.name)]
+
+        def dl(*args):
+            seen["dl"] = real_dl(*args)
+            return seen["dl"]
+
+        monkeypatch.setattr(harness, "draw_blocks", draw)
+        monkeypatch.setattr(harness, "_detect", detect)
+        monkeypatch.setattr(harness, "downlink_ser", dl)
+        packed = harness._run_pack(cfg, ("float", "fixed"), chunks)
+        s_true, h_true = seen["blocks"].s, seen["blocks"].h
+        keys = [(a, m.name) for m in cfg.methods for a in ("float", "fixed")]
+        lo = 0
+        for (snr_index, trial_lo, hi), out in zip(chunks, packed, strict=True):
+            snr, first, counts, agree = out
+            part = slice(lo, lo + hi - trial_lo)
+            lo = part.stop
+            assert (snr, first) == (snr_index, trial_lo)
+            for key, ser in zip(keys, seen["dl"], strict=True):
+                s_hat, h_hat = seen[key]
+                trials = range(part.start, part.stop)
+                sym = sum(int(np.sum(s_hat[t, 1:] != s_true[t, 1:])) for t in trials)
+                assert counts[key][:2] == [sym, int(np.sum(np.rint(ser[part] * cfg.K)))]
+                mse = np.sum(np.abs(h_hat[part] - h_true[part]) ** 2, axis=1) / cfg.B
+                assert counts[key][2].tobytes() == mse.tobytes()
+            float_dec, fixed_dec = seen[("float", "prox")][0], seen[("fixed", "prox")][0]
+            assert agree == int(np.sum(float_dec[part, 1:] == fixed_dec[part, 1:]))
+            assert all(type(v) is int for v in (*counts[keys[0]][:2], agree))
 
     @pytest.mark.parametrize("T", [1, 6])
     def test_first_trial_of_a_chunk_equals_the_one_trial_draw(self, T):

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,43 @@ class TestTransmit:
         downlink = (dl.standard_normal(2), dl.integers(0, 4, size=3), dl.standard_normal(6))
         assert all(np.array_equal(a[0], b) for a, b in zip(got.downlink, downlink, strict=True))
         assert model.draw_blocks(8, 5, c, 21, [((2, 7), 3.0, 1)]).downlink is None
+
+    @pytest.mark.parametrize(
+        "seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 5, np.uint64(2**63 + 7)]
+    )
+    def test_generators_equal_numpy_children(self, seed):
+        # Seeded together, every child equals numpy's own: keys of one to
+        # three words (2**70 takes three), mixed lengths in one call, and
+        # seeds of one to five words.
+        keys = [(), (0,), (3, 2**32 + 3), (2**70,), (np.int64(9), 1)]
+        spawn_keys = [(*key, i) for key in keys for i in range(4)]
+        for call in [spawn_keys, *([k] for k in spawn_keys)]:
+            for key, got in zip(call, model._generators(seed, call), strict=True):
+                want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+                assert got.bit_generator.state == want.bit_generator.state
+                assert got.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
+                assert np.array_equal(got.integers(0, 4, 5), want.integers(0, 4, 5))
+
+    def test_mixed_key_lengths_draw_numpy_children(self):
+        # Through draw_blocks: a five-word seed and keys of one and four
+        # words in one call; each chunk's channel is its child 0.
+        c, seed = Constellation.bpsk(), 2**128 + 5
+        keys = [(1,), (2**32, 2**40)]
+        got = model.draw_blocks(4, 2, c, seed, [(key, 0.0, 3) for key in keys])
+        for t, key in enumerate(keys):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, 0)))
+            z = rng.standard_normal((3, 2, 4))
+            assert np.array_equal(got.h[3 * t : 3 * t + 3], (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+
+    @pytest.mark.parametrize("bad", [-1, None, True, 1.5, "3", np.int64(-2)])
+    def test_bad_seed_rejected(self, bad):
+        # A negative seed used to fail inside numpy, and None drew fresh
+        # OS entropy for every child.
+        c = Constellation.bpsk()
+        with pytest.raises(ParameterError, match=f"the seed .* not {re.escape(repr(bad))}"):
+            model.draw_blocks(4, 3, c, bad, [((0,), 0.0, 1)])
+        with pytest.raises(ParameterError, match=f"a key entry .* not {re.escape(repr(bad))}"):
+            model.draw_blocks(4, 3, c, 1, [((0,), 0.0, 1), ((2, bad), 0.0, 1)])
 
     @pytest.mark.parametrize("downlink_symbols", [0, 5])
     @pytest.mark.parametrize(
