@@ -4,30 +4,24 @@ All detectors report the first slot as the known pilot ``c.points[0]``, so
 error counting is comparable across methods; errors are only ever counted on
 slots 2..K+1. Every detector and the downlink evaluation take one block's
 arrays (``Y`` of shape (B, K+1), channels of shape (B,)) or a stack of them
-with a leading trial axis, and treat the trials independently. Nothing here
-draws randoms: the downlink evaluation takes its ``model.DownlinkDraws``
-from ``model.draw_blocks``, which owns the whole stream layout.
+with a leading trial axis, and treat the trials independently. Each detector
+returns a ``prox.SolveResult`` of decisions and channel estimates, as the
+solver does, without a solver state. Nothing here draws randoms: the
+downlink evaluation takes its ``model.DownlinkDraws`` from
+``model.draw_blocks``, which owns the whole stream layout.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DegenerateInputError, ParameterError
 from .linalg import gram
 from .model import Constellation, DownlinkDraws
-from .prox import channel_estimate, hard_decision
+from .prox import SolveResult, channel_estimate, hard_decision
 
 ML_JED_DEFAULT_BUDGET = 2**20
 _ENUM_CHUNK = 1 << 14
-
-
-@dataclass
-class DetectionResult:
-    s_hat: np.ndarray
-    h_hat: np.ndarray | None
 
 
 def _mrc_slice(Y: np.ndarray, h: np.ndarray, c: Constellation) -> np.ndarray:
@@ -46,10 +40,10 @@ def _mrc_slice(Y: np.ndarray, h: np.ndarray, c: Constellation) -> np.ndarray:
     return s_hat
 
 
-def mrc_csir(Y: np.ndarray, h: np.ndarray, c: Constellation) -> DetectionResult:
+def mrc_csir(Y: np.ndarray, h: np.ndarray, c: Constellation) -> SolveResult:
     """Combining with the true channel (perfect receive-side CSI)."""
     h = np.asarray(h, dtype=complex)
-    return DetectionResult(s_hat=_mrc_slice(Y, h, c), h_hat=h)
+    return SolveResult(s_hat=_mrc_slice(Y, h, c), h_hat=h)
 
 
 def chest_pilot(Y: np.ndarray, c: Constellation) -> np.ndarray:
@@ -61,17 +55,17 @@ def chest_pilot(Y: np.ndarray, c: Constellation) -> np.ndarray:
     return Y[..., :, 0] * c.points[0] / c.sigma**2
 
 
-def mrc_chest(Y: np.ndarray, c: Constellation) -> DetectionResult:
+def mrc_chest(Y: np.ndarray, c: Constellation) -> SolveResult:
     """Pilot-based channel estimation followed by combining."""
     h_hat = chest_pilot(Y, c)
-    return DetectionResult(s_hat=_mrc_slice(Y, h_hat, c), h_hat=h_hat)
+    return SolveResult(s_hat=_mrc_slice(Y, h_hat, c), h_hat=h_hat)
 
 
-def mrc_retrained(Y: np.ndarray, c: Constellation) -> DetectionResult:
+def mrc_retrained(Y: np.ndarray, c: Constellation) -> SolveResult:
     """Pilot-based detection, then the channel re-estimated from the detected
     symbol vector."""
     first = mrc_chest(Y, c)
-    return DetectionResult(s_hat=first.s_hat, h_hat=channel_estimate(Y, first.s_hat))
+    return SolveResult(s_hat=first.s_hat, h_hat=channel_estimate(Y, first.s_hat))
 
 
 def _enumerate_slots(c: Constellation, K: int, start: int, cands: np.ndarray, slots) -> None:
@@ -94,7 +88,7 @@ def ml_jed_exhaustive(
     c: Constellation,
     budget: int = ML_JED_DEFAULT_BUDGET,
     G: np.ndarray | None = None,
-) -> DetectionResult:
+) -> SolveResult:
     """Exact joint-detection oracle: enumerate every symbol vector with the
     pinned first slot and keep the one with the largest received-energy
     correlation. Ties go to the first candidate in lexicographic order.
@@ -158,7 +152,7 @@ def ml_jed_exhaustive(
         best_val[better] = top[better]
         best_vec[better] = cands[:, local[better]].T
     s_hat = best_vec.reshape(G.shape[:-2] + (K + 1,))
-    return DetectionResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat))
+    return SolveResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat))
 
 
 def downlink_ser(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -83,6 +84,8 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path prefix (.csv and .json are added)")
 
 
+# The solver's default gains, for every command that takes them.
+_GAINS = ProxParams()
 _SWEEP_DEFAULTS = {
     "b": 16,
     "k": 8,
@@ -91,20 +94,13 @@ _SWEEP_DEFAULTS = {
     "snr": "-10:0:1",
     "trials": 1000,
     "seed": 1,
-    "t_max": 5,
-    "rho_log2": 1,
-    "alpha_scale": 2.0,
-    "mode": "exact",
+    "t_max": _GAINS.t_max,
+    "rho_log2": _GAINS.rho_log2,
+    "alpha_scale": _GAINS.alpha_scale,
+    "mode": _GAINS.mode,
 }
-_NUMERIC_KEYS = {
-    "b": int,
-    "k": int,
-    "trials": int,
-    "seed": int,
-    "t_max": int,
-    "rho_log2": int,
-    "alpha_scale": float,
-}
+# The keys that take numbers, each of its default's type.
+_NUMERIC_KEYS = {k: type(v) for k, v in _SWEEP_DEFAULTS.items() if not isinstance(v, str)}
 
 
 def _resolve(args: argparse.Namespace, extra_keys: dict | None = None) -> dict:
@@ -135,12 +131,7 @@ def _build_config(res: dict, methods: str, arithmetic: str = "float") -> SweepCo
     ``methods``; the solver methods share one set of gains."""
     if res["channel"] not in ("rayleigh", "los"):
         raise ParameterError(f"unknown channel {res['channel']!r}; choose rayleigh or los")
-    params = ProxParams(
-        alpha_scale=res["alpha_scale"],
-        rho_log2=res["rho_log2"],
-        t_max=res["t_max"],
-        mode=res["mode"],
-    )
+    params = ProxParams(**{key: res[key] for key in asdict(_GAINS)})
     names = [name.strip() for name in methods.split(",")]
     specs = tuple(MethodSpec(n, params if n in ("prox", "aprox") else None) for n in names)
     return SweepConfig(
@@ -191,10 +182,6 @@ def _plot_result(prefix: str, result) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     res = _resolve(args, {"methods": "prox,mrc-chest", "arithmetic": "float"})
-    if getattr(args, "methods", None):
-        res["methods"] = args.methods
-    if getattr(args, "arithmetic", None):
-        res["arithmetic"] = args.arithmetic
     cfg = _build_config(res, res["methods"], res["arithmetic"])
     result = run_sweep(cfg)
     for (method, snr), cell in sorted(result.cells.items(), key=lambda kv: (kv[0][0], kv[0][1])):
@@ -219,7 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{report.boundary.notes['mean_boundary_fraction']:.4f}"
         )
     if not report.ok:
-        for suite in (report.descent, report.boundary, report.series_bound, report.gradient_identity):
+        for suite in report.suites:
             for failure in suite.failures:
                 print(f"  {suite.name}: {failure}", file=sys.stderr)
         return 1
@@ -324,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--mode", choices=["exact", "approx"], default="exact")
-    p.add_argument("--t-max", type=int, default=5, dest="t_max")
+    p.add_argument("--mode", choices=["exact", "approx"], default=_GAINS.mode)
+    p.add_argument("--t-max", type=int, default=_GAINS.t_max, dest="t_max")
     p.add_argument("--cache", help="JSON cache path")
     p.set_defaults(func=cmd_tune)
 
@@ -334,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, default=16)
     p.add_argument("--constellation", choices=["bpsk", "qpsk"], default="qpsk")
     p.add_argument("--snr", type=float, default=0.0)
-    p.add_argument("--rho-log2", type=int, default=1, dest="rho_log2")
+    p.add_argument("--rho-log2", type=int, default=_GAINS.rho_log2, dest="rho_log2")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_trace)

@@ -37,7 +37,14 @@ from .baselines import (
 from .errors import CapacityError, ParameterError
 from .fxp import latency_cycles, solve_fixed_stack, throughput_bps
 from .model import Constellation, LosGeometry, check_seed, draw_blocks
-from .prox import PreprocessedMatrix, ProxParams, channel_estimate, preprocess, solve_stack
+from .prox import (
+    PreprocessedMatrix,
+    ProxParams,
+    SolveResult,
+    channel_estimate,
+    preprocess,
+    solve_stack,
+)
 
 WORKERS_ENV = "SIMOJED_WORKERS"
 # Fixed: it sets the stream layout, the float reduction order and the
@@ -240,27 +247,24 @@ def _detect(
     c,
     arithmetic: str,
     ml_budget: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(s_hat, h_hat) of a pack's stacked blocks from one method: the
-    solver in ``arithmetic``, on the pack's preprocessed Gram matrices
-    ``pre``, or a baseline, in one stacked call. ``G`` holds the Gram
-    matrices of ``Y``."""
+) -> SolveResult:
+    """The decisions and channel estimates of a pack's stacked blocks from
+    one method: the solver in ``arithmetic``, on the pack's preprocessed
+    Gram matrices ``pre``, or a baseline, in one stacked call. ``G`` holds
+    the Gram matrices of ``Y``."""
     params = spec.solver_params
     if params is not None and arithmetic == "float":
-        res = solve_stack(Y, pre, c, params, record_trace=False)
-        return res.s_hat, res.h_hat
+        return solve_stack(Y, pre, c, params, record_trace=False)
     if params is not None:
         s_hat = solve_fixed_stack(pre, c, params)
-        return s_hat, channel_estimate(Y, s_hat)
+        return SolveResult(s_hat, channel_estimate(Y, s_hat))
     if spec.name == "mrc-csir":
-        r = mrc_csir(Y, h_true, c)
-    elif spec.name == "mrc-chest":
-        r = mrc_chest(Y, c)
-    elif spec.name == "mrc-rt":
-        r = mrc_retrained(Y, c)
-    else:
-        r = ml_jed_exhaustive(Y, c, budget=ml_budget, G=G)
-    return r.s_hat, r.h_hat
+        return mrc_csir(Y, h_true, c)
+    if spec.name == "mrc-chest":
+        return mrc_chest(Y, c)
+    if spec.name == "mrc-rt":
+        return mrc_retrained(Y, c)
+    return ml_jed_exhaustive(Y, c, budget=ml_budget, G=G)
 
 
 def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple[int, int, int]]):
@@ -295,13 +299,13 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
         params = spec.solver_params
         pre = None if params is None else preprocess(G, params)
         for arithmetic in arithmetics:
-            s_hat, h_hat = _detect(spec, Y, G, pre, h_true, c, arithmetic, cfg.ml_jed_budget)
+            res = _detect(spec, Y, G, pre, h_true, c, arithmetic, cfg.ml_jed_budget)
             if spec is solver:
-                decisions[arithmetic] = s_hat[:, 1:]
-            detections[(arithmetic, spec.name)] = s_hat, h_hat
+                decisions[arithmetic] = res.s_hat[:, 1:]
+            detections[(arithmetic, spec.name)] = res
     # One evaluation of every estimate: the pack's draws broadcast over the
     # leading (arithmetic, method) axis.
-    h_hats = np.stack([h_hat for _, h_hat in detections.values()])
+    h_hats = np.stack([res.h_hat for res in detections.values()])
     dl_ser = downlink_ser(h_true, h_hats, c, n0, draws)
     # Each chunk's counts are one segment of one integer sum over the pack.
     # The channel-MSE stays per trial: a float reduceat would not sum
@@ -310,11 +314,11 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     starts = np.cumsum([0, *sizes[:-1]])
     tallies = {
         key: (
-            np.add.reduceat(np.sum(s_hat[:, 1:] != s_true[:, 1:], axis=1), starts).tolist(),
+            np.add.reduceat(np.sum(res.s_hat[:, 1:] != s_true[:, 1:], axis=1), starts).tolist(),
             np.add.reduceat(np.rint(ser * n_dl).astype(np.int64), starts).tolist(),
-            np.split(np.sum(np.abs(h_hat - h_true) ** 2, axis=1) / cfg.B, starts[1:]),
+            np.split(np.sum(np.abs(res.h_hat - h_true) ** 2, axis=1) / cfg.B, starts[1:]),
         )
-        for (key, (s_hat, h_hat)), ser in zip(detections.items(), dl_ser)
+        for (key, res), ser in zip(detections.items(), dl_ser)
     }
     agree = [0] * len(chunks)
     if decisions.keys() == {"float", "fixed"}:

@@ -39,33 +39,31 @@ def _require_shift(alpha, lead: tuple[int, ...], zero_ok: bool = False) -> np.nd
     return alpha
 
 
-def _hermitian_part(A: np.ndarray) -> np.ndarray:
-    # (A + A^H)/2 is exactly Hermitian in IEEE arithmetic and zeroes the
-    # diagonal imaginary parts.
-    return 0.5 * (A + A.conj().swapaxes(-1, -2))
-
-
-def _hermitian_part_trial_last(A: np.ndarray, work: np.ndarray) -> None:
-    """``_hermitian_part`` in place on a trial-last (N, N, T) stack, bit for
-    bit; ``work`` is scratch of the same shape."""
-    np.conjugate(A, out=work)
-    np.add(A, work.swapaxes(0, 1), out=A)
+def _hermitian_part(A: np.ndarray, axes: tuple[int, int], work: np.ndarray | None = None) -> np.ndarray:
+    """``A`` replaced in place by (A + A^H)/2 over its matrix axes ``axes``,
+    and returned: exactly Hermitian in IEEE arithmetic, with zero diagonal
+    imaginary parts. The one conjugate copy goes to ``work``, scratch of
+    ``A``'s shape, or to fresh memory without it."""
+    work = np.conjugate(A, out=work)
+    A += work.swapaxes(*axes)
     A *= 0.5
+    return A
 
 
 def gram(Y: np.ndarray) -> np.ndarray:
     """Gram matrix of the received block, or of every block of a stack of
     shape (..., B, N): columns correlated against columns.
 
-    The result is Hermitian by construction (symmetrized exactly) with real,
-    non-negative diagonal. A block with a non-finite entry is rejected.
+    The result is Hermitian by construction (the product is symmetrized
+    exactly, in place) with real, non-negative diagonal. A block with a
+    non-finite entry is rejected.
     """
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim < 2 or Y.shape[-2] < 1 or Y.shape[-1] < 1:
         raise DimensionError(f"need a non-empty matrix or a stack of them, got shape {Y.shape}")
     if not np.all(np.isfinite(Y)):
         raise ParameterError("received block has a non-finite entry")
-    return _hermitian_part(Y.conj().swapaxes(-1, -2) @ Y)
+    return _hermitian_part(Y.conj().swapaxes(-1, -2) @ Y, (-1, -2))
 
 
 def spectral_norm(A: np.ndarray) -> np.ndarray | float:
@@ -107,7 +105,7 @@ def invert_shifted(G: np.ndarray, alpha) -> np.ndarray:
     np.divide(stack, np.where(alpha == 0, np.inf, alpha).reshape(-1, 1, 1), out=shifted)
     np.subtract(np.eye(n), shifted, out=shifted)
     A[...] = np.moveaxis(shifted, 0, -1)
-    _hermitian_part_trial_last(A, work)
+    _hermitian_part(A, (0, 1), work)
     # Row k is scaled on its real view, (n, 2T) with real and imaginary
     # parts interleaved, by the real reciprocal of its pivot.
     parts = A.view(np.float64)
@@ -126,7 +124,7 @@ def invert_shifted(G: np.ndarray, alpha) -> np.ndarray:
         A[k, k] = inverse
         np.multiply(col[:, None], A[k], out=work)
         A -= work
-    _hermitian_part_trial_last(A, work)
+    _hermitian_part(A, (0, 1), work)
     if not np.all(np.isfinite(A)):
         raise NumericError("the Gauss-Jordan sweep produced non-finite entries")
     M = work.reshape(stack.shape)

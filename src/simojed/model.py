@@ -1,16 +1,15 @@
-"""Signal model: constellations, channel generation, and block transmission.
+"""Signal model: constellations, channels, and block transmission.
 
 A single-antenna user sends K+1 symbols (the first one the known pilot
 ``c.points[0]``) to a B-antenna receiver over a channel that stays constant
-for the whole block. All generators take an explicit
-``numpy.random.Generator`` so trials can run on independent, reproducible
-substreams. ``draw_blocks`` lays those substreams out for a list of seeded
-chunks of trials (one chunk of ``T=1`` for one block), drawn into one set of
-arrays together with their downlink randoms, and seeds the Generators of
-all those substreams in one vectorized pass of numpy's ``SeedSequence``
-hash. It is the only way the package draws a block or a downlink
-evaluation's randoms, and this is the only module that builds a
-``SeedSequence``.
+for the whole block. ``draw_blocks`` is the package's one way to draw
+blocks and a downlink evaluation's randoms: it lays independent,
+reproducible substreams out for a list of seeded chunks of trials (one
+chunk of ``T=1`` for one block), draws them into one set of arrays, and
+seeds the Generators of all those substreams in one vectorized pass of
+numpy's ``SeedSequence`` hash. A noise-free block is a chunk at an
+infinite SNR, whose ``Y`` is exactly ``h s^H``. This is the only module
+that builds a ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -116,22 +115,6 @@ class LosGeometry:
             raise ParameterError("user distance must be positive")
 
 
-def _rayleigh(z: np.ndarray) -> np.ndarray:
-    """Channels from standard normals (..., 2, B): real parts, then
-    imaginary parts, scaled to unit variance per entry."""
-    return (z[..., 0, :] + 1j * z[..., 1, :]) / _SQRT2
-
-
-def gen_rayleigh_channel(B: int, rng: np.random.Generator, T: int | None = None) -> np.ndarray:
-    """I.i.d. circularly-symmetric complex Gaussian channel, unit variance
-    per entry: one (B,) vector, or a (T, B) stack of ``T`` trials drawn
-    trial after trial, each as its B real parts, then its B imaginary
-    parts."""
-    if B < 1:
-        raise DimensionError("need at least one receive antenna")
-    return _rayleigh(rng.standard_normal((2, B) if T is None else (T, 2, B)))
-
-
 def gen_los_channel(B: int, geom: LosGeometry) -> np.ndarray:
     """Spherical-wave line-of-sight channel over a uniform linear array.
 
@@ -146,24 +129,6 @@ def gen_los_channel(B: int, geom: LosGeometry) -> np.ndarray:
     uy = geom.user_distance * np.cos(geom.user_angle)
     dist = np.sqrt((ux - positions) ** 2 + uy**2)
     return np.exp(-2j * np.pi * dist)
-
-
-def _with_pilot(c: Constellation, data: np.ndarray) -> np.ndarray:
-    """Symbol vectors (..., K+1): the pilot ``c.points[0]``, then the points
-    of the data indices (..., K)."""
-    s = np.empty(data.shape[:-1] + (data.shape[-1] + 1,), dtype=np.complex128)
-    s[..., 0] = c.points[0]
-    s[..., 1:] = c.points[data]
-    return s
-
-
-def random_data_vector(
-    c: Constellation, K: int, rng: np.random.Generator, T: int | None = None
-) -> np.ndarray:
-    """K+1 symbols: the pilot ``c.points[0]`` first, then uniform draws; a
-    (T, K+1) stack of ``T`` trials, drawn as one (T, K) index array."""
-    lead = () if T is None else (T,)
-    return _with_pilot(c, rng.integers(0, len(c.points), size=lead + (K,)))
 
 
 def snr_to_n0(snr_db: float, c: Constellation) -> float:
@@ -321,20 +286,22 @@ def draw_blocks(
     ``SeedSequence(seed, spawn_key=key + (i,))``, feeds one Generator,
     which draws the chunk's whole stack in one call per array, trial after
     trial. Child 0 draws the Rayleigh channel as standard normals
-    (T, 2, B), real parts first (unused for a line-of-sight channel);
-    child 1 the data indices (T, K) (unused when K is 0); child 2 the noise
-    as standard normals (T, 2, B, K+1), real parts first (unused when the
-    SNR gives no noise); child 3, only with ``downlink_symbols`` n > 0, the
-    downlink's reference noise (T, 2), data indices (T, n) and data noise
-    (T, 2n), in that order. So trial 0 of any chunk uses each stream
-    exactly as a one-trial chunk of the same key does, and a chunk draws
-    the same samples whichever call it is part of. The Generators of all
-    used children are seeded together, in one vectorized pass of numpy's
-    seeding hash (``_generators``), and no ``SeedSequence`` is built per
-    child. Every chunk's normals land in arrays allocated once for the
-    whole call; the channels, symbols, noise scaling and Gram matrices are
-    then formed once for all trials. ``seed`` and every key entry must be
-    non-negative integers.
+    (T, 2, B), real parts first, each entry (re + j im)/sqrt(2) of unit
+    variance (unused for a line-of-sight channel); child 1 the data
+    indices (T, K), uniform over the points, which fill the slots after
+    the pilot ``c.points[0]`` (unused when K is 0); child 2 the noise as
+    standard normals (T, 2, B, K+1), real parts first (unused when the SNR
+    gives no noise, which leaves ``Y`` exactly ``h s^H``); child 3, only
+    with ``downlink_symbols`` n > 0, the downlink's reference noise (T, 2),
+    data indices (T, n) and data noise (T, 2n), in that order. So trial 0
+    of any chunk uses each stream exactly as a one-trial chunk of the same
+    key does, and a chunk draws the same samples whichever call it is part
+    of. The Generators of all used children are seeded together, in one
+    vectorized pass of numpy's seeding hash (``_generators``), and no
+    ``SeedSequence`` is built per child. Every chunk's normals land in
+    arrays allocated once for the whole call; the channels, symbols, noise
+    scaling and Gram matrices are then formed once for all trials. ``seed``
+    and every key entry must be non-negative integers.
     """
     if B < 1:
         raise DimensionError("need at least one receive antenna")
@@ -385,8 +352,13 @@ def draw_blocks(
             rng.standard_normal(out=dl.ref_noise[part])
             dl.data[part] = rng.integers(0, m, size=(n, downlink_symbols))
             rng.standard_normal(out=dl.noise[part])
-    h = _rayleigh(h_normals) if los is None else np.tile(gen_los_channel(B, los), (T, 1))
-    s = _with_pilot(c, data)
+    if los is None:
+        h = (h_normals[:, 0] + 1j * h_normals[:, 1]) / _SQRT2
+    else:
+        h = np.tile(gen_los_channel(B, los), (T, 1))
+    s = np.empty((T, K + 1), dtype=np.complex128)
+    s[:, 0] = c.points[0]
+    s[:, 1:] = c.points[data]
     Y = h[:, :, None] * s.conj()[:, None, :]
     normals *= np.sqrt(n0 / 2.0)[:, None, None, None]
     Y.real += normals[:, 0]

@@ -108,9 +108,13 @@ class SolverState:
 
 @dataclass
 class SolveResult:
+    """Hard decisions ``s_hat`` and channel estimates ``h_hat`` of one
+    detection pass, by the solver or by a baseline; only the solver has a
+    final ``state``."""
+
     s_hat: np.ndarray
     h_hat: np.ndarray
-    state: SolverState
+    state: SolverState | None = None
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -20,7 +20,9 @@ exact-mode iterate equals alpha times the iterate difference.
 Each suite draws its instances' shapes one by one from a seeded generator,
 then their blocks with one ``draw_blocks`` call per shape, each block a
 one-trial chunk keyed by its instance index. It solves them as stacks, one
-per matrix size (and constellation), and reports in draw order.
+per matrix size (and constellation), and reports in draw order: each
+checked instance goes through ``SuiteReport.tally``. Every suite rejects a
+seed that is not a non-negative integer, and a count below one, at entry.
 """
 
 from __future__ import annotations
@@ -64,6 +66,17 @@ class SuiteReport:
     def ok(self) -> bool:
         return self.failed == 0
 
+    def tally(self, margin: float, failure: str | None) -> None:
+        """Count one checked instance: fold its ``margin`` into the worst
+        one, and count it passed, or failed with the message ``failure``."""
+        self.instances += 1
+        self.worst_margin = min(self.worst_margin, margin)
+        if failure is None:
+            self.passed += 1
+        else:
+            self.failed += 1
+            self.failures.append(failure)
+
     def line(self) -> str:
         status = "pass" if self.ok else "FAIL"
         return (
@@ -80,21 +93,23 @@ class VerificationReport:
     gradient_identity: SuiteReport
 
     @property
+    def suites(self) -> tuple[SuiteReport, ...]:
+        return (self.descent, self.boundary, self.series_bound, self.gradient_identity)
+
+    @property
     def ok(self) -> bool:
-        return all(
-            s.ok for s in (self.descent, self.boundary, self.series_bound, self.gradient_identity)
-        )
+        return all(s.ok for s in self.suites)
 
     def lines(self) -> list[str]:
-        return [
-            s.line()
-            for s in (self.descent, self.boundary, self.series_bound, self.gradient_identity)
-        ]
+        return [s.line() for s in self.suites]
 
 
-def _require_count(n: int, what: str) -> None:
+def _check_args(seed, n: int, what: str) -> int:
+    """A suite's ``seed`` as an int; a ``ParameterError`` unless the count
+    ``n`` of ``what`` is at least 1 and the seed a non-negative integer."""
     if n < 1:
         raise ParameterError(f"{what} must be at least 1, got {n}")
+    return check_seed(seed, "the seed")
 
 
 def _draw_instances(rng: np.random.Generator, seed: int, indices: range) -> list:
@@ -157,7 +172,7 @@ def run_descent_and_boundary(
     residual convergence, and the boundary property per instance. Running
     out of attempts first is a descent failure.
     """
-    _require_count(n_instances, "n_instances")
+    seed = _check_args(seed, n_instances, "n_instances")
     rng = np.random.default_rng(seed)
     descent = SuiteReport(name="descent")
     boundary = SuiteReport(name="boundary")
@@ -165,18 +180,17 @@ def run_descent_and_boundary(
     max_attempts = max_attempts_factor * n_instances
     rows = []  # (attempt, label, *checks) per valid instance
     attempts = 0
-    while descent.instances < n_instances and attempts < max_attempts:
+    while len(rows) < n_instances and attempts < max_attempts:
         # A batch of as many attempts as instances are missing cannot
         # overshoot: it ends where one-at-a-time drawing would stop.
         first = attempts + 1
-        attempts = min(attempts + n_instances - descent.instances, max_attempts)
+        attempts = min(attempts + n_instances - len(rows), max_attempts)
         batch = _draw_instances(rng, seed, range(first, attempts + 1))
         for (K, kind), idx in _stacks(batch).items():
             pre = preprocess(np.stack([batch[i][0] for i in idx]), params)
             beta = pre.beta(params.rho)
             valid = (0.0 < beta) & (beta < pre.alpha)
             descent.skipped += int(np.sum(~valid))
-            descent.instances += int(np.sum(valid))
             if not np.any(valid):
                 continue
             kept = PreprocessedMatrix(pre.Ghat[valid], pre.gamma[valid], pre.alpha[valid], pre.G[valid])
@@ -190,28 +204,20 @@ def run_descent_and_boundary(
 
     fractions = []
     for _, label, margin, descends, resid, threshold, converged, gap, fraction in sorted(rows):
-        descent.worst_margin = min(descent.worst_margin, margin)
-        if resid > threshold:
-            descent.failures.append(f"{label}: residual {resid:.3g} > {threshold:.3g}")
+        failure = None
+        if not resid <= threshold:
+            failure = f"{label}: residual {resid:.3g} > {threshold:.3g}"
         elif not descends:
-            descent.failures.append(f"{label}: objective increased")
-        if descends and resid <= threshold:
-            descent.passed += 1
-        else:
-            descent.failed += 1
+            failure = f"{label}: objective increased"
+        descent.tally(margin, failure)
 
         # Boundary check on instances that actually converged.
         if not converged:
             boundary.skipped += 1
             continue
-        boundary.instances += 1
-        boundary.worst_margin = min(boundary.worst_margin, BOUNDARY_TOL - gap)
         fractions.append(fraction)
-        if gap <= BOUNDARY_TOL:
-            boundary.passed += 1
-        else:
-            boundary.failed += 1
-            boundary.failures.append(f"{label}: boundary gap {gap:.3g}")
+        failure = None if gap <= BOUNDARY_TOL else f"{label}: boundary gap {gap:.3g}"
+        boundary.tally(BOUNDARY_TOL - gap, failure)
     if descent.instances < n_instances:
         descent.failed += 1
         descent.failures.append(
@@ -227,7 +233,7 @@ def run_series_bound(seed: int, n_matrices: int = 50) -> SuiteReport:
     """Measured truncation error against the analytic bound, across sizes
     and shift factors; the matrices of one size are checked as one stack
     over every (shift factor, matrix) pair."""
-    _require_count(n_matrices, "n_matrices")
+    seed = _check_args(seed, n_matrices, "n_matrices")
     rng = np.random.default_rng(seed)
     report = SuiteReport(name="series_bound")
     scales = (1.1, 1.5, 2.0, 4.0)
@@ -252,21 +258,18 @@ def run_series_bound(seed: int, n_matrices: int = 50) -> SuiteReport:
         ]
 
     for i, j, n, gap, bound in sorted(rows):
-        report.instances += 1
         tol = _BOUND_SLACK * bound
-        report.worst_margin = min(report.worst_margin, bound + tol - gap)
-        if gap <= bound + tol:
-            report.passed += 1
-        else:
-            report.failed += 1
-            report.failures.append(f"matrix {i} (n={n}), scale {scales[j]}: {gap} > {bound}")
+        failure = None
+        if not gap <= bound + tol:
+            failure = f"matrix {i} (n={n}), scale {scales[j]}: {gap} > {bound}"
+        report.tally(bound + tol - gap, failure)
     return report
 
 
 def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
     """Analytic gradient at a fresh exact-mode iterate vs the scaled iterate
     difference, on first iterations where the step is order one."""
-    _require_count(n_instances, "n_instances")
+    seed = _check_args(seed, n_instances, "n_instances")
     rng = np.random.default_rng(seed)
     report = SuiteReport(name="gradient_identity")
     params = ProxParams(alpha_scale=2.0, rho_log2=1, t_max=1, mode="exact")
@@ -288,22 +291,17 @@ def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
 
     for i, err, denom in sorted(rows):
         _, _, B, K, kind = instances[i]
-        report.instances += 1
-        report.worst_margin = min(report.worst_margin, GRAD_IDENTITY_RTOL * denom - err)
-        if err <= GRAD_IDENTITY_RTOL * denom:
-            report.passed += 1
-        else:
-            report.failed += 1
-            report.failures.append(f"instance {i} (B={B},K={K},{kind}): {err} vs {denom}")
+        failure = None
+        if not err <= GRAD_IDENTITY_RTOL * denom:
+            failure = f"instance {i} (B={B},K={K},{kind}): {err} vs {denom}"
+        report.tally(GRAD_IDENTITY_RTOL * denom - err, failure)
     return report
 
 
 def verify_theorems(seed: int, n_instances: int = 100) -> VerificationReport:
-    """Run every suite; any failed assertion shows up in the report. Fewer
-    than one instance, or a seed that is not a non-negative integer, is a
-    ``ParameterError``."""
-    _require_count(n_instances, "n_instances")
-    check_seed(seed, "the seed")
+    """Run every suite; any failed assertion shows up in the report. Each
+    suite checks its own arguments: fewer than one instance, or a seed that
+    is not a non-negative integer, is a ``ParameterError``."""
     descent, boundary = run_descent_and_boundary(seed, n_instances)
     series = run_series_bound(seed + 1)
     grad = run_gradient_identity(seed + 2, n_instances)

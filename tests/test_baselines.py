@@ -20,22 +20,18 @@ from oracles import downlink_ser_formula, ml_jed_bruteforce
 
 
 def noise_free_block(seed, B=6, K=5, kind="qpsk"):
-    rng = np.random.default_rng(seed)
+    """The block of the noise-free one-trial stack of ``seed``, exactly
+    h s^H: (Y, c, h, s)."""
     c = Constellation.by_name(kind)
-    h = model.gen_rayleigh_channel(B, rng)
-    s = model.random_data_vector(c, K, rng)
-    return np.outer(h, s.conj()), c, h, s
+    Y, _, s, h, *_ = model.draw_blocks(B, K, c, seed, [((), np.inf, 1)])
+    return Y[0], c, h[0], s[0]
 
 
-def downlink_draws(rng, c, n, T=None):
-    """Downlink randoms from ``rng`` in ``model.draw_blocks``' order:
-    reference noise, data indices, data noise."""
-    lead = () if T is None else (T,)
-    return DownlinkDraws(
-        rng.standard_normal(lead + (2,)),
-        rng.integers(0, len(c.points), size=lead + (n,)),
-        rng.standard_normal(lead + (2 * n,)),
-    )
+def downlink_trials(seed, c, n, T=1):
+    """Channels (T, 8) and downlink draws of ``n`` symbols of the noise-free
+    pilot-only stack of ``seed``."""
+    blocks = model.draw_blocks(8, 0, c, seed, [((), np.inf, T)], downlink_symbols=n)
+    return blocks.h, blocks.downlink
 
 
 def noisy_block(seed, B=16, K=8, kind="qpsk", snr_db=0.0):
@@ -242,25 +238,23 @@ class TestMlJed:
 
 class TestDownlink:
     def test_matched_noise_free(self):
-        rng = np.random.default_rng(14)
         c = Constellation.qpsk()
-        h = model.gen_rayleigh_channel(8, rng)
-        assert downlink_ser(h, h, c, 0.0, downlink_draws(rng, c, 100)) == 0.0
+        h, draws = downlink_trials(14, c, 100)
+        assert downlink_ser(h, h, c, 0.0, draws).tolist() == [0.0]
 
     def test_global_phase_compensated_by_reference(self):
         # The receiver estimates the composite gain from the known reference
         # symbol, so a rotated channel estimate costs nothing noise-free.
-        rng = np.random.default_rng(15)
         c = Constellation.qpsk()
-        h = model.gen_rayleigh_channel(8, rng)
+        h, draws = downlink_trials(15, c, 100)
         rotated = h * np.exp(1j * 1.234)
-        assert downlink_ser(h, rotated, c, 0.0, downlink_draws(rng, c, 100)) == 0.0
+        assert downlink_ser(h, rotated, c, 0.0, draws).tolist() == [0.0]
 
     def test_zero_estimate_raises(self):
-        rng = np.random.default_rng(16)
+        c = Constellation.qpsk()
+        _, draws = downlink_trials(16, c, 10)
         with pytest.raises(DegenerateInputError):
-            c = Constellation.qpsk()
-            downlink_ser(np.ones(4, dtype=complex), np.zeros(4), c, 0.1, downlink_draws(rng, c, 10))
+            downlink_ser(np.ones(4, dtype=complex), np.zeros(4), c, 0.1, draws)
 
     @pytest.mark.parametrize(
         "n0",
@@ -270,32 +264,30 @@ class TestDownlink:
     def test_bad_noise_variance_rejected(self, n0):
         # A negative or non-finite variance once gave error rates (here
         # 0.75, 0.875 and 0.9375) instead of an error.
-        rng = np.random.default_rng(18)
         c = Constellation.qpsk()
-        h = model.gen_rayleigh_channel(8, rng, 3)
+        h, draws = downlink_trials(18, c, 16, T=3)
         with pytest.raises(ParameterError, match="noise variance"):
-            downlink_ser(h, h, c, n0, downlink_draws(rng, c, 16, 3))
+            downlink_ser(h, h, c, n0, draws)
 
     @pytest.mark.parametrize("T, n0", [(3, [0.1, 0.2]), (3, [[0.1, 0.2, 0.3]]), (None, [0.1])])
     def test_noise_variance_must_match_the_trial_axis(self, T, n0):
-        rng = np.random.default_rng(19)
         c = Constellation.qpsk()
-        h = model.gen_rayleigh_channel(8, rng, T)
+        h, draws = downlink_trials(19, c, 16, T=T or 1)
+        if T is None:
+            h, draws = h[0], DownlinkDraws(*(part[0] for part in draws))
         with pytest.raises(ParameterError, match="noise variances of shape"):
-            downlink_ser(h, h, c, n0, downlink_draws(rng, c, 16, T))
+            downlink_ser(h, h, c, n0, draws)
 
     def test_per_trial_noise_variance_matches_scalar_calls(self):
         # One noise variance per trial gives each trial the rate of a
         # scalar call on that trial alone, with estimates stacked over a
         # leading method axis too.
-        rng = np.random.default_rng(20)
         c = Constellation.qpsk()
         T = 6
-        h = model.gen_rayleigh_channel(8, rng, T)
-        h_hats = h + 0.6 * model.gen_rayleigh_channel(8, rng, T)
+        h, draws = downlink_trials(20, c, 40, T=T)
+        h_hats = h + 0.6 * model.draw_blocks(8, 0, c, 120, [((), np.inf, T)]).h
         h_hats = np.stack([h_hats, h_hats.conj(), h])
         n0 = np.array([0.0, 0.05, 0.3, 1.0, 2.5, 10.0])
-        draws = downlink_draws(rng, c, 40, T)
         ser = downlink_ser(h, h_hats, c, n0, draws)
         assert ser.shape == (3, T)
         assert len(np.unique(ser[0])) > 2
@@ -309,13 +301,11 @@ class TestDownlink:
     def test_bit_equal_to_the_gathering_formula(self, kind, per_trial):
         # Comparing decided indices with the sent ones gives the rates of
         # comparing the decided points with the sent points, bit for bit.
-        rng = np.random.default_rng(21)
         c = Constellation.by_name(kind)
         T = 7
-        h = model.gen_rayleigh_channel(8, rng, T)
-        h_hats = np.stack([h + 0.8 * model.gen_rayleigh_channel(8, rng, T), h])
+        h, draws = downlink_trials(21, c, 33, T=T)
+        h_hats = np.stack([h + 0.8 * model.draw_blocks(8, 0, c, 121, [((), np.inf, T)]).h, h])
         n0 = np.array([0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0]) if per_trial else 3.0
-        draws = downlink_draws(rng, c, 33, T)
         # Trial 2 loses its gain: a beam orthogonal to the channel and no
         # reference noise.
         h[2] = 0.0
@@ -350,8 +340,9 @@ class TestStacks:
         blocks = [noisy_block(300 + t, B=6, K=4, kind=kind, snr_db=-2.0)[:2] for t in range(6)]
         c = Constellation.by_name(kind)
         Y, h = map(np.stack, zip(*blocks))
-        per_trial = [downlink_draws(np.random.default_rng(t), c, 9) for t in range(6)]
-        draws = DownlinkDraws(*map(np.stack, zip(*per_trial)))
+        chunks = [((t,), np.inf, 1) for t in range(6)]
+        draws = model.draw_blocks(1, 0, c, 6, chunks, downlink_symbols=9).downlink
+        per_trial = [DownlinkDraws(*(part[t] for part in draws)) for t in range(6)]
         detectors = (
             lambda Y, h: mrc_csir(Y, h, c),
             lambda Y, h: mrc_chest(Y, c),

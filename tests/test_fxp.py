@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simojed import fxp, linalg, model, prox
+from simojed import fxp, model, prox
 from simojed.errors import ParameterError, SimojedError
 from simojed.fxp import (
     ACC_BITS,
@@ -280,12 +280,10 @@ class TestPeArray:
 
 class TestSolveFixed:
     def test_noise_free_matches_float(self):
-        rng = np.random.default_rng(10)
         c = Constellation.qpsk()
-        h = model.gen_rayleigh_channel(16, rng)
-        s = model.random_data_vector(c, 8, rng)
+        _, G, s = model.draw_blocks(16, 8, c, 10, [((), np.inf, 1)])[:3]
         params = prox.ProxParams(t_max=5, rho_log2=1)
-        fixed = solve_fixed_stack(linalg.gram(np.outer(h, s.conj())), c, params)
+        fixed = solve_fixed_stack(G, c, params)
         assert np.array_equal(fixed, s)
 
     def test_cycle_accurate_equals_fast_path(self):

@@ -394,13 +394,13 @@ class TestRunSweep:
             lo = part.stop
             assert (snr, first) == (snr_index, trial_lo)
             for key, ser in zip(keys, seen["dl"], strict=True):
-                s_hat, h_hat = seen[key]
+                s_hat, h_hat = seen[key].s_hat, seen[key].h_hat
                 trials = range(part.start, part.stop)
                 sym = sum(int(np.sum(s_hat[t, 1:] != s_true[t, 1:])) for t in trials)
                 assert counts[key][:2] == [sym, int(np.sum(np.rint(ser[part] * cfg.K)))]
                 mse = np.sum(np.abs(h_hat[part] - h_true[part]) ** 2, axis=1) / cfg.B
                 assert counts[key][2].tobytes() == mse.tobytes()
-            float_dec, fixed_dec = seen[("float", "prox")][0], seen[("fixed", "prox")][0]
+            float_dec, fixed_dec = seen[("float", "prox")].s_hat, seen[("fixed", "prox")].s_hat
             assert agree == int(np.sum(float_dec[part, 1:] == fixed_dec[part, 1:]))
             assert all(type(v) is int for v in (*counts[keys[0]][:2], agree))
 

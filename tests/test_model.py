@@ -51,23 +51,24 @@ class TestConstellation:
 
 
 class TestRayleigh:
+    # The channels ``Blocks.h`` of noise-free pilot-only draws.
     def test_deterministic(self):
-        a = model.gen_rayleigh_channel(4, np.random.default_rng(42))
-        b = model.gen_rayleigh_channel(4, np.random.default_rng(42))
-        assert np.array_equal(a, b)
+        # Two chunks of one key draw the same channel; another key does not.
+        chunks = [((0,), np.inf, 1), ((0,), np.inf, 1), ((1,), np.inf, 1)]
+        h = model.draw_blocks(4, 0, Constellation.bpsk(), 42, chunks).h
+        assert np.array_equal(h[0], h[1])
+        assert not np.array_equal(h[0], h[2])
 
     def test_zero_antennas_raises(self):
         with pytest.raises(DimensionError):
-            model.gen_rayleigh_channel(0, np.random.default_rng(0))
+            model.draw_blocks(0, 2, Constellation.bpsk(), 0, [((), 0.0, 1)])
 
     def test_unit_power(self):
-        rng = np.random.default_rng(7)
-        draws = np.concatenate([model.gen_rayleigh_channel(1, rng) for _ in range(100_000)])
-        assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.01)
+        h = model.draw_blocks(1, 0, Constellation.bpsk(), 7, [((), np.inf, 100_000)]).h
+        assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.01)
 
     def test_component_variances(self):
-        rng = np.random.default_rng(8)
-        h = model.gen_rayleigh_channel(100_000, rng)
+        h = model.draw_blocks(100, 0, Constellation.bpsk(), 8, [((), np.inf, 1000)]).h
         assert np.var(h.real) == pytest.approx(0.5, rel=0.01)
         assert np.var(h.imag) == pytest.approx(0.5, rel=0.01)
 
@@ -96,22 +97,22 @@ class TestLos:
 
 
 class TestDataVector:
+    # The sent symbols ``Blocks.s``: the pilot, then the data symbols.
     def test_k_zero(self):
-        c = Constellation.bpsk()
-        s = model.random_data_vector(c, 0, np.random.default_rng(0))
-        assert np.array_equal(s, [1.0])
+        s = model.draw_blocks(2, 0, Constellation.bpsk(), 0, [((), 0.0, 1)]).s
+        assert np.array_equal(s, [[1.0]])
 
     def test_membership_and_reproducibility(self):
         c = Constellation.bpsk()
-        r1 = model.random_data_vector(c, 4, np.random.default_rng(5))
-        r2 = model.random_data_vector(c, 4, np.random.default_rng(5))
+        r1 = model.draw_blocks(2, 4, c, 5, [((), np.inf, 1)]).s
+        r2 = model.draw_blocks(2, 4, c, 5, [((), np.inf, 1)]).s
         assert np.array_equal(r1, r2)
-        assert all(x in (1.0, -1.0) for x in r1)
+        assert r1[0, 0] == c.points[0]
+        assert all(x in (1.0, -1.0) for x in r1[0])
 
     def test_uniform_frequencies(self):
         c = Constellation.qpsk()
-        rng = np.random.default_rng(9)
-        s = model.random_data_vector(c, 100_000, rng)[1:]
+        s = model.draw_blocks(1, 10, c, 9, [((), np.inf, 10_000)]).s[:, 1:]
         for p in c.points:
             freq = np.mean(np.isclose(s, p, atol=1e-12))
             assert freq == pytest.approx(0.25, abs=0.01)
@@ -292,8 +293,7 @@ class TestTransmit:
     def test_phase_ambiguity_of_objective(self):
         rng = np.random.default_rng(14)
         c = Constellation.qpsk()
-        Y = one_block(8, 5, c, 6.0, 14, ())[0]
-        s = model.random_data_vector(c, 5, rng)
+        Y, s, _ = one_block(8, 5, c, 6.0, 14, ())
         for phi in rng.uniform(0, 2 * np.pi, size=5):
             assert np.linalg.norm(Y @ (s * np.exp(1j * phi))) == pytest.approx(
                 np.linalg.norm(Y @ s), rel=1e-12

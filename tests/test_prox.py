@@ -80,10 +80,8 @@ class TestInit:
         assert np.array_equal(s0, [1.0, 0.0, 0.0, 0.0])
 
     def test_noise_free_single_antenna_recovers_exactly(self):
-        rng = np.random.default_rng(3)
         c = Constellation.bpsk()
-        s = model.random_data_vector(c, 5, rng)
-        G = linalg.gram(np.outer([1.0 + 0j], s.conj()))
+        _, G, s = model.draw_blocks(1, 5, c, 3, [((), np.inf, 1)])[:3]
         assert np.allclose(init_s(G, c), s, atol=1e-14)
 
     def test_matches_scalar_recomputation(self):
@@ -185,11 +183,9 @@ class TestHardDecision:
 
 class TestChannelEstimate:
     def test_noise_free_identity(self):
-        rng = np.random.default_rng(7)
         c = Constellation.qpsk()
-        h = model.gen_rayleigh_channel(5, rng)
-        s = model.random_data_vector(c, 4, rng)
-        assert np.allclose(channel_estimate(np.outer(h, s.conj()), s), h, atol=1e-12)
+        Y, _, s, h = model.draw_blocks(5, 4, c, 7, [((), np.inf, 1)])[:4]
+        assert np.allclose(channel_estimate(Y, s), h, atol=1e-12)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(8)
@@ -204,12 +200,9 @@ class TestChannelEstimate:
 
 class TestSolve:
     def test_noise_free_exact_recovery(self):
-        rng = np.random.default_rng(9)
         c = Constellation.bpsk()
-        h = model.gen_rayleigh_channel(16, rng)
-        s = model.random_data_vector(c, 8, rng)
-        Y = np.outer(h, s.conj())
-        res = solve_stack(Y, linalg.gram(Y), c, ProxParams(t_max=5))
+        Y, G, s, h = model.draw_blocks(16, 8, c, 9, [((), np.inf, 1)])[:4]
+        res = solve_stack(Y, G, c, ProxParams(t_max=5))
         assert np.array_equal(res.s_hat, s)
         assert np.allclose(res.h_hat, h, atol=1e-10)
 

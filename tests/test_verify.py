@@ -60,10 +60,15 @@ def test_report_pinned(seed):
     "suite",
     [verify_theorems, run_descent_and_boundary, run_gradient_identity, run_series_bound],
 )
-@pytest.mark.parametrize("count", [0, -3])
-def test_counts_below_one_rejected(suite, count):
-    with pytest.raises(ParameterError, match="at least 1"):
-        suite(1, count)
+@pytest.mark.parametrize(
+    ("seed", "count", "match"),
+    [(1, 0, "at least 1"), (1, -3, "at least 1"), (-1, 1, "the seed must be a non-negative")],
+    ids=["0", "-3", "seed=-1"],
+)
+def test_counts_below_one_rejected(suite, seed, count, match):
+    # Every entry point checks its own count and seed.
+    with pytest.raises(ParameterError, match=match):
+        suite(seed, count)
 
 
 def test_attempt_budget_shortfall_fails():
