@@ -31,7 +31,7 @@ from .harness import (
     timing_report,
 )
 from .model import Constellation, LosGeometry, draw_blocks
-from .prox import ProxParams
+from .prox import MODE_APPROX, ProxParams
 from .tuning import tune_rho
 from .verify import verify_theorems
 
@@ -215,7 +215,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_hw_compare(args: argparse.Namespace) -> int:
     res = _resolve(args)
-    cfg = _build_config(res, "prox")
+    cfg = _build_config(res, "aprox" if res["mode"] == MODE_APPROX else "prox")
     report = hw_compare(cfg, agreement_snr_db=args.agreement_snr)
     print(f"hard-decision agreement: {report.agreement_rate:.4%}")
     for target, gap in report.gap_db_at.items():

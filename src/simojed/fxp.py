@@ -38,7 +38,7 @@ iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,11 +116,19 @@ def projection_unit(q_bar, rho_log2: int) -> np.ndarray:
     plain comparisons. The pass-through path left-shifts by rho_log2
     (saturating at 15 bits, which never binds on a selected input) and keeps
     the 6 highest bits below the two redundant sign bits, i.e. 3 fraction
-    bits survive. ``rho_log2`` is a gain ``PeArrayConfig`` accepts.
+    bits survive. ``rho_log2`` is a gain ``check_datapath_gain`` accepts.
     """
     inv_rho = (1 << RHO_INV_FRAC) >> rho_log2  # the 12-bit 1/rho word
     q_bar = np.asarray(q_bar, dtype=np.int64)
     return np.where(q_bar >= inv_rho, 8, np.where(q_bar < -inv_rho, -8, (q_bar << rho_log2) >> 8))
+
+
+def check_datapath_gain(rho_log2: int) -> None:
+    """Reject a projection gain the datapath cannot shift by."""
+    if not (1 <= rho_log2 <= 15):
+        raise ParameterError(
+            f"the datapath needs rho_log2 in 1..15 (a 4-bit shift count above 0), not {rho_log2}"
+        )
 
 
 @dataclass(frozen=True)
@@ -133,49 +141,52 @@ class PeArrayConfig:
     def __post_init__(self):
         if self.N < 2:
             raise ParameterError("need at least two processing elements")
-        if not (1 <= self.rho_log2 <= 15):
-            raise ParameterError(
-                "the datapath needs rho_log2 in 1..15 (a 4-bit shift count above 0), "
-                f"not {self.rho_log2}"
-            )
+        check_datapath_gain(self.rho_log2)
         if self.t_max < 1:
             raise ParameterError("t_max must be at least 1")
 
 
-@dataclass
-class CycleRecord:
-    cycle: int
-    pe: int
-    action: str  # mac | shift | project | idle
-    col: int | None = None
-    g_re: int = 0
-    g_im: int = 0
-    s_re: int = 0
-    s_im: int = 0
-    acc_re: int = 0
-    acc_im: int = 0
-
-    def to_line(self) -> str:
-        if self.action == "mac":
-            re_ops = f"{self.g_re}*{self.s_re}"
-            im_ops = f"{self.g_im}*{self.s_im}"
-        elif self.action == "shift":
-            re_ops, im_ops = f"{self.s_re}", f"{self.s_im}"
-        else:
-            re_ops = im_ops = ""
-        return f"{self.cycle},{self.pe},{self.action},{re_ops},{im_ops},{self.acc_re}:{self.acc_im}"
+ACTIONS = ("idle", "shift", "mac", "project")
+IDLE, SHIFT, MAC, PROJECT = range(len(ACTIONS))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CycleTrace:
-    records: list[CycleRecord] = field(default_factory=list)
+    """One array iteration, cycle by cycle: every field is an int64 grid of
+    shape (cycles, N), row ``cycle - 1`` and column ``pe``. ``action``
+    indexes ``ACTIONS``; ``col`` is a MAC's matrix column and ``g_*`` its
+    matrix word; ``s_*`` holds a shift's ring entry, a MAC's iterate
+    operand, a projection's output and, in the last row, element 0's pilot;
+    ``acc_*`` holds the accumulators in every cycle. Other cells hold 0.
+    """
+
+    action: np.ndarray
+    col: np.ndarray
+    g_re: np.ndarray
+    g_im: np.ndarray
+    s_re: np.ndarray
+    s_im: np.ndarray
+    acc_re: np.ndarray
+    acc_im: np.ndarray
 
     def cycles(self) -> int:
-        return max(r.cycle for r in self.records) if self.records else 0
+        return len(self.action)
 
     def to_text(self) -> str:
-        header = "cycle,pe,action,re_operands,im_operands,acc"
-        return "\n".join([header] + [r.to_line() for r in self.records]) + "\n"
+        """A header and one ``cycle,pe,action,re_operands,im_operands,acc``
+        line per element per cycle, in (cycle, pe) order."""
+        lines = ["cycle,pe,action,re_operands,im_operands,acc"]
+        n = self.action.shape[1]
+        grids = (self.action, self.g_re, self.g_im, self.s_re, self.s_im, self.acc_re, self.acc_im)
+        for i, (a, gr, gi, sr, si, ar, ai) in enumerate(zip(*(g.ravel().tolist() for g in grids))):
+            if a == MAC:
+                ops = f"{gr}*{sr},{gi}*{si}"
+            elif a == SHIFT:
+                ops = f"{sr},{si}"
+            else:
+                ops = ","
+            lines.append(f"{i // n + 1},{i % n},{ACTIONS[a]},{ops},{ar}:{ai}")
+        return "\n".join(lines) + "\n"
 
 
 def pe_array_iteration(
@@ -192,7 +203,8 @@ def pe_array_iteration(
     k consumes its row in cyclic order starting at the diagonal, so in feed
     cycle j element k meets column (k+j) mod N of its row and the iterate
     entry of that column. Each feed cycle is one ``mac_step`` over elements
-    1..N-1 and the projection cycle one ``projection_unit`` call.
+    1..N-1 and the projection cycle one ``projection_unit`` call, each
+    writing one row of the trace's grids.
     """
     N = cfg.N
     gre, gim = (np.asarray(a, dtype=np.int64) for a in Ghat_q)
@@ -201,41 +213,28 @@ def pe_array_iteration(
     if gre.shape != (N, N) or gim.shape != (N, N) or sre.shape != (N,) or sim.shape != (N,):
         raise DimensionError("matrix/vector sizes do not match the array size")
 
-    pes = np.arange(1, N)
-    cols = (pes + np.arange(N)[:, None]) % N  # cols[j, k-1]: element k's column in feed cycle j
-    g_re, g_im, s_re, s_im = gre[pes, cols], gim[pes, cols], sre[cols], sim[cols]
-    acc = (np.zeros(N - 1, dtype=np.int64),) * 2
-    trace = CycleTrace()
-    records = trace.records
+    grid = np.zeros((8, N + FLUSH_CYCLES + 1, N), dtype=np.int64)  # CycleTrace's fields
+    action, col, g, s, acc = grid[0], grid[1], grid[2:4], grid[4:6], grid[6:]
+    pes = np.arange(N)
+    # cols[j, k]: the column element k meets in feed cycle j; element 0
+    # shifts that column's ring entry on.
+    cols = (pes + pes[:, None]) % N
+    action[:N] = MAC
+    action[:N, 0] = SHIFT
+    action[-1, 1:] = PROJECT
+    col[:N, 1:] = cols[:, 1:]
+    g[:, :N, 1:] = gre[pes[1:], cols[:, 1:]], gim[pes[1:], cols[:, 1:]]
+    s[:, :N] = sre[cols], sim[cols]
     for j in range(N):  # feed cycles 1..N
-        cycle = j + 1
-        acc = mac_step(acc, (g_re[j], g_im[j]), (s_re[j], s_im[j]))
-        records.append(CycleRecord(cycle, 0, "shift", s_re=int(sre[j]), s_im=int(sim[j])))
-        ops = np.stack([cols[j], g_re[j], g_im[j], s_re[j], s_im[j], *acc], axis=1).tolist()
-        records.extend(CycleRecord(cycle, k, "mac", *row) for k, row in enumerate(ops, 1))
+        acc[:, j, 1:] = mac_step(acc[:, j - 1, 1:] if j else 0, g[:, j, 1:], s[:, j, 1:])
+    acc[:, N:] = acc[:, N - 1 : N]  # the sums stay through the flush and projection
 
-    acc_rows = np.stack(acc, axis=1).tolist()
-    for cycle in range(N + 1, N + 1 + FLUSH_CYCLES):  # pipeline flush
-        records.append(CycleRecord(cycle, 0, "idle"))
-        records.extend(
-            CycleRecord(cycle, k, "idle", acc_re=ar, acc_im=ai)
-            for k, (ar, ai) in enumerate(acc_rows, 1)
-        )
-
-    cycle = N + FLUSH_CYCLES + 1  # projection cycle
-    out = np.empty((2, N), dtype=np.int64)
-    out[:, 1:] = projection_unit(np.stack(acc), cfg.rho_log2)
+    s[:, -1, 1:] = projection_unit(acc[:, -1, 1:], cfg.rho_log2)
     if cfg.real_only:
-        out[1] = 0
-    out[:, 0] = s_check_q
-    out_re, out_im = out
-    records.append(CycleRecord(cycle, 0, "idle", s_re=int(out_re[0]), s_im=int(out_im[0])))
-    projected = zip(acc_rows, out_re[1:].tolist(), out_im[1:].tolist())
-    records.extend(
-        CycleRecord(cycle, k, "project", acc_re=ar, acc_im=ai, s_re=sr, s_im=si)
-        for k, ((ar, ai), sr, si) in enumerate(projected, 1)
-    )
-    return (out_re, out_im), trace
+        s[1, -1] = 0
+    s[:, -1, 0] = s_check_q
+    out_re, out_im = s[:, -1].copy()
+    return (out_re, out_im), CycleTrace(*grid)
 
 
 def direct_iteration(

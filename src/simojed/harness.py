@@ -35,9 +35,10 @@ from .baselines import (
     mrc_retrained,
 )
 from .errors import CapacityError, ParameterError
-from .fxp import latency_cycles, solve_fixed_stack, throughput_bps
+from .fxp import check_datapath_gain, latency_cycles, solve_fixed_stack, throughput_bps
 from .model import Constellation, LosGeometry, check_seed, draw_blocks
 from .prox import (
+    MODE_APPROX,
     PreprocessedMatrix,
     ProxParams,
     SolveResult,
@@ -67,13 +68,18 @@ class MethodSpec:
             raise ParameterError(f"unknown method {self.name!r}; choose from {METHOD_NAMES}")
         if self.name in ("prox", "aprox") and self.params is None:
             object.__setattr__(self, "params", ProxParams())
+        if self.name == "prox" and self.params.mode == MODE_APPROX:
+            raise ParameterError(
+                "prox runs the exact shifted inverse; name the method 'aprox' to run the "
+                "two-term approximation"
+            )
 
     @property
     def solver_params(self) -> ProxParams | None:
         if self.name == "prox":
             return self.params
         if self.name == "aprox":
-            return replace(self.params, mode="approx")
+            return replace(self.params, mode=MODE_APPROX)
         return None
 
 
@@ -105,8 +111,13 @@ class SweepConfig:
             raise ParameterError("need at least one downlink symbol")
         if self.arithmetic not in ("float", "fixed"):
             raise ParameterError(f"unknown arithmetic {self.arithmetic!r}")
+        names = [m.name for m in self.methods]
+        if len(set(names)) < len(names):
+            raise ParameterError(f"each method may run once per sweep, got {names}")
         if self.arithmetic == "fixed":
-            _check_datapath_gains(self.methods)
+            for m in self.methods:
+                if m.solver_params is not None:
+                    check_datapath_gain(m.params.rho_log2)
         c = Constellation.by_name(self.constellation)
         for m in self.methods:
             if m.name == "ml-jed" and len(c.points) ** self.K > self.ml_jed_budget:
@@ -118,16 +129,6 @@ class SweepConfig:
     def config_hash(self) -> str:
         canon = json.dumps(_config_dict(self), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def _check_datapath_gains(methods: tuple[MethodSpec, ...]) -> None:
-    """The fixed-point datapath shifts by the projection gain, so every
-    solver method needs ``rho_log2 >= 1``."""
-    for m in methods:
-        if m.solver_params is not None and m.params.rho_log2 < 1:
-            raise ParameterError(
-                f"{m.name}: the datapath needs rho_log2 >= 1, not {m.params.rho_log2}"
-            )
 
 
 def _config_dict(cfg: SweepConfig) -> dict:
@@ -177,9 +178,6 @@ class SweepResult:
             if m not in seen:
                 seen.append(m)
         return seen
-
-    def snrs(self) -> list[float]:
-        return sorted({s for _, s in self.cells})
 
     def curve(self, method: str, quantity: str = "uplink_ser") -> dict[float, float]:
         return {
@@ -465,12 +463,14 @@ def hw_compare(
     method is counted on the same blocks at ``agreement_snr_db``, which
     must be a sweep point (the grid's midpoint by default). The gap is the
     horizontal dB distance between the two SER curves at each target.
-    Every solver method needs ``rho_log2 >= 1``, as the datapath does.
+    Every solver method needs a gain the datapath takes
+    (``check_datapath_gain``).
     """
     solver_methods = [m for m in cfg.methods if m.solver_params is not None]
     if not solver_methods:
         raise ParameterError("hw_compare needs a prox or aprox method in the config")
-    _check_datapath_gains(cfg.methods)
+    for m in solver_methods:
+        check_datapath_gain(m.params.rho_log2)
     snr_db = agreement_snr_db
     if snr_db is None:
         snr_db = cfg.snr_points_db[len(cfg.snr_points_db) // 2]

@@ -25,17 +25,15 @@ def _require_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _require_shift(alpha, lead: tuple[int, ...], zero_ok: bool = False) -> np.ndarray:
+def _require_shift(alpha, lead: tuple[int, ...]) -> np.ndarray:
     """Shift factors as float64: a scalar, or one per matrix of a stack with
-    leading axes ``lead``; each must be finite and positive, or zero where
-    ``zero_ok``."""
+    leading axes ``lead``; each must be finite and positive."""
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape not in ((), lead):
         raise DimensionError(f"shift factors of shape {alpha.shape} for a stack of shape {lead}")
-    ok = ((alpha >= 0.0) if zero_ok else (alpha > 0.0)) & (alpha < np.inf)
+    ok = (alpha > 0.0) & (alpha < np.inf)
     if not np.all(ok):
-        sign = "non-negative" if zero_ok else "positive"
-        raise ParameterError(f"shift factor must be finite and {sign}, got {alpha[~ok][0]}")
+        raise ParameterError(f"shift factor must be finite and positive, got {alpha[~ok][0]}")
     return alpha
 
 
@@ -90,11 +88,11 @@ def invert_shifted(G: np.ndarray, alpha) -> np.ndarray:
     real positive pivots exactly when the matrix is positive definite, that
     is when alpha exceeds the largest eigenvalue of G, so a pivot that is
     not positive is reported as a parameter error. The inverse is
-    symmetrized exactly. A zero alpha takes G as zero; a negative or
-    non-finite alpha, or a non-finite G, is a parameter error.
+    symmetrized exactly. An alpha that is not finite and positive, or a
+    non-finite G, is a parameter error.
     """
     G = _require_square(G)
-    alpha = _require_shift(alpha, G.shape[:-2], zero_ok=True)
+    alpha = _require_shift(alpha, G.shape[:-2])
     n = G.shape[-1]
     stack = G.reshape(-1, n, n)
     # Two buffers of the stack's size serve every step: fresh memory for a
@@ -102,7 +100,7 @@ def invert_shifted(G: np.ndarray, alpha) -> np.ndarray:
     A = np.empty((n, n, len(stack)), dtype=np.complex128)
     work = np.empty_like(A)
     shifted = work.reshape(stack.shape)
-    np.divide(stack, np.where(alpha == 0, np.inf, alpha).reshape(-1, 1, 1), out=shifted)
+    np.divide(stack, alpha.reshape(-1, 1, 1), out=shifted)
     np.subtract(np.eye(n), shifted, out=shifted)
     A[...] = np.moveaxis(shifted, 0, -1)
     _hermitian_part(A, (0, 1), work)

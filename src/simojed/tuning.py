@@ -36,8 +36,8 @@ def tune_rho(
     snr_db: float,
     trials: int,
     seed: int,
-    mode: str = "exact",
-    t_max: int = 5,
+    mode: str = ProxParams.mode,
+    t_max: int = ProxParams.t_max,
     cache_path: str | Path | None = None,
 ) -> TunedParams:
     """Grid-search the solver gains on a paired seeded batch.

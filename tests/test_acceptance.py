@@ -18,6 +18,7 @@ import pytest
 
 from simojed.fxp import (
     ACC_BITS,
+    MAC,
     PeArrayConfig,
     direct_iteration,
     latency_cycles,
@@ -303,8 +304,7 @@ class TestDatapath:
                 assert trace.cycles() == (N - 1) + 4
                 checked += 1
             # Operand order for one element on one instance per size.
-            pe_rows = [r for r in trace.records if r.pe == 1 and r.action == "mac"]
-            assert [r.col for r in pe_rows] == [(1 + j) % N for j in range(N)]
+            assert trace.col[trace.action[:, 1] == MAC, 1].tolist() == [(1 + j) % N for j in range(N)]
         report(
             "array schedule bit-exactness",
             True,

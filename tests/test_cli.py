@@ -83,11 +83,21 @@ class TestSweepCommand:
         assert "master seed" in str(exc.value.code) and "-1" in str(exc.value.code)
 
     def test_fixed_arithmetic_rejects_gain_below_datapath_minimum(self, monkeypatch):
-        # Rejected with the config, before any block is drawn.
+        # Rejected with the config, before any block is drawn; 16 once
+        # failed only after the first pack was drawn and preprocessed.
+        monkeypatch.setattr(harness, "draw_blocks", None)
+        for gain in ("0", "16"):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--arithmetic", "fixed", "--rho-log2", gain, "--trials", "2"])
+            assert "rho_log2 in 1..15" in str(exc.value.code)
+
+    def test_prox_in_approx_mode_exits_cleanly(self, monkeypatch):
+        # Its prox row once silently ran APrOX and equalled the aprox row.
         monkeypatch.setattr(harness, "draw_blocks", None)
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--arithmetic", "fixed", "--rho-log2", "0", "--trials", "2"])
-        assert "rho_log2" in str(exc.value.code)
+            main(["sweep", "--methods", "prox,aprox", "--mode", "approx", "--k", "4",
+                  "--trials", "200", "--snr=-4,0", "--seed", "3"])
+        assert "name the method 'aprox'" in str(exc.value.code)
 
     @pytest.mark.parametrize("channel, los", [("los", True), ("rayleigh", False)])
     def test_channel_flag_picks_the_geometry(self, channel, los, monkeypatch):
@@ -209,16 +219,27 @@ class TestHwCompareCommand:
         assert "hard-decision agreement" in out
         assert "fixed-vs-float gap" in out
 
-    def test_rejects_gain_below_datapath_minimum(self):
-        # No silent clamp to rho_log2=1: the command fails and names the gain.
-        with pytest.raises(SystemExit) as exc:
-            main(["hw-compare", "--b", "8", "--k", "4", "--snr=-6,-4", "--trials", "5",
-                  "--rho-log2", "0"])
-        assert exc.value.code != 0
-        assert "rho_log2" in str(exc.value.code)
+    def test_rejects_gain_below_datapath_minimum(self, monkeypatch):
+        # No silent clamp to rho_log2=1: the command fails and names the
+        # gain, before any block is drawn.
+        monkeypatch.setattr(harness, "draw_blocks", None)
+        for gain in ("0", "16"):
+            with pytest.raises(SystemExit) as exc:
+                main(["hw-compare", "--b", "8", "--k", "4", "--snr=-6,-4", "--trials", "5",
+                      "--rho-log2", gain])
+            assert exc.value.code != 0
+            assert "rho_log2 in 1..15" in str(exc.value.code)
+
+    @pytest.mark.parametrize("mode, method", [("exact", "prox"), ("approx", "aprox")])
+    def test_mode_picks_the_solver_method(self, mode, method, monkeypatch):
+        seen = []
+        report = harness.HwCompareReport(1.0, None, None, {})
+        monkeypatch.setattr(cli, "hw_compare", lambda cfg, **kw: seen.append(cfg) or report)
+        assert main(["hw-compare", "--mode", mode, "--trials", "2"]) == 0
+        assert [m.name for m in seen[0].methods] == [method]
 
     def test_rejects_methods_in_config_file(self, tmp_path):
-        # hw-compare always compares the prox solver; a config file naming
+        # hw-compare compares the solver its mode names; a config file naming
         # other methods was once accepted and ignored.
         cfg = tmp_path / "hw.cfg"
         cfg.write_text("b = 8\nk = 4\nsnr = -6,-4\ntrials = 5\nmethods = mrc-chest\n")

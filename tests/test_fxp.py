@@ -7,9 +7,11 @@ from simojed import fxp, model, prox
 from simojed.errors import ParameterError, SimojedError
 from simojed.fxp import (
     ACC_BITS,
+    ACTIONS,
     ACC_FRAC,
     G_BITS,
     G_FRAC,
+    MAC,
     S_BITS,
     S_FRAC,
     PeArrayConfig,
@@ -185,11 +187,10 @@ class TestPeArray:
         G_q, s_q = random_quantized_instance(rng, 3)
         cfg = PeArrayConfig(N=3, t_max=1, rho_log2=1)
         _, trace = pe_array_iteration(s_q, G_q, cfg, (8, 0))
-        pe1 = [r for r in trace.records if r.pe == 1 and r.action == "mac"]
-        assert [r.cycle for r in pe1] == [1, 2, 3]
-        assert [r.col for r in pe1] == [1, 2, 0]
-        assert [r.g_re for r in pe1] == [int(G_q[0][1, c]) for c in (1, 2, 0)]
-        assert [r.s_re for r in pe1] == [int(s_q[0][c]) for c in (1, 2, 0)]
+        assert np.flatnonzero(trace.action[:, 1] == MAC).tolist() == [0, 1, 2]
+        assert trace.col[:3, 1].tolist() == [1, 2, 0]
+        assert trace.g_re[:3, 1].tolist() == [int(G_q[0][1, c]) for c in (1, 2, 0)]
+        assert trace.s_re[:3, 1].tolist() == [int(s_q[0][c]) for c in (1, 2, 0)]
 
     @pytest.mark.parametrize("N", [3, 5, 9])
     def test_matches_direct_reference(self, N):
@@ -211,18 +212,14 @@ class TestPeArray:
         _, trace = pe_array_iteration(s_q, G_q, cfg, (8, 0))
         K = N - 1
         assert trace.cycles() == K + 4
-        by_cycle = {}
-        for r in trace.records:
-            by_cycle.setdefault(r.cycle, []).append(r)
-        for cyc in range(1, N + 1):  # feed cycles
-            actions = {r.pe: r.action for r in by_cycle[cyc]}
-            assert actions[0] == "shift"
-            assert all(actions[k] == "mac" for k in range(1, N))
-        for cyc in (N + 1, N + 2):  # flush
-            assert all(r.action == "idle" for r in by_cycle[cyc])
-        actions = {r.pe: r.action for r in by_cycle[N + 3]}
-        assert actions[0] == "idle"
-        assert all(actions[k] == "project" for k in range(1, N))
+        for grid in vars(trace).values():
+            assert grid.shape == (K + 4, N) and grid.dtype == np.int64
+        actions = [[ACTIONS[a] for a in row] for row in trace.action.tolist()]
+        for row in actions[:N]:  # feed cycles
+            assert row == ["shift"] + ["mac"] * K
+        for row in actions[N : N + 2]:  # flush
+            assert row == ["idle"] * N
+        assert actions[N + 2] == ["idle"] + ["project"] * K
 
     def test_pilot_element_passes_reference(self):
         rng = np.random.default_rng(7)
@@ -246,7 +243,7 @@ class TestPeArray:
         text = trace.to_text()
         lines = text.strip().split("\n")
         assert lines[0] == "cycle,pe,action,re_operands,im_operands,acc"
-        assert len(lines) == 1 + len(trace.records)
+        assert len(lines) == 1 + trace.action.size
         assert all(line.count(",") == 5 for line in lines[1:])
 
     @given(
@@ -258,8 +255,9 @@ class TestPeArray:
     def test_matches_integer_oracle(self, N, rho_log2, real_only, seed):
         # Independent of the array helpers the simulator shares with
         # direct_iteration: the final iterate against the big-integer
-        # iteration, and every MAC record's accumulator against a running
-        # big-integer MAC over the operands it logged.
+        # iteration, every MAC cell's accumulator against a running
+        # big-integer MAC over the operands it logged, and every other
+        # cell against the ring entries, the final sums and the outputs.
         rng = np.random.default_rng(seed)
         G_q, s_q = random_quantized_instance(rng, N)
         s_check_q = tuple(raw_words(rng, S_BITS, 2).tolist())
@@ -267,15 +265,29 @@ class TestPeArray:
         (out_re, out_im), trace = pe_array_iteration(s_q, G_q, cfg, s_check_q)
         ref = int_iteration(s_q, G_q, N, rho_log2, real_only, s_check_q)
         assert out_re.tolist() == ref[0] and out_im.tolist() == ref[1]
+        s_im = [0] * N if real_only else s_q[1].tolist()
+        assert int(np.sum(trace.action == MAC)) == N * (N - 1)
         acc = {k: (0, 0) for k in range(1, N)}
-        macs = [r for r in trace.records if r.action == "mac"]
-        assert len(macs) == N * (N - 1)
-        for r in macs:
-            assert r.col == (r.pe + r.cycle - 1) % N
-            assert (r.g_re, r.g_im) == (int(G_q[0][r.pe, r.col]), int(G_q[1][r.pe, r.col]))
-            assert (r.s_re, r.s_im) == (int(s_q[0][r.col]), 0 if real_only else int(s_q[1][r.col]))
-            acc[r.pe] = int_mac(*acc[r.pe], r.g_re, r.g_im, r.s_re, r.s_im)
-            assert (r.acc_re, r.acc_im) == acc[r.pe]
+        for j, k in zip(*np.nonzero(trace.action == MAC)):
+            col = int(trace.col[j, k])
+            g = int(trace.g_re[j, k]), int(trace.g_im[j, k])
+            s = int(trace.s_re[j, k]), int(trace.s_im[j, k])
+            assert col == (k + j) % N
+            assert g == (int(G_q[0][k, col]), int(G_q[1][k, col]))
+            assert s == (int(s_q[0][col]), s_im[col])
+            acc[k] = int_mac(*acc[k], *g, *s)
+            assert (int(trace.acc_re[j, k]), int(trace.acc_im[j, k])) == acc[k]
+        # Element 0 shifts the ring entries on, and holds no sum.
+        assert trace.s_re[:N, 0].tolist() == s_q[0].tolist()
+        assert trace.s_im[:N, 0].tolist() == s_im
+        assert not trace.acc_re[:, 0].any() and not trace.acc_im[:, 0].any()
+        # The flush and projection rows hold the final sums.
+        final_re, final_im = ([acc[k][i] for k in range(1, N)] for i in (0, 1))
+        assert trace.acc_re[N:, 1:].tolist() == [final_re] * 3
+        assert trace.acc_im[N:, 1:].tolist() == [final_im] * 3
+        # The last row carries the outputs, and element 0 the pilot.
+        assert trace.s_re[-1].tolist() == ref[0] and trace.s_im[-1].tolist() == ref[1]
+        assert (ref[0][0], ref[1][0]) == s_check_q
 
 
 class TestSolveFixed:

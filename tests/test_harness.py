@@ -59,10 +59,18 @@ class TestConfig:
 
     def test_fixed_arithmetic_needs_datapath_gain(self):
         for name in ("prox", "aprox"):
-            with pytest.raises(ParameterError, match="rho_log2"):
-                small_config(arithmetic="fixed", methods=(MethodSpec(name, ProxParams(rho_log2=0)),))
+            for gain in (0, 16):
+                spec = MethodSpec(name, ProxParams(rho_log2=gain))
+                with pytest.raises(ParameterError, match="rho_log2 in 1..15"):
+                    small_config(arithmetic="fixed", methods=(spec,))
         # The float solver takes any non-negative gain.
         small_config(methods=(MethodSpec("prox", ProxParams(rho_log2=0)),))
+
+    def test_duplicate_method_names_rejected(self):
+        # The second prox used to replace the first one's counts silently.
+        methods = (MethodSpec("prox"), MethodSpec("prox", ProxParams(rho_log2=2)))
+        with pytest.raises(ParameterError, match="once per sweep"):
+            small_config(methods=methods)
 
     @pytest.mark.parametrize("bad", [None, -1, True, 2.0, np.int64(-3)])
     def test_master_seed_must_be_a_non_negative_integer(self, bad):
@@ -560,10 +568,13 @@ class TestHwCompare:
         with pytest.raises(ParameterError):
             hw_compare(small_config(methods=(MethodSpec("mrc-chest"),)))
 
-    def test_rejects_gain_the_datapath_cannot_shift(self):
-        cfg = small_config(methods=(MethodSpec("prox", ProxParams(rho_log2=0)),))
-        with pytest.raises(ParameterError, match="rho_log2"):
-            hw_compare(cfg)
+    def test_rejects_gain_the_datapath_cannot_shift(self, monkeypatch):
+        # Rejected before any block is drawn.
+        monkeypatch.setattr(harness, "draw_blocks", None)
+        for gain in (0, 16):
+            cfg = small_config(methods=(MethodSpec("prox", ProxParams(rho_log2=gain)),))
+            with pytest.raises(ParameterError, match="rho_log2 in 1..15"):
+                hw_compare(cfg)
 
     def test_agreement_snr_must_be_a_sweep_point(self):
         with pytest.raises(ParameterError, match="sweep point"):

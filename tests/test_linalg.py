@@ -226,6 +226,7 @@ def _with_nan(n=3):
     "call",
     [
         lambda: linalg.invert_shifted(np.eye(3), -1.0),
+        lambda: linalg.invert_shifted(np.eye(3), 0.0),
         lambda: linalg.invert_shifted(np.eye(3), np.inf),
         lambda: linalg.invert_shifted(np.eye(3), np.nan),
         lambda: linalg.invert_shifted(np.stack([np.eye(3)] * 2), np.array([2.0, -2.0])),
@@ -238,6 +239,7 @@ def _with_nan(n=3):
     ],
     ids=[
         "invert-negative-shift",
+        "invert-zero-shift",
         "invert-inf-shift",
         "invert-nan-shift",
         "invert-negative-shift-in-stack",
@@ -263,11 +265,6 @@ def test_shift_shape_must_match_the_stack(fn, G):
     # three they ended in a raw numpy broadcast error.
     with pytest.raises(DimensionError, match="shift factors of shape"):
         fn(G, np.array([4.0, 8.0]))
-
-
-def test_zero_shift_takes_the_matrix_as_zero():
-    G = np.diag([1.0, 2.0]).astype(complex)
-    assert np.array_equal(linalg.invert_shifted(G, 0.0), np.eye(2))
 
 
 class TestNeumann:
