@@ -31,7 +31,7 @@ from .harness import (
     timing_report,
 )
 from .model import Constellation, LosGeometry, draw_blocks
-from .prox import MODE_APPROX, ProxParams
+from .prox import ProxParams
 from .tuning import tune_rho
 from .verify import verify_theorems
 
@@ -80,7 +80,6 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-max", type=int, dest="t_max")
     p.add_argument("--rho-log2", type=int, dest="rho_log2")
     p.add_argument("--alpha-scale", type=float, dest="alpha_scale")
-    p.add_argument("--mode", choices=["exact", "approx"])
     p.add_argument("--out", help="output path prefix (.csv and .json are added)")
 
 
@@ -97,7 +96,6 @@ _SWEEP_DEFAULTS = {
     "t_max": _GAINS.t_max,
     "rho_log2": _GAINS.rho_log2,
     "alpha_scale": _GAINS.alpha_scale,
-    "mode": _GAINS.mode,
 }
 # The keys that take numbers, each of its default's type.
 _NUMERIC_KEYS = {k: type(v) for k, v in _SWEEP_DEFAULTS.items() if not isinstance(v, str)}
@@ -215,7 +213,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_hw_compare(args: argparse.Namespace) -> int:
     res = _resolve(args)
-    cfg = _build_config(res, "aprox" if res["mode"] == MODE_APPROX else "prox")
+    cfg = _build_config(res, args.method)
     report = hw_compare(cfg, agreement_snr_db=args.agreement_snr)
     print(f"hard-decision agreement: {report.agreement_rate:.4%}")
     for target, gap in report.gap_db_at.items():
@@ -228,11 +226,21 @@ def cmd_hw_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_list(flag: str, spec: str, kind: type) -> list:
+    """A comma list of numbers of type ``kind``."""
+    try:
+        return [kind(x) for x in spec.split(",")]
+    except ValueError:
+        raise ParameterError(f"{flag} {spec!r} is not a comma list of {kind.__name__}s") from None
+
+
 def cmd_timing(args: argparse.Namespace) -> int:
-    K_list = [int(x) for x in args.k.split(",")]
-    t_list = [int(x) for x in args.t_max.split(",")]
-    f_list = [float(x) for x in args.f_clk.split(",")]
-    rows = timing_report(K_list, t_list, f_list, bits_per_symbol=args.bits)
+    rows = timing_report(
+        _parse_list("--k", args.k, int),
+        _parse_list("--t-max", args.t_max, int),
+        _parse_list("--f-clk", args.f_clk, float),
+        bits_per_symbol=args.bits,
+    )
     text = timing_csv(rows)
     print(text, end="")
     if args.out:
@@ -249,7 +257,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         args.snr,
         args.trials,
         args.seed,
-        mode=args.mode,
+        approx=args.method == "aprox",
         t_max=args.t_max,
         cache_path=args.cache,
     )
@@ -293,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hw-compare", help="paired float-vs-fixed comparison")
     _add_sweep_args(p)
+    p.add_argument("--method", choices=["prox", "aprox"], default="prox")
     p.add_argument("--agreement-snr", type=float, default=None, dest="agreement_snr")
     p.set_defaults(func=cmd_hw_compare)
 
@@ -311,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--mode", choices=["exact", "approx"], default=_GAINS.mode)
+    p.add_argument("--method", choices=["prox", "aprox"], default="prox")
     p.add_argument("--t-max", type=int, default=_GAINS.t_max, dest="t_max")
     p.add_argument("--cache", help="JSON cache path")
     p.set_defaults(func=cmd_tune)

@@ -282,8 +282,9 @@ def quantize_block(
 ) -> tuple[PeArrayConfig, tuple, tuple, tuple[int, int]]:
     """The array for a block's Gram matrix ``G`` (or a stack of them with a
     leading trial axis) and its raw-integer (real, imaginary) inputs: the
-    iteration matrix, the initial iterate and the pilot ``c.points[0]``. A
-    ``preprocess(G, params)`` result in place of ``G`` is used as given.
+    iteration matrix, the initial iterate and the pilot ``c.points[0]``.
+    Gram matrices are preprocessed with the exact shifted inverse; a
+    ``preprocess`` result in place of ``G`` is used as given.
     The array configuration is checked before anything is preprocessed.
 
     Preprocessing runs in floating point (it happens off the array); the

@@ -38,7 +38,6 @@ from .errors import CapacityError, ParameterError
 from .fxp import check_datapath_gain, latency_cycles, solve_fixed_stack, throughput_bps
 from .model import Constellation, LosGeometry, check_seed, draw_blocks
 from .prox import (
-    MODE_APPROX,
     PreprocessedMatrix,
     ProxParams,
     SolveResult,
@@ -60,6 +59,10 @@ WILSON_Z = 1.959963984540054  # the two-sided 95% normal quantile
 
 @dataclass(frozen=True)
 class MethodSpec:
+    """A detector of the sweep. The solver methods, ``prox`` (exact shifted
+    inverse) and ``aprox`` (its two-term series), always have ``params``,
+    the default gains unless given; the baselines have none."""
+
     name: str
     params: ProxParams | None = None
 
@@ -68,19 +71,6 @@ class MethodSpec:
             raise ParameterError(f"unknown method {self.name!r}; choose from {METHOD_NAMES}")
         if self.name in ("prox", "aprox") and self.params is None:
             object.__setattr__(self, "params", ProxParams())
-        if self.name == "prox" and self.params.mode == MODE_APPROX:
-            raise ParameterError(
-                "prox runs the exact shifted inverse; name the method 'aprox' to run the "
-                "two-term approximation"
-            )
-
-    @property
-    def solver_params(self) -> ProxParams | None:
-        if self.name == "prox":
-            return self.params
-        if self.name == "aprox":
-            return replace(self.params, mode=MODE_APPROX)
-        return None
 
 
 @dataclass(frozen=True)
@@ -103,6 +93,8 @@ class SweepConfig:
         check_seed(self.master_seed, "the master seed")
         if not self.snr_points_db:
             raise ParameterError("need at least one SNR point")
+        if len(set(self.snr_points_db)) < len(self.snr_points_db):
+            raise ParameterError(f"each SNR point may appear once, got {self.snr_points_db}")
         if self.B < 1:
             raise ParameterError("need at least one receive antenna")
         if self.K < 1:
@@ -116,7 +108,7 @@ class SweepConfig:
             raise ParameterError(f"each method may run once per sweep, got {names}")
         if self.arithmetic == "fixed":
             for m in self.methods:
-                if m.solver_params is not None:
+                if m.params is not None:
                     check_datapath_gain(m.params.rho_log2)
         c = Constellation.by_name(self.constellation)
         for m in self.methods:
@@ -250,7 +242,7 @@ def _detect(
     one method: the solver in ``arithmetic``, on the pack's preprocessed
     Gram matrices ``pre``, or a baseline, in one stacked call. ``G`` holds
     the Gram matrices of ``Y``."""
-    params = spec.solver_params
+    params = spec.params
     if params is not None and arithmetic == "float":
         return solve_stack(Y, pre, c, params, record_trace=False)
     if params is not None:
@@ -286,7 +278,7 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     """
     c = Constellation.by_name(cfg.constellation)
     n_dl = cfg.downlink_symbols or cfg.K
-    solver = next((m for m in cfg.methods if m.solver_params is not None), None)
+    solver = next((m for m in cfg.methods if m.params is not None), None)
     keyed = [((i, lo), cfg.snr_points_db[i], hi - lo) for i, lo, hi in chunks]
     Y, G, s_true, h_true, n0, draws = draw_blocks(
         cfg.B, cfg.K, c, cfg.master_seed, keyed, cfg.los, n_dl
@@ -294,8 +286,8 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     detections = {}
     decisions = {}
     for spec in cfg.methods:
-        params = spec.solver_params
-        pre = None if params is None else preprocess(G, params)
+        approx = spec.name == "aprox"
+        pre = None if spec.params is None else preprocess(G, spec.params, approx)
         for arithmetic in arithmetics:
             res = _detect(spec, Y, G, pre, h_true, c, arithmetic, cfg.ml_jed_budget)
             if spec is solver:
@@ -406,39 +398,6 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return _sweep_result(cfg, _sweep_chunks(cfg, (cfg.arithmetic,)), cfg.arithmetic)
 
 
-def read_result(csv_text: str, metadata: dict) -> SweepResult:
-    """Rebuild a SweepResult from its CSV plus the JSON sidecar.
-
-    Error counts are exact integers in the CSV; the per-trial symbol counts
-    come from the sidecar, so a write/read cycle reproduces every cell.
-    """
-    lines = [ln for ln in csv_text.strip().split("\n") if ln]
-    if lines[0] != CSV_COLUMNS:
-        raise ParameterError("unexpected CSV header")
-    result = SweepResult(
-        config_hash=metadata["config_hash"],
-        master_seed=metadata["master_seed"],
-        version=metadata["version"],
-    )
-    per_trial_data = metadata["data_symbols_per_trial"]
-    per_trial_dl = metadata["downlink_symbols_per_trial"]
-    for ln in lines[1:]:
-        m, snr, _ul_ser, dl_ser, mse, trials, errors, _lo, _hi = ln.split(",")
-        trials_i = int(trials)
-        dl_symbols = trials_i * per_trial_dl
-        result.cells[(m, float(snr))] = SweepCell(
-            method=m,
-            snr_db=float(snr),
-            trials=trials_i,
-            symbol_errors=int(errors),
-            downlink_errors=int(round(float(dl_ser) * dl_symbols)),
-            chest_mse=float(mse),
-            data_symbols=trials_i * per_trial_data,
-            downlink_symbols=dl_symbols,
-        )
-    return result
-
-
 @dataclass
 class HwCompareReport:
     agreement_rate: float
@@ -466,7 +425,7 @@ def hw_compare(
     Every solver method needs a gain the datapath takes
     (``check_datapath_gain``).
     """
-    solver_methods = [m for m in cfg.methods if m.solver_params is not None]
+    solver_methods = [m for m in cfg.methods if m.params is not None]
     if not solver_methods:
         raise ParameterError("hw_compare needs a prox or aprox method in the config")
     for m in solver_methods:

@@ -29,9 +29,6 @@ from .errors import DegenerateInputError, DimensionError, ParameterError
 from .linalg import invert_shifted, neumann_two_term, spectral_norm
 from .model import Constellation
 
-MODE_EXACT = "exact"
-MODE_APPROX = "approx"
-
 
 @dataclass(frozen=True)
 class ProxParams:
@@ -46,7 +43,6 @@ class ProxParams:
     alpha_scale: float = 2.0
     rho_log2: int = 1
     t_max: int = 5
-    mode: str = MODE_EXACT
 
     def __post_init__(self):
         if self.alpha_scale <= 1.0:
@@ -55,8 +51,6 @@ class ProxParams:
             raise ParameterError("t_max must be at least 1")
         if self.rho_log2 < 0:
             raise ParameterError("rho_log2 must be non-negative")
-        if self.mode not in (MODE_EXACT, MODE_APPROX):
-            raise ParameterError(f"unknown mode {self.mode!r}")
 
     @property
     def rho(self) -> float:
@@ -67,8 +61,8 @@ class ProxParams:
 class PreprocessedMatrix:
     """Scaled iteration matrix plus the quantities needed to reason about it.
 
-    ``gamma * Ghat`` is the raw (unscaled) matrix: the shifted inverse in
-    exact mode, the two-term series in approx mode. ``gamma`` is the raw
+    ``gamma * Ghat`` is the raw (unscaled) matrix: the shifted inverse, or
+    its two-term series for the ``aprox`` variant. ``gamma`` is the raw
     matrix's largest component magnitude. ``G`` is kept so
     diagnostics can evaluate the objective without the received block. For
     a stack, ``gamma`` and ``alpha`` hold one value per trial.
@@ -122,18 +116,16 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A @ v[..., None])[..., 0]
 
 
-def preprocess(G: np.ndarray, params: ProxParams) -> PreprocessedMatrix:
-    """Build the scaled iteration matrix for the requested mode; a Gram
-    matrix of zero spectral norm gets the identity."""
+def preprocess(G: np.ndarray, params: ProxParams, approx: bool = False) -> PreprocessedMatrix:
+    """Build the scaled iteration matrix from the exact shifted inverse, or
+    with ``approx`` from its two-term series; a Gram matrix of zero
+    spectral norm gets the identity."""
     G = np.ascontiguousarray(G, dtype=np.complex128)
     norm = spectral_norm(G)
     alpha = params.alpha_scale * norm
     zero = norm == 0.0
     shift = np.where(zero, 1.0, alpha)  # zero-norm trials get the identity below
-    if params.mode == MODE_EXACT:
-        raw = invert_shifted(G, shift)
-    else:
-        raw = neumann_two_term(G, shift)
+    raw = (neumann_two_term if approx else invert_shifted)(G, shift)
     raw[zero] = np.eye(G.shape[-1])
     # The largest magnitude among the real and imaginary components.
     gamma = np.max(np.abs(raw.view(np.float64)), axis=(-2, -1))
@@ -263,8 +255,9 @@ def solve_stack(
 ) -> SolveResult:
     """Full detection pass over a stack of blocks (or one block): preprocess,
     initialize, iterate, slice, and re-estimate each channel from its hard
-    decisions. ``G`` holds the Gram matrices of ``Y``, or their
-    ``preprocess(G, params)`` result, which is then used as given.
+    decisions. ``G`` holds the Gram matrices of ``Y``, preprocessed here
+    with the exact shifted inverse, or a ``preprocess`` result (of either
+    variant), which is then used as given.
 
     A non-finite ``Y`` is a ``ParameterError``; Gram matrices whose shape
     is not one (N, N) matrix per block of N slots are a ``DimensionError``.

@@ -36,7 +36,7 @@ def tune_rho(
     snr_db: float,
     trials: int,
     seed: int,
-    mode: str = ProxParams.mode,
+    approx: bool = False,
     t_max: int = ProxParams.t_max,
     cache_path: str | Path | None = None,
 ) -> TunedParams:
@@ -44,16 +44,19 @@ def tune_rho(
 
     Every setting sees byte-identical blocks, detected as one stack; the
     stack is preprocessed once per ``alpha_scale``, since the iteration
-    matrix does not depend on the projection gain. Ties in error count
-    break to the smallest ``rho_log2``, then the smallest ``alpha_scale``.
+    matrix does not depend on the projection gain. ``approx`` tunes the
+    ``aprox`` variant (two-term series) instead of ``prox``. Ties in error
+    count break to the smallest ``rho_log2``, then the smallest
+    ``alpha_scale``.
     When a cache file is given and already holds a result for these exact
     arguments and grids (everything but the cache path), it is returned
     without re-searching. No trials is a ``ParameterError``.
     """
     if trials < 1:
         raise ParameterError(f"need at least one tuning trial, got {trials}")
+    variant = "approx" if approx else "exact"
     key = (
-        f"B{B}_K{K}_{constellation}_{mode}_snr{float(snr_db)!r}_tmax{t_max}_trials{trials}"
+        f"B{B}_K{K}_{constellation}_{variant}_snr{float(snr_db)!r}_tmax{t_max}_trials{trials}"
         f"_seed{seed}_rho{list(RHO_LOG2_GRID)}_alpha{list(ALPHA_SCALE_GRID)}"
     )
     cache: dict = {}
@@ -70,8 +73,8 @@ def tune_rho(
 
     candidates = []
     for alpha_scale in ALPHA_SCALE_GRID:
-        params = ProxParams(alpha_scale=alpha_scale, t_max=t_max, mode=mode)
-        pre = preprocess(G, params)
+        params = ProxParams(alpha_scale=alpha_scale, t_max=t_max)
+        pre = preprocess(G, params, approx)
         for rho_log2 in RHO_LOG2_GRID:
             res = solve_stack(Y, pre, c, replace(params, rho_log2=rho_log2), record_trace=False)
             ser = int(np.sum(res.s_hat[:, 1:] != data_true)) / (trials * K)

@@ -3,11 +3,12 @@ and the series-truncation error bound.
 
 Three suites:
 
-* descent: on exact-mode instances with a valid reconstructed norm-promotion
-  weight, the relaxed objective is non-increasing along the trajectory and
-  the gradient residual drops below 1e-6 * alpha * sqrt(K+1) within the
-  iteration budget. Instances whose reconstructed weight is not in (0,
-  alpha) are flagged and skipped, never failed.
+* descent: on exact-inverse instances (the ``prox`` variant) with a valid
+  reconstructed norm-promotion weight, the relaxed objective is
+  non-increasing along the trajectory and the gradient residual drops
+  below 1e-6 * alpha * sqrt(K+1) within the iteration budget. Instances
+  whose reconstructed weight is not in (0, alpha) are flagged and
+  skipped, never failed.
 * boundary: every converged nonzero iterate has at least one entry on the
   hull boundary (checked on the non-pilot entries, which is the stronger
   form); the per-entry boundary fraction is reported as information.
@@ -15,7 +16,7 @@ Three suites:
   and its two-term series never exceeds the analytic bound.
 
 A gradient-identity suite checks that the analytic gradient at a fresh
-exact-mode iterate equals alpha times the iterate difference.
+exact-inverse iterate equals alpha times the iterate difference.
 
 Each suite draws its instances' shapes one by one from a seeded generator,
 then their blocks with one ``draw_blocks`` call per shape, each block a
@@ -176,7 +177,7 @@ def run_descent_and_boundary(
     rng = np.random.default_rng(seed)
     descent = SuiteReport(name="descent")
     boundary = SuiteReport(name="boundary")
-    params = ProxParams(alpha_scale=2.0, rho_log2=1, t_max=t_max, mode="exact")
+    params = ProxParams(alpha_scale=2.0, rho_log2=1, t_max=t_max)
     max_attempts = max_attempts_factor * n_instances
     rows = []  # (attempt, label, *checks) per valid instance
     attempts = 0
@@ -267,12 +268,12 @@ def run_series_bound(seed: int, n_matrices: int = 50) -> SuiteReport:
 
 
 def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
-    """Analytic gradient at a fresh exact-mode iterate vs the scaled iterate
+    """Analytic gradient at a fresh exact-inverse iterate vs the scaled iterate
     difference, on first iterations where the step is order one."""
     seed = _check_args(seed, n_instances, "n_instances")
     rng = np.random.default_rng(seed)
     report = SuiteReport(name="gradient_identity")
-    params = ProxParams(alpha_scale=2.0, rho_log2=1, t_max=1, mode="exact")
+    params = ProxParams(alpha_scale=2.0, rho_log2=1, t_max=1)
     instances = _draw_instances(rng, seed, range(n_instances))
     rows = []  # (instance, err, denom)
     for (K, kind), idx in _stacks(instances).items():

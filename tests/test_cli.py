@@ -91,13 +91,30 @@ class TestSweepCommand:
                 main(["sweep", "--arithmetic", "fixed", "--rho-log2", gain, "--trials", "2"])
             assert "rho_log2 in 1..15" in str(exc.value.code)
 
-    def test_prox_in_approx_mode_exits_cleanly(self, monkeypatch):
-        # Its prox row once silently ran APrOX and equalled the aprox row.
+    def test_prox_in_approx_mode_exits_cleanly(self, monkeypatch, capsys):
+        # --methods alone names the variant; there is no --mode flag.
         monkeypatch.setattr(harness, "draw_blocks", None)
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--methods", "prox,aprox", "--mode", "approx", "--k", "4",
                   "--trials", "200", "--snr=-4,0", "--seed", "3"])
-        assert "name the method 'aprox'" in str(exc.value.code)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode approx" in capsys.readouterr().err
+
+    def test_mode_config_key_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "draw_blocks", None)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("mode = approx\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--trials", "2"])
+        assert "unknown config key 'mode'" in str(exc.value.code)
+
+    def test_duplicate_snr_points_exit_cleanly(self, monkeypatch):
+        # Nothing is drawn: the first -4 dB point's trials were once drawn,
+        # detected and dropped.
+        monkeypatch.setattr(harness, "draw_blocks", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--snr=-4,-4", "--trials", "2"])
+        assert "each SNR point may appear once" in str(exc.value.code)
 
     @pytest.mark.parametrize("channel, los", [("los", True), ("rayleigh", False)])
     def test_channel_flag_picks_the_geometry(self, channel, los, monkeypatch):
@@ -157,6 +174,15 @@ class TestTimingCommand:
         assert diag[("8", "341.0")][0] == 12
         assert diag[("8", "341.0")][1] == pytest.approx(454.67, abs=0.01)
 
+    @pytest.mark.parametrize("flag", ["--k", "--t-max", "--f-clk"])
+    def test_non_numeric_list_exits_cleanly(self, flag):
+        # It used to end in a raw ValueError traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(["timing", flag, "4,x"])
+        assert str(exc.value.code) == f"simojed timing: {flag} '4,x' is not a comma list of " + (
+            "floats" if flag == "--f-clk" else "ints"
+        )
+
 
 class TestTraceCommand:
     def test_trace_format(self, tmp_path):
@@ -204,6 +230,15 @@ class TestTuneCommand:
         assert "best rho_log2=" in capsys.readouterr().out
         assert cache.exists()
 
+    @pytest.mark.parametrize("method, variant", [("prox", "exact"), ("aprox", "approx")])
+    def test_method_names_the_cache_key(self, method, variant, tmp_path):
+        cache = tmp_path / "cache.json"
+        assert main(["tune", "--b", "4", "--k", "3", "--constellation", "bpsk", "--snr=-4",
+                     "--trials", "20", "--seed", "6", "--method", method,
+                     "--cache", str(cache)]) == 0
+        (key,) = json.loads(cache.read_text())
+        assert key.startswith(f"B4_K3_bpsk_{variant}_snr-4.0_")
+
     def test_zero_trials_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["tune", "--b", "4", "--k", "3", "--trials", "0"])
@@ -230,16 +265,16 @@ class TestHwCompareCommand:
             assert exc.value.code != 0
             assert "rho_log2 in 1..15" in str(exc.value.code)
 
-    @pytest.mark.parametrize("mode, method", [("exact", "prox"), ("approx", "aprox")])
-    def test_mode_picks_the_solver_method(self, mode, method, monkeypatch):
+    @pytest.mark.parametrize("method", ["prox", "aprox"])
+    def test_method_picks_the_solver_method(self, method, monkeypatch):
         seen = []
         report = harness.HwCompareReport(1.0, None, None, {})
         monkeypatch.setattr(cli, "hw_compare", lambda cfg, **kw: seen.append(cfg) or report)
-        assert main(["hw-compare", "--mode", mode, "--trials", "2"]) == 0
+        assert main(["hw-compare", "--method", method, "--trials", "2"]) == 0
         assert [m.name for m in seen[0].methods] == [method]
 
     def test_rejects_methods_in_config_file(self, tmp_path):
-        # hw-compare compares the solver its mode names; a config file naming
+        # hw-compare compares the solver --method names; a config file naming
         # other methods was once accepted and ignored.
         cfg = tmp_path / "hw.cfg"
         cfg.write_text("b = 8\nk = 4\nsnr = -6,-4\ntrials = 5\nmethods = mrc-chest\n")

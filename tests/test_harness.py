@@ -14,7 +14,6 @@ from simojed.harness import (
     SweepConfig,
     db_at_ser,
     hw_compare,
-    read_result,
     run_sweep,
     timing_csv,
     timing_report,
@@ -23,7 +22,7 @@ from simojed.harness import (
 from simojed.baselines import mrc_chest, mrc_csir
 from simojed.linalg import gram
 from simojed.model import Constellation, draw_blocks, snr_to_n0
-from simojed.prox import ProxParams, solve_stack
+from simojed.prox import ProxParams, preprocess, solve_stack
 from simojed.tuning import tune_rho
 
 from oracles import downlink_ser_scalar
@@ -92,9 +91,32 @@ class TestConfig:
             MethodSpec("zf")
 
     def test_aprox_gets_approx_mode(self):
-        spec = MethodSpec("aprox", ProxParams(t_max=3))
-        assert spec.solver_params.mode == "approx"
-        assert spec.solver_params.t_max == 3
+        # The method name alone picks the two-term series: a sweep's aprox
+        # row is the stack solver on the approximate preprocessing of the
+        # sweep's one chunk.
+        params = ProxParams(t_max=3)
+        cfg = small_config(snr_points_db=(-4.0,), methods=(MethodSpec("aprox", params),))
+        cell = run_sweep(cfg).cells[("aprox", -4.0)]
+        c = Constellation.by_name(cfg.constellation)
+        Y, G, s, h, *_ = draw_blocks(cfg.B, cfg.K, c, cfg.master_seed, [((0, 0), -4.0, cfg.trials)])
+        res = solve_stack(Y, preprocess(G, params, approx=True), c, params)
+        assert cell.symbol_errors == int(np.sum(res.s_hat[:, 1:] != s[:, 1:]))
+        mse = np.sum(np.abs(res.h_hat - h) ** 2, axis=1) / cfg.B
+        assert cell.chest_mse == float(np.sum(mse)) / cfg.trials
+        # The exact inverse gives other estimates on these blocks.
+        assert not np.array_equal(solve_stack(Y, G, c, params).h_hat, res.h_hat)
+
+    def test_duplicate_snr_points_rejected(self, monkeypatch):
+        # The first -4 dB point's trials used to be drawn, detected and
+        # then dropped, since cells are keyed by (method, snr).
+        monkeypatch.setattr(harness, "draw_blocks", None)
+        with pytest.raises(ParameterError, match="each SNR point may appear once"):
+            run_sweep(
+                SweepConfig(
+                    B=4, K=3, constellation="bpsk", snr_points_db=(-4.0, 0.0, -4.0), trials=50,
+                    master_seed=1, methods=(MethodSpec("mrc-chest"),),
+                )
+            )
 
     def test_hash_stable_and_sensitive(self):
         a, b = small_config(), small_config()
@@ -485,28 +507,6 @@ class TestRunSweep:
         assert prox[-2.0] <= chest[-2.0]
 
 
-class TestCsvRoundTrip:
-    def test_round_trip_exact(self):
-        res = run_sweep(small_config(trials=30))
-        text = res.to_csv()
-        back = read_result(text, res.metadata())
-        assert back.to_csv() == text
-        for key, cell in res.cells.items():
-            other = back.cells[key]
-            assert cell.symbol_errors == other.symbol_errors
-            assert cell.downlink_errors == other.downlink_errors
-            assert cell.trials == other.trials
-            assert cell.chest_mse == other.chest_mse
-            assert cell.uplink_ser == other.uplink_ser
-            assert cell.downlink_ser == other.downlink_ser
-
-    def test_header_enforced(self):
-        with pytest.raises(ParameterError):
-            read_result("bogus\n1,2,3", {"config_hash": "", "master_seed": 0, "version": "",
-                                         "data_symbols_per_trial": 1,
-                                         "downlink_symbols_per_trial": 1})
-
-
 class TestStatsHelpers:
     def test_wilson_matches_direct_formula(self):
         z = 1.959963984540054
@@ -615,9 +615,9 @@ class TestTuning:
         calls = []
         real = tuning.preprocess
 
-        def counting(G, params):
+        def counting(G, params, approx):
             calls.append(params.alpha_scale)
-            return real(G, params)
+            return real(G, params, approx)
 
         monkeypatch.setattr(tuning, "preprocess", counting)
         tune_rho(16, 8, "bpsk", -6.0, trials=4, seed=1)

@@ -38,32 +38,28 @@ class TestParams:
     def test_rho_is_power_of_two(self):
         assert ProxParams(rho_log2=3).rho == 8.0
 
-    def test_bad_mode(self):
-        with pytest.raises(ParameterError):
-            ProxParams(mode="fancy")
-
 
 class TestPreprocess:
     def test_zero_gram_exact(self):
-        pre = preprocess(np.zeros((3, 3)), ProxParams(mode="exact"))
+        pre = preprocess(np.zeros((3, 3)), ProxParams())
         assert np.array_equal(pre.gamma * pre.Ghat, np.eye(3))
 
     def test_diag_approx(self):
         G = np.diag([1.0, 2.0]).astype(complex)
-        pre = preprocess(G, ProxParams(alpha_scale=2.0, mode="approx"))
+        pre = preprocess(G, ProxParams(alpha_scale=2.0), approx=True)
         assert pre.alpha == pytest.approx(4.0, rel=1e-9)
         assert np.allclose(pre.gamma * pre.Ghat, np.diag([1.25, 1.5]), atol=1e-9)
 
     def test_exact_mode_residual_invariant(self):
         _, G, _ = make_noisy_block(0)
-        pre = preprocess(G, ProxParams(mode="exact"))
+        pre = preprocess(G, ProxParams())
         n = G.shape[0]
         resid = pre.gamma * pre.Ghat @ (np.eye(n) - G / pre.alpha) - np.eye(n)
         assert np.linalg.norm(resid) <= 1e-8
 
     def test_approx_mode_definition(self):
         _, G, _ = make_noisy_block(1)
-        pre = preprocess(G, ProxParams(mode="approx"))
+        pre = preprocess(G, ProxParams(), approx=True)
         raw = np.eye(G.shape[0]) + G / pre.alpha
         assert np.array_equal(pre.Ghat, raw / pre.gamma)
 
@@ -242,7 +238,7 @@ class TestSolveStack:
         B=st.integers(1, 16),
         K=st.integers(1, 16),
         kind=st.sampled_from(["bpsk", "qpsk"]),
-        mode=st.sampled_from(["exact", "approx"]),
+        approx=st.booleans(),
         alpha_scale=st.floats(1.05, 4.0),
         rho_log2=st.integers(0, 6),
         t_max=st.integers(1, 8),
@@ -250,16 +246,16 @@ class TestSolveStack:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_per_block_solve(
-        self, T, B, K, kind, mode, alpha_scale, rho_log2, t_max, snr_db, seed
+        self, T, B, K, kind, approx, alpha_scale, rho_log2, t_max, snr_db, seed
     ):
         c = Constellation.by_name(kind)
         Y, G = model.draw_blocks(B, K, c, seed, [((), snr_db, T)])[:2]
-        params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max, mode=mode)
-        stacked = solve_stack(Y, G, c, params)
+        params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max)
+        stacked = solve_stack(Y, preprocess(G, params, approx), c, params)
         assert stacked.s_hat.shape == (T, K + 1)
         assert stacked.h_hat.shape == (T, B)
         for t in range(T):
-            single = solve_stack(Y[t], G[t], c, params)
+            single = solve_stack(Y[t], preprocess(G[t], params, approx), c, params)
             assert np.array_equal(stacked.s_hat[t], single.s_hat)
             np.testing.assert_allclose(stacked.h_hat[t], single.h_hat, rtol=1e-12, atol=0)
             for name in ("objective", "grad_residual"):
@@ -272,13 +268,12 @@ class TestSolveStack:
         assert np.array_equal(pre.Ghat[1], np.eye(G1.shape[0]))
         assert np.array_equal(pre.Ghat[0], preprocess(G1, ProxParams()).Ghat)
 
-    @pytest.mark.parametrize("mode", ["exact", "approx"])
-    def test_memory_layout_does_not_matter(self, mode):
+    @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
+    def test_memory_layout_does_not_matter(self, approx):
         _, G1, _ = make_noisy_block(18)
         G = np.stack([G1, 2.0 * G1])
-        params = ProxParams(mode=mode)
-        got = preprocess(np.asfortranarray(G), params)
-        assert np.array_equal(got.Ghat, preprocess(G, params).Ghat)
+        got = preprocess(np.asfortranarray(G), ProxParams(), approx)
+        assert np.array_equal(got.Ghat, preprocess(G, ProxParams(), approx).Ghat)
 
     def test_degenerate_trial_fails_the_stack(self):
         Y, G, c = make_noisy_block(16)
@@ -300,7 +295,7 @@ class TestTrace:
         T=st.one_of(st.none(), st.integers(1, 20)),
         N=st.integers(2, 17),
         kind=st.sampled_from(["bpsk", "qpsk"]),
-        mode=st.sampled_from(["exact", "approx"]),
+        approx=st.booleans(),
         alpha_scale=st.floats(1.05, 4.0),
         rho_log2=st.integers(0, 6),
         t_max=st.integers(1, 40),
@@ -308,15 +303,15 @@ class TestTrace:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_trace_equals_per_step_reference(
-        self, T, N, kind, mode, alpha_scale, rho_log2, t_max, snr_db, seed
+        self, T, N, kind, approx, alpha_scale, rho_log2, t_max, snr_db, seed
     ):
         # rho_log2 = 0 puts beta at or below zero on every block, so both
         # the masked and the evaluated objective are covered.
         c = Constellation.by_name(kind)
         G = model.draw_blocks(8, N - 1, c, seed, [((), snr_db, T or 1)])[1]
         G = G[0] if T is None else G
-        params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max, mode=mode)
-        pre = preprocess(G, params)
+        params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max)
+        pre = preprocess(G, params, approx)
         beta = pre.beta(params.rho)
         traced = iterate(pre, c, params)
         trace = traced.trace
@@ -409,7 +404,7 @@ class TestDiagnostics:
 
     def test_exact_vs_approx_within_neumann_bound(self):
         _, G, _ = make_noisy_block(14)
-        exact = preprocess(G, ProxParams(mode="exact"))
-        approx = preprocess(G, ProxParams(mode="approx"))
+        exact = preprocess(G, ProxParams())
+        approx = preprocess(G, ProxParams(), approx=True)
         gap = np.linalg.norm(exact.gamma * exact.Ghat - approx.gamma * approx.Ghat, ord=2)
         assert gap <= linalg.neumann_error_bound(G, exact.alpha) * (1 + 1e-9)

@@ -1,21 +1,35 @@
-"""The README's "Library use" example runs against the package as it is."""
+"""The README's examples run against the package as it is: the "Library
+use" example runs, and every "Quick start" command parses."""
 
 import re
+import shlex
 from pathlib import Path
+
+from simojed.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_use_example() -> str:
-    section = README.read_text().split("## Library use", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+def fenced_block(heading: str, language: str) -> str:
+    section = README.read_text().split(f"## {heading}", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
 
 
 def test_library_use_example_runs(capsys):
     namespace = {}
-    exec(compile(library_use_example(), "README.md", "exec"), namespace)
+    exec(compile(fenced_block("Library use", "python"), "README.md", "exec"), namespace)
     # The shapes its comments state.
     result = namespace["result"]
     assert result.s_hat.shape == (4, 9) and result.h_hat.shape == (4, 16)
     assert result.state.trace.objective[-1].shape == (4,)
     assert capsys.readouterr().out
+
+
+def test_quick_start_commands_parse():
+    # Parse only: a renamed or deleted flag makes argparse exit here.
+    text = fenced_block("Quick start", "sh").replace("\\\n", " ")
+    commands = [shlex.split(line) for line in text.splitlines() if line.startswith("simojed ")]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).command == argv[1]
