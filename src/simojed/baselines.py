@@ -6,9 +6,9 @@ slots 2..K+1. Every detector and the downlink evaluation take one block's
 arrays (``Y`` of shape (B, K+1), channels of shape (B,)) or a stack of them
 with a leading trial axis, and treat the trials independently. Each detector
 returns a ``prox.SolveResult`` of decisions and channel estimates, as the
-solver does, without a solver state. Nothing here draws randoms: the
-downlink evaluation takes its ``model.DownlinkDraws`` from
-``model.draw_blocks``, which owns the whole stream layout.
+solver does. Nothing here draws randoms: the downlink evaluation takes its
+``model.DownlinkDraws`` from ``model.draw_blocks``, which owns the whole
+stream layout.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .linalg import gram
 from .model import Constellation, DownlinkDraws
 from .prox import SolveResult, channel_estimate, hard_decision
 
-ML_JED_DEFAULT_BUDGET = 2**20
+ML_JED_BUDGET = 2**20  # the most candidates ml_jed_exhaustive enumerates
 _ENUM_CHUNK = 1 << 14
 
 
@@ -86,7 +86,6 @@ def _enumerate_slots(c: Constellation, K: int, start: int, cands: np.ndarray, sl
 def ml_jed_exhaustive(
     Y: np.ndarray,
     c: Constellation,
-    budget: int = ML_JED_DEFAULT_BUDGET,
     G: np.ndarray | None = None,
 ) -> SolveResult:
     """Exact joint-detection oracle: enumerate every symbol vector with the
@@ -106,9 +105,9 @@ def ml_jed_exhaustive(
     K = G.shape[-1] - 1
     m = len(c.points)
     total = m**K
-    if total > budget:
+    if total > ML_JED_BUDGET:
         raise CapacityError(
-            f"{m}^{K} = {total} candidates exceeds the budget of {budget}; "
+            f"{m}^{K} = {total} candidates exceeds the budget of {ML_JED_BUDGET}; "
             "reduce K or use BPSK"
         )
     iu, ju = np.triu_indices(K + 1, 1)

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .errors import ParameterError, SimojedError
-from .fxp import pe_array_iteration, quantize_block
+from .fxp import check_datapath_gain, pe_array_iteration, quantize_block
 from .harness import (
     MethodSpec,
     SweepConfig,
@@ -31,15 +32,20 @@ from .harness import (
     timing_report,
 )
 from .model import Constellation, LosGeometry, draw_blocks
-from .prox import ProxParams
+from .prox import ProxParams, preprocess
 from .tuning import tune_rho
 from .verify import verify_theorems
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` config; '#' starts a comment."""
+    """Flat ``key = value`` config; '#' starts a comment. A file that
+    cannot be read is a ``ParameterError`` naming it."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read config file {str(path)!r}: {exc}") from None
     out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -51,7 +57,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def parse_snr_spec(spec: str) -> tuple[float, ...]:
-    """Either 'start:stop:step' (inclusive) or a comma list."""
+    """Either 'start:stop:step' (every point from start up to stop
+    inclusive, none past it) or a comma list."""
     is_range = ":" in spec
     try:
         values = tuple(float(x) for x in spec.split(":" if is_range else ","))
@@ -64,7 +71,8 @@ def parse_snr_spec(spec: str) -> tuple[float, ...]:
     start, stop, step = values
     if step == 0:
         raise ParameterError(f"SNR range {spec!r} has a zero step")
-    n = int(round((stop - start) / step)) + 1
+    # The tolerance keeps an endpoint that the division lands just below.
+    n = math.floor((stop - start) / step + 1e-9) + 1
     return tuple(round(start + i * step, 9) for i in range(n))
 
 
@@ -239,7 +247,7 @@ def cmd_timing(args: argparse.Namespace) -> int:
         _parse_list("--k", args.k, int),
         _parse_list("--t-max", args.t_max, int),
         _parse_list("--f-clk", args.f_clk, float),
-        bits_per_symbol=args.bits,
+        bits=args.bits,
     )
     text = timing_csv(rows)
     print(text, end="")
@@ -270,8 +278,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     c = Constellation.by_name(args.constellation)
+    check_datapath_gain(args.rho_log2)
+    params = ProxParams(rho_log2=args.rho_log2, t_max=1)
     G = draw_blocks(args.b, args.n - 1, c, args.seed, [((), args.snr, 1)]).G[0]
-    cfg, Gq, sq, sc = quantize_block(G, c, ProxParams(rho_log2=args.rho_log2, t_max=1))
+    cfg, Gq, sq, sc = quantize_block(preprocess(G, params), c, params)
     _, trace = pe_array_iteration(sq, Gq, cfg, sc)
     text = trace.to_text()
     if args.out:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .model import Constellation
-from .prox import PreprocessedMatrix, ProxParams, init_s, preprocess
+from .prox import PreprocessedMatrix, ProxParams, init_s
 
 # Datapath formats (word bits, fraction bits).
 S_BITS, S_FRAC = 6, 3
@@ -276,30 +276,25 @@ def direct_iteration(
 
 
 def quantize_block(
-    G: np.ndarray | PreprocessedMatrix,
+    pre: PreprocessedMatrix,
     c: Constellation,
     params: ProxParams,
 ) -> tuple[PeArrayConfig, tuple, tuple, tuple[int, int]]:
-    """The array for a block's Gram matrix ``G`` (or a stack of them with a
-    leading trial axis) and its raw-integer (real, imaginary) inputs: the
-    iteration matrix, the initial iterate and the pilot ``c.points[0]``.
-    Gram matrices are preprocessed with the exact shifted inverse; a
-    ``preprocess`` result in place of ``G`` is used as given.
-    The array configuration is checked before anything is preprocessed.
+    """The array for a ``preprocess`` result (of one block's Gram matrix or
+    of a stack of them with a leading trial axis) and its raw-integer
+    (real, imaginary) inputs: the iteration matrix, the initial iterate and
+    the pilot ``c.points[0]``.
 
     Preprocessing runs in floating point (it happens off the array); the
     iterate and the reference are normalized so the hull clip sits at +-1
     per component before they are quantized.
     """
-    given = isinstance(G, PreprocessedMatrix)
-    shape = np.shape(G.G if given else G)
     cfg = PeArrayConfig(
-        N=shape[-1] if shape else 0,
+        N=pre.G.shape[-1],
         t_max=params.t_max,
         rho_log2=params.rho_log2,
         real_only=c.im_bound == 0.0,
     )
-    pre = G if given else preprocess(G, params)
     bound = c.re_bound  # per-component hull half-width
     sc_re, sc_im = quantize_array(c.points[0] / bound, S_BITS, S_FRAC)
     sq = quantize_array(init_s(pre.G, c) / bound, S_BITS, S_FRAC)
@@ -307,19 +302,18 @@ def quantize_block(
 
 
 def solve_fixed_stack(
-    G: np.ndarray | PreprocessedMatrix,
+    pre: PreprocessedMatrix,
     c: Constellation,
     params: ProxParams,
 ) -> np.ndarray:
-    """Full fixed-point detection pass over the Gram matrices of a stack of
-    blocks (T, N, N), or of one block (N, N), or over their ``preprocess``
-    result.
+    """Full fixed-point detection pass over the ``preprocess`` result of a
+    stack of blocks' Gram matrices (T, N, N), or of one block's (N, N).
 
     The stack is quantized by ``quantize_block`` and iterated on the integer
     datapath; hard decisions come from the output sign bits. Returns the
     detected symbol vectors, one row per trial.
     """
-    cfg, Gq, state, sc_raw = quantize_block(G, c, params)
+    cfg, Gq, state, sc_raw = quantize_block(pre, c, params)
     for _ in range(params.t_max):
         state = direct_iteration(state, Gq, cfg, sc_raw)
     return _sign_decisions(state, c)
@@ -339,8 +333,8 @@ def latency_cycles(K: int, t_max: int) -> int:
     return t_max * (K + 4)
 
 
-def throughput_bps(K: int, t_max: int, f_clk_hz: float, bits_per_symbol: int) -> float:
+def throughput_bps(K: int, t_max: int, f_clk_hz: float, bits: int) -> float:
     """Detected payload bits per second: K data slots per block."""
-    if K < 1 or t_max < 1 or f_clk_hz <= 0 or bits_per_symbol < 1:
+    if K < 1 or t_max < 1 or f_clk_hz <= 0 or bits < 1:
         raise ParameterError("all inputs must be positive")
-    return bits_per_symbol * K * f_clk_hz / (t_max * (K + 4))
+    return bits * K * f_clk_hz / (t_max * (K + 4))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import (
-    ML_JED_DEFAULT_BUDGET,
+    ML_JED_BUDGET,
     downlink_ser,
     ml_jed_exhaustive,
     mrc_chest,
@@ -61,7 +61,8 @@ WILSON_Z = 1.959963984540054  # the two-sided 95% normal quantile
 class MethodSpec:
     """A detector of the sweep. The solver methods, ``prox`` (exact shifted
     inverse) and ``aprox`` (its two-term series), always have ``params``,
-    the default gains unless given; the baselines have none."""
+    the default gains unless given; a baseline given gains is a
+    ``ParameterError``."""
 
     name: str
     params: ProxParams | None = None
@@ -69,7 +70,10 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise ParameterError(f"unknown method {self.name!r}; choose from {METHOD_NAMES}")
-        if self.name in ("prox", "aprox") and self.params is None:
+        if self.name not in ("prox", "aprox"):
+            if self.params is not None:
+                raise ParameterError(f"the baseline {self.name!r} takes no solver gains")
+        elif self.params is None:
             object.__setattr__(self, "params", ProxParams())
 
 
@@ -85,7 +89,6 @@ class SweepConfig:
     los: LosGeometry | None = None  # None: Rayleigh
     arithmetic: str = "float"
     downlink_symbols: int | None = None  # defaults to K
-    ml_jed_budget: int = ML_JED_DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.trials < 1:
@@ -112,10 +115,10 @@ class SweepConfig:
                     check_datapath_gain(m.params.rho_log2)
         c = Constellation.by_name(self.constellation)
         for m in self.methods:
-            if m.name == "ml-jed" and len(c.points) ** self.K > self.ml_jed_budget:
+            if m.name == "ml-jed" and len(c.points) ** self.K > ML_JED_BUDGET:
                 raise CapacityError(
                     f"ml-jed with K={self.K} and {self.constellation} exceeds the "
-                    f"enumeration budget {self.ml_jed_budget}"
+                    f"enumeration budget {ML_JED_BUDGET}"
                 )
 
     def config_hash(self) -> str:
@@ -236,7 +239,6 @@ def _detect(
     h_true: np.ndarray,
     c,
     arithmetic: str,
-    ml_budget: int,
 ) -> SolveResult:
     """The decisions and channel estimates of a pack's stacked blocks from
     one method: the solver in ``arithmetic``, on the pack's preprocessed
@@ -244,7 +246,7 @@ def _detect(
     the Gram matrices of ``Y``."""
     params = spec.params
     if params is not None and arithmetic == "float":
-        return solve_stack(Y, pre, c, params, record_trace=False)
+        return solve_stack(Y, pre, c, params)
     if params is not None:
         s_hat = solve_fixed_stack(pre, c, params)
         return SolveResult(s_hat, channel_estimate(Y, s_hat))
@@ -254,7 +256,7 @@ def _detect(
         return mrc_chest(Y, c)
     if spec.name == "mrc-rt":
         return mrc_retrained(Y, c)
-    return ml_jed_exhaustive(Y, c, budget=ml_budget, G=G)
+    return ml_jed_exhaustive(Y, c, G=G)
 
 
 def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple[int, int, int]]):
@@ -289,7 +291,7 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
         approx = spec.name == "aprox"
         pre = None if spec.params is None else preprocess(G, spec.params, approx)
         for arithmetic in arithmetics:
-            res = _detect(spec, Y, G, pre, h_true, c, arithmetic, cfg.ml_jed_budget)
+            res = _detect(spec, Y, G, pre, h_true, c, arithmetic)
             if spec is solver:
                 decisions[arithmetic] = res.s_hat[:, 1:]
             detections[(arithmetic, spec.name)] = res
@@ -405,9 +407,6 @@ class HwCompareReport:
     fixed_result: SweepResult
     gap_db_at: dict[float, float | None]
 
-    def gap_at(self, target: float) -> float | None:
-        return self.gap_db_at.get(target)
-
 
 def hw_compare(
     cfg: SweepConfig,
@@ -460,7 +459,7 @@ def timing_report(
     K_list: list[int],
     t_max_list: list[int],
     f_clk_list: list[float],
-    bits_per_symbol: int = 2,
+    bits: int = 2,
 ) -> list[dict]:
     """Latency/throughput for every (K, t_max, f_clk) combination."""
     rows = []
@@ -473,8 +472,7 @@ def timing_report(
                         "t_max": t_max,
                         "f_clk_mhz": f_clk / 1e6,
                         "latency_cycles": latency_cycles(K, t_max),
-                        "throughput_mbps": throughput_bps(K, t_max, f_clk, bits_per_symbol)
-                        / 1e6,
+                        "throughput_mbps": throughput_bps(K, t_max, f_clk, bits) / 1e6,
                     }
                 )
     return rows

@@ -61,10 +61,6 @@ class Constellation:
         raise ParameterError(f"unknown constellation {name!r}")
 
     @property
-    def bits_per_symbol(self) -> int:
-        return 1 if self.kind == "bpsk" else 2
-
-    @property
     def re_bound(self) -> float:
         """Half-width of the hull along the real axis."""
         return self.sigma if self.kind == "bpsk" else self.sigma / _SQRT2

@@ -15,8 +15,8 @@ suites.
 Every step takes a stack of blocks with a leading trial axis (``Y`` of
 shape (T, B, N), ``G`` of shape (T, N, N), iterates of shape (T, N)), or one
 block's arrays without it; the trials of a stack are solved independently.
-``solve_stack`` is the one detection pass, and the entry that checks the
-caller's blocks.
+``solve_stack`` is the one detection pass (on a ``preprocess`` result) and
+the entry that checks the caller's blocks; traced runs call ``iterate``.
 """
 
 from __future__ import annotations
@@ -103,12 +103,10 @@ class SolverState:
 @dataclass
 class SolveResult:
     """Hard decisions ``s_hat`` and channel estimates ``h_hat`` of one
-    detection pass, by the solver or by a baseline; only the solver has a
-    final ``state``."""
+    detection pass, by the solver or by a baseline."""
 
     s_hat: np.ndarray
     h_hat: np.ndarray
-    state: SolverState | None = None
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -248,29 +246,25 @@ def objective(
 
 def solve_stack(
     Y: np.ndarray,
-    G: np.ndarray | PreprocessedMatrix,
+    pre: PreprocessedMatrix,
     c: Constellation,
     params: ProxParams,
-    record_trace: bool = True,
 ) -> SolveResult:
-    """Full detection pass over a stack of blocks (or one block): preprocess,
-    initialize, iterate, slice, and re-estimate each channel from its hard
-    decisions. ``G`` holds the Gram matrices of ``Y``, preprocessed here
-    with the exact shifted inverse, or a ``preprocess`` result (of either
-    variant), which is then used as given.
+    """Full detection pass over a stack of blocks (or one block) on their
+    ``preprocess`` result (of either variant): initialize, iterate, slice,
+    and re-estimate each channel from its hard decisions.
 
-    A non-finite ``Y`` is a ``ParameterError``; Gram matrices whose shape
-    is not one (N, N) matrix per block of N slots are a ``DimensionError``.
+    A non-finite ``Y`` is a ``ParameterError``; Gram matrices ``pre.G``
+    whose shape is not one (N, N) matrix per block of N slots are a
+    ``DimensionError``.
     """
     Y = np.asarray(Y)
     if not np.all(np.isfinite(Y)):
         raise ParameterError("received block has a non-finite entry")
-    given = isinstance(G, PreprocessedMatrix)
-    shape = np.shape(G.G if given else G)
+    shape = np.shape(pre.G)
     if Y.ndim < 2 or shape != Y.shape[:-2] + 2 * Y.shape[-1:]:
         raise DimensionError(f"Gram matrices of shape {shape} for blocks of shape {Y.shape}")
-    pre = G if given else preprocess(G, params)
-    state = iterate(pre, c, params, record_trace)
+    state = iterate(pre, c, params, record_trace=False)
     s_hat = hard_decision(state.s_cur, c)
     s_hat[..., 0] = c.points[0]
-    return SolveResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat), state=state)
+    return SolveResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat))

@@ -50,7 +50,8 @@ def tune_rho(
     ``alpha_scale``.
     When a cache file is given and already holds a result for these exact
     arguments and grids (everything but the cache path), it is returned
-    without re-searching. No trials is a ``ParameterError``.
+    without re-searching. No trials, or a cache file that does not hold a
+    JSON object, is a ``ParameterError``, raised before any block is drawn.
     """
     if trials < 1:
         raise ParameterError(f"need at least one tuning trial, got {trials}")
@@ -61,7 +62,12 @@ def tune_rho(
     )
     cache: dict = {}
     if cache_path is not None and Path(cache_path).exists():
-        cache = json.loads(Path(cache_path).read_text())
+        try:
+            cache = json.loads(Path(cache_path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ParameterError(f"cannot read tuning cache {str(cache_path)!r}: {exc}") from None
+        if not isinstance(cache, dict):
+            raise ParameterError(f"tuning cache {str(cache_path)!r} does not hold a JSON object")
         if key in cache:
             hit = cache[key]
             return TunedParams(hit["rho_log2"], hit["alpha_scale"], hit["ser"])
@@ -76,7 +82,7 @@ def tune_rho(
         params = ProxParams(alpha_scale=alpha_scale, t_max=t_max)
         pre = preprocess(G, params, approx)
         for rho_log2 in RHO_LOG2_GRID:
-            res = solve_stack(Y, pre, c, replace(params, rho_log2=rho_log2), record_trace=False)
+            res = solve_stack(Y, pre, c, replace(params, rho_log2=rho_log2))
             ser = int(np.sum(res.s_hat[:, 1:] != data_true)) / (trials * K)
             candidates.append(TunedParams(rho_log2, alpha_scale, ser))
     best = min(candidates, key=lambda t: (t.ser, t.rho_log2, t.alpha_scale))

@@ -338,7 +338,7 @@ class TestDatapath:
         # >= 99% hard-decision agreement and <= 0.2 dB SER gap at 1% SER
         # between the integer datapath and the floating-point solver.
         agreement = fidelity_report.agreement_rate
-        gap = fidelity_report.gap_at(SER_TARGET)
+        gap = fidelity_report.gap_db_at[SER_TARGET]
         ok = agreement >= 0.99 and gap is not None and abs(gap) <= 0.2
         report(
             "fixed-vs-float fidelity (QPSK, K=16)",

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from simojed import cli, fxp, harness
+from simojed import cli, harness
 from simojed.cli import main, parse_config_file, parse_snr_spec
 from simojed.errors import ParameterError
 
@@ -11,6 +11,24 @@ from simojed.errors import ParameterError
 class TestParsers:
     def test_snr_range(self):
         assert parse_snr_spec("-4:0:2") == (-4.0, -2.0, 0.0)
+
+    def test_snr_range_ends_at_its_stop(self):
+        # The point count used to be rounded, which put 2.0 past the stop.
+        assert parse_snr_spec("0:1.5:1") == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ("-0.3:0:0.1", (-0.3, -0.2, -0.1, 0.0)),  # the division gives 2.9999999999999996
+            ("0:10:3", (0.0, 3.0, 6.0, 9.0)),
+            ("-6:-3.5:1", (-6.0, -5.0, -4.0)),
+            ("-10:0:1", tuple(float(x) for x in range(-10, 1))),
+            ("-5:0:1", tuple(float(x) for x in range(-5, 1))),
+            ("-6:0:1", tuple(float(x) for x in range(-6, 1))),
+        ],
+    )
+    def test_snr_range_keeps_its_points(self, spec, expected):
+        assert parse_snr_spec(spec) == expected
 
     def test_snr_range_zero_step(self):
         with pytest.raises(ParameterError, match="zero step"):
@@ -69,6 +87,14 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", str(cfg)])
         assert "trials" in str(exc.value.code) and "'abc'" in str(exc.value.code)
+
+    def test_missing_config_file_exits_cleanly(self, tmp_path, monkeypatch):
+        # It used to end in a FileNotFoundError traceback.
+        monkeypatch.setattr(harness, "draw_blocks", None)
+        path = tmp_path / "missing.cfg"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(path)])
+        assert str(exc.value.code).startswith(f"simojed sweep: cannot read config file '{path}'")
 
     def test_two_field_snr_range_exits_cleanly(self):
         with pytest.raises(SystemExit) as exc:
@@ -214,7 +240,7 @@ class TestTraceCommand:
         def no_preprocess(*args):
             raise AssertionError("preprocessed before the gain was checked")
 
-        monkeypatch.setattr(fxp, "preprocess", no_preprocess)
+        monkeypatch.setattr(cli, "preprocess", no_preprocess)
         with pytest.raises(SystemExit) as exc:
             main(["trace", "--rho-log2", "0", "--out", str(tmp_path / "t.txt")])
         assert "rho_log2" in str(exc.value.code)

@@ -295,7 +295,7 @@ class TestSolveFixed:
         c = Constellation.qpsk()
         _, G, s = model.draw_blocks(16, 8, c, 10, [((), np.inf, 1)])[:3]
         params = prox.ProxParams(t_max=5, rho_log2=1)
-        fixed = solve_fixed_stack(G, c, params)
+        fixed = solve_fixed_stack(prox.preprocess(G, params), c, params)
         assert np.array_equal(fixed, s)
 
     def test_cycle_accurate_equals_fast_path(self):
@@ -304,12 +304,13 @@ class TestSolveFixed:
         c = Constellation.qpsk()
         params = prox.ProxParams(t_max=3, rho_log2=1)
         _, G, *_ = model.draw_blocks(16, 6, c, 100, [((), 0.0, 5)])
-        cfg, Gq, state, sc = quantize_block(G, c, params)
+        pre = prox.preprocess(G, params)
+        cfg, Gq, state, sc = quantize_block(pre, c, params)
         for _ in range(params.t_max):
             state = direct_iteration(state, Gq, cfg, sc)
-        decisions = solve_fixed_stack(G, c, params)
+        decisions = solve_fixed_stack(pre, c, params)
         for t, G_t in enumerate(G):
-            cfg_t, Gq_t, s_t, sc_t = quantize_block(G_t, c, params)
+            cfg_t, Gq_t, s_t, sc_t = quantize_block(prox.preprocess(G_t, params), c, params)
             for _ in range(params.t_max):
                 s_t, _ = pe_array_iteration(s_t, Gq_t, cfg_t, sc_t)
             assert np.array_equal(s_t[0], state[0][t])
@@ -319,7 +320,8 @@ class TestSolveFixed:
     def test_bpsk_real_only(self):
         c = Constellation.bpsk()
         G = model.draw_blocks(16, 8, c, 12, [((), -4.0, 1)])[1]
-        out = solve_fixed_stack(G, c, prox.ProxParams(t_max=5, rho_log2=1))
+        params = prox.ProxParams(t_max=5, rho_log2=1)
+        out = solve_fixed_stack(prox.preprocess(G, params), c, params)
         assert set(np.unique(out)) <= {1.0 + 0j, -1.0 + 0j}
 
     def test_non_finite_gram_rejected(self):
@@ -328,25 +330,24 @@ class TestSolveFixed:
         c = Constellation.qpsk()
         G = model.draw_blocks(4, 3, c, 14, [((), 0.0, 1)])[1]
         G[0, 1, 1] = np.nan
+        params = prox.ProxParams(rho_log2=1)
         with pytest.raises(ParameterError, match="non-finite"):
-            solve_fixed_stack(G, c, prox.ProxParams(rho_log2=1))
+            solve_fixed_stack(prox.preprocess(G, params), c, params)
 
     @pytest.mark.parametrize("G", [np.complex128(1.0), np.ones(3)], ids=["scalar", "vector"])
     def test_non_matrix_rejected(self, G):
+        params = prox.ProxParams()
         with pytest.raises(SimojedError):
-            solve_fixed_stack(G, Constellation.qpsk(), prox.ProxParams())
+            solve_fixed_stack(prox.preprocess(G, params), Constellation.qpsk(), params)
 
-    def test_rho_one_rejected(self, monkeypatch):
-        # The array configuration rejects the gain before any preprocessing.
+    def test_rho_one_rejected(self):
+        # The array configuration rejects the gain; the callers check it
+        # before anything is preprocessed.
         c = Constellation.bpsk()
         G = model.draw_blocks(4, 3, c, 13, [((), 0.0, 1)])[1]
-
-        def no_preprocess(*args):
-            raise AssertionError("preprocessed before the gain was checked")
-
-        monkeypatch.setattr(fxp, "preprocess", no_preprocess)
+        params = prox.ProxParams(t_max=1, rho_log2=0)
         with pytest.raises(ParameterError, match="rho_log2"):
-            solve_fixed_stack(G, c, prox.ProxParams(t_max=1, rho_log2=0))
+            solve_fixed_stack(prox.preprocess(G, params), c, params)
 
 
 class TestStackedDatapath:
@@ -383,10 +384,11 @@ class TestStackedDatapath:
         c = Constellation.bpsk() if real_only else Constellation.qpsk()
         params = prox.ProxParams(alpha_scale=1.25, rho_log2=rho_log2, t_max=t_max)
         G = model.draw_blocks(8, N - 1, c, seed, [((), snr_db, T)])[1]
-        stacked = solve_fixed_stack(G, c, params)
+        stacked = solve_fixed_stack(prox.preprocess(G, params), c, params)
         assert stacked.shape == (T, N)
         for t in range(T):
-            assert np.array_equal(solve_fixed_stack(G[t], c, params), stacked[t])
+            one = solve_fixed_stack(prox.preprocess(G[t], params), c, params)
+            assert np.array_equal(one, stacked[t])
 
 
 class TestTiming:

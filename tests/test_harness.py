@@ -90,6 +90,27 @@ class TestConfig:
         with pytest.raises(ParameterError):
             MethodSpec("zf")
 
+    @pytest.mark.parametrize("name", ["mrc-csir", "mrc-chest", "mrc-rt", "ml-jed"])
+    def test_baseline_given_gains_rejected(self, name):
+        # Gains used to make a baseline count as a solver: its row was the
+        # solver's, under the baseline's name.
+        with pytest.raises(ParameterError, match=f"baseline '{name}' takes no solver gains"):
+            MethodSpec(name, ProxParams())
+
+    def test_baseline_row_is_the_baseline(self, monkeypatch):
+        cfg = small_config(constellation="qpsk", snr_points_db=(-4.0,), master_seed=3)
+        cells = run_sweep(cfg).cells
+        c = Constellation.by_name(cfg.constellation)
+        Y, _, s, *_ = draw_blocks(cfg.B, cfg.K, c, cfg.master_seed, [((0, 0), -4.0, cfg.trials)])
+        errors = int(np.sum(mrc_chest(Y, c).s_hat[:, 1:] != s[:, 1:]))
+        assert cells[("mrc-chest", -4.0)].symbol_errors == errors
+        assert cells[("prox", -4.0)].symbol_errors != errors
+        # A gained baseline never reaches the sweep.
+        monkeypatch.setattr(harness, "draw_blocks", None)
+        with pytest.raises(ParameterError, match="takes no solver gains"):
+            gained = MethodSpec("mrc-chest", ProxParams())
+            run_sweep(replace(cfg, methods=(MethodSpec("prox"), gained)))
+
     def test_aprox_gets_approx_mode(self):
         # The method name alone picks the two-term series: a sweep's aprox
         # row is the stack solver on the approximate preprocessing of the
@@ -104,7 +125,7 @@ class TestConfig:
         mse = np.sum(np.abs(res.h_hat - h) ** 2, axis=1) / cfg.B
         assert cell.chest_mse == float(np.sum(mse)) / cfg.trials
         # The exact inverse gives other estimates on these blocks.
-        assert not np.array_equal(solve_stack(Y, G, c, params).h_hat, res.h_hat)
+        assert not np.array_equal(solve_stack(Y, preprocess(G, params), c, params).h_hat, res.h_hat)
 
     def test_duplicate_snr_points_rejected(self, monkeypatch):
         # The first -4 dB point's trials used to be drawn, detected and
@@ -350,12 +371,13 @@ class TestRunSweep:
         dl_data = dl.integers(0, len(c.points), (trials, 7))
         dl_noise = dl.standard_normal((trials, 14))
         expected = {name: [0, 0] for name in ("prox", "mrc-csir", "mrc-chest")}
+        params = ProxParams()
         for t in range(trials):
             h = (h_parts[t, 0] + 1j * h_parts[t, 1]) / np.sqrt(2)
             s = np.concatenate([c.points[:1], c.points[indices[t]]])
             Y = np.outer(h, s.conj()) + np.sqrt(n0 / 2) * (noise_parts[t, 0] + 1j * noise_parts[t, 1])
             detections = {
-                "prox": solve_stack(Y, gram(Y), c, ProxParams(), record_trace=False),
+                "prox": solve_stack(Y, preprocess(gram(Y), params), c, params),
                 "mrc-csir": mrc_csir(Y, h, c),
                 "mrc-chest": mrc_chest(Y, c),
             }
@@ -404,8 +426,8 @@ class TestRunSweep:
             return seen["blocks"]
 
         def detect(spec, *args):
-            seen[(args[-2], spec.name)] = real_detect(spec, *args)
-            return seen[(args[-2], spec.name)]
+            seen[(args[-1], spec.name)] = real_detect(spec, *args)
+            return seen[(args[-1], spec.name)]
 
         def dl(*args):
             seen["dl"] = real_dl(*args)
@@ -445,14 +467,6 @@ class TestRunSweep:
         assert all(np.array_equal(a[0], b[0]) for a, b in zip(stack[:5], one[:5]))
         same = [np.array_equal(a[0], b[0]) for a, b in zip(stack.downlink, one.downlink)]
         assert same == [True, T == 1, T == 1]
-
-    def test_ml_jed_runs_with_the_configured_budget(self):
-        # 2^21 candidates pass the config's budget check, so the detector
-        # must enumerate them rather than stop at its default budget.
-        cfg = small_config(
-            B=2, K=21, trials=1, snr_points_db=(0.0,), ml_jed_budget=2**21, methods=(MethodSpec("ml-jed"),)
-        )
-        assert run_sweep(cfg).cells[("ml-jed", 0.0)].trials == 1
 
     def test_los_channel_supported(self):
         # A geometry alone switches the channel to line of sight, and the
@@ -560,7 +574,7 @@ class TestHwCompare:
         )
         report = hw_compare(cfg, agreement_snr_db=-6.0, gap_targets=(1e-2,))
         assert 0.9 <= report.agreement_rate <= 1.0
-        gap = report.gap_at(1e-2)
+        gap = report.gap_db_at[1e-2]
         assert gap is not None
         assert abs(gap) < 0.5
 
@@ -593,7 +607,7 @@ class TestHwCompare:
 
 class TestTiming:
     def test_cross_product_rows(self):
-        rows = timing_report([4, 8], [1, 3], [100e6], bits_per_symbol=2)
+        rows = timing_report([4, 8], [1, 3], [100e6], bits=2)
         assert len(rows) == 4
         assert {(r["K"], r["t_max"]) for r in rows} == {(4, 1), (4, 3), (8, 1), (8, 3)}
 
@@ -674,6 +688,17 @@ class TestTuning:
         assert cached == first
         (key,) = json.loads(path.read_text())
         assert key.startswith("B4_K3_bpsk_exact")
+
+    @pytest.mark.parametrize("text", ["{not json\n", "[1, 2]\n"], ids=["not-json", "json-list"])
+    def test_bad_cache_rejected_before_drawing(self, text, tmp_path, monkeypatch):
+        # Such a cache used to end in a JSONDecodeError, or, for a list, in
+        # a TypeError after the whole grid search.
+        path = tmp_path / "tuned.json"
+        path.write_text(text)
+        monkeypatch.setattr(tuning, "draw_blocks", None)
+        with pytest.raises(ParameterError, match=re.escape(repr(str(path)))):
+            tune_rho(4, 3, "bpsk", -4.0, trials=30, seed=5, cache_path=path)
+        assert path.read_bytes() == text.encode()
 
     def test_cache_keyed_by_search_configuration(self, tmp_path):
         # A hit stored at -10 dB with t_max=1 once came back for +5 dB with

@@ -198,14 +198,16 @@ class TestSolve:
     def test_noise_free_exact_recovery(self):
         c = Constellation.bpsk()
         Y, G, s, h = model.draw_blocks(16, 8, c, 9, [((), np.inf, 1)])[:4]
-        res = solve_stack(Y, G, c, ProxParams(t_max=5))
+        params = ProxParams(t_max=5)
+        res = solve_stack(Y, preprocess(G, params), c, params)
         assert np.array_equal(res.s_hat, s)
         assert np.allclose(res.h_hat, h, atol=1e-10)
 
     def test_k_zero(self):
         c = Constellation.qpsk()
         Y, G = model.draw_blocks(4, 0, c, 10, [((), 10.0, 1)])[:2]
-        res = solve_stack(Y, G, c, ProxParams(t_max=3))
+        params = ProxParams(t_max=3)
+        res = solve_stack(Y, preprocess(G, params), c, params)
         assert np.array_equal(res.s_hat, [[c.points[0]]])
 
     def test_more_iterations_do_not_hurt(self):
@@ -214,7 +216,8 @@ class TestSolve:
         errs = {1: 0, 5: 0}
         Y, G, s_true, _, *_ = model.draw_blocks(16, 8, c, 1000, [((), 5.0, 400)])
         for t in (1, 5):
-            res = solve_stack(Y, G, c, ProxParams(t_max=t), record_trace=False)
+            params = ProxParams(t_max=t)
+            res = solve_stack(Y, preprocess(G, params), c, params)
             errs[t] = int(np.sum(res.s_hat[:, 1:] != s_true[:, 1:]))
         assert errs[5] <= errs[1]
 
@@ -225,9 +228,11 @@ class TestSolve:
         pre_a = preprocess(G, params)
         pre_b = preprocess(G_scaled, params)
         assert np.allclose(pre_a.Ghat, pre_b.Ghat, atol=1e-12)
-        res_a = solve_stack(Y, G, c, params)
-        res_b = solve_stack(3.7 * Y, G_scaled, c, params)
-        assert np.max(np.abs(res_a.state.s_cur - res_b.state.s_cur)) < 1e-12
+        s_a = iterate(pre_a, c, params).s_cur
+        s_b = iterate(pre_b, c, params).s_cur
+        assert np.max(np.abs(s_a - s_b)) < 1e-12
+        res_a = solve_stack(Y, pre_a, c, params)
+        res_b = solve_stack(3.7 * Y, pre_b, c, params)
         assert np.array_equal(res_a.s_hat, res_b.s_hat)
 
 
@@ -251,15 +256,19 @@ class TestSolveStack:
         c = Constellation.by_name(kind)
         Y, G = model.draw_blocks(B, K, c, seed, [((), snr_db, T)])[:2]
         params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max)
-        stacked = solve_stack(Y, preprocess(G, params, approx), c, params)
+        pre = preprocess(G, params, approx)
+        stacked = solve_stack(Y, pre, c, params)
+        trace = iterate(pre, c, params).trace
         assert stacked.s_hat.shape == (T, K + 1)
         assert stacked.h_hat.shape == (T, B)
         for t in range(T):
-            single = solve_stack(Y[t], preprocess(G[t], params, approx), c, params)
+            pre_t = preprocess(G[t], params, approx)
+            single = solve_stack(Y[t], pre_t, c, params)
             assert np.array_equal(stacked.s_hat[t], single.s_hat)
             np.testing.assert_allclose(stacked.h_hat[t], single.h_hat, rtol=1e-12, atol=0)
+            single_trace = iterate(pre_t, c, params).trace
             for name in ("objective", "grad_residual"):
-                got, want = getattr(stacked.state.trace, name)[:, t], getattr(single.state.trace, name)
+                got, want = getattr(trace, name)[:, t], getattr(single_trace, name)
                 np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_zero_gram_in_a_stack_gets_identity(self):
@@ -277,16 +286,17 @@ class TestSolveStack:
 
     def test_degenerate_trial_fails_the_stack(self):
         Y, G, c = make_noisy_block(16)
+        pre = preprocess(np.stack([G, np.zeros_like(G)]), ProxParams())
         with pytest.raises(DegenerateInputError):
-            solve_stack(np.stack([Y, 0 * Y]), np.stack([G, np.zeros_like(G)]), c, ProxParams())
+            solve_stack(np.stack([Y, 0 * Y]), pre, c, ProxParams())
 
     def test_non_finite_gram_rejected(self):
         # Rejected before the eigensolver, whose LinAlgError is not a
         # package error.
-        Y, G, c = make_noisy_block(17)
+        _, G, _ = make_noisy_block(17)
         G[0, 2] = np.nan
         with pytest.raises(ParameterError, match="non-finite"):
-            solve_stack(Y, G, c, ProxParams())
+            preprocess(G, ProxParams())
 
 
 class TestTrace:
@@ -333,22 +343,6 @@ class TestTrace:
             assert np.array_equal(final.s_cur, state.s_cur)
             assert np.array_equal(final.q_cur, state.q_cur)
 
-    @pytest.mark.parametrize("T", [None, 9])
-    @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
-    def test_untraced_solve_gives_the_same_result(self, T, kind):
-        c = Constellation.by_name(kind)
-        Y, G = model.draw_blocks(8, 6, c, 21, [((), 0.0, T or 1)])[:2]
-        if T is None:
-            Y, G = Y[0], G[0]
-        params = ProxParams(t_max=12)
-        traced = solve_stack(Y, G, c, params)
-        bare = solve_stack(Y, G, c, params, record_trace=False)
-        assert len(traced.state.trace.objective) == 12 and bare.state.trace is None
-        for name in ("s_hat", "h_hat"):
-            assert np.array_equal(getattr(bare, name), getattr(traced, name))
-        for name in ("s_cur", "q_cur"):
-            assert np.array_equal(getattr(bare.state, name), getattr(traced.state, name))
-
 
 class TestDiagnostics:
     def test_objective_plugin_values(self):
@@ -359,12 +353,12 @@ class TestDiagnostics:
     def test_monotone_objective_exact_mode(self):
         seen = 0
         for seed in range(20):
-            Y, G, c = make_noisy_block(100 + seed, B=8, K=6)
+            _, G, c = make_noisy_block(100 + seed, B=8, K=6)
             params = ProxParams(t_max=30)
             pre = preprocess(G, params)
             if not (0.0 < pre.beta(params.rho) < pre.alpha):
                 continue
-            objs = solve_stack(Y, G, c, params).state.trace.objective
+            objs = iterate(pre, c, params).trace.objective
             for a, b in zip(objs[1:], objs[:-1]):
                 assert a <= b + 1e-9 * max(1.0, abs(b))
             seen += 1
@@ -388,18 +382,19 @@ class TestDiagnostics:
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * denom
 
     def test_gradient_residual_decays(self):
-        Y, G, c = make_noisy_block(12, B=16, K=8)
+        _, G, c = make_noisy_block(12, B=16, K=8)
         params = ProxParams(t_max=100)
-        resid = solve_stack(Y, G, c, params).state.trace.grad_residual
+        pre = preprocess(G, params)
+        resid = iterate(pre, c, params).trace.grad_residual
         n = G.shape[0]
-        pre_alpha = preprocess(G, params).alpha
-        assert resid[-1] <= 1e-6 * pre_alpha * np.sqrt(n)
+        assert resid[-1] <= 1e-6 * pre.alpha * np.sqrt(n)
 
     def test_boundary_gap_small_after_convergence(self):
-        Y, G, c = make_noisy_block(13, B=16, K=8)
-        res = solve_stack(Y, G, c, ProxParams(t_max=100))
-        trace = res.state.trace
-        if trace.grad_residual[-1] < 1e-8 and np.linalg.norm(res.state.s_cur) > 0:
+        _, G, c = make_noisy_block(13, B=16, K=8)
+        params = ProxParams(t_max=100)
+        state = iterate(preprocess(G, params), c, params)
+        trace = state.trace
+        if trace.grad_residual[-1] < 1e-8 and np.linalg.norm(state.s_cur) > 0:
             assert trace.boundary_gap[-1] <= 1e-6
 
     def test_exact_vs_approx_within_neumann_bound(self):

@@ -21,7 +21,7 @@ def test_library_use_example_runs(capsys):
     # The shapes its comments state.
     result = namespace["result"]
     assert result.s_hat.shape == (4, 9) and result.h_hat.shape == (4, 16)
-    assert result.state.trace.objective[-1].shape == (4,)
+    assert namespace["trace"].objective[-1].shape == (4,)
     assert capsys.readouterr().out
 
 
