@@ -98,10 +98,13 @@ def ml_jed_exhaustive(
     Re sum_{i<j} conj(x_i) G_ij x_j is compared: one real matrix product of
     the stack's upper triangles with the pair products of each candidate
     chunk. Real candidates (BPSK) need only Re G. ``G`` holds the Gram
-    matrices of ``Y``, taken as given; without it they are computed (and
-    ``Y`` checked) by ``linalg.gram``.
+    matrices of ``Y``, taken as given; without it they are computed by
+    ``linalg.gram``. A non-finite ``Y`` is a ``ParameterError`` either way.
     """
-    G = gram(Y) if G is None else G
+    if G is None:
+        G = gram(Y)
+    elif not np.all(np.isfinite(Y)):
+        raise ParameterError("received block has a non-finite entry")
     K = G.shape[-1] - 1
     m = len(c.points)
     total = m**K

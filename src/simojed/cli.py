@@ -39,7 +39,8 @@ from .verify import verify_theorems
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` config; '#' starts a comment. A file that
-    cannot be read is a ``ParameterError`` naming it."""
+    cannot be read, or a line without '=', is a ``ParameterError`` naming
+    the file."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -50,7 +51,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise SystemExit(f"config line without '=': {raw!r}")
+            raise ParameterError(f"config line without '=' in {str(path)!r}: {raw!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
@@ -118,7 +119,7 @@ def _resolve(args: argparse.Namespace, extra_keys: dict | None = None) -> dict:
         for key, value in parse_config_file(args.config).items():
             norm = key.replace("-", "_")
             if norm not in merged:
-                raise SystemExit(f"unknown config key {key!r}")
+                raise ParameterError(f"unknown config key {key!r}")
             merged[norm] = value
     for key in merged:
         flag = getattr(args, key, None)

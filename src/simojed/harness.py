@@ -11,7 +11,9 @@ packs, so results are bit-identical for a given seed regardless of the
 worker count. All methods in a sweep, and both arithmetics of a
 float-vs-fixed comparison, consume the same blocks (paired comparison), and
 the downlink evaluation takes each chunk's randoms once and evaluates every
-method's estimate on a pack's draws in one call.
+method's estimate on a pack's draws in one call. A pack's tallies are
+arrays with a trailing chunk axis; the sweep joins them along it, and each
+SNR point's cells reduce its contiguous run of chunks.
 """
 
 from __future__ import annotations
@@ -139,8 +141,6 @@ def _config_dict(cfg: SweepConfig) -> dict:
 class SweepCell:
     """Aggregates for one (method, snr) point."""
 
-    method: str
-    snr_db: float
     trials: int
     symbol_errors: int
     downlink_errors: int
@@ -270,13 +270,14 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     trial's noise variance, evaluates the estimates of every method and
     arithmetic.
 
-    Returns one ``(snr_index, trial_lo, counts, agree)`` per chunk:
-    per-(arithmetic, method) integer error counts and per-trial
-    channel-MSE arrays (summed later in fixed order for worker-count
-    independence), and how many hard decisions of the first solver method
-    agree between float and fixed arithmetic (0 unless both run). Each
-    kind of count is tallied for all chunks of the pack at once, by one
-    segmented sum (``np.add.reduceat``) over the pack's per-trial counts.
+    Returns ``(errors, mse, agree)``, each with a trailing chunk axis:
+    int64 uplink and downlink error counts of shape (2, key, chunk), with
+    one key per (method, arithmetic), methods outer; each chunk's
+    ``np.sum`` of its trials' channel MSEs, of shape (key, chunk), summed
+    later in fixed order for worker-count independence; and how many hard
+    decisions of the first solver method agree between float and fixed
+    arithmetic per chunk (0 unless both run). The integer counts of all
+    chunks are one segmented sum (``np.add.reduceat``) over the pack.
     """
     c = Constellation.by_name(cfg.constellation)
     n_dl = cfg.downlink_symbols or cfg.K
@@ -285,7 +286,7 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     Y, G, s_true, h_true, n0, draws = draw_blocks(
         cfg.B, cfg.K, c, cfg.master_seed, keyed, cfg.los, n_dl
     )
-    detections = {}
+    detections = []
     decisions = {}
     for spec in cfg.methods:
         approx = spec.name == "aprox"
@@ -294,38 +295,23 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
             res = _detect(spec, Y, G, pre, h_true, c, arithmetic)
             if spec is solver:
                 decisions[arithmetic] = res.s_hat[:, 1:]
-            detections[(arithmetic, spec.name)] = res
+            detections.append(res)
     # One evaluation of every estimate: the pack's draws broadcast over the
-    # leading (arithmetic, method) axis.
-    h_hats = np.stack([res.h_hat for res in detections.values()])
+    # leading key axis.
+    h_hats = np.stack([res.h_hat for res in detections])
     dl_ser = downlink_ser(h_true, h_hats, c, n0, draws)
-    # Each chunk's counts are one segment of one integer sum over the pack.
-    # The channel-MSE stays per trial: a float reduceat would not sum
-    # pairwise as np.sum does, and its digits would change.
-    sizes = [hi - lo for _, lo, hi in chunks]
-    starts = np.cumsum([0, *sizes[:-1]])
-    tallies = {
-        key: (
-            np.add.reduceat(np.sum(res.s_hat[:, 1:] != s_true[:, 1:], axis=1), starts).tolist(),
-            np.add.reduceat(np.rint(ser * n_dl).astype(np.int64), starts).tolist(),
-            np.split(np.sum(np.abs(res.h_hat - h_true) ** 2, axis=1) / cfg.B, starts[1:]),
-        )
-        for (key, res), ser in zip(detections.items(), dl_ser)
-    }
-    agree = [0] * len(chunks)
+    uplink = [np.sum(res.s_hat[:, 1:] != s_true[:, 1:], axis=1) for res in detections]
+    starts = np.cumsum([0] + [hi - lo for _, lo, hi in chunks[:-1]])
+    counts = np.stack([uplink, np.rint(dl_ser * n_dl).astype(np.int64)])
+    errors = np.add.reduceat(counts, starts, axis=-1)
+    # A float reduceat would not sum pairwise as np.sum does, and its digits
+    # would change: each chunk's MSE is an np.sum over its own slice.
+    mse = np.sum(np.abs(h_hats - h_true) ** 2, axis=-1) / cfg.B
+    mse = np.stack([np.sum(part, axis=-1) for part in np.split(mse, starts[1:], axis=-1)], axis=-1)
+    agree = np.zeros(len(chunks), dtype=np.int64)
     if decisions.keys() == {"float", "fixed"}:
-        agree = np.add.reduceat(
-            np.sum(decisions["float"] == decisions["fixed"], axis=1), starts
-        ).tolist()
-    return [
-        (
-            snr_index,
-            lo,
-            {key: [sym[j], dl[j], mse[j]] for key, (sym, dl, mse) in tallies.items()},
-            agree[j],
-        )
-        for j, (snr_index, lo, _) in enumerate(chunks)
-    ]
+        agree = np.add.reduceat(np.sum(decisions["float"] == decisions["fixed"], axis=1), starts)
+    return errors, mse, agree
 
 
 def _worker_count() -> int:
@@ -354,10 +340,10 @@ def _sweep_packs(cfg: SweepConfig) -> list[list[tuple[int, int, int]]]:
     return packs
 
 
-def _sweep_chunks(cfg: SweepConfig, arithmetics: tuple[str, ...]) -> list:
-    """The outputs of every chunk of the paired sweep, in (snr, trial)
-    order so that float reductions are identical for any worker count.
-    Workers take whole packs."""
+def _sweep_chunks(cfg: SweepConfig, arithmetics: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """The ``_run_pack`` arrays of the whole paired sweep, the packs joined
+    along the chunk axis in (snr, trial) order, so that float reductions
+    are identical for any worker count. Workers take whole packs."""
     jobs = [(cfg, arithmetics, pack) for pack in _sweep_packs(cfg)]
     workers = _worker_count()
     if workers > 1 and len(jobs) > 1:
@@ -365,29 +351,33 @@ def _sweep_chunks(cfg: SweepConfig, arithmetics: tuple[str, ...]) -> list:
             outputs = list(pool.map(_run_pack, *zip(*jobs), chunksize=1))
     else:
         outputs = [_run_pack(*j) for j in jobs]
-    return [chunk for pack in outputs for chunk in pack]
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*outputs))
 
 
-def _sweep_result(cfg: SweepConfig, outputs: list, arithmetic: str) -> SweepResult:
+def _sweep_result(
+    cfg: SweepConfig, errors: np.ndarray, mse: np.ndarray, arithmetic: str
+) -> SweepResult:
     """The cells of one arithmetic, as ``run_sweep`` reports them for
-    ``replace(cfg, arithmetic=arithmetic)``."""
+    ``replace(cfg, arithmetic=arithmetic)``, from that arithmetic's
+    ``errors`` (2, method, chunk) and ``mse`` (method, chunk). Every SNR
+    point holds the same number of chunks, one contiguous run of the chunk
+    axis."""
     result = SweepResult(
         config_hash=replace(cfg, arithmetic=arithmetic).config_hash(),
         master_seed=cfg.master_seed,
         version=__version__,
     )
     n_dl = cfg.downlink_symbols or cfg.K
-    for snr_index, snr_db in enumerate(cfg.snr_points_db):
-        chunks = [o[2] for o in outputs if o[0] == snr_index]
-        for spec in cfg.methods:
-            parts = [chunk[(arithmetic, spec.name)] for chunk in chunks]
+    points = len(cfg.snr_points_db)
+    counts = errors.reshape(2, len(cfg.methods), points, -1).sum(axis=-1).tolist()
+    mse = mse.reshape(len(cfg.methods), points, -1)
+    for i, snr_db in enumerate(cfg.snr_points_db):
+        for m, spec in enumerate(cfg.methods):
             result.cells[(spec.name, snr_db)] = SweepCell(
-                method=spec.name,
-                snr_db=snr_db,
                 trials=cfg.trials,
-                symbol_errors=sum(p[0] for p in parts),
-                downlink_errors=sum(p[1] for p in parts),
-                chest_mse=math.fsum(float(np.sum(p[2])) for p in parts) / cfg.trials,
+                symbol_errors=counts[0][m][i],
+                downlink_errors=counts[1][m][i],
+                chest_mse=math.fsum(mse[m, i]) / cfg.trials,
                 data_symbols=cfg.trials * cfg.K,
                 downlink_symbols=cfg.trials * n_dl,
             )
@@ -397,7 +387,8 @@ def _sweep_result(cfg: SweepConfig, outputs: list, arithmetic: str) -> SweepResu
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run the full paired sweep; deterministic for a given master seed
     regardless of the worker count."""
-    return _sweep_result(cfg, _sweep_chunks(cfg, (cfg.arithmetic,)), cfg.arithmetic)
+    errors, mse, _ = _sweep_chunks(cfg, (cfg.arithmetic,))
+    return _sweep_result(cfg, errors, mse, cfg.arithmetic)
 
 
 @dataclass
@@ -436,10 +427,11 @@ def hw_compare(
         raise ParameterError(f"agreement SNR {snr_db} dB is not a sweep point {cfg.snr_points_db}")
     snr_index = cfg.snr_points_db.index(snr_db)
 
-    outputs = _sweep_chunks(cfg, ("float", "fixed"))
-    float_res = _sweep_result(cfg, outputs, "float")
-    fixed_res = _sweep_result(cfg, outputs, "fixed")
-    agree = sum(o[3] for o in outputs if o[0] == snr_index)
+    # Keys run method by method, float then fixed within each method.
+    errors, mse, agree = _sweep_chunks(cfg, ("float", "fixed"))
+    float_res = _sweep_result(cfg, errors[:, 0::2], mse[0::2], "float")
+    fixed_res = _sweep_result(cfg, errors[:, 1::2], mse[1::2], "fixed")
+    agree = int(agree.reshape(len(cfg.snr_points_db), -1)[snr_index].sum())
 
     name = solver_methods[0].name
     gaps: dict[float, float | None] = {}

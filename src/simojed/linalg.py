@@ -139,16 +139,20 @@ def neumann_two_term(G: np.ndarray, alpha) -> np.ndarray:
     return np.eye(G.shape[-1], dtype=np.complex128) + G / alpha[..., None, None]
 
 
-def neumann_error_bound(G: np.ndarray, alpha) -> np.ndarray | float:
-    """Spectral-norm bound on the two-term truncation error, with ``alpha``
-    a scalar or one value per matrix of a stack: a float for one matrix, an
-    array of one bound per matrix for a stack.
+def neumann_error_bound(norm, alpha) -> np.ndarray | float:
+    """Spectral-norm bound on the two-term truncation error of a Gram
+    matrix of spectral norm ``norm`` (``spectral_norm``'s value), or of a
+    stack given one norm per matrix, with ``alpha`` a scalar or one value
+    per norm: a float for one matrix, an array of one bound per matrix for
+    a stack.
 
-    With r = |G|/alpha < 1 the dropped tail is bounded by r^2 / (1 - r);
-    alpha must be finite and positive.
+    With r = norm/alpha < 1 the dropped tail is bounded by r^2 / (1 - r);
+    the norm must be finite and non-negative, alpha finite and positive.
     """
-    norm = spectral_norm(G)
-    r = norm / _require_shift(alpha, np.shape(norm))
+    norm = np.asarray(norm, dtype=np.float64)
+    if not np.all((norm >= 0.0) & (norm < np.inf)):
+        raise ParameterError("spectral norm must be finite and non-negative")
+    r = norm / _require_shift(alpha, norm.shape)
     if np.any(r >= 1.0):
         raise ParameterError(f"bound undefined: |G|/alpha = {np.max(r)} >= 1")
     return (r * r / (1.0 - r))[()]

@@ -50,8 +50,10 @@ def tune_rho(
     ``alpha_scale``.
     When a cache file is given and already holds a result for these exact
     arguments and grids (everything but the cache path), it is returned
-    without re-searching. No trials, or a cache file that does not hold a
-    JSON object, is a ``ParameterError``, raised before any block is drawn.
+    without re-searching. No trials, a cache file that does not hold a JSON
+    object, or a matching entry without the three numbers of a
+    ``TunedParams``, is a ``ParameterError``, raised before any block is
+    drawn.
     """
     if trials < 1:
         raise ParameterError(f"need at least one tuning trial, got {trials}")
@@ -70,7 +72,13 @@ def tune_rho(
             raise ParameterError(f"tuning cache {str(cache_path)!r} does not hold a JSON object")
         if key in cache:
             hit = cache[key]
-            return TunedParams(hit["rho_log2"], hit["alpha_scale"], hit["ser"])
+            fields = ("rho_log2", "alpha_scale", "ser")
+            values = [hit.get(f) if isinstance(hit, dict) else None for f in fields]
+            if not all(isinstance(v, (int, float)) for v in values):
+                raise ParameterError(
+                    f"tuning cache {str(cache_path)!r} entry {key!r} needs the numbers {fields}"
+                )
+            return TunedParams(*values)
 
     c = Constellation.by_name(constellation)
     # Trial t is the one-trial chunk keyed by (t,).

@@ -113,42 +113,38 @@ def _check_args(seed, n: int, what: str) -> int:
     return check_seed(seed, "the seed")
 
 
-def _draw_instances(rng: np.random.Generator, seed: int, indices: range) -> list:
-    """Instances ``indices`` of a suite at 0 dB, as ``(G, c, B, K, kind)``:
-    every shape comes from the suite's ``rng``, instance after instance;
-    then the Gram matrices of each shape come from one ``draw_blocks`` call,
-    instance ``i`` the one-trial chunk keyed by ``(i,)``."""
-    shapes = [
-        (int(rng.choice([4, 16])), int(rng.choice([4, 16])), str(rng.choice(["bpsk", "qpsk"])))
-        for _ in indices
-    ]
-    groups: dict[tuple[int, int, str], list[int]] = {}
-    for pos, shape in enumerate(shapes):
-        groups.setdefault(shape, []).append(pos)
-    instances = [None] * len(shapes)
-    for (B, K, kind), positions in groups.items():
+def _draw_stacks(rng: np.random.Generator, seed: int, indices: range) -> list:
+    """Instances ``indices`` of a suite at 0 dB, as one ``(c, K, index, B,
+    G)`` stack per (K, constellation), in order of first appearance: the
+    solver sees only the Gram matrix, so B does not split a stack. Every
+    shape comes from the suite's ``rng``, instance after instance; then the
+    Gram matrices of each (B, K, constellation) come from one
+    ``draw_blocks`` call, instance ``i`` the one-trial chunk keyed by
+    ``(i,)``. ``index`` holds each row's instance, rising, and ``B`` its
+    antenna count."""
+    shapes = {
+        i: (int(rng.choice([4, 16])), int(rng.choice([4, 16])), str(rng.choice(["bpsk", "qpsk"])))
+        for i in indices
+    }
+    stacks = []
+    for K, kind in dict.fromkeys((K, kind) for _, K, kind in shapes.values()):
+        index = np.array([i for i, shape in shapes.items() if shape[1:] == (K, kind)])
+        B = np.array([shapes[i][0] for i in index.tolist()])
         c = Constellation.by_name(kind)
-        G = draw_blocks(B, K, c, seed, [((indices[p],), 0.0, 1) for p in positions]).G
-        for p, g in zip(positions, G):
-            instances[p] = (g, c, B, K, kind)
-    return instances
-
-
-def _stacks(instances: list) -> dict[tuple[int, str], list[int]]:
-    """Positions of ``instances`` grouped by (K, constellation): the
-    solver sees only the Gram matrix, so B does not split a stack."""
-    groups: dict[tuple[int, str], list[int]] = {}
-    for i, (_, _, _, K, kind) in enumerate(instances):
-        groups.setdefault((K, kind), []).append(i)
-    return groups
+        G = np.empty((len(index), K + 1, K + 1), dtype=np.complex128)
+        for b in dict.fromkeys(B.tolist()):
+            chunks = [((i,), 0.0, 1) for i in index[B == b].tolist()]
+            G[B == b] = draw_blocks(b, K, c, seed, chunks).G
+        stacks.append((c, K, index, B, G))
+    return stacks
 
 
 def _descent_rows(pre: PreprocessedMatrix, c: Constellation, K: int, params: ProxParams):
-    """Run ``params.t_max`` traced iterations on a stack of valid instances
-    and return, per instance, its worst descent margin, whether the
-    objective never increased, the final residual and its threshold,
-    whether it converged to a nonzero iterate, its final boundary gap and
-    its per-entry boundary fraction."""
+    """Run ``params.t_max`` traced iterations on a stack of instances and
+    return, per instance, its worst descent margin (NaN for an invalid
+    weight), whether the objective never increased, the final residual and
+    its threshold, whether it converged to a nonzero iterate, its final
+    boundary gap and its per-entry boundary fraction."""
     state = iterate(pre, c, params)
     objs = state.trace.objective  # (t_max, T)
     prev, nxt = objs[:-1], objs[1:]
@@ -186,22 +182,19 @@ def run_descent_and_boundary(
         # overshoot: it ends where one-at-a-time drawing would stop.
         first = attempts + 1
         attempts = min(attempts + n_instances - len(rows), max_attempts)
-        batch = _draw_instances(rng, seed, range(first, attempts + 1))
-        for (K, kind), idx in _stacks(batch).items():
-            pre = preprocess(np.stack([batch[i][0] for i in idx]), params)
+        for c, K, index, B, G in _draw_stacks(rng, seed, range(first, attempts + 1)):
+            # Invalid-weight rows are solved with the rest (their objectives
+            # are NaN) and dropped here.
+            pre = preprocess(G, params)
             beta = pre.beta(params.rho)
             valid = (0.0 < beta) & (beta < pre.alpha)
             descent.skipped += int(np.sum(~valid))
-            if not np.any(valid):
-                continue
-            kept = PreprocessedMatrix(pre.Ghat[valid], pre.gamma[valid], pre.alpha[valid], pre.G[valid])
-            labels = [
-                (first + i, f"B={batch[i][2]},K={K},{kind},attempt={first + i}")
-                for i, ok in zip(idx, valid)
+            checks = _descent_rows(pre, c, K, params)
+            rows += [
+                (i, f"B={b},K={K},{c.kind},attempt={i}", *check)
+                for i, b, ok, check in zip(index, B, valid, checks)
                 if ok
             ]
-            c = batch[idx[0]][1]
-            rows += [(*lab, *checks) for lab, checks in zip(labels, _descent_rows(kept, c, K, params))]
 
     fractions = []
     for _, label, margin, descends, resid, threshold, converged, gap, fraction in sorted(rows):
@@ -246,12 +239,13 @@ def run_series_bound(seed: int, n_matrices: int = 50) -> SuiteReport:
     rows = []  # (matrix, scale index, n, gap, bound)
     for n, items in by_size.items():
         G = gram(np.stack([A for _, A in items]))
-        alpha = np.multiply.outer(scales, spectral_norm(G))  # (scale, matrix)
+        norm = spectral_norm(G)
+        alpha = np.multiply.outer(scales, norm)  # (scale, matrix)
         G = np.broadcast_to(G, alpha.shape + G.shape[-2:])
         gap = np.linalg.norm(
             invert_shifted(G, alpha) - neumann_two_term(G, alpha), ord=2, axis=(-2, -1)
         )
-        bound = neumann_error_bound(G, alpha)
+        bound = neumann_error_bound(np.broadcast_to(norm, alpha.shape), alpha)
         rows += [
             (i, j, n, g, b)
             for j in range(len(scales))
@@ -274,11 +268,8 @@ def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
     rng = np.random.default_rng(seed)
     report = SuiteReport(name="gradient_identity")
     params = ProxParams(alpha_scale=2.0, rho_log2=1, t_max=1)
-    instances = _draw_instances(rng, seed, range(n_instances))
-    rows = []  # (instance, err, denom)
-    for (K, kind), idx in _stacks(instances).items():
-        c = instances[idx[0]][1]
-        G = np.stack([instances[i][0] for i in idx])
+    rows = []  # (instance, err, denom, shape)
+    for c, K, index, B, G in _draw_stacks(rng, seed, range(n_instances)):
         pre = preprocess(G, params)
         s_prev = init_s(G, c)
         state = iterate(pre, c, params, record_trace=False)
@@ -288,13 +279,12 @@ def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
         rhs = alpha * (s_prev - s_new)
         denom = np.maximum(np.linalg.norm(lhs, axis=-1), np.linalg.norm(rhs, axis=-1))
         err = np.linalg.norm(lhs - rhs, axis=-1)
-        rows += list(zip(idx, err, denom))
+        rows += [(i, e, d, f"B={b},K={K},{c.kind}") for i, e, d, b in zip(index, err, denom, B)]
 
-    for i, err, denom in sorted(rows):
-        _, _, B, K, kind = instances[i]
+    for i, err, denom, shape in sorted(rows):
         failure = None
         if not err <= GRAD_IDENTITY_RTOL * denom:
-            failure = f"instance {i} (B={B},K={K},{kind}): {err} vs {denom}"
+            failure = f"instance {i} ({shape}): {err} vs {denom}"
         report.tally(GRAD_IDENTITY_RTOL * denom - err, failure)
     return report
 

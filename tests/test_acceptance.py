@@ -1,8 +1,11 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The heavy Monte-Carlo
-sweeps are shared through module-scoped fixtures; everything is seeded and
-single-threaded, so the numbers below are bit-reproducible.
+sweeps are shared through module-scoped fixtures; everything is seeded, so
+the numbers below are bit-reproducible for any worker count. The QPSK sweep
+and the fidelity comparison run on up to two worker processes, so their
+values also test that; the near-ML sweep, whose time limit is a
+single-process one, runs on one.
 
 A note on the SNR axis: the per-antenna SNR convention used throughout this
 package fixes the curve shapes but not their absolute dB origin (the
@@ -11,6 +14,7 @@ therefore placed over the measured crossover region, keeping the specified
 width, step, and trial count.
 """
 
+import os
 import time
 
 import numpy as np
@@ -27,6 +31,7 @@ from simojed.fxp import (
     throughput_bps,
 )
 from simojed.harness import (
+    WORKERS_ENV,
     MethodSpec,
     SweepConfig,
     db_at_ser,
@@ -51,6 +56,7 @@ SEED_SUITES = 424242
 
 TRIALS = 10_000
 SER_TARGET = 1e-2
+WORKERS = str(min(2, os.cpu_count() or 1))
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -111,7 +117,9 @@ def qpsk_sweep():
         downlink_symbols=64,
         methods=(MethodSpec("prox", params), MethodSpec("mrc-chest")),
     )
-    return run_sweep(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(WORKERS_ENV, WORKERS)
+        return run_sweep(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +140,9 @@ def fidelity_report():
         master_seed=SEED_FIDELITY,
         methods=(MethodSpec("prox", params),),
     )
-    return hw_compare(cfg, agreement_snr_db=-2.0, gap_targets=(SER_TARGET,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(WORKERS_ENV, WORKERS)
+        return hw_compare(cfg, agreement_snr_db=-2.0, gap_targets=(SER_TARGET,))
 
 
 class TestErrorRate:

@@ -34,6 +34,14 @@ def downlink_trials(seed, c, n, T=1):
     return blocks.h, blocks.downlink
 
 
+def nan_block_with_its_gram():
+    """Two BPSK blocks with one NaN entry, and their Gram matrices drawn
+    before the NaN was set."""
+    Y, G, *_ = model.draw_blocks(8, 3, Constellation.bpsk(), 1, [((0,), 0.0, 2)])
+    Y[0, 1, 2] = np.nan
+    return Y, G
+
+
 def noisy_block(seed, B=16, K=8, kind="qpsk", snr_db=0.0):
     """The one-trial stack of ``seed``: (Y, h) of its block, and c."""
     c = Constellation.by_name(kind)
@@ -192,17 +200,19 @@ class TestMlJed:
         assert np.array_equal(s_hat.reshape(-1, K + 1), expected)
 
     @pytest.mark.parametrize(
-        "Y, error",
+        "Y, G, error",
         [
-            (np.where(np.arange(24).reshape(2, 3, 4) == 23, np.nan, 1.0), ParameterError),
-            (np.zeros((0, 3)), DimensionError),
-            (np.ones(3), DimensionError),
+            (np.where(np.arange(24).reshape(2, 3, 4) == 23, np.nan, 1.0), None, ParameterError),
+            (np.zeros((0, 3)), None, DimensionError),
+            (np.ones(3), None, DimensionError),
+            # The draw's own Gram matrices once let the NaN through to h_hat.
+            (*nan_block_with_its_gram(), ParameterError),
         ],
-        ids=["non-finite", "no-antennas", "vector"],
+        ids=["non-finite", "no-antennas", "vector", "non-finite-given-gram"],
     )
-    def test_bad_input_rejected(self, Y, error):
+    def test_bad_input_rejected(self, Y, G, error):
         with pytest.raises(error):
-            ml_jed_exhaustive(Y, Constellation.bpsk())
+            ml_jed_exhaustive(Y, Constellation.bpsk(), G=G)
 
     def test_given_gram_taken_as_given(self, monkeypatch):
         # A Gram stack passed in is scored as it is, without recomputing

@@ -48,10 +48,27 @@ class TestParsers:
         assert parse_config_file(path) == {"b": "8", "snr": "-6:-4:1", "trials": "25"}
 
     def test_config_file_rejects_garbage(self, tmp_path):
+        # A line without '=' once raised SystemExit from the library call.
         path = tmp_path / "bad.cfg"
         path.write_text("this is not a pair\n")
-        with pytest.raises(SystemExit):
+        with pytest.raises(ParameterError, match="config line without '='"):
             parse_config_file(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("trials 5\n", "config line without '='"),
+            ("bogus = 1\n", "unknown config key 'bogus'"),
+        ],
+        ids=["no-equals", "unknown-key"],
+    )
+    def test_bad_config_exits_with_the_command_prefix(self, text, message, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "draw_blocks", None)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg)])
+        assert str(exc.value.code).startswith(f"simojed sweep: {message}")
 
 
 class TestSweepCommand:

@@ -359,7 +359,7 @@ class TestRunSweep:
             methods=(MethodSpec("prox"), MethodSpec("mrc-csir"), MethodSpec("mrc-chest")),
         )
         snr_index, lo, trials = 1, 3, 40
-        [(_, _, counts, _)] = harness._run_pack(cfg, ("float",), [(snr_index, lo, lo + trials)])
+        errors, _, _ = harness._run_pack(cfg, ("float",), [(snr_index, lo, lo + trials)])
         c = Constellation.by_name(kind)
         n0 = snr_to_n0(cfg.snr_points_db[snr_index], c)
         streams = np.random.SeedSequence(cfg.master_seed, spawn_key=(snr_index, lo)).spawn(4)
@@ -387,12 +387,13 @@ class TestRunSweep:
                     h, r.h_hat, c.points, c.sigma, n0, ref_noise[t], dl_data[t], dl_noise[t]
                 )
                 expected[name][1] += round(ser * 7)
-        for name, (uplink, downlink) in expected.items():
-            assert counts[("float", name)][:2] == [uplink, downlink]
+        assert errors.shape == (2, len(expected), 1)
+        for key, (uplink, downlink) in enumerate(expected.values()):
+            assert errors[:, key, 0].tolist() == [uplink, downlink]
 
     def test_pack_returns_each_chunks_counts(self):
         # Detecting two chunks as one pack gives each chunk exactly the
-        # counts, channel MSEs and agreement it gets as a pack of its own.
+        # counts, channel-MSE sum and agreement it gets as a pack of its own.
         cfg = small_config(
             K=3,
             methods=tuple(
@@ -402,14 +403,14 @@ class TestRunSweep:
         )
         chunks = [(0, 0, 25), (1, 3, 43)]
         packed = harness._run_pack(cfg, ("float", "fixed"), chunks)
-        alone = [harness._run_pack(cfg, ("float", "fixed"), [chunk])[0] for chunk in chunks]
-        assert len(packed) == 2
-        for (snr, lo, counts, agree), (snr1, lo1, counts1, agree1) in zip(packed, alone):
-            assert (snr, lo, agree) == (snr1, lo1, agree1)
-            assert counts.keys() == counts1.keys()
-            for key, (sym, dl, mse) in counts.items():
-                assert [sym, dl] == counts1[key][:2]
-                assert np.array_equal(mse, counts1[key][2])
+        alone = [harness._run_pack(cfg, ("float", "fixed"), [chunk]) for chunk in chunks]
+        keys = 2 * len(harness.METHOD_NAMES)
+        assert [a.shape for a in packed] == [(2, keys, 2), (keys, 2), (2,)]
+        for j, own in enumerate(alone):
+            # Uplink and downlink counts, the chunk's MSE sum, agreement.
+            for whole, part in zip(packed, own, strict=True):
+                assert whole.dtype == part.dtype
+                assert whole[..., j : j + 1].tobytes() == part.tobytes()
 
     def test_pack_tally_matches_a_loop_over_chunks(self, monkeypatch):
         # The pack-long segmented sums give each chunk of uneven size (one
@@ -436,25 +437,24 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "draw_blocks", draw)
         monkeypatch.setattr(harness, "_detect", detect)
         monkeypatch.setattr(harness, "downlink_ser", dl)
-        packed = harness._run_pack(cfg, ("float", "fixed"), chunks)
+        errors, mse, agree = harness._run_pack(cfg, ("float", "fixed"), chunks)
         s_true, h_true = seen["blocks"].s, seen["blocks"].h
         keys = [(a, m.name) for m in cfg.methods for a in ("float", "fixed")]
+        assert errors.shape == (2, len(keys), len(chunks)) and mse.shape == errors.shape[1:]
+        assert errors.dtype == agree.dtype == np.int64
         lo = 0
-        for (snr_index, trial_lo, hi), out in zip(chunks, packed, strict=True):
-            snr, first, counts, agree = out
+        for j, (_, trial_lo, hi) in enumerate(chunks):
             part = slice(lo, lo + hi - trial_lo)
             lo = part.stop
-            assert (snr, first) == (snr_index, trial_lo)
-            for key, ser in zip(keys, seen["dl"], strict=True):
+            for k, (key, ser) in enumerate(zip(keys, seen["dl"], strict=True)):
                 s_hat, h_hat = seen[key].s_hat, seen[key].h_hat
                 trials = range(part.start, part.stop)
                 sym = sum(int(np.sum(s_hat[t, 1:] != s_true[t, 1:])) for t in trials)
-                assert counts[key][:2] == [sym, int(np.sum(np.rint(ser[part] * cfg.K)))]
-                mse = np.sum(np.abs(h_hat[part] - h_true[part]) ** 2, axis=1) / cfg.B
-                assert counts[key][2].tobytes() == mse.tobytes()
+                assert errors[:, k, j].tolist() == [sym, int(np.sum(np.rint(ser[part] * cfg.K)))]
+                trial_mse = np.sum(np.abs(h_hat[part] - h_true[part]) ** 2, axis=1) / cfg.B
+                assert mse[k, j].tobytes() == np.sum(trial_mse).tobytes()
             float_dec, fixed_dec = seen[("float", "prox")].s_hat, seen[("fixed", "prox")].s_hat
-            assert agree == int(np.sum(float_dec[part, 1:] == fixed_dec[part, 1:]))
-            assert all(type(v) is int for v in (*counts[keys[0]][:2], agree))
+            assert agree[j] == int(np.sum(float_dec[part, 1:] == fixed_dec[part, 1:]))
 
     @pytest.mark.parametrize("T", [1, 6])
     def test_first_trial_of_a_chunk_equals_the_one_trial_draw(self, T):
@@ -699,6 +699,25 @@ class TestTuning:
         with pytest.raises(ParameterError, match=re.escape(repr(str(path)))):
             tune_rho(4, 3, "bpsk", -4.0, trials=30, seed=5, cache_path=path)
         assert path.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"rho": 1}, {"rho_log2": 1, "alpha_scale": 2.0}, [1, 2.0, 0.1]],
+        ids=["no-rho_log2", "no-ser", "json-list"],
+    )
+    def test_cache_entry_without_its_fields_rejected_before_drawing(
+        self, entry, tmp_path, monkeypatch
+    ):
+        # An entry without rho_log2 used to end in a raw KeyError.
+        path = tmp_path / "tuned.json"
+        tune_rho(4, 3, "bpsk", -4.0, trials=30, seed=5, cache_path=path)
+        (key,) = json.loads(path.read_text())
+        path.write_text(json.dumps({key: entry}))
+        text = path.read_bytes()
+        monkeypatch.setattr(tuning, "draw_blocks", None)
+        with pytest.raises(ParameterError, match=re.escape(repr(str(path)))):
+            tune_rho(4, 3, "bpsk", -4.0, trials=30, seed=5, cache_path=path)
+        assert path.read_bytes() == text
 
     def test_cache_keyed_by_search_configuration(self, tmp_path):
         # A hit stored at -10 dB with t_max=1 once came back for +5 dB with

@@ -234,8 +234,10 @@ def _with_nan(n=3):
         lambda: linalg.neumann_two_term(_with_nan(), 2.0),
         lambda: linalg.neumann_two_term(np.eye(3), np.nan),
         lambda: linalg.neumann_two_term(np.eye(3), np.inf),
-        lambda: linalg.neumann_error_bound(np.eye(3), -2.0),
-        lambda: linalg.neumann_error_bound(np.eye(3), np.nan),
+        lambda: linalg.neumann_error_bound(1.0, -2.0),
+        lambda: linalg.neumann_error_bound(1.0, np.nan),
+        lambda: linalg.neumann_error_bound(np.nan, 2.0),
+        lambda: linalg.neumann_error_bound(np.array([1.0, -1.0]), 2.0),
     ],
     ids=[
         "invert-negative-shift",
@@ -249,6 +251,8 @@ def _with_nan(n=3):
         "neumann-inf-shift",
         "bound-negative-shift",
         "bound-nan-shift",
+        "bound-nan-norm",
+        "bound-negative-norm-in-stack",
     ],
 )
 def test_bad_shift_or_matrix_raises(call):
@@ -257,7 +261,15 @@ def test_bad_shift_or_matrix_raises(call):
 
 
 @pytest.mark.parametrize(
-    "fn", [linalg.invert_shifted, linalg.neumann_two_term, linalg.neumann_error_bound]
+    "fn",
+    [
+        linalg.invert_shifted,
+        linalg.neumann_two_term,
+        pytest.param(
+            lambda G, alpha: linalg.neumann_error_bound(linalg.spectral_norm(G), alpha),
+            id="neumann_error_bound",
+        ),
+    ],
 )
 @pytest.mark.parametrize("G", [np.eye(3), np.stack([np.eye(3)] * 3)], ids=["one", "stack-of-3"])
 def test_shift_shape_must_match_the_stack(fn, G):
@@ -285,14 +297,14 @@ class TestNeumann:
 
     def test_bound_halfway_point(self):
         # |G|/alpha = 0.5 -> 0.25 / 0.5 = 0.5
-        assert linalg.neumann_error_bound(np.diag([1.0]), 2.0) == pytest.approx(0.5, rel=1e-9)
+        assert linalg.neumann_error_bound(1.0, 2.0) == pytest.approx(0.5, rel=1e-9)
 
     def test_bound_zero_matrix(self):
-        assert linalg.neumann_error_bound(np.zeros((3, 3)), 1.0) == 0.0
+        assert linalg.neumann_error_bound(0.0, 1.0) == 0.0
 
     def test_bound_invalid_alpha(self):
         with pytest.raises(ParameterError):
-            linalg.neumann_error_bound(np.eye(3), 0.5)
+            linalg.neumann_error_bound(1.0, 0.5)
 
     def test_measured_gap_within_bound(self):
         # The bound is attained exactly at the dominant eigenvalue, so allow
@@ -303,17 +315,18 @@ class TestNeumann:
         gap = np.linalg.norm(
             linalg.invert_shifted(G, alpha) - linalg.neumann_two_term(G, alpha), ord=2
         )
-        bound = linalg.neumann_error_bound(G, alpha)
+        bound = linalg.neumann_error_bound(linalg.spectral_norm(G), alpha)
         assert gap <= bound * (1 + 1e-9)
 
     def test_bound_of_stack_equals_per_matrix(self):
         rng = np.random.default_rng(13)
         G = np.stack([random_psd(rng, 5) for _ in range(4)])
-        alpha = np.array([1.1, 1.5, 2.0, 4.0]) * linalg.spectral_norm(G)
-        bounds = linalg.neumann_error_bound(G, alpha)
+        norm = linalg.spectral_norm(G)
+        alpha = np.array([1.1, 1.5, 2.0, 4.0]) * norm
+        bounds = linalg.neumann_error_bound(norm, alpha)
         assert bounds.shape == (4,)
         for t in range(4):
-            assert bounds[t] == linalg.neumann_error_bound(G[t], alpha[t])
+            assert bounds[t] == linalg.neumann_error_bound(norm[t], alpha[t])
 
     def test_bound_and_gap_shrink_with_alpha(self):
         rng = np.random.default_rng(12)
@@ -329,7 +342,7 @@ class TestNeumann:
                     ord=2,
                 )
             )
-            bounds.append(linalg.neumann_error_bound(G, alpha))
+            bounds.append(linalg.neumann_error_bound(norm, alpha))
         for a, b in zip(gaps[1:], gaps[:-1]):
             assert a <= b
         for a, b in zip(bounds[1:], bounds[:-1]):

@@ -402,4 +402,4 @@ class TestDiagnostics:
         exact = preprocess(G, ProxParams())
         approx = preprocess(G, ProxParams(), approx=True)
         gap = np.linalg.norm(exact.gamma * exact.Ghat - approx.gamma * approx.Ghat, ord=2)
-        assert gap <= linalg.neumann_error_bound(G, exact.alpha) * (1 + 1e-9)
+        assert gap <= linalg.neumann_error_bound(linalg.spectral_norm(G), exact.alpha) * (1 + 1e-9)

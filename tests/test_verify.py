@@ -96,7 +96,8 @@ def test_skipped_attempts_keep_the_instance_set(monkeypatch):
     valid = skipped = attempt = 0
     while valid < n:
         attempt += 1
-        G = verify._draw_instances(rng, seed, range(attempt, attempt + 1))[0][0]
+        [(_, _, _, _, G)] = verify._draw_stacks(rng, seed, range(attempt, attempt + 1))
+        G = G[0]
         if G[0, 0].real > threshold:
             skipped += 1
         else:
