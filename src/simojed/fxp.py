@@ -1,4 +1,4 @@
-"""Bit-exact golden model of the fixed-point datapath, on int64 arrays.
+"""Bit-exact golden model of the fixed-point datapath, on int32 words.
 
 Word formats: iterate entries are 6-bit words with 3 fraction bits, matrix
 entries 12-bit with 11 fraction bits, accumulators 15-bit with 11 fraction
@@ -9,21 +9,31 @@ and accumulation saturates at 15 bits. Rounding is truncation toward
 negative infinity throughout: that is this model's contract where the
 hardware leaves a choice.
 
-The cross-term wrap almost never binds. For in-range 12-bit matrix and
-6-bit iterate words each truncated partial lies in [-8188, 8192], so the
-real cross-term (a difference of two) stays in [-16380, 16380] and never
-wraps. The imaginary one (a sum) leaves 15 bits only when both partials
-are 8192: at the (real, imaginary) words g = (-2048, -2048) and
-s = (-32, -32), the values -1 - 1j and -4 - 4j, where 16384 wraps to
--16384. The products are bilinear and truncation is monotone, so the 16
-corners of the word ranges bound every cross-term.
+Every intermediate fits in int32: the largest product is
+(-2048) * (-32) = 2**16, an accumulator plus a cross-term stays within
+2**15, and the projection's left shift of a 15-bit word by at most 15 is
+at most 2**29.
 
-Every word is a raw integer in an int64 array, and each arithmetic rule has
-one definition: ``quantize_array`` (scale, truncate, saturate),
-``_cross_terms`` (truncated products and the wrapping cross-term),
-``mac_step`` (one multiply-accumulate per element) and ``projection_unit``
-(the hull clip). ``direct_iteration`` runs a whole stack of blocks at once,
-and ``solve_fixed_stack`` (quantize, iterate, slice) is the one fixed-point
+The cross-term wrap binds at one word corner only, so only the imaginary
+cross-term is wrapped. For in-range 12-bit matrix and 6-bit iterate words
+each truncated partial lies in [-8188, 8192], so the real cross-term (a
+difference of two) stays in [-16380, 16380] and never wraps. The imaginary
+one (a sum) leaves 15 bits only when both partials are 8192: at the (real,
+imaginary) words g = (-2048, -2048) and s = (-32, -32), the values -1 - 1j
+and -4 - 4j, where 16384 wraps to -16384. The products are bilinear and
+truncation is monotone, so the 16 corners of the word ranges bound every
+cross-term. The argument holds only for in-range words, so
+``direct_iteration`` and ``pe_array_iteration`` reject words outside their
+formats.
+
+Every word is a raw integer: ``quantize_block`` writes int32 arrays and
+``direct_iteration`` keeps its iterate and buffers in int32, while the
+cycle trace keeps int64 grids. Each arithmetic rule has one definition:
+``quantize_array`` (scale, truncate, saturate), ``_cross_terms`` (truncated
+products and the wrapping cross-term), ``mac_step`` (one
+multiply-accumulate per element) and ``projection_unit`` (the hull clip).
+``direct_iteration`` runs a whole stack of blocks at once, and
+``solve_fixed_stack`` (quantize, iterate, slice) is the one fixed-point
 detection pass; ``pe_array_iteration`` replays one block cycle by cycle for
 the trace.
 
@@ -54,45 +64,53 @@ RHO_INV_BITS, RHO_INV_FRAC = 12, 11
 
 FLUSH_CYCLES = 2  # a 3-stage MAC pipeline drains in 2 cycles after the last feed
 
-_HALF = np.int64(1 << (ACC_BITS - 1))
+# Typed int32 bounds keep int32 words int32, and spare ndarray.clip the range
+# lookup it makes for a Python-int bound, which every per-cycle MAC would pay.
+_ACC_MIN, _ACC_MAX = np.int32(-(1 << (ACC_BITS - 1))), np.int32((1 << (ACC_BITS - 1)) - 1)
 
 
 def quantize_array(z, word_bits: int, frac_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (real, imaginary) int64 words of complex values: scale by
+    """Raw (real, imaginary) int32 words of complex values: scale by
     2**frac_bits, truncate toward negative infinity, saturate at
-    ``word_bits``."""
+    ``word_bits`` (infinities too). NaN has no word: ``ParameterError``."""
     z = np.asarray(z)
     half = 1 << (word_bits - 1)
-    raw = np.floor(np.stack([z.real, z.imag]) * (1 << frac_bits))
-    re, im = np.clip(raw, -half, half - 1).astype(np.int64)
+    raw = np.stack([z.real, z.imag], dtype=np.float64)
+    raw *= 1 << frac_bits
+    np.floor(raw, out=raw)
+    if np.isnan(raw).any():
+        raise ParameterError("cannot quantize NaN")
+    re, im = np.clip(raw, -half, half - 1, out=raw).astype(np.int32)
     return re, im
 
 
 def _cross_terms(g: tuple, s: tuple) -> np.ndarray:
-    """Products g * s of raw complex words, (re, im) stacked on a new leading
-    axis: each exact 18b/14f partial drops its 3 fraction LSBs and the
-    cross-term add/subtract wraps at ACC_BITS. Works in place on buffers
+    """Products g * s of in-range raw complex words, (re, im) stacked on a
+    new leading axis of the words' integer type: each exact 18b/14f partial
+    drops its 3 fraction LSBs and the cross-term add/subtract wraps at
+    ACC_BITS. Only the imaginary sum can wrap (see the module docstring), so
+    only it is sign-extended from ACC_BITS. Works in place on buffers
     allocated once per call, because a fresh temporary per step dominates
     the cost of a large stack."""
     (gre, gim), (sre, sim) = g, s
-    shape = np.broadcast_shapes(*(np.shape(a) for a in (gre, gim, sre, sim)))
-    cross = np.empty((2,) + shape, dtype=np.int64)
-    part = np.empty(shape, dtype=np.int64)
+    shape = np.broadcast(gre, gim, sre, sim).shape
+    dtype = np.result_type(gre, gim, sre, sim)
+    cross = np.empty((2,) + shape, dtype=dtype)
+    part = np.empty(shape, dtype=dtype)
     re, im = cross[0, ...], cross[1, ...]  # views, also for scalar words
     np.right_shift(np.multiply(gre, sre, out=re), 3, out=re)
     re -= np.right_shift(np.multiply(gim, sim, out=part), 3, out=part)
     np.right_shift(np.multiply(gre, sim, out=im), 3, out=im)
     im += np.right_shift(np.multiply(gim, sre, out=part), 3, out=part)
-    cross += _HALF  # wrap at ACC_BITS
-    cross &= np.int64((1 << ACC_BITS) - 1)
-    cross -= _HALF
+    unused = 8 * dtype.itemsize - ACC_BITS  # bits above the accumulator word
+    im <<= unused
+    im >>= unused
     return cross
 
 
 def _saturate(acc: np.ndarray) -> np.ndarray:
     """Saturate accumulator words at ACC_BITS, in place."""
-    np.maximum(acc, -_HALF, out=acc)
-    return np.minimum(acc, _HALF - 1, out=acc)
+    return acc.clip(_ACC_MIN, _ACC_MAX, out=acc)
 
 
 def mac_step(acc: tuple, g: tuple, s: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -100,10 +118,12 @@ def mac_step(acc: tuple, g: tuple, s: tuple) -> tuple[np.ndarray, np.ndarray]:
     datapath, on (real, imaginary) pairs of raw-integer arrays.
 
     Products are exact (18b/14f); each drops 3 fraction LSBs; the cross-term
-    add/subtract wraps; the accumulation saturates.
+    add/subtract wraps; the accumulation saturates. Words outside their
+    formats give wrong cross-terms: ``pe_array_iteration`` checks its words
+    once per iteration, not once per cycle.
     """
     cross = _cross_terms(g, s)
-    cross += np.asarray(acc, dtype=np.int64)
+    cross += acc
     re, im = _saturate(cross)
     return re, im
 
@@ -117,10 +137,15 @@ def projection_unit(q_bar, rho_log2: int) -> np.ndarray:
     (saturating at 15 bits, which never binds on a selected input) and keeps
     the 6 highest bits below the two redundant sign bits, i.e. 3 fraction
     bits survive. ``rho_log2`` is a gain ``check_datapath_gain`` accepts.
+    The output keeps the input's integer type.
+
+    The lower clip is a floor at -8: at and above -1/rho the pass-through
+    word is at least -8, and below it the shifted word is at most -9 (or
+    -16 when the 1/rho word is 0, at rho_log2 >= 12).
     """
     inv_rho = (1 << RHO_INV_FRAC) >> rho_log2  # the 12-bit 1/rho word
-    q_bar = np.asarray(q_bar, dtype=np.int64)
-    return np.where(q_bar >= inv_rho, 8, np.where(q_bar < -inv_rho, -8, (q_bar << rho_log2) >> 8))
+    q_bar = np.asarray(q_bar)
+    return np.where(q_bar >= inv_rho, 8, np.maximum((q_bar << rho_log2) >> 8, -8))
 
 
 def check_datapath_gain(rho_log2: int) -> None:
@@ -189,6 +214,35 @@ class CycleTrace:
         return "\n".join(lines) + "\n"
 
 
+def _checked_words(
+    s_in: tuple, Ghat_q: tuple, cfg: PeArrayConfig, s_check_q: tuple[int, int]
+) -> tuple[np.ndarray, ...]:
+    """The raw (gre, gim, sre, sim) words as int32 arrays, with the iterate's
+    imaginary part zero on a real-only array. Shapes must match the array
+    size (leading trial axes allowed) and every word its format: the
+    imaginary-only wrap of ``_cross_terms`` is exact only for in-range
+    words."""
+    N = cfg.N
+    gre, gim = (np.asarray(a) for a in Ghat_q)
+    sre = np.asarray(s_in[0])
+    sim = np.zeros_like(sre) if cfg.real_only else np.asarray(s_in[1])
+    shapes_match = sre.shape[-1:] == (N,) and sim.shape == sre.shape
+    if not (shapes_match and gre.shape == gim.shape == sre.shape + (N,)):
+        raise DimensionError("matrix/vector sizes do not match the array size")
+    for what, bits, words in (
+        ("matrix", G_BITS, (gre, gim)),
+        ("iterate", S_BITS, (sre, sim)),
+        ("pilot", S_BITS, (np.asarray(s_check_q),)),
+    ):
+        half = 1 << (bits - 1)
+        for w in words:
+            if w.min(initial=0) < -half or w.max(initial=0) >= half:
+                raise ParameterError(
+                    f"{what} words must be {bits}-bit integers in [{-half}, {half - 1}]"
+                )
+    return tuple(w.astype(np.int32, copy=False) for w in (gre, gim, sre, sim))
+
+
 def pe_array_iteration(
     s_in: tuple[np.ndarray, np.ndarray],
     Ghat_q: tuple[np.ndarray, np.ndarray],
@@ -207,11 +261,9 @@ def pe_array_iteration(
     writing one row of the trace's grids.
     """
     N = cfg.N
-    gre, gim = (np.asarray(a, dtype=np.int64) for a in Ghat_q)
-    sre = np.asarray(s_in[0], dtype=np.int64)
-    sim = np.zeros_like(sre) if cfg.real_only else np.asarray(s_in[1], dtype=np.int64)
-    if gre.shape != (N, N) or gim.shape != (N, N) or sre.shape != (N,) or sim.shape != (N,):
+    if np.ndim(s_in[0]) != 1:
         raise DimensionError("matrix/vector sizes do not match the array size")
+    gre, gim, sre, sim = _checked_words(s_in, Ghat_q, cfg, s_check_q)
 
     grid = np.zeros((8, N + FLUSH_CYCLES + 1, N), dtype=np.int64)  # CycleTrace's fields
     action, col, g, s, acc = grid[0], grid[1], grid[2:4], grid[4:6], grid[6:]
@@ -252,18 +304,17 @@ def direct_iteration(
     accumulation is order-dependent, so the order is part of the datapath
     contract). All truncated cross-terms are order-free and computed in one
     shot; only the saturating accumulation walks the cycles, in place on
-    buffers allocated once per call.
+    int32 buffers allocated once per call.
     """
     N = cfg.N
-    sre = np.asarray(s_in[0], dtype=np.int64)
-    sim = np.zeros_like(sre) if cfg.real_only else np.asarray(s_in[1], dtype=np.int64)
-    cross = _cross_terms(Ghat_q, (sre[..., None, :], sim[..., None, :]))
+    gre, gim, sre, sim = _checked_words(s_in, Ghat_q, cfg, s_check_q)
+    cross = _cross_terms((gre, gim), (sre[..., None, :], sim[..., None, :]))
     rows = np.arange(N)
     # Row k consumes column (k+j) mod N in cycle j: row j of cycle_cols
     # holds those columns' offsets in the flattened (row, column) axes.
     cycle_cols = rows[None, :] * N + (rows[None, :] + rows[:, None]) % N
     flat = cross.reshape(*cross.shape[:-2], N * N)
-    acc = np.zeros(flat.shape[:-1] + (N,), dtype=np.int64)
+    acc = np.zeros(flat.shape[:-1] + (N,), dtype=np.int32)
     step = np.empty_like(acc)
     for cols in cycle_cols:  # in range: "clip" lets take write straight into step
         acc += np.take(flat, cols, axis=-1, out=step, mode="clip")

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from simojed import fxp, model, prox
-from simojed.errors import ParameterError, SimojedError
+from simojed.errors import DimensionError, ParameterError, SimojedError
 from simojed.fxp import (
     ACC_BITS,
     ACTIONS,
@@ -31,6 +31,11 @@ from oracles import int_iteration, int_mac, int_projection, int_quantize
 
 FORMATS = [(S_BITS, S_FRAC), (G_BITS, G_FRAC), (ACC_BITS, ACC_FRAC)]
 ACC_CODES = np.arange(-(1 << (ACC_BITS - 1)), 1 << (ACC_BITS - 1))
+# The 16 corners of the 12-bit x 6-bit word ranges, one (gre, gim, sre, sim)
+# row each; row 0, (-2048, -2048) x (-32, -32), is the one whose imaginary
+# cross-term wraps.
+CORNERS = np.array(np.meshgrid([-2048, 2047], [-2048, 2047], [-32, 31], [-32, 31]))
+CORNERS = CORNERS.reshape(4, 16).T
 
 
 def raw_words(rng, bits, size):
@@ -46,11 +51,25 @@ class TestQuantize:
     def test_exact_value(self):
         re, im = quantize_array(0.625 - 0.25j, S_BITS, S_FRAC)
         assert (int(re), int(im)) == (5, -2)
-        assert re.dtype == np.int64
+        assert re.dtype == np.int32
 
     def test_saturation_ceiling(self):
         re, im = quantize_array(np.array([4.2, -4.2]), S_BITS, S_FRAC)
         assert re.tolist() == [31, -32] and im.tolist() == [0, 0]
+
+    def test_infinities_saturate(self):
+        re, im = quantize_array(np.array([np.inf, -np.inf, complex(0.0, np.inf)]), S_BITS, S_FRAC)
+        assert re.tolist() == [31, -32, 0] and im.tolist() == [0, 0, 31]
+
+    @pytest.mark.parametrize(
+        "z",
+        [[np.nan, 1.0], [complex(1.0, np.nan)], [0.5, complex(np.nan, np.nan)]],
+        ids=["real-nan", "imaginary-nan", "both-nan"],
+    )
+    def test_nan_rejected(self, z):
+        # A NaN used to become the word -2**63 with only a RuntimeWarning.
+        with pytest.raises(ParameterError, match="NaN"):
+            quantize_array(z, S_BITS, S_FRAC)
 
     def test_truncation_toward_negative_infinity(self):
         re, _ = quantize_array(np.array([-0.0626, 0.0624]), S_BITS, S_FRAC)
@@ -103,17 +122,20 @@ class TestMacStep:
         # so the 16 corners of the 12-bit x 6-bit ranges bound them: the
         # real part spans [-16380, 16380] and the imaginary part reaches
         # 16384, the only value that wraps, at one corner.
-        corners = np.array(np.meshgrid([-2048, 2047], [-2048, 2047], [-32, 31], [-32, 31]))
-        gre, gim, sre, sim = corners.reshape(4, 16)
+        # The same holds on the int32 words of the datapath.
+        gre, gim, sre, sim = CORNERS.T
         re = (gre * sre >> 3) - (gim * sim >> 3)
         im = (gre * sim >> 3) + (gim * sre >> 3)
         assert (re.min(), re.max(), im.min(), im.max()) == (-16380, 16380, -16376, 16384)
         wraps = im == 16384
         assert np.flatnonzero(wraps).tolist() == [0]
         assert (gre[0], gim[0], sre[0], sim[0]) == (-2048, -2048, -32, -32)
-        cross = fxp._cross_terms((gre, gim), (sre, sim))
-        assert np.array_equal(cross[0], re)
-        assert np.array_equal(cross[1], np.where(wraps, -16384, im))
+        for dtype in (np.int64, np.int32):
+            words = CORNERS.T.astype(dtype)
+            cross = fxp._cross_terms(words[:2], words[2:])
+            assert cross.dtype == dtype
+            assert np.array_equal(cross[0], re)
+            assert np.array_equal(cross[1], np.where(wraps, -16384, im))
 
     def test_random_batch_matches_big_integer_oracle(self):
         # 2000 random MACs as one array call.
@@ -148,9 +170,14 @@ class TestProjectionUnit:
             assert projection_unit(raws, r).tolist() == ref
 
     def test_exhaustive_single_rho(self):
-        r = 2
-        ref = [int_projection(raw, r, clip_threshold(r)) for raw in ACC_CODES.tolist()]
-        assert projection_unit(ACC_CODES, r).tolist() == ref
+        # Every 15-bit code, as int64 and as the datapath's int32 words, at
+        # the extreme gains too: at rho_log2 >= 12 the 1/rho word is 0, and
+        # at 15 the pass-through shift reaches 2**29.
+        for r in (2, 1, 11, 12, 15):
+            ref = [int_projection(raw, r, clip_threshold(r)) for raw in ACC_CODES.tolist()]
+            for dtype in (np.int64, np.int32):
+                out = projection_unit(ACC_CODES.astype(dtype), r)
+                assert out.dtype == dtype and out.tolist() == ref
 
 
 class TestPeArrayConfig:
@@ -290,7 +317,108 @@ class TestPeArray:
         assert (ref[0][0], ref[1][0]) == s_check_q
 
 
+class TestWordChecks:
+    @pytest.mark.parametrize("iteration", [direct_iteration, pe_array_iteration])
+    @pytest.mark.parametrize("N", [5, 3], ids=["N=5", "N=3"])
+    def test_size_mismatch_rejected(self, iteration, N):
+        # direct_iteration used to fail with numpy's reshape error here.
+        G_q, s_q = random_quantized_instance(np.random.default_rng(10), 4)
+        with pytest.raises(DimensionError, match="do not match the array size"):
+            iteration(s_q, G_q, PeArrayConfig(N=N, t_max=1, rho_log2=1), (8, 0))
+
+    @pytest.mark.parametrize(
+        "g_shape, s_shape",
+        [((2, 4, 4), (3, 4)), ((2, 4, 4), (4,)), ((4, 4), (2, 4))],
+        ids=["trials-differ", "one-iterate", "one-matrix"],
+    )
+    def test_stack_mismatch_rejected(self, g_shape, s_shape):
+        g, s = np.zeros(g_shape, dtype=np.int32), np.zeros(s_shape, dtype=np.int32)
+        with pytest.raises(DimensionError, match="do not match the array size"):
+            direct_iteration((s, s), (g, g), PeArrayConfig(N=4, t_max=1, rho_log2=1), (8, 0))
+
+    def test_stacked_words_rejected_by_the_array(self):
+        g, s = np.zeros((2, 4, 4), dtype=np.int32), np.zeros((2, 4), dtype=np.int32)
+        with pytest.raises(DimensionError, match="do not match the array size"):
+            pe_array_iteration((s, s), (g, g), PeArrayConfig(N=4, t_max=1, rho_log2=1), (8, 0))
+
+    @pytest.mark.parametrize("iteration", [direct_iteration, pe_array_iteration])
+    @pytest.mark.parametrize(
+        "field, value, pilot, match",
+        [
+            ("gre", 2048, (8, 0), "matrix words must be 12-bit"),
+            ("gim", -2049, (8, 0), "matrix words must be 12-bit"),
+            ("sre", 32, (8, 0), "iterate words must be 6-bit"),
+            ("sim", -33, (8, 0), "iterate words must be 6-bit"),
+            (None, None, (99, 0), "pilot words must be 6-bit"),
+            (None, None, (0, -33), "pilot words must be 6-bit"),
+        ],
+        ids=[f"{w}-{end}" for w in ("matrix", "iterate", "pilot") for end in ("high", "low")],
+    )
+    def test_words_outside_format_rejected(self, iteration, field, value, pilot, match):
+        (gre, gim), (sre, sim) = random_quantized_instance(np.random.default_rng(11), 4)
+        words = dict(gre=gre, gim=gim, sre=sre, sim=sim)
+        if field is not None:
+            words[field][-1, ...] = value
+        cfg = PeArrayConfig(N=4, t_max=1, rho_log2=1)
+        with pytest.raises(ParameterError, match=match):
+            iteration((words["sre"], words["sim"]), (words["gre"], words["gim"]), cfg, pilot)
+
+    @pytest.mark.parametrize("iteration", [direct_iteration, pe_array_iteration])
+    def test_saturated_words_no_longer_pass(self, iteration):
+        # Matrix words all 5000 and the iterate (40, 0, 0) used to give the
+        # iterate (8, -8, -8) without a word of warning.
+        g = np.full((3, 3), 5000)
+        cfg = PeArrayConfig(N=3, t_max=1, rho_log2=1)
+        with pytest.raises(ParameterError, match="12-bit"):
+            iteration((np.array([40, 0, 0]), np.zeros(3, dtype=int)), (g, g), cfg, (8, 0))
+
+    def test_real_only_ignores_the_imaginary_iterate(self):
+        # A real-only array drops the imaginary iterate before any check.
+        G_q, (sre, _) = random_quantized_instance(np.random.default_rng(12), 4)
+        cfg = PeArrayConfig(N=4, t_max=1, rho_log2=1, real_only=True)
+        s_q = sre, np.full(4, 99)
+        _, out_im = direct_iteration(s_q, G_q, cfg, (8, 0))
+        (_, arr_im), _ = pe_array_iteration(s_q, G_q, cfg, (8, 0))
+        assert out_im.tolist() == arr_im.tolist() == [0] * 4
+
+
+class TestInt32Headroom:
+    @pytest.mark.parametrize("rho_log2", [1, 11, 12, 15])
+    @pytest.mark.parametrize("real_only", [False, True], ids=["complex", "real-only"])
+    def test_word_corners_match_integer_oracle(self, rho_log2, real_only):
+        # Every word at a corner of its range: one block per corner, whose
+        # products are all that corner's (so its sums saturate), and blocks
+        # that mix corners entry by entry. Both iterations against the
+        # big-integer model.
+        N = 5
+        uniform = np.broadcast_to(CORNERS[:, :, None, None], (16, 4, N, N))
+        mixed = CORNERS[np.random.default_rng(rho_log2).integers(0, 16, size=(16, N, N))]
+        blocks = np.concatenate([uniform, mixed.transpose(0, 3, 1, 2)])
+        gre, gim = blocks[:, 0], blocks[:, 1]
+        sre, sim = blocks[:, 2, 0], blocks[:, 3, 0]
+        cfg = PeArrayConfig(N=N, t_max=1, rho_log2=rho_log2, real_only=real_only)
+        pilot = (-32, 31)
+        out_re, out_im = direct_iteration((sre, sim), (gre, gim), cfg, pilot)
+        assert out_re.dtype == out_im.dtype == np.int32
+        for t in range(len(blocks)):
+            words = (sre[t], sim[t]), (gre[t], gim[t])
+            ref = int_iteration(*words, N, rho_log2, real_only, pilot)
+            (arr_re, arr_im), _ = pe_array_iteration(*words, cfg, pilot)
+            assert out_re[t].tolist() == arr_re.tolist() == ref[0]
+            assert out_im[t].tolist() == arr_im.tolist() == ref[1]
+
+
 class TestSolveFixed:
+    def test_words_stay_int32(self):
+        c = Constellation.qpsk()
+        params = prox.ProxParams(t_max=2, rho_log2=1)
+        G = model.draw_blocks(16, 8, c, 15, [((), 0.0, 3)])[1]
+        cfg, Gq, state, _ = quantize_block(prox.preprocess(G, params), c, params)
+        assert {a.dtype for a in (*Gq, *state)} == {np.dtype(np.int32)}
+        for _ in range(params.t_max):
+            state = direct_iteration(state, Gq, cfg, (8, 0))
+            assert {a.dtype for a in state} == {np.dtype(np.int32)}
+
     def test_noise_free_matches_float(self):
         c = Constellation.qpsk()
         _, G, s = model.draw_blocks(16, 8, c, 10, [((), np.inf, 1)])[:3]
