@@ -31,6 +31,7 @@ from .harness import (
     timing_csv,
     timing_report,
 )
+from .linalg import spectral_norm
 from .model import Constellation, LosGeometry, draw_blocks
 from .prox import ProxParams, preprocess
 from .tuning import tune_rho
@@ -282,7 +283,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     check_datapath_gain(args.rho_log2)
     params = ProxParams(rho_log2=args.rho_log2, t_max=1)
     G = draw_blocks(args.b, args.n - 1, c, args.seed, [((), args.snr, 1)]).G[0]
-    cfg, Gq, sq, sc = quantize_block(preprocess(G, params), c, params)
+    cfg, Gq, sq, sc = quantize_block(preprocess(G, params.alpha_scale * spectral_norm(G)), c, params)
     _, trace = pe_array_iteration(sq, Gq, cfg, sc)
     text = trace.to_text()
     if args.out:

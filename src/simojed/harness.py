@@ -38,6 +38,7 @@ from .baselines import (
 )
 from .errors import CapacityError, ParameterError
 from .fxp import check_datapath_gain, latency_cycles, solve_fixed_stack, throughput_bps
+from .linalg import spectral_norm
 from .model import Constellation, LosGeometry, check_seed, draw_blocks
 from .prox import (
     PreprocessedMatrix,
@@ -168,11 +169,7 @@ class SweepResult:
     cells: dict[tuple[str, float], SweepCell] = field(default_factory=dict)
 
     def methods(self) -> list[str]:
-        seen = []
-        for m, _ in self.cells:
-            if m not in seen:
-                seen.append(m)
-        return seen
+        return list(dict.fromkeys(m for m, _ in self.cells))
 
     def curve(self, method: str, quantity: str = "uplink_ser") -> dict[float, float]:
         return {
@@ -192,18 +189,14 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
     def metadata(self) -> dict:
-        some_cell = next(iter(self.cells.values()), None)
+        cell = next(iter(self.cells.values()), None)
         return {
             "config_hash": self.config_hash,
             "master_seed": self.master_seed,
             "version": self.version,
-            "trials": some_cell.trials if some_cell else 0,
-            "data_symbols_per_trial": (
-                some_cell.data_symbols // some_cell.trials if some_cell else 0
-            ),
-            "downlink_symbols_per_trial": (
-                some_cell.downlink_symbols // some_cell.trials if some_cell else 0
-            ),
+            "trials": cell.trials if cell else 0,
+            "data_symbols_per_trial": cell.data_symbols // cell.trials if cell else 0,
+            "downlink_symbols_per_trial": cell.downlink_symbols // cell.trials if cell else 0,
         }
 
 
@@ -265,10 +258,10 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
 
     One ``draw_blocks`` call draws the pack, each chunk as its own seeded
     stack keyed by ``(snr_index, trial_lo)`` with its downlink randoms, and
-    every method runs once on the pack; a solver method's preprocessing is
-    shared by both arithmetics. One ``downlink_ser`` call, with each
-    trial's noise variance, evaluates the estimates of every method and
-    arithmetic.
+    every method runs once on the pack; the solver methods share the pack's
+    spectral norms, and both arithmetics a method's preprocessing. One
+    ``downlink_ser`` call, with each trial's noise variance, evaluates the
+    estimates of every method and arithmetic.
 
     Returns ``(errors, mse, agree)``, each with a trailing chunk axis:
     int64 uplink and downlink error counts of shape (2, key, chunk), with
@@ -286,11 +279,12 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     Y, G, s_true, h_true, n0, draws = draw_blocks(
         cfg.B, cfg.K, c, cfg.master_seed, keyed, cfg.los, n_dl
     )
+    norm = None if solver is None else spectral_norm(G)
     detections = []
     decisions = {}
     for spec in cfg.methods:
         approx = spec.name == "aprox"
-        pre = None if spec.params is None else preprocess(G, spec.params, approx)
+        pre = None if spec.params is None else preprocess(G, spec.params.alpha_scale * norm, approx)
         for arithmetic in arithmetics:
             res = _detect(spec, Y, G, pre, h_true, c, arithmetic)
             if spec is solver:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, ParameterError
-from .linalg import invert_shifted, neumann_two_term, spectral_norm
+from .linalg import invert_shifted, neumann_two_term
 from .model import Constellation
 
 
@@ -65,7 +65,7 @@ class PreprocessedMatrix:
     its two-term series for the ``aprox`` variant. ``gamma`` is the raw
     matrix's largest component magnitude. ``G`` is kept so
     diagnostics can evaluate the objective without the received block. For
-    a stack, ``gamma`` and ``alpha`` hold one value per trial.
+    a stack, ``gamma`` holds one value per trial, ``alpha`` what was given.
     """
 
     Ghat: np.ndarray
@@ -114,15 +114,14 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A @ v[..., None])[..., 0]
 
 
-def preprocess(G: np.ndarray, params: ProxParams, approx: bool = False) -> PreprocessedMatrix:
-    """Build the scaled iteration matrix from the exact shifted inverse, or
-    with ``approx`` from its two-term series; a Gram matrix of zero
-    spectral norm gets the identity."""
+def preprocess(G: np.ndarray, alpha, approx: bool = False) -> PreprocessedMatrix:
+    """The scaled iteration matrix for shift factors ``alpha``, a scalar or one
+    per matrix (normally ``alpha_scale * spectral_norm(G)``): from the exact
+    shifted inverse, or with ``approx`` its two-term series; a zero shift gives I."""
     G = np.ascontiguousarray(G, dtype=np.complex128)
-    norm = spectral_norm(G)
-    alpha = params.alpha_scale * norm
-    zero = norm == 0.0
-    shift = np.where(zero, 1.0, alpha)  # zero-norm trials get the identity below
+    alpha = np.asarray(alpha, dtype=np.float64)[()]
+    zero = alpha == 0.0
+    shift = np.where(zero, 1.0, alpha)  # zero-shift matrices get the identity below
     raw = (neumann_two_term if approx else invert_shifted)(G, shift)
     raw[zero] = np.eye(G.shape[-1])
     # The largest magnitude among the real and imaginary components.
@@ -144,10 +143,17 @@ def init_s(G: np.ndarray, c: Constellation) -> np.ndarray:
 
 
 def _clip_to_hull(v: np.ndarray, c: Constellation) -> np.ndarray:
-    re = np.clip(v.real, -c.re_bound, c.re_bound)
+    """``v``, a fresh complex array, clipped in place on its interleaved real
+    view by one bound (QPSK's two are equal); BPSK's imaginary parts become +0.0."""
+    parts = v.view(np.float64)
     if c.im_bound == 0.0:
-        return re.astype(np.complex128)
-    return re + 1j * np.clip(v.imag, -c.im_bound, c.im_bound)
+        re = parts[..., ::2]
+        re.clip(-c.re_bound, c.re_bound, out=re)
+        v.imag = 0.0
+    elif not parts.clip(-c.re_bound, c.re_bound, out=parts).all():
+        # Zeros take the signs that complex arithmetic gives re + 1j * im.
+        v += 0.0 * v.imag
+    return v
 
 
 def hull_gaps(s: np.ndarray, c: Constellation) -> np.ndarray:

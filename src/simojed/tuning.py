@@ -9,12 +9,13 @@ search configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParameterError
+from .linalg import spectral_norm
 from .model import Constellation, draw_blocks
 from .prox import ProxParams, preprocess, solve_stack
 
@@ -42,9 +43,9 @@ def tune_rho(
 ) -> TunedParams:
     """Grid-search the solver gains on a paired seeded batch.
 
-    Every setting sees byte-identical blocks, detected as one stack; the
-    stack is preprocessed once per ``alpha_scale``, since the iteration
-    matrix does not depend on the projection gain. ``approx`` tunes the
+    Every setting sees byte-identical blocks. The batch is preprocessed once,
+    from one set of spectral norms, as one (``alpha_scale``, trial) stack
+    that each ``rho_log2`` solves in one call. ``approx`` tunes the
     ``aprox`` variant (two-term series) instead of ``prox``. Ties in error
     count break to the smallest ``rho_log2``, then the smallest
     ``alpha_scale``.
@@ -83,16 +84,14 @@ def tune_rho(
     c = Constellation.by_name(constellation)
     # Trial t is the one-trial chunk keyed by (t,).
     Y, G, s, *_ = draw_blocks(B, K, c, seed, [((t,), snr_db, 1) for t in range(trials)])
-    data_true = s[:, 1:]
-
+    alpha = np.multiply.outer(ALPHA_SCALE_GRID, spectral_norm(G))
+    pre = preprocess(np.broadcast_to(G, alpha.shape + G.shape[1:]), alpha, approx)
+    Y = np.broadcast_to(Y, alpha.shape + Y.shape[1:])
     candidates = []
-    for alpha_scale in ALPHA_SCALE_GRID:
-        params = ProxParams(alpha_scale=alpha_scale, t_max=t_max)
-        pre = preprocess(G, params, approx)
-        for rho_log2 in RHO_LOG2_GRID:
-            res = solve_stack(Y, pre, c, replace(params, rho_log2=rho_log2))
-            ser = int(np.sum(res.s_hat[:, 1:] != data_true)) / (trials * K)
-            candidates.append(TunedParams(rho_log2, alpha_scale, ser))
+    for rho_log2 in RHO_LOG2_GRID:
+        res = solve_stack(Y, pre, c, ProxParams(rho_log2=rho_log2, t_max=t_max))
+        ser = np.sum(res.s_hat[..., 1:] != s[:, 1:], axis=(-2, -1)) / (trials * K)
+        candidates += [TunedParams(rho_log2, a, e) for a, e in zip(ALPHA_SCALE_GRID, ser.tolist())]
     best = min(candidates, key=lambda t: (t.ser, t.rho_log2, t.alpha_scale))
 
     if cache_path is not None:

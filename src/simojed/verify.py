@@ -185,7 +185,7 @@ def run_descent_and_boundary(
         for c, K, index, B, G in _draw_stacks(rng, seed, range(first, attempts + 1)):
             # Invalid-weight rows are solved with the rest (their objectives
             # are NaN) and dropped here.
-            pre = preprocess(G, params)
+            pre = preprocess(G, params.alpha_scale * spectral_norm(G))
             beta = pre.beta(params.rho)
             valid = (0.0 < beta) & (beta < pre.alpha)
             descent.skipped += int(np.sum(~valid))
@@ -270,7 +270,7 @@ def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
     params = ProxParams(alpha_scale=2.0, rho_log2=1, t_max=1)
     rows = []  # (instance, err, denom, shape)
     for c, K, index, B, G in _draw_stacks(rng, seed, range(n_instances)):
-        pre = preprocess(G, params)
+        pre = preprocess(G, params.alpha_scale * spectral_norm(G))
         s_prev = init_s(G, c)
         state = iterate(pre, c, params, record_trace=False)
         q, s_new = state.q_cur, state.s_cur

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's code paths: explicit scalar loops,
 a cyclic-Jacobi eigensolver, and an arbitrary-precision integer model of the
-fixed-point datapath. They are slow and simple on purpose.
+fixed-point datapath. They are slow and simple on purpose. The tuner's
+reference is the exception: it runs the library's solver one grid setting
+at a time.
 """
 
 from __future__ import annotations
@@ -86,6 +88,16 @@ def prox_iteration_scalar(Ghat, s_prev, rho, re_bound, im_bound, s_check):
         s_new[k] = re + 1j * im
     s_new[0] = s_check
     return q, s_new
+
+
+def hull_clip_two_pass(v, re_bound, im_bound):
+    """The hull clip as two ``np.clip`` calls on the real and imaginary
+    parts, put back together by complex arithmetic; ``im_bound`` of 0 gives
+    real values with +0.0 imaginary parts."""
+    re = np.clip(v.real, -re_bound, re_bound)
+    if im_bound == 0.0:
+        return re.astype(np.complex128)
+    return re + 1j * np.clip(v.imag, -im_bound, im_bound)
 
 
 def step_diagnostics(s_prev, s_new, q, G, alpha, beta, re_bound, im_bound):
@@ -259,3 +271,29 @@ def ml_jed_bruteforce(Y, points, s_check):
         if best_score is None or score > best_score:
             best_score, best = score, x
     return np.array(best)
+
+
+# ---------------------------------------------------------------------------
+# The gain grid search, one setting at a time
+# ---------------------------------------------------------------------------
+
+def tune_rho_loop(B, K, constellation, snr_db, trials, seed, approx=False, t_max=5):
+    """``tuning.tune_rho``'s search as a loop over the grid: the tuner's
+    blocks, one preprocessing per ``alpha_scale`` and one detection pass per
+    (``alpha_scale``, ``rho_log2``). Returns the best
+    (rho_log2, alpha_scale, ser), ties broken as the tuner breaks them."""
+    from simojed import linalg, model, prox, tuning
+
+    c = model.Constellation.by_name(constellation)
+    Y, G, s, *_ = model.draw_blocks(B, K, c, seed, [((t,), snr_db, 1) for t in range(trials)])
+    norm = linalg.spectral_norm(G)
+    candidates = []
+    for alpha_scale in tuning.ALPHA_SCALE_GRID:
+        pre = prox.preprocess(G, alpha_scale * norm, approx)
+        for rho_log2 in tuning.RHO_LOG2_GRID:
+            params = prox.ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max)
+            res = prox.solve_stack(Y, pre, c, params)
+            ser = int(np.sum(res.s_hat[:, 1:] != s[:, 1:])) / (trials * K)
+            candidates.append((ser, rho_log2, alpha_scale))
+    ser, rho_log2, alpha_scale = min(candidates)
+    return rho_log2, alpha_scale, ser

@@ -13,7 +13,7 @@ from simojed.baselines import (
     mrc_retrained,
 )
 from simojed.errors import CapacityError, DegenerateInputError, DimensionError, ParameterError
-from simojed.linalg import gram
+from simojed.linalg import gram, spectral_norm
 from simojed.model import Constellation, DownlinkDraws
 
 from oracles import downlink_ser_formula, ml_jed_bruteforce
@@ -134,9 +134,10 @@ class TestMrcRetrained:
         mse_prox = mse_chest = 0.0
         Y, G, _, h_true, *_ = model.draw_blocks(16, 8, c, 11000, [((), 0.0, 1000)])
         params = prox.ProxParams(t_max=5)
+        alpha = params.alpha_scale * spectral_norm(G)
         for t in range(1000):
             h = h_true[t]
-            res = prox.solve_stack(Y[t], prox.preprocess(G[t], params), c, params)
+            res = prox.solve_stack(Y[t], prox.preprocess(G[t], alpha[t]), c, params)
             mse_prox += float(np.sum(np.abs(res.h_hat - h) ** 2))
             mse_chest += float(np.sum(np.abs(chest_pilot(Y[t], c) - h) ** 2))
         assert mse_prox < mse_chest
@@ -229,9 +230,10 @@ class TestMlJed:
         c = Constellation.bpsk()
         Y, G, *_ = model.draw_blocks(8, 6, c, 12000, [((), -6.0, 50)])
         params = prox.ProxParams(t_max=5)
+        alpha = params.alpha_scale * spectral_norm(G)
         for t in range(50):
             ml = ml_jed_exhaustive(Y[t], c)
-            px = prox.solve_stack(Y[t], prox.preprocess(G[t], params), c, params)
+            px = prox.solve_stack(Y[t], prox.preprocess(G[t], alpha[t]), c, params)
             assert np.linalg.norm(Y[t] @ ml.s_hat) >= np.linalg.norm(Y[t] @ px.s_hat) - 1e-12
 
     def test_chunking_consistent(self):
@@ -340,7 +342,7 @@ class TestDownlink:
         blocks = model.draw_blocks(16, 8, c, 17000, [((), 0.0, 1000)], downlink_symbols=8)
         Y, G, _, h, n0, draws = blocks
         params = prox.ProxParams(t_max=5)
-        px = prox.solve_stack(Y, prox.preprocess(G, params), c, params)
+        px = prox.solve_stack(Y, prox.preprocess(G, params.alpha_scale * spectral_norm(G)), c, params)
         ch = mrc_chest(Y, c)
         tot_prox = np.sum(downlink_ser(h, px.h_hat, c, n0, draws))
         tot_chest = np.sum(downlink_ser(h, ch.h_hat, c, n0, draws))

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from simojed import fxp, model, prox
+from simojed.linalg import spectral_norm
 from simojed.errors import DimensionError, ParameterError, SimojedError
 from simojed.fxp import (
     ACC_BITS,
@@ -413,7 +414,8 @@ class TestSolveFixed:
         c = Constellation.qpsk()
         params = prox.ProxParams(t_max=2, rho_log2=1)
         G = model.draw_blocks(16, 8, c, 15, [((), 0.0, 3)])[1]
-        cfg, Gq, state, _ = quantize_block(prox.preprocess(G, params), c, params)
+        pre = prox.preprocess(G, params.alpha_scale * spectral_norm(G))
+        cfg, Gq, state, _ = quantize_block(pre, c, params)
         assert {a.dtype for a in (*Gq, *state)} == {np.dtype(np.int32)}
         for _ in range(params.t_max):
             state = direct_iteration(state, Gq, cfg, (8, 0))
@@ -423,7 +425,7 @@ class TestSolveFixed:
         c = Constellation.qpsk()
         _, G, s = model.draw_blocks(16, 8, c, 10, [((), np.inf, 1)])[:3]
         params = prox.ProxParams(t_max=5, rho_log2=1)
-        fixed = solve_fixed_stack(prox.preprocess(G, params), c, params)
+        fixed = solve_fixed_stack(prox.preprocess(G, params.alpha_scale * spectral_norm(G)), c, params)
         assert np.array_equal(fixed, s)
 
     def test_cycle_accurate_equals_fast_path(self):
@@ -432,13 +434,13 @@ class TestSolveFixed:
         c = Constellation.qpsk()
         params = prox.ProxParams(t_max=3, rho_log2=1)
         _, G, *_ = model.draw_blocks(16, 6, c, 100, [((), 0.0, 5)])
-        pre = prox.preprocess(G, params)
+        pre = prox.preprocess(G, params.alpha_scale * spectral_norm(G))
         cfg, Gq, state, sc = quantize_block(pre, c, params)
         for _ in range(params.t_max):
             state = direct_iteration(state, Gq, cfg, sc)
         decisions = solve_fixed_stack(pre, c, params)
         for t, G_t in enumerate(G):
-            cfg_t, Gq_t, s_t, sc_t = quantize_block(prox.preprocess(G_t, params), c, params)
+            cfg_t, Gq_t, s_t, sc_t = quantize_block(prox.preprocess(G_t, pre.alpha[t]), c, params)
             for _ in range(params.t_max):
                 s_t, _ = pe_array_iteration(s_t, Gq_t, cfg_t, sc_t)
             assert np.array_equal(s_t[0], state[0][t])
@@ -449,7 +451,7 @@ class TestSolveFixed:
         c = Constellation.bpsk()
         G = model.draw_blocks(16, 8, c, 12, [((), -4.0, 1)])[1]
         params = prox.ProxParams(t_max=5, rho_log2=1)
-        out = solve_fixed_stack(prox.preprocess(G, params), c, params)
+        out = solve_fixed_stack(prox.preprocess(G, params.alpha_scale * spectral_norm(G)), c, params)
         assert set(np.unique(out)) <= {1.0 + 0j, -1.0 + 0j}
 
     def test_non_finite_gram_rejected(self):
@@ -460,13 +462,13 @@ class TestSolveFixed:
         G[0, 1, 1] = np.nan
         params = prox.ProxParams(rho_log2=1)
         with pytest.raises(ParameterError, match="non-finite"):
-            solve_fixed_stack(prox.preprocess(G, params), c, params)
+            solve_fixed_stack(prox.preprocess(G, 2.0), c, params)
 
     @pytest.mark.parametrize("G", [np.complex128(1.0), np.ones(3)], ids=["scalar", "vector"])
     def test_non_matrix_rejected(self, G):
         params = prox.ProxParams()
         with pytest.raises(SimojedError):
-            solve_fixed_stack(prox.preprocess(G, params), Constellation.qpsk(), params)
+            solve_fixed_stack(prox.preprocess(G, 2.0), Constellation.qpsk(), params)
 
     def test_rho_one_rejected(self):
         # The array configuration rejects the gain; the callers check it
@@ -475,7 +477,7 @@ class TestSolveFixed:
         G = model.draw_blocks(4, 3, c, 13, [((), 0.0, 1)])[1]
         params = prox.ProxParams(t_max=1, rho_log2=0)
         with pytest.raises(ParameterError, match="rho_log2"):
-            solve_fixed_stack(prox.preprocess(G, params), c, params)
+            solve_fixed_stack(prox.preprocess(G, params.alpha_scale * spectral_norm(G)), c, params)
 
 
 class TestStackedDatapath:
@@ -512,10 +514,11 @@ class TestStackedDatapath:
         c = Constellation.bpsk() if real_only else Constellation.qpsk()
         params = prox.ProxParams(alpha_scale=1.25, rho_log2=rho_log2, t_max=t_max)
         G = model.draw_blocks(8, N - 1, c, seed, [((), snr_db, T)])[1]
-        stacked = solve_fixed_stack(prox.preprocess(G, params), c, params)
+        alpha = params.alpha_scale * spectral_norm(G)
+        stacked = solve_fixed_stack(prox.preprocess(G, alpha), c, params)
         assert stacked.shape == (T, N)
         for t in range(T):
-            one = solve_fixed_stack(prox.preprocess(G[t], params), c, params)
+            one = solve_fixed_stack(prox.preprocess(G[t], alpha[t]), c, params)
             assert np.array_equal(one, stacked[t])
 
 

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import re
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -20,12 +22,28 @@ from simojed.harness import (
     wilson_interval,
 )
 from simojed.baselines import mrc_chest, mrc_csir
-from simojed.linalg import gram
+from simojed.linalg import gram, spectral_norm
 from simojed.model import Constellation, draw_blocks, snr_to_n0
 from simojed.prox import ProxParams, preprocess, solve_stack
 from simojed.tuning import tune_rho
 
-from oracles import downlink_ser_scalar
+from oracles import downlink_ser_scalar, tune_rho_loop
+
+
+def count_calls(monkeypatch, names) -> Counter:
+    """Calls of the named functions, wherever a ``simojed`` module binds
+    them, counted by name."""
+    calls = Counter()
+    for module in [m for name, m in sys.modules.items() if name.startswith("simojed")]:
+        for name in names:
+            if callable(real := getattr(module, name, None)):
+
+                def counting(*args, _real=real, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def small_config(**overrides):
@@ -120,12 +138,13 @@ class TestConfig:
         cell = run_sweep(cfg).cells[("aprox", -4.0)]
         c = Constellation.by_name(cfg.constellation)
         Y, G, s, h, *_ = draw_blocks(cfg.B, cfg.K, c, cfg.master_seed, [((0, 0), -4.0, cfg.trials)])
-        res = solve_stack(Y, preprocess(G, params, approx=True), c, params)
+        alpha = params.alpha_scale * spectral_norm(G)
+        res = solve_stack(Y, preprocess(G, alpha, approx=True), c, params)
         assert cell.symbol_errors == int(np.sum(res.s_hat[:, 1:] != s[:, 1:]))
         mse = np.sum(np.abs(res.h_hat - h) ** 2, axis=1) / cfg.B
         assert cell.chest_mse == float(np.sum(mse)) / cfg.trials
         # The exact inverse gives other estimates on these blocks.
-        assert not np.array_equal(solve_stack(Y, preprocess(G, params), c, params).h_hat, res.h_hat)
+        assert not np.array_equal(solve_stack(Y, preprocess(G, alpha), c, params).h_hat, res.h_hat)
 
     def test_duplicate_snr_points_rejected(self, monkeypatch):
         # The first -4 dB point's trials used to be drawn, detected and
@@ -376,8 +395,9 @@ class TestRunSweep:
             h = (h_parts[t, 0] + 1j * h_parts[t, 1]) / np.sqrt(2)
             s = np.concatenate([c.points[:1], c.points[indices[t]]])
             Y = np.outer(h, s.conj()) + np.sqrt(n0 / 2) * (noise_parts[t, 0] + 1j * noise_parts[t, 1])
+            G = gram(Y)
             detections = {
-                "prox": solve_stack(Y, preprocess(gram(Y), params), c, params),
+                "prox": solve_stack(Y, preprocess(G, params.alpha_scale * spectral_norm(G)), c, params),
                 "mrc-csir": mrc_csir(Y, h, c),
                 "mrc-chest": mrc_chest(Y, c),
             }
@@ -411,6 +431,13 @@ class TestRunSweep:
             for whole, part in zip(packed, own, strict=True):
                 assert whole.dtype == part.dtype
                 assert whole[..., j : j + 1].tobytes() == part.tobytes()
+
+    def test_one_norm_per_pack(self, monkeypatch):
+        # prox and aprox share the pack's spectral norms.
+        calls = count_calls(monkeypatch, ("spectral_norm", "preprocess"))
+        cfg = small_config(methods=(MethodSpec("prox"), MethodSpec("aprox"), MethodSpec("mrc-chest")))
+        harness._run_pack(cfg, ("float",), [(0, 0, 30), (1, 0, 30)])
+        assert calls == {"spectral_norm": 1, "preprocess": 2}
 
     def test_pack_tally_matches_a_loop_over_chunks(self, monkeypatch):
         # The pack-long segmented sums give each chunk of uneven size (one
@@ -625,17 +652,32 @@ class TestTuning:
         assert best.rho_log2 == 0
         assert best.alpha_scale == 1.25
 
-    def test_preprocesses_once_per_alpha_scale(self, monkeypatch):
-        calls = []
-        real = tuning.preprocess
+    @pytest.mark.parametrize(
+        "constellation, K, snr_db, approx",
+        [
+            ("bpsk", 4, -6.0, False),
+            ("bpsk", 8, -4.0, True),
+            ("qpsk", 4, 0.0, True),
+            ("qpsk", 8, -2.0, False),
+            ("bpsk", 8, 300.0, False),
+            ("qpsk", 4, 300.0, True),
+        ],
+    )
+    def test_matches_the_one_setting_at_a_time_loop(self, constellation, K, snr_db, approx):
+        # The last two are noise-free: every setting ties at zero errors.
+        best = tune_rho(8, K, constellation, snr_db, trials=60, seed=9, approx=approx)
+        want = tune_rho_loop(8, K, constellation, snr_db, trials=60, seed=9, approx=approx)
+        assert (best.rho_log2, best.alpha_scale, best.ser) == want
 
-        def counting(G, params, approx):
-            calls.append(params.alpha_scale)
-            return real(G, params, approx)
-
-        monkeypatch.setattr(tuning, "preprocess", counting)
-        tune_rho(16, 8, "bpsk", -6.0, trials=4, seed=1)
-        assert calls == list(tuning.ALPHA_SCALE_GRID)
+    @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
+    def test_one_norm_one_preprocess_per_batch(self, approx, monkeypatch):
+        # Every alpha_scale is preprocessed in one stack, and every rho_log2
+        # solves that whole stack once.
+        names = ("spectral_norm", "invert_shifted", "neumann_two_term", "preprocess", "solve_stack")
+        calls = count_calls(monkeypatch, names)
+        tune_rho(16, 8, "bpsk", -6.0, trials=4, seed=1, approx=approx)
+        inverse = "neumann_two_term" if approx else "invert_shifted"
+        assert calls == {"spectral_norm": 1, "preprocess": 1, inverse: 1, "solve_stack": 7}
 
     @pytest.mark.parametrize(
         "args, expected",

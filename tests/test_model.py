@@ -8,6 +8,7 @@ import pytest
 from simojed import model
 from simojed.errors import DimensionError, ParameterError
 from simojed.model import Constellation, LosGeometry
+from simojed.linalg import spectral_norm
 from simojed.prox import ProxParams, preprocess, solve_stack
 
 
@@ -151,14 +152,14 @@ class TestTransmit:
         Y = np.ones((4, 3), dtype=complex)
         Y[2, 1] = bad
         with pytest.raises(ParameterError, match="non-finite"):
-            solve_stack(Y, preprocess(np.eye(3), ProxParams()), Constellation.bpsk(), ProxParams())
+            solve_stack(Y, preprocess(np.eye(3), 2.0), Constellation.bpsk(), ProxParams())
 
     def test_explicit_gram_checked(self):
         # A NaN in Y next to the block's original Gram matrix used to pass
         # through the solver into the channel estimate.
         c, params = Constellation.qpsk(), ProxParams()
         Y, G, *_ = model.draw_blocks(8, 4, c, 1, [((0,), 0.0, 2)])
-        pre = preprocess(G, params)
+        pre = preprocess(G, params.alpha_scale * spectral_norm(G))
         bad_Y = Y.copy()
         bad_Y[1, 3, 2] = np.nan
         bad_G = G.copy()
@@ -169,9 +170,9 @@ class TestTransmit:
             with pytest.raises(DimensionError, match="shape"):
                 solve_stack(wrong, pre, c, params)
         with pytest.raises(ParameterError, match="non-finite"):
-            preprocess(bad_G, params)
+            preprocess(bad_G, pre.alpha)
         with pytest.raises(DimensionError, match="shape"):
-            solve_stack(Y, preprocess(G[:, :-1, :-1], params), c, params)
+            solve_stack(Y, preprocess(G[:, :-1, :-1], pre.alpha), c, params)
 
     def test_draw_block_stream_layout(self):
         # Child i of the chunk's SeedSequence feeds the channel (0), the

@@ -20,7 +20,7 @@ from simojed.prox import (
     solve_stack,
 )
 
-from oracles import prox_iteration_scalar, step_diagnostics
+from oracles import hull_clip_two_pass, prox_iteration_scalar, step_diagnostics
 
 
 def make_noisy_block(seed, B=8, K=6, kind="qpsk", snr_db=8.0):
@@ -41,31 +41,31 @@ class TestParams:
 
 class TestPreprocess:
     def test_zero_gram_exact(self):
-        pre = preprocess(np.zeros((3, 3)), ProxParams())
+        pre = preprocess(np.zeros((3, 3)), 0.0)
         assert np.array_equal(pre.gamma * pre.Ghat, np.eye(3))
 
     def test_diag_approx(self):
         G = np.diag([1.0, 2.0]).astype(complex)
-        pre = preprocess(G, ProxParams(alpha_scale=2.0), approx=True)
+        pre = preprocess(G, 2.0 * linalg.spectral_norm(G), approx=True)
         assert pre.alpha == pytest.approx(4.0, rel=1e-9)
         assert np.allclose(pre.gamma * pre.Ghat, np.diag([1.25, 1.5]), atol=1e-9)
 
     def test_exact_mode_residual_invariant(self):
         _, G, _ = make_noisy_block(0)
-        pre = preprocess(G, ProxParams())
+        pre = preprocess(G, 2.0 * linalg.spectral_norm(G))
         n = G.shape[0]
         resid = pre.gamma * pre.Ghat @ (np.eye(n) - G / pre.alpha) - np.eye(n)
         assert np.linalg.norm(resid) <= 1e-8
 
     def test_approx_mode_definition(self):
         _, G, _ = make_noisy_block(1)
-        pre = preprocess(G, ProxParams(), approx=True)
+        pre = preprocess(G, 2.0 * linalg.spectral_norm(G), approx=True)
         raw = np.eye(G.shape[0]) + G / pre.alpha
         assert np.array_equal(pre.Ghat, raw / pre.gamma)
 
     def test_max_abs_scaling(self):
         _, G, _ = make_noisy_block(2)
-        pre = preprocess(G, ProxParams())
+        pre = preprocess(G, 2.0 * linalg.spectral_norm(G))
         peak = max(np.max(np.abs(pre.Ghat.real)), np.max(np.abs(pre.Ghat.imag)))
         assert abs(peak - 1.0) <= 1e-12
 
@@ -123,7 +123,7 @@ class TestIterate:
     def test_matches_scalar_reference(self, kind):
         _, G, c = make_noisy_block(5, kind=kind)
         params = ProxParams(rho_log2=1)
-        pre = preprocess(G, params)
+        pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))
         s = init_s(G, c)
         state = SolverState(s_cur=s, q_cur=np.zeros_like(s))
         for _ in range(4):
@@ -136,13 +136,45 @@ class TestIterate:
     def test_hull_membership_and_pilot_pin(self):
         _, G, c = make_noisy_block(6)
         params = ProxParams()
-        pre = preprocess(G, params)
+        pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))
         state = SolverState(s_cur=init_s(G, c), q_cur=None)
         for _ in range(10):
             state = iterate_once(state, pre, c, params)
             assert np.all(np.abs(state.s_cur.real) <= c.re_bound + 1e-12)
             assert np.all(np.abs(state.s_cur.imag) <= c.im_bound + 1e-12)
             assert state.s_cur[0] == c.points[0]
+
+
+class TestHullClip:
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
+    def test_byte_identical_to_two_clips(self, kind):
+        # Signed zeros count: every pairing of zeros, bounds, values beyond
+        # them and infinities as real and imaginary parts, and random values.
+        c = Constellation.by_name(kind)
+        b = c.re_bound
+        edges = [0.0, -0.0, b, -b, np.nextafter(b, 0), -np.nextafter(b, 0), 3 * b, -3 * b, np.inf, -np.inf]
+        re, im = np.meshgrid(edges, edges)
+        rng = np.random.default_rng(4)
+        v = np.empty((2, 100), dtype=np.complex128)
+        v[0].real, v[0].imag = re.ravel(), im.ravel()
+        v[1] = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+        want = hull_clip_two_pass(v, c.re_bound, c.im_bound)
+        got = prox._clip_to_hull(v.copy(), c)
+        assert got.tobytes() == want.tobytes()
+        if kind == "bpsk":
+            assert not np.any(np.signbit(got.imag)) and np.all(got.imag == 0.0)
+
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
+    def test_step_leaves_its_inputs(self, kind):
+        _, G, c = make_noisy_block(7, kind=kind)
+        params = ProxParams(rho_log2=3)
+        pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))
+        state = SolverState(s_cur=init_s(G, c), q_cur=None)
+        s_before, Ghat_before = state.s_cur.copy(), pre.Ghat.copy()
+        out = iterate_once(state, pre, c, params)
+        assert state.s_cur.tobytes() == s_before.tobytes()
+        assert pre.Ghat.tobytes() == Ghat_before.tobytes()
+        assert not np.shares_memory(out.s_cur, state.s_cur)
 
 
 class TestHardDecision:
@@ -199,7 +231,7 @@ class TestSolve:
         c = Constellation.bpsk()
         Y, G, s, h = model.draw_blocks(16, 8, c, 9, [((), np.inf, 1)])[:4]
         params = ProxParams(t_max=5)
-        res = solve_stack(Y, preprocess(G, params), c, params)
+        res = solve_stack(Y, preprocess(G, params.alpha_scale * linalg.spectral_norm(G)), c, params)
         assert np.array_equal(res.s_hat, s)
         assert np.allclose(res.h_hat, h, atol=1e-10)
 
@@ -207,7 +239,7 @@ class TestSolve:
         c = Constellation.qpsk()
         Y, G = model.draw_blocks(4, 0, c, 10, [((), 10.0, 1)])[:2]
         params = ProxParams(t_max=3)
-        res = solve_stack(Y, preprocess(G, params), c, params)
+        res = solve_stack(Y, preprocess(G, params.alpha_scale * linalg.spectral_norm(G)), c, params)
         assert np.array_equal(res.s_hat, [[c.points[0]]])
 
     def test_more_iterations_do_not_hurt(self):
@@ -217,7 +249,7 @@ class TestSolve:
         Y, G, s_true, _, *_ = model.draw_blocks(16, 8, c, 1000, [((), 5.0, 400)])
         for t in (1, 5):
             params = ProxParams(t_max=t)
-            res = solve_stack(Y, preprocess(G, params), c, params)
+            res = solve_stack(Y, preprocess(G, params.alpha_scale * linalg.spectral_norm(G)), c, params)
             errs[t] = int(np.sum(res.s_hat[:, 1:] != s_true[:, 1:]))
         assert errs[5] <= errs[1]
 
@@ -225,8 +257,8 @@ class TestSolve:
         Y, G, c = make_noisy_block(11)
         params = ProxParams()
         G_scaled = linalg.gram(3.7 * Y)
-        pre_a = preprocess(G, params)
-        pre_b = preprocess(G_scaled, params)
+        pre_a = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))
+        pre_b = preprocess(G_scaled, params.alpha_scale * linalg.spectral_norm(G_scaled))
         assert np.allclose(pre_a.Ghat, pre_b.Ghat, atol=1e-12)
         s_a = iterate(pre_a, c, params).s_cur
         s_b = iterate(pre_b, c, params).s_cur
@@ -256,13 +288,13 @@ class TestSolveStack:
         c = Constellation.by_name(kind)
         Y, G = model.draw_blocks(B, K, c, seed, [((), snr_db, T)])[:2]
         params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max)
-        pre = preprocess(G, params, approx)
+        pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G), approx)
         stacked = solve_stack(Y, pre, c, params)
         trace = iterate(pre, c, params).trace
         assert stacked.s_hat.shape == (T, K + 1)
         assert stacked.h_hat.shape == (T, B)
         for t in range(T):
-            pre_t = preprocess(G[t], params, approx)
+            pre_t = preprocess(G[t], params.alpha_scale * linalg.spectral_norm(G[t]), approx)
             single = solve_stack(Y[t], pre_t, c, params)
             assert np.array_equal(stacked.s_hat[t], single.s_hat)
             np.testing.assert_allclose(stacked.h_hat[t], single.h_hat, rtol=1e-12, atol=0)
@@ -273,30 +305,36 @@ class TestSolveStack:
 
     def test_zero_gram_in_a_stack_gets_identity(self):
         _, G1, _ = make_noisy_block(15)
-        pre = preprocess(np.stack([G1, np.zeros_like(G1)]), ProxParams())
+        G = np.stack([G1, np.zeros_like(G1)])
+        pre = preprocess(G, 2.0 * linalg.spectral_norm(G))
         assert np.array_equal(pre.Ghat[1], np.eye(G1.shape[0]))
-        assert np.array_equal(pre.Ghat[0], preprocess(G1, ProxParams()).Ghat)
+        assert np.array_equal(pre.Ghat[0], preprocess(G1, 2.0 * linalg.spectral_norm(G1)).Ghat)
 
     @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
     def test_memory_layout_does_not_matter(self, approx):
         _, G1, _ = make_noisy_block(18)
         G = np.stack([G1, 2.0 * G1])
-        got = preprocess(np.asfortranarray(G), ProxParams(), approx)
-        assert np.array_equal(got.Ghat, preprocess(G, ProxParams(), approx).Ghat)
+        alpha = 2.0 * linalg.spectral_norm(G)
+        got = preprocess(np.asfortranarray(G), alpha, approx)
+        assert np.array_equal(got.Ghat, preprocess(G, alpha, approx).Ghat)
 
     def test_degenerate_trial_fails_the_stack(self):
         Y, G, c = make_noisy_block(16)
-        pre = preprocess(np.stack([G, np.zeros_like(G)]), ProxParams())
+        G = np.stack([G, np.zeros_like(G)])
+        pre = preprocess(G, 2.0 * linalg.spectral_norm(G))
         with pytest.raises(DegenerateInputError):
             solve_stack(np.stack([Y, 0 * Y]), pre, c, ProxParams())
 
     def test_non_finite_gram_rejected(self):
         # Rejected before the eigensolver, whose LinAlgError is not a
-        # package error.
+        # package error, and by either preprocessing variant.
         _, G, _ = make_noisy_block(17)
         G[0, 2] = np.nan
         with pytest.raises(ParameterError, match="non-finite"):
-            preprocess(G, ProxParams())
+            linalg.spectral_norm(G)
+        for approx in (False, True):
+            with pytest.raises(ParameterError, match="non-finite"):
+                preprocess(G, 2.0, approx)
 
 
 class TestTrace:
@@ -321,7 +359,7 @@ class TestTrace:
         G = model.draw_blocks(8, N - 1, c, seed, [((), snr_db, T or 1)])[1]
         G = G[0] if T is None else G
         params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max)
-        pre = preprocess(G, params, approx)
+        pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G), approx)
         beta = pre.beta(params.rho)
         traced = iterate(pre, c, params)
         trace = traced.trace
@@ -355,7 +393,7 @@ class TestDiagnostics:
         for seed in range(20):
             _, G, c = make_noisy_block(100 + seed, B=8, K=6)
             params = ProxParams(t_max=30)
-            pre = preprocess(G, params)
+            pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))
             if not (0.0 < pre.beta(params.rho) < pre.alpha):
                 continue
             objs = iterate(pre, c, params).trace.objective
@@ -371,7 +409,7 @@ class TestDiagnostics:
         for seed in range(20):
             _, G, c = make_noisy_block(200 + seed, B=8, K=6)
             params = ProxParams(t_max=1)
-            pre = preprocess(G, params)
+            pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))
             s_prev = init_s(G, c)
             state = SolverState(s_cur=s_prev.copy(), q_cur=None)
             state = iterate_once(state, pre, c, params)
@@ -384,7 +422,7 @@ class TestDiagnostics:
     def test_gradient_residual_decays(self):
         _, G, c = make_noisy_block(12, B=16, K=8)
         params = ProxParams(t_max=100)
-        pre = preprocess(G, params)
+        pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))
         resid = iterate(pre, c, params).trace.grad_residual
         n = G.shape[0]
         assert resid[-1] <= 1e-6 * pre.alpha * np.sqrt(n)
@@ -392,14 +430,14 @@ class TestDiagnostics:
     def test_boundary_gap_small_after_convergence(self):
         _, G, c = make_noisy_block(13, B=16, K=8)
         params = ProxParams(t_max=100)
-        state = iterate(preprocess(G, params), c, params)
+        state = iterate(preprocess(G, params.alpha_scale * linalg.spectral_norm(G)), c, params)
         trace = state.trace
         if trace.grad_residual[-1] < 1e-8 and np.linalg.norm(state.s_cur) > 0:
             assert trace.boundary_gap[-1] <= 1e-6
 
     def test_exact_vs_approx_within_neumann_bound(self):
         _, G, _ = make_noisy_block(14)
-        exact = preprocess(G, ProxParams())
-        approx = preprocess(G, ProxParams(), approx=True)
+        exact = preprocess(G, 2.0 * linalg.spectral_norm(G))
+        approx = preprocess(G, 2.0 * linalg.spectral_norm(G), approx=True)
         gap = np.linalg.norm(exact.gamma * exact.Ghat - approx.gamma * approx.Ghat, ord=2)
         assert gap <= linalg.neumann_error_bound(linalg.spectral_norm(G), exact.alpha) * (1 + 1e-9)

@@ -85,8 +85,8 @@ def test_skipped_attempts_keep_the_instance_set(monkeypatch):
     threshold = 40.0
     real = verify.preprocess
 
-    def preprocess(G, params):
-        pre = real(G, params)
+    def preprocess(G, alpha):
+        pre = real(G, alpha)
         pre.gamma = np.where(G[..., 0, 0].real > threshold, 10 * pre.gamma, pre.gamma)
         return pre
 
