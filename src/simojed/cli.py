@@ -60,7 +60,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 def parse_snr_spec(spec: str) -> tuple[float, ...]:
     """Either 'start:stop:step' (every point from start up to stop
-    inclusive, none past it) or a comma list."""
+    inclusive, none past it; all three finite) or a comma list."""
     is_range = ":" in spec
     try:
         values = tuple(float(x) for x in spec.split(":" if is_range else ","))
@@ -71,6 +71,8 @@ def parse_snr_spec(spec: str) -> tuple[float, ...]:
     if len(values) != 3:
         raise ParameterError(f"SNR range {spec!r} needs three fields, start:stop:step")
     start, stop, step = values
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"SNR range {spec!r} needs a finite start, stop and step")
     if step == 0:
         raise ParameterError(f"SNR range {spec!r} has a zero step")
     # The tolerance keeps an endpoint that the division lands just below.

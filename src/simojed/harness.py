@@ -39,7 +39,7 @@ from .baselines import (
 from .errors import CapacityError, ParameterError
 from .fxp import check_datapath_gain, latency_cycles, solve_fixed_stack, throughput_bps
 from .linalg import spectral_norm
-from .model import Constellation, LosGeometry, check_seed, draw_blocks
+from .model import Constellation, LosGeometry, check_seed, draw_blocks, snr_to_n0
 from .prox import (
     PreprocessedMatrix,
     ProxParams,
@@ -117,6 +117,8 @@ class SweepConfig:
                 if m.params is not None:
                     check_datapath_gain(m.params.rho_log2)
         c = Constellation.by_name(self.constellation)
+        for snr_db in self.snr_points_db:
+            snr_to_n0(snr_db, c)  # a NaN or -inf point fails here, before any draw
         for m in self.methods:
             if m.name == "ml-jed" and len(c.points) ** self.K > ML_JED_BUDGET:
                 raise CapacityError(

@@ -131,8 +131,11 @@ def snr_to_n0(snr_db: float, c: Constellation) -> float:
     """Noise variance for a given per-receive-antenna average SNR in dB.
 
     Both channel conventions here have unit average gain per antenna, so
-    n0 = sigma^2 / 10^(snr/10).
+    n0 = sigma^2 / 10^(snr/10). An infinite SNR gives no noise; a NaN or
+    -inf one, which gives no noise variance, is a ``ParameterError``.
     """
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ParameterError(f"an SNR of {snr_db} dB gives no noise variance")
     return c.sigma**2 / 10.0 ** (snr_db / 10.0)
 
 
@@ -304,9 +307,6 @@ def draw_blocks(
     seed = check_seed(seed, "the seed")
     keys = [tuple(check_seed(k, "a key entry") for k in key) for key, _, _ in chunks]
     n0s = [snr_to_n0(snr_db, c) for _, snr_db, _ in chunks]
-    for (_, snr_db, _), chunk_n0 in zip(chunks, n0s):
-        if np.isnan(chunk_n0):
-            raise ParameterError(f"an SNR of {snr_db} dB gives no noise variance")
     sizes = [n for _, _, n in chunks]
     T = sum(sizes)
     m = len(c.points)

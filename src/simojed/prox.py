@@ -6,10 +6,13 @@ builds the scaled iteration matrix either from the exact shifted inverse or
 from its cheap two-term series approximation; each iteration
 (``iterate_once``) is one matrix-vector product, a scaled clip onto the
 hull, and a pilot-slot overwrite. ``iterate`` is the one iteration loop.
-When it records a trace it keeps every iterate and, after the last step,
-computes the diagnostics of all steps (objective value, gradient residual,
-distance to the hull boundary) in one pass over the stacked iterates, as
-one ``SolverTrace`` of per-step arrays; they support the convergence test
+A step depends only on the iterate before it, so the loop stops once the
+whole stack's iterate repeats word for word: every later step would repeat
+it too. When it records a trace it keeps every iterate and, after the last
+step run, computes the diagnostics of those steps (objective value,
+gradient residual, distance to the hull boundary) in one pass over the
+stacked iterates, as one ``SolverTrace`` of per-step arrays that still has
+``t_max`` rows, the last one repeated; they support the convergence test
 suites.
 
 Every step takes a stack of blocks with a leading trial axis (``Y`` of
@@ -86,7 +89,8 @@ class PreprocessedMatrix:
 @dataclass
 class SolverTrace:
     """Diagnostics of every iteration, row ``t`` after step ``t + 1``:
-    arrays of shape (t_max,) for one block, (t_max, T) for a stack."""
+    arrays of shape (t_max,) for one block, (t_max, T) for a stack. Rows
+    past the last step run repeat its row, as those steps would."""
 
     objective: np.ndarray
     grad_residual: np.ndarray
@@ -95,9 +99,13 @@ class SolverTrace:
 
 @dataclass
 class SolverState:
+    """The iterate ``s_cur``, its unscaled ``q_cur``, and from ``iterate``
+    the trace and the number of steps run."""
+
     s_cur: np.ndarray
     q_cur: np.ndarray
     trace: SolverTrace | None = None
+    steps: int = 0
 
 
 @dataclass
@@ -191,28 +199,37 @@ def iterate(
     params: ProxParams,
     record_trace: bool = True,
 ) -> SolverState:
-    """``params.t_max`` solver steps from the matched-filter start.
+    """``params.t_max`` solver steps from the matched-filter start, or fewer:
+    the loop stops after the first step whose iterate repeats the one before
+    it word for word over the whole stack, since every later step would
+    repeat it too. ``steps`` in the state counts the steps run.
 
-    With ``record_trace`` the iterates are kept, and after the last step the
-    diagnostics of every step are computed in one pass over them into the
-    state's ``SolverTrace``; without it the trace is None. The objective is
-    NaN for trials whose reconstructed weight beta is outside (0, alpha)."""
+    With ``record_trace`` the iterates are kept, and after the last step run
+    the diagnostics of those steps are computed in one pass over them into
+    the state's ``SolverTrace``, whose last row is repeated up to ``t_max``
+    rows; without it the trace is None. The objective is NaN for trials
+    whose reconstructed weight beta is outside (0, alpha)."""
     state = SolverState(s_cur=init_s(pre.G, c), q_cur=np.zeros_like(pre.G[..., 0]))
     if record_trace:
         s_all = np.empty((params.t_max + 1,) + state.s_cur.shape, dtype=np.complex128)
         q_all = np.empty_like(s_all[1:])
         s_all[0] = state.s_cur
-    for t in range(params.t_max):
+    for steps in range(1, params.t_max + 1):
+        prev = state.s_cur
         state = iterate_once(state, pre, c, params)
         if record_trace:
-            s_all[t + 1], q_all[t] = state.s_cur, state.q_cur
+            s_all[steps], q_all[steps - 1] = state.s_cur, state.q_cur
+        if state.s_cur.tobytes() == prev.tobytes():
+            break
+    state.steps = steps
     if record_trace:
-        s_prev, s_new = s_all[:-1], s_all[1:]
+        s_prev, s_new = s_all[:steps], s_all[1 : steps + 1]
         grad_residual = pre.alpha * np.linalg.norm(s_prev - s_new, axis=-1)
         beta = pre.beta(params.rho)
         valid = (0.0 < beta) & (beta < pre.alpha)
-        obj = np.where(valid, objective(q_all, s_new, pre.G, pre.alpha, beta), np.nan)
-        state.trace = SolverTrace(obj, grad_residual, _boundary_gap(s_new, c))
+        obj = np.where(valid, objective(q_all[:steps], s_new, pre.G, pre.alpha, beta), np.nan)
+        rows = np.minimum(np.arange(params.t_max), steps - 1)
+        state.trace = SolverTrace(obj[rows], grad_residual[rows], _boundary_gap(s_new, c)[rows])
     return state
 
 

@@ -3,8 +3,8 @@
 These deliberately avoid the library's code paths: explicit scalar loops,
 a cyclic-Jacobi eigensolver, and an arbitrary-precision integer model of the
 fixed-point datapath. They are slow and simple on purpose. The tuner's
-reference is the exception: it runs the library's solver one grid setting
-at a time.
+reference and the solver loop's are the exceptions: they run the library's
+solver one grid setting at a time, and its step ``t_max`` times.
 """
 
 from __future__ import annotations
@@ -127,6 +127,28 @@ def step_diagnostics(s_prev, s_new, q, G, alpha, beta, re_bound, im_bound):
     else:
         gap = np.min(re_bound - np.maximum(np.abs(body.real), np.abs(body.imag)), axis=-1)
     return objective, grad_residual, gap
+
+
+def iterate_all_steps(pre, c, params):
+    """``prox.iterate`` without its stop: all ``params.t_max`` steps of
+    ``prox.iterate_once`` from the matched-filter start, then the
+    diagnostics of every step in one pass over all the rows. Returns the
+    iterates from the start on, stacked along a new leading axis, the last
+    ``q_cur``, and (objective, grad_residual, boundary_gap)."""
+    from simojed import prox
+
+    state = prox.SolverState(s_cur=prox.init_s(pre.G, c), q_cur=None)
+    s_all, q_all = [state.s_cur], []
+    for _ in range(params.t_max):
+        state = prox.iterate_once(state, pre, c, params)
+        s_all.append(state.s_cur)
+        q_all.append(state.q_cur)
+    s_all = np.stack(s_all)
+    diagnostics = step_diagnostics(
+        s_all[:-1], s_all[1:], np.stack(q_all), pre.G, pre.alpha,
+        pre.beta(params.rho), c.re_bound, c.im_bound,
+    )
+    return s_all, state.q_cur, diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import simojed
 from simojed import cli, harness
 from simojed.cli import main, parse_config_file, parse_snr_spec
 from simojed.errors import ParameterError
@@ -38,6 +42,17 @@ class TestParsers:
     def test_snr_spec_malformed(self, spec):
         with pytest.raises(ParameterError, match="SNR"):
             parse_snr_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["0:inf:1", "nan:0:1", "0:1:nan", "0:1:inf", "-inf:0:1"])
+    def test_snr_range_not_finite(self, spec):
+        # These used to raise OverflowError or ValueError, or ("0:1:inf")
+        # give a NaN point.
+        with pytest.raises(ParameterError, match="needs a finite start, stop and step"):
+            parse_snr_spec(spec)
+
+    def test_snr_list_keeps_infinity(self):
+        # An infinite SNR is a noise-free point.
+        assert parse_snr_spec("0,inf") == (0.0, float("inf"))
 
     def test_snr_list(self):
         assert parse_snr_spec("-3,-1.5,0") == (-3.0, -1.5, 0.0)
@@ -178,6 +193,32 @@ class TestSweepCommand:
         cfg.write_text("bogus = 1\n")
         with pytest.raises(SystemExit):
             main(["sweep", "--config", str(cfg)])
+
+
+class TestNonFiniteSnr:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["trace", "--snr=-inf"], "simojed trace: an SNR of -inf dB gives no noise variance"),
+            (["trace", "--snr=nan"], "simojed trace: an SNR of nan dB gives no noise variance"),
+            (["sweep", "--snr=-inf,0", "--trials", "2"],
+             "simojed sweep: an SNR of -inf dB gives no noise variance"),
+            (["sweep", "--snr=0:1:inf", "--trials", "2"],
+             "simojed sweep: SNR range '0:1:inf' needs a finite start, stop and step"),
+        ],
+        ids=["trace-minus-inf", "trace-nan", "sweep-list", "sweep-range"],
+    )
+    def test_exits_with_message_and_no_traceback(self, argv, message, tmp_path):
+        # The -inf cases used to end in a ZeroDivisionError traceback.
+        src = os.path.dirname(os.path.dirname(simojed.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "simojed.cli", *argv, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode != 0
+        assert proc.stderr.strip() == message
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 class TestVerifyCommand:

@@ -158,6 +158,16 @@ class TestConfig:
                 )
             )
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
+    def test_non_finite_snr_point_rejected(self, snr_db, monkeypatch):
+        # A NaN point used to fail only inside the sweep's draw.
+        monkeypatch.setattr(harness, "draw_blocks", None)
+        with pytest.raises(ParameterError, match=f"an SNR of {snr_db} dB"):
+            small_config(snr_points_db=(0.0, snr_db))
+
+    def test_infinite_snr_point_accepted(self):
+        assert small_config(snr_points_db=(0.0, float("inf"))).snr_points_db[1] == float("inf")
+
     def test_hash_stable_and_sensitive(self):
         a, b = small_config(), small_config()
         assert a.config_hash() == b.config_hash()
@@ -697,6 +707,12 @@ class TestTuning:
         args = dict(trials=5, seed=3) | kw
         with pytest.raises(ParameterError):
             tune_rho(4, 3, "bpsk", 0.0, **args)
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
+    def test_non_finite_snr_rejected(self, snr_db):
+        # -inf used to end in a ZeroDivisionError.
+        with pytest.raises(ParameterError, match=f"an SNR of {snr_db} dB"):
+            tune_rho(4, 3, "bpsk", snr_db, trials=5, seed=3)
 
     def test_tuned_never_worse_than_default_on_batch(self, monkeypatch):
         best = tune_rho(8, 4, "bpsk", -6.0, trials=150, seed=4)

@@ -267,6 +267,12 @@ class TestTransmit:
         with pytest.raises(ParameterError, match="SNR of nan dB"):
             model.draw_blocks(4, 3, c, 1, [((0,), 0.0, 2), ((1,), np.nan, 2)])
 
+    def test_minus_inf_snr_rejected(self):
+        # It used to end in a ZeroDivisionError.
+        c = Constellation.bpsk()
+        with pytest.raises(ParameterError, match="SNR of -inf dB"):
+            model.draw_blocks(4, 3, c, 1, [((0,), 0.0, 2), ((1,), float("-inf"), 2)])
+
     def test_only_model_builds_seed_sequences(self):
         # One module owns the stream layout: no other module of the
         # package names numpy's SeedSequence.
@@ -309,3 +315,14 @@ class TestSnr:
 
     def test_scales_with_sigma(self):
         assert model.snr_to_n0(0.0, Constellation.qpsk(2.0)) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize(
+        "snr_db",
+        [float("nan"), float("-inf"), np.float64("nan"), np.float64("-inf")],
+        ids=["nan", "-inf", "numpy-nan", "numpy-minus-inf"],
+    )
+    def test_no_noise_variance_rejected(self, snr_db):
+        # A float -inf used to raise ZeroDivisionError, a numpy one give an
+        # infinite variance, and NaN a NaN variance.
+        with pytest.raises(ParameterError, match=f"an SNR of {snr_db} dB gives no noise variance"):
+            model.snr_to_n0(snr_db, Constellation.bpsk())

@@ -20,7 +20,7 @@ from simojed.prox import (
     solve_stack,
 )
 
-from oracles import hull_clip_two_pass, prox_iteration_scalar, step_diagnostics
+from oracles import hull_clip_two_pass, iterate_all_steps, prox_iteration_scalar, step_diagnostics
 
 
 def make_noisy_block(seed, B=8, K=6, kind="qpsk", snr_db=8.0):
@@ -380,6 +380,72 @@ class TestTrace:
         for final in (traced, bare):
             assert np.array_equal(final.s_cur, state.s_cur)
             assert np.array_equal(final.q_cur, state.q_cur)
+
+
+def _stop_case(kind, T, snr_db, approx, t_max, seed=41):
+    """The inputs of one stop test: a stack of T blocks (one block for
+    None) of 16 antennas and 8 data slots, preprocessed at the default
+    gains with ``t_max`` steps."""
+    c = Constellation.by_name(kind)
+    G = model.draw_blocks(16, 8, c, seed, [((), snr_db, T or 1)])[1]
+    G = G[0] if T is None else G
+    params = ProxParams(t_max=t_max)
+    return preprocess(G, params.alpha_scale * linalg.spectral_norm(G), approx), c, params
+
+
+def _first_repeat(s_all):
+    """The first step whose iterate repeats the one before it word for word
+    over the whole stack, in stacked iterates from the start on; None if
+    none does."""
+    repeats = [t for t in range(1, len(s_all)) if s_all[t].tobytes() == s_all[t - 1].tobytes()]
+    return repeats[0] if repeats else None
+
+
+class TestStop:
+    """``iterate`` stops once the stack's iterate repeats word for word;
+    its outputs are those of all ``t_max`` steps, byte for byte."""
+
+    @pytest.mark.parametrize("t_max", [1, 5, 100])
+    @pytest.mark.parametrize("T", [None, 6], ids=["one", "stack"])
+    @pytest.mark.parametrize("snr_db", [np.inf, -10.0], ids=["noise-free", "-10dB"])
+    @pytest.mark.parametrize("approx", [False, True], ids=["prox", "aprox"])
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
+    def test_equals_all_steps(self, kind, approx, snr_db, T, t_max):
+        pre, c, params = _stop_case(kind, T, snr_db, approx, t_max)
+        s_all, q_cur, want = iterate_all_steps(pre, c, params)
+        traced = iterate(pre, c, params)
+        got = (traced.trace.objective, traced.trace.grad_residual, traced.trace.boundary_gap)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (t_max,) + pre.G.shape[:-2]
+            assert g.tobytes() == w.tobytes()
+        for final in (traced, iterate(pre, c, params, record_trace=False)):
+            assert final.s_cur.tobytes() == s_all[-1].tobytes()
+            assert final.q_cur.tobytes() == q_cur.tobytes()
+        assert traced.steps == (_first_repeat(s_all) or t_max)
+
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
+    def test_counts_steps(self, kind, monkeypatch):
+        pre, c, params = _stop_case(kind, 6, -4.0, False, 100)
+        k = _first_repeat(iterate_all_steps(pre, c, params)[0])
+        assert k is not None and 3 <= k < 100
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return iterate_once(*args)
+
+        monkeypatch.setattr(prox, "iterate_once", counting)
+        Y = np.zeros(pre.G.shape[:-2] + (16, 9))  # solve_stack only checks its shape
+        # Repeats after k steps; still changing at t_max = k - 1.
+        for t_max, steps in ((100, k), (k, k), (k - 1, k - 1)):
+            params = ProxParams(t_max=t_max)
+            for record_trace in (True, False):
+                calls.clear()
+                state = iterate(pre, c, params, record_trace)
+                assert len(calls) == state.steps == steps
+            calls.clear()
+            solve_stack(Y, pre, c, params)
+            assert len(calls) == steps
 
 
 class TestDiagnostics:
