@@ -367,14 +367,7 @@ def solve_fixed_stack(
     cfg, Gq, state, sc_raw = quantize_block(pre, c, params)
     for _ in range(params.t_max):
         state = direct_iteration(state, Gq, cfg, sc_raw)
-    return _sign_decisions(state, c)
-
-
-def _sign_decisions(state: tuple[np.ndarray, np.ndarray], c: Constellation) -> np.ndarray:
-    """Hard decisions from the sign bits of the final iterate."""
-    out = c.decide(*state)
-    out[..., 0] = c.points[0]
-    return out
+    return c.decide(*state)
 
 
 def latency_cycles(K: int, t_max: int) -> int:

@@ -105,10 +105,12 @@ class LosGeometry:
     user_angle: float = 0.0
 
     def __post_init__(self):
-        if self.antenna_spacing <= 0:
-            raise ParameterError("antenna spacing must be positive")
-        if self.user_distance <= 0:
-            raise ParameterError("user distance must be positive")
+        if not 0 < self.antenna_spacing < np.inf:
+            raise ParameterError("antenna spacing must be finite and positive")
+        if not 0 < self.user_distance < np.inf:
+            raise ParameterError("user distance must be finite and positive")
+        if not np.isfinite(self.user_angle):
+            raise ParameterError("user angle must be finite")
 
 
 def gen_los_channel(B: int, geom: LosGeometry) -> np.ndarray:

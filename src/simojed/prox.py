@@ -1,25 +1,21 @@
 """Joint detection solver: alternating minimization with per-entry projection
 onto the constellation hull.
 
-The solver runs on the Gram matrix of the received block. Preprocessing
-builds the scaled iteration matrix either from the exact shifted inverse or
-from its cheap two-term series approximation; each iteration
-(``iterate_once``) is one matrix-vector product, a scaled clip onto the
-hull, and a pilot-slot overwrite. ``iterate`` is the one iteration loop.
-A step depends only on the iterate before it, so the loop stops once the
-whole stack's iterate repeats word for word: every later step would repeat
-it too. When it records a trace it keeps every iterate and, after the last
-step run, computes the diagnostics of those steps (objective value,
-gradient residual, distance to the hull boundary) in one pass over the
-stacked iterates, as one ``SolverTrace`` of per-step arrays that still has
-``t_max`` rows, the last one repeated; they support the convergence test
-suites.
+The solver runs on the Gram matrix of the received block, through the
+scaled iteration matrix that ``preprocess`` builds from the exact shifted
+inverse or its two-term series. A step (``iterate_once``) is one
+matrix-vector product, a scaled hull clip and a pilot pin; it returns the
+new iterate and the scaled product. ``iterate``, the one loop, stops once
+the whole stack's iterate repeats word for word, as every later step
+would. A traced run then scales the kept products into the unscaled
+iterate and computes every step's diagnostics (objective, gradient
+residual, hull-boundary gap) in one pass.
 
 Every step takes a stack of blocks with a leading trial axis (``Y`` of
 shape (T, B, N), ``G`` of shape (T, N, N), iterates of shape (T, N)), or one
 block's arrays without it; the trials of a stack are solved independently.
-``solve_stack`` is the one detection pass (on a ``preprocess`` result) and
-the entry that checks the caller's blocks; traced runs call ``iterate``.
+``solve_stack`` is the checked detection pass of a sweep; the tuner and the
+verify suites call ``iterate`` and ``iterate_once`` on blocks they drew.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, ParameterError
 from .linalg import invert_shifted, neumann_two_term
-from .model import Constellation
+from .model import Constellation, check_seed
 
 
 @dataclass(frozen=True)
@@ -38,8 +34,9 @@ class ProxParams:
     """Solver knobs.
 
     The shift factor is ``alpha_scale`` times the Gram spectral norm and must
-    stay above it, so ``alpha_scale > 1``. The projection gain is the power
-    of two ``2**rho_log2`` (a hardware shift). Preprocessing scales the
+    stay above it, so ``alpha_scale`` is finite and above 1. The projection
+    gain is ``2**rho_log2`` (a hardware shift). ``rho_log2 >= 0`` and
+    ``t_max >= 1`` are integers, not bools. Preprocessing scales the
     iteration matrix so its largest component magnitude is one.
     """
 
@@ -48,12 +45,11 @@ class ProxParams:
     t_max: int = 5
 
     def __post_init__(self):
-        if self.alpha_scale <= 1.0:
-            raise ParameterError("alpha_scale must exceed 1")
-        if self.t_max < 1:
+        if not 1.0 < self.alpha_scale < np.inf:
+            raise ParameterError(f"alpha_scale must be finite and exceed 1, not {self.alpha_scale}")
+        check_seed(self.rho_log2, "rho_log2")
+        if check_seed(self.t_max, "t_max") < 1:
             raise ParameterError("t_max must be at least 1")
-        if self.rho_log2 < 0:
-            raise ParameterError("rho_log2 must be non-negative")
 
     @property
     def rho(self) -> float:
@@ -66,9 +62,9 @@ class PreprocessedMatrix:
 
     ``gamma * Ghat`` is the raw (unscaled) matrix: the shifted inverse, or
     its two-term series for the ``aprox`` variant. ``gamma`` is the raw
-    matrix's largest component magnitude. ``G`` is kept so
-    diagnostics can evaluate the objective without the received block. For
-    a stack, ``gamma`` holds one value per trial, ``alpha`` what was given.
+    matrix's largest component magnitude. ``G`` is kept so diagnostics can
+    evaluate the objective without the received block. For a stack,
+    ``gamma`` holds one value per trial, ``alpha`` what was given.
     """
 
     Ghat: np.ndarray
@@ -99,13 +95,12 @@ class SolverTrace:
 
 @dataclass
 class SolverState:
-    """The iterate ``s_cur``, its unscaled ``q_cur``, and from ``iterate``
-    the trace and the number of steps run."""
+    """What ``iterate`` returns: the final iterate ``s_cur``, the number of
+    steps run and, when recorded, the trace."""
 
     s_cur: np.ndarray
-    q_cur: np.ndarray
+    steps: int
     trace: SolverTrace | None = None
-    steps: int = 0
 
 
 @dataclass
@@ -180,17 +175,18 @@ def _boundary_gap(s: np.ndarray, c: Constellation) -> np.ndarray:
 
 
 def iterate_once(
-    state: SolverState,
+    s: np.ndarray,
     pre: PreprocessedMatrix,
     c: Constellation,
     params: ProxParams,
-) -> SolverState:
-    """One solver step: matrix-vector product, scaled hull clip, pilot pin."""
-    q_tilde = _matvec(pre.Ghat, state.s_cur)
+) -> tuple[np.ndarray, np.ndarray]:
+    """One solver step from the iterate ``s``: matrix-vector product, scaled
+    hull clip, pilot pin. Returns the new iterate and the scaled product
+    ``q_tilde``; the unscaled iterate is ``pre.gamma * q_tilde``."""
+    q_tilde = _matvec(pre.Ghat, s)
     s_new = _clip_to_hull(params.rho * q_tilde, c)
     s_new[..., 0] = c.points[0]
-    q = np.asarray(pre.gamma)[..., None] * q_tilde
-    return SolverState(s_cur=s_new, q_cur=q)
+    return s_new, q_tilde
 
 
 def iterate(
@@ -199,38 +195,40 @@ def iterate(
     params: ProxParams,
     record_trace: bool = True,
 ) -> SolverState:
-    """``params.t_max`` solver steps from the matched-filter start, or fewer:
-    the loop stops after the first step whose iterate repeats the one before
-    it word for word over the whole stack, since every later step would
-    repeat it too. ``steps`` in the state counts the steps run.
+    """Up to ``params.t_max`` solver steps from the matched-filter start;
+    ``steps`` in the state counts those run. The loop stops after the first
+    step whose iterate repeats the one before it word for word over the
+    whole stack, as every later step would.
 
-    With ``record_trace`` the iterates are kept, and after the last step run
-    the diagnostics of those steps are computed in one pass over them into
-    the state's ``SolverTrace``, whose last row is repeated up to ``t_max``
-    rows; without it the trace is None. The objective is NaN for trials
-    whose reconstructed weight beta is outside (0, alpha)."""
-    state = SolverState(s_cur=init_s(pre.G, c), q_cur=np.zeros_like(pre.G[..., 0]))
+    With ``record_trace`` the state's ``SolverTrace`` holds the diagnostics
+    of the steps run, computed in one pass after the loop, its last row
+    repeated up to ``t_max`` rows; the objective is NaN for trials whose
+    reconstructed weight beta is outside (0, alpha). Without it the trace
+    is None."""
+    s_cur = init_s(pre.G, c)
     if record_trace:
-        s_all = np.empty((params.t_max + 1,) + state.s_cur.shape, dtype=np.complex128)
+        s_all = np.empty((params.t_max + 1,) + s_cur.shape, dtype=np.complex128)
         q_all = np.empty_like(s_all[1:])
-        s_all[0] = state.s_cur
+        s_all[0] = s_cur
     for steps in range(1, params.t_max + 1):
-        prev = state.s_cur
-        state = iterate_once(state, pre, c, params)
+        s_new, q_tilde = iterate_once(s_cur, pre, c, params)
         if record_trace:
-            s_all[steps], q_all[steps - 1] = state.s_cur, state.q_cur
-        if state.s_cur.tobytes() == prev.tobytes():
+            s_all[steps], q_all[steps - 1] = s_new, q_tilde
+        if s_new.tobytes() == s_cur.tobytes():
             break
-    state.steps = steps
-    if record_trace:
-        s_prev, s_new = s_all[:steps], s_all[1 : steps + 1]
-        grad_residual = pre.alpha * np.linalg.norm(s_prev - s_new, axis=-1)
-        beta = pre.beta(params.rho)
-        valid = (0.0 < beta) & (beta < pre.alpha)
-        obj = np.where(valid, objective(q_all[:steps], s_new, pre.G, pre.alpha, beta), np.nan)
-        rows = np.minimum(np.arange(params.t_max), steps - 1)
-        state.trace = SolverTrace(obj[rows], grad_residual[rows], _boundary_gap(s_new, c)[rows])
-    return state
+        s_cur = s_new
+    if not record_trace:
+        return SolverState(s_cur, steps)
+    # Only the rows run are scaled: the others hold whatever np.empty left.
+    q = np.asarray(pre.gamma)[..., None] * q_all[:steps]
+    s_prev, s_new = s_all[:steps], s_all[1 : steps + 1]
+    grad_residual = pre.alpha * np.linalg.norm(s_prev - s_new, axis=-1)
+    beta = pre.beta(params.rho)
+    valid = (0.0 < beta) & (beta < pre.alpha)
+    obj = np.where(valid, objective(q, s_new, pre.G, pre.alpha, beta), np.nan)
+    rows = np.minimum(np.arange(params.t_max), steps - 1)
+    trace = SolverTrace(obj[rows], grad_residual[rows], _boundary_gap(s_new, c)[rows])
+    return SolverState(s_cur, steps, trace)
 
 
 def hard_decision(s: np.ndarray, c: Constellation) -> np.ndarray:
@@ -273,13 +271,10 @@ def solve_stack(
     c: Constellation,
     params: ProxParams,
 ) -> SolveResult:
-    """Full detection pass over a stack of blocks (or one block) on their
-    ``preprocess`` result (of either variant): initialize, iterate, slice,
-    and re-estimate each channel from its hard decisions.
-
-    A non-finite ``Y`` is a ``ParameterError``; Gram matrices ``pre.G``
-    whose shape is not one (N, N) matrix per block of N slots are a
-    ``DimensionError``.
+    """Detection pass over a stack of blocks (or one) on their ``preprocess``
+    result: iterate, slice, and re-estimate each channel from the decisions.
+    A non-finite ``Y`` is a ``ParameterError``; Gram matrices ``pre.G`` that
+    are not one (N, N) matrix per block of N slots are a ``DimensionError``.
     """
     Y = np.asarray(Y)
     if not np.all(np.isfinite(Y)):
@@ -287,7 +282,5 @@ def solve_stack(
     shape = np.shape(pre.G)
     if Y.ndim < 2 or shape != Y.shape[:-2] + 2 * Y.shape[-1:]:
         raise DimensionError(f"Gram matrices of shape {shape} for blocks of shape {Y.shape}")
-    state = iterate(pre, c, params, record_trace=False)
-    s_hat = hard_decision(state.s_cur, c)
-    s_hat[..., 0] = c.points[0]
+    s_hat = hard_decision(iterate(pre, c, params, record_trace=False).s_cur, c)
     return SolveResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat))

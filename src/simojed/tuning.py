@@ -3,7 +3,8 @@
 The projection gain and the shift-factor scale are the two knobs the
 algorithm leaves open; this searches the fixed grids ``RHO_LOG2_GRID`` x
 ``ALPHA_SCALE_GRID`` on a seeded paired batch and keeps the best setting per
-search configuration.
+search configuration, scoring each by the hard decisions of one untraced
+``prox.iterate`` over the whole batch.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ParameterError
 from .linalg import spectral_norm
 from .model import Constellation, draw_blocks
-from .prox import ProxParams, preprocess, solve_stack
+from .prox import ProxParams, hard_decision, iterate, preprocess
 
 RHO_LOG2_GRID = tuple(range(0, 7))
 ALPHA_SCALE_GRID = (1.25, 1.5, 2.0, 4.0)
@@ -45,19 +46,21 @@ def tune_rho(
 
     Every setting sees byte-identical blocks. The batch is preprocessed once,
     from one set of spectral norms, as one (``alpha_scale``, trial) stack
-    that each ``rho_log2`` solves in one call. ``approx`` tunes the
-    ``aprox`` variant (two-term series) instead of ``prox``. Ties in error
-    count break to the smallest ``rho_log2``, then the smallest
-    ``alpha_scale``.
+    that each ``rho_log2`` iterates once, slicing only the data slots.
+    ``approx`` tunes the ``aprox`` variant (two-term series) instead of
+    ``prox``. Ties in error count break to the smallest ``rho_log2``, then
+    the smallest ``alpha_scale``.
     When a cache file is given and already holds a result for these exact
     arguments and grids (everything but the cache path), it is returned
-    without re-searching. No trials, a cache file that does not hold a JSON
-    object, or a matching entry without the three numbers of a
-    ``TunedParams``, is a ``ParameterError``, raised before any block is
-    drawn.
+    without re-searching. No trials, no data slot, a cache file that does
+    not hold a JSON object, or a matching entry without the three numbers
+    of a ``TunedParams``, is a ``ParameterError``, raised before any block
+    is drawn.
     """
     if trials < 1:
         raise ParameterError(f"need at least one tuning trial, got {trials}")
+    if K < 1:
+        raise ParameterError(f"need at least one data slot, got K={K}")
     variant = "approx" if approx else "exact"
     key = (
         f"B{B}_K{K}_{constellation}_{variant}_snr{float(snr_db)!r}_tmax{t_max}_trials{trials}"
@@ -83,14 +86,14 @@ def tune_rho(
 
     c = Constellation.by_name(constellation)
     # Trial t is the one-trial chunk keyed by (t,).
-    Y, G, s, *_ = draw_blocks(B, K, c, seed, [((t,), snr_db, 1) for t in range(trials)])
+    _, G, s, *_ = draw_blocks(B, K, c, seed, [((t,), snr_db, 1) for t in range(trials)])
     alpha = np.multiply.outer(ALPHA_SCALE_GRID, spectral_norm(G))
     pre = preprocess(np.broadcast_to(G, alpha.shape + G.shape[1:]), alpha, approx)
-    Y = np.broadcast_to(Y, alpha.shape + Y.shape[1:])
     candidates = []
     for rho_log2 in RHO_LOG2_GRID:
-        res = solve_stack(Y, pre, c, ProxParams(rho_log2=rho_log2, t_max=t_max))
-        ser = np.sum(res.s_hat[..., 1:] != s[:, 1:], axis=(-2, -1)) / (trials * K)
+        state = iterate(pre, c, ProxParams(rho_log2=rho_log2, t_max=t_max), record_trace=False)
+        s_hat = hard_decision(state.s_cur[..., 1:], c)
+        ser = np.sum(s_hat != s[:, 1:], axis=(-2, -1)) / (trials * K)
         candidates += [TunedParams(rho_log2, a, e) for a, e in zip(ALPHA_SCALE_GRID, ser.tolist())]
     best = min(candidates, key=lambda t: (t.ser, t.rho_log2, t.alpha_scale))
 

@@ -35,7 +35,15 @@ import numpy as np
 from .errors import ParameterError
 from .linalg import gram, invert_shifted, neumann_error_bound, neumann_two_term, spectral_norm
 from .model import Constellation, check_seed, draw_blocks
-from .prox import PreprocessedMatrix, ProxParams, hull_gaps, init_s, iterate, preprocess
+from .prox import (
+    PreprocessedMatrix,
+    ProxParams,
+    hull_gaps,
+    init_s,
+    iterate,
+    iterate_once,
+    preprocess,
+)
 
 # Float slack for the non-increase check: a true descent violation is O(1),
 # rounding noise is ~1e-13 at these problem scales.
@@ -267,13 +275,13 @@ def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
     seed = _check_args(seed, n_instances, "n_instances")
     rng = np.random.default_rng(seed)
     report = SuiteReport(name="gradient_identity")
-    params = ProxParams(alpha_scale=2.0, rho_log2=1, t_max=1)
+    params = ProxParams(alpha_scale=2.0, rho_log2=1)
     rows = []  # (instance, err, denom, shape)
     for c, K, index, B, G in _draw_stacks(rng, seed, range(n_instances)):
         pre = preprocess(G, params.alpha_scale * spectral_norm(G))
         s_prev = init_s(G, c)
-        state = iterate(pre, c, params, record_trace=False)
-        q, s_new = state.q_cur, state.s_cur
+        s_new, q_tilde = iterate_once(s_prev, pre, c, params)
+        q = pre.gamma[:, None] * q_tilde
         alpha = pre.alpha[:, None]
         lhs = -(G @ q[..., None])[..., 0] + alpha * (q - s_new)
         rhs = alpha * (s_prev - s_new)

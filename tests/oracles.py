@@ -131,24 +131,24 @@ def step_diagnostics(s_prev, s_new, q, G, alpha, beta, re_bound, im_bound):
 
 def iterate_all_steps(pre, c, params):
     """``prox.iterate`` without its stop: all ``params.t_max`` steps of
-    ``prox.iterate_once`` from the matched-filter start, then the
-    diagnostics of every step in one pass over all the rows. Returns the
-    iterates from the start on, stacked along a new leading axis, the last
-    ``q_cur``, and (objective, grad_residual, boundary_gap)."""
+    ``prox.iterate_once`` from the matched-filter start, each step's
+    unscaled iterate ``gamma * q_tilde`` formed as the step returns, then
+    the diagnostics of every step in one pass over all the rows. Returns
+    the iterates from the start on, stacked along a new leading axis, and
+    (objective, grad_residual, boundary_gap)."""
     from simojed import prox
 
-    state = prox.SolverState(s_cur=prox.init_s(pre.G, c), q_cur=None)
-    s_all, q_all = [state.s_cur], []
+    s_all, q_all = [prox.init_s(pre.G, c)], []
     for _ in range(params.t_max):
-        state = prox.iterate_once(state, pre, c, params)
-        s_all.append(state.s_cur)
-        q_all.append(state.q_cur)
+        s_new, q_tilde = prox.iterate_once(s_all[-1], pre, c, params)
+        s_all.append(s_new)
+        q_all.append(np.asarray(pre.gamma)[..., None] * q_tilde)
     s_all = np.stack(s_all)
     diagnostics = step_diagnostics(
         s_all[:-1], s_all[1:], np.stack(q_all), pre.G, pre.alpha,
         pre.beta(params.rho), c.re_bound, c.im_bound,
     )
-    return s_all, state.q_cur, diagnostics
+    return s_all, diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -445,7 +445,7 @@ class TestSolveFixed:
                 s_t, _ = pe_array_iteration(s_t, Gq_t, cfg_t, sc_t)
             assert np.array_equal(s_t[0], state[0][t])
             assert np.array_equal(s_t[1], state[1][t])
-            assert np.array_equal(fxp._sign_decisions(s_t, c), decisions[t])
+            assert np.array_equal(c.decide(*s_t), decisions[t])
 
     def test_bpsk_real_only(self):
         c = Constellation.bpsk()

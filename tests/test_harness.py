@@ -682,12 +682,25 @@ class TestTuning:
     @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
     def test_one_norm_one_preprocess_per_batch(self, approx, monkeypatch):
         # Every alpha_scale is preprocessed in one stack, and every rho_log2
-        # solves that whole stack once.
-        names = ("spectral_norm", "invert_shifted", "neumann_two_term", "preprocess", "solve_stack")
+        # iterates that whole stack once, untraced; the tuner neither runs
+        # the checked detection pass nor estimates a channel.
+        names = (
+            "spectral_norm", "invert_shifted", "neumann_two_term", "preprocess", "iterate",
+            "solve_stack", "channel_estimate",
+        )
         calls = count_calls(monkeypatch, names)
+        counted, traced = tuning.iterate, []
+
+        def recording(*args, record_trace=True):
+            traced.append(record_trace)
+            return counted(*args, record_trace=record_trace)
+
+        monkeypatch.setattr(tuning, "iterate", recording)
         tune_rho(16, 8, "bpsk", -6.0, trials=4, seed=1, approx=approx)
         inverse = "neumann_two_term" if approx else "invert_shifted"
-        assert calls == {"spectral_norm": 1, "preprocess": 1, inverse: 1, "solve_stack": 7}
+        # No solve_stack or channel_estimate key: neither was called.
+        assert calls == {"spectral_norm": 1, "preprocess": 1, inverse: 1, "iterate": 7}
+        assert traced == [False] * 7
 
     @pytest.mark.parametrize(
         "args, expected",
@@ -707,6 +720,14 @@ class TestTuning:
         args = dict(trials=5, seed=3) | kw
         with pytest.raises(ParameterError):
             tune_rho(4, 3, "bpsk", 0.0, **args)
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_no_data_slot_rejected_before_drawing(self, K, monkeypatch):
+        # K=0 used to return a NaN error rate after a divide-by-zero
+        # warning, and K=-1 end in numpy's "negative dimensions" error.
+        monkeypatch.setattr(tuning, "draw_blocks", None)
+        with pytest.raises(ParameterError, match="at least one data slot"):
+            tune_rho(4, K, "bpsk", 0.0, trials=5, seed=1)
 
     @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
     def test_non_finite_snr_rejected(self, snr_db):
@@ -741,7 +762,7 @@ class TestTuning:
         first = tune_rho(4, 3, "bpsk", -4.0, trials=30, seed=5, cache_path=path)
         assert path.exists()
         # A repeat of the same arguments is served from the cache alone.
-        monkeypatch.setattr(tuning, "solve_stack", None)
+        monkeypatch.setattr(tuning, "iterate", None)
         cached = tune_rho(4, 3, "bpsk", -4.0, trials=30, seed=5, cache_path=path)
         assert cached == first
         (key,) = json.loads(path.read_text())

@@ -94,6 +94,14 @@ class TestLos:
         with pytest.raises(ParameterError):
             LosGeometry(antenna_spacing=0.0)
 
+    @pytest.mark.parametrize("field", ["antenna_spacing", "user_distance", "user_angle"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_geometry_rejected(self, field, value):
+        # Such a geometry used to fail only in the sweep, where gram blamed
+        # the received block for its non-finite entries.
+        with pytest.raises(ParameterError, match=field.replace("_", " ")):
+            LosGeometry(**{field: value})
+
 
 class TestDataVector:
     # The sent symbols ``Blocks.s``: the pilot, then the data symbols.

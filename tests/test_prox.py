@@ -10,7 +10,6 @@ from simojed.model import Constellation
 from simojed.prox import (
     PreprocessedMatrix,
     ProxParams,
-    SolverState,
     channel_estimate,
     hard_decision,
     init_s,
@@ -37,6 +36,29 @@ class TestParams:
 
     def test_rho_is_power_of_two(self):
         assert ProxParams(rho_log2=3).rho == 8.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rho_log2", 1.5),
+            ("rho_log2", 2.0),
+            ("rho_log2", True),
+            ("rho_log2", -1),
+            ("t_max", 2.5),
+            ("t_max", False),
+            ("alpha_scale", np.nan),
+            ("alpha_scale", np.inf),
+        ],
+    )
+    def test_bad_field_rejected_by_name(self, field, value):
+        # A float gain used to run a sweep silently at rho = 2**1.5, and a
+        # float t_max or a NaN alpha_scale failed only inside the solve.
+        with pytest.raises(ParameterError, match=field):
+            ProxParams(**{field: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        params = ProxParams(rho_log2=np.int64(0), t_max=np.int32(3))
+        assert params.rho == 1.0 and params.t_max == 3
 
 
 class TestPreprocess:
@@ -105,19 +127,16 @@ class TestIterate:
     def test_identity_fixed_point(self):
         c = Constellation.qpsk()
         s_prev = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.05 - 0.6j])
-        state = SolverState(s_cur=s_prev.copy(), q_cur=np.zeros(3, dtype=complex))
-        out = iterate_once(state, self._pre_identity(3), c, ProxParams(rho_log2=0))
-        assert np.allclose(out.s_cur[1:], s_prev[1:], atol=1e-15)
-        assert out.s_cur[0] == c.points[0]
+        s_new, _ = iterate_once(s_prev.copy(), self._pre_identity(3), c, ProxParams(rho_log2=0))
+        assert np.allclose(s_new[1:], s_prev[1:], atol=1e-15)
+        assert s_new[0] == c.points[0]
 
     def test_clip_example(self):
         c = Constellation.qpsk()
-        state = SolverState(
-            s_cur=np.array([c.points[0], 3.2 + 0.1j]), q_cur=np.zeros(2, dtype=complex)
-        )
-        out = iterate_once(state, self._pre_identity(2), c, ProxParams(rho_log2=0))
-        assert out.s_cur[1].real == pytest.approx(c.re_bound)
-        assert out.s_cur[1].imag == pytest.approx(0.1)
+        s = np.array([c.points[0], 3.2 + 0.1j])
+        s_new, _ = iterate_once(s, self._pre_identity(2), c, ProxParams(rho_log2=0))
+        assert s_new[1].real == pytest.approx(c.re_bound)
+        assert s_new[1].imag == pytest.approx(0.1)
 
     @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
     def test_matches_scalar_reference(self, kind):
@@ -125,24 +144,24 @@ class TestIterate:
         params = ProxParams(rho_log2=1)
         pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))
         s = init_s(G, c)
-        state = SolverState(s_cur=s, q_cur=np.zeros_like(s))
         for _ in range(4):
             q_ref, s_ref = prox_iteration_scalar(
-                pre.Ghat, state.s_cur, params.rho, c.re_bound, c.im_bound, c.points[0]
+                pre.Ghat, s, params.rho, c.re_bound, c.im_bound, c.points[0]
             )
-            state = iterate_once(state, pre, c, params)
-            assert np.max(np.abs(state.s_cur - s_ref)) < 1e-14
+            s, q_tilde = iterate_once(s, pre, c, params)
+            assert np.max(np.abs(s - s_ref)) < 1e-14
+            assert np.max(np.abs(q_tilde - q_ref)) < 1e-14
 
     def test_hull_membership_and_pilot_pin(self):
         _, G, c = make_noisy_block(6)
         params = ProxParams()
         pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))
-        state = SolverState(s_cur=init_s(G, c), q_cur=None)
+        s = init_s(G, c)
         for _ in range(10):
-            state = iterate_once(state, pre, c, params)
-            assert np.all(np.abs(state.s_cur.real) <= c.re_bound + 1e-12)
-            assert np.all(np.abs(state.s_cur.imag) <= c.im_bound + 1e-12)
-            assert state.s_cur[0] == c.points[0]
+            s, _ = iterate_once(s, pre, c, params)
+            assert np.all(np.abs(s.real) <= c.re_bound + 1e-12)
+            assert np.all(np.abs(s.imag) <= c.im_bound + 1e-12)
+            assert s[0] == c.points[0]
 
 
 class TestHullClip:
@@ -169,12 +188,13 @@ class TestHullClip:
         _, G, c = make_noisy_block(7, kind=kind)
         params = ProxParams(rho_log2=3)
         pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))
-        state = SolverState(s_cur=init_s(G, c), q_cur=None)
-        s_before, Ghat_before = state.s_cur.copy(), pre.Ghat.copy()
-        out = iterate_once(state, pre, c, params)
-        assert state.s_cur.tobytes() == s_before.tobytes()
+        s = init_s(G, c)
+        s_before, Ghat_before = s.copy(), pre.Ghat.copy()
+        s_new, q_tilde = iterate_once(s, pre, c, params)
+        assert s.tobytes() == s_before.tobytes()
         assert pre.Ghat.tobytes() == Ghat_before.tobytes()
-        assert not np.shares_memory(out.s_cur, state.s_cur)
+        assert not np.shares_memory(s_new, s)
+        assert not np.shares_memory(s_new, q_tilde)
 
 
 class TestHardDecision:
@@ -195,7 +215,7 @@ class TestHardDecision:
         q = Constellation.qpsk()
         assert hard_decision(np.array([0.5 + 0j]), q)[0] == q.points[0]
         assert hard_decision(np.array([0 - 0.5j]), q)[0] == q.points[3]
-        fixed = fxp._sign_decisions((np.array([5, 0]), np.array([0, -7])), q)
+        fixed = q.decide(np.array([5, 0]), np.array([0, -7]))
         assert fixed[1] == q.points[3]
 
     @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
@@ -266,6 +286,20 @@ class TestSolve:
         res_a = solve_stack(Y, pre_a, c, params)
         res_b = solve_stack(3.7 * Y, pre_b, c, params)
         assert np.array_equal(res_a.s_hat, res_b.s_hat)
+
+
+@pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
+def test_pilot_slot_decides_to_the_pilot(kind):
+    # Neither detection pass pins slot 0 after slicing: the pinned iterate,
+    # float or quantized, already slices to the pilot.
+    c = Constellation.by_name(kind)
+    _, G = model.draw_blocks(8, 5, c, 23, [((), -8.0, 200)])[:2]
+    Y = np.zeros((200, 8, 6))  # solve_stack only checks its shape
+    for rho_log2 in (1, 3):
+        params = ProxParams(alpha_scale=1.25, rho_log2=rho_log2, t_max=3)
+        pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))
+        assert np.all(solve_stack(Y, pre, c, params).s_hat[:, 0] == c.points[0])
+        assert np.all(fxp.solve_fixed_stack(pre, c, params)[:, 0] == c.points[0])
 
 
 class TestSolveStack:
@@ -365,21 +399,19 @@ class TestTrace:
         trace = traced.trace
         fields = (trace.objective, trace.grad_residual, trace.boundary_gap)
         assert all(f.shape == (t_max,) + G.shape[:-2] for f in fields)
-        state = SolverState(s_cur=init_s(G, c), q_cur=None)
+        s = init_s(G, c)
         for t in range(t_max):
-            s_prev = state.s_cur
-            state = iterate_once(state, pre, c, params)
-            want = step_diagnostics(
-                s_prev, state.s_cur, state.q_cur, G, pre.alpha, beta, c.re_bound, c.im_bound
-            )
+            s_new, q_tilde = iterate_once(s, pre, c, params)
+            q = np.asarray(pre.gamma)[..., None] * q_tilde
+            want = step_diagnostics(s, s_new, q, G, pre.alpha, beta, c.re_bound, c.im_bound)
             for f, w in zip(fields, want):
                 assert np.shape(f[t]) == np.shape(w)
                 assert np.array_equal(f[t], w, equal_nan=True)
+            s = s_new
         bare = iterate(pre, c, params, record_trace=False)
         assert bare.trace is None
         for final in (traced, bare):
-            assert np.array_equal(final.s_cur, state.s_cur)
-            assert np.array_equal(final.q_cur, state.q_cur)
+            assert np.array_equal(final.s_cur, s)
 
 
 def _stop_case(kind, T, snr_db, approx, t_max, seed=41):
@@ -412,7 +444,7 @@ class TestStop:
     @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
     def test_equals_all_steps(self, kind, approx, snr_db, T, t_max):
         pre, c, params = _stop_case(kind, T, snr_db, approx, t_max)
-        s_all, q_cur, want = iterate_all_steps(pre, c, params)
+        s_all, want = iterate_all_steps(pre, c, params)
         traced = iterate(pre, c, params)
         got = (traced.trace.objective, traced.trace.grad_residual, traced.trace.boundary_gap)
         for g, w in zip(got, want):
@@ -420,7 +452,6 @@ class TestStop:
             assert g.tobytes() == w.tobytes()
         for final in (traced, iterate(pre, c, params, record_trace=False)):
             assert final.s_cur.tobytes() == s_all[-1].tobytes()
-            assert final.q_cur.tobytes() == q_cur.tobytes()
         assert traced.steps == (_first_repeat(s_all) or t_max)
 
     @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
@@ -477,11 +508,10 @@ class TestDiagnostics:
             params = ProxParams(t_max=1)
             pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))
             s_prev = init_s(G, c)
-            state = SolverState(s_cur=s_prev.copy(), q_cur=None)
-            state = iterate_once(state, pre, c, params)
-            q = state.q_cur
-            lhs = -G @ q + pre.alpha * (q - state.s_cur)
-            rhs = pre.alpha * (s_prev - state.s_cur)
+            s_new, q_tilde = iterate_once(s_prev, pre, c, params)
+            q = pre.gamma * q_tilde
+            lhs = -G @ q + pre.alpha * (q - s_new)
+            rhs = pre.alpha * (s_prev - s_new)
             denom = max(np.linalg.norm(rhs), np.linalg.norm(lhs))
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * denom
 
