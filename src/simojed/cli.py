@@ -157,44 +157,18 @@ def _build_config(res: dict, methods: str, arithmetic: str = "float") -> SweepCo
     )
 
 
-def _write_outputs(prefix: str, result, plot: bool) -> None:
+def _write_outputs(prefix: str, result) -> None:
     csv_path = Path(f"{prefix}.csv")
     csv_path.write_text(result.to_csv())
     Path(f"{prefix}.json").write_text(json.dumps(result.metadata(), indent=2) + "\n")
     print(f"wrote {csv_path} and {prefix}.json")
-    if plot:
-        _plot_result(prefix, result)
-
-
-def _plot_result(prefix: str, result) -> None:
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("matplotlib not installed; skipping plot", file=sys.stderr)
-        return
-    fig, ax = plt.subplots(figsize=(6, 4.5))
-    for method in result.methods():
-        curve = result.curve(method)
-        snrs = sorted(curve)
-        ax.semilogy(snrs, [max(curve[s], 1e-12) for s in snrs], marker="o", label=method)
-    ax.set_xlabel("per-antenna SNR [dB]")
-    ax.set_ylabel("uplink SER")
-    ax.grid(True, which="both", alpha=0.4)
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(f"{prefix}.svg")
-    plt.close(fig)
-    print(f"wrote {prefix}.svg")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     res = _resolve(args, {"methods": "prox,mrc-chest", "arithmetic": "float"})
     cfg = _build_config(res, res["methods"], res["arithmetic"])
     result = run_sweep(cfg)
-    for (method, snr), cell in sorted(result.cells.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+    for (method, snr), cell in sorted(result.cells.items()):
         lo, hi = cell.wilson_interval()
         print(
             f"{method:9s} snr={snr:+6.1f} dB  uplink SER {cell.uplink_ser:.3e} "
@@ -202,7 +176,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"chest MSE {cell.chest_mse:.3e}"
         )
     if args.out:
-        _write_outputs(args.out, result, args.plot)
+        _write_outputs(args.out, result)
     return 0
 
 
@@ -305,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_args(p)
     p.add_argument("--methods", help="comma list: prox,aprox,mrc-csir,mrc-chest,mrc-rt,ml-jed")
     p.add_argument("--arithmetic", choices=["float", "fixed"])
-    p.add_argument("--plot", action="store_true", help="emit an SVG plot next to the CSV")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="convergence and bound suites")

@@ -94,9 +94,14 @@ class SweepConfig:
     downlink_symbols: int | None = None  # defaults to K
 
     def __post_init__(self):
+        # Integers as Python ints (numpy integers pass), so they hash and print alike.
+        ints = {"trials": "trials", "master_seed": "the master seed", "B": "B", "K": "K"}
+        if self.downlink_symbols is not None:
+            ints["downlink_symbols"] = "downlink_symbols"
+        for name, what in ints.items():
+            object.__setattr__(self, name, check_seed(getattr(self, name), what))
         if self.trials < 1:
             raise ParameterError("need at least one trial")
-        check_seed(self.master_seed, "the master seed")
         if not self.snr_points_db:
             raise ParameterError("need at least one SNR point")
         if len(set(self.snr_points_db)) < len(self.snr_points_db):
@@ -109,6 +114,8 @@ class SweepConfig:
             raise ParameterError("need at least one downlink symbol")
         if self.arithmetic not in ("float", "fixed"):
             raise ParameterError(f"unknown arithmetic {self.arithmetic!r}")
+        if not self.methods:
+            raise ParameterError("need at least one method")
         names = [m.name for m in self.methods]
         if len(set(names)) < len(names):
             raise ParameterError(f"each method may run once per sweep, got {names}")
@@ -127,17 +134,8 @@ class SweepConfig:
                 )
 
     def config_hash(self) -> str:
-        canon = json.dumps(_config_dict(self), sort_keys=True)
+        canon = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def _config_dict(cfg: SweepConfig) -> dict:
-    d = asdict(cfg)
-    d["methods"] = [
-        {"name": m.name, "params": (asdict(m.params) if m.params else None)}
-        for m in cfg.methods
-    ]
-    return d
 
 
 @dataclass
@@ -169,9 +167,6 @@ class SweepResult:
     master_seed: int
     version: str
     cells: dict[tuple[str, float], SweepCell] = field(default_factory=dict)
-
-    def methods(self) -> list[str]:
-        return list(dict.fromkeys(m for m, _ in self.cells))
 
     def curve(self, method: str, quantity: str = "uplink_ser") -> dict[float, float]:
         return {

@@ -36,8 +36,9 @@ class ProxParams:
     The shift factor is ``alpha_scale`` times the Gram spectral norm and must
     stay above it, so ``alpha_scale`` is finite and above 1. The projection
     gain is ``2**rho_log2`` (a hardware shift). ``rho_log2 >= 0`` and
-    ``t_max >= 1`` are integers, not bools. Preprocessing scales the
-    iteration matrix so its largest component magnitude is one.
+    ``t_max >= 1`` are integers, not bools, kept as Python ints.
+    Preprocessing scales the iteration matrix so its largest component
+    magnitude is one.
     """
 
     alpha_scale: float = 2.0
@@ -47,8 +48,9 @@ class ProxParams:
     def __post_init__(self):
         if not 1.0 < self.alpha_scale < np.inf:
             raise ParameterError(f"alpha_scale must be finite and exceed 1, not {self.alpha_scale}")
-        check_seed(self.rho_log2, "rho_log2")
-        if check_seed(self.t_max, "t_max") < 1:
+        object.__setattr__(self, "rho_log2", check_seed(self.rho_log2, "rho_log2"))
+        object.__setattr__(self, "t_max", check_seed(self.t_max, "t_max"))
+        if self.t_max < 1:
             raise ParameterError("t_max must be at least 1")
 
     @property

@@ -52,15 +52,16 @@ def tune_rho(
     the smallest ``alpha_scale``.
     When a cache file is given and already holds a result for these exact
     arguments and grids (everything but the cache path), it is returned
-    without re-searching. No trials, no data slot, a cache file that does
-    not hold a JSON object, or a matching entry without the three numbers
-    of a ``TunedParams``, is a ``ParameterError``, raised before any block
-    is drawn.
+    without re-searching. No trials, no data slot, a ``t_max`` that
+    ``ProxParams`` rejects, a cache file that does not hold a JSON object,
+    or a matching entry without the three numbers of a ``TunedParams``, is
+    a ``ParameterError``, raised before any block is drawn.
     """
     if trials < 1:
         raise ParameterError(f"need at least one tuning trial, got {trials}")
     if K < 1:
         raise ParameterError(f"need at least one data slot, got K={K}")
+    ProxParams(t_max=t_max)  # a bad t_max fails here, before the cache is read
     variant = "approx" if approx else "exact"
     key = (
         f"B{B}_K{K}_{constellation}_{variant}_snr{float(snr_db)!r}_tmax{t_max}_trials{trials}"

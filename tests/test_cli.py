@@ -10,6 +10,7 @@ import simojed
 from simojed import cli, harness
 from simojed.cli import main, parse_config_file, parse_snr_spec
 from simojed.errors import ParameterError
+from simojed.verify import SuiteReport, VerificationReport
 
 
 class TestParsers:
@@ -105,6 +106,12 @@ class TestSweepCommand:
         assert "config_hash" in meta
         shown = capsys.readouterr().out
         assert "prox" in shown and "mrc-chest" in shown
+
+    def test_plot_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--plot"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --plot" in capsys.readouterr().err
 
     def test_config_file_with_override(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
@@ -229,6 +236,21 @@ class TestVerifyCommand:
         assert "descent: pass" in out
         assert "boundary fraction" in out
 
+    def test_failures_exit_one_and_go_to_stderr(self, monkeypatch, capsys):
+        failing = SuiteReport(name="descent")
+        failing.tally(-1.0, "B=4,K=4,bpsk,attempt=1: objective increased")
+        failing.tally(-2.0, "B=16,K=4,qpsk,attempt=2: objective increased")
+        others = [SuiteReport(name) for name in ("boundary", "series_bound", "gradient_identity")]
+        report = VerificationReport(failing, *others)
+        monkeypatch.setattr(cli, "verify_theorems", lambda seed, n: report)
+        assert main(["verify"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == report.lines()
+        assert err.splitlines() == [
+            "  descent: B=4,K=4,bpsk,attempt=1: objective increased",
+            "  descent: B=16,K=4,qpsk,attempt=2: objective increased",
+        ]
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_non_positive_instance_count_exits_nonzero(self, count, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -337,6 +359,23 @@ class TestHwCompareCommand:
         out = capsys.readouterr().out
         assert "hard-decision agreement" in out
         assert "fixed-vs-float gap" in out
+
+    def test_out_writes_both_csvs(self, tmp_path, monkeypatch, capsys):
+        reports = []
+        real = cli.hw_compare
+
+        def recording(cfg, **kw):
+            reports.append(real(cfg, **kw))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "hw_compare", recording)
+        out = tmp_path / "hw"
+        assert main(["hw-compare", "--b", "8", "--k", "4", "--constellation", "qpsk",
+                     "--snr=-6,-4", "--trials", "15", "--seed", "7", "--out", str(out)]) == 0
+        (report,) = reports
+        assert (tmp_path / "hw_float.csv").read_text() == report.float_result.to_csv()
+        assert (tmp_path / "hw_fixed.csv").read_text() == report.fixed_result.to_csv()
+        assert f"wrote {out}_float.csv and {out}_fixed.csv" in capsys.readouterr().out
 
     def test_rejects_gain_below_datapath_minimum(self, monkeypatch):
         # No silent clamp to rho_log2=1: the command fails and names the

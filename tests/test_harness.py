@@ -69,6 +69,38 @@ class TestConfig:
         with pytest.raises(ParameterError):
             small_config(B=0)
 
+    def test_requires_data_slot(self):
+        with pytest.raises(ParameterError, match="at least one data slot"):
+            small_config(K=0)
+
+    def test_requires_a_method(self):
+        # It used to end in numpy's "need at least one array to stack".
+        with pytest.raises(ParameterError, match="at least one method"):
+            small_config(methods=())
+
+    def test_unknown_arithmetic(self):
+        with pytest.raises(ParameterError, match="unknown arithmetic 'double'"):
+            small_config(arithmetic="double")
+
+    @pytest.mark.parametrize("name", ["B", "K", "trials", "downlink_symbols"])
+    @pytest.mark.parametrize("bad", [4.0, 2.5, True, "4"])
+    def test_counts_must_be_integers(self, name, bad):
+        # A float count used to end in "'float' object cannot be
+        # interpreted as an integer" inside the sweep.
+        with pytest.raises(ParameterError, match=f"{name} must be a non-negative integer"):
+            small_config(**{name: bad})
+
+    def test_counts_take_numpy_integers(self):
+        # numpy integers used to make config_hash fail after the sweep ran.
+        gains = ProxParams(rho_log2=np.int64(1), t_max=np.int8(5))
+        as_numpy = small_config(
+            B=np.int64(8), K=np.int32(4), trials=np.int64(5), downlink_symbols=np.int16(3),
+            master_seed=np.uint8(11), methods=(MethodSpec("prox", gains),),
+        )
+        as_int = small_config(trials=5, downlink_symbols=3, methods=(MethodSpec("prox"),))
+        assert as_numpy.config_hash() == as_int.config_hash()
+        assert run_sweep(as_numpy).to_csv() == run_sweep(as_int).to_csv()
+
     def test_requires_downlink_symbols(self):
         # An explicit 0 is an error, not a request for the default of K.
         with pytest.raises(ParameterError):
@@ -255,7 +287,8 @@ class TestRunSweep:
             trials=10,
         )
         res = run_sweep(cfg)
-        assert set(res.methods()) == {"prox", "aprox", "mrc-csir", "mrc-chest", "mrc-rt", "ml-jed"}
+        names = ("prox", "aprox", "mrc-csir", "mrc-chest", "mrc-rt", "ml-jed")
+        assert set(res.cells) == {(m, snr) for m in names for snr in cfg.snr_points_db}
 
     def test_one_downlink_call_per_pack(self, monkeypatch):
         # Every estimate of a pack, per arithmetic and method, is evaluated
@@ -575,6 +608,9 @@ class TestStatsHelpers:
         assert lo == 0.0
         assert 0.0 < hi < 0.005
 
+    def test_wilson_no_trials(self):
+        assert wilson_interval(0, 0) == (0.0, 1.0)
+
     def test_wilson_contains_estimate(self):
         for k, n in ((1, 50), (17, 200), (999, 1000)):
             lo, hi = wilson_interval(k, n)
@@ -728,6 +764,18 @@ class TestTuning:
         monkeypatch.setattr(tuning, "draw_blocks", None)
         with pytest.raises(ParameterError, match="at least one data slot"):
             tune_rho(4, K, "bpsk", 0.0, trials=5, seed=1)
+
+    @pytest.mark.parametrize("t_max", [0, 2.5])
+    def test_bad_t_max_rejected_before_the_cache_and_drawing(self, t_max, tmp_path, monkeypatch):
+        # It used to fail only after one draw and the batch's preprocessing,
+        # and a cache entry under its key was returned unchecked.
+        path = tmp_path / "tuned.json"
+        tune_rho(4, 3, "bpsk", 0.0, trials=5, seed=1, cache_path=path)
+        path.write_text(path.read_text().replace("_tmax5_", f"_tmax{t_max}_"))
+        calls = count_calls(monkeypatch, ["draw_blocks"])
+        with pytest.raises(ParameterError, match="t_max"):
+            tune_rho(4, 3, "bpsk", 0.0, trials=5, seed=1, t_max=t_max, cache_path=path)
+        assert calls["draw_blocks"] == 0
 
     @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
     def test_non_finite_snr_rejected(self, snr_db):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simojed import linalg
-from simojed.errors import DimensionError, ParameterError
+from simojed.errors import DimensionError, NumericError, ParameterError
 
 from oracles import gram_triple_loop, jacobi_eigenvalues
 
@@ -206,6 +206,27 @@ class TestInvertShifted:
         with pytest.raises(ParameterError, match="spectral norm") as exc:
             linalg.invert_shifted(G, np.array([2.0, 1.0]))
         assert f"pivot {n - 1}" in str(exc.value)
+
+    def test_subnormal_last_pivot_raises_numeric_error(self):
+        # Every pivot passes its check, but the last one is subnormal and
+        # its reciprocal overflows. With G = I + [[0, v], [v^T, 0]] and
+        # alpha = 2 the first pivots are 1/2 and the last is about half of
+        # 1 - sum v_k^2: each v_k is the largest double whose rounded square
+        # stays below what is left of 1, so each step cancels all but about
+        # 2^-52 of it, and 20 steps pass the smallest normal double.
+        left, v = 1.0, []
+        while left >= 2.0**-1023:
+            x = np.sqrt(left)
+            while x * x >= left:
+                x = np.nextafter(x, 0.0)
+            v.append(x)
+            left -= x * x
+        n = len(v) + 1
+        G = np.eye(n, dtype=complex)
+        G[-1, :-1] = G[:-1, -1] = v
+        with pytest.raises(NumericError, match="non-finite"), pytest.warns(RuntimeWarning) as seen:
+            linalg.invert_shifted(G, 2.0)
+        assert "overflow encountered in divide" in [str(w.message) for w in seen]
 
     def test_one_bad_shift_in_a_stack_raises(self):
         rng = np.random.default_rng(14)

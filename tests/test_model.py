@@ -88,6 +88,10 @@ class TestLos:
         diffs = np.angle(np.exp(1j * np.diff(phases)))
         assert np.all(np.abs(diffs) < 1e-3)
 
+    def test_no_antennas_raises(self):
+        with pytest.raises(DimensionError, match="at least one receive antenna"):
+            model.gen_los_channel(0, LosGeometry())
+
     def test_invalid_geometry(self):
         with pytest.raises(ParameterError):
             LosGeometry(user_distance=-1.0)

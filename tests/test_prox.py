@@ -413,6 +413,18 @@ class TestTrace:
         for final in (traced, bare):
             assert np.array_equal(final.s_cur, s)
 
+    @pytest.mark.parametrize("T", [None, 3])
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
+    def test_pilot_only_blocks_have_zero_boundary_gap(self, kind, T):
+        # With no data slot (K=0, N=1) no entry is left to measure.
+        c = Constellation.by_name(kind)
+        G = model.draw_blocks(4, 0, c, 3, [((), 0.0, T or 1)]).G
+        G = G[0] if T is None else G
+        params = ProxParams(t_max=4)
+        state = iterate(preprocess(G, params.alpha_scale * linalg.spectral_norm(G)), c, params)
+        assert np.array_equal(state.trace.boundary_gap, np.zeros((4,) + G.shape[:-2]))
+        assert np.array_equal(state.s_cur, np.full(G.shape[:-1], c.points[0]))
+
 
 def _stop_case(kind, T, snr_db, approx, t_max, seed=41):
     """The inputs of one stop test: a stack of T blocks (one block for

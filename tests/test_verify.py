@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,48 @@ def test_skipped_attempts_keep_the_instance_set(monkeypatch):
     descent, boundary = run_descent_and_boundary(seed, n, t_max=20)
     assert (descent.instances, descent.skipped) == (n, skipped)
     assert descent.ok and boundary.instances + boundary.skipped == n
+
+
+@pytest.mark.parametrize(
+    ("patch", "suite", "message"),
+    [
+        (
+            {"RESIDUAL_FACTOR": -1.0},
+            "descent",
+            r"B=\d+,K=\d+,[bq]psk,attempt=\d+: residual \S+ > -\S+",
+        ),
+        (
+            {"RESIDUAL_FACTOR": np.inf, "_DESCENT_SLACK": -1.0},
+            "descent",
+            r"B=\d+,K=\d+,[bq]psk,attempt=\d+: objective increased",
+        ),
+        ({"BOUNDARY_TOL": -1.0}, "boundary", r"B=\d+,K=\d+,[bq]psk,attempt=\d+: boundary gap \S+"),
+        ({"_BOUND_SLACK": -2.0}, "series_bound", r"matrix \d+ \(n=\d+\), scale [\d.]+: \S+ > \S+"),
+        (
+            {"GRAD_IDENTITY_RTOL": -1.0},
+            "gradient_identity",
+            r"instance \d+ \(B=\d+,K=\d+,[bq]psk\): \S+ vs \S+",
+        ),
+    ],
+    ids=["residual", "descent", "boundary", "series-bound", "gradient-identity"],
+)
+def test_each_suite_reports_its_failures(patch, suite, message, monkeypatch):
+    # Thresholds no instance can meet make every checked instance fail
+    # with its suite's message, and leave the other suites passing.
+    for name, value in patch.items():
+        monkeypatch.setattr(verify, name, value)
+    report = verify_theorems(5, 3)
+    failing = getattr(report, suite)
+    assert not report.ok and failing.failed == failing.instances > 0
+    assert all(re.fullmatch(message, f) for f in failing.failures), failing.failures
+    assert failing.line().startswith(f"{suite}: FAIL (0 passed, {failing.failed} failed")
+    assert [s.name for s in report.suites if not s.ok] == [suite]
+
+
+def test_boundary_suite_skips_unconverged_instances(monkeypatch):
+    # A residual no iterate reaches leaves no converged instance to check.
+    monkeypatch.setattr(verify, "CONVERGED_RESIDUAL", 0.0)
+    descent, boundary = run_descent_and_boundary(5, 3)
+    assert descent.ok and descent.instances == 3
+    assert (boundary.instances, boundary.skipped) == (0, 3)
+    assert boundary.ok and boundary.notes == {}
