@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .model import Constellation
+from .model import Constellation, check_int, check_real
 from .prox import PreprocessedMatrix, ProxParams, init_s
 
 # Datapath formats (word bits, fraction bits).
@@ -148,12 +148,14 @@ def projection_unit(q_bar, rho_log2: int) -> np.ndarray:
     return np.where(q_bar >= inv_rho, 8, np.maximum((q_bar << rho_log2) >> 8, -8))
 
 
-def check_datapath_gain(rho_log2: int) -> None:
-    """Reject a projection gain the datapath cannot shift by."""
-    if not (1 <= rho_log2 <= 15):
+def check_datapath_gain(rho_log2: int) -> int:
+    """``rho_log2`` as a Python int; a ``ParameterError`` unless the datapath can shift by it."""
+    rho_log2 = check_int(rho_log2, "rho_log2")
+    if not 1 <= rho_log2 <= 15:
         raise ParameterError(
             f"the datapath needs rho_log2 in 1..15 (a 4-bit shift count above 0), not {rho_log2}"
         )
+    return rho_log2
 
 
 @dataclass(frozen=True)
@@ -164,11 +166,9 @@ class PeArrayConfig:
     real_only: bool = False  # BPSK drops the imaginary datapath
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ParameterError("need at least two processing elements")
-        check_datapath_gain(self.rho_log2)
-        if self.t_max < 1:
-            raise ParameterError("t_max must be at least 1")
+        object.__setattr__(self, "N", check_int(self.N, "the number of processing elements N", 2))
+        object.__setattr__(self, "t_max", check_int(self.t_max, "t_max", 1))
+        object.__setattr__(self, "rho_log2", check_datapath_gain(self.rho_log2))
 
 
 ACTIONS = ("idle", "shift", "mac", "project")
@@ -372,13 +372,12 @@ def solve_fixed_stack(
 
 def latency_cycles(K: int, t_max: int) -> int:
     """Clock cycles to finish a block: K+4 per iteration."""
-    if K < 1 or t_max < 1:
-        raise ParameterError("K and t_max must be positive")
-    return t_max * (K + 4)
+    return check_int(t_max, "t_max", 1) * (check_int(K, "K", 1) + 4)
 
 
 def throughput_bps(K: int, t_max: int, f_clk_hz: float, bits: int) -> float:
     """Detected payload bits per second: K data slots per block."""
-    if K < 1 or t_max < 1 or f_clk_hz <= 0 or bits < 1:
-        raise ParameterError("all inputs must be positive")
-    return bits * K * f_clk_hz / (t_max * (K + 4))
+    f_clk_hz = check_real(f_clk_hz, "f_clk_hz")
+    if not 0 < f_clk_hz < np.inf:
+        raise ParameterError(f"f_clk_hz must be finite and positive, not {f_clk_hz}")
+    return check_int(bits, "bits", 1) * check_int(K, "K", 1) * f_clk_hz / latency_cycles(K, t_max)

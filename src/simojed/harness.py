@@ -39,7 +39,7 @@ from .baselines import (
 from .errors import CapacityError, ParameterError
 from .fxp import check_datapath_gain, latency_cycles, solve_fixed_stack, throughput_bps
 from .linalg import spectral_norm
-from .model import Constellation, LosGeometry, check_seed, draw_blocks, snr_to_n0
+from .model import Constellation, LosGeometry, check_int, check_real, draw_blocks, snr_to_n0
 from .prox import (
     PreprocessedMatrix,
     ProxParams,
@@ -94,24 +94,17 @@ class SweepConfig:
     downlink_symbols: int | None = None  # defaults to K
 
     def __post_init__(self):
-        # Integers as Python ints (numpy integers pass), so they hash and print alike.
-        ints = {"trials": "trials", "master_seed": "the master seed", "B": "B", "K": "K"}
-        if self.downlink_symbols is not None:
-            ints["downlink_symbols"] = "downlink_symbols"
-        for name, what in ints.items():
-            object.__setattr__(self, name, check_seed(getattr(self, name), what))
-        if self.trials < 1:
-            raise ParameterError("need at least one trial")
-        if not self.snr_points_db:
+        # Numbers as Python ints and floats, so equal configs hash and print alike.
+        for name in ("B", "K", "trials", "downlink_symbols"):
+            if name != "downlink_symbols" or self.downlink_symbols is not None:  # None: K of them
+                object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
+        object.__setattr__(self, "master_seed", check_int(self.master_seed, "the master seed"))
+        snrs = tuple(check_real(snr_db, "an SNR point") for snr_db in self.snr_points_db)
+        object.__setattr__(self, "snr_points_db", snrs)
+        if not snrs:
             raise ParameterError("need at least one SNR point")
-        if len(set(self.snr_points_db)) < len(self.snr_points_db):
-            raise ParameterError(f"each SNR point may appear once, got {self.snr_points_db}")
-        if self.B < 1:
-            raise ParameterError("need at least one receive antenna")
-        if self.K < 1:
-            raise ParameterError("need at least one data slot")
-        if self.downlink_symbols is not None and self.downlink_symbols < 1:
-            raise ParameterError("need at least one downlink symbol")
+        if len(set(snrs)) < len(snrs):
+            raise ParameterError(f"each SNR point may appear once, got {snrs}")
         if self.arithmetic not in ("float", "fixed"):
             raise ParameterError(f"unknown arithmetic {self.arithmetic!r}")
         if not self.methods:
@@ -406,6 +399,7 @@ def hw_compare(
     Every solver method needs a gain the datapath takes
     (``check_datapath_gain``).
     """
+    gap_targets = [check_real(target, "a gap target") for target in gap_targets]
     solver_methods = [m for m in cfg.methods if m.params is not None]
     if not solver_methods:
         raise ParameterError("hw_compare needs a prox or aprox method in the config")
@@ -453,7 +447,7 @@ def timing_report(
                     {
                         "K": K,
                         "t_max": t_max,
-                        "f_clk_mhz": f_clk / 1e6,
+                        "f_clk_mhz": check_real(f_clk, "f_clk_hz") / 1e6,
                         "latency_cycles": latency_cycles(K, t_max),
                         "throughput_mbps": throughput_bps(K, t_max, f_clk, bits) / 1e6,
                     }

@@ -9,12 +9,14 @@ chunk of ``T=1`` for one block), draws them into one set of arrays, and
 seeds the Generators of all those substreams in one vectorized pass of
 numpy's ``SeedSequence`` hash. A noise-free block is a chunk at an
 infinite SNR, whose ``Y`` is exactly ``h s^H``. This is the only module
-that builds a ``SeedSequence``.
+that builds a ``SeedSequence``; its ``check_int`` and ``check_real`` are
+the package's one rule for scalar arguments.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,6 +28,25 @@ from .errors import DimensionError, ParameterError
 from .linalg import gram
 
 _SQRT2 = np.sqrt(2.0)
+
+
+def check_int(value, what: str, least: int = 0) -> int:
+    """``value`` as a Python int; a ``ParameterError`` naming ``what`` and
+    the value unless it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        rule = "a non-negative integer" if least == 0 else f"an integer of at least {least}"
+        raise ParameterError(f"{what} must be {rule}, not {value!r}")
+    return int(value)
+
+
+def check_real(value, what: str) -> float:
+    """``value`` as a Python float; a ``ParameterError`` naming ``what`` and
+    the value unless it is a real number (not a bool). Finiteness and range
+    are the caller's rule."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{what} must be a real number, not {value!r}")
+    return float(value)
+
 
 @dataclass(frozen=True)
 class Constellation:
@@ -105,12 +126,14 @@ class LosGeometry:
     user_angle: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.antenna_spacing < np.inf:
-            raise ParameterError("antenna spacing must be finite and positive")
-        if not 0 < self.user_distance < np.inf:
-            raise ParameterError("user distance must be finite and positive")
-        if not np.isfinite(self.user_angle):
-            raise ParameterError("user angle must be finite")
+        lows = {"antenna_spacing": 0.0, "user_distance": 0.0, "user_angle": -np.inf}
+        for name, low in lows.items():
+            what = name.replace("_", " ")
+            value = check_real(getattr(self, name), what)
+            if not low < value < np.inf:
+                rule = "finite and positive" if low == 0 else "finite"
+                raise ParameterError(f"{what} must be {rule}, not {value!r}")
+            object.__setattr__(self, name, value)
 
 
 def gen_los_channel(B: int, geom: LosGeometry) -> np.ndarray:
@@ -120,7 +143,7 @@ def gen_los_channel(B: int, geom: LosGeometry) -> np.ndarray:
     entry has unit magnitude and phase set by the exact user-to-antenna
     distance in wavelengths.
     """
-    if B < 1:
+    if check_int(B, "B") < 1:
         raise DimensionError("need at least one receive antenna")
     positions = (np.arange(B) - (B - 1) / 2.0) * geom.antenna_spacing
     ux = geom.user_distance * np.sin(geom.user_angle)
@@ -213,14 +236,6 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def check_seed(value, what: str) -> int:
-    """``value`` as a Python int; a ``ParameterError`` naming ``what`` and
-    the value unless it is a non-negative integer (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ParameterError(f"{what} must be a non-negative integer, not {value!r}")
-    return int(value)
-
-
 class _StateWords(ISeedSequence):
     """Hands ``PCG64`` the four state words computed for one child."""
 
@@ -301,15 +316,16 @@ def draw_blocks(
     vectorized pass of numpy's seeding hash (``_generators``), and no
     ``SeedSequence`` is built per child. Every chunk's normals land in
     arrays allocated once for the whole call; the channels, symbols, noise
-    scaling and Gram matrices are then formed once for all trials. ``seed``
-    and every key entry must be non-negative integers.
+    scaling and Gram matrices are then formed once for all trials. The
+    counts, ``seed`` and every key entry must pass ``check_int``.
     """
-    if B < 1:
+    if check_int(B, "B") < 1:
         raise DimensionError("need at least one receive antenna")
-    seed = check_seed(seed, "the seed")
-    keys = [tuple(check_seed(k, "a key entry") for k in key) for key, _, _ in chunks]
+    K, downlink_symbols = check_int(K, "K"), check_int(downlink_symbols, "downlink_symbols")
+    seed = check_int(seed, "the seed")
+    keys = [tuple(check_int(k, "a key entry") for k in key) for key, _, _ in chunks]
+    sizes = [check_int(n, "a chunk's trial count") for _, _, n in chunks]
     n0s = [snr_to_n0(snr_db, c) for _, snr_db, _ in chunks]
-    sizes = [n for _, _, n in chunks]
     T = sum(sizes)
     m = len(c.points)
     h_normals = np.empty((T, 2, B)) if los is None else None

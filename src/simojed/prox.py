@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, ParameterError
 from .linalg import invert_shifted, neumann_two_term
-from .model import Constellation, check_seed
+from .model import Constellation, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class ProxParams:
     The shift factor is ``alpha_scale`` times the Gram spectral norm and must
     stay above it, so ``alpha_scale`` is finite and above 1. The projection
     gain is ``2**rho_log2`` (a hardware shift). ``rho_log2 >= 0`` and
-    ``t_max >= 1`` are integers, not bools, kept as Python ints.
+    ``t_max >= 1`` are integers. Every field is kept as a Python number.
     Preprocessing scales the iteration matrix so its largest component
     magnitude is one.
     """
@@ -46,12 +46,11 @@ class ProxParams:
     t_max: int = 5
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha_scale", check_real(self.alpha_scale, "alpha_scale"))
         if not 1.0 < self.alpha_scale < np.inf:
             raise ParameterError(f"alpha_scale must be finite and exceed 1, not {self.alpha_scale}")
-        object.__setattr__(self, "rho_log2", check_seed(self.rho_log2, "rho_log2"))
-        object.__setattr__(self, "t_max", check_seed(self.t_max, "t_max"))
-        if self.t_max < 1:
-            raise ParameterError("t_max must be at least 1")
+        object.__setattr__(self, "rho_log2", check_int(self.rho_log2, "rho_log2"))
+        object.__setattr__(self, "t_max", check_int(self.t_max, "t_max", 1))
 
     @property
     def rho(self) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import spectral_norm
-from .model import Constellation, draw_blocks
+from .model import Constellation, check_int, check_real, draw_blocks
 from .prox import ProxParams, hard_decision, iterate, preprocess
 
 RHO_LOG2_GRID = tuple(range(0, 7))
@@ -52,19 +52,17 @@ def tune_rho(
     the smallest ``alpha_scale``.
     When a cache file is given and already holds a result for these exact
     arguments and grids (everything but the cache path), it is returned
-    without re-searching. No trials, no data slot, a ``t_max`` that
-    ``ProxParams`` rejects, a cache file that does not hold a JSON object,
-    or a matching entry without the three numbers of a ``TunedParams``, is
-    a ``ParameterError``, raised before any block is drawn.
+    without re-searching. A bad ``B``, ``K``, ``trials``, seed, SNR or
+    ``t_max`` (checked before the cache is read), a cache file that does not
+    hold a JSON object, or a matching entry without the three numbers of a
+    ``TunedParams``, is a ``ParameterError``, raised before any draw.
     """
-    if trials < 1:
-        raise ParameterError(f"need at least one tuning trial, got {trials}")
-    if K < 1:
-        raise ParameterError(f"need at least one data slot, got K={K}")
-    ProxParams(t_max=t_max)  # a bad t_max fails here, before the cache is read
+    B, K, trials = (check_int(v, name, 1) for v, name in ((B, "B"), (K, "K"), (trials, "trials")))
+    seed, snr_db = check_int(seed, "the seed"), check_real(snr_db, "snr_db")
+    t_max = ProxParams(t_max=t_max).t_max  # a bad t_max fails here, before the cache is read
     variant = "approx" if approx else "exact"
     key = (
-        f"B{B}_K{K}_{constellation}_{variant}_snr{float(snr_db)!r}_tmax{t_max}_trials{trials}"
+        f"B{B}_K{K}_{constellation}_{variant}_snr{snr_db!r}_tmax{t_max}_trials{trials}"
         f"_seed{seed}_rho{list(RHO_LOG2_GRID)}_alpha{list(ALPHA_SCALE_GRID)}"
     )
     cache: dict = {}

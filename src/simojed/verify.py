@@ -18,12 +18,12 @@ Three suites:
 A gradient-identity suite checks that the analytic gradient at a fresh
 exact-inverse iterate equals alpha times the iterate difference.
 
-Each suite draws its instances' shapes one by one from a seeded generator,
+Each suite draws its instances' shapes in one call of a seeded generator,
 then their blocks with one ``draw_blocks`` call per shape, each block a
 one-trial chunk keyed by its instance index. It solves them as stacks, one
 per matrix size (and constellation), and reports in draw order: each
-checked instance goes through ``SuiteReport.tally``. Every suite rejects a
-seed that is not a non-negative integer, and a count below one, at entry.
+checked instance goes through ``SuiteReport.tally``. Every suite checks
+its count (at least 1) and seed through ``model.check_int`` at entry.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
 from .linalg import gram, invert_shifted, neumann_error_bound, neumann_two_term, spectral_norm
-from .model import Constellation, check_seed, draw_blocks
+from .model import Constellation, check_int, draw_blocks
 from .prox import (
     PreprocessedMatrix,
     ProxParams,
@@ -113,32 +112,23 @@ class VerificationReport:
         return [s.line() for s in self.suites]
 
 
-def _check_args(seed, n: int, what: str) -> int:
-    """A suite's ``seed`` as an int; a ``ParameterError`` unless the count
-    ``n`` of ``what`` is at least 1 and the seed a non-negative integer."""
-    if n < 1:
-        raise ParameterError(f"{what} must be at least 1, got {n}")
-    return check_seed(seed, "the seed")
-
-
 def _draw_stacks(rng: np.random.Generator, seed: int, indices: range) -> list:
     """Instances ``indices`` of a suite at 0 dB, as one ``(c, K, index, B,
     G)`` stack per (K, constellation), in order of first appearance: the
     solver sees only the Gram matrix, so B does not split a stack. Every
-    shape comes from the suite's ``rng``, instance after instance; then the
-    Gram matrices of each (B, K, constellation) come from one
-    ``draw_blocks`` call, instance ``i`` the one-trial chunk keyed by
-    ``(i,)``. ``index`` holds each row's instance, rising, and ``B`` its
-    antenna count."""
-    shapes = {
-        i: (int(rng.choice([4, 16])), int(rng.choice([4, 16])), str(rng.choice(["bpsk", "qpsk"])))
-        for i in indices
-    }
+    shape comes from one draw of the suite's ``rng``, a row of three 0-or-1
+    choices per instance (B and K of 4 or 16, BPSK or QPSK), the values
+    that three ``rng.choice`` calls per instance give; then the Gram
+    matrices of each (B, K, constellation) come from one ``draw_blocks``
+    call, instance ``i`` the one-trial chunk keyed by ``(i,)``. ``index``
+    holds each row's instance, rising, and ``B`` its antenna count."""
+    B_all, K_all, qpsk = rng.integers(0, 2, size=(len(indices), 3)).T
+    B_all, K_all = 4 + 12 * B_all, 4 + 12 * K_all
     stacks = []
-    for K, kind in dict.fromkeys((K, kind) for _, K, kind in shapes.values()):
-        index = np.array([i for i, shape in shapes.items() if shape[1:] == (K, kind)])
-        B = np.array([shapes[i][0] for i in index.tolist()])
-        c = Constellation.by_name(kind)
+    for K, q in dict.fromkeys(zip(K_all.tolist(), qpsk.tolist())):
+        rows = (K_all == K) & (qpsk == q)
+        index, B = np.array(indices)[rows], B_all[rows]
+        c = Constellation.by_name(("bpsk", "qpsk")[q])
         G = np.empty((len(index), K + 1, K + 1), dtype=np.complex128)
         for b in dict.fromkeys(B.tolist()):
             chunks = [((i,), 0.0, 1) for i in index[B == b].tolist()]
@@ -177,12 +167,13 @@ def run_descent_and_boundary(
     residual convergence, and the boundary property per instance. Running
     out of attempts first is a descent failure.
     """
-    seed = _check_args(seed, n_instances, "n_instances")
+    n_instances = check_int(n_instances, "n_instances", 1)
+    max_attempts = check_int(max_attempts_factor, "max_attempts_factor") * n_instances
+    seed = check_int(seed, "the seed")
     rng = np.random.default_rng(seed)
     descent = SuiteReport(name="descent")
     boundary = SuiteReport(name="boundary")
     params = ProxParams(alpha_scale=2.0, rho_log2=1, t_max=t_max)
-    max_attempts = max_attempts_factor * n_instances
     rows = []  # (attempt, label, *checks) per valid instance
     attempts = 0
     while len(rows) < n_instances and attempts < max_attempts:
@@ -235,8 +226,8 @@ def run_series_bound(seed: int, n_matrices: int = 50) -> SuiteReport:
     """Measured truncation error against the analytic bound, across sizes
     and shift factors; the matrices of one size are checked as one stack
     over every (shift factor, matrix) pair."""
-    seed = _check_args(seed, n_matrices, "n_matrices")
-    rng = np.random.default_rng(seed)
+    n_matrices = check_int(n_matrices, "n_matrices", 1)
+    rng = np.random.default_rng(check_int(seed, "the seed"))
     report = SuiteReport(name="series_bound")
     scales = (1.1, 1.5, 2.0, 4.0)
     by_size: dict[int, list] = {}
@@ -272,7 +263,8 @@ def run_series_bound(seed: int, n_matrices: int = 50) -> SuiteReport:
 def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
     """Analytic gradient at a fresh exact-inverse iterate vs the scaled iterate
     difference, on first iterations where the step is order one."""
-    seed = _check_args(seed, n_instances, "n_instances")
+    n_instances = check_int(n_instances, "n_instances", 1)
+    seed = check_int(seed, "the seed")
     rng = np.random.default_rng(seed)
     report = SuiteReport(name="gradient_identity")
     params = ProxParams(alpha_scale=2.0, rho_log2=1)
@@ -299,8 +291,8 @@ def run_gradient_identity(seed: int, n_instances: int = 100) -> SuiteReport:
 
 def verify_theorems(seed: int, n_instances: int = 100) -> VerificationReport:
     """Run every suite; any failed assertion shows up in the report. Each
-    suite checks its own arguments: fewer than one instance, or a seed that
-    is not a non-negative integer, is a ``ParameterError``."""
+    suite checks its own count and seed through ``model.check_int``."""
+    seed = check_int(seed, "the seed")  # seed + 1 and seed + 2 as Python ints
     descent, boundary = run_descent_and_boundary(seed, n_instances)
     series = run_series_bound(seed + 1)
     grad = run_gradient_identity(seed + 2, n_instances)

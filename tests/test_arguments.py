@@ -1,0 +1,226 @@
+"""The one argument rule: every public entry passes each count, seed and
+gain through ``model.check_int`` and each real parameter through
+``model.check_real``, rejects a bad one with a ``ParameterError`` that names
+it before any block is drawn, and keeps plain Python numbers."""
+
+import re
+
+import numpy as np
+import pytest
+
+from simojed import fxp, model, tuning, verify
+from simojed.errors import ParameterError
+from simojed.harness import (
+    MethodSpec,
+    SweepConfig,
+    hw_compare,
+    run_sweep,
+    timing_csv,
+    timing_report,
+)
+from simojed.model import Constellation, LosGeometry
+from simojed.prox import ProxParams
+
+QPSK = Constellation.qpsk()
+SWEEP = dict(
+    B=4, K=2, constellation="qpsk", snr_points_db=(0.0,), trials=3, master_seed=1,
+    methods=(MethodSpec("prox"),),
+)
+TUNE = dict(B=4, K=2, constellation="bpsk", snr_db=0.0, trials=3, seed=1)
+
+
+def draw(B=4, K=2, seed=1, key=0, T=2, downlink=3):
+    return model.draw_blocks(B, K, QPSK, seed, [((key,), 0.0, T)], downlink_symbols=downlink)
+
+
+# (entry, call with the field set to the value, the name its message gives, least value)
+INT_FIELDS = [
+    ("draw_blocks.B", lambda v: draw(B=v), "B", 0),
+    ("draw_blocks.K", lambda v: draw(K=v), "K", 0),
+    ("draw_blocks.seed", lambda v: draw(seed=v), "the seed", 0),
+    ("draw_blocks.key", lambda v: draw(key=v), "a key entry", 0),
+    ("draw_blocks.T", lambda v: draw(T=v), "a chunk's trial count", 0),
+    ("draw_blocks.downlink_symbols", lambda v: draw(downlink=v), "downlink_symbols", 0),
+    ("gen_los_channel.B", lambda v: model.gen_los_channel(v, LosGeometry()), "B", 0),
+    *[
+        (f"SweepConfig.{name}", lambda v, name=name: SweepConfig(**SWEEP | {name: v}), name, 1)
+        for name in ("B", "K", "trials", "downlink_symbols")
+    ],
+    (
+        "SweepConfig.master_seed",
+        lambda v: SweepConfig(**SWEEP | {"master_seed": v}),
+        "the master seed",
+        0,
+    ),
+    ("ProxParams.rho_log2", lambda v: ProxParams(rho_log2=v), "rho_log2", 0),
+    ("ProxParams.t_max", lambda v: ProxParams(t_max=v), "t_max", 1),
+    *[
+        (f"tune_rho.{name}", lambda v, name=name: tuning.tune_rho(**TUNE | {name: v}), name, 1)
+        for name in ("B", "K", "trials")
+    ],
+    ("tune_rho.seed", lambda v: tuning.tune_rho(**TUNE | {"seed": v}), "the seed", 0),
+    ("tune_rho.t_max", lambda v: tuning.tune_rho(**TUNE, t_max=v), "t_max", 1),
+    ("descent.n_instances", lambda v: verify.run_descent_and_boundary(1, v), "n_instances", 1),
+    ("descent.seed", lambda v: verify.run_descent_and_boundary(v, 2), "the seed", 0),
+    (
+        "descent.max_attempts_factor",
+        lambda v: verify.run_descent_and_boundary(1, 2, max_attempts_factor=v),
+        "max_attempts_factor",
+        0,
+    ),
+    ("series_bound.n_matrices", lambda v: verify.run_series_bound(1, v), "n_matrices", 1),
+    ("series_bound.seed", lambda v: verify.run_series_bound(v, 2), "the seed", 0),
+    ("gradient.n_instances", lambda v: verify.run_gradient_identity(1, v), "n_instances", 1),
+    ("gradient.seed", lambda v: verify.run_gradient_identity(v, 2), "the seed", 0),
+    ("verify_theorems.n_instances", lambda v: verify.verify_theorems(1, v), "n_instances", 1),
+    ("verify_theorems.seed", lambda v: verify.verify_theorems(v, 2), "the seed", 0),
+    (
+        "PeArrayConfig.N",
+        lambda v: fxp.PeArrayConfig(N=v, t_max=1, rho_log2=1),
+        "the number of processing elements N",
+        2,
+    ),
+    ("PeArrayConfig.t_max", lambda v: fxp.PeArrayConfig(N=3, t_max=v, rho_log2=1), "t_max", 1),
+    # The datapath's own range, 1..15, has its own message (TestPeArrayConfig).
+    ("PeArrayConfig.rho_log2", lambda v: fxp.PeArrayConfig(3, 1, rho_log2=v), "rho_log2", 0),
+    ("check_datapath_gain", fxp.check_datapath_gain, "rho_log2", 0),
+    ("latency_cycles.K", lambda v: fxp.latency_cycles(v, 1), "K", 1),
+    ("latency_cycles.t_max", lambda v: fxp.latency_cycles(4, v), "t_max", 1),
+    ("throughput_bps.K", lambda v: fxp.throughput_bps(v, 1, 1e8, 2), "K", 1),
+    ("throughput_bps.t_max", lambda v: fxp.throughput_bps(4, v, 1e8, 2), "t_max", 1),
+    ("throughput_bps.bits", lambda v: fxp.throughput_bps(4, 1, 1e8, v), "bits", 1),
+]
+
+# (entry, call with the field set to the value, the name its message gives,
+# a real value out of the entry's range and the pattern of that rejection,
+# or None where every real value is in range)
+REAL_FIELDS = [
+    *[
+        (
+            f"LosGeometry.{name}",
+            lambda v, name=name: LosGeometry(**{name: v}),
+            name.replace("_", " "),
+            np.inf,
+            f"{name.replace('_', ' ')} must be finite",
+        )
+        for name in ("antenna_spacing", "user_distance", "user_angle")
+    ],
+    (
+        "SweepConfig.snr_points_db",
+        lambda v: SweepConfig(**SWEEP | {"snr_points_db": (0.0, v)}),
+        "an SNR point",
+        np.nan,
+        "an SNR of nan dB",
+    ),
+    (
+        "tune_rho.snr_db",
+        lambda v: tuning.tune_rho(**TUNE | {"snr_db": v}),
+        "snr_db",
+        -np.inf,
+        "an SNR of -inf dB",
+    ),
+    (
+        "ProxParams.alpha_scale",
+        lambda v: ProxParams(alpha_scale=v),
+        "alpha_scale",
+        1.0,
+        "alpha_scale must be finite and exceed 1",
+    ),
+    (
+        "hw_compare.gap_targets",
+        lambda v: hw_compare(SweepConfig(**SWEEP), gap_targets=(1e-2, v)),
+        "a gap target",
+        None,  # any real target gives a gap or None
+        None,
+    ),
+    (
+        "throughput_bps.f_clk_hz",
+        lambda v: fxp.throughput_bps(4, 1, v, 2),
+        "f_clk_hz",
+        0.0,
+        "f_clk_hz must be finite and positive",
+    ),
+]
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    # Every rejection comes before a block or an instance shape is drawn:
+    # every block's streams are seeded by model._generators, after
+    # draw_blocks has checked its own arguments (the tuner's SNR among them).
+    monkeypatch.setattr(model, "_generators", None)
+    monkeypatch.setattr(verify, "_draw_stacks", None)
+
+
+@pytest.mark.usefixtures("no_draws")
+@pytest.mark.parametrize(
+    ("call", "what", "least", "bad"),
+    [
+        pytest.param(call, what, least, bad, id=f"{entry}={bad!r}")
+        for entry, call, what, least in INT_FIELDS
+        for bad in (float(least + 2), True, "4", None, least - 1)
+        # downlink_symbols=None asks for as many downlink symbols as K
+        if not (entry == "SweepConfig.downlink_symbols" and bad is None)
+    ],
+)
+def test_bad_count_seed_or_gain_rejected_by_name(call, what, least, bad):
+    rule = "a non-negative integer" if least == 0 else f"an integer of at least {least}"
+    match = f"^{re.escape(what)} must be {rule}, not {re.escape(repr(bad))}$"
+    with pytest.raises(ParameterError, match=match):
+        call(bad)
+
+
+@pytest.mark.usefixtures("no_draws")
+@pytest.mark.parametrize(
+    ("call", "bad", "match"),
+    [
+        pytest.param(
+            call, bad, f"^{re.escape(what)} must be a real number, not {re.escape(repr(bad))}$",
+            id=f"{entry}={bad!r}",
+        )
+        for entry, call, what, _, _ in REAL_FIELDS
+        for bad in (True, "1.5", None, 1j)
+    ]
+    + [
+        pytest.param(call, bad, match, id=f"{entry}={bad!r}")
+        for entry, call, _, bad, match in REAL_FIELDS
+        if match is not None
+    ],
+)
+def test_bad_real_rejected_by_name(call, bad, match):
+    with pytest.raises(ParameterError, match=match):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "snr_points_db",
+    [
+        np.array([-3.0, 0.0, 2.0]),  # np.float64 points
+        tuple(np.float32(x) for x in (-3, 0, 2)),
+        (-3, 0, 2),
+    ],
+    ids=["float64", "float32", "int"],
+)
+def test_numpy_and_int_reals_hash_and_print_as_floats(snr_points_db):
+    # An np.float64 point used to print as np.float64(0.0) in the CSV, an
+    # int point 0 as 0, with a hash of its own, and an np.float32 point,
+    # alpha_scale or angle made config_hash raise after the sweep had run.
+    def sweep(points, alpha_scale, user_angle):
+        return SweepConfig(
+            B=4, K=2, constellation="qpsk", snr_points_db=points, trials=4, master_seed=3,
+            methods=(MethodSpec("prox", ProxParams(alpha_scale)), MethodSpec("mrc-chest")),
+            los=LosGeometry(user_angle=user_angle),
+        )
+
+    plain = sweep((-3.0, 0.0, 2.0), 1.5, 0.25)
+    numpy = sweep(snr_points_db, np.float32(1.5), np.float32(0.25))
+    assert repr(numpy) == repr(plain)
+    assert numpy.config_hash() == plain.config_hash()
+    assert run_sweep(numpy).to_csv() == run_sweep(plain).to_csv()
+
+
+def test_timing_table_prints_numpy_inputs_as_python_numbers():
+    # An np.float64 clock rate used to print as np.float64(341.0).
+    plain = timing_csv(timing_report([8, 16], [1, 3], [341e6]))
+    numpy = timing_report([np.int64(8), np.int8(16)], [np.int32(1), np.uint8(3)], [np.float64(341e6)])
+    assert timing_csv(numpy) == plain

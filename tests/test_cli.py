@@ -255,7 +255,7 @@ class TestVerifyCommand:
     def test_non_positive_instance_count_exits_nonzero(self, count, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--seed", "1", "--instances", count])
-        assert "n_instances must be at least 1" in str(exc.value.code)
+        assert "n_instances must be an integer of at least 1" in str(exc.value.code)
         assert "pass" not in capsys.readouterr().out
 
 
@@ -348,7 +348,7 @@ class TestTuneCommand:
     def test_zero_trials_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["tune", "--b", "4", "--k", "3", "--trials", "0"])
-        assert "at least one tuning trial" in str(exc.value.code)
+        assert "trials must be an integer of at least 1" in str(exc.value.code)
 
 
 class TestHwCompareCommand:

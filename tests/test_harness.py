@@ -70,7 +70,7 @@ class TestConfig:
             small_config(B=0)
 
     def test_requires_data_slot(self):
-        with pytest.raises(ParameterError, match="at least one data slot"):
+        with pytest.raises(ParameterError, match="K must be an integer of at least 1"):
             small_config(K=0)
 
     def test_requires_a_method(self):
@@ -87,7 +87,7 @@ class TestConfig:
     def test_counts_must_be_integers(self, name, bad):
         # A float count used to end in "'float' object cannot be
         # interpreted as an integer" inside the sweep.
-        with pytest.raises(ParameterError, match=f"{name} must be a non-negative integer"):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer of at least 1"):
             small_config(**{name: bad})
 
     def test_counts_take_numpy_integers(self):
@@ -762,7 +762,7 @@ class TestTuning:
         # K=0 used to return a NaN error rate after a divide-by-zero
         # warning, and K=-1 end in numpy's "negative dimensions" error.
         monkeypatch.setattr(tuning, "draw_blocks", None)
-        with pytest.raises(ParameterError, match="at least one data slot"):
+        with pytest.raises(ParameterError, match="K must be an integer of at least 1"):
             tune_rho(4, K, "bpsk", 0.0, trials=5, seed=1)
 
     @pytest.mark.parametrize("t_max", [0, 2.5])

@@ -5,6 +5,7 @@ import pytest
 
 from simojed import verify
 from simojed.errors import ParameterError
+from simojed.model import draw_blocks
 from simojed.verify import (
     run_descent_and_boundary,
     run_gradient_identity,
@@ -71,6 +72,28 @@ def test_counts_below_one_rejected(suite, seed, count, match):
     # Every entry point checks its own count and seed.
     with pytest.raises(ParameterError, match=match):
         suite(seed, count)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("indices", [range(1), range(37), range(5, 29)], ids=["1", "37", "5-28"])
+def test_shapes_drawn_in_one_call(seed, indices):
+    # One integers call gives the shapes that three rng.choice calls per
+    # instance gave, and leaves the generator in the same state.
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacks = verify._draw_stacks(rng, seed, indices)
+    shapes = {
+        i: (int(ref.choice([4, 16])), int(ref.choice([4, 16])), str(ref.choice(["bpsk", "qpsk"])))
+        for i in indices
+    }
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert [(K, c.kind) for c, K, *_ in stacks] == list(dict.fromkeys(s[1:] for s in shapes.values()))
+    got = {}
+    for c, K, index, B, G in stacks:
+        assert index.tolist() == sorted(index.tolist())
+        for i, b, g in zip(index.tolist(), B.tolist(), G):
+            got[i] = (b, K, c.kind)
+            assert np.array_equal(g, draw_blocks(b, K, c, seed, [((i,), 0.0, 1)]).G[0])
+    assert got == shapes
 
 
 def test_attempt_budget_shortfall_fails():
