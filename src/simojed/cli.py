@@ -245,7 +245,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
         args.seed,
         approx=args.method == "aprox",
         t_max=args.t_max,
-        cache_path=args.cache,
     )
     print(
         f"best rho_log2={best.rho_log2} alpha_scale={best.alpha_scale} "
@@ -309,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--method", choices=["prox", "aprox"], default="prox")
     p.add_argument("--t-max", type=int, default=_GAINS.t_max, dest="t_max")
-    p.add_argument("--cache", help="JSON cache path")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("trace", help="dump one cycle-accurate array iteration")

@@ -117,6 +117,7 @@ class SweepConfig:
                 if m.params is not None:
                     check_datapath_gain(m.params.rho_log2)
         c = Constellation.by_name(self.constellation)
+        object.__setattr__(self, "constellation", c.kind)  # one hash for "QPSK" and "qpsk"
         for snr_db in self.snr_points_db:
             snr_to_n0(snr_db, c)  # a NaN or -inf point fails here, before any draw
         for m in self.methods:
@@ -405,9 +406,9 @@ def hw_compare(
         raise ParameterError("hw_compare needs a prox or aprox method in the config")
     for m in solver_methods:
         check_datapath_gain(m.params.rho_log2)
-    snr_db = agreement_snr_db
-    if snr_db is None:
-        snr_db = cfg.snr_points_db[len(cfg.snr_points_db) // 2]
+    snr_db = cfg.snr_points_db[len(cfg.snr_points_db) // 2]
+    if agreement_snr_db is not None:
+        snr_db = check_real(agreement_snr_db, "agreement_snr_db")
     if snr_db not in cfg.snr_points_db:
         raise ParameterError(f"agreement SNR {snr_db} dB is not a sweep point {cfg.snr_points_db}")
     snr_index = cfg.snr_points_db.index(snr_db)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -50,36 +50,44 @@ def check_real(value, what: str) -> float:
 
 @dataclass(frozen=True)
 class Constellation:
-    """Constant-modulus symbol alphabet.
+    """Constant-modulus symbol alphabet, ``"bpsk"`` or ``"qpsk"``.
 
     ``points`` is the canonical ordering that symbol indices refer to:
     BPSK is [+sigma, -sigma]; QPSK runs counter-clockwise from the first
-    quadrant. Every point has magnitude ``sigma``.
+    quadrant. Every point has magnitude ``sigma``, a finite positive real
+    kept as a Python float.
     """
 
     kind: str
-    sigma: float
-    points: np.ndarray
+    sigma: float = 1.0
+    points: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        if self.kind not in ("bpsk", "qpsk"):
+            raise ParameterError(f"unknown constellation {self.kind!r}")
+        sigma = check_real(self.sigma, "sigma")
+        if not 0 < sigma < np.inf:
+            raise ParameterError(f"sigma must be finite and positive, not {sigma}")
+        if self.kind == "bpsk":
+            pts = np.array([sigma, -sigma], dtype=np.complex128)
+        else:
+            c = sigma / _SQRT2
+            pts = np.array([c + 1j * c, -c + 1j * c, -c - 1j * c, c - 1j * c])
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "points", pts)
 
     @staticmethod
     def bpsk(sigma: float = 1.0) -> "Constellation":
-        pts = np.array([sigma, -sigma], dtype=np.complex128)
-        return Constellation("bpsk", sigma, pts)
+        return Constellation("bpsk", sigma)
 
     @staticmethod
     def qpsk(sigma: float = 1.0) -> "Constellation":
-        c = sigma / _SQRT2
-        pts = np.array([c + 1j * c, -c + 1j * c, -c - 1j * c, c - 1j * c])
-        return Constellation("qpsk", sigma, pts)
+        return Constellation("qpsk", sigma)
 
     @staticmethod
     def by_name(name: str, sigma: float = 1.0) -> "Constellation":
-        name = name.lower()
-        if name == "bpsk":
-            return Constellation.bpsk(sigma)
-        if name == "qpsk":
-            return Constellation.qpsk(sigma)
-        raise ParameterError(f"unknown constellation {name!r}")
+        """The constellation of that name in any letter case."""
+        return Constellation(name.lower() if isinstance(name, str) else name, sigma)
 
     @property
     def re_bound(self) -> float:

@@ -127,6 +127,21 @@ REAL_FIELDS = [
         "alpha_scale must be finite and exceed 1",
     ),
     (
+        "Constellation.sigma",
+        lambda v: Constellation("qpsk", v),
+        "sigma",
+        -1.0,
+        "sigma must be finite and positive",
+    ),
+    (
+        # True used to be taken as the 1.0 dB point; None picks the midpoint.
+        "hw_compare.agreement_snr_db",
+        lambda v: hw_compare(SweepConfig(**SWEEP | {"snr_points_db": (0.0, 1.0)}), v),
+        "agreement_snr_db",
+        2.0,
+        r"agreement SNR 2\.0 dB is not a sweep point",
+    ),
+    (
         "hw_compare.gap_targets",
         lambda v: hw_compare(SweepConfig(**SWEEP), gap_targets=(1e-2, v)),
         "a gap target",
@@ -180,6 +195,7 @@ def test_bad_count_seed_or_gain_rejected_by_name(call, what, least, bad):
         )
         for entry, call, what, _, _ in REAL_FIELDS
         for bad in (True, "1.5", None, 1j)
+        if not (entry == "hw_compare.agreement_snr_db" and bad is None)
     ]
     + [
         pytest.param(call, bad, match, id=f"{entry}={bad!r}")
@@ -190,6 +206,65 @@ def test_bad_count_seed_or_gain_rejected_by_name(call, what, least, bad):
 def test_bad_real_rejected_by_name(call, bad, match):
     with pytest.raises(ParameterError, match=match):
         call(bad)
+
+
+SIGMA_CONSTRUCTORS = {
+    "bpsk": Constellation.bpsk,
+    "qpsk": Constellation.qpsk,
+    "by_name": lambda sigma: Constellation.by_name("QPSK", sigma),
+    "raw": lambda sigma: Constellation("bpsk", sigma),
+}
+
+
+@pytest.mark.parametrize("make", SIGMA_CONSTRUCTORS.values(), ids=SIGMA_CONSTRUCTORS)
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        pytest.param(bad, f"sigma must be {rule}, not {shown}", id=repr(bad))
+        for bad, rule, shown in [
+            (-1.0, "finite and positive", "-1.0"),
+            (0, "finite and positive", "0.0"),
+            (np.nan, "finite and positive", "nan"),
+            (np.inf, "finite and positive", "inf"),
+            ("a", "a real number", "'a'"),
+            (True, "a real number", "True"),
+            (None, "a real number", "None"),
+        ]
+    ],
+)
+def test_bad_sigma_rejected_by_every_constructor(make, bad, match):
+    # -1.0 used to give a hull of half-width -0.707, nan NaN points, "a" a
+    # raw TypeError, and True a constellation of sigma 1.
+    with pytest.raises(ParameterError, match=f"^{re.escape(match)}$"):
+        make(bad)
+
+
+@pytest.mark.parametrize("sigma", [2, np.int64(2), np.float32(2.0), 2.0], ids=repr)
+def test_sigma_kept_as_python_float(sigma):
+    for make in SIGMA_CONSTRUCTORS.values():
+        c, plain = make(sigma), make(2.0)
+        assert type(c.sigma) is float and repr(c) == repr(plain)
+        assert c.points.tobytes() == plain.points.tobytes()
+
+
+@pytest.mark.parametrize("name", [None, 3, "8psk"], ids=repr)
+def test_unknown_constellation_rejected(name):
+    # None used to end in an AttributeError from name.lower().
+    with pytest.raises(ParameterError, match=f"^unknown constellation {re.escape(repr(name))}$"):
+        Constellation.by_name(name)
+
+
+def test_constellation_name_hashes_in_any_case():
+    # "QPSK" ran the same sweep as "qpsk" but hashed as 9425f31b005e7d85.
+    def sweep(name):
+        return SweepConfig(
+            B=4, K=2, constellation=name, snr_points_db=(0.0,), trials=20, master_seed=1,
+            methods=(MethodSpec("prox"), MethodSpec("mrc-chest")),
+        )
+
+    assert sweep("qpsk").config_hash() == "57479c7d5b2a0c53"
+    for name in ("QPSK", "Qpsk"):
+        assert sweep(name) == sweep("qpsk") and sweep(name).config_hash() == "57479c7d5b2a0c53"
 
 
 @pytest.mark.parametrize(

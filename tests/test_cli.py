@@ -10,6 +10,7 @@ import simojed
 from simojed import cli, harness
 from simojed.cli import main, parse_config_file, parse_snr_spec
 from simojed.errors import ParameterError
+from simojed.tuning import tune_rho
 from simojed.verify import SuiteReport, VerificationReport
 
 
@@ -327,23 +328,40 @@ class TestTraceCommand:
 
 
 class TestTuneCommand:
-    def test_prints_and_caches(self, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        rc = main(["tune", "--b", "4", "--k", "3", "--constellation", "bpsk",
-                   "--snr=-4", "--trials", "20", "--seed", "6",
-                   "--cache", str(cache)])
-        assert rc == 0
-        assert "best rho_log2=" in capsys.readouterr().out
-        assert cache.exists()
+    @staticmethod
+    def printed(best) -> str:
+        return (
+            f"best rho_log2={best.rho_log2} alpha_scale={best.alpha_scale} "
+            f"(tuning SER {best.ser:.4e})\n"
+        )
 
-    @pytest.mark.parametrize("method, variant", [("prox", "exact"), ("aprox", "approx")])
-    def test_method_names_the_cache_key(self, method, variant, tmp_path):
-        cache = tmp_path / "cache.json"
-        assert main(["tune", "--b", "4", "--k", "3", "--constellation", "bpsk", "--snr=-4",
-                     "--trials", "20", "--seed", "6", "--method", method,
-                     "--cache", str(cache)]) == 0
-        (key,) = json.loads(cache.read_text())
-        assert key.startswith(f"B4_K3_bpsk_{variant}_snr-4.0_")
+    def test_prints_the_tuned_gains(self, capsys):
+        rc = main(["tune", "--b", "4", "--k", "3", "--constellation", "bpsk",
+                   "--snr=-4", "--trials", "20", "--seed", "6"])
+        assert rc == 0
+        best = tune_rho(4, 3, "bpsk", -4.0, 20, 6)
+        assert capsys.readouterr().out == self.printed(best)
+
+    @pytest.mark.parametrize(
+        "method, expected",
+        [("prox", (0, 1.5, 0.03475)), ("aprox", (0, 1.25, 0.05))],
+        ids=["prox-exact", "aprox-approx"],
+    )
+    def test_method_picks_the_variant(self, method, expected, capsys):
+        # The README's tune arguments, where the two variants tune apart.
+        assert main(["tune", "--b", "16", "--k", "8", "--constellation", "bpsk", "--snr=-6",
+                     "--trials", "1000", "--seed", "42", "--method", method]) == 0
+        best = tune_rho(16, 8, "bpsk", -6.0, 1000, 42, approx=method == "aprox")
+        assert (best.rho_log2, best.alpha_scale, best.ser) == expected
+        assert capsys.readouterr().out == self.printed(best)
+
+    def test_cache_flag_is_a_usage_error(self, tmp_path, capsys):
+        cache = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--cache", str(cache)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --cache {cache}" in capsys.readouterr().err
+        assert not cache.exists()
 
     def test_zero_trials_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
