@@ -65,7 +65,7 @@ class MethodSpec:
     """A detector of the sweep. The solver methods, ``prox`` (exact shifted
     inverse) and ``aprox`` (its two-term series), always have ``params``,
     the default gains unless given; a baseline given gains is a
-    ``ParameterError``."""
+    ``ParameterError``, and so are gains that are not a ``ProxParams``."""
 
     name: str
     params: ProxParams | None = None
@@ -73,6 +73,8 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise ParameterError(f"unknown method {self.name!r}; choose from {METHOD_NAMES}")
+        if not isinstance(self.params, (ProxParams, type(None))):
+            raise ParameterError(f"params must be a ProxParams or None, not {self.params!r}")
         if self.name not in ("prox", "aprox"):
             if self.params is not None:
                 raise ParameterError(f"the baseline {self.name!r} takes no solver gains")
@@ -107,6 +109,14 @@ class SweepConfig:
             raise ParameterError(f"each SNR point may appear once, got {snrs}")
         if self.arithmetic not in ("float", "fixed"):
             raise ParameterError(f"unknown arithmetic {self.arithmetic!r}")
+        if not isinstance(self.los, (LosGeometry, type(None))):
+            raise ParameterError(f"los must be a LosGeometry or None, not {self.los!r}")
+        methods = self.methods
+        if not isinstance(methods, (tuple, list)) or not all(
+            isinstance(m, MethodSpec) for m in methods
+        ):
+            raise ParameterError(f"methods must be a tuple or list of MethodSpec, not {methods!r}")
+        object.__setattr__(self, "methods", tuple(methods))
         if not self.methods:
             raise ParameterError("need at least one method")
         names = [m.name for m in self.methods]

@@ -55,12 +55,13 @@ class Constellation:
     ``points`` is the canonical ordering that symbol indices refer to:
     BPSK is [+sigma, -sigma]; QPSK runs counter-clockwise from the first
     quadrant. Every point has magnitude ``sigma``, a finite positive real
-    kept as a Python float.
+    kept as a Python float. ``points`` follows from ``kind`` and ``sigma``
+    and takes no part in ``==`` or ``hash``.
     """
 
     kind: str
     sigma: float = 1.0
-    points: np.ndarray = field(init=False)
+    points: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("bpsk", "qpsk"):

@@ -77,8 +77,8 @@ class PreprocessedMatrix:
         """Norm-promotion weight implied by (alpha, gamma, rho).
 
         Recovered from rho = theta * gamma and theta = alpha / (alpha - beta).
-        Can come out non-positive, in which case objective diagnostics are
-        not meaningful and callers should skip them.
+        Outside (0, alpha) the objective is not meaningful: ``iterate``'s
+        trace gives NaN for it there.
         """
         return self.alpha * (1.0 - self.gamma / rho)
 

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from simojed import fxp, model, tuning, verify
+from simojed import fxp, harness, model, tuning, verify
 from simojed.errors import ParameterError
 from simojed.harness import (
     MethodSpec,
@@ -62,12 +62,6 @@ INT_FIELDS = [
     ("tune_rho.t_max", lambda v: tuning.tune_rho(**TUNE, t_max=v), "t_max", 1),
     ("descent.n_instances", lambda v: verify.run_descent_and_boundary(1, v), "n_instances", 1),
     ("descent.seed", lambda v: verify.run_descent_and_boundary(v, 2), "the seed", 0),
-    (
-        "descent.max_attempts_factor",
-        lambda v: verify.run_descent_and_boundary(1, 2, max_attempts_factor=v),
-        "max_attempts_factor",
-        0,
-    ),
     ("series_bound.n_matrices", lambda v: verify.run_series_bound(1, v), "n_matrices", 1),
     ("series_bound.seed", lambda v: verify.run_series_bound(v, 2), "the seed", 0),
     ("gradient.n_instances", lambda v: verify.run_gradient_identity(1, v), "n_instances", 1),
@@ -265,6 +259,42 @@ def test_constellation_name_hashes_in_any_case():
     assert sweep("qpsk").config_hash() == "57479c7d5b2a0c53"
     for name in ("QPSK", "Qpsk"):
         assert sweep(name) == sweep("qpsk") and sweep(name).config_hash() == "57479c7d5b2a0c53"
+
+
+@pytest.mark.parametrize(
+    ("make", "match"),
+    [
+        (
+            lambda: SweepConfig(**SWEEP | {"methods": ("prox",)}),
+            "methods must be a tuple or list of MethodSpec",
+        ),
+        (
+            lambda: SweepConfig(**SWEEP | {"methods": MethodSpec("prox")}),
+            "methods must be a tuple or list of MethodSpec",
+        ),
+        (
+            lambda: SweepConfig(**SWEEP | {"los": {"user_angle": 0.1}}),
+            "los must be a LosGeometry or None",
+        ),
+        (
+            lambda: MethodSpec("prox", params={"rho_log2": 2}),
+            "params must be a ProxParams or None",
+        ),
+    ],
+    ids=["methods-of-names", "one-method", "los-dict", "params-dict"],
+)
+def test_sweep_fields_of_the_wrong_type_rejected_by_name(make, match, monkeypatch):
+    # Each used to be accepted, or to end in a raw AttributeError or
+    # TypeError; the sweep would fail only once it drew blocks.
+    monkeypatch.setattr(harness, "draw_blocks", None)
+    with pytest.raises(ParameterError, match=f"^{re.escape(match)}, not "):
+        run_sweep(make())
+
+
+def test_methods_kept_as_a_tuple():
+    cfg = SweepConfig(**SWEEP | {"methods": [MethodSpec("prox")]})
+    assert cfg == SweepConfig(**SWEEP) and cfg.config_hash() == SweepConfig(**SWEEP).config_hash()
+    assert repr(cfg) == repr(SweepConfig(**SWEEP))
 
 
 @pytest.mark.parametrize(

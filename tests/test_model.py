@@ -48,6 +48,18 @@ class TestConstellation:
         with pytest.raises(ParameterError):
             Constellation.by_name("16qam")
 
+    def test_equal_by_kind_and_sigma_and_hashable(self):
+        # The points array used to take part in == (a ValueError) and in
+        # hash (a TypeError).
+        assert Constellation.qpsk() == Constellation.by_name("QPSK") == Constellation("qpsk")
+        assert Constellation.bpsk(2.0) == Constellation.by_name("Bpsk", 2)
+        assert Constellation.qpsk() != Constellation.bpsk()
+        assert Constellation.qpsk() != Constellation.qpsk(2.0)
+        table = {Constellation.bpsk(): "bpsk", Constellation.qpsk(): "qpsk"}
+        assert table[Constellation.by_name("QPSK")] == "qpsk"
+        kinds = {Constellation.qpsk(), Constellation.by_name("qpsk"), Constellation.qpsk(2.0)}
+        assert len(kinds) == 2
+
 
 class TestRayleigh:
     # The channels ``Blocks.h`` of noise-free pilot-only draws.

@@ -5,7 +5,9 @@ import pytest
 
 from simojed import verify
 from simojed.errors import ParameterError
+from simojed.linalg import gram, spectral_norm
 from simojed.model import draw_blocks
+from simojed.prox import preprocess
 from simojed.verify import (
     run_descent_and_boundary,
     run_gradient_identity,
@@ -96,17 +98,10 @@ def test_shapes_drawn_in_one_call(seed, indices):
     assert got == shapes
 
 
-def test_attempt_budget_shortfall_fails():
-    descent, _ = run_descent_and_boundary(1, 10, max_attempts_factor=0)
-    assert not descent.ok
-    assert descent.failures == ["only 0 of 10 instances had a valid weight in 0 attempts"]
-    assert "FAIL" in descent.line()
-
-
-def test_skipped_attempts_keep_the_instance_set(monkeypatch):
+def test_invalid_weight_fails_descent(monkeypatch):
     # Instances whose pilot energy is above a threshold get a weight
-    # outside (0, alpha); the suite must draw further batches and stop at
-    # the same attempt as drawing one instance at a time.
+    # outside (0, alpha): each fails the descent suite by name, with no
+    # redraw, and every other instance passes.
     threshold = 40.0
     real = verify.preprocess
 
@@ -117,20 +112,36 @@ def test_skipped_attempts_keep_the_instance_set(monkeypatch):
 
     monkeypatch.setattr(verify, "preprocess", preprocess)
     seed, n = 3, 6
-    rng = np.random.default_rng(seed)
-    valid = skipped = attempt = 0
-    while valid < n:
-        attempt += 1
-        [(_, _, _, _, G)] = verify._draw_stacks(rng, seed, range(attempt, attempt + 1))
-        G = G[0]
-        if G[0, 0].real > threshold:
-            skipped += 1
-        else:
-            valid += 1
-    assert skipped > 0
+    stacks = verify._draw_stacks(np.random.default_rng(seed), seed, range(1, n + 1))
+    invalid = sorted(
+        i
+        for _, _, index, _, G in stacks
+        for i, g in zip(index.tolist(), G)
+        if g[0, 0].real > threshold
+    )
+    assert 0 < len(invalid) < n
     descent, boundary = run_descent_and_boundary(seed, n, t_max=20)
-    assert (descent.instances, descent.skipped) == (n, skipped)
-    assert descent.ok and boundary.instances + boundary.skipped == n
+    assert (descent.instances, descent.skipped) == (n, 0)
+    assert (descent.passed, descent.failed) == (n - len(invalid), len(invalid))
+    pattern = r"B=\d+,K=\d+,[bq]psk,attempt=(\d+): weight outside \(0, alpha\)"
+    assert [int(re.fullmatch(pattern, f)[1]) for f in descent.failures] == invalid
+    assert descent.worst_margin == -np.inf and "FAIL" in descent.line()
+    assert boundary.ok and boundary.instances + boundary.skipped == n
+
+
+@pytest.mark.parametrize("n", [5, 9, 17])
+def test_pinned_gain_keeps_gamma_in_one_to_two(n):
+    # The fact the descent suite rests on: at alpha twice the largest
+    # eigenvalue the exact shifted inverse has its spectrum in [1, 2], so
+    # its largest component gamma is in [1, 2] and the weight
+    # alpha * (1 - gamma / 2) is never negative. Gram matrices of fewer
+    # and of more rows than columns.
+    rng = np.random.default_rng(n)
+    for rows in (4, n + 2):
+        A = rng.standard_normal((200, rows, n)) + 1j * rng.standard_normal((200, rows, n))
+        G = gram(A)
+        gamma = preprocess(G, 2.0 * spectral_norm(G)).gamma
+        assert np.all((1.0 <= gamma) & (gamma <= 2.0)), (gamma.min(), gamma.max())
 
 
 @pytest.mark.parametrize(
