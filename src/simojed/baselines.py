@@ -4,11 +4,12 @@ All detectors report the first slot as the known pilot ``c.points[0]``, so
 error counting is comparable across methods; errors are only ever counted on
 slots 2..K+1. Every detector and the downlink evaluation take one block's
 arrays (``Y`` of shape (B, K+1), channels of shape (B,)) or a stack of them
-with a leading trial axis, and treat the trials independently. Each detector
-returns a ``prox.SolveResult`` of decisions and channel estimates, as the
-solver does. Nothing here draws randoms: the downlink evaluation takes its
-``model.DownlinkDraws`` from ``model.draw_blocks``, which owns the whole
-stream layout.
+with a leading trial axis, and treat the trials independently; a non-finite
+received block or channel is a ``ParameterError``. Each detector returns a
+``prox.SolveResult`` of decisions and channel estimates, as a sweep builds
+from the solver's decisions and ``prox.channel_estimate``. Nothing here
+draws randoms: the downlink evaluation takes its ``model.DownlinkDraws``
+from ``model.draw_blocks``, which owns the whole stream layout.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, DegenerateInputError, ParameterError
-from .linalg import gram
+from .linalg import check_finite, gram
 from .model import Constellation, DownlinkDraws
 from .prox import SolveResult, channel_estimate, hard_decision
 
@@ -29,8 +30,10 @@ def _mrc_slice(Y: np.ndarray, h: np.ndarray, c: Constellation) -> np.ndarray:
     pilot ``c.points[0]``.
 
     The combined statistic is (y_k^H h)/|h|^2, which equals s_k noise-free
-    (the received block carries conjugated symbols).
+    (the received block carries conjugated symbols). A non-finite ``Y`` is
+    a ``ParameterError``.
     """
+    Y = check_finite(Y, "received block")
     energy = np.linalg.norm(h, axis=-1) ** 2
     if np.any(energy == 0.0):
         raise DegenerateInputError("zero channel vector")
@@ -41,8 +44,9 @@ def _mrc_slice(Y: np.ndarray, h: np.ndarray, c: Constellation) -> np.ndarray:
 
 
 def mrc_csir(Y: np.ndarray, h: np.ndarray, c: Constellation) -> SolveResult:
-    """Combining with the true channel (perfect receive-side CSI)."""
-    h = np.asarray(h, dtype=complex)
+    """Combining with the true channel (perfect receive-side CSI); a
+    non-finite ``h`` is a ``ParameterError``."""
+    h = check_finite(np.asarray(h, dtype=complex), "channel")
     return SolveResult(s_hat=_mrc_slice(Y, h, c), h_hat=h)
 
 
@@ -103,8 +107,6 @@ def ml_jed_exhaustive(
     """
     if G is None:
         G = gram(Y)
-    elif not np.all(np.isfinite(Y)):
-        raise ParameterError("received block has a non-finite entry")
     K = G.shape[-1] - 1
     m = len(c.points)
     total = m**K
@@ -173,7 +175,8 @@ def downlink_ser(
     rotation of the estimate, then slices the data symbols of ``draws``
     (drawn by ``model.draw_blocks``). A zero composite-gain estimate loses every
     symbol. The noise variance ``n0`` is one value for every trial, or one
-    value per trial of the draws' trial axis.
+    value per trial of the draws' trial axis. A non-finite ``h`` or
+    ``h_hat`` is a ``ParameterError``.
     """
     n0 = np.asarray(n0, dtype=np.float64)
     if n0.shape not in ((), draws.data.shape[-2:-1]):
@@ -182,12 +185,13 @@ def downlink_ser(
         )
     if not np.all(np.isfinite(n0)) or np.any(n0 < 0):
         raise ParameterError("noise variance must be finite and non-negative")
-    h_hat = np.asarray(h_hat, dtype=complex)
+    h_hat = check_finite(np.asarray(h_hat, dtype=complex), "channel estimate")
+    h = check_finite(np.asarray(h, dtype=complex), "channel")
     norm = np.linalg.norm(h_hat, axis=-1)
     if np.any(norm == 0.0):
         raise DegenerateInputError("zero channel estimate")
     w = np.conj(h_hat) / norm[..., None]
-    g = np.sum(np.asarray(h, dtype=complex) * w, axis=-1)
+    g = np.sum(h * w, axis=-1)
     scale = np.sqrt(n0 / 2.0)
 
     pilot = c.points[0]

@@ -39,7 +39,7 @@ from .baselines import (
 from .errors import CapacityError, ParameterError
 from .fxp import check_datapath_gain, latency_cycles, solve_fixed_stack, throughput_bps
 from .linalg import spectral_norm
-from .model import Constellation, LosGeometry, check_int, check_real, draw_blocks, snr_to_n0
+from .model import Constellation, LosGeometry, check_int, check_los, check_real, draw_blocks, snr_to_n0
 from .prox import (
     PreprocessedMatrix,
     ProxParams,
@@ -101,7 +101,10 @@ class SweepConfig:
             if name != "downlink_symbols" or self.downlink_symbols is not None:  # None: K of them
                 object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
         object.__setattr__(self, "master_seed", check_int(self.master_seed, "the master seed"))
-        snrs = tuple(check_real(snr_db, "an SNR point") for snr_db in self.snr_points_db)
+        points = self.snr_points_db
+        if not isinstance(points, (tuple, list)) and np.ndim(points) != 1:
+            raise ParameterError(f"snr_points_db must be a sequence of SNR points, not {points!r}")
+        snrs = tuple(check_real(snr_db, "an SNR point") for snr_db in points)
         object.__setattr__(self, "snr_points_db", snrs)
         if not snrs:
             raise ParameterError("need at least one SNR point")
@@ -109,8 +112,7 @@ class SweepConfig:
             raise ParameterError(f"each SNR point may appear once, got {snrs}")
         if self.arithmetic not in ("float", "fixed"):
             raise ParameterError(f"unknown arithmetic {self.arithmetic!r}")
-        if not isinstance(self.los, (LosGeometry, type(None))):
-            raise ParameterError(f"los must be a LosGeometry or None, not {self.los!r}")
+        check_los(self.los)
         methods = self.methods
         if not isinstance(methods, (tuple, list)) or not all(
             isinstance(m, MethodSpec) for m in methods
@@ -238,11 +240,8 @@ def _detect(
     one method: the solver in ``arithmetic``, on the pack's preprocessed
     Gram matrices ``pre``, or a baseline, in one stacked call. ``G`` holds
     the Gram matrices of ``Y``."""
-    params = spec.params
-    if params is not None and arithmetic == "float":
-        return solve_stack(Y, pre, c, params)
-    if params is not None:
-        s_hat = solve_fixed_stack(pre, c, params)
+    if spec.params is not None:
+        s_hat = (solve_stack if arithmetic == "float" else solve_fixed_stack)(pre, c, spec.params)
         return SolveResult(s_hat, channel_estimate(Y, s_hat))
     if spec.name == "mrc-csir":
         return mrc_csir(Y, h_true, c)

@@ -16,13 +16,22 @@ import numpy as np
 from .errors import DimensionError, NumericError, ParameterError
 
 
+def check_finite(a, what: str) -> np.ndarray:
+    """``a`` as an array; a ``ParameterError`` naming ``what`` if an entry
+    is not finite."""
+    a = np.asarray(a)
+    # numpy's float isfinite loop is about twice as fast as its complex one.
+    as_floats = a.dtype == np.complex128 and a.ndim > 0 and a.flags.c_contiguous
+    if not np.isfinite(a.view(np.float64) if as_floats else a).all():
+        raise ParameterError(f"{what} has a non-finite entry")
+    return a
+
+
 def _require_square(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"need a square matrix or a stack of them, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ParameterError("matrix has a non-finite entry")
-    return A
+    return check_finite(A, "matrix")
 
 
 def _require_shift(alpha, lead: tuple[int, ...]) -> np.ndarray:
@@ -59,8 +68,7 @@ def gram(Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim < 2 or Y.shape[-2] < 1 or Y.shape[-1] < 1:
         raise DimensionError(f"need a non-empty matrix or a stack of them, got shape {Y.shape}")
-    if not np.all(np.isfinite(Y)):
-        raise ParameterError("received block has a non-finite entry")
+    check_finite(Y, "received block")
     return _hermitian_part(Y.conj().swapaxes(-1, -2) @ Y, (-1, -2))
 
 

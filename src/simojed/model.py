@@ -145,6 +145,14 @@ class LosGeometry:
             object.__setattr__(self, name, value)
 
 
+def check_los(los) -> LosGeometry | None:
+    """``los``; a ``ParameterError`` unless it is a ``LosGeometry`` or None
+    (Rayleigh)."""
+    if not isinstance(los, (LosGeometry, type(None))):
+        raise ParameterError(f"los must be a LosGeometry or None, not {los!r}")
+    return los
+
+
 def gen_los_channel(B: int, geom: LosGeometry) -> np.ndarray:
     """Spherical-wave line-of-sight channel over a uniform linear array.
 
@@ -166,8 +174,10 @@ def snr_to_n0(snr_db: float, c: Constellation) -> float:
 
     Both channel conventions here have unit average gain per antenna, so
     n0 = sigma^2 / 10^(snr/10). An infinite SNR gives no noise; a NaN or
-    -inf one, which gives no noise variance, is a ``ParameterError``.
+    -inf one, which gives no noise variance, is a ``ParameterError``, and
+    so is an SNR that ``check_real`` rejects.
     """
+    snr_db = check_real(snr_db, "snr_db")
     if np.isnan(snr_db) or snr_db == -np.inf:
         raise ParameterError(f"an SNR of {snr_db} dB gives no noise variance")
     return c.sigma**2 / 10.0 ** (snr_db / 10.0)
@@ -326,12 +336,13 @@ def draw_blocks(
     ``SeedSequence`` is built per child. Every chunk's normals land in
     arrays allocated once for the whole call; the channels, symbols, noise
     scaling and Gram matrices are then formed once for all trials. The
-    counts, ``seed`` and every key entry must pass ``check_int``.
+    counts, ``seed`` and every key entry must pass ``check_int``, each
+    SNR ``snr_to_n0``, and ``los`` ``check_los``.
     """
     if check_int(B, "B") < 1:
         raise DimensionError("need at least one receive antenna")
     K, downlink_symbols = check_int(K, "K"), check_int(downlink_symbols, "downlink_symbols")
-    seed = check_int(seed, "the seed")
+    seed, los = check_int(seed, "the seed"), check_los(los)
     keys = [tuple(check_int(k, "a key entry") for k in key) for key, _, _ in chunks]
     sizes = [check_int(n, "a chunk's trial count") for _, _, n in chunks]
     n0s = [snr_to_n0(snr_db, c) for _, snr_db, _ in chunks]

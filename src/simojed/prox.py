@@ -14,8 +14,11 @@ residual, hull-boundary gap) in one pass.
 Every step takes a stack of blocks with a leading trial axis (``Y`` of
 shape (T, B, N), ``G`` of shape (T, N, N), iterates of shape (T, N)), or one
 block's arrays without it; the trials of a stack are solved independently.
-``solve_stack`` is the checked detection pass of a sweep; the tuner and the
-verify suites call ``iterate`` and ``iterate_once`` on blocks they drew.
+The solver sees the received block only through ``G``: ``solve_stack``
+(``(pre, c, params) -> decisions``, as ``fxp.solve_fixed_stack``) is the
+detection pass of sweeps and the tuner, and ``channel_estimate`` is where
+a received block meets the decisions and is checked. The verify suites
+call ``iterate`` and ``iterate_once`` on blocks they drew.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, ParameterError
-from .linalg import invert_shifted, neumann_two_term
+from .linalg import check_finite, invert_shifted, neumann_two_term
 from .model import Constellation, check_int, check_real
 
 
@@ -107,7 +110,8 @@ class SolverState:
 @dataclass
 class SolveResult:
     """Hard decisions ``s_hat`` and channel estimates ``h_hat`` of one
-    detection pass, by the solver or by a baseline."""
+    detection pass: a baseline's, or a solver pass's decisions with their
+    ``channel_estimate``."""
 
     s_hat: np.ndarray
     h_hat: np.ndarray
@@ -241,11 +245,18 @@ def hard_decision(s: np.ndarray, c: Constellation) -> np.ndarray:
 
 
 def channel_estimate(Y: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
-    """Least-squares channel estimate from a detected symbol vector."""
+    """Least-squares channel estimate of each block of ``Y`` (B, K+1), or of a
+    stack (T, B, K+1), from its detected symbol vector: where a received
+    block meets the decisions. A non-finite ``Y`` is a ``ParameterError``;
+    decisions that are not one (K+1,) vector per block are a
+    ``DimensionError``."""
+    Y = check_finite(Y, "received block")
+    if Y.ndim < 2 or np.shape(s_hat) != Y.shape[:-2] + Y.shape[-1:]:
+        raise DimensionError(f"decisions of shape {np.shape(s_hat)} for blocks of shape {Y.shape}")
     energy = np.linalg.norm(s_hat, axis=-1) ** 2
     if np.any(energy == 0.0):
         raise DegenerateInputError("cannot estimate a channel from a zero symbol vector")
-    return _matvec(np.asarray(Y), s_hat) / energy[..., None]
+    return _matvec(Y, s_hat) / energy[..., None]
 
 
 def objective(
@@ -266,22 +277,10 @@ def objective(
     )
 
 
-def solve_stack(
-    Y: np.ndarray,
-    pre: PreprocessedMatrix,
-    c: Constellation,
-    params: ProxParams,
-) -> SolveResult:
-    """Detection pass over a stack of blocks (or one) on their ``preprocess``
-    result: iterate, slice, and re-estimate each channel from the decisions.
-    A non-finite ``Y`` is a ``ParameterError``; Gram matrices ``pre.G`` that
-    are not one (N, N) matrix per block of N slots are a ``DimensionError``.
+def solve_stack(pre: PreprocessedMatrix, c: Constellation, params: ProxParams) -> np.ndarray:
+    """Float detection pass over the ``preprocess`` result of a stack of
+    blocks' Gram matrices (T, N, N), or of one block's (N, N): iterate
+    without a trace and slice. Returns the detected symbol vectors, one row
+    per trial, as ``fxp.solve_fixed_stack`` does in fixed point.
     """
-    Y = np.asarray(Y)
-    if not np.all(np.isfinite(Y)):
-        raise ParameterError("received block has a non-finite entry")
-    shape = np.shape(pre.G)
-    if Y.ndim < 2 or shape != Y.shape[:-2] + 2 * Y.shape[-1:]:
-        raise DimensionError(f"Gram matrices of shape {shape} for blocks of shape {Y.shape}")
-    s_hat = hard_decision(iterate(pre, c, params, record_trace=False).s_cur, c)
-    return SolveResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat))
+    return hard_decision(iterate(pre, c, params, record_trace=False).s_cur, c)

@@ -3,7 +3,7 @@
 The projection gain and the shift-factor scale are the two knobs the
 algorithm leaves open; this searches the fixed grids ``RHO_LOG2_GRID`` x
 ``ALPHA_SCALE_GRID`` on a seeded paired batch and returns the best setting,
-scoring each by the hard decisions of one untraced ``prox.iterate`` over the
+scoring each by the data-slot decisions of one ``prox.solve_stack`` over the
 whole batch. Every call runs the whole search, which takes a fraction of a
 second.
 """
@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import spectral_norm
 from .model import Constellation, check_int, check_real, draw_blocks
-from .prox import ProxParams, hard_decision, iterate, preprocess
+from .prox import ProxParams, preprocess, solve_stack
 
 RHO_LOG2_GRID = tuple(range(0, 7))
 ALPHA_SCALE_GRID = (1.25, 1.5, 2.0, 4.0)
@@ -43,7 +43,7 @@ def tune_rho(
 
     Every setting sees byte-identical blocks. The batch is preprocessed once,
     from one set of spectral norms, as one (``alpha_scale``, trial) stack
-    that each ``rho_log2`` iterates once, slicing only the data slots.
+    that each ``rho_log2`` solves once; only the data slots are scored.
     ``approx`` tunes the ``aprox`` variant (two-term series) instead of
     ``prox``. Ties in error count break to the smallest ``rho_log2``, then
     the smallest ``alpha_scale``.
@@ -60,8 +60,7 @@ def tune_rho(
     pre = preprocess(np.broadcast_to(G, alpha.shape + G.shape[1:]), alpha, approx)
     candidates = []
     for rho_log2 in RHO_LOG2_GRID:
-        state = iterate(pre, c, ProxParams(rho_log2=rho_log2, t_max=t_max), record_trace=False)
-        s_hat = hard_decision(state.s_cur[..., 1:], c)
+        s_hat = solve_stack(pre, c, ProxParams(rho_log2=rho_log2, t_max=t_max))[..., 1:]
         ser = np.sum(s_hat != s[:, 1:], axis=(-2, -1)) / (trials * K)
         candidates += [TunedParams(rho_log2, a, e) for a, e in zip(ALPHA_SCALE_GRID, ser.tolist())]
     return min(candidates, key=lambda t: (t.ser, t.rho_log2, t.alpha_scale))

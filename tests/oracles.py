@@ -314,8 +314,8 @@ def tune_rho_loop(B, K, constellation, snr_db, trials, seed, approx=False, t_max
         pre = prox.preprocess(G, alpha_scale * norm, approx)
         for rho_log2 in tuning.RHO_LOG2_GRID:
             params = prox.ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max)
-            res = prox.solve_stack(Y, pre, c, params)
-            ser = int(np.sum(res.s_hat[:, 1:] != s[:, 1:])) / (trials * K)
+            s_hat = prox.solve_stack(pre, c, params)
+            ser = int(np.sum(s_hat[:, 1:] != s[:, 1:])) / (trials * K)
             candidates.append((ser, rho_log2, alpha_scale))
     ser, rho_log2, alpha_scale = min(candidates)
     return rho_log2, alpha_scale, ser

@@ -107,6 +107,21 @@ REAL_FIELDS = [
         "an SNR of nan dB",
     ),
     (
+        # True used to draw the 1 dB block, and "1.5" to end in numpy's TypeError.
+        "snr_to_n0",
+        lambda v: model.snr_to_n0(v, QPSK),
+        "snr_db",
+        -np.inf,
+        "an SNR of -inf dB",
+    ),
+    (
+        "draw_blocks.snr_db",
+        lambda v: model.draw_blocks(4, 2, QPSK, 1, [((0,), v, 2)]),
+        "snr_db",
+        np.nan,
+        "an SNR of nan dB",
+    ),
+    (
         "tune_rho.snr_db",
         lambda v: tuning.tune_rho(**TUNE | {"snr_db": v}),
         "snr_db",
@@ -280,8 +295,23 @@ def test_constellation_name_hashes_in_any_case():
             lambda: MethodSpec("prox", params={"rho_log2": 2}),
             "params must be a ProxParams or None",
         ),
+        (
+            lambda: SweepConfig(**SWEEP | {"snr_points_db": 0.0}),
+            "snr_points_db must be a sequence of SNR points",
+        ),
+        (
+            lambda: SweepConfig(**SWEEP | {"snr_points_db": None}),
+            "snr_points_db must be a sequence of SNR points",
+        ),
+        (
+            lambda: model.draw_blocks(4, 2, QPSK, 1, [((0,), 0.0, 2)], los={}),
+            "los must be a LosGeometry or None",
+        ),
     ],
-    ids=["methods-of-names", "one-method", "los-dict", "params-dict"],
+    ids=[
+        "methods-of-names", "one-method", "los-dict", "params-dict", "one-snr-point", "no-snr-points",
+        "draw-blocks-los-dict",
+    ],
 )
 def test_sweep_fields_of_the_wrong_type_rejected_by_name(make, match, monkeypatch):
     # Each used to be accepted, or to end in a raw AttributeError or

@@ -77,6 +77,42 @@ class TestMrcCsir:
         assert e_csir < e_chest
 
 
+class TestNonFiniteInputRejected:
+    # Each used to be detected or evaluated as it was: a NaN at Y[0, 0, 1]
+    # still gave trial 0 decisions, and a NaN channel a downlink SER of 1.0.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", ["mrc-csir", "mrc-chest", "mrc-rt"])
+    def test_received_block(self, method, bad):
+        c = Constellation.qpsk()
+        Y, _, _, h, *_ = model.draw_blocks(8, 4, c, 3, [((0,), 0.0, 2)])
+        Y[0, 0, 1] = bad
+        detect = {
+            "mrc-csir": lambda: mrc_csir(Y, h, c),
+            "mrc-chest": lambda: mrc_chest(Y, c),
+            "mrc-rt": lambda: mrc_retrained(Y, c),
+        }[method]
+        with pytest.raises(ParameterError, match="^received block has a non-finite entry$"):
+            detect()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_true_channel(self, bad):
+        c = Constellation.qpsk()
+        Y, _, _, h, *_ = model.draw_blocks(8, 4, c, 3, [((0,), 0.0, 2)])
+        h[1, 2] = bad
+        with pytest.raises(ParameterError, match="^channel has a non-finite entry$"):
+            mrc_csir(Y, h, c)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["channel", "channel estimate"])
+    def test_downlink_channels(self, which, bad):
+        c = Constellation.qpsk()
+        blocks = model.draw_blocks(8, 4, c, 3, [((0,), 0.0, 2)], downlink_symbols=5)
+        h, h_hat = blocks.h.copy(), blocks.h.copy()
+        (h if which == "channel" else h_hat)[1, 2] = bad
+        with pytest.raises(ParameterError, match=f"^{which} has a non-finite entry$"):
+            downlink_ser(h, h_hat, c, blocks.n0, blocks.downlink)
+
+
 class TestChestPilot:
     def test_noise_free_exact(self):
         Y, c, h, _ = noise_free_block(4)
@@ -137,8 +173,8 @@ class TestMrcRetrained:
         alpha = params.alpha_scale * spectral_norm(G)
         for t in range(1000):
             h = h_true[t]
-            res = prox.solve_stack(Y[t], prox.preprocess(G[t], alpha[t]), c, params)
-            mse_prox += float(np.sum(np.abs(res.h_hat - h) ** 2))
+            s_hat = prox.solve_stack(prox.preprocess(G[t], alpha[t]), c, params)
+            mse_prox += float(np.sum(np.abs(prox.channel_estimate(Y[t], s_hat) - h) ** 2))
             mse_chest += float(np.sum(np.abs(chest_pilot(Y[t], c) - h) ** 2))
         assert mse_prox < mse_chest
 
@@ -233,8 +269,8 @@ class TestMlJed:
         alpha = params.alpha_scale * spectral_norm(G)
         for t in range(50):
             ml = ml_jed_exhaustive(Y[t], c)
-            px = prox.solve_stack(Y[t], prox.preprocess(G[t], alpha[t]), c, params)
-            assert np.linalg.norm(Y[t] @ ml.s_hat) >= np.linalg.norm(Y[t] @ px.s_hat) - 1e-12
+            px = prox.solve_stack(prox.preprocess(G[t], alpha[t]), c, params)
+            assert np.linalg.norm(Y[t] @ ml.s_hat) >= np.linalg.norm(Y[t] @ px) - 1e-12
 
     def test_chunking_consistent(self):
         Y, _, c = noisy_block(13, B=4, K=9, kind="bpsk", snr_db=-8.0)
@@ -342,9 +378,9 @@ class TestDownlink:
         blocks = model.draw_blocks(16, 8, c, 17000, [((), 0.0, 1000)], downlink_symbols=8)
         Y, G, _, h, n0, draws = blocks
         params = prox.ProxParams(t_max=5)
-        px = prox.solve_stack(Y, prox.preprocess(G, params.alpha_scale * spectral_norm(G)), c, params)
+        px = prox.solve_stack(prox.preprocess(G, params.alpha_scale * spectral_norm(G)), c, params)
         ch = mrc_chest(Y, c)
-        tot_prox = np.sum(downlink_ser(h, px.h_hat, c, n0, draws))
+        tot_prox = np.sum(downlink_ser(h, prox.channel_estimate(Y, px), c, n0, draws))
         tot_chest = np.sum(downlink_ser(h, ch.h_hat, c, n0, draws))
         assert tot_prox < tot_chest
 

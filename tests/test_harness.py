@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from simojed import harness, tuning
+from simojed import harness, prox, tuning
 from simojed.errors import CapacityError, ParameterError
 from simojed.harness import (
     MethodSpec,
@@ -23,7 +23,7 @@ from simojed.harness import (
 from simojed.baselines import mrc_chest, mrc_csir
 from simojed.linalg import gram, spectral_norm
 from simojed.model import Constellation, draw_blocks, snr_to_n0
-from simojed.prox import ProxParams, preprocess, solve_stack
+from simojed.prox import ProxParams, SolveResult, channel_estimate, preprocess, solve_stack
 from simojed.tuning import tune_rho
 
 from oracles import downlink_ser_scalar, tune_rho_loop
@@ -170,12 +170,14 @@ class TestConfig:
         c = Constellation.by_name(cfg.constellation)
         Y, G, s, h, *_ = draw_blocks(cfg.B, cfg.K, c, cfg.master_seed, [((0, 0), -4.0, cfg.trials)])
         alpha = params.alpha_scale * spectral_norm(G)
-        res = solve_stack(Y, preprocess(G, alpha, approx=True), c, params)
-        assert cell.symbol_errors == int(np.sum(res.s_hat[:, 1:] != s[:, 1:]))
-        mse = np.sum(np.abs(res.h_hat - h) ** 2, axis=1) / cfg.B
+        s_hat = solve_stack(preprocess(G, alpha, approx=True), c, params)
+        assert cell.symbol_errors == int(np.sum(s_hat[:, 1:] != s[:, 1:]))
+        h_hat = channel_estimate(Y, s_hat)
+        mse = np.sum(np.abs(h_hat - h) ** 2, axis=1) / cfg.B
         assert cell.chest_mse == float(np.sum(mse)) / cfg.trials
         # The exact inverse gives other estimates on these blocks.
-        assert not np.array_equal(solve_stack(Y, preprocess(G, alpha), c, params).h_hat, res.h_hat)
+        exact = solve_stack(preprocess(G, alpha), c, params)
+        assert not np.array_equal(channel_estimate(Y, exact), h_hat)
 
     def test_duplicate_snr_points_rejected(self, monkeypatch):
         # The first -4 dB point's trials used to be drawn, detected and
@@ -438,8 +440,9 @@ class TestRunSweep:
             s = np.concatenate([c.points[:1], c.points[indices[t]]])
             Y = np.outer(h, s.conj()) + np.sqrt(n0 / 2) * (noise_parts[t, 0] + 1j * noise_parts[t, 1])
             G = gram(Y)
+            s_hat = solve_stack(preprocess(G, params.alpha_scale * spectral_norm(G)), c, params)
             detections = {
-                "prox": solve_stack(Y, preprocess(G, params.alpha_scale * spectral_norm(G)), c, params),
+                "prox": SolveResult(s_hat, channel_estimate(Y, s_hat)),
                 "mrc-csir": mrc_csir(Y, h, c),
                 "mrc-chest": mrc_chest(Y, c),
             }
@@ -717,24 +720,26 @@ class TestTuning:
     @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
     def test_one_norm_one_preprocess_per_batch(self, approx, monkeypatch):
         # Every alpha_scale is preprocessed in one stack, and every rho_log2
-        # iterates that whole stack once, untraced; the tuner neither runs
-        # the checked detection pass nor estimates a channel.
+        # solves that whole stack once, untraced; the tuner estimates no
+        # channel.
         names = (
             "spectral_norm", "invert_shifted", "neumann_two_term", "preprocess", "iterate",
             "solve_stack", "channel_estimate",
         )
         calls = count_calls(monkeypatch, names)
-        counted, traced = tuning.iterate, []
+        counted, traced = prox.iterate, []
 
         def recording(*args, record_trace=True):
             traced.append(record_trace)
             return counted(*args, record_trace=record_trace)
 
-        monkeypatch.setattr(tuning, "iterate", recording)
+        monkeypatch.setattr(prox, "iterate", recording)
         tune_rho(16, 8, "bpsk", -6.0, trials=4, seed=1, approx=approx)
         inverse = "neumann_two_term" if approx else "invert_shifted"
-        # No solve_stack or channel_estimate key: neither was called.
-        assert calls == {"spectral_norm": 1, "preprocess": 1, inverse: 1, "iterate": 7}
+        # No channel_estimate key: it was not called.
+        assert calls == {
+            "spectral_norm": 1, "preprocess": 1, inverse: 1, "solve_stack": 7, "iterate": 7,
+        }
         assert traced == [False] * 7
 
     @pytest.mark.parametrize(

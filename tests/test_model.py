@@ -9,7 +9,7 @@ from simojed import model
 from simojed.errors import DimensionError, ParameterError
 from simojed.model import Constellation, LosGeometry
 from simojed.linalg import spectral_norm
-from simojed.prox import ProxParams, preprocess, solve_stack
+from simojed.prox import ProxParams, channel_estimate, preprocess, solve_stack
 
 
 def one_block(B, K, c, snr_db, seed, key, los=None):
@@ -170,13 +170,13 @@ class TestTransmit:
             Y, G, *_ = model.draw_blocks(4, 3, c, 13, [((), 10.0, T)])
             assert all(np.array_equal(G[t], gram(Y[t])) for t in range(T))
 
-    # A caller's blocks are checked where they enter the solver.
+    # A caller's blocks are checked where they meet the decisions.
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_rejected(self, bad):
         Y = np.ones((4, 3), dtype=complex)
         Y[2, 1] = bad
         with pytest.raises(ParameterError, match="non-finite"):
-            solve_stack(Y, preprocess(np.eye(3), 2.0), Constellation.bpsk(), ProxParams())
+            channel_estimate(Y, np.ones(3, dtype=complex))
 
     def test_explicit_gram_checked(self):
         # A NaN in Y next to the block's original Gram matrix used to pass
@@ -184,19 +184,20 @@ class TestTransmit:
         c, params = Constellation.qpsk(), ProxParams()
         Y, G, *_ = model.draw_blocks(8, 4, c, 1, [((0,), 0.0, 2)])
         pre = preprocess(G, params.alpha_scale * spectral_norm(G))
+        s_hat = solve_stack(pre, c, params)
         bad_Y = Y.copy()
         bad_Y[1, 3, 2] = np.nan
         bad_G = G.copy()
         bad_G[0, 1, 1] = np.inf
         with pytest.raises(ParameterError, match="non-finite"):
-            solve_stack(bad_Y, pre, c, params)
+            channel_estimate(bad_Y, s_hat)
         for wrong in (Y[:, :, :-1], Y[:1], Y[0]):
             with pytest.raises(DimensionError, match="shape"):
-                solve_stack(wrong, pre, c, params)
+                channel_estimate(wrong, s_hat)
         with pytest.raises(ParameterError, match="non-finite"):
             preprocess(bad_G, pre.alpha)
         with pytest.raises(DimensionError, match="shape"):
-            solve_stack(Y, preprocess(G[:, :-1, :-1], pre.alpha), c, params)
+            channel_estimate(Y, solve_stack(preprocess(G[:, :-1, :-1], pre.alpha), c, params))
 
     def test_draw_block_stream_layout(self):
         # Child i of the chunk's SeedSequence feeds the channel (0), the

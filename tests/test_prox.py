@@ -251,26 +251,26 @@ class TestSolve:
         c = Constellation.bpsk()
         Y, G, s, h = model.draw_blocks(16, 8, c, 9, [((), np.inf, 1)])[:4]
         params = ProxParams(t_max=5)
-        res = solve_stack(Y, preprocess(G, params.alpha_scale * linalg.spectral_norm(G)), c, params)
-        assert np.array_equal(res.s_hat, s)
-        assert np.allclose(res.h_hat, h, atol=1e-10)
+        s_hat = solve_stack(preprocess(G, params.alpha_scale * linalg.spectral_norm(G)), c, params)
+        assert np.array_equal(s_hat, s)
+        assert np.allclose(channel_estimate(Y, s_hat), h, atol=1e-10)
 
     def test_k_zero(self):
         c = Constellation.qpsk()
-        Y, G = model.draw_blocks(4, 0, c, 10, [((), 10.0, 1)])[:2]
+        G = model.draw_blocks(4, 0, c, 10, [((), 10.0, 1)]).G
         params = ProxParams(t_max=3)
-        res = solve_stack(Y, preprocess(G, params.alpha_scale * linalg.spectral_norm(G)), c, params)
-        assert np.array_equal(res.s_hat, [[c.points[0]]])
+        s_hat = solve_stack(preprocess(G, params.alpha_scale * linalg.spectral_norm(G)), c, params)
+        assert np.array_equal(s_hat, [[c.points[0]]])
 
     def test_more_iterations_do_not_hurt(self):
         # Paired batch: error count with t_max=5 must not exceed t_max=1.
         c = Constellation.bpsk()
         errs = {1: 0, 5: 0}
-        Y, G, s_true, _, *_ = model.draw_blocks(16, 8, c, 1000, [((), 5.0, 400)])
+        _, G, s_true, *_ = model.draw_blocks(16, 8, c, 1000, [((), 5.0, 400)])
         for t in (1, 5):
             params = ProxParams(t_max=t)
-            res = solve_stack(Y, preprocess(G, params.alpha_scale * linalg.spectral_norm(G)), c, params)
-            errs[t] = int(np.sum(res.s_hat[:, 1:] != s_true[:, 1:]))
+            s_hat = solve_stack(preprocess(G, params.alpha_scale * linalg.spectral_norm(G)), c, params)
+            errs[t] = int(np.sum(s_hat[:, 1:] != s_true[:, 1:]))
         assert errs[5] <= errs[1]
 
     def test_scale_invariance_of_decisions(self):
@@ -283,9 +283,7 @@ class TestSolve:
         s_a = iterate(pre_a, c, params).s_cur
         s_b = iterate(pre_b, c, params).s_cur
         assert np.max(np.abs(s_a - s_b)) < 1e-12
-        res_a = solve_stack(Y, pre_a, c, params)
-        res_b = solve_stack(3.7 * Y, pre_b, c, params)
-        assert np.array_equal(res_a.s_hat, res_b.s_hat)
+        assert np.array_equal(solve_stack(pre_a, c, params), solve_stack(pre_b, c, params))
 
 
 @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
@@ -293,12 +291,11 @@ def test_pilot_slot_decides_to_the_pilot(kind):
     # Neither detection pass pins slot 0 after slicing: the pinned iterate,
     # float or quantized, already slices to the pilot.
     c = Constellation.by_name(kind)
-    _, G = model.draw_blocks(8, 5, c, 23, [((), -8.0, 200)])[:2]
-    Y = np.zeros((200, 8, 6))  # solve_stack only checks its shape
+    G = model.draw_blocks(8, 5, c, 23, [((), -8.0, 200)]).G
     for rho_log2 in (1, 3):
         params = ProxParams(alpha_scale=1.25, rho_log2=rho_log2, t_max=3)
         pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))
-        assert np.all(solve_stack(Y, pre, c, params).s_hat[:, 0] == c.points[0])
+        assert np.all(solve_stack(pre, c, params)[:, 0] == c.points[0])
         assert np.all(fxp.solve_fixed_stack(pre, c, params)[:, 0] == c.points[0])
 
 
@@ -323,15 +320,16 @@ class TestSolveStack:
         Y, G = model.draw_blocks(B, K, c, seed, [((), snr_db, T)])[:2]
         params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max)
         pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G), approx)
-        stacked = solve_stack(Y, pre, c, params)
+        stacked = solve_stack(pre, c, params)
+        h_hat = channel_estimate(Y, stacked)
         trace = iterate(pre, c, params).trace
-        assert stacked.s_hat.shape == (T, K + 1)
-        assert stacked.h_hat.shape == (T, B)
+        assert stacked.shape == (T, K + 1)
+        assert h_hat.shape == (T, B)
         for t in range(T):
             pre_t = preprocess(G[t], params.alpha_scale * linalg.spectral_norm(G[t]), approx)
-            single = solve_stack(Y[t], pre_t, c, params)
-            assert np.array_equal(stacked.s_hat[t], single.s_hat)
-            np.testing.assert_allclose(stacked.h_hat[t], single.h_hat, rtol=1e-12, atol=0)
+            single = solve_stack(pre_t, c, params)
+            assert np.array_equal(stacked[t], single)
+            np.testing.assert_allclose(h_hat[t], channel_estimate(Y[t], single), rtol=1e-12, atol=0)
             single_trace = iterate(pre_t, c, params).trace
             for name in ("objective", "grad_residual"):
                 got, want = getattr(trace, name)[:, t], getattr(single_trace, name)
@@ -353,11 +351,11 @@ class TestSolveStack:
         assert np.array_equal(got.Ghat, preprocess(G, alpha, approx).Ghat)
 
     def test_degenerate_trial_fails_the_stack(self):
-        Y, G, c = make_noisy_block(16)
+        _, G, c = make_noisy_block(16)
         G = np.stack([G, np.zeros_like(G)])
         pre = preprocess(G, 2.0 * linalg.spectral_norm(G))
         with pytest.raises(DegenerateInputError):
-            solve_stack(np.stack([Y, 0 * Y]), pre, c, ProxParams())
+            solve_stack(pre, c, ProxParams())
 
     def test_non_finite_gram_rejected(self):
         # Rejected before the eigensolver, whose LinAlgError is not a
@@ -478,7 +476,6 @@ class TestStop:
             return iterate_once(*args)
 
         monkeypatch.setattr(prox, "iterate_once", counting)
-        Y = np.zeros(pre.G.shape[:-2] + (16, 9))  # solve_stack only checks its shape
         # Repeats after k steps; still changing at t_max = k - 1.
         for t_max, steps in ((100, k), (k, k), (k - 1, k - 1)):
             params = ProxParams(t_max=t_max)
@@ -487,8 +484,31 @@ class TestStop:
                 state = iterate(pre, c, params, record_trace)
                 assert len(calls) == state.steps == steps
             calls.clear()
-            solve_stack(Y, pre, c, params)
+            solve_stack(pre, c, params)
             assert len(calls) == steps
+
+
+class TestSubStackStep:
+    # A step on the trials still moving must give each of them the bytes it
+    # gets in the whole-stack step; that rests on numpy's batched matvec
+    # giving one matrix the same bytes whatever stack it sits in.
+    @pytest.mark.parametrize("T", [7, 120, 512])
+    @pytest.mark.parametrize("K", [4, 8, 16])
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
+    def test_gathered_rows_step_like_the_whole_stack(self, kind, K, T):
+        c = Constellation.by_name(kind)
+        G = model.draw_blocks(16, K, c, 60 + K, [((), -2.0, T)]).G
+        params = ProxParams()
+        pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))
+        s = iterate(pre, c, ProxParams(t_max=2), record_trace=False).s_cur
+        whole = iterate_once(s, pre, c, params)
+        rng = np.random.default_rng(T + K)
+        subsets = [np.sort(rng.choice(T, n, replace=False)) for n in (1, 2, 3, T // 2, T - 1, T)]
+        for rows in subsets + list(rng.choice(T, 6, replace=False)):
+            # An index array keeps the trial axis; a single index drops it.
+            sub = PreprocessedMatrix(pre.Ghat[rows], pre.gamma[rows], pre.alpha[rows], pre.G[rows])
+            for got, want in zip(iterate_once(s[rows], sub, c, params), whole):
+                assert got.tobytes() == want[rows].tobytes()
 
 
 class TestDiagnostics:
