@@ -3,13 +3,17 @@
 All detectors report the first slot as the known pilot ``c.points[0]``, so
 error counting is comparable across methods; errors are only ever counted on
 slots 2..K+1. Every detector and the downlink evaluation take one block's
-arrays (``Y`` of shape (B, K+1), channels of shape (B,)) or a stack of them
-with a leading trial axis, and treat the trials independently; a non-finite
-received block or channel is a ``ParameterError``. Each detector returns a
-``prox.SolveResult`` of decisions and channel estimates, as a sweep builds
-from the solver's decisions and ``prox.channel_estimate``. Nothing here
-draws randoms: the downlink evaluation takes its ``model.DownlinkDraws``
-from ``model.draw_blocks``, which owns the whole stream layout.
+arrays or a stack of them with a leading trial axis, and treat the trials
+independently. The detectors are of two kinds. The combining detectors
+take the received block ``Y`` (B, K+1) and return a ``prox.SolveResult``
+with their own channel estimate: ``mrc_csir`` the true channel (B,),
+``mrc_chest`` the pilot estimate; a non-finite block or channel is a
+``ParameterError``. The ML oracle, like both solver passes, takes the
+block's Gram matrix and returns decisions only; their channel estimate is
+``prox.channel_estimate(Y, s_hat)``, which is where ``Y`` meets the
+decisions. Nothing here draws randoms: the downlink evaluation takes its
+``model.DownlinkDraws`` from ``model.draw_blocks``, which owns the whole
+stream layout.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, DegenerateInputError, ParameterError
-from .linalg import check_finite, gram
+from .linalg import _require_square, check_finite
 from .model import Constellation, DownlinkDraws
-from .prox import SolveResult, channel_estimate, hard_decision
+from .prox import SolveResult, hard_decision
 
 ML_JED_BUDGET = 2**20  # the most candidates ml_jed_exhaustive enumerates
 _ENUM_CHUNK = 1 << 14
@@ -65,13 +69,6 @@ def mrc_chest(Y: np.ndarray, c: Constellation) -> SolveResult:
     return SolveResult(s_hat=_mrc_slice(Y, h_hat, c), h_hat=h_hat)
 
 
-def mrc_retrained(Y: np.ndarray, c: Constellation) -> SolveResult:
-    """Pilot-based detection, then the channel re-estimated from the detected
-    symbol vector."""
-    first = mrc_chest(Y, c)
-    return SolveResult(s_hat=first.s_hat, h_hat=channel_estimate(Y, first.s_hat))
-
-
 def _enumerate_slots(c: Constellation, K: int, start: int, cands: np.ndarray, slots) -> None:
     """Write ``slots`` (of 1..K) of the candidate symbol vectors with
     enumeration indices start, start+1, ... into the columns of ``cands``
@@ -87,26 +84,23 @@ def _enumerate_slots(c: Constellation, K: int, start: int, cands: np.ndarray, sl
         np.take(c.points, (idx // m ** (K - k)) % m, out=cands[k])
 
 
-def ml_jed_exhaustive(
-    Y: np.ndarray,
-    c: Constellation,
-    G: np.ndarray | None = None,
-) -> SolveResult:
-    """Exact joint-detection oracle: enumerate every symbol vector with the
-    pinned first slot and keep the one with the largest received-energy
+def ml_jed_exhaustive(G: np.ndarray, c: Constellation) -> np.ndarray:
+    """Exact joint-detection oracle on a stack of blocks' Gram matrices
+    (T, N, N), or on one block's (N, N): enumerate every symbol vector with
+    the pinned first slot and keep the one with the largest received-energy
     correlation. Ties go to the first candidate in lexicographic order.
+    Returns the decisions, one row per trial, as both solver passes do.
 
-    The energy |Yx|^2 = x^H G x is scored from the Gram matrices G of the
-    whole stack. Every slot of every candidate has the same modulus, so the
-    diagonal terms are the same for all candidates of a trial and only
-    Re sum_{i<j} conj(x_i) G_ij x_j is compared: one real matrix product of
-    the stack's upper triangles with the pair products of each candidate
-    chunk. Real candidates (BPSK) need only Re G. ``G`` holds the Gram
-    matrices of ``Y``, taken as given; without it they are computed by
-    ``linalg.gram``. A non-finite ``Y`` is a ``ParameterError`` either way.
+    The energy |Yx|^2 = x^H G x is scored from ``G`` alone. Every slot of
+    every candidate has the same modulus, so the diagonal terms are the
+    same for all candidates of a trial and only Re sum_{i<j} conj(x_i) G_ij
+    x_j is compared: one real matrix product of the stack's upper triangles
+    with the pair products of each candidate chunk. Real candidates (BPSK)
+    need only Re G. A ``G`` that is empty or not square is a
+    ``DimensionError``, and a non-finite one a ``ParameterError``, before
+    any candidate is scored.
     """
-    if G is None:
-        G = gram(Y)
+    G = _require_square(G)
     K = G.shape[-1] - 1
     m = len(c.points)
     total = m**K
@@ -155,8 +149,7 @@ def ml_jed_exhaustive(
         better = top > best_val
         best_val[better] = top[better]
         best_vec[better] = cands[:, local[better]].T
-    s_hat = best_vec.reshape(G.shape[:-2] + (K + 1,))
-    return SolveResult(s_hat=s_hat, h_hat=channel_estimate(Y, s_hat))
+    return best_vec.reshape(G.shape[:-2] + (K + 1,))
 
 
 def downlink_ser(

@@ -28,14 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .baselines import (
-    ML_JED_BUDGET,
-    downlink_ser,
-    ml_jed_exhaustive,
-    mrc_chest,
-    mrc_csir,
-    mrc_retrained,
-)
+from .baselines import ML_JED_BUDGET, downlink_ser, ml_jed_exhaustive, mrc_chest, mrc_csir
 from .errors import CapacityError, ParameterError
 from .fxp import check_datapath_gain, latency_cycles, solve_fixed_stack, throughput_bps
 from .linalg import spectral_norm
@@ -237,19 +230,22 @@ def _detect(
     arithmetic: str,
 ) -> SolveResult:
     """The decisions and channel estimates of a pack's stacked blocks from
-    one method: the solver in ``arithmetic``, on the pack's preprocessed
-    Gram matrices ``pre``, or a baseline, in one stacked call. ``G`` holds
-    the Gram matrices of ``Y``."""
-    if spec.params is not None:
-        s_hat = (solve_stack if arithmetic == "float" else solve_fixed_stack)(pre, c, spec.params)
-        return SolveResult(s_hat, channel_estimate(Y, s_hat))
+    one method, in one stacked call. ``mrc-csir`` and ``mrc-chest`` give
+    their own estimates. The solver in ``arithmetic`` (on the pack's
+    preprocessed Gram matrices ``pre``), ``ml-jed`` (on the Gram matrices
+    ``G`` of ``Y``) and ``mrc-rt`` (``mrc-chest``'s decisions re-estimated)
+    give decisions, and share one tail: their ``channel_estimate``."""
     if spec.name == "mrc-csir":
         return mrc_csir(Y, h_true, c)
     if spec.name == "mrc-chest":
         return mrc_chest(Y, c)
-    if spec.name == "mrc-rt":
-        return mrc_retrained(Y, c)
-    return ml_jed_exhaustive(Y, c, G=G)
+    if spec.params is not None:
+        s_hat = (solve_stack if arithmetic == "float" else solve_fixed_stack)(pre, c, spec.params)
+    elif spec.name == "mrc-rt":
+        s_hat = mrc_chest(Y, c).s_hat
+    else:
+        s_hat = ml_jed_exhaustive(G, c)
+    return SolveResult(s_hat, channel_estimate(Y, s_hat))
 
 
 def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple[int, int, int]]):

@@ -29,8 +29,8 @@ def check_finite(a, what: str) -> np.ndarray:
 
 def _require_square(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.complex128)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise DimensionError(f"need a square matrix or a stack of them, got shape {A.shape}")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
+        raise DimensionError(f"need a non-empty square matrix or a stack of them, got shape {A.shape}")
     return check_finite(A, "matrix")
 
 

@@ -110,7 +110,9 @@ class SolverState:
 @dataclass
 class SolveResult:
     """Hard decisions ``s_hat`` and channel estimates ``h_hat`` of one
-    detection pass: a baseline's, or a solver pass's decisions with their
+    detection pass: a combining detector's own (``baselines.mrc_csir``,
+    ``baselines.mrc_chest``), or the decisions of a detector that returns
+    decisions only (either solver pass, the ML oracle) with their
     ``channel_estimate``."""
 
     s_hat: np.ndarray

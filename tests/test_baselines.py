@@ -10,7 +10,6 @@ from simojed.baselines import (
     ml_jed_exhaustive,
     mrc_chest,
     mrc_csir,
-    mrc_retrained,
 )
 from simojed.errors import CapacityError, DegenerateInputError, DimensionError, ParameterError
 from simojed.linalg import gram, spectral_norm
@@ -34,12 +33,10 @@ def downlink_trials(seed, c, n, T=1):
     return blocks.h, blocks.downlink
 
 
-def nan_block_with_its_gram():
-    """Two BPSK blocks with one NaN entry, and their Gram matrices drawn
-    before the NaN was set."""
-    Y, G, *_ = model.draw_blocks(8, 3, Constellation.bpsk(), 1, [((0,), 0.0, 2)])
-    Y[0, 1, 2] = np.nan
-    return Y, G
+def re_estimated(Y, s_hat):
+    """Decisions with their least-squares channel estimate, as a sweep
+    builds them for a detector that returns decisions only."""
+    return prox.SolveResult(s_hat, prox.channel_estimate(Y, s_hat))
 
 
 def noisy_block(seed, B=16, K=8, kind="qpsk", snr_db=0.0):
@@ -89,7 +86,7 @@ class TestNonFiniteInputRejected:
         detect = {
             "mrc-csir": lambda: mrc_csir(Y, h, c),
             "mrc-chest": lambda: mrc_chest(Y, c),
-            "mrc-rt": lambda: mrc_retrained(Y, c),
+            "mrc-rt": lambda: re_estimated(Y, mrc_chest(Y, c).s_hat),
         }[method]
         with pytest.raises(ParameterError, match="^received block has a non-finite entry$"):
             detect()
@@ -150,7 +147,7 @@ class TestMrcChest:
 class TestMrcRetrained:
     def test_noise_free(self):
         Y, c, h, s = noise_free_block(8)
-        res = mrc_retrained(Y, c)
+        res = re_estimated(Y, mrc_chest(Y, c).s_hat)
         assert np.array_equal(res.s_hat, s)
         assert np.allclose(res.h_hat, h, atol=1e-12)
 
@@ -159,7 +156,7 @@ class TestMrcRetrained:
         mse_rt = mse_chest = 0.0
         Y, _, _, h, *_ = model.draw_blocks(16, 8, c, 9000, [((), 0.0, 2000)])
         for t in range(2000):
-            rt = mrc_retrained(Y[t], c)
+            rt = re_estimated(Y[t], mrc_chest(Y[t], c).s_hat)
             ch = mrc_chest(Y[t], c)
             mse_rt += float(np.sum(np.abs(rt.h_hat - h[t]) ** 2))
             mse_chest += float(np.sum(np.abs(ch.h_hat - h[t]) ** 2))
@@ -182,28 +179,27 @@ class TestMrcRetrained:
 class TestMlJed:
     def test_noise_free_recovery(self):
         Y, c, _, s = noise_free_block(10, B=4, K=6, kind="bpsk")
-        assert np.array_equal(ml_jed_exhaustive(Y, c).s_hat, s)
+        assert np.array_equal(ml_jed_exhaustive(gram(Y), c), s)
 
     def test_tiny_example(self):
         c = Constellation.bpsk()
         Y = np.array([[1.0, -1.0, 1.0]], dtype=complex)
-        res = ml_jed_exhaustive(Y, c)
-        assert np.array_equal(res.s_hat, [1.0, -1.0, 1.0])
+        assert np.array_equal(ml_jed_exhaustive(gram(Y), c), [1.0, -1.0, 1.0])
 
     def test_budget_error(self):
         Y, _, c = noisy_block(11, B=2, K=12, kind="qpsk")
         with pytest.raises(CapacityError):
-            ml_jed_exhaustive(Y, c)
+            ml_jed_exhaustive(gram(Y), c)
 
     def test_lexicographic_tie_break(self):
         c = Constellation.qpsk()
-        res = ml_jed_exhaustive(np.zeros((2, 4), dtype=complex), c)
-        assert np.array_equal(res.s_hat, np.full(4, c.points[0]))
+        s_hat = ml_jed_exhaustive(gram(np.zeros((2, 4), dtype=complex)), c)
+        assert np.array_equal(s_hat, np.full(4, c.points[0]))
 
     def test_lexicographic_tie_break_bpsk(self):
         c = Constellation.bpsk()
-        res = ml_jed_exhaustive(np.zeros((2, 4), dtype=complex), c)
-        assert np.array_equal(res.s_hat, np.full(4, c.points[0]))
+        s_hat = ml_jed_exhaustive(gram(np.zeros((2, 4), dtype=complex)), c)
+        assert np.array_equal(s_hat, np.full(4, c.points[0]))
 
     @given(
         kind=st.sampled_from(["bpsk", "qpsk"]),
@@ -212,10 +208,9 @@ class TestMlJed:
         T=st.sampled_from([None, 1, 3]),
         chunk=st.sampled_from([None, 1, 5, 64]),
         integer=st.booleans(),
-        given_gram=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_bruteforce(self, kind, B, K, T, chunk, integer, given_gram, seed):
+    def test_matches_bruteforce(self, kind, B, K, T, chunk, integer, seed):
         # Integer entries and points of 1 +- 1j or +-1 keep every score
         # exact in both forms, so the many exact ties they make must go to
         # the same (first) candidate, also across chunk boundaries when the
@@ -230,37 +225,46 @@ class TestMlJed:
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
                 mp.setattr(baselines, "_ENUM_CHUNK", chunk)
-            G = gram(Y) if given_gram else None
-            s_hat = ml_jed_exhaustive(Y, c, G=G).s_hat
+            s_hat = ml_jed_exhaustive(gram(Y), c)
         blocks = Y.reshape(-1, B, K + 1)
         expected = [ml_jed_bruteforce(Yt, c.points, c.points[0]) for Yt in blocks]
         assert np.array_equal(s_hat.reshape(-1, K + 1), expected)
 
     @pytest.mark.parametrize(
-        "Y, G, error",
+        "Y, error",
         [
-            (np.where(np.arange(24).reshape(2, 3, 4) == 23, np.nan, 1.0), None, ParameterError),
-            (np.zeros((0, 3)), None, DimensionError),
-            (np.ones(3), None, DimensionError),
-            # The draw's own Gram matrices once let the NaN through to h_hat.
-            (*nan_block_with_its_gram(), ParameterError),
+            (np.where(np.arange(24).reshape(2, 3, 4) == 23, np.nan, 1.0), ParameterError),
+            (np.zeros((0, 3)), DimensionError),
+            (np.ones(3), DimensionError),
         ],
-        ids=["non-finite", "no-antennas", "vector", "non-finite-given-gram"],
+        ids=["non-finite", "no-antennas", "vector"],
     )
-    def test_bad_input_rejected(self, Y, G, error):
+    def test_bad_input_rejected(self, Y, error):
         with pytest.raises(error):
-            ml_jed_exhaustive(Y, Constellation.bpsk(), G=G)
+            ml_jed_exhaustive(gram(Y), Constellation.bpsk())
 
-    def test_given_gram_taken_as_given(self, monkeypatch):
-        # A Gram stack passed in is scored as it is, without recomputing
-        # it from Y; the channel estimate still comes from Y.
-        c = Constellation.bpsk()
-        Y, G, *_ = model.draw_blocks(8, 5, c, 12001, [((), -4.0, 4)])
-        other, G_other, *_ = model.draw_blocks(8, 5, c, 12002, [((), -4.0, 4)])
-        monkeypatch.setattr(baselines, "gram", None)
-        res = ml_jed_exhaustive(Y, c, G=G_other)
-        assert np.array_equal(res.s_hat, [ml_jed_bruteforce(Yt, c.points, c.points[0]) for Yt in other])
-        assert np.array_equal(res.h_hat, prox.channel_estimate(Y, res.s_hat))
+    @pytest.mark.parametrize(
+        "G, error",
+        [
+            (
+                np.where(np.arange(220 * 17 * 17).reshape(220, 17, 17) == 1, np.nan, np.eye(17)),
+                ParameterError,
+            ),
+            (np.ones(17), DimensionError),
+            (np.ones((220, 17, 16)), DimensionError),
+            (np.zeros((220, 0, 0)), DimensionError),
+        ],
+        ids=["non-finite", "vector", "non-square", "empty"],
+    )
+    def test_bad_gram_rejected_before_enumeration(self, G, error, monkeypatch):
+        # The oracle once checked a block given beside its Gram stack only
+        # in its channel-estimate tail, after scoring every candidate.
+        def scored(*args):
+            raise AssertionError("a candidate was enumerated")
+
+        monkeypatch.setattr(baselines, "_enumerate_slots", scored)
+        with pytest.raises(error):
+            ml_jed_exhaustive(G, Constellation.bpsk())
 
     def test_oracle_dominance(self):
         c = Constellation.bpsk()
@@ -268,9 +272,9 @@ class TestMlJed:
         params = prox.ProxParams(t_max=5)
         alpha = params.alpha_scale * spectral_norm(G)
         for t in range(50):
-            ml = ml_jed_exhaustive(Y[t], c)
+            ml = ml_jed_exhaustive(G[t], c)
             px = prox.solve_stack(prox.preprocess(G[t], alpha[t]), c, params)
-            assert np.linalg.norm(Y[t] @ ml.s_hat) >= np.linalg.norm(Y[t] @ px) - 1e-12
+            assert np.linalg.norm(Y[t] @ ml) >= np.linalg.norm(Y[t] @ px) - 1e-12
 
     def test_chunking_consistent(self):
         Y, _, c = noisy_block(13, B=4, K=9, kind="bpsk", snr_db=-8.0)
@@ -279,11 +283,11 @@ class TestMlJed:
         old = bl._ENUM_CHUNK
         try:
             bl._ENUM_CHUNK = 64
-            chunked = ml_jed_exhaustive(Y, c)
+            chunked = ml_jed_exhaustive(gram(Y), c)
         finally:
             bl._ENUM_CHUNK = old
-        whole = ml_jed_exhaustive(Y, c)
-        assert np.array_equal(chunked.s_hat, whole.s_hat)
+        whole = ml_jed_exhaustive(gram(Y), c)
+        assert np.array_equal(chunked, whole)
 
 
 class TestDownlink:
@@ -397,8 +401,8 @@ class TestStacks:
         detectors = (
             lambda Y, h: mrc_csir(Y, h, c),
             lambda Y, h: mrc_chest(Y, c),
-            lambda Y, h: mrc_retrained(Y, c),
-            lambda Y, h: ml_jed_exhaustive(Y, c),
+            lambda Y, h: re_estimated(Y, mrc_chest(Y, c).s_hat),
+            lambda Y, h: re_estimated(Y, ml_jed_exhaustive(gram(Y), c)),
         )
         for detect in detectors:
             stacked = detect(Y, h)

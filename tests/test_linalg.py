@@ -101,6 +101,22 @@ class TestSpectralNorm:
         with pytest.raises(DimensionError):
             linalg.spectral_norm(np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            linalg.spectral_norm,
+            lambda A: linalg.invert_shifted(A, 1.0),
+            lambda A: linalg.neumann_two_term(A, 1.0),
+        ],
+        ids=["spectral_norm", "invert_shifted", "neumann_two_term"],
+    )
+    def test_empty_matrix_raises(self, fn, shape):
+        # A 0x0 matrix once ended in a raw IndexError (spectral_norm) or
+        # ValueError (invert_shifted), or passed as an empty result.
+        with pytest.raises(DimensionError, match="non-empty square"):
+            fn(np.zeros(shape))
+
     def test_non_finite_raises(self):
         A = np.eye(3, dtype=complex)
         A[2, 0] = np.inf
