@@ -4,12 +4,11 @@ All detectors report the first slot as the known pilot ``c.points[0]``, so
 error counting is comparable across methods; errors are only ever counted on
 slots 2..K+1. Every detector and the downlink evaluation take one block's
 arrays or a stack of them with a leading trial axis, and treat the trials
-independently. The detectors are of two kinds. The combining detectors
-take the received block ``Y`` (B, K+1) and return a ``prox.SolveResult``
-with their own channel estimate: ``mrc_csir`` the true channel (B,),
-``mrc_chest`` the pilot estimate; a non-finite block or channel is a
-``ParameterError``. The ML oracle, like both solver passes, takes the
-block's Gram matrix and returns decisions only; their channel estimate is
+independently. Every detector returns decisions only, as both solver
+passes do: ``mrc`` combines the received block ``Y`` (B, K+1) with a
+channel it is given, the true one or ``chest_pilot``'s estimate, and the
+ML oracle takes the block's Gram matrix. A sweep chooses each method's
+channel estimate in one place; for the oracle it is
 ``prox.channel_estimate(Y, s_hat)``, which is where ``Y`` meets the
 decisions. Nothing here draws randoms: the downlink evaluation takes its
 ``model.DownlinkDraws`` from ``model.draw_blocks``, which owns the whole
@@ -23,35 +22,10 @@ import numpy as np
 from .errors import CapacityError, DegenerateInputError, ParameterError
 from .linalg import _require_square, check_finite
 from .model import Constellation, DownlinkDraws
-from .prox import SolveResult, hard_decision
+from .prox import hard_decision
 
 ML_JED_BUDGET = 2**20  # the most candidates ml_jed_exhaustive enumerates
 _ENUM_CHUNK = 1 << 14
-
-
-def _mrc_slice(Y: np.ndarray, h: np.ndarray, c: Constellation) -> np.ndarray:
-    """Matched-filter combine and slice each slot; slot 1 is reported as the
-    pilot ``c.points[0]``.
-
-    The combined statistic is (y_k^H h)/|h|^2, which equals s_k noise-free
-    (the received block carries conjugated symbols). A non-finite ``Y`` is
-    a ``ParameterError``.
-    """
-    Y = check_finite(Y, "received block")
-    energy = np.linalg.norm(h, axis=-1) ** 2
-    if np.any(energy == 0.0):
-        raise DegenerateInputError("zero channel vector")
-    z = (Y.conj().swapaxes(-1, -2) @ h[..., None])[..., 0] / energy[..., None]
-    s_hat = hard_decision(z, c)
-    s_hat[..., 0] = c.points[0]
-    return s_hat
-
-
-def mrc_csir(Y: np.ndarray, h: np.ndarray, c: Constellation) -> SolveResult:
-    """Combining with the true channel (perfect receive-side CSI); a
-    non-finite ``h`` is a ``ParameterError``."""
-    h = check_finite(np.asarray(h, dtype=complex), "channel")
-    return SolveResult(s_hat=_mrc_slice(Y, h, c), h_hat=h)
 
 
 def chest_pilot(Y: np.ndarray, c: Constellation) -> np.ndarray:
@@ -63,10 +37,25 @@ def chest_pilot(Y: np.ndarray, c: Constellation) -> np.ndarray:
     return Y[..., :, 0] * c.points[0] / c.sigma**2
 
 
-def mrc_chest(Y: np.ndarray, c: Constellation) -> SolveResult:
-    """Pilot-based channel estimation followed by combining."""
-    h_hat = chest_pilot(Y, c)
-    return SolveResult(s_hat=_mrc_slice(Y, h_hat, c), h_hat=h_hat)
+def mrc(Y: np.ndarray, h: np.ndarray, c: Constellation) -> np.ndarray:
+    """Matched-filter combining with the channel ``h`` (B,), the true one or
+    an estimate such as ``chest_pilot(Y, c)``, then slicing each slot; slot 1
+    is reported as the pilot ``c.points[0]``. Returns the decisions.
+
+    The combined statistic is (y_k^H h)/|h|^2, which equals s_k noise-free
+    (the received block carries conjugated symbols). A non-finite ``Y`` or
+    ``h`` is a ``ParameterError``, and a zero channel a
+    ``DegenerateInputError``.
+    """
+    Y = check_finite(Y, "received block")
+    h = check_finite(np.asarray(h, dtype=complex), "channel")
+    energy = np.linalg.norm(h, axis=-1) ** 2
+    if np.any(energy == 0.0):
+        raise DegenerateInputError("zero channel vector")
+    z = (Y.conj().swapaxes(-1, -2) @ h[..., None])[..., 0] / energy[..., None]
+    s_hat = hard_decision(z, c)
+    s_hat[..., 0] = c.points[0]
+    return s_hat
 
 
 def _enumerate_slots(c: Constellation, K: int, start: int, cands: np.ndarray, slots) -> None:

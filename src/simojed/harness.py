@@ -28,19 +28,12 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .baselines import ML_JED_BUDGET, downlink_ser, ml_jed_exhaustive, mrc_chest, mrc_csir
+from .baselines import ML_JED_BUDGET, chest_pilot, downlink_ser, ml_jed_exhaustive, mrc
 from .errors import CapacityError, ParameterError
 from .fxp import check_datapath_gain, latency_cycles, solve_fixed_stack, throughput_bps
 from .linalg import spectral_norm
 from .model import Constellation, LosGeometry, check_int, check_los, check_real, draw_blocks, snr_to_n0
-from .prox import (
-    PreprocessedMatrix,
-    ProxParams,
-    SolveResult,
-    channel_estimate,
-    preprocess,
-    solve_stack,
-)
+from .prox import PreprocessedMatrix, ProxParams, channel_estimate, preprocess, solve_stack
 
 WORKERS_ENV = "SIMOJED_WORKERS"
 # Fixed: it sets the stream layout, the float reduction order and the
@@ -228,24 +221,28 @@ def _detect(
     h_true: np.ndarray,
     c,
     arithmetic: str,
-) -> SolveResult:
-    """The decisions and channel estimates of a pack's stacked blocks from
-    one method, in one stacked call. ``mrc-csir`` and ``mrc-chest`` give
-    their own estimates. The solver in ``arithmetic`` (on the pack's
-    preprocessed Gram matrices ``pre``), ``ml-jed`` (on the Gram matrices
-    ``G`` of ``Y``) and ``mrc-rt`` (``mrc-chest``'s decisions re-estimated)
-    give decisions, and share one tail: their ``channel_estimate``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The decisions and channel estimates ``(s_hat, h_hat)`` of a pack's
+    stacked blocks from one method, in one stacked call: the one place
+    where a method's estimate is chosen, since every detector returns
+    decisions only. ``mrc-csir`` combines with the true channel ``h_true``
+    and reports it, ``mrc-chest`` with the pilot estimate and reports that.
+    The solver in ``arithmetic`` (on the pack's preprocessed Gram matrices
+    ``pre``), ``ml-jed`` (on the Gram matrices ``G`` of ``Y``) and
+    ``mrc-rt`` (``mrc-chest``'s decisions) share one tail:
+    ``channel_estimate``."""
     if spec.name == "mrc-csir":
-        return mrc_csir(Y, h_true, c)
+        return mrc(Y, h_true, c), h_true
     if spec.name == "mrc-chest":
-        return mrc_chest(Y, c)
+        h_hat = chest_pilot(Y, c)
+        return mrc(Y, h_hat, c), h_hat
     if spec.params is not None:
         s_hat = (solve_stack if arithmetic == "float" else solve_fixed_stack)(pre, c, spec.params)
     elif spec.name == "mrc-rt":
-        s_hat = mrc_chest(Y, c).s_hat
+        s_hat = mrc(Y, chest_pilot(Y, c), c)
     else:
         s_hat = ml_jed_exhaustive(G, c)
-    return SolveResult(s_hat, channel_estimate(Y, s_hat))
+    return s_hat, channel_estimate(Y, s_hat)
 
 
 def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple[int, int, int]]):
@@ -253,9 +250,11 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     block detected in every one of ``arithmetics``.
 
     One ``draw_blocks`` call draws the pack, each chunk as its own seeded
-    stack keyed by ``(snr_index, trial_lo)`` with its downlink randoms, and
-    every method runs once on the pack; the solver methods share the pack's
-    spectral norms, and both arithmetics a method's preprocessing. One
+    stack keyed by ``(snr_index, trial_lo)`` with its downlink randoms. A
+    solver method runs once on the pack per arithmetic, and a baseline,
+    which has no arithmetic, once for all of them; the solver methods share
+    the pack's spectral norms, and both arithmetics a method's
+    preprocessing, released before the next method runs. One
     ``downlink_ser`` call, with each trial's noise variance, evaluates the
     estimates of every method and arithmetic.
 
@@ -282,15 +281,17 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
         approx = spec.name == "aprox"
         pre = None if spec.params is None else preprocess(G, spec.params.alpha_scale * norm, approx)
         for arithmetic in arithmetics:
-            res = _detect(spec, Y, G, pre, h_true, c, arithmetic)
+            # A baseline ignores the arithmetic: it runs once per pack.
+            if pre is not None or arithmetic == arithmetics[0]:
+                s_hat, h_hat = _detect(spec, Y, G, pre, h_true, c, arithmetic)
             if spec is solver:
-                decisions[arithmetic] = res.s_hat[:, 1:]
-            detections.append(res)
+                decisions[arithmetic] = s_hat[:, 1:]
+            detections.append((s_hat, h_hat))
     # One evaluation of every estimate: the pack's draws broadcast over the
     # leading key axis.
-    h_hats = np.stack([res.h_hat for res in detections])
+    h_hats = np.stack([h_hat for _, h_hat in detections])
     dl_ser = downlink_ser(h_true, h_hats, c, n0, draws)
-    uplink = [np.sum(res.s_hat[:, 1:] != s_true[:, 1:], axis=1) for res in detections]
+    uplink = [np.sum(s_hat[:, 1:] != s_true[:, 1:], axis=1) for s_hat, _ in detections]
     starts = np.cumsum([0] + [hi - lo for _, lo, hi in chunks[:-1]])
     counts = np.stack([uplink, np.rint(dl_ser * n_dl).astype(np.int64)])
     errors = np.add.reduceat(counts, starts, axis=-1)

@@ -17,8 +17,9 @@ block's arrays without it; the trials of a stack are solved independently.
 The solver sees the received block only through ``G``: ``solve_stack``
 (``(pre, c, params) -> decisions``, as ``fxp.solve_fixed_stack``) is the
 detection pass of sweeps and the tuner, and ``channel_estimate`` is where
-a received block meets the decisions and is checked. The verify suites
-call ``iterate`` and ``iterate_once`` on blocks they drew.
+a received block meets the decisions and is checked. The detectors of
+``baselines`` return decisions only too. The verify suites call
+``iterate`` and ``iterate_once`` on blocks they drew.
 """
 
 from __future__ import annotations
@@ -105,18 +106,6 @@ class SolverState:
     s_cur: np.ndarray
     steps: int
     trace: SolverTrace | None = None
-
-
-@dataclass
-class SolveResult:
-    """Hard decisions ``s_hat`` and channel estimates ``h_hat`` of one
-    detection pass: a combining detector's own (``baselines.mrc_csir``,
-    ``baselines.mrc_chest``), or the decisions of a detector that returns
-    decisions only (either solver pass, the ML oracle) with their
-    ``channel_estimate``."""
-
-    s_hat: np.ndarray
-    h_hat: np.ndarray
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:

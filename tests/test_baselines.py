@@ -8,8 +8,7 @@ from simojed.baselines import (
     chest_pilot,
     downlink_ser,
     ml_jed_exhaustive,
-    mrc_chest,
-    mrc_csir,
+    mrc,
 )
 from simojed.errors import CapacityError, DegenerateInputError, DimensionError, ParameterError
 from simojed.linalg import gram, spectral_norm
@@ -34,9 +33,9 @@ def downlink_trials(seed, c, n, T=1):
 
 
 def re_estimated(Y, s_hat):
-    """Decisions with their least-squares channel estimate, as a sweep
-    builds them for a detector that returns decisions only."""
-    return prox.SolveResult(s_hat, prox.channel_estimate(Y, s_hat))
+    """Decisions with their least-squares channel estimate ``(s_hat,
+    h_hat)``, as a sweep pairs them for ``mrc-rt`` and ``ml-jed``."""
+    return s_hat, prox.channel_estimate(Y, s_hat)
 
 
 def noisy_block(seed, B=16, K=8, kind="qpsk", snr_db=0.0):
@@ -49,19 +48,18 @@ def noisy_block(seed, B=16, K=8, kind="qpsk", snr_db=0.0):
 class TestMrcCsir:
     def test_noise_free_recovery(self):
         Y, c, h, s = noise_free_block(0)
-        assert np.array_equal(mrc_csir(Y, h, c).s_hat, s)
+        assert np.array_equal(mrc(Y, h, c), s)
 
     def test_single_antenna_slices_conjugate(self):
         Y, c, h, s = noise_free_block(1, B=1, kind="bpsk")
-        res = mrc_csir(Y, h, c)
         # With a unit channel the combined statistic is conj of the received
         # row, which carries conj(s): slicing recovers s.
-        assert np.array_equal(res.s_hat, s)
+        assert np.array_equal(mrc(Y, h, c), s)
 
     def test_zero_channel_raises(self):
         Y, c, _, _ = noise_free_block(2)
         with pytest.raises(DegenerateInputError):
-            mrc_csir(Y, np.zeros(len(Y), dtype=complex), c)
+            mrc(Y, np.zeros(len(Y), dtype=complex), c)
 
     def test_beats_chest_on_paired_batch(self):
         c = Constellation.bpsk()
@@ -69,8 +67,8 @@ class TestMrcCsir:
         Y, _, s, h, *_ = model.draw_blocks(16, 16, c, 3000, [((), -8.0, 300)])
         for t in range(300):
             st = s[t, 1:]
-            e_csir += int(np.sum(mrc_csir(Y[t], h[t], c).s_hat[1:] != st))
-            e_chest += int(np.sum(mrc_chest(Y[t], c).s_hat[1:] != st))
+            e_csir += int(np.sum(mrc(Y[t], h[t], c)[1:] != st))
+            e_chest += int(np.sum(mrc(Y[t], chest_pilot(Y[t], c), c)[1:] != st))
         assert e_csir < e_chest
 
 
@@ -84,9 +82,9 @@ class TestNonFiniteInputRejected:
         Y, _, _, h, *_ = model.draw_blocks(8, 4, c, 3, [((0,), 0.0, 2)])
         Y[0, 0, 1] = bad
         detect = {
-            "mrc-csir": lambda: mrc_csir(Y, h, c),
-            "mrc-chest": lambda: mrc_chest(Y, c),
-            "mrc-rt": lambda: re_estimated(Y, mrc_chest(Y, c).s_hat),
+            "mrc-csir": lambda: mrc(Y, h, c),
+            "mrc-chest": lambda: mrc(Y, chest_pilot(Y, c), c),
+            "mrc-rt": lambda: re_estimated(Y, mrc(Y, chest_pilot(Y, c), c)),
         }[method]
         with pytest.raises(ParameterError, match="^received block has a non-finite entry$"):
             detect()
@@ -97,7 +95,7 @@ class TestNonFiniteInputRejected:
         Y, _, _, h, *_ = model.draw_blocks(8, 4, c, 3, [((0,), 0.0, 2)])
         h[1, 2] = bad
         with pytest.raises(ParameterError, match="^channel has a non-finite entry$"):
-            mrc_csir(Y, h, c)
+            mrc(Y, h, c)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("which", ["channel", "channel estimate"])
@@ -130,7 +128,7 @@ class TestChestPilot:
 class TestMrcChest:
     def test_noise_free_recovery(self):
         Y, c, _, s = noise_free_block(6)
-        assert np.array_equal(mrc_chest(Y, c).s_hat, s)
+        assert np.array_equal(mrc(Y, chest_pilot(Y, c), c), s)
 
     def test_ser_monotone_in_snr(self):
         c = Constellation.qpsk()
@@ -139,7 +137,7 @@ class TestMrcChest:
             errs = 0
             Y, _, s, _, *_ = model.draw_blocks(16, 8, c, 7000, [((), snr, 400)])
             for t in range(400):
-                errs += int(np.sum(mrc_chest(Y[t], c).s_hat[1:] != s[t, 1:]))
+                errs += int(np.sum(mrc(Y[t], chest_pilot(Y[t], c), c)[1:] != s[t, 1:]))
             sers.append(errs)
         assert all(b <= a for a, b in zip(sers, sers[1:]))
 
@@ -147,19 +145,19 @@ class TestMrcChest:
 class TestMrcRetrained:
     def test_noise_free(self):
         Y, c, h, s = noise_free_block(8)
-        res = re_estimated(Y, mrc_chest(Y, c).s_hat)
-        assert np.array_equal(res.s_hat, s)
-        assert np.allclose(res.h_hat, h, atol=1e-12)
+        s_hat, h_hat = re_estimated(Y, mrc(Y, chest_pilot(Y, c), c))
+        assert np.array_equal(s_hat, s)
+        assert np.allclose(h_hat, h, atol=1e-12)
 
     def test_retraining_improves_channel_mse(self):
         c = Constellation.qpsk()
         mse_rt = mse_chest = 0.0
         Y, _, _, h, *_ = model.draw_blocks(16, 8, c, 9000, [((), 0.0, 2000)])
         for t in range(2000):
-            rt = re_estimated(Y[t], mrc_chest(Y[t], c).s_hat)
-            ch = mrc_chest(Y[t], c)
-            mse_rt += float(np.sum(np.abs(rt.h_hat - h[t]) ** 2))
-            mse_chest += float(np.sum(np.abs(ch.h_hat - h[t]) ** 2))
+            ch = chest_pilot(Y[t], c)
+            rt = prox.channel_estimate(Y[t], mrc(Y[t], ch, c))
+            mse_rt += float(np.sum(np.abs(rt - h[t]) ** 2))
+            mse_chest += float(np.sum(np.abs(ch - h[t]) ** 2))
         assert mse_rt < mse_chest
 
     def test_solver_estimate_beats_pilot_estimate(self):
@@ -383,9 +381,8 @@ class TestDownlink:
         Y, G, _, h, n0, draws = blocks
         params = prox.ProxParams(t_max=5)
         px = prox.solve_stack(prox.preprocess(G, params.alpha_scale * spectral_norm(G)), c, params)
-        ch = mrc_chest(Y, c)
         tot_prox = np.sum(downlink_ser(h, prox.channel_estimate(Y, px), c, n0, draws))
-        tot_chest = np.sum(downlink_ser(h, ch.h_hat, c, n0, draws))
+        tot_chest = np.sum(downlink_ser(h, chest_pilot(Y, c), c, n0, draws))
         assert tot_prox < tot_chest
 
 
@@ -399,16 +396,16 @@ class TestStacks:
         draws = model.draw_blocks(1, 0, c, 6, chunks, downlink_symbols=9).downlink
         per_trial = [DownlinkDraws(*(part[t] for part in draws)) for t in range(6)]
         detectors = (
-            lambda Y, h: mrc_csir(Y, h, c),
-            lambda Y, h: mrc_chest(Y, c),
-            lambda Y, h: re_estimated(Y, mrc_chest(Y, c).s_hat),
+            lambda Y, h: (mrc(Y, h, c), h),
+            lambda Y, h: (mrc(Y, chest_pilot(Y, c), c), chest_pilot(Y, c)),
+            lambda Y, h: re_estimated(Y, mrc(Y, chest_pilot(Y, c), c)),
             lambda Y, h: re_estimated(Y, ml_jed_exhaustive(gram(Y), c)),
         )
         for detect in detectors:
-            stacked = detect(Y, h)
-            ser = downlink_ser(h, stacked.h_hat, c, 0.5, draws)
+            s_stack, h_stack = detect(Y, h)
+            ser = downlink_ser(h, h_stack, c, 0.5, draws)
             for t in range(6):
-                one = detect(Y[t], h[t])
-                assert np.array_equal(one.s_hat, stacked.s_hat[t])
-                assert np.allclose(one.h_hat, stacked.h_hat[t], rtol=1e-12, atol=0)
-                assert downlink_ser(h[t], one.h_hat, c, 0.5, per_trial[t]) == ser[t]
+                s_one, h_one = detect(Y[t], h[t])
+                assert np.array_equal(s_one, s_stack[t])
+                assert np.allclose(h_one, h_stack[t], rtol=1e-12, atol=0)
+                assert downlink_ser(h[t], h_one, c, 0.5, per_trial[t]) == ser[t]

@@ -20,10 +20,10 @@ from simojed.harness import (
     timing_report,
     wilson_interval,
 )
-from simojed.baselines import mrc_chest, mrc_csir
+from simojed.baselines import chest_pilot, mrc
 from simojed.linalg import gram, spectral_norm
 from simojed.model import Constellation, draw_blocks, snr_to_n0
-from simojed.prox import ProxParams, SolveResult, channel_estimate, preprocess, solve_stack
+from simojed.prox import ProxParams, channel_estimate, preprocess, solve_stack
 from simojed.tuning import tune_rho
 
 from oracles import downlink_ser_scalar, tune_rho_loop
@@ -151,7 +151,7 @@ class TestConfig:
         cells = run_sweep(cfg).cells
         c = Constellation.by_name(cfg.constellation)
         Y, _, s, *_ = draw_blocks(cfg.B, cfg.K, c, cfg.master_seed, [((0, 0), -4.0, cfg.trials)])
-        errors = int(np.sum(mrc_chest(Y, c).s_hat[:, 1:] != s[:, 1:]))
+        errors = int(np.sum(mrc(Y, chest_pilot(Y, c), c)[:, 1:] != s[:, 1:]))
         assert cells[("mrc-chest", -4.0)].symbol_errors == errors
         assert cells[("prox", -4.0)].symbol_errors != errors
         # A gained baseline never reaches the sweep.
@@ -442,14 +442,14 @@ class TestRunSweep:
             G = gram(Y)
             s_hat = solve_stack(preprocess(G, params.alpha_scale * spectral_norm(G)), c, params)
             detections = {
-                "prox": SolveResult(s_hat, channel_estimate(Y, s_hat)),
-                "mrc-csir": mrc_csir(Y, h, c),
-                "mrc-chest": mrc_chest(Y, c),
+                "prox": (s_hat, channel_estimate(Y, s_hat)),
+                "mrc-csir": (mrc(Y, h, c), h),
+                "mrc-chest": (mrc(Y, chest_pilot(Y, c), c), chest_pilot(Y, c)),
             }
-            for name, r in detections.items():
-                expected[name][0] += int(np.sum(r.s_hat[1:] != s[1:]))
+            for name, (dec, est) in detections.items():
+                expected[name][0] += int(np.sum(dec[1:] != s[1:]))
                 ser = downlink_ser_scalar(
-                    h, r.h_hat, c.points, c.sigma, n0, ref_noise[t], dl_data[t], dl_noise[t]
+                    h, est, c.points, c.sigma, n0, ref_noise[t], dl_data[t], dl_noise[t]
                 )
                 expected[name][1] += round(ser * 7)
         assert errors.shape == (2, len(expected), 1)
@@ -483,6 +483,24 @@ class TestRunSweep:
         cfg = small_config(methods=(MethodSpec("prox"), MethodSpec("aprox"), MethodSpec("mrc-chest")))
         harness._run_pack(cfg, ("float",), [(0, 0, 30), (1, 0, 30)])
         assert calls == {"spectral_norm": 1, "preprocess": 2}
+
+    @pytest.mark.parametrize("arithmetics", [("float",), ("float", "fixed")])
+    def test_baselines_run_once_per_pack(self, monkeypatch, arithmetics):
+        # A baseline ignores the arithmetic: a float-vs-fixed pack runs it
+        # once, as a float pack does, and only the solvers run per
+        # arithmetic. It used to run once per arithmetic.
+        names = ("mrc", "ml_jed_exhaustive", "channel_estimate", "solve_stack", "solve_fixed_stack")
+        calls = count_calls(monkeypatch, names)
+        cfg = small_config(K=3, methods=tuple(MethodSpec(name) for name in harness.METHOD_NAMES))
+        harness._run_pack(cfg, arithmetics, [(0, 0, 25), (1, 3, 43)])
+        n = len(arithmetics)
+        assert calls == Counter(
+            mrc=3,  # mrc-csir, mrc-chest and mrc-rt
+            ml_jed_exhaustive=1,
+            channel_estimate=2 * n + 2,  # prox and aprox per arithmetic, mrc-rt, ml-jed
+            solve_stack=2,
+            solve_fixed_stack=2 * (n - 1),
+        )
 
     def test_pack_tally_matches_a_loop_over_chunks(self, monkeypatch):
         # The pack-long segmented sums give each chunk of uneven size (one
@@ -519,13 +537,14 @@ class TestRunSweep:
             part = slice(lo, lo + hi - trial_lo)
             lo = part.stop
             for k, (key, ser) in enumerate(zip(keys, seen["dl"], strict=True)):
-                s_hat, h_hat = seen[key].s_hat, seen[key].h_hat
+                # A baseline is detected once per pack, under the first arithmetic.
+                s_hat, h_hat = seen[key if key in seen else ("float", key[1])]
                 trials = range(part.start, part.stop)
                 sym = sum(int(np.sum(s_hat[t, 1:] != s_true[t, 1:])) for t in trials)
                 assert errors[:, k, j].tolist() == [sym, int(np.sum(np.rint(ser[part] * cfg.K)))]
                 trial_mse = np.sum(np.abs(h_hat[part] - h_true[part]) ** 2, axis=1) / cfg.B
                 assert mse[k, j].tobytes() == np.sum(trial_mse).tobytes()
-            float_dec, fixed_dec = seen[("float", "prox")].s_hat, seen[("fixed", "prox")].s_hat
+            float_dec, fixed_dec = seen[("float", "prox")][0], seen[("fixed", "prox")][0]
             assert agree[j] == int(np.sum(float_dec[part, 1:] == fixed_dec[part, 1:]))
 
     @pytest.mark.parametrize("T", [1, 6])

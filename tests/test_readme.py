@@ -20,7 +20,7 @@ def test_library_use_example_runs(capsys):
     exec(compile(fenced_block("Library use", "python"), "README.md", "exec"), namespace)
     # The shapes its comments state.
     assert namespace["s_hat"].shape == (4, 9) and namespace["h_hat"].shape == (4, 16)
-    assert namespace["s_ml"].shape == (4, 9)
+    assert namespace["s_ml"].shape == namespace["s_mrc"].shape == (4, 9)
     assert namespace["trace"].objective[-1].shape == (4,)
     assert capsys.readouterr().out
 
