@@ -254,7 +254,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    c = Constellation.by_name(args.constellation)
+    c = Constellation(args.constellation)
     check_datapath_gain(args.rho_log2)
     params = ProxParams(rho_log2=args.rho_log2, t_max=1)
     G = draw_blocks(args.b, args.n - 1, c, args.seed, [((), args.snr, 1)]).G[0]

@@ -114,7 +114,7 @@ class SweepConfig:
             for m in self.methods:
                 if m.params is not None:
                     check_datapath_gain(m.params.rho_log2)
-        c = Constellation.by_name(self.constellation)
+        c = Constellation(self.constellation)
         object.__setattr__(self, "constellation", c.kind)  # one hash for "QPSK" and "qpsk"
         for snr_db in self.snr_points_db:
             snr_to_n0(snr_db, c)  # a NaN or -inf point fails here, before any draw
@@ -267,7 +267,7 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     arithmetic per chunk (0 unless both run). The integer counts of all
     chunks are one segmented sum (``np.add.reduceat``) over the pack.
     """
-    c = Constellation.by_name(cfg.constellation)
+    c = Constellation(cfg.constellation)
     n_dl = cfg.downlink_symbols or cfg.K
     solver = next((m for m in cfg.methods if m.params is not None), None)
     keyed = [((i, lo), cfg.snr_points_db[i], hi - lo) for i, lo, hi in chunks]
@@ -403,15 +403,14 @@ def hw_compare(
     method is counted on the same blocks at ``agreement_snr_db``, which
     must be a sweep point (the grid's midpoint by default). The gap is the
     horizontal dB distance between the two SER curves at each target.
-    Every solver method needs a gain the datapath takes
-    (``check_datapath_gain``).
+    The fixed half must pass a fixed sweep's checks: every solver method
+    needs a gain the datapath takes (``check_datapath_gain``).
     """
     gap_targets = [check_real(target, "a gap target") for target in gap_targets]
     solver_methods = [m for m in cfg.methods if m.params is not None]
     if not solver_methods:
         raise ParameterError("hw_compare needs a prox or aprox method in the config")
-    for m in solver_methods:
-        check_datapath_gain(m.params.rho_log2)
+    replace(cfg, arithmetic="fixed")  # checks the fixed half as a fixed sweep
     snr_db = cfg.snr_points_db[len(cfg.snr_points_db) // 2]
     if agreement_snr_db is not None:
         snr_db = check_real(agreement_snr_db, "agreement_snr_db")

@@ -50,7 +50,8 @@ def check_real(value, what: str) -> float:
 
 @dataclass(frozen=True)
 class Constellation:
-    """Constant-modulus symbol alphabet, ``"bpsk"`` or ``"qpsk"``.
+    """Constant-modulus symbol alphabet ``Constellation(kind, sigma=1.0)``,
+    the kind ``"bpsk"`` or ``"qpsk"`` in any letter case, kept in lower case.
 
     ``points`` is the canonical ordering that symbol indices refer to:
     BPSK is [+sigma, -sigma]; QPSK runs counter-clockwise from the first
@@ -64,31 +65,20 @@ class Constellation:
     points: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("bpsk", "qpsk"):
+        kind = self.kind.lower() if isinstance(self.kind, str) else self.kind
+        if kind not in ("bpsk", "qpsk"):
             raise ParameterError(f"unknown constellation {self.kind!r}")
         sigma = check_real(self.sigma, "sigma")
         if not 0 < sigma < np.inf:
             raise ParameterError(f"sigma must be finite and positive, not {sigma}")
-        if self.kind == "bpsk":
+        if kind == "bpsk":
             pts = np.array([sigma, -sigma], dtype=np.complex128)
         else:
             c = sigma / _SQRT2
             pts = np.array([c + 1j * c, -c + 1j * c, -c - 1j * c, c - 1j * c])
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "points", pts)
-
-    @staticmethod
-    def bpsk(sigma: float = 1.0) -> "Constellation":
-        return Constellation("bpsk", sigma)
-
-    @staticmethod
-    def qpsk(sigma: float = 1.0) -> "Constellation":
-        return Constellation("qpsk", sigma)
-
-    @staticmethod
-    def by_name(name: str, sigma: float = 1.0) -> "Constellation":
-        """The constellation of that name in any letter case."""
-        return Constellation(name.lower() if isinstance(name, str) else name, sigma)
 
     @property
     def re_bound(self) -> float:

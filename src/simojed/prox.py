@@ -116,13 +116,16 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 def preprocess(G: np.ndarray, alpha, approx: bool = False) -> PreprocessedMatrix:
     """The scaled iteration matrix for shift factors ``alpha``, a scalar or one
     per matrix (normally ``alpha_scale * spectral_norm(G)``): from the exact
-    shifted inverse, or with ``approx`` its two-term series; a zero shift gives I."""
+    shifted inverse, or with ``approx`` its two-term series. A zero shift
+    gives I on an all-zero matrix and is a ``ParameterError`` on any other."""
     G = np.ascontiguousarray(G, dtype=np.complex128)
     alpha = np.asarray(alpha, dtype=np.float64)[()]
     zero = alpha == 0.0
-    shift = np.where(zero, 1.0, alpha)  # zero-shift matrices get the identity below
-    raw = (neumann_two_term if approx else invert_shifted)(G, shift)
-    raw[zero] = np.eye(G.shape[-1])
+    if np.any(zero) and zero.shape in ((), G.shape[:-2]) and np.any(G[zero]):
+        raise ParameterError("a zero shift factor needs an all-zero matrix")
+    # Shifts of the wrong shape fail in the inverse's own check. At a shift
+    # of 1 the inverse and the series of I - 0 are exactly I.
+    raw = (neumann_two_term if approx else invert_shifted)(G, np.where(zero, 1.0, alpha))
     # The largest magnitude among the real and imaginary components.
     gamma = np.max(np.abs(raw.view(np.float64)), axis=(-2, -1))
     raw /= gamma[..., None, None]
@@ -238,10 +241,10 @@ def hard_decision(s: np.ndarray, c: Constellation) -> np.ndarray:
 def channel_estimate(Y: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
     """Least-squares channel estimate of each block of ``Y`` (B, K+1), or of a
     stack (T, B, K+1), from its detected symbol vector: where a received
-    block meets the decisions. A non-finite ``Y`` is a ``ParameterError``;
-    decisions that are not one (K+1,) vector per block are a
-    ``DimensionError``."""
-    Y = check_finite(Y, "received block")
+    block meets the decisions. A non-finite ``Y`` or decision is a
+    ``ParameterError``; decisions that are not one (K+1,) vector per block
+    are a ``DimensionError``."""
+    Y, s_hat = check_finite(Y, "received block"), check_finite(s_hat, "decisions")
     if Y.ndim < 2 or np.shape(s_hat) != Y.shape[:-2] + Y.shape[-1:]:
         raise DimensionError(f"decisions of shape {np.shape(s_hat)} for blocks of shape {Y.shape}")
     energy = np.linalg.norm(s_hat, axis=-1) ** 2

@@ -53,7 +53,7 @@ def tune_rho(
     B, K, trials = (check_int(v, name, 1) for v, name in ((B, "B"), (K, "K"), (trials, "trials")))
     seed, snr_db = check_int(seed, "the seed"), check_real(snr_db, "snr_db")
     t_max = ProxParams(t_max=t_max).t_max
-    c = Constellation.by_name(constellation)
+    c = Constellation(constellation)
     # Trial t is the one-trial chunk keyed by (t,).
     _, G, s, *_ = draw_blocks(B, K, c, seed, [((t,), snr_db, 1) for t in range(trials)])
     alpha = np.multiply.outer(ALPHA_SCALE_GRID, spectral_norm(G))

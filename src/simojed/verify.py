@@ -21,7 +21,8 @@ Each suite draws its instances' shapes in one call of a seeded generator,
 then their blocks with one ``draw_blocks`` call per shape, each block a
 one-trial chunk keyed by its instance index. It solves them as stacks, one
 per matrix size (and constellation), and reports in draw order: each
-checked instance goes through ``SuiteReport.tally``. Every suite checks
+checked instance goes through ``SuiteReport.tally``, and its line reads
+``name: pass (P passed, F failed; worst margin M)``. Every suite checks
 its count (at least 1) and seed through ``model.check_int`` at entry.
 """
 
@@ -64,7 +65,6 @@ class SuiteReport:
     instances: int = 0
     passed: int = 0
     failed: int = 0
-    skipped: int = 0
     worst_margin: float = float("inf")
     notes: dict = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
@@ -87,8 +87,8 @@ class SuiteReport:
     def line(self) -> str:
         status = "pass" if self.ok else "FAIL"
         return (
-            f"{self.name}: {status} ({self.passed} passed, {self.failed} failed, "
-            f"{self.skipped} skipped; worst margin {self.worst_margin:.3g})"
+            f"{self.name}: {status} ({self.passed} passed, {self.failed} failed; "
+            f"worst margin {self.worst_margin:.3g})"
         )
 
 
@@ -127,7 +127,7 @@ def _draw_stacks(rng: np.random.Generator, seed: int, indices: range) -> list:
     for K, q in dict.fromkeys(zip(K_all.tolist(), qpsk.tolist())):
         rows = (K_all == K) & (qpsk == q)
         index, B = np.array(indices)[rows], B_all[rows]
-        c = Constellation.by_name(("bpsk", "qpsk")[q])
+        c = Constellation(("bpsk", "qpsk")[q])
         G = np.empty((len(index), K + 1, K + 1), dtype=np.complex128)
         for b in dict.fromkeys(B.tolist()):
             chunks = [((i,), 0.0, 1) for i in index[B == b].tolist()]
@@ -163,12 +163,14 @@ def run_descent_and_boundary(
 ) -> tuple[SuiteReport, SuiteReport]:
     """Descent and boundary suites over instances 1..``n_instances``.
 
-    Checks the weight, monotonicity, residual convergence and the boundary
-    property per instance. The pinned gains keep every weight valid: with
-    alpha twice the largest eigenvalue of G, (I - G/alpha)^-1 has its
-    spectrum in [1, 2], so its largest component gamma lies in [1, 2] and
-    beta = alpha * (1 - gamma/2) in [0, alpha/2], zero only when a unit
-    vector is a top eigenvector of G.
+    Checks the weight, monotonicity and residual convergence of every
+    instance, and the boundary property of each one that converged: the
+    boundary suite's ``instances`` are the converged ones, so
+    ``descent.instances - boundary.instances`` did not converge. The pinned
+    gains keep every weight valid: with alpha twice the largest eigenvalue
+    of G, (I - G/alpha)^-1 has its spectrum in [1, 2], so its largest
+    component gamma lies in [1, 2] and beta = alpha * (1 - gamma/2) in
+    [0, alpha/2], zero only when a unit vector is a top eigenvector of G.
     """
     n_instances = check_int(n_instances, "n_instances", 1)
     seed = check_int(seed, "the seed")
@@ -193,13 +195,10 @@ def run_descent_and_boundary(
             failure = f"{label}: objective increased"
         descent.tally(margin, failure)
 
-        # Boundary check on instances that actually converged.
-        if not converged:
-            boundary.skipped += 1
-            continue
-        fractions.append(frac)
-        failure = None if gap <= BOUNDARY_TOL else f"{label}: boundary gap {gap:.3g}"
-        boundary.tally(BOUNDARY_TOL - gap, failure)
+        if converged:
+            fractions.append(frac)
+            failure = None if gap <= BOUNDARY_TOL else f"{label}: boundary gap {gap:.3g}"
+            boundary.tally(BOUNDARY_TOL - gap, failure)
     if fractions:
         boundary.notes["mean_boundary_fraction"] = float(np.mean(fractions))
     return descent, boundary

@@ -306,7 +306,7 @@ def tune_rho_loop(B, K, constellation, snr_db, trials, seed, approx=False, t_max
     (rho_log2, alpha_scale, ser), ties broken as the tuner breaks them."""
     from simojed import linalg, model, prox, tuning
 
-    c = model.Constellation.by_name(constellation)
+    c = model.Constellation(constellation)
     Y, G, s, *_ = model.draw_blocks(B, K, c, seed, [((t,), snr_db, 1) for t in range(trials)])
     norm = linalg.spectral_norm(G)
     candidates = []

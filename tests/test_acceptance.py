@@ -240,8 +240,7 @@ class TestConvergenceSuites:
         report(
             "objective descent + residual convergence",
             ok,
-            f"{descent.passed}/{descent.instances} passed, "
-            f"{descent.skipped} skipped (invalid weight), worst margin "
+            f"{descent.passed}/{descent.instances} passed, worst margin "
             f"{descent.worst_margin:.3g}",
         )
         assert descent.instances == 100

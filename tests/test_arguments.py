@@ -21,7 +21,7 @@ from simojed.harness import (
 from simojed.model import Constellation, LosGeometry
 from simojed.prox import ProxParams
 
-QPSK = Constellation.qpsk()
+QPSK = Constellation("qpsk")
 SWEEP = dict(
     B=4, K=2, constellation="qpsk", snr_points_db=(0.0,), trials=3, master_seed=1,
     methods=(MethodSpec("prox"),),
@@ -217,15 +217,13 @@ def test_bad_real_rejected_by_name(call, bad, match):
         call(bad)
 
 
-SIGMA_CONSTRUCTORS = {
-    "bpsk": Constellation.bpsk,
-    "qpsk": Constellation.qpsk,
-    "by_name": lambda sigma: Constellation.by_name("QPSK", sigma),
-    "raw": lambda sigma: Constellation("bpsk", sigma),
-}
+# Kinds as ``Constellation(kind, sigma)`` takes them, in lower and in other
+# letter cases. Each id is the name of the constructor its case once went
+# through, so that the test ids stay stable.
+SIGMA_KINDS = {"bpsk": "bpsk", "qpsk": "qpsk", "by_name": "QPSK", "raw": "Bpsk"}
 
 
-@pytest.mark.parametrize("make", SIGMA_CONSTRUCTORS.values(), ids=SIGMA_CONSTRUCTORS)
+@pytest.mark.parametrize("kind", SIGMA_KINDS.values(), ids=SIGMA_KINDS)
 @pytest.mark.parametrize(
     "bad, match",
     [
@@ -241,17 +239,17 @@ SIGMA_CONSTRUCTORS = {
         ]
     ],
 )
-def test_bad_sigma_rejected_by_every_constructor(make, bad, match):
+def test_bad_sigma_rejected_by_every_constructor(kind, bad, match):
     # -1.0 used to give a hull of half-width -0.707, nan NaN points, "a" a
     # raw TypeError, and True a constellation of sigma 1.
     with pytest.raises(ParameterError, match=f"^{re.escape(match)}$"):
-        make(bad)
+        Constellation(kind, bad)
 
 
 @pytest.mark.parametrize("sigma", [2, np.int64(2), np.float32(2.0), 2.0], ids=repr)
 def test_sigma_kept_as_python_float(sigma):
-    for make in SIGMA_CONSTRUCTORS.values():
-        c, plain = make(sigma), make(2.0)
+    for kind in SIGMA_KINDS.values():
+        c, plain = Constellation(kind, sigma), Constellation(kind, 2.0)
         assert type(c.sigma) is float and repr(c) == repr(plain)
         assert c.points.tobytes() == plain.points.tobytes()
 
@@ -260,7 +258,7 @@ def test_sigma_kept_as_python_float(sigma):
 def test_unknown_constellation_rejected(name):
     # None used to end in an AttributeError from name.lower().
     with pytest.raises(ParameterError, match=f"^unknown constellation {re.escape(repr(name))}$"):
-        Constellation.by_name(name)
+        Constellation(name)
 
 
 def test_constellation_name_hashes_in_any_case():

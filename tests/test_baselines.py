@@ -20,7 +20,7 @@ from oracles import downlink_ser_formula, ml_jed_bruteforce
 def noise_free_block(seed, B=6, K=5, kind="qpsk"):
     """The block of the noise-free one-trial stack of ``seed``, exactly
     h s^H: (Y, c, h, s)."""
-    c = Constellation.by_name(kind)
+    c = Constellation(kind)
     Y, _, s, h, *_ = model.draw_blocks(B, K, c, seed, [((), np.inf, 1)])
     return Y[0], c, h[0], s[0]
 
@@ -40,7 +40,7 @@ def re_estimated(Y, s_hat):
 
 def noisy_block(seed, B=16, K=8, kind="qpsk", snr_db=0.0):
     """The one-trial stack of ``seed``: (Y, h) of its block, and c."""
-    c = Constellation.by_name(kind)
+    c = Constellation(kind)
     Y, _, _, h, *_ = model.draw_blocks(B, K, c, seed, [((), snr_db, 1)])
     return Y[0], h[0], c
 
@@ -62,7 +62,7 @@ class TestMrcCsir:
             mrc(Y, np.zeros(len(Y), dtype=complex), c)
 
     def test_beats_chest_on_paired_batch(self):
-        c = Constellation.bpsk()
+        c = Constellation("bpsk")
         e_csir = e_chest = 0
         Y, _, s, h, *_ = model.draw_blocks(16, 16, c, 3000, [((), -8.0, 300)])
         for t in range(300):
@@ -78,7 +78,7 @@ class TestNonFiniteInputRejected:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("method", ["mrc-csir", "mrc-chest", "mrc-rt"])
     def test_received_block(self, method, bad):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         Y, _, _, h, *_ = model.draw_blocks(8, 4, c, 3, [((0,), 0.0, 2)])
         Y[0, 0, 1] = bad
         detect = {
@@ -91,7 +91,7 @@ class TestNonFiniteInputRejected:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_true_channel(self, bad):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         Y, _, _, h, *_ = model.draw_blocks(8, 4, c, 3, [((0,), 0.0, 2)])
         h[1, 2] = bad
         with pytest.raises(ParameterError, match="^channel has a non-finite entry$"):
@@ -100,7 +100,7 @@ class TestNonFiniteInputRejected:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("which", ["channel", "channel estimate"])
     def test_downlink_channels(self, which, bad):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         blocks = model.draw_blocks(8, 4, c, 3, [((0,), 0.0, 2)], downlink_symbols=5)
         h, h_hat = blocks.h.copy(), blocks.h.copy()
         (h if which == "channel" else h_hat)[1, 2] = bad
@@ -116,7 +116,7 @@ class TestChestPilot:
     def test_unbiased_and_variance(self):
         # The estimation error does not depend on the channel, so every
         # trial may draw its own.
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         n0 = 0.8
         trials = 30_000
         Y, _, _, h, *_ = model.draw_blocks(2, 0, c, 5, [((), -10.0 * np.log10(n0), trials)])
@@ -131,7 +131,7 @@ class TestMrcChest:
         assert np.array_equal(mrc(Y, chest_pilot(Y, c), c), s)
 
     def test_ser_monotone_in_snr(self):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         sers = []
         for snr in (-8.0, -4.0, 0.0, 4.0):
             errs = 0
@@ -150,7 +150,7 @@ class TestMrcRetrained:
         assert np.allclose(h_hat, h, atol=1e-12)
 
     def test_retraining_improves_channel_mse(self):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         mse_rt = mse_chest = 0.0
         Y, _, _, h, *_ = model.draw_blocks(16, 8, c, 9000, [((), 0.0, 2000)])
         for t in range(2000):
@@ -161,7 +161,7 @@ class TestMrcRetrained:
         assert mse_rt < mse_chest
 
     def test_solver_estimate_beats_pilot_estimate(self):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         mse_prox = mse_chest = 0.0
         Y, G, _, h_true, *_ = model.draw_blocks(16, 8, c, 11000, [((), 0.0, 1000)])
         params = prox.ProxParams(t_max=5)
@@ -180,7 +180,7 @@ class TestMlJed:
         assert np.array_equal(ml_jed_exhaustive(gram(Y), c), s)
 
     def test_tiny_example(self):
-        c = Constellation.bpsk()
+        c = Constellation("bpsk")
         Y = np.array([[1.0, -1.0, 1.0]], dtype=complex)
         assert np.array_equal(ml_jed_exhaustive(gram(Y), c), [1.0, -1.0, 1.0])
 
@@ -190,12 +190,12 @@ class TestMlJed:
             ml_jed_exhaustive(gram(Y), c)
 
     def test_lexicographic_tie_break(self):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         s_hat = ml_jed_exhaustive(gram(np.zeros((2, 4), dtype=complex)), c)
         assert np.array_equal(s_hat, np.full(4, c.points[0]))
 
     def test_lexicographic_tie_break_bpsk(self):
-        c = Constellation.bpsk()
+        c = Constellation("bpsk")
         s_hat = ml_jed_exhaustive(gram(np.zeros((2, 4), dtype=complex)), c)
         assert np.array_equal(s_hat, np.full(4, c.points[0]))
 
@@ -214,7 +214,7 @@ class TestMlJed:
         # the same (first) candidate, also across chunk boundaries when the
         # chunk is shrunk; Gaussian entries cover the default constellation.
         rng = np.random.default_rng(seed)
-        c = Constellation.by_name(kind, sigma=np.sqrt(2) if integer and kind == "qpsk" else 1.0)
+        c = Constellation(kind, sigma=np.sqrt(2) if integer and kind == "qpsk" else 1.0)
         shape = (B, K + 1) if T is None else (T, B, K + 1)
         if integer:
             Y = rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
@@ -239,7 +239,7 @@ class TestMlJed:
     )
     def test_bad_input_rejected(self, Y, error):
         with pytest.raises(error):
-            ml_jed_exhaustive(gram(Y), Constellation.bpsk())
+            ml_jed_exhaustive(gram(Y), Constellation("bpsk"))
 
     @pytest.mark.parametrize(
         "G, error",
@@ -262,10 +262,10 @@ class TestMlJed:
 
         monkeypatch.setattr(baselines, "_enumerate_slots", scored)
         with pytest.raises(error):
-            ml_jed_exhaustive(G, Constellation.bpsk())
+            ml_jed_exhaustive(G, Constellation("bpsk"))
 
     def test_oracle_dominance(self):
-        c = Constellation.bpsk()
+        c = Constellation("bpsk")
         Y, G, *_ = model.draw_blocks(8, 6, c, 12000, [((), -6.0, 50)])
         params = prox.ProxParams(t_max=5)
         alpha = params.alpha_scale * spectral_norm(G)
@@ -290,20 +290,20 @@ class TestMlJed:
 
 class TestDownlink:
     def test_matched_noise_free(self):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         h, draws = downlink_trials(14, c, 100)
         assert downlink_ser(h, h, c, 0.0, draws).tolist() == [0.0]
 
     def test_global_phase_compensated_by_reference(self):
         # The receiver estimates the composite gain from the known reference
         # symbol, so a rotated channel estimate costs nothing noise-free.
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         h, draws = downlink_trials(15, c, 100)
         rotated = h * np.exp(1j * 1.234)
         assert downlink_ser(h, rotated, c, 0.0, draws).tolist() == [0.0]
 
     def test_zero_estimate_raises(self):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         _, draws = downlink_trials(16, c, 10)
         with pytest.raises(DegenerateInputError):
             downlink_ser(np.ones(4, dtype=complex), np.zeros(4), c, 0.1, draws)
@@ -316,14 +316,14 @@ class TestDownlink:
     def test_bad_noise_variance_rejected(self, n0):
         # A negative or non-finite variance once gave error rates (here
         # 0.75, 0.875 and 0.9375) instead of an error.
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         h, draws = downlink_trials(18, c, 16, T=3)
         with pytest.raises(ParameterError, match="noise variance"):
             downlink_ser(h, h, c, n0, draws)
 
     @pytest.mark.parametrize("T, n0", [(3, [0.1, 0.2]), (3, [[0.1, 0.2, 0.3]]), (None, [0.1])])
     def test_noise_variance_must_match_the_trial_axis(self, T, n0):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         h, draws = downlink_trials(19, c, 16, T=T or 1)
         if T is None:
             h, draws = h[0], DownlinkDraws(*(part[0] for part in draws))
@@ -334,7 +334,7 @@ class TestDownlink:
         # One noise variance per trial gives each trial the rate of a
         # scalar call on that trial alone, with estimates stacked over a
         # leading method axis too.
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         T = 6
         h, draws = downlink_trials(20, c, 40, T=T)
         h_hats = h + 0.6 * model.draw_blocks(8, 0, c, 120, [((), np.inf, T)]).h
@@ -353,7 +353,7 @@ class TestDownlink:
     def test_bit_equal_to_the_gathering_formula(self, kind, per_trial):
         # Comparing decided indices with the sent ones gives the rates of
         # comparing the decided points with the sent points, bit for bit.
-        c = Constellation.by_name(kind)
+        c = Constellation(kind)
         T = 7
         h, draws = downlink_trials(21, c, 33, T=T)
         h_hats = np.stack([h + 0.8 * model.draw_blocks(8, 0, c, 121, [((), np.inf, T)]).h, h])
@@ -376,7 +376,7 @@ class TestDownlink:
         )
 
     def test_solver_beam_beats_pilot_beam(self):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         blocks = model.draw_blocks(16, 8, c, 17000, [((), 0.0, 1000)], downlink_symbols=8)
         Y, G, _, h, n0, draws = blocks
         params = prox.ProxParams(t_max=5)
@@ -390,7 +390,7 @@ class TestStacks:
     @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
     def test_stack_equals_per_block(self, kind):
         blocks = [noisy_block(300 + t, B=6, K=4, kind=kind, snr_db=-2.0)[:2] for t in range(6)]
-        c = Constellation.by_name(kind)
+        c = Constellation(kind)
         Y, h = map(np.stack, zip(*blocks))
         chunks = [((t,), np.inf, 1) for t in range(6)]
         draws = model.draw_blocks(1, 0, c, 6, chunks, downlink_symbols=9).downlink

@@ -411,7 +411,7 @@ class TestInt32Headroom:
 
 class TestSolveFixed:
     def test_words_stay_int32(self):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         params = prox.ProxParams(t_max=2, rho_log2=1)
         G = model.draw_blocks(16, 8, c, 15, [((), 0.0, 3)])[1]
         pre = prox.preprocess(G, params.alpha_scale * spectral_norm(G))
@@ -422,7 +422,7 @@ class TestSolveFixed:
             assert {a.dtype for a in state} == {np.dtype(np.int32)}
 
     def test_noise_free_matches_float(self):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         _, G, s = model.draw_blocks(16, 8, c, 10, [((), np.inf, 1)])[:3]
         params = prox.ProxParams(t_max=5, rho_log2=1)
         fixed = solve_fixed_stack(prox.preprocess(G, params.alpha_scale * spectral_norm(G)), c, params)
@@ -431,7 +431,7 @@ class TestSolveFixed:
     def test_cycle_accurate_equals_fast_path(self):
         # The cycle-accurate array, run block by block, reaches the final
         # iterate and the decisions of the stacked datapath.
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         params = prox.ProxParams(t_max=3, rho_log2=1)
         _, G, *_ = model.draw_blocks(16, 6, c, 100, [((), 0.0, 5)])
         pre = prox.preprocess(G, params.alpha_scale * spectral_norm(G))
@@ -448,7 +448,7 @@ class TestSolveFixed:
             assert np.array_equal(c.decide(*s_t), decisions[t])
 
     def test_bpsk_real_only(self):
-        c = Constellation.bpsk()
+        c = Constellation("bpsk")
         G = model.draw_blocks(16, 8, c, 12, [((), -4.0, 1)])[1]
         params = prox.ProxParams(t_max=5, rho_log2=1)
         out = solve_fixed_stack(prox.preprocess(G, params.alpha_scale * spectral_norm(G)), c, params)
@@ -457,7 +457,7 @@ class TestSolveFixed:
     def test_non_finite_gram_rejected(self):
         # Rejected before the eigensolver, whose LinAlgError is not a
         # package error.
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         G = model.draw_blocks(4, 3, c, 14, [((), 0.0, 1)])[1]
         G[0, 1, 1] = np.nan
         params = prox.ProxParams(rho_log2=1)
@@ -468,12 +468,12 @@ class TestSolveFixed:
     def test_non_matrix_rejected(self, G):
         params = prox.ProxParams()
         with pytest.raises(SimojedError):
-            solve_fixed_stack(prox.preprocess(G, 2.0), Constellation.qpsk(), params)
+            solve_fixed_stack(prox.preprocess(G, 2.0), Constellation("qpsk"), params)
 
     def test_rho_one_rejected(self):
         # The array configuration rejects the gain; the callers check it
         # before anything is preprocessed.
-        c = Constellation.bpsk()
+        c = Constellation("bpsk")
         G = model.draw_blocks(4, 3, c, 13, [((), 0.0, 1)])[1]
         params = prox.ProxParams(t_max=1, rho_log2=0)
         with pytest.raises(ParameterError, match="rho_log2"):
@@ -511,7 +511,7 @@ class TestStackedDatapath:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_solve_fixed_stack_matches_blocks(self, T, N, rho_log2, real_only, t_max, snr_db, seed):
-        c = Constellation.bpsk() if real_only else Constellation.qpsk()
+        c = Constellation("bpsk") if real_only else Constellation("qpsk")
         params = prox.ProxParams(alpha_scale=1.25, rho_log2=rho_log2, t_max=t_max)
         G = model.draw_blocks(8, N - 1, c, seed, [((), snr_db, T)])[1]
         alpha = params.alpha_scale * spectral_norm(G)

@@ -149,7 +149,7 @@ class TestConfig:
     def test_baseline_row_is_the_baseline(self, monkeypatch):
         cfg = small_config(constellation="qpsk", snr_points_db=(-4.0,), master_seed=3)
         cells = run_sweep(cfg).cells
-        c = Constellation.by_name(cfg.constellation)
+        c = Constellation(cfg.constellation)
         Y, _, s, *_ = draw_blocks(cfg.B, cfg.K, c, cfg.master_seed, [((0, 0), -4.0, cfg.trials)])
         errors = int(np.sum(mrc(Y, chest_pilot(Y, c), c)[:, 1:] != s[:, 1:]))
         assert cells[("mrc-chest", -4.0)].symbol_errors == errors
@@ -167,7 +167,7 @@ class TestConfig:
         params = ProxParams(t_max=3)
         cfg = small_config(snr_points_db=(-4.0,), methods=(MethodSpec("aprox", params),))
         cell = run_sweep(cfg).cells[("aprox", -4.0)]
-        c = Constellation.by_name(cfg.constellation)
+        c = Constellation(cfg.constellation)
         Y, G, s, h, *_ = draw_blocks(cfg.B, cfg.K, c, cfg.master_seed, [((0, 0), -4.0, cfg.trials)])
         alpha = params.alpha_scale * spectral_norm(G)
         s_hat = solve_stack(preprocess(G, alpha, approx=True), c, params)
@@ -423,7 +423,7 @@ class TestRunSweep:
         )
         snr_index, lo, trials = 1, 3, 40
         errors, _, _ = harness._run_pack(cfg, ("float",), [(snr_index, lo, lo + trials)])
-        c = Constellation.by_name(kind)
+        c = Constellation(kind)
         n0 = snr_to_n0(cfg.snr_points_db[snr_index], c)
         streams = np.random.SeedSequence(cfg.master_seed, spawn_key=(snr_index, lo)).spawn(4)
         ch, data, noise, dl = (np.random.default_rng(ss) for ss in streams)
@@ -552,7 +552,7 @@ class TestRunSweep:
         # Trial 0 of a stack is the one-trial stack of the same key. Its
         # downlink randoms are too when T is 1; for a longer stack they are
         # not, because each downlink array is drawn for the whole stack.
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         stack = draw_blocks(8, 4, c, 11, [((1, 512), -2.0, T)], downlink_symbols=7)
         one = draw_blocks(8, 4, c, 11, [((1, 512), -2.0, 1)], downlink_symbols=7)
         assert all(np.array_equal(a[0], b[0]) for a, b in zip(stack[:5], one[:5]))
@@ -677,11 +677,13 @@ class TestHwCompare:
             hw_compare(small_config(methods=(MethodSpec("mrc-chest"),)))
 
     def test_rejects_gain_the_datapath_cannot_shift(self, monkeypatch):
-        # Rejected before any block is drawn.
+        # Rejected before any block is drawn, as a fixed sweep rejects it.
         monkeypatch.setattr(harness, "draw_blocks", None)
         for gain in (0, 16):
             cfg = small_config(methods=(MethodSpec("prox", ProxParams(rho_log2=gain)),))
-            with pytest.raises(ParameterError, match="rho_log2 in 1..15"):
+            with pytest.raises(ParameterError, match="rho_log2 in 1..15") as fixed:
+                replace(cfg, arithmetic="fixed")
+            with pytest.raises(ParameterError, match=f"^{re.escape(str(fixed.value))}$"):
                 hw_compare(cfg)
 
     def test_agreement_snr_must_be_a_sweep_point(self):

@@ -24,7 +24,7 @@ from oracles import hull_clip_two_pass, iterate_all_steps, prox_iteration_scalar
 
 def make_noisy_block(seed, B=8, K=6, kind="qpsk", snr_db=8.0):
     """The block of the one-trial stack of ``seed``: (Y, G, c)."""
-    c = Constellation.by_name(kind)
+    c = Constellation(kind)
     Y, G = model.draw_blocks(B, K, c, seed, [((), snr_db, 1)])[:2]
     return Y[0], G[0], c
 
@@ -66,6 +66,19 @@ class TestPreprocess:
         pre = preprocess(np.zeros((3, 3)), 0.0)
         assert np.array_equal(pre.gamma * pre.Ghat, np.eye(3))
 
+    @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0], ids=["norm-below-one", "ordinary"])
+    def test_zero_shift_needs_an_all_zero_matrix(self, scale, approx):
+        # A zero shift on a matrix with energy used to give the identity
+        # silently (spectral norm below 1) or to fail on a negative pivot;
+        # a scalar shift and one zero shift inside a stack alike.
+        G = scale * model.draw_blocks(16, 4, Constellation("qpsk"), 1, [((0,), 0.0, 3)]).G
+        alpha = 2.0 * linalg.spectral_norm(G)
+        alpha[1] = 0.0
+        for shift in (0.0, alpha):
+            with pytest.raises(ParameterError, match="^a zero shift factor needs an all-zero matrix$"):
+                preprocess(G, shift, approx)
+
     def test_diag_approx(self):
         G = np.diag([1.0, 2.0]).astype(complex)
         pre = preprocess(G, 2.0 * linalg.spectral_norm(G), approx=True)
@@ -94,11 +107,11 @@ class TestPreprocess:
 
 class TestInit:
     def test_identity_gram(self):
-        s0 = init_s(np.eye(4, dtype=complex), Constellation.bpsk())
+        s0 = init_s(np.eye(4, dtype=complex), Constellation("bpsk"))
         assert np.array_equal(s0, [1.0, 0.0, 0.0, 0.0])
 
     def test_noise_free_single_antenna_recovers_exactly(self):
-        c = Constellation.bpsk()
+        c = Constellation("bpsk")
         _, G, s = model.draw_blocks(1, 5, c, 3, [((), np.inf, 1)])[:3]
         assert np.allclose(init_s(G, c), s, atol=1e-14)
 
@@ -112,7 +125,7 @@ class TestInit:
         G = np.zeros((3, 3), dtype=complex)
         G[1, 1] = G[2, 2] = 1.0
         with pytest.raises(DegenerateInputError):
-            init_s(G, Constellation.bpsk())
+            init_s(G, Constellation("bpsk"))
 
 
 class TestIterate:
@@ -125,14 +138,14 @@ class TestIterate:
         )
 
     def test_identity_fixed_point(self):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         s_prev = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.05 - 0.6j])
         s_new, _ = iterate_once(s_prev.copy(), self._pre_identity(3), c, ProxParams(rho_log2=0))
         assert np.allclose(s_new[1:], s_prev[1:], atol=1e-15)
         assert s_new[0] == c.points[0]
 
     def test_clip_example(self):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         s = np.array([c.points[0], 3.2 + 0.1j])
         s_new, _ = iterate_once(s, self._pre_identity(2), c, ProxParams(rho_log2=0))
         assert s_new[1].real == pytest.approx(c.re_bound)
@@ -169,7 +182,7 @@ class TestHullClip:
     def test_byte_identical_to_two_clips(self, kind):
         # Signed zeros count: every pairing of zeros, bounds, values beyond
         # them and infinities as real and imaginary parts, and random values.
-        c = Constellation.by_name(kind)
+        c = Constellation(kind)
         b = c.re_bound
         edges = [0.0, -0.0, b, -b, np.nextafter(b, 0), -np.nextafter(b, 0), 3 * b, -3 * b, np.inf, -np.inf]
         re, im = np.meshgrid(edges, edges)
@@ -199,20 +212,20 @@ class TestHullClip:
 
 class TestHardDecision:
     def test_bpsk_slicing(self):
-        c = Constellation.bpsk()
+        c = Constellation("bpsk")
         out = hard_decision(np.array([0.3, -0.7]), c)
         assert np.array_equal(out, [1.0, -1.0])
 
     def test_idempotent_on_points(self):
-        for c in (Constellation.bpsk(), Constellation.qpsk()):
+        for c in (Constellation("bpsk"), Constellation("qpsk")):
             assert np.array_equal(hard_decision(c.points, c), c.points)
 
     def test_axis_ties_go_to_positive_side(self):
         # The sign-bit slicer counts a zero part as positive, in float and
         # in the fixed-point datapath alike.
-        c = Constellation.bpsk()
+        c = Constellation("bpsk")
         assert hard_decision(np.array([0.0]), c)[0] == 1.0
-        q = Constellation.qpsk()
+        q = Constellation("qpsk")
         assert hard_decision(np.array([0.5 + 0j]), q)[0] == q.points[0]
         assert hard_decision(np.array([0 - 0.5j]), q)[0] == q.points[3]
         fixed = q.decide(np.array([5, 0]), np.array([0, -7]))
@@ -222,7 +235,7 @@ class TestHardDecision:
     def test_nearest_point(self, kind):
         # Off the axes the sign slicer is the nearest-point rule; BPSK
         # statistics may carry an imaginary part, which it ignores.
-        c = Constellation.by_name(kind)
+        c = Constellation(kind)
         rng = np.random.default_rng(14)
         s = rng.standard_normal((64, 9)) + 1j * rng.standard_normal((64, 9))
         nearest = c.points[np.argmin(np.abs(s[..., None] - c.points), axis=-1)]
@@ -231,7 +244,7 @@ class TestHardDecision:
 
 class TestChannelEstimate:
     def test_noise_free_identity(self):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         Y, _, s, h = model.draw_blocks(5, 4, c, 7, [((), np.inf, 1)])[:4]
         assert np.allclose(channel_estimate(Y, s), h, atol=1e-12)
 
@@ -241,6 +254,14 @@ class TestChannelEstimate:
         s = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         assert np.allclose(channel_estimate(Y, 2.0 * s), 0.5 * channel_estimate(Y, s))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=repr)
+    def test_non_finite_decisions_rejected(self, bad):
+        # They used to give all-NaN estimates and a RuntimeWarning.
+        Y, _, s = model.draw_blocks(16, 4, Constellation("qpsk"), 3, [((0,), 0.0, 4)])[:3]
+        s[2, 1] = bad
+        with pytest.raises(ParameterError, match="^decisions has a non-finite entry$"):
+            channel_estimate(Y, s)
+
     def test_zero_vector_raises(self):
         with pytest.raises(DegenerateInputError):
             channel_estimate(np.eye(3, dtype=complex), np.zeros(3, dtype=complex))
@@ -248,7 +269,7 @@ class TestChannelEstimate:
 
 class TestSolve:
     def test_noise_free_exact_recovery(self):
-        c = Constellation.bpsk()
+        c = Constellation("bpsk")
         Y, G, s, h = model.draw_blocks(16, 8, c, 9, [((), np.inf, 1)])[:4]
         params = ProxParams(t_max=5)
         s_hat = solve_stack(preprocess(G, params.alpha_scale * linalg.spectral_norm(G)), c, params)
@@ -256,7 +277,7 @@ class TestSolve:
         assert np.allclose(channel_estimate(Y, s_hat), h, atol=1e-10)
 
     def test_k_zero(self):
-        c = Constellation.qpsk()
+        c = Constellation("qpsk")
         G = model.draw_blocks(4, 0, c, 10, [((), 10.0, 1)]).G
         params = ProxParams(t_max=3)
         s_hat = solve_stack(preprocess(G, params.alpha_scale * linalg.spectral_norm(G)), c, params)
@@ -264,7 +285,7 @@ class TestSolve:
 
     def test_more_iterations_do_not_hurt(self):
         # Paired batch: error count with t_max=5 must not exceed t_max=1.
-        c = Constellation.bpsk()
+        c = Constellation("bpsk")
         errs = {1: 0, 5: 0}
         _, G, s_true, *_ = model.draw_blocks(16, 8, c, 1000, [((), 5.0, 400)])
         for t in (1, 5):
@@ -290,7 +311,7 @@ class TestSolve:
 def test_pilot_slot_decides_to_the_pilot(kind):
     # Neither detection pass pins slot 0 after slicing: the pinned iterate,
     # float or quantized, already slices to the pilot.
-    c = Constellation.by_name(kind)
+    c = Constellation(kind)
     G = model.draw_blocks(8, 5, c, 23, [((), -8.0, 200)]).G
     for rho_log2 in (1, 3):
         params = ProxParams(alpha_scale=1.25, rho_log2=rho_log2, t_max=3)
@@ -316,7 +337,7 @@ class TestSolveStack:
     def test_equals_per_block_solve(
         self, T, B, K, kind, approx, alpha_scale, rho_log2, t_max, snr_db, seed
     ):
-        c = Constellation.by_name(kind)
+        c = Constellation(kind)
         Y, G = model.draw_blocks(B, K, c, seed, [((), snr_db, T)])[:2]
         params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max)
         pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G), approx)
@@ -387,7 +408,7 @@ class TestTrace:
     ):
         # rho_log2 = 0 puts beta at or below zero on every block, so both
         # the masked and the evaluated objective are covered.
-        c = Constellation.by_name(kind)
+        c = Constellation(kind)
         G = model.draw_blocks(8, N - 1, c, seed, [((), snr_db, T or 1)])[1]
         G = G[0] if T is None else G
         params = ProxParams(alpha_scale=alpha_scale, rho_log2=rho_log2, t_max=t_max)
@@ -415,7 +436,7 @@ class TestTrace:
     @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
     def test_pilot_only_blocks_have_zero_boundary_gap(self, kind, T):
         # With no data slot (K=0, N=1) no entry is left to measure.
-        c = Constellation.by_name(kind)
+        c = Constellation(kind)
         G = model.draw_blocks(4, 0, c, 3, [((), 0.0, T or 1)]).G
         G = G[0] if T is None else G
         params = ProxParams(t_max=4)
@@ -428,7 +449,7 @@ def _stop_case(kind, T, snr_db, approx, t_max, seed=41):
     """The inputs of one stop test: a stack of T blocks (one block for
     None) of 16 antennas and 8 data slots, preprocessed at the default
     gains with ``t_max`` steps."""
-    c = Constellation.by_name(kind)
+    c = Constellation(kind)
     G = model.draw_blocks(16, 8, c, seed, [((), snr_db, T or 1)])[1]
     G = G[0] if T is None else G
     params = ProxParams(t_max=t_max)
@@ -496,7 +517,7 @@ class TestSubStackStep:
     @pytest.mark.parametrize("K", [4, 8, 16])
     @pytest.mark.parametrize("kind", ["bpsk", "qpsk"])
     def test_gathered_rows_step_like_the_whole_stack(self, kind, K, T):
-        c = Constellation.by_name(kind)
+        c = Constellation(kind)
         G = model.draw_blocks(16, K, c, 60 + K, [((), -2.0, T)]).G
         params = ProxParams()
         pre = preprocess(G, params.alpha_scale * linalg.spectral_norm(G))

@@ -19,16 +19,16 @@ from simojed.verify import (
 # suites ran on stacks; the stacked suites must print the same.
 PINNED_LINES = {
     424242: [
-        "descent: pass (100 passed, 0 failed, 0 skipped; worst margin 3.66e-08)",
-        "boundary: pass (100 passed, 0 failed, 0 skipped; worst margin 1e-06)",
-        "series_bound: pass (200 passed, 0 failed, 0 skipped; worst margin 8.33e-11)",
-        "gradient_identity: pass (100 passed, 0 failed, 0 skipped; worst margin 3.14e-09)",
+        "descent: pass (100 passed, 0 failed; worst margin 3.66e-08)",
+        "boundary: pass (100 passed, 0 failed; worst margin 1e-06)",
+        "series_bound: pass (200 passed, 0 failed; worst margin 8.33e-11)",
+        "gradient_identity: pass (100 passed, 0 failed; worst margin 3.14e-09)",
     ],
     1: [
-        "descent: pass (100 passed, 0 failed, 0 skipped; worst margin 4.51e-08)",
-        "boundary: pass (100 passed, 0 failed, 0 skipped; worst margin 1e-06)",
-        "series_bound: pass (200 passed, 0 failed, 0 skipped; worst margin 8.33e-11)",
-        "gradient_identity: pass (100 passed, 0 failed, 0 skipped; worst margin 2.72e-09)",
+        "descent: pass (100 passed, 0 failed; worst margin 4.51e-08)",
+        "boundary: pass (100 passed, 0 failed; worst margin 1e-06)",
+        "series_bound: pass (200 passed, 0 failed; worst margin 8.33e-11)",
+        "gradient_identity: pass (100 passed, 0 failed; worst margin 2.72e-09)",
     ],
 }
 
@@ -121,12 +121,12 @@ def test_invalid_weight_fails_descent(monkeypatch):
     )
     assert 0 < len(invalid) < n
     descent, boundary = run_descent_and_boundary(seed, n, t_max=20)
-    assert (descent.instances, descent.skipped) == (n, 0)
+    assert descent.instances == n
     assert (descent.passed, descent.failed) == (n - len(invalid), len(invalid))
     pattern = r"B=\d+,K=\d+,[bq]psk,attempt=(\d+): weight outside \(0, alpha\)"
     assert [int(re.fullmatch(pattern, f)[1]) for f in descent.failures] == invalid
     assert descent.worst_margin == -np.inf and "FAIL" in descent.line()
-    assert boundary.ok and boundary.instances + boundary.skipped == n
+    assert boundary.ok and boundary.instances == n  # every instance converged
 
 
 @pytest.mark.parametrize("n", [5, 9, 17])
@@ -181,9 +181,12 @@ def test_each_suite_reports_its_failures(patch, suite, message, monkeypatch):
 
 
 def test_boundary_suite_skips_unconverged_instances(monkeypatch):
-    # A residual no iterate reaches leaves no converged instance to check.
+    # A residual no iterate reaches leaves no converged instance to check:
+    # the boundary suite counts only converged instances, so all three
+    # descent instances are the unconverged ones.
     monkeypatch.setattr(verify, "CONVERGED_RESIDUAL", 0.0)
     descent, boundary = run_descent_and_boundary(5, 3)
     assert descent.ok and descent.instances == 3
-    assert (boundary.instances, boundary.skipped) == (0, 3)
+    assert descent.instances - boundary.instances == 3
     assert boundary.ok and boundary.notes == {}
+    assert boundary.line() == "boundary: pass (0 passed, 0 failed; worst margin inf)"
