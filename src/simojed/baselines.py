@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CapacityError, DegenerateInputError, ParameterError
 from .linalg import _require_square, check_finite
-from .model import Constellation, DownlinkDraws
+from .model import Constellation, DownlinkDraws, check_int
 from .prox import hard_decision
 
 ML_JED_BUDGET = 2**20  # the most candidates ml_jed_exhaustive enumerates
@@ -73,6 +73,18 @@ def _enumerate_slots(c: Constellation, K: int, start: int, cands: np.ndarray, sl
         np.take(c.points, (idx // m ** (K - k)) % m, out=cands[k])
 
 
+def check_ml_budget(c: Constellation, K: int) -> int:
+    """The m^K candidates ``ml_jed_exhaustive`` enumerates for K data slots
+    of ``c``; a ``CapacityError`` beyond ``ML_JED_BUDGET``."""
+    total = len(c.points) ** check_int(K, "K")
+    if total > ML_JED_BUDGET:
+        raise CapacityError(
+            f"{len(c.points)}^{K} = {total} candidates exceeds the budget of {ML_JED_BUDGET}; "
+            "reduce K or use BPSK"
+        )
+    return total
+
+
 def ml_jed_exhaustive(G: np.ndarray, c: Constellation) -> np.ndarray:
     """Exact joint-detection oracle on a stack of blocks' Gram matrices
     (T, N, N), or on one block's (N, N): enumerate every symbol vector with
@@ -92,12 +104,7 @@ def ml_jed_exhaustive(G: np.ndarray, c: Constellation) -> np.ndarray:
     G = _require_square(G)
     K = G.shape[-1] - 1
     m = len(c.points)
-    total = m**K
-    if total > ML_JED_BUDGET:
-        raise CapacityError(
-            f"{m}^{K} = {total} candidates exceeds the budget of {ML_JED_BUDGET}; "
-            "reduce K or use BPSK"
-        )
+    total = check_ml_budget(c, K)
     iu, ju = np.triu_indices(K + 1, 1)
     upper = G.reshape(-1, K + 1, K + 1)[:, iu, ju]
     real = not np.any(c.points.imag)

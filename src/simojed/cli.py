@@ -22,8 +22,9 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ParameterError, SimojedError
-from .fxp import check_datapath_gain, pe_array_iteration, quantize_block
+from .fxp import PeArrayConfig, pe_array_iteration, quantize_block
 from .harness import (
+    SOLVER_METHODS,
     MethodSpec,
     SweepConfig,
     hw_compare,
@@ -143,7 +144,7 @@ def _build_config(res: dict, methods: str, arithmetic: str = "float") -> SweepCo
         raise ParameterError(f"unknown channel {res['channel']!r}; choose rayleigh or los")
     params = ProxParams(**{key: res[key] for key in asdict(_GAINS)})
     names = [name.strip() for name in methods.split(",")]
-    specs = tuple(MethodSpec(n, params if n in ("prox", "aprox") else None) for n in names)
+    specs = tuple(MethodSpec(n, params if n in SOLVER_METHODS else None) for n in names)
     return SweepConfig(
         B=res["b"],
         K=res["k"],
@@ -255,7 +256,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     c = Constellation(args.constellation)
-    check_datapath_gain(args.rho_log2)
+    PeArrayConfig(N=args.n, t_max=1, rho_log2=args.rho_log2)  # checks N and the gain before a draw
     params = ProxParams(rho_log2=args.rho_log2, t_max=1)
     G = draw_blocks(args.b, args.n - 1, c, args.seed, [((), args.snr, 1)]).G[0]
     cfg, Gq, sq, sc = quantize_block(preprocess(G, params.alpha_scale * spectral_norm(G)), c, params)
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hw-compare", help="paired float-vs-fixed comparison")
     _add_sweep_args(p)
-    p.add_argument("--method", choices=["prox", "aprox"], default="prox")
+    p.add_argument("--method", choices=SOLVER_METHODS, default="prox")
     p.add_argument("--agreement-snr", type=float, default=None, dest="agreement_snr")
     p.set_defaults(func=cmd_hw_compare)
 
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--method", choices=["prox", "aprox"], default="prox")
+    p.add_argument("--method", choices=SOLVER_METHODS, default="prox")
     p.add_argument("--t-max", type=int, default=_GAINS.t_max, dest="t_max")
     p.set_defaults(func=cmd_tune)
 

@@ -72,7 +72,12 @@ _ACC_MIN, _ACC_MAX = np.int32(-(1 << (ACC_BITS - 1))), np.int32((1 << (ACC_BITS 
 def quantize_array(z, word_bits: int, frac_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw (real, imaginary) int32 words of complex values: scale by
     2**frac_bits, truncate toward negative infinity, saturate at
-    ``word_bits`` (infinities too). NaN has no word: ``ParameterError``."""
+    ``word_bits`` (infinities too). ``word_bits`` is an integer in 1..32
+    and ``frac_bits`` a non-negative one, else a ``ParameterError``; NaN
+    has no word: ``ParameterError``."""
+    word_bits, frac_bits = check_int(word_bits, "word_bits", 1), check_int(frac_bits, "frac_bits")
+    if word_bits > 32:
+        raise ParameterError(f"word_bits must be at most 32 for int32 words, not {word_bits}")
     z = np.asarray(z)
     half = 1 << (word_bits - 1)
     raw = np.stack([z.real, z.imag], dtype=np.float64)
@@ -136,13 +141,15 @@ def projection_unit(q_bar, rho_log2: int) -> np.ndarray:
     plain comparisons. The pass-through path left-shifts by rho_log2
     (saturating at 15 bits, which never binds on a selected input) and keeps
     the 6 highest bits below the two redundant sign bits, i.e. 3 fraction
-    bits survive. ``rho_log2`` is a gain ``check_datapath_gain`` accepts.
-    The output keeps the input's integer type.
+    bits survive. ``rho_log2`` must be a gain ``check_datapath_gain``
+    accepts, else a ``ParameterError``. The output keeps the input's
+    integer type.
 
     The lower clip is a floor at -8: at and above -1/rho the pass-through
     word is at least -8, and below it the shifted word is at most -9 (or
     -16 when the 1/rho word is 0, at rho_log2 >= 12).
     """
+    rho_log2 = check_datapath_gain(rho_log2)
     inv_rho = (1 << RHO_INV_FRAC) >> rho_log2  # the 12-bit 1/rho word
     q_bar = np.asarray(q_bar)
     return np.where(q_bar >= inv_rho, 8, np.maximum((q_bar << rho_log2) >> 8, -8))
@@ -371,8 +378,9 @@ def solve_fixed_stack(
 
 
 def latency_cycles(K: int, t_max: int) -> int:
-    """Clock cycles to finish a block: K+4 per iteration."""
-    return check_int(t_max, "t_max", 1) * (check_int(K, "K", 1) + 4)
+    """Clock cycles to finish a block: per iteration, the rows of
+    ``pe_array_iteration``'s trace (N = K+1 feeds, the flush, the projection)."""
+    return check_int(t_max, "t_max", 1) * (check_int(K, "K", 1) + 1 + FLUSH_CYCLES + 1)
 
 
 def throughput_bps(K: int, t_max: int, f_clk_hz: float, bits: int) -> float:

@@ -28,8 +28,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .baselines import ML_JED_BUDGET, chest_pilot, downlink_ser, ml_jed_exhaustive, mrc
-from .errors import CapacityError, ParameterError
+from .baselines import check_ml_budget, chest_pilot, downlink_ser, ml_jed_exhaustive, mrc
+from .errors import ParameterError
 from .fxp import check_datapath_gain, latency_cycles, solve_fixed_stack, throughput_bps
 from .linalg import spectral_norm
 from .model import Constellation, LosGeometry, check_int, check_los, check_real, draw_blocks, snr_to_n0
@@ -40,7 +40,8 @@ WORKERS_ENV = "SIMOJED_WORKERS"
 # largest detection stack, so results do not depend on the worker count.
 _TRIAL_CHUNK = 512
 
-METHOD_NAMES = ("prox", "aprox", "mrc-csir", "mrc-chest", "mrc-rt", "ml-jed")
+SOLVER_METHODS = ("prox", "aprox")  # the methods that take solver gains
+METHOD_NAMES = SOLVER_METHODS + ("mrc-csir", "mrc-chest", "mrc-rt", "ml-jed")
 
 CSV_COLUMNS = "method,snr_db,uplink_ser,downlink_ser,chest_mse,trials,errors,ci_lo,ci_hi"
 WILSON_Z = 1.959963984540054  # the two-sided 95% normal quantile
@@ -61,7 +62,7 @@ class MethodSpec:
             raise ParameterError(f"unknown method {self.name!r}; choose from {METHOD_NAMES}")
         if not isinstance(self.params, (ProxParams, type(None))):
             raise ParameterError(f"params must be a ProxParams or None, not {self.params!r}")
-        if self.name not in ("prox", "aprox"):
+        if self.name not in SOLVER_METHODS:
             if self.params is not None:
                 raise ParameterError(f"the baseline {self.name!r} takes no solver gains")
         elif self.params is None:
@@ -70,6 +71,10 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One seeded sweep, checked before any draw (``ml-jed`` by ``check_ml_budget``)
+    and stored as Python numbers, a lower-case kind and an unset
+    ``downlink_symbols`` as ``K``, so equal sweeps compare and hash alike."""
+
     B: int
     K: int
     constellation: str
@@ -79,13 +84,13 @@ class SweepConfig:
     methods: tuple[MethodSpec, ...]
     los: LosGeometry | None = None  # None: Rayleigh
     arithmetic: str = "float"
-    downlink_symbols: int | None = None  # defaults to K
+    downlink_symbols: int | None = None  # None: stored as K
 
     def __post_init__(self):
-        # Numbers as Python ints and floats, so equal configs hash and print alike.
+        if self.downlink_symbols is None:
+            object.__setattr__(self, "downlink_symbols", self.K)
         for name in ("B", "K", "trials", "downlink_symbols"):
-            if name != "downlink_symbols" or self.downlink_symbols is not None:  # None: K of them
-                object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
         object.__setattr__(self, "master_seed", check_int(self.master_seed, "the master seed"))
         points = self.snr_points_db
         if not isinstance(points, (tuple, list)) and np.ndim(points) != 1:
@@ -118,12 +123,8 @@ class SweepConfig:
         object.__setattr__(self, "constellation", c.kind)  # one hash for "QPSK" and "qpsk"
         for snr_db in self.snr_points_db:
             snr_to_n0(snr_db, c)  # a NaN or -inf point fails here, before any draw
-        for m in self.methods:
-            if m.name == "ml-jed" and len(c.points) ** self.K > ML_JED_BUDGET:
-                raise CapacityError(
-                    f"ml-jed with K={self.K} and {self.constellation} exceeds the "
-                    f"enumeration budget {ML_JED_BUDGET}"
-                )
+        if "ml-jed" in names:
+            check_ml_budget(c, self.K)
 
     def config_hash(self) -> str:
         canon = json.dumps(asdict(self), sort_keys=True)
@@ -268,11 +269,10 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     chunks are one segmented sum (``np.add.reduceat``) over the pack.
     """
     c = Constellation(cfg.constellation)
-    n_dl = cfg.downlink_symbols or cfg.K
     solver = next((m for m in cfg.methods if m.params is not None), None)
     keyed = [((i, lo), cfg.snr_points_db[i], hi - lo) for i, lo, hi in chunks]
     Y, G, s_true, h_true, n0, draws = draw_blocks(
-        cfg.B, cfg.K, c, cfg.master_seed, keyed, cfg.los, n_dl
+        cfg.B, cfg.K, c, cfg.master_seed, keyed, cfg.los, cfg.downlink_symbols
     )
     norm = None if solver is None else spectral_norm(G)
     detections = []
@@ -293,7 +293,7 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     dl_ser = downlink_ser(h_true, h_hats, c, n0, draws)
     uplink = [np.sum(s_hat[:, 1:] != s_true[:, 1:], axis=1) for s_hat, _ in detections]
     starts = np.cumsum([0] + [hi - lo for _, lo, hi in chunks[:-1]])
-    counts = np.stack([uplink, np.rint(dl_ser * n_dl).astype(np.int64)])
+    counts = np.stack([uplink, np.rint(dl_ser * cfg.downlink_symbols).astype(np.int64)])
     errors = np.add.reduceat(counts, starts, axis=-1)
     # A float reduceat would not sum pairwise as np.sum does, and its digits
     # would change: each chunk's MSE is an np.sum over its own slice.
@@ -345,20 +345,16 @@ def _sweep_chunks(cfg: SweepConfig, arithmetics: tuple[str, ...]) -> tuple[np.nd
     return tuple(np.concatenate(parts, axis=-1) for parts in zip(*outputs))
 
 
-def _sweep_result(
-    cfg: SweepConfig, errors: np.ndarray, mse: np.ndarray, arithmetic: str
-) -> SweepResult:
-    """The cells of one arithmetic, as ``run_sweep`` reports them for
-    ``replace(cfg, arithmetic=arithmetic)``, from that arithmetic's
-    ``errors`` (2, method, chunk) and ``mse`` (method, chunk). Every SNR
-    point holds the same number of chunks, one contiguous run of the chunk
-    axis."""
+def _sweep_result(cfg: SweepConfig, errors: np.ndarray, mse: np.ndarray) -> SweepResult:
+    """The cells of ``cfg``, in the arithmetic it names and hashed as it
+    is, from that arithmetic's ``errors`` (2, method, chunk) and ``mse``
+    (method, chunk). Every SNR point holds the same number of chunks, one
+    contiguous run of the chunk axis."""
     result = SweepResult(
-        config_hash=replace(cfg, arithmetic=arithmetic).config_hash(),
+        config_hash=cfg.config_hash(),
         master_seed=cfg.master_seed,
         version=__version__,
     )
-    n_dl = cfg.downlink_symbols or cfg.K
     points = len(cfg.snr_points_db)
     counts = errors.reshape(2, len(cfg.methods), points, -1).sum(axis=-1).tolist()
     mse = mse.reshape(len(cfg.methods), points, -1)
@@ -370,7 +366,7 @@ def _sweep_result(
                 downlink_errors=counts[1][m][i],
                 chest_mse=math.fsum(mse[m, i]) / cfg.trials,
                 data_symbols=cfg.trials * cfg.K,
-                downlink_symbols=cfg.trials * n_dl,
+                downlink_symbols=cfg.trials * cfg.downlink_symbols,
             )
     return result
 
@@ -379,7 +375,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run the full paired sweep; deterministic for a given master seed
     regardless of the worker count."""
     errors, mse, _ = _sweep_chunks(cfg, (cfg.arithmetic,))
-    return _sweep_result(cfg, errors, mse, cfg.arithmetic)
+    return _sweep_result(cfg, errors, mse)
 
 
 @dataclass
@@ -398,19 +394,20 @@ def hw_compare(
     """Paired float-vs-fixed comparison for the solver methods in ``cfg``.
 
     One sweep draws each block once and detects it in both arithmetics,
-    giving one ``SweepResult`` per arithmetic (each hashed as ``cfg`` with
-    that arithmetic). The hard-decision agreement rate of the first solver
-    method is counted on the same blocks at ``agreement_snr_db``, which
+    giving one ``SweepResult`` per arithmetic, each from ``cfg`` with that
+    arithmetic and hashed as it. The hard-decision agreement rate of the
+    first solver method is counted on the same blocks at ``agreement_snr_db``, which
     must be a sweep point (the grid's midpoint by default). The gap is the
     horizontal dB distance between the two SER curves at each target.
-    The fixed half must pass a fixed sweep's checks: every solver method
-    needs a gain the datapath takes (``check_datapath_gain``).
+    Building the fixed config checks the fixed half as a fixed sweep:
+    every solver method needs a gain the datapath takes
+    (``check_datapath_gain``), before any draw.
     """
     gap_targets = [check_real(target, "a gap target") for target in gap_targets]
     solver_methods = [m for m in cfg.methods if m.params is not None]
     if not solver_methods:
         raise ParameterError("hw_compare needs a prox or aprox method in the config")
-    replace(cfg, arithmetic="fixed")  # checks the fixed half as a fixed sweep
+    float_cfg, fixed_cfg = (replace(cfg, arithmetic=a) for a in ("float", "fixed"))
     snr_db = cfg.snr_points_db[len(cfg.snr_points_db) // 2]
     if agreement_snr_db is not None:
         snr_db = check_real(agreement_snr_db, "agreement_snr_db")
@@ -420,8 +417,8 @@ def hw_compare(
 
     # Keys run method by method, float then fixed within each method.
     errors, mse, agree = _sweep_chunks(cfg, ("float", "fixed"))
-    float_res = _sweep_result(cfg, errors[:, 0::2], mse[0::2], "float")
-    fixed_res = _sweep_result(cfg, errors[:, 1::2], mse[1::2], "fixed")
+    float_res = _sweep_result(float_cfg, errors[:, 0::2], mse[0::2])
+    fixed_res = _sweep_result(fixed_cfg, errors[:, 1::2], mse[1::2])
     agree = int(agree.reshape(len(cfg.snr_points_db), -1)[snr_index].sum())
 
     name = solver_methods[0].name

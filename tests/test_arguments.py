@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from simojed import fxp, harness, model, tuning, verify
+from simojed import baselines, fxp, harness, model, tuning, verify
 from simojed.errors import ParameterError
 from simojed.harness import (
     MethodSpec,
@@ -27,6 +27,7 @@ SWEEP = dict(
     methods=(MethodSpec("prox"),),
 )
 TUNE = dict(B=4, K=2, constellation="bpsk", snr_db=0.0, trials=3, seed=1)
+ACC_WORDS = np.array([100, -100], dtype=np.int32)
 
 
 def draw(B=4, K=2, seed=1, key=0, T=2, downlink=3):
@@ -42,6 +43,7 @@ INT_FIELDS = [
     ("draw_blocks.T", lambda v: draw(T=v), "a chunk's trial count", 0),
     ("draw_blocks.downlink_symbols", lambda v: draw(downlink=v), "downlink_symbols", 0),
     ("gen_los_channel.B", lambda v: model.gen_los_channel(v, LosGeometry()), "B", 0),
+    ("check_ml_budget.K", lambda v: baselines.check_ml_budget(QPSK, v), "K", 0),
     *[
         (f"SweepConfig.{name}", lambda v, name=name: SweepConfig(**SWEEP | {name: v}), name, 1)
         for name in ("B", "K", "trials", "downlink_symbols")
@@ -78,6 +80,9 @@ INT_FIELDS = [
     # The datapath's own range, 1..15, has its own message (TestPeArrayConfig).
     ("PeArrayConfig.rho_log2", lambda v: fxp.PeArrayConfig(3, 1, rho_log2=v), "rho_log2", 0),
     ("check_datapath_gain", fxp.check_datapath_gain, "rho_log2", 0),
+    ("projection_unit.rho_log2", lambda v: fxp.projection_unit(ACC_WORDS, v), "rho_log2", 0),
+    ("quantize_array.word_bits", lambda v: fxp.quantize_array(0.5, v, 3), "word_bits", 1),
+    ("quantize_array.frac_bits", lambda v: fxp.quantize_array(0.5, 6, v), "frac_bits", 0),
     ("latency_cycles.K", lambda v: fxp.latency_cycles(v, 1), "K", 1),
     ("latency_cycles.t_max", lambda v: fxp.latency_cycles(4, v), "t_max", 1),
     ("throughput_bps.K", lambda v: fxp.throughput_bps(v, 1, 1e8, 2), "K", 1),
@@ -269,9 +274,36 @@ def test_constellation_name_hashes_in_any_case():
             methods=(MethodSpec("prox"), MethodSpec("mrc-chest")),
         )
 
-    assert sweep("qpsk").config_hash() == "57479c7d5b2a0c53"
+    # An unset downlink count is stored as K, so this is also the hash of
+    # the same sweep with downlink_symbols=2 (it read 57479c7d5b2a0c53).
+    assert sweep("qpsk").config_hash() == "d93c1b6fe1038051"
     for name in ("QPSK", "Qpsk"):
-        assert sweep(name) == sweep("qpsk") and sweep(name).config_hash() == "57479c7d5b2a0c53"
+        assert sweep(name) == sweep("qpsk") and sweep(name).config_hash() == "d93c1b6fe1038051"
+
+
+@pytest.mark.parametrize(
+    ("call", "match"),
+    [
+        pytest.param(
+            lambda gain=gain: fxp.projection_unit(ACC_WORDS, gain),
+            f"the datapath needs rho_log2 in 1..15 (a 4-bit shift count above 0), not {gain}",
+            id=f"projection_unit.rho_log2={gain}",
+        )
+        for gain in (16, 40)
+    ]
+    + [
+        pytest.param(
+            lambda: fxp.quantize_array(1e10, 33, 0),
+            "word_bits must be at most 32 for int32 words, not 33",
+            id="quantize_array.word_bits=33",
+        ),
+    ],
+)
+def test_datapath_formats_out_of_range_rejected(call, match):
+    # At rho_log2=40 projection_unit returned [8, 0] and 16 was accepted;
+    # quantize_array cast a word beyond int32 with a RuntimeWarning.
+    with pytest.raises(ParameterError, match=f"^{re.escape(match)}$"):
+        call()
 
 
 @pytest.mark.parametrize(

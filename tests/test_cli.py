@@ -317,6 +317,18 @@ class TestTraceCommand:
         assert main(["trace", "--seed", "3", *extra]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_array_below_two_elements_by_name(self, n, monkeypatch):
+        # It used to name K, which was not set: "K must be a non-negative
+        # integer, not -1" at --n 0.
+        monkeypatch.setattr(cli, "draw_blocks", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--n", str(n)])
+        assert exc.value.code == (
+            f"simojed trace: the number of processing elements N must be an integer "
+            f"of at least 2, not {n}"
+        )
+
     def test_rejects_gain_below_datapath_minimum(self, tmp_path, monkeypatch):
         def no_preprocess(*args):
             raise AssertionError("preprocessed before the gain was checked")

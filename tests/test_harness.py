@@ -20,7 +20,7 @@ from simojed.harness import (
     timing_report,
     wilson_interval,
 )
-from simojed.baselines import chest_pilot, mrc
+from simojed.baselines import chest_pilot, ml_jed_exhaustive, mrc
 from simojed.linalg import gram, spectral_norm
 from simojed.model import Constellation, draw_blocks, snr_to_n0
 from simojed.prox import ProxParams, channel_estimate, preprocess, solve_stack
@@ -134,6 +134,21 @@ class TestConfig:
     def test_ml_jed_budget_checked_at_config_time(self):
         with pytest.raises(CapacityError):
             small_config(K=24, constellation="qpsk", methods=(MethodSpec("ml-jed"),))
+
+    def test_ml_jed_budget_message_matches_the_oracle(self):
+        # The sweep used to say "ml-jed with K=24 and qpsk exceeds the
+        # enumeration budget 1048576".
+        with pytest.raises(CapacityError) as oracle:
+            ml_jed_exhaustive(np.zeros((25, 25), dtype=complex), Constellation("qpsk"))
+        assert str(oracle.value).startswith("4^24 = 281474976710656 candidates exceeds")
+        with pytest.raises(CapacityError, match=f"^{re.escape(str(oracle.value))}$"):
+            small_config(K=24, constellation="qpsk", methods=(MethodSpec("ml-jed"),))
+
+    def test_unset_downlink_symbols_stored_as_k(self):
+        # An unset count ran the explicit-K sweep but compared and hashed apart from it.
+        unset, explicit = small_config(), small_config(downlink_symbols=4)
+        assert unset.downlink_symbols == 4
+        assert unset == explicit and unset.config_hash() == explicit.config_hash()
 
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
