@@ -73,11 +73,12 @@ def quantize_array(z, word_bits: int, frac_bits: int) -> tuple[np.ndarray, np.nd
     """Raw (real, imaginary) int32 words of complex values: scale by
     2**frac_bits, truncate toward negative infinity, saturate at
     ``word_bits`` (infinities too). ``word_bits`` is an integer in 1..32
-    and ``frac_bits`` a non-negative one, else a ``ParameterError``; NaN
-    has no word: ``ParameterError``."""
+    and ``frac_bits`` one in 0..32, else a ``ParameterError``; NaN has no
+    word: ``ParameterError``."""
     word_bits, frac_bits = check_int(word_bits, "word_bits", 1), check_int(frac_bits, "frac_bits")
-    if word_bits > 32:
-        raise ParameterError(f"word_bits must be at most 32 for int32 words, not {word_bits}")
+    for name, bits in (("word_bits", word_bits), ("frac_bits", frac_bits)):
+        if bits > 32:
+            raise ParameterError(f"{name} must be at most 32 for int32 words, not {bits}")
     z = np.asarray(z)
     half = 1 << (word_bits - 1)
     raw = np.stack([z.real, z.imag], dtype=np.float64)

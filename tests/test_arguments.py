@@ -297,11 +297,17 @@ def test_constellation_name_hashes_in_any_case():
             "word_bits must be at most 32 for int32 words, not 33",
             id="quantize_array.word_bits=33",
         ),
+        pytest.param(
+            lambda: fxp.quantize_array(0.5, 6, 1100),
+            "frac_bits must be at most 32 for int32 words, not 1100",
+            id="quantize_array.frac_bits=1100",
+        ),
     ],
 )
 def test_datapath_formats_out_of_range_rejected(call, match):
     # At rho_log2=40 projection_unit returned [8, 0] and 16 was accepted;
-    # quantize_array cast a word beyond int32 with a RuntimeWarning.
+    # quantize_array cast a word beyond int32 with a RuntimeWarning, and
+    # at 1100 fraction bits its scale overflowed a float (OverflowError).
     with pytest.raises(ParameterError, match=f"^{re.escape(match)}$"):
         call()
 

@@ -1,11 +1,12 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from simojed import verify
 from simojed.errors import ParameterError
-from simojed.linalg import gram, spectral_norm
+from simojed.linalg import gram, invert_shifted, neumann_two_term, spectral_norm
 from simojed.model import draw_blocks
 from simojed.prox import preprocess
 from simojed.verify import (
@@ -127,6 +128,69 @@ def test_invalid_weight_fails_descent(monkeypatch):
     assert [int(re.fullmatch(pattern, f)[1]) for f in descent.failures] == invalid
     assert descent.worst_margin == -np.inf and "FAIL" in descent.line()
     assert boundary.ok and boundary.instances == n  # every instance converged
+
+
+@pytest.mark.parametrize("n", [5, 9, 17])
+def test_series_gap_is_the_largest_eigenvalue(n):
+    # The series-bound suite's gap: on its shapes the inverse less its
+    # two-term series is PSD, so its largest eigenvalue is its spectral norm.
+    rng = np.random.default_rng(n)
+    G = gram(rng.standard_normal((17, n + 2, n)) + 1j * rng.standard_normal((17, n + 2, n)))
+    alpha = np.multiply.outer((1.1, 1.5, 2.0, 4.0), spectral_norm(G))
+    G = np.broadcast_to(G, alpha.shape + G.shape[-2:])
+    D = invert_shifted(G, alpha) - neumann_two_term(G, alpha)
+    eig = np.linalg.eigvalsh(D)
+    assert np.all(eig[..., 0] >= -1e-15 * eig[..., -1])
+    norm = np.linalg.norm(D, ord=2, axis=(-2, -1))
+    np.testing.assert_allclose(eig[..., -1], norm, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_size_stack_preprocesses_each_slice_alone(seed):
+    # The suites preprocess the BPSK and QPSK stacks of one K as one stack;
+    # each stack's slice must get the bytes it gets preprocessed alone.
+    stacks = verify._draw_stacks(np.random.default_rng(seed), seed, range(40))
+    assert sorted((K, c.kind) for c, K, *_ in stacks) == [
+        (4, "bpsk"), (4, "qpsk"), (16, "bpsk"), (16, "qpsk")
+    ]
+    drawn = {(K, c): (index, B, G) for c, K, index, B, G in stacks}
+    sliced = list(verify._preprocessed_stacks(stacks, 2.0))
+    assert len(sliced) == len(stacks)
+    for c, K, index, B, pre in sliced:
+        index_alone, B_alone, G = drawn.pop((K, c))
+        assert index is index_alone and B is B_alone
+        alone = preprocess(G, 2.0 * spectral_norm(G))
+        for name in ("Ghat", "gamma", "alpha", "G"):
+            assert getattr(pre, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
+@pytest.mark.parametrize("n", [1, 20])
+@pytest.mark.parametrize(
+    ("suite", "first"), [(run_descent_and_boundary, 1), (run_gradient_identity, 0)]
+)
+def test_one_norm_one_preprocess_per_matrix_size(suite, first, n, monkeypatch):
+    # A suite preprocesses one stack per matrix size drawn, every instance
+    # once, and solves one stack per (K, constellation).
+    seed = 4
+    stacks = verify._draw_stacks(np.random.default_rng(seed), seed, range(first, first + n))
+    calls = Counter()
+
+    def counting(name, real):
+        def call(*args):
+            calls[name] += 1
+            if name == "preprocess":
+                calls["preprocessed rows"] += len(args[0])
+            return real(*args)
+
+        return call
+
+    for name in ("spectral_norm", "preprocess", "iterate", "iterate_once"):
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    suite(seed, n)
+    sizes = len({K for _, K, *_ in stacks})
+    assert calls["spectral_norm"] == calls["preprocess"] == sizes
+    assert calls["preprocessed rows"] == n
+    assert calls["iterate"] + calls["iterate_once"] == len(stacks)
 
 
 @pytest.mark.parametrize("n", [5, 9, 17])
