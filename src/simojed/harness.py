@@ -14,6 +14,15 @@ the downlink evaluation takes each chunk's randoms once and evaluates every
 method's estimate on a pack's draws in one call. A pack's tallies are
 arrays with a trailing chunk axis; the sweep joins them along it, and each
 SNR point's cells reduce its contiguous run of chunks.
+
+A thread's packs, in process or in a pool worker, reuse one set of draw
+buffers (``draw_blocks``' ``buffers``), so a pack does not fault in fresh
+pages for its blocks: each pack overwrites the last one's draws, and a pack
+of another shape replaces them. After a sweep, each thread that ran a pack
+holds the last channel normals, data indices, noise variances, downlink
+draws and received blocks its packs drew, one array of each and at most 512
+trials each. No pack returns, and no caller of ``draw_blocks`` without
+``buffers`` gets, an array that views them.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -220,6 +230,7 @@ def _detect(
     G: np.ndarray,
     pre: PreprocessedMatrix | None,
     h_true: np.ndarray,
+    pilot: tuple[np.ndarray, np.ndarray] | None,
     c,
     arithmetic: str,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -227,23 +238,32 @@ def _detect(
     stacked blocks from one method, in one stacked call: the one place
     where a method's estimate is chosen, since every detector returns
     decisions only. ``mrc-csir`` combines with the true channel ``h_true``
-    and reports it, ``mrc-chest`` with the pilot estimate and reports that.
-    The solver in ``arithmetic`` (on the pack's preprocessed Gram matrices
-    ``pre``), ``ml-jed`` (on the Gram matrices ``G`` of ``Y``) and
-    ``mrc-rt`` (``mrc-chest``'s decisions) share one tail:
-    ``channel_estimate``."""
+    and reports it; ``mrc-chest`` is ``pilot``, the pack's one combining
+    with the pilot estimate and that estimate. The solver in
+    ``arithmetic`` (on the pack's preprocessed Gram matrices ``pre``),
+    ``ml-jed`` (on the Gram matrices ``G`` of ``Y``) and ``mrc-rt``
+    (``pilot``'s decisions) share one tail: ``channel_estimate``."""
     if spec.name == "mrc-csir":
         return mrc(Y, h_true, c), h_true
     if spec.name == "mrc-chest":
-        h_hat = chest_pilot(Y, c)
-        return mrc(Y, h_hat, c), h_hat
+        return pilot
     if spec.params is not None:
         s_hat = (solve_stack if arithmetic == "float" else solve_fixed_stack)(pre, c, spec.params)
     elif spec.name == "mrc-rt":
-        s_hat = mrc(Y, chest_pilot(Y, c), c)
+        s_hat = pilot[0]
     else:
         s_hat = ml_jed_exhaustive(G, c)
     return s_hat, channel_estimate(Y, s_hat)
+
+
+class _ThreadBuffers(threading.local):
+    """The ``draw_blocks`` buffers that every pack a thread runs reuses."""
+
+    def __init__(self):
+        self.draws = {}
+
+
+_THREAD_BUFFERS = _ThreadBuffers()
 
 
 def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple[int, int, int]]):
@@ -251,11 +271,13 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     block detected in every one of ``arithmetics``.
 
     One ``draw_blocks`` call draws the pack, each chunk as its own seeded
-    stack keyed by ``(snr_index, trial_lo)`` with its downlink randoms. A
-    solver method runs once on the pack per arithmetic, and a baseline,
-    which has no arithmetic, once for all of them; the solver methods share
-    the pack's spectral norms, and both arithmetics a method's
-    preprocessing, released before the next method runs. One
+    stack keyed by ``(snr_index, trial_lo)`` with its downlink randoms,
+    into the calling thread's draw buffers, which the thread's next pack
+    overwrites. A solver method runs once on the pack per arithmetic, and
+    a baseline, which has no arithmetic, once for all of them; the solver
+    methods share the pack's spectral norms, both arithmetics a method's
+    preprocessing, released before the next method runs, and ``mrc-chest``
+    and ``mrc-rt`` one combining with the pilot estimate. One
     ``downlink_ser`` call, with each trial's noise variance, evaluates the
     estimates of every method and arithmetic.
 
@@ -266,24 +288,29 @@ def _run_pack(cfg: SweepConfig, arithmetics: tuple[str, ...], chunks: list[tuple
     later in fixed order for worker-count independence; and how many hard
     decisions of the first solver method agree between float and fixed
     arithmetic per chunk (0 unless both run). The integer counts of all
-    chunks are one segmented sum (``np.add.reduceat``) over the pack.
+    chunks are one segmented sum (``np.add.reduceat``) over the pack. The
+    returned arrays are new: none views a draw buffer.
     """
     c = Constellation(cfg.constellation)
     solver = next((m for m in cfg.methods if m.params is not None), None)
     keyed = [((i, lo), cfg.snr_points_db[i], hi - lo) for i, lo, hi in chunks]
     Y, G, s_true, h_true, n0, draws = draw_blocks(
-        cfg.B, cfg.K, c, cfg.master_seed, keyed, cfg.los, cfg.downlink_symbols
+        cfg.B, cfg.K, c, cfg.master_seed, keyed, cfg.los, cfg.downlink_symbols, _THREAD_BUFFERS.draws
     )
     norm = None if solver is None else spectral_norm(G)
     detections = []
     decisions = {}
+    pilot = None
     for spec in cfg.methods:
+        if spec.name in ("mrc-chest", "mrc-rt") and pilot is None:
+            h_pilot = chest_pilot(Y, c)
+            pilot = mrc(Y, h_pilot, c), h_pilot
         approx = spec.name == "aprox"
         pre = None if spec.params is None else preprocess(G, spec.params.alpha_scale * norm, approx)
         for arithmetic in arithmetics:
             # A baseline ignores the arithmetic: it runs once per pack.
             if pre is not None or arithmetic == arithmetics[0]:
-                s_hat, h_hat = _detect(spec, Y, G, pre, h_true, c, arithmetic)
+                s_hat, h_hat = _detect(spec, Y, G, pre, h_true, pilot, c, arithmetic)
             if spec is solver:
                 decisions[arithmetic] = s_hat[:, 1:]
             detections.append((s_hat, h_hat))

@@ -302,6 +302,7 @@ def draw_blocks(
     chunks: Sequence[tuple[tuple[int, ...], float, int]],
     los: LosGeometry | None = None,
     downlink_symbols: int = 0,
+    buffers: dict | None = None,
 ) -> Blocks:
     """The seeded trials of ``chunks``, each ``(key, snr_db, T)``, joined
     along the trial axis: the package's only stream layout.
@@ -327,26 +328,47 @@ def draw_blocks(
     arrays allocated once for the whole call; the channels, symbols, noise
     scaling and Gram matrices are then formed once for all trials. The
     counts, ``seed`` and every key entry must pass ``check_int``, each
-    SNR ``snr_to_n0``, and ``los`` ``check_los``.
+    SNR ``snr_to_n0``, ``los`` ``check_los``, and ``buffers`` must be a
+    dict or None.
+
+    With a dict of ``buffers`` (empty, or as an earlier call left it), the
+    channel normals, data indices, ``n0``, the ``downlink`` arrays and
+    ``Y`` are drawn into the arrays of the right shape and dtype that it
+    holds, and any it lacks are allocated and stored there. So a later call
+    overwrites them: a caller who passes ``buffers`` must not keep a
+    previous call's arrays. Without it, every array is new, and so are the
+    noise normals always, which are freed before the Gram matrices are
+    formed.
     """
     if check_int(B, "B") < 1:
         raise DimensionError("need at least one receive antenna")
     K, downlink_symbols = check_int(K, "K"), check_int(downlink_symbols, "downlink_symbols")
     seed, los = check_int(seed, "the seed"), check_los(los)
+    if not isinstance(buffers, (dict, type(None))):
+        raise ParameterError(f"buffers must be a dict or None, not {buffers!r}")
     keys = [tuple(check_int(k, "a key entry") for k in key) for key, _, _ in chunks]
     sizes = [check_int(n, "a chunk's trial count") for _, _, n in chunks]
     n0s = [snr_to_n0(snr_db, c) for _, snr_db, _ in chunks]
     T = sum(sizes)
     m = len(c.points)
-    h_normals = np.empty((T, 2, B)) if los is None else None
-    data = np.empty((T, K), dtype=np.int64)
+    # Without buffers, a dict of this call's own holds every array.
+    buffers = {} if buffers is None else buffers
+
+    def empty(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        held = buffers.get(name)
+        if not (isinstance(held, np.ndarray) and held.shape == shape and held.dtype == dtype):
+            held = buffers[name] = np.empty(shape, dtype)
+        return held
+
+    h_normals = empty("h_normals", (T, 2, B)) if los is None else None
+    data = empty("data", (T, K), np.int64)
     normals = np.empty((T, 2, B, K + 1))
     dl = None
     if downlink_symbols > 0:
         dl = DownlinkDraws(
-            np.empty((T, 2)),
-            np.empty((T, downlink_symbols), dtype=np.int64),
-            np.empty((T, 2 * downlink_symbols)),
+            empty("ref_noise", (T, 2)),
+            empty("downlink_data", (T, downlink_symbols), np.int64),
+            empty("downlink_noise", (T, 2 * downlink_symbols)),
         )
     # The children each chunk uses, in the order the loop below takes them.
     children = [
@@ -356,7 +378,7 @@ def draw_blocks(
         if used
     ]
     rngs = iter(_generators(seed, children))
-    n0 = np.empty(T)
+    n0 = empty("n0", (T,))
     lo = 0
     for n, chunk_n0 in zip(sizes, n0s):
         part = slice(lo, lo + n)
@@ -383,7 +405,8 @@ def draw_blocks(
     s = np.empty((T, K + 1), dtype=np.complex128)
     s[:, 0] = c.points[0]
     s[:, 1:] = c.points[data]
-    Y = h[:, :, None] * s.conj()[:, None, :]
+    Y = empty("Y", (T, B, K + 1), np.complex128)
+    np.multiply(h[:, :, None], s.conj()[:, None, :], out=Y)
     normals *= np.sqrt(n0 / 2.0)[:, None, None, None]
     Y.real += normals[:, 0]
     Y.imag += normals[:, 1]

@@ -343,10 +343,14 @@ def test_datapath_formats_out_of_range_rejected(call, match):
             lambda: model.draw_blocks(4, 2, QPSK, 1, [((0,), 0.0, 2)], los={}),
             "los must be a LosGeometry or None",
         ),
+        (
+            lambda: model.draw_blocks(4, 2, QPSK, 1, [((0,), 0.0, 2)], buffers=[]),
+            "buffers must be a dict or None",
+        ),
     ],
     ids=[
         "methods-of-names", "one-method", "los-dict", "params-dict", "one-snr-point", "no-snr-points",
-        "draw-blocks-los-dict",
+        "draw-blocks-los-dict", "draw-blocks-buffers-list",
     ],
 )
 def test_sweep_fields_of_the_wrong_type_rejected_by_name(make, match, monkeypatch):

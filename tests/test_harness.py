@@ -2,7 +2,9 @@ import hashlib
 import math
 import re
 import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +24,7 @@ from simojed.harness import (
 )
 from simojed.baselines import chest_pilot, ml_jed_exhaustive, mrc
 from simojed.linalg import gram, spectral_norm
-from simojed.model import Constellation, draw_blocks, snr_to_n0
+from simojed.model import Constellation, LosGeometry, draw_blocks, snr_to_n0
 from simojed.prox import ProxParams, channel_estimate, preprocess, solve_stack
 from simojed.tuning import tune_rho
 
@@ -510,7 +512,7 @@ class TestRunSweep:
         harness._run_pack(cfg, arithmetics, [(0, 0, 25), (1, 3, 43)])
         n = len(arithmetics)
         assert calls == Counter(
-            mrc=3,  # mrc-csir, mrc-chest and mrc-rt
+            mrc=2,  # mrc-csir, and one pilot combining for mrc-chest and mrc-rt
             ml_jed_exhaustive=1,
             channel_estimate=2 * n + 2,  # prox and aprox per arithmetic, mrc-rt, ml-jed
             solve_stack=2,
@@ -625,6 +627,151 @@ class TestRunSweep:
         chest = res.curve("mrc-chest")
         assert prox[-2.0] <= prox[-8.0]
         assert prox[-2.0] <= chest[-2.0]
+
+
+def in_a_new_thread(fn, *args):
+    """``fn(*args)`` in a thread of its own, whose packs start from no draw
+    buffers."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def sweep_csvs(cfg) -> tuple[str, str, str]:
+    report = hw_compare(cfg)
+    return run_sweep(cfg).to_csv(), report.float_result.to_csv(), report.fixed_result.to_csv()
+
+
+# Each sweep draws packs of another shape than the one before it: B, K, the
+# constellation, the downlink count, the channel, an infinite SNR point
+# (whose chunk fills its noise with -0.0) and two packs of 512 and 88 trials.
+BASE = dict(
+    constellation="qpsk",
+    trials=60,
+    methods=(MethodSpec("prox", ProxParams(rho_log2=1)), MethodSpec("mrc-rt")),
+)
+RESHAPED = [
+    {},
+    {"B": 16},
+    {"K": 6},
+    {"constellation": "bpsk"},
+    {"downlink_symbols": 9},
+    {"los": LosGeometry(user_angle=0.2)},
+    {"snr_points_db": (-4.0, float("inf"))},
+    {},
+    {"trials": 600, "snr_points_db": (-4.0,)},
+    {"los": LosGeometry(user_angle=0.2)},
+]
+
+
+class TestDrawBuffers:
+    """A thread's sweep packs draw into one set of buffers (``harness``'s
+    ``_THREAD_BUFFERS``), which no output and no other caller shares."""
+
+    def test_interleaved_sweeps_match_sweeps_run_alone(self):
+        configs = [small_config(**BASE | change) for change in RESHAPED]
+        alone = [in_a_new_thread(sweep_csvs, cfg) for cfg in configs]
+        assert [sweep_csvs(cfg) for cfg in configs] == alone
+        assert len(set(alone)) == len(set(configs))
+        # This thread's packs left their draws behind for the next pack: the
+        # last line-of-sight pack's blocks, and the channel normals of the
+        # last Rayleigh pack, 88 trials long.
+        held = harness._THREAD_BUFFERS.draws
+        assert held["Y"].shape == (120, 8, 5) and held["h_normals"].shape == (88, 2, 8)
+
+    def test_threads_running_different_sweeps_at_once_match_sequential(self):
+        # The threads' sweeps differ in their seed alone, so they draw packs
+        # of the same shapes at the same time. Three threads switch every
+        # 10 µs, so a buffer two of them shared would mix their draws.
+        configs = [small_config(**BASE | change) for change in RESHAPED[:5]] * 2
+        runs = [[replace(cfg, master_seed=seed) for cfg in configs] for seed in (11, 12, 13)]
+        sequential = [[sweep_csvs(cfg) for cfg in sweeps] for sweeps in runs]
+        start = threading.Barrier(len(runs))
+
+        def run_all(sweeps):
+            start.wait(timeout=60)
+            return [sweep_csvs(cfg) for cfg in sweeps]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+                futures = [pool.submit(run_all, sweeps) for sweeps in runs]
+                assert [f.result(timeout=120) for f in futures] == sequential
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({tuple(csvs) for csvs in sequential}) == len(runs)
+
+    def test_a_call_of_the_same_shapes_reuses_the_buffers(self):
+        c = Constellation("qpsk")
+
+        def draw(seed, buffers=None):
+            return draw_blocks(8, 4, c, seed, [((0,), -2.0, 7), ((1,), 3.0, 5)], None, 6, buffers)
+
+        buffers = {}
+        first, second = draw(1, buffers), draw(2, buffers)
+        assert {name: a.shape for name, a in buffers.items()} == {
+            "h_normals": (12, 2, 8), "data": (12, 4), "n0": (12,), "Y": (12, 8, 5),
+            "ref_noise": (12, 2), "downlink_data": (12, 6), "downlink_noise": (12, 12),
+        }
+        reused = (first.Y, first.n0, *first.downlink)
+        assert all(np.shares_memory(a, b) for a, b in zip(reused, (second.Y, second.n0, *second.downlink)))
+        assert all(any(np.shares_memory(a, held) for held in buffers.values()) for a in reused)
+        # Drawn anew, the same blocks hold the same bytes in memory of
+        # their own, as does the first call's G, s and h.
+        fresh = draw(2)
+        for held, new in zip(second[:5] + second.downlink, fresh[:5] + fresh.downlink):
+            assert held.tobytes() == new.tobytes()
+            assert not any(np.shares_memory(new, b) for b in buffers.values())
+            assert not np.shares_memory(held, new)
+        for a, b in zip(first[1:4], second[1:4]):
+            assert not np.shares_memory(a, b)
+
+    def test_buffers_of_other_shapes_are_replaced(self):
+        c = Constellation("bpsk")
+        buffers = {}
+        draw_blocks(4, 2, c, 5, [((0,), 0.0, 9)], None, 3, buffers)
+        shapes = {name: a.shape for name, a in buffers.items()}
+        blocks = draw_blocks(6, 2, c, 5, [((0,), 0.0, 4)], None, 0, buffers)
+        assert buffers["Y"].shape == (4, 6, 3) and np.shares_memory(blocks.Y, buffers["Y"])
+        assert buffers["ref_noise"].shape == shapes["ref_noise"]  # untouched without downlink draws
+        alone = draw_blocks(6, 2, c, 5, [((0,), 0.0, 4)])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(blocks[:5], alone[:5]))
+
+    def test_held_blocks_unchanged_after_a_later_sweep(self):
+        cfg = small_config(**BASE)
+        blocks = draw_blocks(8, 4, Constellation("qpsk"), 11, [((0, 0), -8.0, 60), ((1, 0), -4.0, 60)])
+        kept = [a.tobytes() for a in blocks[:5]]
+        run_sweep(cfg)
+        assert harness._THREAD_BUFFERS.draws["Y"].shape == blocks.Y.shape
+        assert [a.tobytes() for a in blocks[:5]] == kept
+
+    def test_pack_outputs_view_no_buffer(self):
+        cfg = small_config(**BASE | {"downlink_symbols": 9})
+        outputs = harness._run_pack(cfg, ("float", "fixed"), [(0, 0, 30), (1, 0, 30)])
+        held = harness._THREAD_BUFFERS.draws.values()
+        assert not any(np.shares_memory(out, b) for out in outputs for b in held)
+
+    def test_one_pilot_combining_per_pack(self, monkeypatch):
+        # mrc-rt takes mrc-chest's decisions: one pilot estimate and one
+        # pilot combining per pack, as well as mrc-csir's own combining,
+        # where there used to be two. The CSV is the pinned one.
+        gains = ProxParams(rho_log2=1)
+        cfg = small_config(
+            K=4,
+            constellation="qpsk",
+            snr_points_db=tuple(float(s) for s in range(-8, 3, 2)),
+            trials=100,
+            methods=tuple(
+                MethodSpec(name, gains if name in ("prox", "aprox") else None)
+                for name in harness.METHOD_NAMES
+            ),
+        )
+        calls = count_calls(monkeypatch, ("draw_blocks", "chest_pilot", "mrc"))
+        csv = run_sweep(cfg).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "5ca56c36132bfe6a437d398fb62b750c83b4d758efa61b3533aa35922756ff75"
+        )
+        assert calls == Counter(draw_blocks=2, chest_pilot=2, mrc=4)
 
 
 class TestStatsHelpers:
