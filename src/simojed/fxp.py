@@ -30,12 +30,13 @@ Every word is a raw integer: ``quantize_block`` writes int32 arrays and
 ``direct_iteration`` keeps its iterate and buffers in int32, while the
 cycle trace keeps int64 grids. Each arithmetic rule has one definition:
 ``quantize_array`` (scale, truncate, saturate), ``_cross_terms`` (truncated
-products and the wrapping cross-term), ``mac_step`` (one
-multiply-accumulate per element) and ``projection_unit`` (the hull clip).
-``direct_iteration`` runs a whole stack of blocks at once, and
-``solve_fixed_stack`` (quantize, iterate, slice) is the one fixed-point
-detection pass; ``pe_array_iteration`` replays one block cycle by cycle for
-the trace.
+products and the wrapping cross-term), ``_saturate`` (the accumulator
+clamp) and ``projection_unit`` (the hull clip). Both iterations form all
+their cross-terms in one ``_cross_terms`` call and walk only the saturating
+adds cycle by cycle. ``direct_iteration`` runs a whole stack of blocks at
+once, and ``solve_fixed_stack`` (quantize, iterate, slice) is the one
+fixed-point detection pass; ``pe_array_iteration`` replays one block cycle
+by cycle for the trace.
 
 The processing-element array is a ring of N = K+1 elements. Element 1 is a
 pass-through that only circulates the known reference symbol; every other
@@ -65,7 +66,7 @@ RHO_INV_BITS, RHO_INV_FRAC = 12, 11
 FLUSH_CYCLES = 2  # a 3-stage MAC pipeline drains in 2 cycles after the last feed
 
 # Typed int32 bounds keep int32 words int32, and spare ndarray.clip the range
-# lookup it makes for a Python-int bound, which every per-cycle MAC would pay.
+# lookup it makes for a Python-int bound, which every per-cycle saturation would pay.
 _ACC_MIN, _ACC_MAX = np.int32(-(1 << (ACC_BITS - 1))), np.int32((1 << (ACC_BITS - 1)) - 1)
 
 
@@ -117,21 +118,6 @@ def _cross_terms(g: tuple, s: tuple) -> np.ndarray:
 def _saturate(acc: np.ndarray) -> np.ndarray:
     """Saturate accumulator words at ACC_BITS, in place."""
     return acc.clip(_ACC_MIN, _ACC_MAX, out=acc)
-
-
-def mac_step(acc: tuple, g: tuple, s: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """One complex multiply-accumulate per element through the pipelined
-    datapath, on (real, imaginary) pairs of raw-integer arrays.
-
-    Products are exact (18b/14f); each drops 3 fraction LSBs; the cross-term
-    add/subtract wraps; the accumulation saturates. Words outside their
-    formats give wrong cross-terms: ``pe_array_iteration`` checks its words
-    once per iteration, not once per cycle.
-    """
-    cross = _cross_terms(g, s)
-    cross += acc
-    re, im = _saturate(cross)
-    return re, im
 
 
 def projection_unit(q_bar, rho_log2: int) -> np.ndarray:
@@ -226,10 +212,11 @@ def _checked_words(
     s_in: tuple, Ghat_q: tuple, cfg: PeArrayConfig, s_check_q: tuple[int, int]
 ) -> tuple[np.ndarray, ...]:
     """The raw (gre, gim, sre, sim) words as int32 arrays, with the iterate's
-    imaginary part zero on a real-only array. Shapes must match the array
-    size (leading trial axes allowed) and every word its format: the
-    imaginary-only wrap of ``_cross_terms`` is exact only for in-range
-    words."""
+    imaginary part zero on a real-only array, and the (real, imaginary)
+    pilot words. Shapes must match the array size (leading trial axes
+    allowed), the pilot must be one pair of words, and every word an
+    integer in its format: the imaginary-only wrap of ``_cross_terms`` is
+    exact only for in-range words."""
     N = cfg.N
     gre, gim = (np.asarray(a) for a in Ghat_q)
     sre = np.asarray(s_in[0])
@@ -237,18 +224,24 @@ def _checked_words(
     shapes_match = sre.shape[-1:] == (N,) and sim.shape == sre.shape
     if not (shapes_match and gre.shape == gim.shape == sre.shape + (N,)):
         raise DimensionError("matrix/vector sizes do not match the array size")
+    pilot = tuple(np.asarray(w) for w in s_check_q) if np.iterable(s_check_q) else ()
+    if len(pilot) != 2 or any(w.ndim for w in pilot):
+        raise ParameterError(f"the pilot must be one (real, imaginary) pair of words, not {s_check_q!r}")
     for what, bits, words in (
         ("matrix", G_BITS, (gre, gim)),
         ("iterate", S_BITS, (sre, sim)),
-        ("pilot", S_BITS, (np.asarray(s_check_q),)),
+        ("pilot", S_BITS, pilot),
     ):
         half = 1 << (bits - 1)
         for w in words:
+            # A NaN or a fraction would pass the range test and be cast to a wrong word.
+            if w.dtype.kind not in "iu":
+                raise ParameterError(f"{what} words must be integers, not {w.dtype}")
             if w.min(initial=0) < -half or w.max(initial=0) >= half:
                 raise ParameterError(
                     f"{what} words must be {bits}-bit integers in [{-half}, {half - 1}]"
                 )
-    return tuple(w.astype(np.int32, copy=False) for w in (gre, gim, sre, sim))
+    return (*(w.astype(np.int32, copy=False) for w in (gre, gim, sre, sim)), pilot)
 
 
 def pe_array_iteration(
@@ -264,14 +257,16 @@ def pe_array_iteration(
     entries circulate element k -> element k-1 each feed cycle while element
     k consumes its row in cyclic order starting at the diagonal, so in feed
     cycle j element k meets column (k+j) mod N of its row and the iterate
-    entry of that column. Each feed cycle is one ``mac_step`` over elements
-    1..N-1 and the projection cycle one ``projection_unit`` call, each
-    writing one row of the trace's grids.
+    entry of that column. The operands of all N feed cycles are gathered
+    into the trace's grids and their cross-terms formed in one call; each
+    feed cycle then only adds its cross-terms into elements 1..N-1's
+    accumulators and saturates them, and the projection cycle is one
+    ``projection_unit`` call.
     """
     N = cfg.N
     if np.ndim(s_in[0]) != 1:
         raise DimensionError("matrix/vector sizes do not match the array size")
-    gre, gim, sre, sim = _checked_words(s_in, Ghat_q, cfg, s_check_q)
+    gre, gim, sre, sim, pilot = _checked_words(s_in, Ghat_q, cfg, s_check_q)
 
     grid = np.zeros((8, N + FLUSH_CYCLES + 1, N), dtype=np.int64)  # CycleTrace's fields
     action, col, g, s, acc = grid[0], grid[1], grid[2:4], grid[4:6], grid[6:]
@@ -285,14 +280,18 @@ def pe_array_iteration(
     col[:N, 1:] = cols[:, 1:]
     g[:, :N, 1:] = gre[pes[1:], cols[:, 1:]], gim[pes[1:], cols[:, 1:]]
     s[:, :N] = sre[cols], sim[cols]
-    for j in range(N):  # feed cycles 1..N
-        acc[:, j, 1:] = mac_step(acc[:, j - 1, 1:] if j else 0, g[:, j, 1:], s[:, j, 1:])
+    # Cycle-major int32 sums, so that each cycle adds and saturates one
+    # contiguous row; a lone cross-term fits ACC_BITS.
+    sums = _cross_terms(g[:, :N, 1:], s[:, :N, 1:]).swapaxes(0, 1).astype(np.int32, order="C")
+    for j in range(1, N):  # feed cycles 2..N
+        _saturate(np.add(sums[j - 1], sums[j], out=sums[j]))
+    acc[:, :N, 1:] = sums.swapaxes(0, 1)
     acc[:, N:] = acc[:, N - 1 : N]  # the sums stay through the flush and projection
 
     s[:, -1, 1:] = projection_unit(acc[:, -1, 1:], cfg.rho_log2)
     if cfg.real_only:
         s[1, -1] = 0
-    s[:, -1, 0] = s_check_q
+    s[:, -1, 0] = pilot
     out_re, out_im = s[:, -1].copy()
     return (out_re, out_im), CycleTrace(*grid)
 
@@ -315,7 +314,7 @@ def direct_iteration(
     int32 buffers allocated once per call.
     """
     N = cfg.N
-    gre, gim, sre, sim = _checked_words(s_in, Ghat_q, cfg, s_check_q)
+    gre, gim, sre, sim, pilot = _checked_words(s_in, Ghat_q, cfg, s_check_q)
     cross = _cross_terms((gre, gim), (sre[..., None, :], sim[..., None, :]))
     rows = np.arange(N)
     # Row k consumes column (k+j) mod N in cycle j: row j of cycle_cols
@@ -330,7 +329,7 @@ def direct_iteration(
     out_re, out_im = projection_unit(acc, cfg.rho_log2)
     if cfg.real_only:
         out_im = np.zeros_like(out_im)
-    out_re[..., 0], out_im[..., 0] = s_check_q
+    out_re[..., 0], out_im[..., 0] = pilot
     return out_re, out_im
 
 

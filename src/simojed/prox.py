@@ -95,7 +95,6 @@ class SolverTrace:
 
     objective: np.ndarray
     grad_residual: np.ndarray
-    boundary_gap: np.ndarray
 
 
 @dataclass
@@ -226,7 +225,7 @@ def iterate(
     valid = (0.0 < beta) & (beta < pre.alpha)
     obj = np.where(valid, objective(q, s_new, pre.G, pre.alpha, beta), np.nan)
     rows = np.minimum(np.arange(params.t_max), steps - 1)
-    trace = SolverTrace(obj[rows], grad_residual[rows], _boundary_gap(s_new, c)[rows])
+    trace = SolverTrace(obj[rows], grad_residual[rows])
     return SolverState(s_cur, steps, trace)
 
 

@@ -39,6 +39,7 @@ from .model import Constellation, check_int, draw_blocks
 from .prox import (
     PreprocessedMatrix,
     ProxParams,
+    _boundary_gap,
     hull_gaps,
     init_s,
     iterate,
@@ -175,7 +176,7 @@ def _descent_rows(pre: PreprocessedMatrix, c: Constellation, K: int, params: Pro
     threshold = RESIDUAL_FACTOR * pre.alpha * np.sqrt(K + 1)
     converged = resid < CONVERGED_RESIDUAL
     fraction = np.mean(hull_gaps(state.s_cur, c) <= BOUNDARY_TOL, axis=-1)
-    gap = state.trace.boundary_gap[-1]
+    gap = _boundary_gap(state.s_cur, c)
     return zip(valid, margins, descends, resid, threshold, converged, gap, fraction)
 
 

@@ -135,7 +135,7 @@ def iterate_all_steps(pre, c, params):
     unscaled iterate ``gamma * q_tilde`` formed as the step returns, then
     the diagnostics of every step in one pass over all the rows. Returns
     the iterates from the start on, stacked along a new leading axis, and
-    (objective, grad_residual, boundary_gap)."""
+    each step's (objective, gradient residual, boundary gap)."""
     from simojed import prox
 
     s_all, q_all = [prox.init_s(pre.G, c)], []

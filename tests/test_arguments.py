@@ -312,6 +312,58 @@ def test_datapath_formats_out_of_range_rejected(call, match):
         call()
 
 
+def array_inputs(**swap):
+    """The arguments of either fixed-point iteration on a 3-element array
+    of zero words and the pilot (8, 0), with the named words swapped."""
+    matrix, vector = np.zeros((3, 3), dtype=np.int32), np.zeros(3, dtype=np.int32)
+    words = dict(gre=matrix, gim=matrix, sre=vector, sim=vector, pilot=(8, 0)) | swap
+    cfg = fxp.PeArrayConfig(N=3, t_max=1, rho_log2=1)
+    return (words["sre"], words["sim"]), (words["gre"], words["gim"]), cfg, words["pilot"]
+
+
+@pytest.mark.parametrize(
+    "iteration", [fxp.direct_iteration, fxp.pe_array_iteration], ids=["direct", "array"]
+)
+@pytest.mark.parametrize(
+    ("swap", "match"),
+    [
+        pytest.param(
+            dict(gre=np.full((3, 3), np.nan)), "matrix words must be integers, not float64",
+            id="matrix-nan",
+        ),
+        pytest.param(
+            dict(gim=np.full((3, 3), 100.7)), "matrix words must be integers, not float64",
+            id="matrix-fraction",
+        ),
+        pytest.param(
+            dict(sre=np.array([1.0, np.nan, 2.0])), "iterate words must be integers, not float64",
+            id="iterate-nan",
+        ),
+        pytest.param(
+            dict(sim=np.array([True, False, True])), "iterate words must be integers, not bool",
+            id="iterate-bool",
+        ),
+        pytest.param(dict(pilot=(8.0, 0)), "pilot words must be integers, not float64", id="pilot-float"),
+        pytest.param(dict(pilot=(True, 0)), "pilot words must be integers, not bool", id="pilot-bool"),
+        *[
+            pytest.param(
+                dict(pilot=pilot),
+                f"the pilot must be one (real, imaginary) pair of words, not {pilot!r}",
+                id=f"pilot={pilot!r}",
+            )
+            for pilot in ((8,), 8, (8, 0, 0), (8, (0, 1)))
+        ],
+    ],
+)
+def test_datapath_words_rejected_by_name(iteration, swap, match):
+    # A NaN word used to be cast to an int32 word with only a RuntimeWarning,
+    # a fraction or a bool was truncated, and the array pinned element 0 of a
+    # one-word pilot to 8+8j; direct_iteration ended there in numpy's
+    # ValueError or TypeError, as both did on a 3-word or ragged pilot.
+    with pytest.raises(ParameterError, match=f"^{re.escape(match)}$"):
+        iteration(*array_inputs(**swap))
+
+
 @pytest.mark.parametrize(
     ("make", "match"),
     [

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,7 +20,6 @@ from simojed.fxp import (
     PeArrayConfig,
     direct_iteration,
     latency_cycles,
-    mac_step,
     pe_array_iteration,
     projection_unit,
     quantize_array,
@@ -46,6 +47,17 @@ def raw_words(rng, bits, size):
 def clip_threshold(rho_log2):
     """The 12-bit 1/rho word, from the big-integer quantizer."""
     return int_quantize(1.0 / (1 << rho_log2), 12, 11)
+
+
+def mac_step(acc, g, s):
+    """One complex multiply-accumulate per element as both iterations
+    compose it: the cross-terms, added to the (real, imaginary)
+    accumulators, saturated."""
+    cross = fxp._cross_terms(g, s)
+    cross[0] += acc[0]
+    cross[1] += acc[1]
+    re, im = fxp._saturate(cross)
+    return re, im
 
 
 class TestQuantize:
@@ -148,6 +160,17 @@ class TestMacStep:
         ref = [int_mac(*args) for args in zip(*acc.tolist(), *g.tolist(), *s.tolist())]
         assert list(zip(re.tolist(), im.tolist())) == ref
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_accumulation_saturates(self, dtype):
+        # The cross-terms (16380, 4) and (-16380, 4) push a real sum past
+        # either end of the 15-bit word, where it stays.
+        g = np.array([[-2048, 2047], [2047, -2048]], dtype=dtype)
+        s = np.full((2, 2), -32, dtype=dtype)
+        acc = np.array([[16283, -16284], [0, 0]], dtype=dtype)
+        re, im = mac_step(acc, g, s)
+        assert re.dtype == dtype
+        assert (re.tolist(), im.tolist()) == ([16383, -16384], [4, 4])
+
 
 class TestProjectionUnit:
     def test_upper_clip(self):
@@ -207,7 +230,50 @@ def random_quantized_instance(rng, N):
     return (gre, gim), (sre, sim)
 
 
+# SHA-256 over pe_array_iteration's output words, its eight CycleTrace
+# grids and to_text() on array_instances(N, real_only), recorded while each
+# feed cycle still formed its own cross-terms.
+ARRAY_DIGESTS = {
+    (2, False): "69d8a93c01642bca2d238d785e63e91ff1920c040140928acd524c60d206af81",
+    (2, True): "93a5fc910d67c72352476df95310010c2b8de8d65c58b146e8b74f523fd35aca",
+    (5, False): "8a81556266ed41f490f4c78f52f599bd3f8b02c59af616f716b98c05a06ad23e",
+    (5, True): "ca4663964f9a7c8ad453a6677c540e0b586b82fb7e7096c6659b520df0fcb895",
+    (17, False): "413af8e7ebb1edd51a8716d07a063903d2b2fa979594979426503b4b02c99091",
+    (17, True): "2a14e7ea625bc6de6cb9d504b51ff1b55b6dbb701cbe8a15d563cefce43f5092",
+    (33, False): "516cf7cc847d2d5d65b83dd64e8204f2dde471697c96163214a4fc0ea6274114",
+    (33, True): "3038bd05f922ba10309f262c47a781819ec8c1ce41d53e3216597731ef5c2a2a",
+}
+
+
+def array_instances(N, real_only):
+    """(matrix words, iterate words, rho_log2, pilot) of six blocks: four
+    random ones at seeded gains and pilots, the one corner whose imaginary
+    cross-term wraps, and a block whose every real cross-term is 16380 (8192
+    on a real-only array), so its sums saturate from the second cycle on."""
+    rng = np.random.default_rng(1000 * N + real_only)
+    for _ in range(4):
+        G_q, s_q = random_quantized_instance(rng, N)
+        yield G_q, s_q, int(rng.integers(1, 7)), tuple(raw_words(rng, S_BITS, 2).tolist())
+    full = lambda v, *shape: np.full(shape or (N, N), v)
+    yield (full(-2048), full(-2048)), (full(-32, N), full(-32, N)), 1, (-32, 31)
+    yield (full(-2048), full(2047)), (full(-32, N), full(-32, N)), 6, (8, 0)
+
+
 class TestPeArray:
+    @pytest.mark.parametrize("real_only", [False, True], ids=["complex", "real-only"])
+    @pytest.mark.parametrize("N", [2, 5, 17, 33])
+    def test_pinned_digests(self, N, real_only):
+        digest = hashlib.sha256()
+        for G_q, s_q, rho_log2, pilot in array_instances(N, real_only):
+            cfg = PeArrayConfig(N=N, t_max=1, rho_log2=rho_log2, real_only=real_only)
+            out, trace = pe_array_iteration(s_q, G_q, cfg, pilot)
+            for words in (*out, *vars(trace).values()):
+                digest.update(np.asarray(words, dtype="<i8").tobytes())
+            digest.update(trace.to_text().encode())
+        # The last block's sums reach the top of the accumulator word.
+        assert trace.acc_re.max() == (1 << (ACC_BITS - 1)) - 1
+        assert digest.hexdigest() == ARRAY_DIGESTS[N, real_only]
+
     def test_input_cyclic_operand_order_n3(self):
         # Element 1 must consume its row starting at the diagonal: columns
         # 1, 2, 0 on the first three cycles, with the matching iterate entry.
